@@ -83,7 +83,7 @@ ChaosPoint Run(double loss, uint64_t seed) {
   }
 
   Client::Options options;
-  options.retry.timeout = 100 * kMicrosecond;
+  options.timeout = 100 * kMicrosecond;
   options.max_ops_per_packet = 16;
   Client client(server, options);
   KvEndpoint& ep = client;  // the driver sees only the endpoint interface

@@ -219,9 +219,9 @@ StormPoint RunStorm(uint32_t retry_budget, uint64_t seed) {
 
   Client::Options options;
   options.max_ops_per_packet = 1;  // one frame per op: a worst-case storm
-  options.retry.timeout = 20 * kMicrosecond;
-  options.retry.max_attempts = 12;
-  options.retry.retry_budget = retry_budget;
+  options.timeout = 20 * kMicrosecond;
+  options.max_attempts = 12;
+  options.retry_budget = retry_budget;
   Client client(server, options);
   (void)seed;
 

@@ -2,8 +2,9 @@
 # One-command CI gate: the tier-1 build + test pass, then the sanitizer
 # sweeps. Mirrors exactly what a reviewer runs by hand:
 #
-#   1. layering guard — the transport layer (src/transport) must hold the only
-#      copy of the framing/replay-dedup logic;
+#   1. layering guards — the transport layer (src/transport) must hold the
+#      only copy of the framing/replay-dedup logic, and the batching client
+#      core the only client-side packing/response-admission path;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -29,6 +30,18 @@ leaks=$(grep -rnE 'ReplayEntry|0xf4a3e' src bench tests --include='*.h' --includ
 if [[ -n "${leaks}" ]]; then
   echo "framing/replay logic found outside src/transport:" >&2
   echo "${leaks}" >&2
+  exit 1
+fi
+
+# One batching client core: packing ops into packets (PacketBuilder) and
+# admitting responses (ReliableSender::AcceptResponse) happen in src/transport
+# (plus the wire format itself in src/net and trace encoding in
+# src/workload). A client anywhere else in src/ growing its own copy fails.
+packers=$(grep -rnE 'PacketBuilder|AcceptResponse\(' src --include='*.h' --include='*.cc' \
+            | grep -vE '^src/(net|transport|workload)/' || true)
+if [[ -n "${packers}" ]]; then
+  echo "client packing/response admission found outside the batching core:" >&2
+  echo "${packers}" >&2
   exit 1
 fi
 

@@ -1,56 +1,13 @@
 #include "src/cluster/cluster_client.h"
 
-#include <algorithm>
-#include <optional>
-#include <utility>
-
-#include "src/common/assert.h"
-#include "src/net/wire_format.h"
-#include "src/transport/frame.h"
-
 namespace kvd {
 
-struct ClusterClient::FlushState {
-  std::vector<KvResultMessage> results;
-  size_t outstanding = 0;
-};
-
-struct ClusterClient::PacketCtx : ReliablePacket {
-  std::vector<uint8_t> ops_payload;  // PacketBuilder output, never re-built
-  std::vector<size_t> op_indices;    // flush-result slots, packet order
-  // The packet's operations, aligned with op_indices. Kept so a wrong-shard
-  // bounce can re-derive the route from the keys themselves: after a split
-  // the built-in partition label means nothing under the new modulus.
-  std::vector<KvOperation> ops;
-  std::vector<std::vector<uint8_t>> write_keys;
-  uint32_t partition = 0;
-  uint32_t group = 0;  // routing: which group the next transmission targets
-  bool is_write = false;
-  std::shared_ptr<FlushState> flush;
-};
-
-ClusterClient::ClusterClient(ClusterCoordinator& cluster, Options options)
-    : cluster_(cluster),
-      options_(options),
-      map_(cluster.FetchShardMap()),
-      next_sequence_(cluster.AcquireClientSequenceBase()),
-      sender_(cluster.simulator(),
-              ReliableSender::RetryPolicy{
-                  .timeout = options_.timeout,
-                  .max_attempts = options_.max_attempts,
-                  .backoff_shift_cap = 6,
-                  .attempts_per_target = options_.attempts_per_target,
-                  .num_targets = cluster.config().group.num_replicas,
-                  .jitter = options_.jitter,
-                  .jitter_seed = next_sequence_,
-                  .retry_budget = options_.retry_budget,
-                  .retry_refill_per_success = options_.retry_refill_per_success},
-              &stats_,
-              [this]() -> RequestTracer& { return cluster_.request_tracer(); },
-              [this](const ReliableSender::PacketPtr& packet) { Wire(packet); },
-              [this](const ReliableSender::PacketPtr& packet) { OnFail(packet); }) {
-  KVD_CHECK_MSG(options_.batch_payload_bytes > kFrameHeaderBytes + 8 + 64,
-                "packet budget too small for the framing and routing headers");
+ClusterClient::ClusterClient(ClusterCoordinator& cluster, const Options& options)
+    : GroupRouter(cluster.simulator(), cluster.AcquireClientSequenceBase(), options,
+                  cluster.config().group.num_replicas, kGroupRouteHeaderBytes, &stats_),
+      cluster_(cluster),
+      migrate_backoff_(options.migrate_backoff),
+      map_(cluster.FetchShardMap()) {
   stats_.map_refetches++;  // the constructor's initial fetch
 }
 
@@ -59,309 +16,87 @@ void ClusterClient::RefreshMap() {
   stats_.map_refetches++;
 }
 
-uint32_t& ClusterClient::BelievedPrimary(uint32_t group) {
-  if (group >= believed_primary_.size()) {
-    believed_primary_.resize(group + 1, 0);
-  }
-  return believed_primary_[group];
+uint32_t ClusterClient::BucketOf(const KvOperation& op) {
+  return map_.router().PartitionOf(op.key);
 }
 
-size_t ClusterClient::Enqueue(KvOperation op) {
-  pending_.push_back(std::move(op));
-  return pending_.size() - 1;
+void ClusterClient::Route(Packet& packet) {
+  packet.group = map_.OwnerOf(packet.bucket);
+  packet.target = packet.is_write ? BelievedPrimary(packet.group)
+                                  : cluster_.group(packet.group).primary_id();
 }
 
-void ClusterClient::BeginFlush() {
-  KVD_CHECK_MSG(flush_ == nullptr || flush_->outstanding == 0,
-                "previous flush still in progress");
-  flush_ = std::make_shared<FlushState>();
-  flush_->results.resize(pending_.size());
-  std::vector<KvOperation> ops = std::move(pending_);
-  pending_.clear();
-  if (ops.empty()) {
-    return;
-  }
-
-  std::vector<size_t> slots(ops.size());
-  for (size_t i = 0; i < ops.size(); i++) {
-    slots[i] = i;
-  }
-  std::vector<std::shared_ptr<PacketCtx>> packets =
-      BuildPackets(ops, slots, flush_);
-  flush_->outstanding = packets.size();
-  for (const auto& packet : packets) {
-    SendPacket(packet);
-  }
-}
-
-std::vector<std::shared_ptr<ClusterClient::PacketCtx>>
-ClusterClient::BuildPackets(const std::vector<KvOperation>& ops,
-                            const std::vector<size_t>& slots,
-                            const std::shared_ptr<FlushState>& flush) {
-  // One packet's keys all hash to one partition under the cached map, so a
-  // whole packet routes (and bounces) as a unit. std::map keeps partition
-  // iteration deterministic.
-  const KeyRouter router = map_.router();
-  std::map<uint32_t, std::vector<size_t>> by_partition;
-  for (size_t i = 0; i < ops.size(); i++) {
-    by_partition[router.PartitionOf(ops[i].key)].push_back(i);
-  }
-
-  const uint32_t budget = options_.batch_payload_bytes -
-                          static_cast<uint32_t>(kFrameHeaderBytes) - 8;
-  std::vector<std::shared_ptr<PacketCtx>> packets;
-  for (const auto& [partition, indices] : by_partition) {
-    PacketBuilder builder(budget, options_.enable_compression);
-    auto ctx = std::make_shared<PacketCtx>();
-    ctx->flush = flush;
-    ctx->partition = partition;
-    for (const size_t i : indices) {
-      if (!builder.Add(ops[i])) {
-        KVD_CHECK_MSG(!ctx->op_indices.empty(),
-                      "operation exceeds the packet budget");
-        ctx->ops_payload = builder.Finish();
-        packets.push_back(std::move(ctx));
-        ctx = std::make_shared<PacketCtx>();
-        ctx->flush = flush;
-        ctx->partition = partition;
-        KVD_CHECK(builder.Add(ops[i]));
-      }
-      ctx->op_indices.push_back(slots[i]);
-      ctx->ops.push_back(ops[i]);
-      if (ops[i].deadline != 0) {
-        // Earliest op deadline bounds the packet: past it the sender abandons
-        // the frame with kDeadlineExceeded instead of retrying into a bounce
-        // chain (migration freeze, redirect storm) nobody is waiting out.
-        ctx->deadline = ctx->deadline == 0
-                            ? ops[i].deadline
-                            : std::min(ctx->deadline, ops[i].deadline);
-      }
-      if (IsWriteOpcode(ops[i].opcode)) {
-        ctx->is_write = true;
-        ctx->write_keys.push_back(ops[i].key);
-      }
-    }
-    if (!ctx->op_indices.empty()) {
-      ctx->ops_payload = builder.Finish();
-      packets.push_back(std::move(ctx));
-    }
-  }
-  return packets;
-}
-
-void ClusterClient::SendPacket(const std::shared_ptr<PacketCtx>& packet) {
-  packet->sequence = next_sequence_++;
-  packet->group = map_.OwnerOf(packet->partition);
-  ReframeRoute(packet);
-  packet->target = packet->is_write
-                       ? BelievedPrimary(packet->group)
-                       : cluster_.group(packet->group).primary_id();
-  stats_.packets_sent++;
-  sender_.Send(packet);
-}
-
-void ClusterClient::ReframeRoute(const std::shared_ptr<PacketCtx>& ctx) {
+std::vector<uint8_t> ClusterClient::RequestHeader(const Packet& packet) {
   GroupRequest request;
+  request.required_index = RequiredIndex(packet);
   request.has_route = true;
   request.map_epoch = map_.epoch;
-  request.partition = ctx->partition;
-  request.ops_payload = ctx->ops_payload;
-  // Read-your-writes: the serving group must have applied the highest index
-  // this client's acked writes reached *there*. Watermarks from a previous
-  // owner are dropped — their indices mean nothing in the new group's log,
-  // and the cutover installed the write's state on every destination replica.
-  uint64_t required = 0;
-  const KeyRouter router = map_.router();
-  for (const auto& [key, mark] : watermarks_) {
-    if (mark.group != ctx->group || router.PartitionOf(key) != ctx->partition) {
-      continue;
+  request.partition = packet.bucket;
+  return EncodeGroupRequest(request);
+}
+
+bool ClusterClient::OnShardBounce(const PacketPtr& packet,
+                                  const GroupResponse& response) {
+  if ((response.flags & kGroupWrongShard) == 0) {
+    if ((response.flags & kGroupMigrating) == 0) {
+      return false;
     }
-    required = std::max(required, mark.index);
-  }
-  request.required_index = required;
-  ctx->framed = FramePacket(ctx->sequence, EncodeGroupRequest(request));
-}
-
-bool ClusterClient::flush_done() const {
-  return flush_ == nullptr || flush_->outstanding == 0;
-}
-
-std::vector<KvResultMessage> ClusterClient::TakeResults() {
-  KVD_CHECK_MSG(flush_ != nullptr && flush_->outstanding == 0,
-                "flush not complete");
-  std::vector<KvResultMessage> results = std::move(flush_->results);
-  flush_.reset();
-  return results;
-}
-
-std::vector<KvResultMessage> ClusterClient::Flush() {
-  BeginFlush();
-  Simulator& sim = cluster_.simulator();
-  while (!flush_done()) {
-    KVD_CHECK(sim.Step());  // group heartbeats keep the queue non-empty
-  }
-  return TakeResults();
-}
-
-void ClusterClient::Wire(const ReliableSender::PacketPtr& packet) {
-  auto ctx = std::static_pointer_cast<PacketCtx>(packet);
-  const uint32_t group = ctx->group;
-  const uint32_t target = ctx->target;
-  ReplicationGroup& g = cluster_.group(group);
-  g.client_network(target).SendPayloadToServer(
-      ctx->framed, [this, ctx, group, target](std::vector<uint8_t> bytes) {
-        cluster_.group(group).DeliverClientFrame(
-            target, std::move(bytes),
-            [this, ctx, group, target](std::vector<uint8_t> response) {
-              cluster_.group(group).client_network(target).SendPayloadToClient(
-                  std::move(response), [this, ctx](std::vector<uint8_t> r) {
-                    OnResponse(ctx, std::move(r));
-                  });
-            });
-      });
-}
-
-void ClusterClient::OnFail(const ReliableSender::PacketPtr& packet) {
-  auto ctx = std::static_pointer_cast<PacketCtx>(packet);
-  KvResultMessage failed;
-  failed.code = ctx->fail_code;
-  for (size_t index : ctx->op_indices) {
-    ctx->flush->results[index] = failed;
-  }
-  ctx->flush->outstanding--;
-}
-
-void ClusterClient::BackoffResend(const std::shared_ptr<PacketCtx>& ctx,
-                                  SimTime delay) {
-  cluster_.simulator().Schedule(delay, [this, ctx] {
-    if (!ctx->completed) {
-      sender_.Resend(ctx);
-    }
-  });
-}
-
-void ClusterClient::OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                               std::vector<uint8_t> packet) {
-  std::optional<std::vector<uint8_t>> payload =
-      sender_.AcceptResponse(ctx, packet);
-  if (!payload.has_value()) {
-    return;  // duplicate, corrupt, or foreign frame — counted by the sender
-  }
-  Result<GroupResponse> decoded = DecodeGroupResponse(*payload);
-  if (!decoded.ok()) {
-    sender_.NoteCorruptResponse();
-    return;
-  }
-  const GroupResponse& response = decoded.value();
-
-  if ((response.flags & kGroupWrongShard) != 0) {
-    stats_.wrong_shard_bounces++;
-    if (response.num_partitions != map_.num_partitions()) {
-      // The map's granularity changed under us (a split): patching one
-      // entry cannot reconcile it; refetch wholesale.
-      RefreshMap();
-    } else if (response.map_epoch > map_.epoch) {
-      // Patch just the bounced entry: one migration moved one partition.
-      map_.epoch = response.map_epoch;
-      if (ctx->partition < map_.owners.size() &&
-          response.owner_group < cluster_.num_groups()) {
-        map_.owners[ctx->partition] = response.owner_group;
-      }
-      stats_.map_patches++;
-    }
-    // Re-derive the route from the packet's own keys under the current map:
-    // a label framed before a split was computed with the old modulus and
-    // means nothing now (the gates refuse such frames outright).
-    const KeyRouter router = map_.router();
-    bool straddles = false;
-    ctx->partition = router.PartitionOf(ctx->ops.front().key);
-    for (const KvOperation& op : ctx->ops) {
-      straddles = straddles || router.PartitionOf(op.key) != ctx->partition;
-    }
-    if (straddles) {
-      // A pre-split packet holds keys from both halves of its old partition
-      // and a migration has since separated their owners; no single route
-      // serves it. The gate refused the frame wholesale — nothing in it
-      // executed *here* — so reads re-batch safely under the fresh map with
-      // new sequences. Writes cannot: an earlier attempt may have executed
-      // before the split, and new sequences would forfeit the replay
-      // protection tied to the original frame — fail them as ambiguous,
-      // exactly like an exhausted retransmission timer.
-      if (ctx->is_write) {
-        stats_.split_write_aborts++;
-        ctx->fail_code = ResultCode::kTimedOut;
-        ctx->failed = true;
-        ctx->completed = true;
-        OnFail(ctx);
-        return;
-      }
-      stats_.split_rebuilds++;
-      ctx->completed = true;  // stop the old frame's retransmission timer
-      std::vector<std::shared_ptr<PacketCtx>> packets =
-          BuildPackets(ctx->ops, ctx->op_indices, ctx->flush);
-      ctx->flush->outstanding += packets.size() - 1;
-      for (const auto& packet : packets) {
-        SendPacket(packet);
-      }
-      return;
-    }
-    ctx->group = map_.OwnerOf(ctx->partition);
-    ReframeRoute(ctx);
-    sender_.Retarget(ctx, ctx->is_write
-                              ? cluster_.group(ctx->group).primary_id()
-                              : ctx->target + 1);
-    BackoffResend(ctx, options_.redirect_backoff);
-    return;
-  }
-  if ((response.flags & kGroupMigrating) != 0) {
     // Write-frozen for a cutover window. Same frame, same group: either the
     // freeze lifts (migration aborted — not modeled) or the flip lands and
-    // the next attempt bounces kWrongShard into the patch path above.
+    // the next attempt bounces kWrongShard into the patch path below.
     stats_.migrating_backoffs++;
-    BackoffResend(ctx, options_.migrate_backoff);
-    return;
+    BackoffResend(packet, migrate_backoff_, 0);
+    return true;
   }
-  if ((response.flags & (kGroupRedirect | kGroupStaleRead)) != 0) {
-    if ((response.flags & kGroupRedirect) != 0) {
-      stats_.redirects_followed++;
+  stats_.wrong_shard_bounces++;
+  if (response.num_partitions != map_.num_partitions()) {
+    // The map's granularity changed under us (a split): patching one entry
+    // cannot reconcile it; refetch wholesale.
+    RefreshMap();
+  } else if (response.map_epoch > map_.epoch) {
+    // Patch just the bounced entry: one migration moved one partition.
+    map_.epoch = response.map_epoch;
+    if (packet->bucket < map_.owners.size() &&
+        response.owner_group < cluster_.num_groups()) {
+      map_.owners[packet->bucket] = response.owner_group;
+    }
+    stats_.map_patches++;
+  }
+  // Re-derive the route from the packet's own keys under the current map: a
+  // label framed before a split was computed with the old modulus and means
+  // nothing now (the gates refuse such frames outright).
+  const KeyRouter router = map_.router();
+  const std::vector<KvOperation>& ops = packet->flush->ops;
+  packet->bucket = router.PartitionOf(ops[packet->slots.front()].key);
+  bool straddles = false;
+  for (const size_t slot : packet->slots) {
+    straddles = straddles || router.PartitionOf(ops[slot].key) != packet->bucket;
+  }
+  if (straddles) {
+    // A pre-split packet holds keys from both halves of its old partition and
+    // a migration has since separated their owners; no single route serves
+    // it. The gate refused the frame wholesale — nothing in it executed
+    // *here* — so reads re-batch safely under the fresh map with new
+    // sequences. Writes cannot: an earlier attempt may have executed before
+    // the split, and new sequences would forfeit the replay protection tied
+    // to the original frame — fail them as ambiguous, exactly like an
+    // exhausted retransmission timer.
+    if (packet->is_write) {
+      stats_.split_write_aborts++;
+      Abandon(packet, ResultCode::kTimedOut);
     } else {
-      stats_.stale_retries++;
+      stats_.split_rebuilds++;
+      Repack(packet);
     }
-    BelievedPrimary(ctx->group) = response.primary_id;
-    sender_.Retarget(ctx, response.primary_id);
-    BackoffResend(ctx, options_.redirect_backoff);
-    return;
+    return true;
   }
-
-  Result<std::vector<KvResultMessage>> results =
-      DecodeResults(response.results_payload);
-  if (!results.ok()) {
-    sender_.NoteCorruptResponse();
-    return;  // retransmission timer recovers
-  }
-  std::vector<KvResultMessage>& slots = results.value();
-  if (slots.size() == 1 && slots[0].code == ResultCode::kInvalidArgument &&
-      ctx->op_indices.size() != 1) {
-    for (size_t index : ctx->op_indices) {
-      ctx->flush->results[index] = slots[0];
-    }
-  } else if (slots.size() == ctx->op_indices.size()) {
-    for (size_t i = 0; i < slots.size(); i++) {
-      ctx->flush->results[ctx->op_indices[i]] = std::move(slots[i]);
-    }
-  } else {
-    sender_.NoteCorruptResponse();
-    return;
-  }
-  ctx->completed = true;
-  BelievedPrimary(ctx->group) = response.primary_id;
-  for (const auto& key : ctx->write_keys) {
-    Watermark& mark = watermarks_[key];
-    if (mark.group != ctx->group || response.assigned_index > mark.index) {
-      mark = Watermark{ctx->group, response.assigned_index};
-    }
-  }
-  ctx->flush->outstanding--;
+  packet->group = map_.OwnerOf(packet->bucket);
+  Reframe(*packet);
+  Redirect(packet,
+           packet->is_write ? cluster_.group(packet->group).primary_id()
+                            : packet->target + 1,
+           0);
+  return true;
 }
 
 }  // namespace kvd

@@ -25,46 +25,36 @@
 // retransmission that lands after the cutover without re-executing it:
 // exactly-once holds across a mid-flight ownership change.
 //
-// Read-your-writes across groups: watermarks are (group, log index) pairs.
+// Read-your-writes across groups: watermarks are (group, log index) pairs,
+// looked up per key over the packet's own keys (GroupRouter::RequiredIndex).
 // Against the same group the usual required-index rule applies; when a key's
 // partition has moved since the write, the watermark is dropped instead of
 // carried over (indices are per-group) — safe because a cutover implies the
 // write's state was installed on *every* destination replica below its log.
+//
+// ClusterClient is a GroupRouter (src/replica/replicated_client.h) over the
+// batching client core: one bucket per partition, a routed GroupRequest
+// header, and the shard-map bounce handling above.
 #ifndef SRC_CLUSTER_CLUSTER_CLIENT_H_
 #define SRC_CLUSTER_CLUSTER_CLIENT_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/cluster/coordinator.h"
-#include "src/transport/kv_endpoint.h"
+#include "src/replica/replicated_client.h"
 
 namespace kvd {
 
-class ClusterClient : public KvEndpoint {
+class ClusterClient : public GroupRouter {
  public:
-  struct Options {
-    uint32_t batch_payload_bytes = 4096;
-    bool enable_compression = true;
-    SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
-    uint32_t max_attempts = 24;
-    uint32_t attempts_per_target = 3;
-    // Backoff before re-sending after a redirect, stale-read, or wrong-shard
-    // bounce.
-    SimTime redirect_backoff = 50 * kMicrosecond;
+  struct Options : GroupRouter::Options {
     // Backoff after a kMigrating bounce: the freeze window is a whole cutover
     // quiesce, so hammering at the redirect cadence only burns attempts.
     SimTime migrate_backoff = 100 * kMicrosecond;
-    bool jitter = true;
-    uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
   };
 
-  struct Stats : ReliableSender::Stats {
-    uint64_t redirects_followed = 0;   // kGroupRedirect bounces
-    uint64_t stale_retries = 0;        // kGroupStaleRead bounces
+  struct Stats : GroupRouter::Stats {
     uint64_t wrong_shard_bounces = 0;  // kGroupWrongShard bounces
     uint64_t migrating_backoffs = 0;   // kGroupMigrating bounces
     uint64_t map_patches = 0;          // single-partition map corrections
@@ -80,19 +70,7 @@ class ClusterClient : public KvEndpoint {
 
   explicit ClusterClient(ClusterCoordinator& cluster)
       : ClusterClient(cluster, Options()) {}
-  ClusterClient(ClusterCoordinator& cluster, Options options);
-
-  size_t Enqueue(KvOperation op) override;
-  std::vector<KvResultMessage> Flush() override;
-
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
-  SimTime now() const override { return cluster_.simulator().Now(); }
-  bool Step() override { return cluster_.simulator().Step(); }
-
-  // Split-phase flush for multi-client composition on the shared clock.
-  void BeginFlush();
-  bool flush_done() const;
-  std::vector<KvResultMessage> TakeResults();
+  ClusterClient(ClusterCoordinator& cluster, const Options& options);
 
   // Replaces the cached map with the coordinator's current one (the same
   // control-plane read a bounce-driven refetch performs).
@@ -102,45 +80,19 @@ class ClusterClient : public KvEndpoint {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct FlushState;
-  struct PacketCtx;
-
-  void OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                  std::vector<uint8_t> packet);
-  void Wire(const ReliableSender::PacketPtr& packet);
-  void OnFail(const ReliableSender::PacketPtr& packet);
-  // Re-frames the packet's routing header (cached epoch, partition, required
-  // watermark) around the unchanged ops payload and sequence.
-  void ReframeRoute(const std::shared_ptr<PacketCtx>& ctx);
-  // Batches `ops` per partition under the current map. `slots[i]` is the
-  // flush-result slot of ops[i]; used by BeginFlush and by the post-split
-  // rebuild of a bounced read packet.
-  std::vector<std::shared_ptr<PacketCtx>> BuildPackets(
-      const std::vector<KvOperation>& ops, const std::vector<size_t>& slots,
-      const std::shared_ptr<FlushState>& flush);
-  // Assigns a fresh sequence, routes by the packet's partition under the
-  // cached map, frames, and hands the packet to the reliable sender.
-  void SendPacket(const std::shared_ptr<PacketCtx>& packet);
-  // Schedules a Resend after `delay` unless the packet completes first.
-  void BackoffResend(const std::shared_ptr<PacketCtx>& ctx, SimTime delay);
-  uint32_t& BelievedPrimary(uint32_t group);
+  ReplicationGroup& GroupOf(uint32_t group) override { return cluster_.group(group); }
+  // One packet's keys all hash to one partition under the cached map, so a
+  // whole packet routes (and bounces) as a unit.
+  uint32_t BucketOf(const KvOperation& op) override;
+  void Route(Packet& packet) override;
+  // The routed header: the cached map epoch and the packet's partition.
+  std::vector<uint8_t> RequestHeader(const Packet& packet) override;
+  bool OnShardBounce(const PacketPtr& packet, const GroupResponse& response) override;
 
   ClusterCoordinator& cluster_;
-  Options options_;
+  SimTime migrate_backoff_;
   ShardMap map_;  // cached; patched or refetched on bounces
-  std::vector<KvOperation> pending_;
-  uint64_t next_sequence_;
-  std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // Per-key read-your-writes watermark: the group that acked the write and
-  // the quorum-committed index covering it there.
-  struct Watermark {
-    uint32_t group = 0;
-    uint64_t index = 0;
-  };
-  std::map<std::vector<uint8_t>, Watermark> watermarks_;
-  std::shared_ptr<FlushState> flush_;
   Stats stats_;
-  ReliableSender sender_;
 };
 
 }  // namespace kvd

@@ -1,10 +1,10 @@
 // Admission control and load shedding for the server's decode backlog.
 //
-// The processor used to run one flat rule: backlog over max_backlog → kBusy.
-// That bounds memory but not latency — under sustained overload the queue
-// sits pinned at the cap and every admitted op inherits the full queue's
-// sojourn time, so goodput collapses to zero while the server stays "busy"
-// doing work nobody will wait for. This controller layers four defenses, in
+// A flat rule alone (backlog over max_backlog → kBusy) bounds memory but not
+// latency — under sustained overload the queue sits pinned at the cap and
+// every admitted op inherits the full queue's sojourn time, so goodput
+// collapses to zero while the server stays "busy" doing work nobody will
+// wait for. This controller layers four defenses, in
 // the order an arriving op meets them:
 //
 //   1. kOverloaded fast-reject: past `overload_backlog` the op is refused
@@ -13,17 +13,17 @@
 //      will finish.
 //   2. Dead-on-arrival shed: an op whose deadline already passed is answered
 //      kDeadlineExceeded immediately — executing it is pure waste.
-//   3. kBusy backpressure: the legacy max_backlog bounce, kept as the
-//      "please slow down" signal below the overload ceiling.
+//   3. kBusy backpressure: the max_backlog bounce, the "please slow down"
+//      signal below the overload ceiling.
 //   4. Dequeue-side shedding: when an op finally reaches the head of the
 //      queue, expired deadlines are shed (kDeadlineExceeded) and CoDel-style
 //      sojourn control sheds just enough ops (kOverloaded) to drag the
 //      standing queue delay back under `codel_target`.
 //
 // Priority classes (control > reads > writes) keep replication/meta traffic
-// and cheap reads moving when writes are what's flooding the queue. With the
-// default config (everything zero / class_queues off) the controller
-// reproduces the old flat max_backlog→kBusy behavior bit for bit.
+// and cheap reads moving when writes are what's flooding the queue. The
+// default config (everything zero / class_queues off) admits everything in
+// one FIFO; setting only max_backlog gives the flat kBusy bounce.
 #ifndef SRC_CORE_ADMISSION_H_
 #define SRC_CORE_ADMISSION_H_
 
@@ -62,7 +62,8 @@ constexpr OpClass ClassifyOpcode(Opcode opcode) {
 }
 
 struct AdmissionConfig {
-  // kBusy bounce threshold (the legacy knob). 0 = unbounded.
+  // kBusy bounce threshold: admission-queue depth beyond the reservation
+  // station. 0 = unbounded.
   uint32_t max_backlog = 0;
   // kOverloaded fast-reject ceiling; must be >= max_backlog to mean anything.
   // 0 = disabled.

@@ -8,25 +8,23 @@
 //     terminates framed requests server-side (checksum, replay dedup);
 //     ReliableSender drives client-side retransmission.
 //   - KvDirectServer composes one runtime with one frame endpoint; Client is
-//     the matching single-server KvEndpoint.
-//
-// Client provides remote direct key-value access: single synchronous
-// operations for convenience, and batched pipelined operations (the paper's
-// client-side network batching, Figure 15) for throughput.
+//     the matching single-server router over the batching client core
+//     (src/transport/batch_client.h): single synchronous operations for
+//     convenience, and batched pipelined operations (the paper's client-side
+//     network batching, Figure 15) for throughput.
 #ifndef SRC_CORE_KV_DIRECT_H_
 #define SRC_CORE_KV_DIRECT_H_
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "src/common/units.h"
 #include "src/core/node_runtime.h"
 #include "src/net/wire_format.h"
+#include "src/transport/batch_client.h"
 #include "src/transport/frame_endpoint.h"
-#include "src/transport/kv_endpoint.h"
-#include "src/transport/reliable_sender.h"
 
 namespace kvd {
 
@@ -113,38 +111,18 @@ class KvDirectServer {
   uint64_t next_client_id_ = 0;
 };
 
-// A client endpoint on the simulated network. Synchronous calls advance the
-// simulator until their response arrives, so examples read like ordinary
-// key-value code while every microsecond is accounted for.
-class Client : public KvEndpoint {
+// The single-server router over the batching client core: one bucket, no
+// request header, framed delivery to the server's FrameEndpoint. Operations
+// bounced with kBusy/kOverloaded are re-sent after a backoff (10 us, doubling
+// per round) for up to 16 rounds, then time out. Synchronous calls
+// (KvEndpoint::Get, ...) advance the simulator until their response arrives,
+// so examples read like ordinary key-value code while every microsecond is
+// accounted for.
+class Client : public BatchClient {
  public:
-  // End-to-end reliability: sequence-numbered, checksummed frames with
-  // per-packet timeouts, exponential-backoff retransmission (same sequence,
-  // deduplicated server-side), and op-level backoff/retry on kBusy.
-  struct RetryPolicy {
-    // Disable to send raw unframed packets and assume a lossless wire (the
-    // pre-reliability behavior; required when faults are enabled == false
-    // only for byte-exact wire accounting in benchmarks).
-    bool enabled = true;
-    SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
-    // Transmissions per frame; exhausting them fails the frame's operations
-    // with kTimedOut instead of retrying forever.
-    uint32_t max_attempts = 8;
-    SimTime busy_backoff = 10 * kMicrosecond;  // doubles per kBusy round
-    // kBusy re-send rounds; exhausting them yields kTimedOut for the
-    // still-busy operations.
-    uint32_t max_busy_retries = 16;
-    // Per-op latency budget: each flushed op gets deadline = now + op_budget
-    // (unless the caller stamped one), carried on the wire and enforced at
-    // every layer (sender retransmissions, server admission, dequeue,
-    // retirement). 0 = no deadlines (the pre-overload-control behavior).
-    SimTime op_budget = 0;
-    // Decorrelated jitter on retransmission backoff (see ReliableSender).
-    bool jitter = true;
-    // Token-bucket retry budget shared across this client's packets;
-    // 0 disables (see ReliableSender::RetryPolicy).
-    uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
+  struct Options : BatchClient::Options {
+    // 1 disables client-side batching entirely (Figure 15/17 ablation).
+    uint32_t max_ops_per_packet = 0xffffffff;
   };
 
   // packets_sent: distinct frames (first transmissions); retransmits:
@@ -152,50 +130,9 @@ class Client : public KvEndpoint {
   // corrupt_responses / duplicate_responses: dropped response frames.
   using Stats = ReliableSender::Stats;
 
-  struct Options {
-    uint32_t batch_payload_bytes = 4096;  // packet budget for batched calls
-    // 1 disables client-side batching entirely (Figure 15/17 ablation).
-    uint32_t max_ops_per_packet = 0xffffffff;
-    bool enable_compression = true;
-    RetryPolicy retry;
-  };
-
   explicit Client(KvDirectServer& server) : Client(server, Options()) {}
-  Client(KvDirectServer& server, Options options);
+  Client(KvDirectServer& server, const Options& options);
 
-  // --- single synchronous operations ---
-  Result<std::vector<uint8_t>> Get(std::span<const uint8_t> key);
-  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value);
-  Status Delete(std::span<const uint8_t> key);
-  // Atomic scalar update (e.g. fetch-and-add); returns the original value.
-  Result<uint64_t> Update(std::span<const uint8_t> key, uint64_t param,
-                          uint16_t function_id = kFnAddU64,
-                          uint8_t element_width = 8);
-  // Vector operations (Table 1).
-  Result<std::vector<uint8_t>> UpdateVectorWithScalar(std::span<const uint8_t> key,
-                                                      uint64_t param,
-                                                      uint16_t function_id,
-                                                      uint8_t element_width);
-  Result<std::vector<uint8_t>> UpdateVectorWithVector(std::span<const uint8_t> key,
-                                                      std::span<const uint8_t> params,
-                                                      uint16_t function_id,
-                                                      uint8_t element_width);
-  Result<uint64_t> Reduce(std::span<const uint8_t> key, uint64_t initial,
-                          uint16_t function_id, uint8_t element_width);
-  Result<std::vector<uint8_t>> Filter(std::span<const uint8_t> key, uint64_t param,
-                                      uint16_t function_id, uint8_t element_width);
-
-  // --- batched pipeline (KvEndpoint) ---
-  // Queues an operation for the next Flush(). Returns the index of its result.
-  size_t Enqueue(KvOperation op) override;
-  // Sends all queued operations (splitting across packets as needed), runs
-  // the simulation until every response arrives, and returns results in
-  // enqueue order.
-  std::vector<KvResultMessage> Flush() override;
-
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
-  SimTime now() const override { return server_.simulator().Now(); }
-  bool Step() override { return server_.simulator().Step(); }
   // Raw datagram path (no framing, no retry): the closed-loop bench driver.
   bool SubmitPacket(std::vector<uint8_t> ops_payload,
                     std::function<void()> done) override;
@@ -204,30 +141,11 @@ class Client : public KvEndpoint {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct FlushState;
-  struct PacketCtx;
-
-  KvResultMessage Call(KvOperation op);
-  std::vector<KvResultMessage> FlushReliable(std::vector<KvOperation> ops);
-  std::vector<KvResultMessage> FlushUnreliable(std::vector<KvOperation> ops);
-  // Packs ops[indices...] into framed packets and hands each to the sender.
-  void SendBatch(const std::vector<KvOperation>& ops,
-                 const std::vector<size_t>& indices,
-                 const std::shared_ptr<FlushState>& flush);
-  void OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                  std::vector<uint8_t> packet);
-  // ReliableSender hooks: one wire round trip; retry exhaustion.
-  void Wire(const ReliableSender::PacketPtr& packet);
-  void OnFail(const ReliableSender::PacketPtr& packet);
-  // Advances the simulator by `duration` (backoff waits).
-  void RunFor(SimTime duration);
+  void Wire(const PacketPtr& packet) override;
+  RequestTracer* tracer() override { return &server_.request_tracer(); }
 
   KvDirectServer& server_;
-  Options options_;
-  std::vector<KvOperation> pending_;
-  uint64_t next_sequence_;
   Stats stats_;
-  ReliableSender sender_;
 };
 
 }  // namespace kvd

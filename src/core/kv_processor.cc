@@ -25,16 +25,6 @@ ResultCode ToResultCode(const Status& status) {
   }
 }
 
-// Legacy merge: config.max_backlog predates AdmissionConfig and keeps
-// working as an alias for admission.max_backlog.
-AdmissionConfig MergedAdmission(const KvProcessorConfig& config) {
-  AdmissionConfig merged = config.admission;
-  if (merged.max_backlog == 0) {
-    merged.max_backlog = config.max_backlog;
-  }
-  return merged;
-}
-
 }  // namespace
 
 KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
@@ -49,7 +39,7 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
       config_(config),
       station_(config.ooo),
       cycle_(static_cast<SimTime>(std::llround(1e12 / config.clock_hz))),
-      admission_(MergedAdmission(config)) {
+      admission_(config.admission) {
   KVD_CHECK(config.clock_hz > 0);
 }
 

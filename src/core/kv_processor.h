@@ -52,14 +52,9 @@ struct KvProcessorConfig {
   OooConfig ooo;
   // Synthetic trace entries for slab-pool syncs: entries_per_batch * 5 B.
   uint32_t slab_sync_bytes = 160;
-  // Admission-queue depth beyond the reservation station; once full, new
-  // submissions bounce with kBusy instead of queueing without bound.
-  // 0 = unbounded (the seed behavior). Legacy alias for admission.max_backlog:
-  // if admission.max_backlog is 0 this value is copied into it.
-  uint32_t max_backlog = 0;
-  // Full overload-control policy (fast-reject ceiling, CoDel sojourn
-  // shedding, priority classes). Defaults reproduce the flat
-  // max_backlog→kBusy behavior exactly.
+  // Overload control for the decode backlog: the kBusy bounce depth
+  // (admission.max_backlog), the kOverloaded fast-reject ceiling, CoDel
+  // sojourn shedding, and priority classes. Defaults admit everything.
   AdmissionConfig admission;
   // A flight-recorder trigger fires when this many kBusy rejections land
   // within one busy_burst_window of simulated time. 0 disables detection.

@@ -60,33 +60,11 @@ LatencyHistogram MultiNicServer::MergedLatency() {
   return merged;
 }
 
-MultiNicClient::MultiNicClient(MultiNicServer& cluster, Client::Options options)
+MultiNicClient::MultiNicClient(MultiNicServer& cluster, const Client::Options& options)
     : cluster_(cluster) {
   for (uint32_t i = 0; i < cluster.num_nics(); i++) {
     clients_.push_back(std::make_unique<Client>(cluster.nic(i), options));
   }
-}
-
-Client& MultiNicClient::ClientFor(std::span<const uint8_t> key) {
-  return *clients_[cluster_.OwnerOf(key)];
-}
-
-Result<std::vector<uint8_t>> MultiNicClient::Get(std::span<const uint8_t> key) {
-  return ClientFor(key).Get(key);
-}
-
-Status MultiNicClient::Put(std::span<const uint8_t> key,
-                           std::span<const uint8_t> value) {
-  return ClientFor(key).Put(key, value);
-}
-
-Status MultiNicClient::Delete(std::span<const uint8_t> key) {
-  return ClientFor(key).Delete(key);
-}
-
-Result<uint64_t> MultiNicClient::Update(std::span<const uint8_t> key, uint64_t param,
-                                        uint16_t function_id, uint8_t element_width) {
-  return ClientFor(key).Update(key, param, function_id, element_width);
 }
 
 size_t MultiNicClient::Enqueue(KvOperation op) {
@@ -119,12 +97,7 @@ std::vector<KvResultMessage> MultiNicClient::Flush() {
 ReliableSender::Stats MultiNicClient::endpoint_stats() const {
   ReliableSender::Stats total;
   for (const auto& client : clients_) {
-    const ReliableSender::Stats& nic = client->stats();
-    total.packets_sent += nic.packets_sent;
-    total.retransmits += nic.retransmits;
-    total.busy_retries += nic.busy_retries;
-    total.corrupt_responses += nic.corrupt_responses;
-    total.duplicate_responses += nic.duplicate_responses;
+    total += client->stats();
   }
   return total;
 }

@@ -64,14 +64,7 @@ class MultiNicServer {
 class MultiNicClient : public KvEndpoint {
  public:
   explicit MultiNicClient(MultiNicServer& cluster,
-                          Client::Options options = Client::Options());
-
-  Result<std::vector<uint8_t>> Get(std::span<const uint8_t> key);
-  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value);
-  Status Delete(std::span<const uint8_t> key);
-  Result<uint64_t> Update(std::span<const uint8_t> key, uint64_t param,
-                          uint16_t function_id = kFnAddU64,
-                          uint8_t element_width = 8);
+                          const Client::Options& options = Client::Options());
 
   // Batched pipeline: ops are partitioned per NIC, flushed in parallel
   // (each NIC's simulator runs its own packets), and results return in
@@ -88,8 +81,6 @@ class MultiNicClient : public KvEndpoint {
   bool Step() override { return false; }
 
  private:
-  Client& ClientFor(std::span<const uint8_t> key);
-
   MultiNicServer& cluster_;
   std::vector<std::unique_ptr<Client>> clients_;  // one per NIC
   std::vector<KvOperation> pending_;

@@ -4,9 +4,9 @@
 // Every data-structure module (hash index, slab allocator, KV processor)
 // touches memory only through AccessEngine. The engines stack:
 //
-//   DirectEngine          — reads/writes the arena, no accounting (unit tests)
-//   CountingEngine        — adds DMA-equivalent access statistics; drives the
-//                           "memory accesses per KV operation" figures
+//   DirectEngine          — reads/writes the arena, counting DMA-equivalent
+//                           accesses (the "memory accesses per KV operation"
+//                           figures)
 //   TraceRecordingEngine  — additionally records the per-operation access
 //                           sequence, which the discrete-event pipeline
 //                           replays through the PCIe/DRAM models

@@ -246,7 +246,8 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
 
 std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request) {
   std::vector<uint8_t> out;
-  out.reserve(8 + (request.has_route ? 12 : 0) + request.ops_payload.size());
+  out.reserve((request.has_route ? kGroupRouteHeaderBytes : kGroupRequestHeaderBytes) +
+              request.ops_payload.size());
   // The watermark itself must never collide with the route marker bit.
   PutU64(out, (request.required_index & ~kGroupRequestRouted) |
                   (request.has_route ? kGroupRequestRouted : 0));

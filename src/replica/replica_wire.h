@@ -17,6 +17,7 @@
 #ifndef SRC_REPLICA_REPLICA_WIRE_H_
 #define SRC_REPLICA_REPLICA_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -99,7 +100,7 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
 // --- client <-> group messages (ride inside the PR 2 reliable framing) ---
 
 // The read watermark the serving replica must have applied before answering,
-// then the standard batched-operation payload (PacketBuilder format).
+// then the standard batched-operation payload (src/net/wire_format.h).
 //
 // Cluster-routed requests (src/cluster) additionally carry the client's
 // cached shard-map epoch and the partition the packet's keys hash to, so the
@@ -108,6 +109,10 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
 // required_index field: legacy (unrouted) requests encode byte-identically to
 // the pre-cluster format, and log watermarks never approach 2^63.
 inline constexpr uint64_t kGroupRequestRouted = 1ull << 63;
+// Header bytes ahead of ops_payload: the watermark, plus the route when
+// has_route (map epoch + partition).
+inline constexpr size_t kGroupRequestHeaderBytes = 8;
+inline constexpr size_t kGroupRouteHeaderBytes = kGroupRequestHeaderBytes + 12;
 
 struct GroupRequest {
   uint64_t required_index = 0;

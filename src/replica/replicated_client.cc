@@ -1,235 +1,179 @@
 #include "src/replica/replicated_client.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
-
-#include "src/common/assert.h"
-#include "src/net/wire_format.h"
-#include "src/transport/frame.h"
 
 namespace kvd {
 
-struct ReplicatedClient::FlushState {
-  std::vector<KvResultMessage> results;
-  size_t outstanding = 0;
-};
+GroupRouter::GroupRouter(Simulator& sim, uint64_t sequence_base,
+                         const Options& options, uint32_t num_replicas,
+                         size_t header_bytes, Stats* stats)
+    : BatchClient(sim, sequence_base, options,
+                  {.header_bytes = header_bytes,
+                   .backoff_shift_cap = 6,
+                   .attempts_per_target = options.attempts_per_target,
+                   .num_targets = num_replicas},
+                  stats),
+      redirect_backoff_(options.redirect_backoff),
+      stats_(*stats) {}
 
-struct ReplicatedClient::PacketCtx : ReliablePacket {
-  std::vector<uint8_t> ops_payload;  // PacketBuilder output
-  std::vector<size_t> op_indices;    // flush-result slots, packet order
-  std::vector<std::vector<uint8_t>> write_keys;
-  uint64_t required = 0;  // max watermark over the packet's keys
-  bool is_write = false;
-  SimTime sent_at = 0;  // first transmission time (read-RTT sample start)
-  std::shared_ptr<FlushState> flush;
-};
-
-ReplicatedClient::ReplicatedClient(ReplicationGroup& group, Options options)
-    : group_(group),
-      options_(options),
-      next_sequence_(group.AcquireClientSequenceBase()),
-      believed_primary_(group.primary_id()),
-      sender_(group.simulator(),
-              ReliableSender::RetryPolicy{
-                  .timeout = options_.timeout,
-                  .max_attempts = options_.max_attempts,
-                  .backoff_shift_cap = 6,
-                  .attempts_per_target = options_.attempts_per_target,
-                  .num_targets = group.num_replicas(),
-                  .jitter = options_.jitter,
-                  .jitter_seed = next_sequence_,
-                  .retry_budget = options_.retry_budget,
-                  .retry_refill_per_success = options_.retry_refill_per_success},
-              &stats_, [this]() -> RequestTracer& { return group_.request_tracer(); },
-              [this](const ReliableSender::PacketPtr& packet) { Wire(packet); },
-              [this](const ReliableSender::PacketPtr& packet) { OnFail(packet); }) {
-  KVD_CHECK_MSG(options_.batch_payload_bytes > kFrameHeaderBytes + 8 + 64,
-                "packet budget too small for the framing and routing headers");
+uint32_t& GroupRouter::BelievedPrimary(uint32_t group) {
+  if (group >= believed_primary_.size()) {
+    believed_primary_.resize(group + 1, 0);
+  }
+  return believed_primary_[group];
 }
 
-size_t ReplicatedClient::Enqueue(KvOperation op) {
-  pending_.push_back(std::move(op));
-  return pending_.size() - 1;
+uint64_t GroupRouter::RequiredIndex(const Packet& packet) const {
+  uint64_t required = 0;
+  for (const size_t slot : packet.slots) {
+    auto mark = watermarks_.find(packet.flush->ops[slot].key);
+    if (mark != watermarks_.end() && mark->second.group == packet.group) {
+      required = std::max(required, mark->second.index);
+    }
+  }
+  return required;
 }
 
-void ReplicatedClient::BeginFlush() {
-  KVD_CHECK_MSG(flush_ == nullptr || flush_->outstanding == 0,
-                "previous flush still in progress");
-  flush_ = std::make_shared<FlushState>();
-  flush_->results.resize(pending_.size());
-  std::vector<KvOperation> ops = std::move(pending_);
-  pending_.clear();
-  if (ops.empty()) {
+std::vector<uint8_t> GroupRouter::RequestHeader(const Packet& packet) {
+  GroupRequest request;
+  request.required_index = RequiredIndex(packet);
+  return EncodeGroupRequest(request);
+}
+
+void GroupRouter::Wire(const PacketPtr& packet) {
+  WireTo(packet, packet->target, [this, packet](std::vector<uint8_t> bytes) {
+    Receive(packet, std::move(bytes));
+  });
+}
+
+void GroupRouter::WireTo(const PacketPtr& packet, uint32_t target,
+                         std::function<void(std::vector<uint8_t>)> delivered) {
+  // Handlers copy `delivered` rather than move it: an injected duplicate
+  // runs the same handler twice.
+  ReplicationGroup& group = GroupOf(packet->group);
+  group.client_network(target).SendPayloadToServer(
+      packet->framed,
+      [&group, packet, target, delivered](std::vector<uint8_t> request) {
+        group.DeliverClientFrame(
+            target, std::move(request),
+            [&group, packet, target, delivered](std::vector<uint8_t> response) {
+              group.client_network(target).SendPayloadToClient(
+                  std::move(response), delivered, packet->traces);
+            });
+      },
+      packet->traces);
+}
+
+void GroupRouter::BackoffResend(const PacketPtr& packet, SimTime delay,
+                                uint64_t detail) {
+  const SimTime bounced_at = sim().Now();
+  sim().Schedule(delay, [this, packet, bounced_at, detail] {
+    if (packet->completed) {
+      return;
+    }
+    if (!packet->traces.empty()) {
+      for (const uint64_t handle : packet->traces) {
+        tracer()->Span(handle, SpanKind::kBusyRetry, bounced_at, sim().Now(), detail);
+      }
+    }
+    sender().Resend(packet);
+  });
+}
+
+void GroupRouter::Redirect(const PacketPtr& packet, uint32_t target,
+                           uint64_t detail) {
+  sender().Retarget(packet, target);
+  BackoffResend(packet, redirect_backoff_, detail);
+}
+
+void GroupRouter::OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
+  Result<GroupResponse> decoded = DecodeGroupResponse(payload);
+  if (!decoded.ok()) {
+    sender().NoteCorruptResponse();
     return;
   }
-  if (options_.op_budget != 0) {
-    // Stamp the latency budget before packing: the deadline rides the wire
-    // and every layer (sender, admission, dequeue, retirement) enforces it.
-    const SimTime limit = group_.simulator().Now() + options_.op_budget;
-    for (KvOperation& op : ops) {
-      op.deadline = op.deadline == 0 ? limit : std::min(op.deadline, limit);
-    }
+  const GroupResponse& response = decoded.value();
+  if (OnShardBounce(packet, response)) {
+    return;
   }
-
-  // Pack greedily in enqueue order; the op budget leaves room for the frame
-  // header and the GroupRequest watermark.
-  const uint32_t budget = options_.batch_payload_bytes -
-                          static_cast<uint32_t>(kFrameHeaderBytes) - 8;
-  PacketBuilder builder(budget, options_.enable_compression);
-  std::vector<std::shared_ptr<PacketCtx>> packets;
-  auto ctx = std::make_shared<PacketCtx>();
-  ctx->flush = flush_;
-  for (size_t i = 0; i < ops.size(); i++) {
-    if (!builder.Add(ops[i])) {
-      KVD_CHECK_MSG(!ctx->op_indices.empty(),
-                    "operation exceeds the packet budget");
-      ctx->ops_payload = builder.Finish();
-      packets.push_back(std::move(ctx));
-      ctx = std::make_shared<PacketCtx>();
-      ctx->flush = flush_;
-      KVD_CHECK(builder.Add(ops[i]));
-    }
-    ctx->op_indices.push_back(i);
-    if (ops[i].deadline != 0) {
-      ctx->deadline = ctx->deadline == 0
-                          ? ops[i].deadline
-                          : std::min(ctx->deadline, ops[i].deadline);
-    }
-    auto mark = watermarks_.find(ops[i].key);
-    if (mark != watermarks_.end()) {
-      ctx->required = std::max(ctx->required, mark->second);
-    }
-    if (IsWriteOpcode(ops[i].opcode)) {
-      ctx->is_write = true;
-      ctx->write_keys.push_back(ops[i].key);
-    }
+  if ((response.flags & (kGroupRedirect | kGroupStaleRead)) != 0) {
+    const bool redirect = (response.flags & kGroupRedirect) != 0;
+    (redirect ? stats_.redirects_followed : stats_.stale_retries)++;
+    // Chase the responder's view of the primary: it always satisfies the
+    // watermark, and writes only land there anyway. Back off a beat so the
+    // group converges instead of being hammered mid-failover.
+    BelievedPrimary(packet->group) = response.primary_id;
+    Redirect(packet, response.primary_id, redirect ? 1 : 2);
+    return;
   }
-  if (!ctx->op_indices.empty()) {
-    ctx->ops_payload = builder.Finish();
-    packets.push_back(std::move(ctx));
+  if (!Complete(packet, response.results_payload)) {
+    return;  // retransmission timer recovers
   }
-
-  flush_->outstanding = packets.size();
-  RequestTracer& rt = group_.request_tracer();
-  for (const auto& packet : packets) {
-    packet->sequence = next_sequence_++;
-    if (rt.enabled()) {
-      // Unlike the single-server client, the sequence never changes across
-      // retransmissions or redirects, so one registration covers them all.
-      packet->traces.reserve(packet->op_indices.size());
-      for (size_t i = 0; i < packet->op_indices.size(); i++) {
-        packet->traces.push_back(rt.Start(ops[packet->op_indices[i]].opcode,
-                                          packet->sequence,
-                                          static_cast<uint32_t>(i)));
-      }
-      rt.RegisterPacket(packet->sequence, packet->traces);
+  BelievedPrimary(packet->group) = response.primary_id;
+  for (const size_t slot : packet->slots) {
+    const KvOperation& op = packet->flush->ops[slot];
+    if (!IsWriteOpcode(op.opcode)) {
+      continue;
     }
-    GroupRequest request;
-    request.required_index = packet->required;
-    request.ops_payload = packet->ops_payload;
-    packet->framed = FramePacket(packet->sequence, EncodeGroupRequest(request));
-    if (packet->is_write) {
-      packet->target = believed_primary_;
-    } else {
-      packet->target = next_read_target_ % group_.num_replicas();
-      next_read_target_++;
-    }
-    packet->sent_at = group_.simulator().Now();
-    stats_.packets_sent++;
-    sender_.Send(packet);
-    if (options_.hedge_reads && !packet->is_write &&
-        group_.num_replicas() > 1) {
-      // Deadline-aware hedge: if the read is still unanswered after the
-      // adaptive delay (and not already past its deadline), race a duplicate
-      // against the next replica. Same frame sequence, so whichever copy
-      // loses is absorbed by response dedup / the replay cache.
-      auto hedged = packet;
-      group_.simulator().Schedule(HedgeDelay(), [this, hedged] {
-        if (hedged->completed) {
-          return;
-        }
-        if (hedged->deadline != 0 &&
-            group_.simulator().Now() >= hedged->deadline) {
-          return;
-        }
-        stats_.hedged_sends++;
-        WireTo(hedged, (hedged->target + 1) % group_.num_replicas(),
-               /*hedge=*/true);
-      });
+    Watermark& mark = watermarks_[op.key];
+    if (mark.group != packet->group || response.assigned_index > mark.index) {
+      mark = Watermark{packet->group, response.assigned_index};
     }
   }
 }
 
-bool ReplicatedClient::flush_done() const {
-  return flush_ == nullptr || flush_->outstanding == 0;
+ReplicatedClient::ReplicatedClient(ReplicationGroup& group, const Options& options)
+    : GroupRouter(group.simulator(), group.AcquireClientSequenceBase(), options,
+                  group.num_replicas(), kGroupRequestHeaderBytes, &stats_),
+      group_(group),
+      options_(options) {
+  BelievedPrimary(0) = group.primary_id();
 }
 
-std::vector<KvResultMessage> ReplicatedClient::TakeResults() {
-  KVD_CHECK_MSG(flush_ != nullptr && flush_->outstanding == 0,
-                "flush not complete");
-  std::vector<KvResultMessage> results = std::move(flush_->results);
-  flush_.reset();
-  return results;
-}
-
-std::vector<KvResultMessage> ReplicatedClient::Flush() {
-  BeginFlush();
-  Simulator& sim = group_.simulator();
-  while (!flush_done()) {
-    KVD_CHECK(sim.Step());  // the group's heartbeat keeps the queue non-empty
-  }
-  return TakeResults();
-}
-
-void ReplicatedClient::Wire(const ReliableSender::PacketPtr& packet) {
-  auto ctx = std::static_pointer_cast<PacketCtx>(packet);
-  WireTo(ctx, ctx->target, /*hedge=*/false);
-}
-
-void ReplicatedClient::WireTo(const std::shared_ptr<PacketCtx>& ctx,
-                              uint32_t target, bool hedge) {
-  auto deliver = [this, ctx, target, hedge](std::vector<uint8_t> packet) {
-    group_.DeliverClientFrame(
-        target, std::move(packet),
-        [this, ctx, target, hedge](std::vector<uint8_t> response) {
-          auto done = [this, ctx, hedge](std::vector<uint8_t> bytes) {
-            OnResponse(ctx, std::move(bytes), hedge);
-          };
-          if (ctx->traces.empty()) {
-            group_.client_network(target).SendPayloadToClient(
-                std::move(response), std::move(done));
-          } else {
-            group_.client_network(target).SendPayloadToClient(
-                std::move(response), std::move(done), ctx->traces);
-          }
-        });
-  };
-  if (ctx->traces.empty()) {
-    group_.client_network(target).SendPayloadToServer(ctx->framed,
-                                                      std::move(deliver));
+void ReplicatedClient::Route(Packet& packet) {
+  if (packet.is_write) {
+    packet.target = BelievedPrimary(0);
   } else {
-    group_.client_network(target).SendPayloadToServer(
-        ctx->framed, std::move(deliver), ctx->traces);
+    packet.target = next_read_target_++ % group_.num_replicas();
   }
 }
 
-void ReplicatedClient::OnFail(const ReliableSender::PacketPtr& packet) {
-  auto ctx = std::static_pointer_cast<PacketCtx>(packet);
-  KvResultMessage failed;
-  failed.code = ctx->fail_code;  // kTimedOut, or kDeadlineExceeded past budget
-  for (size_t index : ctx->op_indices) {
-    ctx->flush->results[index] = failed;
-  }
-  RequestTracer& rt = group_.request_tracer();
-  if (!ctx->traces.empty() && rt.enabled()) {
-    for (uint64_t handle : ctx->traces) {
-      if (handle != 0) {
-        rt.Finish(handle, ctx->fail_code);
-      }
+void ReplicatedClient::Wire(const PacketPtr& packet) {
+  Transmit(packet, packet->target, /*hedge=*/false);
+}
+
+void ReplicatedClient::Transmit(const PacketPtr& packet, uint32_t target, bool hedge) {
+  WireTo(packet, target, [this, packet, hedge](std::vector<uint8_t> bytes) {
+    if (!Receive(packet, std::move(bytes))) {
+      return;
     }
+    if (!packet->is_write) {
+      read_rtt_ns_.Add(
+          static_cast<uint64_t>((sim().Now() - packet->sent_at) / kNanosecond));
+    }
+    if (hedge) {
+      stats_.hedge_wins++;
+    }
+  });
+}
+
+void ReplicatedClient::OnSent(const PacketPtr& packet) {
+  if (!options_.hedge_reads || packet->is_write || group_.num_replicas() < 2) {
+    return;
   }
-  ctx->flush->outstanding--;
+  // Deadline-aware hedge: if the read is still unanswered after the adaptive
+  // delay (and not already past its deadline), race a duplicate against the
+  // next replica. Same frame sequence, so whichever copy loses is absorbed by
+  // response dedup / the replay cache.
+  sim().Schedule(HedgeDelay(), [this, packet] {
+    if (packet->completed ||
+        (packet->deadline != 0 && sim().Now() >= packet->deadline)) {
+      return;
+    }
+    stats_.hedged_sends++;
+    Transmit(packet, (packet->target + 1) % group_.num_replicas(), /*hedge=*/true);
+  });
 }
 
 SimTime ReplicatedClient::HedgeDelay() const {
@@ -243,91 +187,7 @@ SimTime ReplicatedClient::HedgeDelay() const {
   if (read_rtt_ns_.count() >= 16) {
     delay = read_rtt_ns_.Percentile(0.99) * kNanosecond;
   }
-  return std::max(delay, options_.hedge_min_delay);
-}
-
-void ReplicatedClient::OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                                  std::vector<uint8_t> packet,
-                                  bool from_hedge) {
-  std::optional<std::vector<uint8_t>> payload =
-      sender_.AcceptResponse(ctx, packet);
-  if (!payload.has_value()) {
-    return;  // duplicate, corrupt, or foreign frame — counted by the sender
-  }
-  Result<GroupResponse> decoded = DecodeGroupResponse(*payload);
-  if (!decoded.ok()) {
-    sender_.NoteCorruptResponse();
-    return;
-  }
-  const GroupResponse& response = decoded.value();
-  if ((response.flags & (kGroupRedirect | kGroupStaleRead)) != 0) {
-    if ((response.flags & kGroupRedirect) != 0) {
-      stats_.redirects_followed++;
-    } else {
-      stats_.stale_retries++;
-    }
-    // Chase the responder's view of the primary: it always satisfies the
-    // watermark, and writes only land there anyway. Back off a beat so the
-    // group converges instead of being hammered mid-failover.
-    believed_primary_ = response.primary_id;
-    sender_.Retarget(ctx, response.primary_id);
-    const bool redirect = (response.flags & kGroupRedirect) != 0;
-    const SimTime bounced_at = group_.simulator().Now();
-    group_.simulator().Schedule(
-        options_.redirect_backoff, [this, ctx, redirect, bounced_at] {
-          if (ctx->completed) {
-            return;
-          }
-          RequestTracer& rt = group_.request_tracer();
-          for (uint64_t handle : ctx->traces) {
-            rt.Span(handle, SpanKind::kBusyRetry, bounced_at,
-                    group_.simulator().Now(), redirect ? 1 : 2);
-          }
-          sender_.Resend(ctx);
-        });
-    return;
-  }
-
-  Result<std::vector<KvResultMessage>> results =
-      DecodeResults(response.results_payload);
-  if (!results.ok()) {
-    sender_.NoteCorruptResponse();
-    return;  // retransmission timer recovers
-  }
-  std::vector<KvResultMessage>& slots = results.value();
-  if (slots.size() == 1 && slots[0].code == ResultCode::kInvalidArgument &&
-      ctx->op_indices.size() != 1) {
-    // The server rejected the whole packet with a single error result.
-    for (size_t index : ctx->op_indices) {
-      ctx->flush->results[index] = slots[0];
-    }
-  } else if (slots.size() == ctx->op_indices.size()) {
-    for (size_t i = 0; i < slots.size(); i++) {
-      ctx->flush->results[ctx->op_indices[i]] = std::move(slots[i]);
-    }
-  } else {
-    sender_.NoteCorruptResponse();
-    return;
-  }
-  ctx->completed = true;
-  if (!ctx->is_write) {
-    read_rtt_ns_.Add(static_cast<uint64_t>(
-        (group_.simulator().Now() - ctx->sent_at) / kNanosecond));
-  }
-  if (from_hedge) {
-    stats_.hedge_wins++;
-  }
-  RequestTracer& rt = group_.request_tracer();
-  for (size_t i = 0; i < ctx->traces.size(); i++) {
-    rt.Finish(ctx->traces[i],
-              ctx->flush->results[ctx->op_indices[i]].code);
-  }
-  believed_primary_ = response.primary_id;
-  for (const auto& key : ctx->write_keys) {
-    uint64_t& mark = watermarks_[key];
-    mark = std::max(mark, response.assigned_index);
-  }
-  ctx->flush->outstanding--;
+  return std::max(delay, 10 * kMicrosecond);
 }
 
 }  // namespace kvd

@@ -1,13 +1,17 @@
-// Client endpoint for a single replication group (DESIGN.md §9.5).
+// Client endpoints for replication groups (DESIGN.md §9.5).
 //
-// ReplicatedClient routes writes to the primary it currently believes in and
-// follows redirects through epoch changes; it load-balances read-only packets
-// round-robin across all replicas, attaching a per-key log-index watermark so
-// a lagging backup rejects the read instead of serving stale data
-// (read-your-writes across flushes). Retransmission reuses the PR 2 frame
-// sequence, so a retried request is answered exactly once — from the replay
-// cache on the same primary, or from the replicated session records after a
-// failover.
+// GroupRouter is the replication-group protocol over the batching client
+// core (src/transport/batch_client.h), shared by both group routers: it
+// frames each packet in a GroupRequest carrying the packet's read watermark,
+// follows redirect and stale-read bounces toward the responder's view of the
+// primary, and advances the watermarks from acknowledged writes.
+// Retransmission reuses the frame sequence, so a retried request is answered
+// exactly once — from the replay cache on the same primary, or from the
+// replicated session records after a failover.
+//
+// ReplicatedClient routes to a single group: writes go to the primary it
+// currently believes in; read-only packets rotate round-robin across all
+// replicas (optionally hedged to a second replica).
 //
 // Sharded deployments live in src/cluster: a ClusterCoordinator composes one
 // ReplicationGroup per group on a shared clock under an epoch-versioned shard
@@ -17,53 +21,29 @@
 #define SRC_REPLICA_REPLICATED_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "src/common/key_router.h"
+#include "src/replica/replica_wire.h"
 #include "src/replica/replication_group.h"
-#include "src/transport/kv_endpoint.h"
+#include "src/transport/batch_client.h"
 
 namespace kvd {
 
-class ReplicatedClient : public KvEndpoint {
+class GroupRouter : public BatchClient {
  public:
-  struct Options {
-    uint32_t batch_payload_bytes = 4096;
-    bool enable_compression = true;
-    SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
+  struct Options : BatchClient::Options {
     // Transmissions of one packet before its operations fail with kTimedOut:
     // sized to ride out a failover (detection + election) under the doubling
     // timeout.
-    uint32_t max_attempts = 24;
+    Options() { max_attempts = 24; }
     // After this many attempts at one replica, rotate to the next — the
     // current target may be crashed.
     uint32_t attempts_per_target = 3;
-    // Wait before re-sending after a redirect or stale-read bounce, giving
-    // the group a beat to converge instead of hammering it.
+    // Wait before re-sending after a redirect, stale-read, or wrong-shard
+    // bounce, giving the group a beat to converge instead of hammering it.
     SimTime redirect_backoff = 50 * kMicrosecond;
-    // Per-op latency budget: each flushed op is stamped deadline = now +
-    // op_budget (unless the caller stamped a tighter one) and the whole
-    // stack — sender retransmissions, admission, dequeue, retirement —
-    // enforces it. 0 = no deadlines.
-    SimTime op_budget = 0;
-    // Decorrelated retransmission jitter and the token-bucket retry budget
-    // (see ReliableSender::RetryPolicy; 0 disables the budget).
-    bool jitter = true;
-    uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
-    // Deadline-aware hedged reads: if a read packet has no response after
-    // the hedge delay, send the same frame (same sequence — replay dedup
-    // makes the duplicate harmless) to the next replica and take whichever
-    // response lands first. Writes are never hedged: they must go to the
-    // primary. The delay adapts to the observed read RTT distribution (p99
-    // once 16 samples exist, timeout/2 before that), floored at
-    // hedge_min_delay; set hedge_delay to pin it.
-    bool hedge_reads = false;
-    SimTime hedge_delay = 0;  // 0 = adaptive (p99 of read RTT)
-    SimTime hedge_min_delay = 10 * kMicrosecond;
   };
 
   // packets_sent / retransmits / corrupt_responses / duplicate_responses as
@@ -71,30 +51,77 @@ class ReplicatedClient : public KvEndpoint {
   struct Stats : ReliableSender::Stats {
     uint64_t redirects_followed = 0;  // kGroupRedirect bounces
     uint64_t stale_retries = 0;       // kGroupStaleRead bounces
-    uint64_t hedge_wins = 0;          // packets completed by the hedge copy
+  };
+
+ protected:
+  // `header_bytes`: kGroupRequestHeaderBytes, or kGroupRouteHeaderBytes for
+  // routed requests. Groups never re-send kBusy/kOverloaded: the codes
+  // surface to the caller.
+  GroupRouter(Simulator& sim, uint64_t sequence_base, const Options& options,
+              uint32_t num_replicas, size_t header_bytes, Stats* stats);
+
+  virtual ReplicationGroup& GroupOf(uint32_t group) = 0;
+  // kGroupWrongShard / kGroupMigrating bounces; true when handled.
+  virtual bool OnShardBounce(const PacketPtr& /*packet*/,
+                             const GroupResponse& /*response*/) {
+    return false;
+  }
+
+  std::vector<uint8_t> RequestHeader(const Packet& packet) override;
+  void Wire(const PacketPtr& packet) override;
+  void OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) override;
+
+  // One transmission toward `target` in the packet's group; `delivered`
+  // receives the framed response bytes.
+  void WireTo(const PacketPtr& packet, uint32_t target,
+              std::function<void(std::vector<uint8_t>)> delivered);
+  // Read-your-writes: the highest index this client's acknowledged writes to
+  // the packet's own keys reached in the packet's group. A watermark from
+  // another group is dropped — its index means nothing in this group's log,
+  // and a cutover installed the write's state on every destination replica.
+  uint64_t RequiredIndex(const Packet& packet) const;
+  uint32_t& BelievedPrimary(uint32_t group);
+  // Re-sends the packet after `delay` unless it completes first; `detail`
+  // labels the kBusyRetry trace span (1 redirect, 2 stale read).
+  void BackoffResend(const PacketPtr& packet, SimTime delay, uint64_t detail);
+  // Retargets the packet and re-sends it after the redirect backoff.
+  void Redirect(const PacketPtr& packet, uint32_t target, uint64_t detail);
+
+ private:
+  // The group that acked a write and the quorum-committed index covering it.
+  struct Watermark {
+    uint32_t group = 0;
+    uint64_t index = 0;
+  };
+
+  SimTime redirect_backoff_;
+  Stats& stats_;
+  std::vector<uint32_t> believed_primary_;  // per group, grown on demand
+  // std::map for deterministic iteration.
+  std::map<std::vector<uint8_t>, Watermark> watermarks_;
+};
+
+class ReplicatedClient : public GroupRouter {
+ public:
+  struct Options : GroupRouter::Options {
+    // Deadline-aware hedged reads: if a read packet has no response after
+    // the hedge delay, send the same frame (same sequence — replay dedup
+    // makes the duplicate harmless) to the next replica and take whichever
+    // response lands first. Writes are never hedged: they must go to the
+    // primary. The delay adapts to the observed read RTT distribution (p99
+    // once 16 samples exist, timeout/2 before that), floored at 10 us; set
+    // hedge_delay to pin it.
+    bool hedge_reads = false;
+    SimTime hedge_delay = 0;  // 0 = adaptive (p99 of read RTT)
+  };
+
+  struct Stats : GroupRouter::Stats {
+    uint64_t hedge_wins = 0;  // packets completed by the hedge copy
   };
 
   explicit ReplicatedClient(ReplicationGroup& group)
       : ReplicatedClient(group, Options()) {}
-  ReplicatedClient(ReplicationGroup& group, Options options);
-
-  // Queues an operation for the next flush; returns its result index.
-  size_t Enqueue(KvOperation op) override;
-
-  // Sends every queued operation and drives the group's simulator until all
-  // responses arrive. Results are in enqueue order.
-  std::vector<KvResultMessage> Flush() override;
-
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
-  SimTime now() const override { return group_.simulator().Now(); }
-  bool Step() override { return group_.simulator().Step(); }
-
-  // Split-phase flush for multi-shard composition: BeginFlush() transmits
-  // without stepping the simulator; the caller steps the (shared) clock until
-  // flush_done(), then TakeResults().
-  void BeginFlush();
-  bool flush_done() const;
-  std::vector<KvResultMessage> TakeResults();
+  ReplicatedClient(ReplicationGroup& group, const Options& options);
 
   const Stats& stats() const { return stats_; }
   // Observed read round-trip distribution (first transmission -> accepted
@@ -102,34 +129,21 @@ class ReplicatedClient : public KvEndpoint {
   const LatencyHistogram& read_rtt_ns() const { return read_rtt_ns_; }
 
  private:
-  struct FlushState;
-  struct PacketCtx;
-
-  void OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                  std::vector<uint8_t> packet, bool from_hedge = false);
-  // ReliableSender hooks: one wire round trip; retry exhaustion.
-  void Wire(const ReliableSender::PacketPtr& packet);
-  // One transmission toward an explicit target; `hedge` marks the duplicate
-  // copy so its response can be credited as a hedge win.
-  void WireTo(const std::shared_ptr<PacketCtx>& ctx, uint32_t target,
-              bool hedge);
-  void OnFail(const ReliableSender::PacketPtr& packet);
+  ReplicationGroup& GroupOf(uint32_t /*group*/) override { return group_; }
+  void Route(Packet& packet) override;
+  void Wire(const PacketPtr& packet) override;
+  void OnSent(const PacketPtr& packet) override;
+  RequestTracer* tracer() override { return &group_.request_tracer(); }
+  // Wires the packet to `target`; `hedge` marks the duplicate copy so its
+  // response can be credited as a hedge win.
+  void Transmit(const PacketPtr& packet, uint32_t target, bool hedge);
   SimTime HedgeDelay() const;
 
   ReplicationGroup& group_;
   Options options_;
-  std::vector<KvOperation> pending_;
-  uint64_t next_sequence_;
-  uint32_t believed_primary_ = 0;
   uint32_t next_read_target_ = 0;  // round-robin cursor for read packets
-  // Per-key quorum-committed index of this client's acknowledged writes: the
-  // watermark a replica must have applied before serving the key back
-  // (read-your-writes). std::map for deterministic iteration.
-  std::map<std::vector<uint8_t>, uint64_t> watermarks_;
-  std::shared_ptr<FlushState> flush_;
   Stats stats_;
   LatencyHistogram read_rtt_ns_;
-  ReliableSender sender_;
 };
 
 }  // namespace kvd

@@ -57,9 +57,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   fault_->SetFlightRecorder(&flight_recorder_);
 
   ServerConfig server_config = config_.server;
-  // Backups apply log entries strictly in log order; a bounded backlog would
-  // bounce entries with kBusy and break that.
-  server_config.processor.max_backlog = 0;
   // Per-server tracing stays off; every replica is re-pointed at the group
   // tracer below so handles resolve identically on any replica.
   server_config.enable_request_tracing = false;

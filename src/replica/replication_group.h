@@ -73,8 +73,9 @@ struct ReplicationConfig {
   // two primaries at the same epoch.
   uint32_t quorum = 0;
 
-  // Applied to every replica. The group forces processor.max_backlog = 0:
-  // backups must apply log entries in log order, never bounce them.
+  // Applied to every replica. Log applies are submitted as
+  // OpClass::kControl, which admission never bounces, so backups apply
+  // entries in log order whatever the admission limits.
   ServerConfig server;
   // One inbound replication link per replica, on the shared clock. The
   // group's own FaultInjector is attached, so scripted drops can lag a

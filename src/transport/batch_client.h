@@ -1,0 +1,180 @@
+// The batching client core (paper §3.2, Figure 15): pack operations into
+// MTU-sized frames, send them reliably, fan the results back out.
+//
+// Every KvEndpoint client is a BatchClient. The core owns the work the
+// topologies share:
+//   - the pending queue, op_budget deadline stamping, and the split-phase
+//     BeginFlush / flush_done / TakeResults (Flush runs all three);
+//   - greedy packing per bucket under the frame budget minus the frame and
+//     request headers, and the per-packet deadline fold;
+//   - request tracing (Start / RegisterPacket / Finish);
+//   - response admission through one ReliableSender, result decoding into
+//     the flush's slots (including the server's whole-packet
+//     kInvalidArgument reject), and retry-exhaustion failures;
+//   - the kBusy/kOverloaded re-send rounds.
+//
+// A flush owns its operations once; packets carry only slot indices into it.
+// A router derives from the core and supplies what differs per topology
+// through the protected hooks: how ops are bucketed, the request header, the
+// target and the wire round trip, and what a bounce means. The routers are
+// Client (one server), ReplicatedClient (one replication group) and
+// ClusterClient (sharded groups).
+#ifndef SRC_TRANSPORT_BATCH_CLIENT_H_
+#define SRC_TRANSPORT_BATCH_CLIENT_H_
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "src/common/units.h"
+#include "src/net/kv_types.h"
+#include "src/obs/request_trace.h"
+#include "src/sim/simulator.h"
+#include "src/transport/kv_endpoint.h"
+#include "src/transport/reliable_sender.h"
+
+namespace kvd {
+
+class BatchClient : public KvEndpoint {
+ public:
+  // Options every router shares; routers extend this struct.
+  struct Options {
+    // Frame budget, frame and request headers included, so a full packet
+    // still fits one wire MTU instead of spilling into a second segment.
+    uint32_t batch_payload_bytes = 4096;
+    SimTime timeout = 500 * kMicrosecond;  // first retransmission timer
+    // Transmissions per frame; exhausting them fails the frame's operations
+    // with kTimedOut instead of retrying forever.
+    uint32_t max_attempts = 8;
+    // Per-op latency budget: each flushed op gets deadline = now + op_budget
+    // (unless the caller stamped a tighter one), carried on the wire and
+    // enforced at every layer (sender retransmissions, server admission,
+    // dequeue, retirement). 0 = no deadlines.
+    SimTime op_budget = 0;
+    // Token-bucket retry budget (see ReliableSender::RetryPolicy); 0
+    // disables it.
+    uint32_t retry_budget = 0;
+  };
+
+  // Packets and timers hold `this`.
+  BatchClient(const BatchClient&) = delete;
+  BatchClient& operator=(const BatchClient&) = delete;
+
+  size_t Enqueue(KvOperation op) override;
+  // BeginFlush, step the simulator until flush_done, TakeResults.
+  std::vector<KvResultMessage> Flush() override;
+
+  // Split-phase flush for clients sharing one clock: BeginFlush() packs and
+  // transmits without stepping the simulator; the caller steps the clock
+  // until flush_done(), then TakeResults() (in Enqueue order).
+  void BeginFlush();
+  bool flush_done() const;
+  std::vector<KvResultMessage> TakeResults();
+
+  ReliableSender::Stats endpoint_stats() const override { return stats_; }
+  SimTime now() const override { return sim_.Now(); }
+  bool Step() override { return sim_.Step(); }
+
+ protected:
+  // Per-router constants, fixed at construction.
+  struct RouterConfig {
+    size_t header_bytes = 0;  // request header between frame and ops
+    uint32_t max_ops_per_packet = 0xffffffff;
+    uint32_t backoff_shift_cap = 20;
+    uint32_t attempts_per_target = 0;  // 0 = never rotate targets
+    uint32_t num_targets = 1;
+    // kBusy/kOverloaded re-send rounds; exhausting them yields kTimedOut.
+    // 0 surfaces the codes to the caller unchanged.
+    uint32_t busy_rounds = 0;
+    SimTime busy_backoff = 0;  // doubles per round
+  };
+
+  struct FlushState {
+    std::vector<KvOperation> ops;
+    std::vector<KvResultMessage> results;
+    std::vector<uint64_t> traces;  // per-op trace handles (0 when untraced)
+    // Packets in flight, plus one while a busy backoff is pending.
+    size_t outstanding = 0;
+    uint32_t busy_round = 0;
+  };
+
+  // Per-packet state. Shares the flush (late duplicate responses can land
+  // after TakeResults and must find live state, not a dead stack frame).
+  struct Packet : ReliablePacket {
+    std::shared_ptr<FlushState> flush;
+    std::vector<size_t> slots;         // flush op/result indices, packet order
+    std::vector<uint8_t> ops_payload;  // PacketBuilder output, never rebuilt
+    uint32_t bucket = 0;               // BucketOf() of every op in the packet
+    uint32_t group = 0;                // destination replication group
+    bool is_write = false;
+    SimTime sent_at = 0;  // first transmission
+  };
+  using PacketPtr = std::shared_ptr<Packet>;
+
+  // `stats` is the router's own (derived) stats struct; the core and its
+  // sender count into it.
+  BatchClient(Simulator& sim, uint64_t sequence_base, const Options& options,
+              const RouterConfig& router, ReliableSender::Stats* stats);
+
+  // --- router hooks ---
+  // Packets never mix buckets.
+  virtual uint32_t BucketOf(const KvOperation& /*op*/) { return 0; }
+  // Sets the packet's group and target before its first transmission.
+  virtual void Route(Packet& /*packet*/) {}
+  // Exactly RouterConfig::header_bytes, framed ahead of the ops payload.
+  virtual std::vector<uint8_t> RequestHeader(const Packet& /*packet*/) { return {}; }
+  // One wire round trip toward packet->target; the response goes to Receive.
+  virtual void Wire(const PacketPtr& packet) = 0;
+  // An admitted response: unwrap the router's header, handle bounces, and
+  // Complete the packet with the results payload.
+  virtual void OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
+    Complete(packet, payload);
+  }
+  // Runs after a packet's first transmission.
+  virtual void OnSent(const PacketPtr& /*packet*/) {}
+  // Where this client's requests are traced; nullptr = untraced.
+  virtual RequestTracer* tracer() { return nullptr; }
+
+  // --- core services for routers ---
+  // Admits a framed response (dedup, checksum, sequence echo) and hands its
+  // payload to OnResponse. True when this delivery completed the packet.
+  bool Receive(const PacketPtr& packet, std::vector<uint8_t> bytes);
+  // Fills the packet's result slots from an EncodeResults payload. False
+  // (counted as a corrupt response; the retransmission timer re-asks) when
+  // the payload does not match the packet.
+  bool Complete(const PacketPtr& packet, const std::vector<uint8_t>& results_payload);
+  // Fails the packet's operations with `code` (an ambiguous abort).
+  void Abandon(const PacketPtr& packet, ResultCode code);
+  // Retires the packet unanswered and re-sends its operations under the
+  // current routing as fresh packets (new sequences).
+  void Repack(const PacketPtr& packet);
+  // Re-frames the packet after its route changed; the sequence and ops
+  // payload stay as they are.
+  void Reframe(Packet& packet);
+
+  Simulator& sim() { return sim_; }
+  ReliableSender& sender() { return sender_; }
+
+ private:
+  // Packs flush->ops[slots] per bucket and transmits each packet.
+  void Send(const std::shared_ptr<FlushState>& flush, const std::vector<size_t>& slots);
+  void TraceAttempt(const Packet& packet);
+  void OnFail(const PacketPtr& packet);
+  void PacketDone(const std::shared_ptr<FlushState>& flush);
+  // All of a round's packets are answered: re-send its busy operations.
+  void EndBusyRound(const std::shared_ptr<FlushState>& flush);
+  RequestTracer* ActiveTracer();
+
+  Simulator& sim_;
+  Options options_;
+  RouterConfig router_;
+  ReliableSender::Stats& stats_;
+  uint64_t next_sequence_;
+  std::vector<KvOperation> pending_;
+  std::shared_ptr<FlushState> flush_;
+  ReliableSender sender_;
+};
+
+}  // namespace kvd
+
+#endif  // SRC_TRANSPORT_BATCH_CLIENT_H_

@@ -1,12 +1,15 @@
 // Topology-independent client interface.
 //
-// Every client in the repo — Client (one server), MultiNicClient (sharded
-// servers), ReplicatedClient (one replicated group), ClusterClient (sharded
-// replicated groups) — speaks this interface, so a benchmark or test driver
-// written once (bench/bench_util.h DriveEndpoint, the YCSB harness) runs
-// unchanged against any topology.
+// Every client in the repo speaks this interface, so a benchmark or test
+// driver written once (bench/bench_util.h DriveEndpoint, the YCSB harness)
+// runs unchanged against any topology. Client (one server), ReplicatedClient
+// (one replicated group) and ClusterClient (sharded replicated groups) are
+// routers over one batching core (src/transport/batch_client.h);
+// MultiNicClient fans a flush out over one Client per NIC.
 //
-// Enqueue/Flush is the reliable batched path all endpoints implement.
+// Enqueue/Flush is the reliable batched path all endpoints implement. The
+// synchronous single-operation calls (Get, Put, ...) are one-op flushes
+// over it, so every endpoint has them.
 // SubmitPacket is the raw datagram path used by closed-loop throughput
 // benches (no framing, no retry — the bench counts undecoded responses);
 // only endpoints with a single direct server wire support it.
@@ -19,8 +22,10 @@
 #define SRC_TRANSPORT_KV_ENDPOINT_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/net/kv_types.h"
 #include "src/sim/simulator.h"
 #include "src/transport/reliable_sender.h"
@@ -57,6 +62,32 @@ class KvEndpoint {
                             std::function<void()> /*done*/) {
     return false;
   }
+
+  // --- single synchronous operations (each one Enqueue + Flush; nothing
+  // else may be queued) ---
+  Result<std::vector<uint8_t>> Get(std::span<const uint8_t> key);
+  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value);
+  Status Delete(std::span<const uint8_t> key);
+  // Atomic scalar update (e.g. fetch-and-add); returns the original value.
+  Result<uint64_t> Update(std::span<const uint8_t> key, uint64_t param,
+                          uint16_t function_id = kFnAddU64,
+                          uint8_t element_width = 8);
+  // Vector operations (Table 1).
+  Result<std::vector<uint8_t>> UpdateVectorWithScalar(std::span<const uint8_t> key,
+                                                      uint64_t param,
+                                                      uint16_t function_id,
+                                                      uint8_t element_width);
+  Result<std::vector<uint8_t>> UpdateVectorWithVector(std::span<const uint8_t> key,
+                                                      std::span<const uint8_t> params,
+                                                      uint16_t function_id,
+                                                      uint8_t element_width);
+  Result<uint64_t> Reduce(std::span<const uint8_t> key, uint64_t initial,
+                          uint16_t function_id, uint8_t element_width);
+  Result<std::vector<uint8_t>> Filter(std::span<const uint8_t> key, uint64_t param,
+                                      uint16_t function_id, uint8_t element_width);
+
+ private:
+  KvResultMessage Call(KvOperation op);
 };
 
 }  // namespace kvd

@@ -5,16 +5,24 @@
 
 namespace kvd {
 
+ReliableSender::Stats& ReliableSender::Stats::operator+=(const Stats& other) {
+  packets_sent += other.packets_sent;
+  retransmits += other.retransmits;
+  busy_retries += other.busy_retries;
+  corrupt_responses += other.corrupt_responses;
+  duplicate_responses += other.duplicate_responses;
+  deadline_failures += other.deadline_failures;
+  budget_exhausted += other.budget_exhausted;
+  hedged_sends += other.hedged_sends;
+  return *this;
+}
+
 SimTime ReliableSender::BackoffDelay(const PacketPtr& packet) {
-  if (packet->attempts <= 1 || !policy_.jitter) {
-    // First attempt (always), or jitter disabled: the classic exponential
-    // schedule. Keeping attempt 1 exact means fault-free timing is identical
-    // whether jitter is on or off.
-    const SimTime delay = policy_.timeout
-                          << std::min(packet->attempts - 1,
-                                      policy_.backoff_shift_cap);
-    packet->backoff = delay;
-    return delay;
+  if (packet->attempts <= 1) {
+    // The first attempt's timer is exact, so fault-free timing never
+    // depends on the jitter stream.
+    packet->backoff = policy_.timeout;
+    return policy_.timeout;
   }
   // Decorrelated jitter: uniform[timeout, 3 * previous_wait), capped. Grows
   // at least as fast as exponential backoff in expectation but desynchronizes
@@ -35,21 +43,10 @@ SimTime ReliableSender::BackoffDelay(const PacketPtr& packet) {
 void ReliableSender::Transmit(const PacketPtr& packet) {
   packet->attempts++;
   packet->attempts_at_target++;
-  RequestTracer& rt = tracer_();
-  if (!packet->traces.empty() && rt.enabled()) {
-    for (const uint64_t handle : packet->traces) {
-      rt.CountAttempt(handle);
-      if (packet->attempts > 1) {
-        // Timeout-driven retransmission marker (detail: attempt number).
-        rt.Span(handle, SpanKind::kRetransmit, sim_.Now(), sim_.Now(),
-                packet->attempts - 1);
-      }
-    }
-  }
   wire_(packet);
-  // Retransmission timer for this attempt; exponential backoff with optional
-  // decorrelated jitter. A timer that fires after completion (or after a
-  // newer attempt took over) is a no-op.
+  // Retransmission timer for this attempt (decorrelated-jitter backoff). A
+  // timer that fires after completion (or after a newer attempt took over)
+  // is a no-op.
   const uint32_t seen = packet->attempts;
   const SimTime timeout = BackoffDelay(packet);
   sim_.Schedule(timeout, [this, packet, seen] {
@@ -123,7 +120,7 @@ std::optional<std::vector<uint8_t>> ReliableSender::AcceptResponse(
     // Successes refill the retry budget, so a healthy system keeps its full
     // allowance and a failing one converges to the refill rate.
     retry_tokens_ = std::min(static_cast<double>(policy_.retry_budget),
-                             retry_tokens_ + policy_.retry_refill_per_success);
+                             retry_tokens_ + kRetryRefillPerSuccess);
   }
   return std::move(frame->payload);
 }

@@ -1,10 +1,9 @@
 // Client-side half of the reliable channel: per-packet retransmission with
 // exponential backoff, optional target rotation, and response dedup.
 //
-// One implementation drives every reliable client (single-server Client,
-// ReplicatedClient, and through them MultiNicClient/ClusterClient). The
-// sender owns the retry state machine; the owner supplies what differs per
-// topology through hooks:
+// One instance per client, owned by the batching client core (BatchClient,
+// src/transport/batch_client.h). The sender owns the retry state machine;
+// the owner supplies what differs per topology through hooks:
 //
 //   wire     — actually puts the packet's framed bytes on the wire toward
 //              packet->target and arranges for AcceptResponse on delivery.
@@ -14,7 +13,8 @@
 //              outliving an unreachable server is the point.)
 //
 // Retry semantics, shared by all owners:
-//   - each transmission arms a timer at timeout << min(attempts-1, shift_cap);
+//   - the first transmission arms a timer at `timeout`, each retransmission
+//     a decorrelated-jitter delay capped at timeout << backoff_shift_cap;
 //   - a timer firing after completion, or after a newer attempt superseded
 //     it (a bounce already re-sent), is a no-op;
 //   - a timer firing on the live attempt counts one retransmit and re-sends;
@@ -40,7 +40,6 @@
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/net/kv_types.h"
-#include "src/obs/request_trace.h"
 #include "src/sim/simulator.h"
 #include "src/transport/frame.h"
 
@@ -75,33 +74,34 @@ class ReliableSender {
   struct RetryPolicy {
     SimTime timeout = 500 * kMicrosecond;
     uint32_t max_attempts = 8;
-    // Backoff exponent cap: timeout << min(attempts-1, cap).
+    // Caps the retransmission backoff at timeout << backoff_shift_cap.
     uint32_t backoff_shift_cap = 20;
     // Consecutive timeouts on one target before rotating to the next;
     // 0 disables rotation (single-target topologies).
     uint32_t attempts_per_target = 0;
     uint32_t num_targets = 1;
-    // Decorrelated jitter on retransmission backoff: each retry waits
+    // Seeds the decorrelated retransmission jitter: each retry waits
     // uniform[timeout, 3 * previous_wait), capped at timeout << shift_cap.
     // Deterministic backoff retransmits every client in lockstep — a
     // built-in thundering herd; jitter spreads the herd while staying
-    // same-seed reproducible through the per-sender RNG stream below. The
-    // first attempt's timer is always exactly `timeout`, so fault-free
-    // timing is identical with jitter on or off.
-    bool jitter = true;
+    // same-seed reproducible through the per-sender RNG stream. The first
+    // attempt's timer is always exactly `timeout`, so fault-free timing
+    // does not depend on the seed.
     uint64_t jitter_seed = 0;
     // Token-bucket retry budget: retransmissions spend one token, successful
-    // responses refill `retry_refill_per_success`. During a 100%-failure
-    // storm the sender converges to ~budget total retransmits instead of
+    // responses refill kRetryRefillPerSuccess. During a 100%-failure storm
+    // the sender converges to ~budget total retransmits instead of
     // amplifying exponentially. 0 disables the budget.
     uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
   };
+  static constexpr double kRetryRefillPerSuccess = 0.1;
 
   // Owned by the client (stable address, readable through client.stats()).
   // The sender updates retransmits / corrupt_responses / duplicate_responses;
   // the owner counts packets_sent and busy_retries itself.
   struct Stats {
+    Stats& operator+=(const Stats& other);
+
     uint64_t packets_sent = 0;
     uint64_t retransmits = 0;
     uint64_t busy_retries = 0;
@@ -115,13 +115,11 @@ class ReliableSender {
   using PacketPtr = std::shared_ptr<ReliablePacket>;
   using Hook = std::function<void(const PacketPtr&)>;
 
-  ReliableSender(Simulator& sim, RetryPolicy policy, Stats* stats,
-                 std::function<RequestTracer&()> tracer, Hook wire,
+  ReliableSender(Simulator& sim, RetryPolicy policy, Stats* stats, Hook wire,
                  Hook on_fail)
       : sim_(sim),
         policy_(policy),
         stats_(stats),
-        tracer_(std::move(tracer)),
         wire_(std::move(wire)),
         on_fail_(std::move(on_fail)),
         retry_tokens_(policy_.retry_budget) {
@@ -166,7 +164,6 @@ class ReliableSender {
   Simulator& sim_;
   RetryPolicy policy_;
   Stats* stats_;
-  std::function<RequestTracer&()> tracer_;
   Hook wire_;
   Hook on_fail_;
   Rng jitter_rng_;

@@ -329,6 +329,38 @@ TEST(ClusterClientTest, ShardsAndReplicatesOnOneSimulator) {
   EXPECT_EQ(total, 64u);
 }
 
+TEST(ClusterClientTest, FullFramesFitTheBatchBudget) {
+  // Packing must leave room for the frame header and the 20 B routed
+  // GroupRequest header. The client network's MTU equals the default batch
+  // budget (4096 B), so a frame over budget would cost a second wire segment.
+  ClusterConfig config = SmallClusterConfig(2, 4, 3);
+  ClusterCoordinator cluster(config);
+  ClusterClient client(cluster);
+  const KeyRouter router = cluster.router();
+  // One partition, 58 B ops after the first (8 B key, 48 B value, copied
+  // lengths): an 8 B header reservation would pack 70 of them into a 4098 B
+  // frame.
+  uint64_t id = 0;
+  for (int i = 0; i < 300; i++) {
+    id = KeyInPartition(router, 0, id);
+    KvOperation op;
+    op.opcode = Opcode::kPut;
+    op.key = Key(id++);
+    op.value.assign(48, static_cast<uint8_t>(i));
+    client.Enqueue(std::move(op));
+  }
+  for (const KvResultMessage& r : client.Flush()) {
+    ASSERT_EQ(r.code, ResultCode::kOk);
+  }
+  ReplicationGroup& group = cluster.group(cluster.shard_map().OwnerOf(0));
+  uint64_t segments = 0;
+  for (uint32_t r = 0; r < group.num_replicas(); r++) {
+    segments += group.client_network(r).packets_to_server();
+  }
+  EXPECT_GT(client.stats().packets_sent, 1u);  // full frames, not one small one
+  EXPECT_EQ(segments, client.stats().packets_sent + client.stats().retransmits);
+}
+
 TEST(ClusterMigrationTest, MovesAPartitionAndFlipsTheMap) {
   ClusterConfig config = SmallClusterConfig(2, 4, 3);
   ClusterCoordinator cluster(config);

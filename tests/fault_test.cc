@@ -297,7 +297,7 @@ TEST(ClientRetryTest, ScheduledDropCausesExactlyOneRetransmit) {
   ASSERT_TRUE(server.Load(Key(1), U64Value(99)).ok());
 
   Client::Options options;
-  options.retry.timeout = 20 * kMicrosecond;
+  options.timeout = 20 * kMicrosecond;
   Client client(server, options);
   auto value = client.Get(Key(1));
   ASSERT_TRUE(value.ok());
@@ -316,7 +316,7 @@ TEST(ClientRetryTest, ReplayedResponseDropIsDeduplicated) {
   ASSERT_TRUE(server.Load(Key(1), U64Value(0)).ok());
 
   Client::Options options;
-  options.retry.timeout = 20 * kMicrosecond;
+  options.timeout = 20 * kMicrosecond;
   Client client(server, options);
   auto original = client.Update(Key(1), 5);  // fetch-and-add, not idempotent
   ASSERT_TRUE(original.ok());
@@ -410,7 +410,7 @@ TEST(ClientRetryTest, SurvivesLossyNetworkExactlyOnce) {
   }
 
   Client::Options options;
-  options.retry.timeout = 50 * kMicrosecond;
+  options.timeout = 50 * kMicrosecond;
   options.max_ops_per_packet = 4;  // many packets -> many fault opportunities
   Client client(server, options);
 
@@ -448,7 +448,7 @@ TEST(ClientRetryTest, SurvivesLossyNetworkExactlyOnce) {
 TEST(DegradationTest, BusyBackpressureEndToEnd) {
   ServerConfig config = SmallServerConfig();
   config.processor.ooo.max_inflight = 8;
-  config.processor.max_backlog = 8;
+  config.processor.admission.max_backlog = 8;
   KvDirectServer server(config);
   constexpr uint64_t kKeys = 64;
   for (uint64_t k = 0; k < kKeys; k++) {
@@ -620,7 +620,7 @@ ChaosOutcome RunChaos(double get_ratio, uint64_t seed) {
   }
 
   Client::Options options;
-  options.retry.timeout = 100 * kMicrosecond;
+  options.timeout = 100 * kMicrosecond;
   options.max_ops_per_packet = 16;
   Client client(server, options);
   // Everything the soak does goes through the recorder; the checker then

@@ -132,5 +132,31 @@ TEST(MultiNicTest, SingleNicDegeneratesToPlainServer) {
   EXPECT_EQ(cluster.TotalKvs(), 1u);
 }
 
+TEST(MultiNicTest, SummedStatsIncludeDeadlineFailures) {
+  // Every request frame is dropped, so each NIC's packet retransmits until
+  // its op budget runs out and the sender abandons it past the deadline.
+  ServerConfig config = PerNicConfig();
+  config.faults.at(FaultSite::kNetDropToServer) = 1.0;
+  MultiNicServer cluster(4, config);
+  Client::Options options;
+  options.timeout = 10 * kMicrosecond;
+  options.max_attempts = 64;  // the deadline must fire long before this
+  options.op_budget = 50 * kMicrosecond;
+  MultiNicClient client(cluster, options);
+  for (uint64_t i = 0; i < 64; i++) {
+    KvOperation op;
+    op.opcode = Opcode::kGet;
+    op.key = Key(i);
+    client.Enqueue(std::move(op));
+  }
+  for (const KvResultMessage& result : client.Flush()) {
+    EXPECT_EQ(result.code, ResultCode::kDeadlineExceeded);
+  }
+  const ReliableSender::Stats stats = client.endpoint_stats();
+  EXPECT_EQ(stats.packets_sent, 4u);  // one packet per NIC
+  EXPECT_EQ(stats.deadline_failures, stats.packets_sent);
+  EXPECT_GT(stats.retransmits, 0u);
+}
+
 }  // namespace
 }  // namespace kvd

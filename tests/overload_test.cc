@@ -208,9 +208,9 @@ TEST(OverloadTest, PartitionedServerYieldsDeadlineExceededNotAHang) {
   ASSERT_TRUE(server.Load(Key(1), U64Value(7)).ok());
 
   Client::Options options;
-  options.retry.timeout = 50 * kMicrosecond;
-  options.retry.max_attempts = 64;       // deadline must fire long before this
-  options.retry.op_budget = 300 * kMicrosecond;
+  options.timeout = 50 * kMicrosecond;
+  options.max_attempts = 64;       // deadline must fire long before this
+  options.op_budget = 300 * kMicrosecond;
   Client client(server, options);
   server.network().SetPartitioned(/*to_server=*/true, true);
 
@@ -269,8 +269,8 @@ TEST(OverloadTest, HealedPartitionMidRetransmitAppliesExactlyOnce) {
   ASSERT_TRUE(server.Load(Key(1), U64Value(0)).ok());
 
   Client::Options options;
-  options.retry.timeout = 50 * kMicrosecond;
-  options.retry.max_attempts = 24;
+  options.timeout = 50 * kMicrosecond;
+  options.max_attempts = 24;
   Client client(server, options);
 
   server.network().SetPartitioned(/*to_server=*/true, true);
@@ -308,9 +308,9 @@ TEST(OverloadTest, RetryBudgetBoundsStormAndRecoversAfterHeal) {
 
   Client::Options options;
   options.max_ops_per_packet = 1;
-  options.retry.timeout = 20 * kMicrosecond;
-  options.retry.max_attempts = 12;
-  options.retry.retry_budget = 8;
+  options.timeout = 20 * kMicrosecond;
+  options.max_attempts = 12;
+  options.retry_budget = 8;
   Client client(server, options);
 
   server.network().SetPartitioned(/*to_server=*/true, true);
@@ -360,8 +360,7 @@ std::tuple<uint64_t, SimTime, uint64_t> LossyRun(uint64_t seed) {
   }
   Client::Options options;
   options.max_ops_per_packet = 4;
-  options.retry.timeout = 50 * kMicrosecond;
-  options.retry.jitter = true;
+  options.timeout = 50 * kMicrosecond;
   Client client(server, options);
   uint64_t digest = 0;
   for (int round = 0; round < 8; round++) {

@@ -228,7 +228,7 @@ TEST(RequestTraceTest, RetransmittedOpKeepsOneTraceAcrossAttempts) {
   KvDirectServer server(config);
   ASSERT_TRUE(server.Load(Key(1), U64Value(5)).ok());
   Client::Options options;
-  options.retry.timeout = 100 * kMicrosecond;
+  options.timeout = 100 * kMicrosecond;
   Client client(server, options);
   ASSERT_TRUE(client.Get(Key(1)).ok());
   ASSERT_TRUE(client.Put(Key(1), U64Value(6)).ok());
@@ -470,7 +470,7 @@ ChaosRun RunTracedChaos(uint64_t seed) {
     EXPECT_TRUE(server.Load(Key(k), U64Value(0)).ok());
   }
   Client::Options options;
-  options.retry.timeout = 100 * kMicrosecond;
+  options.timeout = 100 * kMicrosecond;
   Client client(server, options);
   Rng mix(seed ^ 0x9c5b);
   for (int batch = 0; batch < 10; batch++) {
@@ -511,7 +511,7 @@ TEST(FlightRecorderTest, ChaosSoakDumpsAreBitIdentical) {
 
 TEST(FlightRecorderTest, BusyBurstTriggersOneDumpPerWindow) {
   ServerConfig config = TracedServerConfig();
-  config.processor.max_backlog = 2;
+  config.processor.admission.max_backlog = 2;
   config.processor.busy_burst_threshold = 8;
   // A tiny in-flight budget makes the station reject quickly, so the
   // admission backlog fills and submissions bounce with kBusy.

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/cluster/cluster_client.h"
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
 #include "src/replica/replicated_client.h"
@@ -299,8 +300,8 @@ TEST(TimeoutTest, ClientSurfacesTimedOutWhenEveryFrameIsDropped) {
   ASSERT_TRUE(server.Load(Key(1), U64Value(7)).ok());
 
   Client::Options options;
-  options.retry.timeout = 10 * kMicrosecond;
-  options.retry.max_attempts = 3;
+  options.timeout = 10 * kMicrosecond;
+  options.max_attempts = 3;
   Client client(server, options);
 
   client.Enqueue([] {
@@ -313,7 +314,7 @@ TEST(TimeoutTest, ClientSurfacesTimedOutWhenEveryFrameIsDropped) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].code, ResultCode::kTimedOut);
   EXPECT_EQ(client.stats().packets_sent, 1u);
-  EXPECT_EQ(client.stats().retransmits, options.retry.max_attempts - 1);
+  EXPECT_EQ(client.stats().retransmits, options.max_attempts - 1);
   // The synchronous wrappers map it to StatusCode::kTimedOut.
   Result<std::vector<uint8_t>> value = client.Get(Key(1));
   ASSERT_FALSE(value.ok());
@@ -348,6 +349,46 @@ TEST(TimeoutTest, ReplicatedClientSurfacesTimedOutWhenEveryFrameIsDropped) {
   // backoff draw — so the exact count is seed-dependent below the cap.
   EXPECT_GE(client.stats().retransmits, 1u);
   EXPECT_LE(client.stats().retransmits, options.max_attempts - 1);
+}
+
+TEST(TimeoutTest, ClusterClientSurfacesTimedOutWhenEveryFrameIsDropped) {
+  ClusterConfig config;
+  config.num_groups = 2;
+  config.num_partitions = 4;
+  config.group.num_replicas = 3;
+  config.group.server.kvs_memory_bytes = 8 * kMiB;
+  config.group.server.nic_dram.capacity_bytes = 1 * kMiB;
+  // Every replica's client-facing wire drops every request frame.
+  config.group.server.faults.at(FaultSite::kNetDropToServer) = 1.0;
+  ClusterCoordinator cluster(config);
+
+  ClusterClient::Options options;
+  options.timeout = 10 * kMicrosecond;
+  options.max_attempts = 4;
+  options.attempts_per_target = 2;
+  ClusterClient client(cluster, options);
+
+  // Writes and reads spread over every partition: one packet each, and
+  // every one must give up with kTimedOut rather than hang the flush.
+  for (uint64_t i = 0; i < 16; i++) {
+    KvOperation op;
+    op.opcode = i % 2 == 0 ? Opcode::kPut : Opcode::kGet;
+    op.key = Key(i);
+    op.value = op.opcode == Opcode::kPut ? U64Value(i) : std::vector<uint8_t>{};
+    client.Enqueue(std::move(op));
+  }
+  std::vector<KvResultMessage> results = client.Flush();
+  ASSERT_EQ(results.size(), 16u);
+  for (const KvResultMessage& result : results) {
+    EXPECT_EQ(result.code, ResultCode::kTimedOut);
+  }
+  // Nothing answers, so no bounce can consume an attempt: every packet
+  // spends exactly max_attempts - 1 timer-driven retransmits.
+  EXPECT_EQ(client.stats().retransmits,
+            client.stats().packets_sent * (options.max_attempts - 1));
+  Result<std::vector<uint8_t>> value = client.Get(Key(1));
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status().code(), StatusCode::kTimedOut);
 }
 
 // --- cross-client sequence spaces over the shared replay cache ---
