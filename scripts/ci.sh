@@ -3,8 +3,9 @@
 # sweeps. Mirrors exactly what a reviewer runs by hand:
 #
 #   1. layering guards — the transport layer (src/transport) must hold the
-#      only copy of the framing/replay-dedup logic, and the batching client
-#      core the only client-side packing/response-admission path;
+#      only copy of the framing/replay-dedup logic, the batching client core
+#      the only client-side packing/response-admission path, and
+#      SnapshotStream the only go-back-N chunk stream;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -45,10 +46,27 @@ if [[ -n "${packers}" ]]; then
   exit 1
 fi
 
+# One snapshot stream: replica state transfer and shard migration both ship
+# chunks through SnapshotStream (src/transport/snapshot_stream.h). Its
+# go-back-N cursors showing up anywhere else in src/ is a second copy.
+streams=$(grep -rnE 'last_observed_ack|next_to_send|expected_chunk' src --include='*.h' --include='*.cc' \
+            | grep -v '^src/transport/' || true)
+if [[ -n "${streams}" ]]; then
+  echo "chunk-stream cursors found outside src/transport:" >&2
+  echo "${streams}" >&2
+  exit 1
+fi
+
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+
+echo "=== replication suite (ctest -L replica) ==="
+# Log replication, failover, exactly-once sessions, and state transfer over
+# the snapshot stream (DESIGN.md §9) — run again by label so a regression
+# names itself.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L replica
 
 echo "=== overload-control suite (ctest -L overload) ==="
 # Deadlines, admission shedding, retry budgets, hedging, gray demotion

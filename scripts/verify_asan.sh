@@ -23,6 +23,9 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L transport
+# The replication tests too: snapshot-stream pacing slots and acks outlive
+# the transfers (and replicas' reigns) that scheduled them.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L replica
 # The cluster tests are repeated too: migration chunk buffers and forwarded
 # session records cross group lifetimes, prime use-after-free territory.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L cluster

@@ -25,6 +25,9 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L transport
+# The replication tests too (see the header): epoch/log-index arithmetic
+# through failover, and state chunks decoded from corrupt frames.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L replica
 # The cluster tests are repeated too: the routed-request extension and the
 # copy-stream framing decode fault-injected corrupt bytes.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L cluster

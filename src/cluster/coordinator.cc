@@ -19,14 +19,6 @@ uint64_t GroupFaultSeed(uint64_t base, uint32_t index) {
   return base ^ (0x9e3779b97f4a7c15ULL * (index + 1));
 }
 
-std::vector<uint8_t> EncodeCopyAck(uint32_t installed) {
-  std::vector<uint8_t> out(4);
-  for (size_t i = 0; i < 4; i++) {
-    out[i] = static_cast<uint8_t>(installed >> (8 * i));
-  }
-  return out;
-}
-
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
@@ -225,7 +217,6 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
   tracer_.Instant(kTraceCategory, "migration_start",
                   {{"partition", partition}, {"from", from}, {"to", to_group}});
   InstallSnapshot();
-  SendCopyChunks();
   ArmRetransmitTimer();
   std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval,
@@ -259,81 +250,54 @@ void ClusterCoordinator::InstallSnapshot() {
   }
   // Cut the KV snapshot and pre-frame every chunk: retransmissions must
   // resend byte-identical frames. The cut is untimed (its cost is modeled by
-  // the paced stream below, exactly like replica state transfer). Writes
+  // the paced SnapshotStream, exactly like replica state transfer). Writes
   // in flight at the cut are harmless: their commit forwards re-read the
   // then-current value, and forwarded keys are excluded from chunk installs.
-  auto kvs = source.SnapshotPartitionKvs(router, m.partition);
-  ReplicaMessage chunk;
-  chunk.type = ReplicaMessageType::kStateChunk;
-  chunk.epoch = map_.epoch;
-  chunk.sender = m.from;
-  uint32_t seq = 0;
-  auto flush_chunk = [&] {
-    chunk.chunk_seq = seq++;
-    m.chunk_kvs.push_back(static_cast<uint32_t>(chunk.kvs.size()));
-    m.chunks.push_back(
+  StateKvs kvs = source.SnapshotPartitionKvs(router, m.partition);
+  const uint64_t num_kvs = kvs.size();
+  ReplicaMessage header;
+  header.type = ReplicaMessageType::kStateChunk;
+  header.epoch = map_.epoch;
+  header.sender = m.from;
+  std::vector<std::vector<uint8_t>> chunks;
+  for (const ReplicaMessage& chunk :
+       CutStateChunks(header, std::move(kvs), {}, config_.copy_chunk_kvs)) {
+    chunks.push_back(
         FramePacket(++next_copy_sequence_, EncodeReplicaMessage(chunk)));
-    chunk.kvs.clear();
-  };
-  for (auto& kv : kvs) {
-    chunk.kvs.emplace_back(std::move(kv.first), std::move(kv.second));
-    if (chunk.kvs.size() >= config_.copy_chunk_kvs) {
-      flush_chunk();
-    }
-  }
-  if (!chunk.kvs.empty()) {
-    flush_chunk();
   }
   tracer_.Instant(kTraceCategory, "copy_start",
                   {{"partition", m.partition},
-                   {"chunks", static_cast<uint64_t>(m.chunks.size())},
-                   {"kvs", static_cast<uint64_t>(kvs.size())}});
+                   {"chunks", static_cast<uint64_t>(chunks.size())},
+                   {"kvs", num_kvs}});
+  copy_in_.installed = 0;
+  copy_out_.Start(std::move(chunks));
 }
 
-void ClusterCoordinator::SendCopyChunks() {
-  Migration& m = migration_;
-  if (!m.active || m.phase != Migration::Phase::kCopy || m.sending ||
-      m.next_to_send >= m.chunks.size()) {
-    return;
-  }
-  m.sending = true;
-  const uint32_t index = m.next_to_send++;
-  const std::vector<uint8_t>& framed = m.chunks[index];
-  stats_.copy_chunks_sent++;
-  stats_.copy_bytes += framed.size();
-  const uint64_t round = m.round;
+void ClusterCoordinator::WireCopyChunk(const std::vector<uint8_t>& framed) {
+  const uint64_t round = migration_.round;
   std::shared_ptr<bool> alive = liveness_;
-  auto deliver = [this, alive, round](std::vector<uint8_t> packet) {
-    if (*alive) {
-      OnCopyChunkArrive(round, std::move(packet));
-    }
-  };
-  if (m.trace != 0) {
-    const std::vector<uint64_t> traces{m.trace};
-    migration_net_->SendPayloadToServer(framed, std::move(deliver), traces,
-                                        SpanKind::kNetWire);
-  } else {
-    migration_net_->SendPayloadToServer(framed, std::move(deliver));
+  std::vector<uint64_t> traces;
+  if (migration_.trace != 0) {
+    traces.push_back(migration_.trace);
   }
-  // Pace the stream: background copy must not starve foreground traffic, so
-  // the next chunk leaves once this one's bytes have had their slot at the
-  // configured copy rate.
-  const SimTime pace = std::max<SimTime>(
-      1, static_cast<SimTime>(static_cast<double>(framed.size()) /
-                              config_.copy_bytes_per_sec * kSecond));
-  sim_.ScheduleAt(sim_.Now() + pace, [this, alive, round] {
-    if (!*alive || !migration_.active || migration_.round != round) {
-      return;
-    }
-    migration_.sending = false;
-    SendCopyChunks();
-  });
+  migration_net_->SendPayloadToServer(
+      framed,
+      [this, alive, round](std::vector<uint8_t> packet) {
+        if (*alive) {
+          OnCopyChunkArrive(round, std::move(packet));
+        }
+      },
+      traces, SpanKind::kNetWire);
+}
+
+bool ClusterCoordinator::CopyLive(uint64_t round) const {
+  return migration_.active && migration_.round == round &&
+         migration_.phase == Migration::Phase::kCopy;
 }
 
 void ClusterCoordinator::OnCopyChunkArrive(uint64_t round,
                                            std::vector<uint8_t> packet) {
-  Migration& m = migration_;
-  if (!m.active || m.round != round || m.phase != Migration::Phase::kCopy) {
+  if (!CopyLive(round)) {
     return;
   }
   Result<Frame> frame = ParseFrame(packet);
@@ -346,12 +310,11 @@ void ClusterCoordinator::OnCopyChunkArrive(uint64_t round,
     return;
   }
   const ReplicaMessage& chunk = decoded.value();
-  if (chunk.chunk_seq == m.installed) {
-    ReplicationGroup& dest = *groups_[m.to];
-    bool chunk_installed = true;
+  const uint32_t installed = copy_in_.OnChunk(chunk.chunk_seq, [&] {
+    ReplicationGroup& dest = *groups_[migration_.to];
     for (const auto& [key, value] : chunk.kvs) {
       if (!config_.test_bugs.disable_migration_touched_key_guard &&
-          m.touched.count(key) != 0) {
+          migration_.touched.count(key) != 0) {
         // A forward already wrote (or deleted) this key at the destination
         // with a newer value; installing the snapshot's copy — possibly from
         // a duplicated or retransmitted chunk — would resurrect the old one.
@@ -359,50 +322,24 @@ void ClusterCoordinator::OnCopyChunkArrive(uint64_t round,
       }
       if (!dest.Load(key, value).ok()) {
         // A crashed destination replica (or capacity pressure) blocks the
-        // install. Drop the chunk without advancing the install point:
-        // go-back-N retransmission redelivers it once the group heals, and
-        // Load is an upsert so the partial prefix re-installs harmlessly.
-        chunk_installed = false;
-        break;
+        // install. Refuse the chunk: go-back-N redelivers it once the group
+        // heals, and Load is an upsert so the partial prefix re-installs
+        // harmlessly.
+        return false;
       }
       stats_.copy_kvs++;
     }
-    if (chunk_installed) {
-      m.installed++;
-    }
-  } else {
-    stats_.copy_stale_chunks++;  // loss gap or duplicate: go-back-N drops it
-  }
-  // Cumulative ack on every arrival (duplicates are harmless and heal lost
-  // acks). The ack direction rides the same fallible wire.
+    return true;
+  });
+  // The ack direction rides the same fallible wire.
   std::shared_ptr<bool> alive = liveness_;
   migration_net_->SendPayloadToClient(
-      FramePacket(++next_copy_sequence_, EncodeCopyAck(m.installed)),
+      SnapshotStream::FrameAck(++next_copy_sequence_, installed),
       [this, alive, round](std::vector<uint8_t> ack) {
-        if (*alive) {
-          OnCopyAckArrive(round, std::move(ack));
+        if (*alive && CopyLive(round)) {
+          copy_out_.OnAckFrame(ack);
         }
       });
-}
-
-void ClusterCoordinator::OnCopyAckArrive(uint64_t round,
-                                         std::vector<uint8_t> packet) {
-  Migration& m = migration_;
-  if (!m.active || m.round != round || m.phase != Migration::Phase::kCopy) {
-    return;
-  }
-  Result<Frame> frame = ParseFrame(packet);
-  if (!frame.ok() || frame.value().payload.size() != 4) {
-    return;
-  }
-  uint32_t installed = 0;
-  for (size_t i = 0; i < 4; i++) {
-    installed |= static_cast<uint32_t>(frame.value().payload[i]) << (8 * i);
-  }
-  if (installed > m.chunks.size()) {
-    return;  // corrupt beyond the checksum's reach: impossible cursor
-  }
-  m.acked = std::max(m.acked, installed);
 }
 
 void ClusterCoordinator::ArmRetransmitTimer() {
@@ -410,26 +347,14 @@ void ClusterCoordinator::ArmRetransmitTimer() {
   std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(
       sim_.Now() + config_.copy_retransmit_timeout, [this, alive, round] {
-        if (!*alive || !migration_.active || migration_.round != round ||
-            migration_.phase != Migration::Phase::kCopy) {
+        if (!*alive || !CopyLive(round)) {
           return;
         }
-        Migration& m = migration_;
-        if (m.acked < m.chunks.size() && m.acked == m.last_observed_ack) {
-          // No cumulative progress for a full timeout: a chunk or its ack
-          // was lost. Go back to the ack point and resend from there.
-          const uint32_t resent =
-              m.next_to_send > m.acked ? m.next_to_send - m.acked : 0;
-          stats_.copy_chunk_retransmits += resent;
-          if (m.trace != 0) {
-            request_tracer_.Span(m.trace, SpanKind::kRetransmit,
-                                 sim_.Now() - config_.copy_retransmit_timeout,
-                                 sim_.Now(), m.acked);
-          }
-          m.next_to_send = m.acked;
-          SendCopyChunks();
+        if (copy_out_.CheckProgress() && migration_.trace != 0) {
+          request_tracer_.Span(migration_.trace, SpanKind::kRetransmit,
+                               sim_.Now() - config_.copy_retransmit_timeout,
+                               sim_.Now(), copy_out_.acked());
         }
-        m.last_observed_ack = m.acked;
         ArmRetransmitTimer();
       });
 }
@@ -438,11 +363,13 @@ void ClusterCoordinator::PollMigration() {
   Migration& m = migration_;
   switch (m.phase) {
     case Migration::Phase::kCopy:
-      if (m.acked >= m.chunks.size()) {
+      if (copy_out_.done()) {
         m.phase = Migration::Phase::kCatchUp;
-        tracer_.Instant(kTraceCategory, "copy_done",
-                        {{"partition", m.partition},
-                         {"chunks", static_cast<uint64_t>(m.chunks.size())}});
+        tracer_.Instant(
+            kTraceCategory, "copy_done",
+            {{"partition", m.partition},
+             {"chunks", static_cast<uint64_t>(copy_out_.num_chunks())}});
+        copy_out_.Stop();
       }
       break;
     case Migration::Phase::kCatchUp:
@@ -590,19 +517,19 @@ void ClusterCoordinator::RegisterMetrics() {
                            &stats_.partitions_split);
   metrics_.RegisterCounter("kvd_cluster_copy_chunks_total",
                            "Copy-stream chunk transmissions, resends included",
-                           {}, &stats_.copy_chunks_sent);
+                           {}, &stats_.copy_stream.chunks_sent);
   metrics_.RegisterCounter("kvd_cluster_copy_chunk_retransmits_total",
                            "Copy-stream chunks resent by go-back-N", {},
-                           &stats_.copy_chunk_retransmits);
+                           &stats_.copy_stream.retransmits);
   metrics_.RegisterCounter("kvd_cluster_copy_kvs_total",
                            "KVs installed at destinations from copy chunks", {},
                            &stats_.copy_kvs);
   metrics_.RegisterCounter("kvd_cluster_copy_bytes_total",
                            "Framed copy-stream bytes put on the wire", {},
-                           &stats_.copy_bytes);
+                           &stats_.copy_stream.bytes_sent);
   metrics_.RegisterCounter("kvd_cluster_copy_stale_chunks_total",
                            "Out-of-order or duplicate copy chunks dropped", {},
-                           &stats_.copy_stale_chunks);
+                           &stats_.copy_stream.stale_chunks);
   metrics_.RegisterCounter("kvd_cluster_forwards_total",
                            "Committed writes dual-written to a destination", {},
                            &stats_.forwards);

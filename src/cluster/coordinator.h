@@ -12,14 +12,16 @@
 //
 //   1. kCopy — a snapshot of the partition (KVs + the session records of its
 //      writes) is cut at the source primary and streamed to the destination
-//      in bounded-rate chunks over a dedicated, fallible migration link
-//      (checksummed frames, cumulative acks, go-back-N retransmission). From
-//      the moment the migration starts, every newly *committed* write to the
-//      partition is synchronously dual-written to the destination through
-//      the source group's commit listener — before the client's ack is
-//      released — so "acked at source" always implies "present at
-//      destination". Keys touched by a forward are excluded from chunk
-//      installs: a retransmitted chunk must never resurrect an older value.
+//      in bounded-rate chunks over a dedicated, fallible migration link by a
+//      SnapshotStream (src/transport: checksummed frames, cumulative acks,
+//      go-back-N retransmission — the stream replica state transfer uses
+//      too). From the moment the migration starts, every newly *committed*
+//      write to the partition is synchronously dual-written to the
+//      destination through the source group's commit listener — before the
+//      client's ack is released — so "acked at source" always implies
+//      "present at destination". Keys touched by a forward are excluded from
+//      chunk installs: a retransmitted chunk must never resurrect an older
+//      value.
 //   2. kCatchUp — the copy stream has fully acked; the coordinator waits for
 //      the forward stream over the partition to go quiet (in-flight writes
 //      admitted before the freeze decision drain through commit).
@@ -45,6 +47,7 @@
 
 #include "src/cluster/shard_map.h"
 #include "src/replica/replication_group.h"
+#include "src/transport/snapshot_stream.h"
 
 namespace kvd {
 
@@ -158,11 +161,8 @@ class ClusterCoordinator {
     uint64_t migrations_started = 0;
     uint64_t migrations_completed = 0;
     uint64_t partitions_split = 0;      // split events (each doubles the map)
-    uint64_t copy_chunks_sent = 0;      // copy-stream transmissions (incl. resends)
-    uint64_t copy_chunk_retransmits = 0;
+    SnapshotStream::Stats copy_stream;  // chunks, bytes, resends, stale drops
     uint64_t copy_kvs = 0;              // KVs installed from chunks
-    uint64_t copy_bytes = 0;            // framed copy bytes put on the wire
-    uint64_t copy_stale_chunks = 0;     // out-of-order/duplicate chunks dropped
     uint64_t forwards = 0;              // committed writes dual-written
     uint64_t late_forwards = 0;         // commit events seen after the flip
     uint64_t sessions_migrated = 0;     // session records installed at the dest
@@ -191,17 +191,6 @@ class ClusterCoordinator {
     enum class Phase : uint8_t { kCopy, kCatchUp, kFrozen } phase = Phase::kCopy;
     uint64_t round = 0;  // guards stale scheduled callbacks
 
-    // Copy stream (go-back-N over the migration wire). `installed` is the
-    // receiver's cumulative cursor; `acked` is what the sender has learned
-    // of it through (equally fallible) ack packets.
-    std::vector<std::vector<uint8_t>> chunks;  // framed, checksummed
-    std::vector<uint32_t> chunk_kvs;           // KVs per chunk (stats)
-    uint32_t next_to_send = 0;
-    uint32_t installed = 0;
-    uint32_t acked = 0;
-    uint32_t last_observed_ack = 0;  // retransmit-timer progress check
-    bool sending = false;            // a paced send loop is in flight
-
     // Keys dual-written (or deleted) by a forward: chunk installs skip them
     // so a retransmitted chunk cannot resurrect an older value.
     std::set<std::vector<uint8_t>> touched;
@@ -214,10 +203,13 @@ class ClusterCoordinator {
   };
 
   void WireGroup(uint32_t index);
-  void InstallSnapshot();  // cut KVs + sessions at the source, build chunks
-  void SendCopyChunks();
+  // Cuts KVs + sessions at the source and starts the copy stream.
+  void InstallSnapshot();
+  void WireCopyChunk(const std::vector<uint8_t>& framed);  // copy_out_ hook
+  // True while `round` is the live migration and still copying.
+  bool CopyLive(uint64_t round) const;
   void OnCopyChunkArrive(uint64_t round, std::vector<uint8_t> packet);
-  void OnCopyAckArrive(uint64_t round, std::vector<uint8_t> packet);
+  // Drives copy_out_'s go-back-N progress check every copy_retransmit_timeout.
   void ArmRetransmitTimer();
   void PollMigration();
   void OnCommitted(uint32_t group, const LogEntry& entry);  // forward hook
@@ -246,6 +238,14 @@ class ClusterCoordinator {
   uint64_t next_copy_sequence_ = 0;
   uint64_t next_migration_trace_sequence_ = 0;
   ClusterStats stats_;
+  // The copy stream's two halves (source sender, destination receiver),
+  // reused by every migration.
+  SnapshotStream copy_out_{sim_, config_.copy_bytes_per_sec,
+                           &stats_.copy_stream,
+                           [this](const std::vector<uint8_t>& framed) {
+                             WireCopyChunk(framed);
+                           }};
+  SnapshotStream::Receiver copy_in_{&stats_.copy_stream};
   LatencyHistogram migration_ns_;
   std::shared_ptr<bool> liveness_ = std::make_shared<bool>(true);
 };

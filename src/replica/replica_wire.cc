@@ -52,6 +52,24 @@ struct Reader {
   bool Done() const { return offset == in.size(); }
 };
 
+void EncodeResult(std::vector<uint8_t>& out, const KvResultMessage& result) {
+  out.push_back(static_cast<uint8_t>(result.code));
+  PutU64(out, result.scalar);
+  PutU32(out, static_cast<uint32_t>(result.value.size()));
+  PutBytes(out, result.value);
+}
+
+bool DecodeResult(Reader& reader, KvResultMessage& result) {
+  uint8_t code_byte;
+  uint32_t len;
+  if (!reader.Take(&code_byte, 1) || !reader.Take(&result.scalar, 8) ||
+      !reader.Take(&len, 4) || code_byte > kMaxResultCodeByte) {
+    return false;
+  }
+  result.code = static_cast<ResultCode>(code_byte);
+  return reader.TakeBytes(result.value, len);
+}
+
 void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
   PutU64(out, entry.epoch);
   PutU64(out, entry.client_sequence);
@@ -65,16 +83,13 @@ void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
   PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
   PutBytes(out, entry.op.key);
   PutBytes(out, entry.op.value);
-  out.push_back(static_cast<uint8_t>(entry.result.code));
-  PutU64(out, entry.result.scalar);
-  PutU32(out, static_cast<uint32_t>(entry.result.value.size()));
-  PutBytes(out, entry.result.value);
+  EncodeResult(out, entry.result);
 }
 
 bool DecodeEntry(Reader& reader, LogEntry& entry) {
-  uint8_t opcode_byte, return_value, code_byte;
+  uint8_t opcode_byte, return_value;
   uint16_t key_len;
-  uint32_t value_len, result_len;
+  uint32_t value_len;
   if (!reader.Take(&entry.epoch, 8) || !reader.Take(&entry.client_sequence, 8) ||
       !reader.Take(&entry.slot, 2) || !reader.Take(&opcode_byte, 1) ||
       !reader.Take(&entry.op.element_width, 1) || !reader.Take(&return_value, 1) ||
@@ -87,17 +102,86 @@ bool DecodeEntry(Reader& reader, LogEntry& entry) {
   }
   entry.op.opcode = static_cast<Opcode>(opcode_byte);
   entry.op.return_value = return_value != 0;
-  if (!reader.TakeBytes(entry.op.key, key_len) ||
-      !reader.TakeBytes(entry.op.value, value_len) ||
-      !reader.Take(&code_byte, 1) || !reader.Take(&entry.result.scalar, 8) ||
-      !reader.Take(&result_len, 4)) {
-    return false;
+  return reader.TakeBytes(entry.op.key, key_len) &&
+         reader.TakeBytes(entry.op.value, value_len) &&
+         DecodeResult(reader, entry.result);
+}
+
+// The type-specific part of a replica message; false on truncation or an
+// out-of-range field.
+bool DecodeBody(Reader& reader, ReplicaMessage& msg) {
+  uint32_t count;
+  switch (msg.type) {
+    case ReplicaMessageType::kAppend:
+      if (!reader.Take(&msg.first_index, 8) || !reader.Take(&msg.prev_epoch, 8) ||
+          !reader.Take(&msg.commit_index, 8) || !reader.Take(&msg.leader_end, 8) ||
+          !reader.Take(&count, 4)) {
+        return false;
+      }
+      msg.entries.reserve(count);
+      for (uint32_t i = 0; i < count; i++) {
+        LogEntry entry;
+        if (!DecodeEntry(reader, entry)) {
+          return false;
+        }
+        msg.entries.push_back(std::move(entry));
+      }
+      return true;
+    case ReplicaMessageType::kAppendAck:
+      return reader.Take(&msg.ack_index, 8);
+    case ReplicaMessageType::kPromoteQuery:
+    case ReplicaMessageType::kPromote:
+      return reader.Take(&msg.new_epoch, 8);
+    case ReplicaMessageType::kPromoteReply: {
+      uint8_t granted_byte;
+      if (!reader.Take(&msg.last_epoch, 8) || !reader.Take(&msg.last_index, 8) ||
+          !reader.Take(&msg.new_epoch, 8) || !reader.Take(&granted_byte, 1)) {
+        return false;
+      }
+      msg.granted = granted_byte != 0;
+      return granted_byte <= 1;  // a vote is 0 or 1
+    }
+    case ReplicaMessageType::kCatchupRequest:
+      return reader.Take(&msg.last_epoch, 8) && reader.Take(&msg.last_index, 8);
+    case ReplicaMessageType::kStateChunk:
+      if (!reader.Take(&msg.snapshot_epoch, 8) ||
+          !reader.Take(&msg.snapshot_index, 8) ||
+          !reader.Take(&msg.chunk_seq, 4) || !reader.Take(&msg.chunk_flags, 1) ||
+          (msg.chunk_flags & ~kStateChunkKnownFlags) != 0 ||
+          !reader.Take(&count, 4)) {
+        return false;
+      }
+      msg.kvs.reserve(count);
+      for (uint32_t i = 0; i < count; i++) {
+        uint16_t key_len;
+        uint32_t value_len;
+        std::vector<uint8_t> key, value;
+        if (!reader.Take(&key_len, 2) || !reader.Take(&value_len, 4) ||
+            !reader.TakeBytes(key, key_len) || !reader.TakeBytes(value, value_len)) {
+          return false;
+        }
+        msg.kvs.emplace_back(std::move(key), std::move(value));
+      }
+      if ((msg.chunk_flags & kStateChunkSessions) == 0) {
+        return true;
+      }
+      if (!reader.Take(&count, 4)) {
+        return false;
+      }
+      for (uint32_t i = 0; i < count; i++) {
+        SessionRecord record;
+        if (!reader.Take(&record.sequence, 8) || !reader.Take(&record.slot, 2) ||
+            !DecodeResult(reader, record.result)) {
+          return false;
+        }
+        msg.sessions.push_back(std::move(record));
+      }
+      return true;
+    case ReplicaMessageType::kStateChunkAck:
+      return reader.Take(&msg.snapshot_index, 8) &&
+             reader.Take(&msg.ack_index, 8);
   }
-  if (code_byte > kMaxResultCodeByte) {
-    return false;
-  }
-  entry.result.code = static_cast<ResultCode>(code_byte);
-  return reader.TakeBytes(entry.result.value, result_len);
+  return false;
 }
 
 }  // namespace
@@ -122,6 +206,7 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
       PutU64(out, msg.ack_index);
       break;
     case ReplicaMessageType::kPromoteQuery:
+    case ReplicaMessageType::kPromote:
       PutU64(out, msg.new_epoch);
       break;
     case ReplicaMessageType::kPromoteReply:
@@ -133,9 +218,6 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
     case ReplicaMessageType::kCatchupRequest:
       PutU64(out, msg.last_epoch);
       PutU64(out, msg.last_index);
-      break;
-    case ReplicaMessageType::kPromote:
-      PutU64(out, msg.new_epoch);
       break;
     case ReplicaMessageType::kStateChunk:
       PutU64(out, msg.snapshot_epoch);
@@ -149,6 +231,18 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
         PutBytes(out, key);
         PutBytes(out, value);
       }
+      if ((msg.chunk_flags & kStateChunkSessions) != 0) {
+        PutU32(out, static_cast<uint32_t>(msg.sessions.size()));
+        for (const SessionRecord& record : msg.sessions) {
+          PutU64(out, record.sequence);
+          PutU16(out, record.slot);
+          EncodeResult(out, record.result);
+        }
+      }
+      break;
+    case ReplicaMessageType::kStateChunkAck:
+      PutU64(out, msg.snapshot_index);
+      PutU64(out, msg.ack_index);
       break;
   }
   return out;
@@ -166,82 +260,42 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
     return Status::InvalidArgument("unknown replica message type");
   }
   msg.type = static_cast<ReplicaMessageType>(type_byte);
-  switch (msg.type) {
-    case ReplicaMessageType::kAppend: {
-      uint32_t count;
-      if (!reader.Take(&msg.first_index, 8) || !reader.Take(&msg.prev_epoch, 8) ||
-          !reader.Take(&msg.commit_index, 8) || !reader.Take(&msg.leader_end, 8) ||
-          !reader.Take(&count, 4)) {
-        return Status::InvalidArgument("truncated append header");
-      }
-      msg.entries.reserve(count);
-      for (uint32_t i = 0; i < count; i++) {
-        LogEntry entry;
-        if (!DecodeEntry(reader, entry)) {
-          return Status::InvalidArgument("truncated append entry");
-        }
-        msg.entries.push_back(std::move(entry));
-      }
-      break;
-    }
-    case ReplicaMessageType::kAppendAck:
-      if (!reader.Take(&msg.ack_index, 8)) {
-        return Status::InvalidArgument("truncated append ack");
-      }
-      break;
-    case ReplicaMessageType::kPromoteQuery:
-      if (!reader.Take(&msg.new_epoch, 8)) {
-        return Status::InvalidArgument("truncated promote query");
-      }
-      break;
-    case ReplicaMessageType::kPromoteReply: {
-      uint8_t granted_byte;
-      if (!reader.Take(&msg.last_epoch, 8) || !reader.Take(&msg.last_index, 8) ||
-          !reader.Take(&msg.new_epoch, 8) || !reader.Take(&granted_byte, 1)) {
-        return Status::InvalidArgument("truncated promote reply");
-      }
-      if (granted_byte > 1) {
-        return Status::InvalidArgument("invalid vote byte");
-      }
-      msg.granted = granted_byte != 0;
-      break;
-    }
-    case ReplicaMessageType::kCatchupRequest:
-      if (!reader.Take(&msg.last_epoch, 8) || !reader.Take(&msg.last_index, 8)) {
-        return Status::InvalidArgument("truncated log position");
-      }
-      break;
-    case ReplicaMessageType::kPromote:
-      if (!reader.Take(&msg.new_epoch, 8)) {
-        return Status::InvalidArgument("truncated promote");
-      }
-      break;
-    case ReplicaMessageType::kStateChunk: {
-      uint32_t count;
-      if (!reader.Take(&msg.snapshot_epoch, 8) ||
-          !reader.Take(&msg.snapshot_index, 8) ||
-          !reader.Take(&msg.chunk_seq, 4) || !reader.Take(&msg.chunk_flags, 1) ||
-          !reader.Take(&count, 4)) {
-        return Status::InvalidArgument("truncated state chunk header");
-      }
-      msg.kvs.reserve(count);
-      for (uint32_t i = 0; i < count; i++) {
-        uint16_t key_len;
-        uint32_t value_len;
-        std::vector<uint8_t> key, value;
-        if (!reader.Take(&key_len, 2) || !reader.Take(&value_len, 4) ||
-            !reader.TakeBytes(key, key_len) || !reader.TakeBytes(value, value_len)) {
-          return Status::InvalidArgument("truncated state chunk kv");
-        }
-        msg.kvs.emplace_back(std::move(key), std::move(value));
-      }
-      break;
-    }
+  if (!DecodeBody(reader, msg)) {
+    return Status::InvalidArgument("truncated or invalid replica message body");
   }
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes in replica message");
   }
   return msg;
+}
+
+std::vector<ReplicaMessage> CutStateChunks(const ReplicaMessage& header,
+                                           StateKvs kvs,
+                                           std::vector<SessionRecord> sessions,
+                                           uint32_t per_chunk) {
+  std::vector<ReplicaMessage> chunks;
+  ReplicaMessage chunk = header;
+  auto add_item = [&](bool force) {
+    if (force || chunk.kvs.size() + chunk.sessions.size() >= per_chunk) {
+      chunk.chunk_seq = static_cast<uint32_t>(chunks.size());
+      chunk.chunk_flags = chunk.sessions.empty() ? 0 : kStateChunkSessions;
+      chunks.push_back(chunk);
+      chunk.kvs.clear();
+      chunk.sessions.clear();
+    }
+  };
+  for (auto& kv : kvs) {
+    chunk.kvs.push_back(std::move(kv));
+    add_item(false);
+  }
+  for (SessionRecord& record : sessions) {
+    chunk.sessions.push_back(std::move(record));
+    add_item(false);
+  }
+  if (!chunk.kvs.empty() || !chunk.sessions.empty()) {
+    add_item(true);
+  }
+  return chunks;
 }
 
 std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request) {

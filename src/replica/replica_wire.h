@@ -4,10 +4,13 @@
 //
 //   - replica <-> replica messages (ReplicaMessage): log propagation,
 //     cumulative acks, failover elections, catch-up, and bounded-rate state
-//     transfer. All ride inside the PR 2 checksummed framing over the group's
-//     replication NetworkModel links; the protocol is idempotent by design
-//     (cumulative indices), so loss is healed by the next heartbeat window
-//     rather than per-message retransmission timers.
+//     transfer. All ride inside the checksummed framing (src/transport/frame.h)
+//     over the group's replication NetworkModel links. The log protocol is
+//     idempotent by design (cumulative indices), so a lost window is healed by
+//     the next heartbeat window rather than a per-message timer. State chunks
+//     are a SnapshotStream (src/transport/snapshot_stream.h): each is answered
+//     by a kStateChunkAck cursor, and a lost chunk is resent by go-back-N
+//     from the acked point on a later heartbeat.
 //
 //   - client <-> group messages (GroupRequest/GroupResponse): a thin routing
 //     header around the existing batched-operation payload. Requests carry
@@ -48,13 +51,33 @@ enum class ReplicaMessageType : uint8_t {
   kPromote = 4,         // install the most-caught-up granter at new_epoch
   kCatchupRequest = 5,  // backup asks to be resynced past (last_epoch, last_index)
   kStateChunk = 6,      // bounded-rate full-partition state transfer
+  kStateChunkAck = 7,   // cumulative: "chunks [0, ack_index) are installed"
 };
 
 inline constexpr uint8_t kMaxReplicaMessageType =
-    static_cast<uint8_t>(ReplicaMessageType::kStateChunk);
+    static_cast<uint8_t>(ReplicaMessageType::kStateChunkAck);
 
-inline constexpr uint8_t kStateChunkFirst = 1u << 0;  // wipe target state first
-inline constexpr uint8_t kStateChunkLast = 1u << 1;   // snapshot complete
+// Chunk 0 of a transfer wipes the target; the stream's in-order cursor makes
+// that the first chunk installed, so it needs no flag.
+inline constexpr uint8_t kStateChunkLast = 1u << 1;  // snapshot complete
+// A session-record list follows the KVs. Migration chunks never set it, so
+// their bytes are unchanged by the extension.
+inline constexpr uint8_t kStateChunkSessions = 1u << 2;
+inline constexpr uint8_t kStateChunkKnownFlags =
+    kStateChunkLast | kStateChunkSessions;
+
+// A snapshot's KV pairs, in the order they are shipped.
+using StateKvs =
+    std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>>;
+
+// One replicated exactly-once record: the result a client write slot
+// produced. Replica snapshots and shard migrations carry these so a
+// retransmission of an acked write is answered, not re-executed.
+struct SessionRecord {
+  uint64_t sequence = 0;
+  uint16_t slot = 0;
+  KvResultMessage result;
+};
 
 struct ReplicaMessage {
   ReplicaMessageType type = ReplicaMessageType::kAppend;
@@ -71,7 +94,7 @@ struct ReplicaMessage {
   uint64_t leader_end = 0;
   std::vector<LogEntry> entries;
 
-  // kAppendAck
+  // kAppendAck (log index) / kStateChunkAck (chunk cursor)
   uint64_t ack_index = 0;
 
   // kPromoteReply / kCatchupRequest: the sender's log tail position
@@ -86,16 +109,26 @@ struct ReplicaMessage {
   // kPromoteReply: vote outcome for ballot new_epoch.
   bool granted = false;
 
-  // kStateChunk
+  // kStateChunk (kStateChunkAck echoes snapshot_index: which transfer)
   uint64_t snapshot_epoch = 0;
   uint64_t snapshot_index = 0;
   uint32_t chunk_seq = 0;
   uint8_t chunk_flags = 0;
-  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> kvs;
+  StateKvs kvs;
+  std::vector<SessionRecord> sessions;  // encoded iff kStateChunkSessions
 };
 
 std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);
 Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload);
+
+// Cuts a snapshot into kStateChunk messages that copy `header`: the KVs, then
+// the session records (their chunks flagged kStateChunkSessions), at most
+// `per_chunk` items per chunk, numbered from 0. An empty snapshot yields no
+// chunk. Replica state transfer and shard migration cut with it alike.
+std::vector<ReplicaMessage> CutStateChunks(const ReplicaMessage& header,
+                                           StateKvs kvs,
+                                           std::vector<SessionRecord> sessions,
+                                           uint32_t per_chunk);
 
 // --- client <-> group messages (ride inside the PR 2 reliable framing) ---
 

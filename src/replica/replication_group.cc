@@ -74,6 +74,15 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
     rep->endpoint = std::make_unique<FrameEndpoint>(
         sim_, ReplayCache::Config{config_.replay_cache_entries,
                                   config_.replay_retain_time});
+    rep->snapshot_in.stats = &stats_.snapshot_stream;
+    rep->snapshot_out.resize(config_.num_replicas);
+    for (uint32_t peer = 0; peer < config_.num_replicas; peer++) {
+      rep->snapshot_out[peer].stream = std::make_unique<SnapshotStream>(
+          sim_, config_.state_transfer_bytes_per_sec, &stats_.snapshot_stream,
+          [this, peer](const std::vector<uint8_t>& chunk) {
+            SendReplicaFrame(peer, chunk);
+          });
+    }
     rep->match.assign(config_.num_replicas, 0);
     rep->next.assign(config_.num_replicas, 1);
     rep->demoted.assign(config_.num_replicas, 0);
@@ -175,19 +184,22 @@ void ReplicationGroup::InstallSessionRecord(uint64_t sequence, uint16_t slot,
   }
 }
 
-std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>>
-ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
+StateKvs ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
+                                               uint32_t partition) {
+  return SnapshotKvs(Primary(), &router, partition);
+}
+
+StateKvs ReplicationGroup::SnapshotKvs(Replica& rep, const KeyRouter* router,
                                        uint32_t partition) {
-  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> kvs;
-  Replica& primary = Primary();
-  for (const auto& key : primary.keys) {
-    if (router.PartitionOf(key) != partition) {
+  StateKvs kvs;
+  for (const auto& key : rep.keys) {
+    if (router != nullptr && router->PartitionOf(key) != partition) {
       continue;
     }
     KvOperation get;
     get.opcode = Opcode::kGet;
     get.key = key;
-    KvResultMessage value = primary.server->Execute(get);
+    KvResultMessage value = rep.server->Execute(get);
     if (value.code != ResultCode::kOk) {
       continue;
     }
@@ -196,10 +208,9 @@ ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
   return kvs;
 }
 
-std::vector<ReplicationGroup::SessionExport>
-ReplicationGroup::ExportPartitionSessions(const KeyRouter& router,
-                                          uint32_t partition) const {
-  std::vector<SessionExport> exported;
+std::vector<SessionRecord> ReplicationGroup::ExportPartitionSessions(
+    const KeyRouter& router, uint32_t partition) const {
+  std::vector<SessionRecord> exported;
   const Replica& primary = *replicas_[primary_view_];
   for (uint64_t index = primary.log.base() + 1; index <= primary.log.end();
        index++) {
@@ -231,13 +242,6 @@ void ReplicationGroup::CrashReplica(uint32_t id) {
   DropInFlight(rep);
   rep.election_active = false;
   rep.election_replies.clear();
-  rep.sending_snapshot = false;
-  if (rep.receiving_snapshot) {
-    // A partial snapshot is unusable; restart from a clean slate on rejoin.
-    WipeState(rep);
-    rep.receiving_snapshot = false;
-    rep.expected_chunk = 0;
-  }
 }
 
 void ReplicationGroup::RestartReplica(uint32_t id) {
@@ -663,9 +667,13 @@ void ReplicationGroup::AdmitReplay(Replica& rep, uint64_t sequence) {
 void ReplicationGroup::DropInFlight(Replica& rep) {
   rep.pending.clear();
   rep.append_time.clear();
-  // Parked drain writes die with the reign; the clients' timers cover them.
+  // Parked drain writes and outbound state transfers die with the reign;
+  // the clients' timers cover the writes, a new primary resyncs the peers.
   rep.draining_for_snapshot = false;
   rep.deferred_writes.clear();
+  for (uint32_t peer = 0; peer < num_replicas(); peer++) {
+    EndStateTransfer(rep, peer);
+  }
   // In-flight replay entries die too: their executions will never respond.
   rep.endpoint->DropInFlight();
 }
@@ -674,25 +682,26 @@ void ReplicationGroup::DropInFlight(Replica& rep) {
 
 void ReplicationGroup::SendReplicaMessage(uint32_t from, uint32_t to,
                                           const ReplicaMessage& msg,
-                                          const std::vector<uint64_t>* traces) {
+                                          const std::vector<uint64_t>& traces) {
   if (replicas_[from]->crashed) {
     return;
   }
-  std::vector<uint8_t> frame =
-      FramePacket(++next_repl_sequence_, EncodeReplicaMessage(msg));
+  SendReplicaFrame(to,
+                   FramePacket(++next_repl_sequence_, EncodeReplicaMessage(msg)),
+                   traces);
+}
+
+void ReplicationGroup::SendReplicaFrame(uint32_t to, std::vector<uint8_t> frame,
+                                        const std::vector<uint64_t>& traces) {
   std::shared_ptr<bool> alive = liveness_;
-  auto deliver = [this, alive, to](std::vector<uint8_t> packet) {
-    if (*alive) {
-      OnReplicaFrame(to, std::move(packet));
-    }
-  };
-  if (traces != nullptr) {
-    replicas_[to]->repl_net->SendPayloadToServer(
-        std::move(frame), std::move(deliver), *traces, SpanKind::kReplShip);
-  } else {
-    replicas_[to]->repl_net->SendPayloadToServer(std::move(frame),
-                                                 std::move(deliver));
-  }
+  replicas_[to]->repl_net->SendPayloadToServer(
+      std::move(frame),
+      [this, alive, to](std::vector<uint8_t> packet) {
+        if (*alive) {
+          OnReplicaFrame(to, std::move(packet));
+        }
+      },
+      traces, SpanKind::kReplShip);
 }
 
 void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) {
@@ -733,6 +742,9 @@ void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) 
     case ReplicaMessageType::kStateChunk:
       OnStateChunk(rep, msg);
       break;
+    case ReplicaMessageType::kStateChunkAck:
+      OnStateChunkAck(rep, msg);
+      break;
   }
 }
 
@@ -747,7 +759,13 @@ void ReplicationGroup::OnAppend(Replica& rep, const ReplicaMessage& msg) {
   AdoptEpoch(rep, msg.epoch, msg.sender);
   rep.last_primary_contact = sim_.Now();
   if (rep.receiving_snapshot) {
-    return;  // the log is meaningless mid-transfer
+    if (msg.epoch == rep.inbound_transfer.first) {
+      return;  // the log is meaningless mid-transfer
+    }
+    // A newer primary: the transfer's sender lost its reign and will never
+    // finish it. Drop the partial snapshot and resync from this primary.
+    WipeState(rep);
+    rep.receiving_snapshot = false;
   }
   if (rep.log.end() > msg.leader_end) {
     // Divergent tail: we were the deposed primary and applied entries the
@@ -854,7 +872,7 @@ void ReplicationGroup::OnCatchupRequest(Replica& rep, const ReplicaMessage& msg)
   if (!rep.is_primary) {
     return;
   }
-  if (rep.sending_snapshot && rep.snapshot_target == msg.sender) {
+  if (msg.sender >= num_replicas() || rep.snapshot_out[msg.sender].active) {
     return;  // already resyncing this peer
   }
   const uint64_t last = msg.last_index;
@@ -876,30 +894,35 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
   }
   AdoptEpoch(rep, msg.epoch, msg.sender);
   rep.last_primary_contact = sim_.Now();  // no elections mid-transfer
-  if (!rep.receiving_snapshot) {
-    if ((msg.chunk_flags & kStateChunkFirst) == 0) {
-      return;  // stray chunk of an aborted transfer
-    }
+  const std::pair<uint64_t, uint64_t> transfer{msg.epoch, msg.snapshot_index};
+  if (transfer < rep.inbound_transfer) {
+    return;  // a straggler of a transfer that a newer one superseded
+  }
+  if (transfer > rep.inbound_transfer) {
+    rep.inbound_transfer = transfer;
+    rep.snapshot_in.installed = 0;
+  }
+  ReplicaMessage ack = MakeMessage(ReplicaMessageType::kStateChunkAck,
+                                   rep.current_epoch, rep.id);
+  ack.snapshot_index = msg.snapshot_index;
+  ack.ack_index = rep.snapshot_in.OnChunk(
+      msg.chunk_seq, [&] { return InstallStateChunk(rep, msg); });
+  SendReplicaMessage(rep.id, msg.sender, ack);
+}
+
+bool ReplicationGroup::InstallStateChunk(Replica& rep,
+                                         const ReplicaMessage& msg) {
+  if (msg.chunk_seq == 0) {
     if (rep.inflight_ops > 0) {
       // Earlier log entries are still in the timed pipeline; wiping now would
       // let them retire on top of the snapshot and resurrect stale values.
-      // Drop the transfer: no appends flow here meanwhile, so the pipeline
-      // drains and the primary's next window re-initiates it.
-      return;
+      // Refuse: no appends flow here meanwhile, so the pipeline drains and
+      // go-back-N offers this chunk again.
+      return false;
     }
     WipeState(rep);
     rep.receiving_snapshot = true;
-    rep.expected_chunk = 0;
   }
-  if (msg.chunk_seq != rep.expected_chunk) {
-    // A chunk was lost or reordered. Abort back to a clean empty state; the
-    // primary's next append window triggers a fresh catch-up or transfer.
-    WipeState(rep);
-    rep.receiving_snapshot = false;
-    rep.expected_chunk = 0;
-    return;
-  }
-  rep.expected_chunk++;
   for (const auto& [key, value] : msg.kvs) {
     KvOperation put;
     put.opcode = Opcode::kPut;
@@ -907,24 +930,48 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
     put.value = value;
     if (rep.server->Execute(put).code == ResultCode::kOk) {
       rep.keys.insert(key);
+      stats_.state_transfer_kvs++;
     }
+  }
+  for (const SessionRecord& record : msg.sessions) {
+    RecordSession(rep, record.sequence, record.slot, record.result);
   }
   if ((msg.chunk_flags & kStateChunkLast) != 0) {
     rep.log.ResetToSnapshot(msg.snapshot_index, msg.snapshot_epoch);
     rep.commit = msg.snapshot_index;
     rep.applied = msg.snapshot_index;  // the snapshot IS the applied state
     rep.receiving_snapshot = false;
-    rep.expected_chunk = 0;
     tracer_.Instant(kTraceCategory, "snapshot_installed",
                     {{"replica", rep.id}, {"index", msg.snapshot_index}});
-    RequestCatchup(rep, msg.sender);  // resume appends past the snapshot
   }
+  return true;
+}
+
+void ReplicationGroup::OnStateChunkAck(Replica& rep, const ReplicaMessage& msg) {
+  const uint32_t peer = msg.sender;
+  if (peer >= num_replicas() || !rep.snapshot_out[peer].stream->active() ||
+      msg.epoch != rep.current_epoch ||
+      msg.snapshot_index != rep.snapshot_out[peer].index) {
+    return;  // an ack of a transfer this reign is not running
+  }
+  SnapshotStream& stream = *rep.snapshot_out[peer].stream;
+  stream.OnAck(msg.ack_index);
+  if (!stream.done()) {
+    return;
+  }
+  // Every chunk is installed: the peer's log sits at the snapshot boundary,
+  // so appends resume right past it.
+  const uint64_t boundary = rep.snapshot_out[peer].index;
+  EndStateTransfer(rep, peer);
+  rep.match[peer] = std::max(rep.match[peer], boundary);
+  rep.next[peer] = boundary + 1;
+  SendWindow(rep, peer);
+  TryAdvanceCommit(rep);
 }
 
 void ReplicationGroup::PushAppends(Replica& primary) {
   for (uint32_t peer = 0; peer < num_replicas(); peer++) {
-    if (peer == primary.id ||
-        (primary.sending_snapshot && primary.snapshot_target == peer)) {
+    if (peer == primary.id || primary.snapshot_out[peer].active) {
       continue;
     }
     SendWindow(primary, peer);
@@ -962,8 +1009,7 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
       }
     }
   }
-  SendReplicaMessage(primary.id, peer, msg,
-                     traces.empty() ? nullptr : &traces);
+  SendReplicaMessage(primary.id, peer, msg, traces);
 }
 
 void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
@@ -1139,7 +1185,6 @@ void ReplicationGroup::AdoptEpoch(Replica& rep, uint64_t epoch, uint32_t primary
 
 void ReplicationGroup::StepDown(Replica& rep) {
   rep.is_primary = false;
-  rep.sending_snapshot = false;
   // Forget quorum-waiting responses and in-flight replay entries: every
   // retransmission must be re-evaluated (and redirected) by the new history.
   DropInFlight(rep);
@@ -1162,7 +1207,6 @@ void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
   rep.believed_primary = rep.id;
   rep.election_active = false;
   rep.election_replies.clear();
-  rep.sending_snapshot = false;
   // Apply the inherited tail (a backup's applied cursor trails its log end),
   // then append a no-op barrier in the new epoch. The barrier is what lets
   // commit advance over inherited entries: TryAdvanceCommit only counts
@@ -1315,24 +1359,26 @@ void ReplicationGroup::RequestCatchup(Replica& rep, uint32_t to) {
 }
 
 void ReplicationGroup::StartStateTransfer(Replica& primary, uint32_t target) {
-  if (primary.sending_snapshot) {
-    return;  // one transfer at a time; the tick retries other laggards
+  if (primary.snapshot_out[target].active) {
+    return;  // already resyncing this peer
   }
-  primary.sending_snapshot = true;
-  primary.snapshot_target = target;
+  primary.snapshot_out[target].active = true;
   stats_.state_transfers++;
   tracer_.Instant(kTraceCategory, "state_transfer",
                   {{"from", primary.id},
                    {"to", target},
                    {"keys", static_cast<uint64_t>(primary.keys.size())}});
-  BuildSnapshot(primary.id, primary.current_epoch);
+  BuildSnapshot(primary.id, target, primary.current_epoch);
 }
 
-void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoch) {
+void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint32_t target,
+                                     uint64_t transfer_epoch) {
   Replica& primary = *replicas_[primary_id];
   if (primary.crashed || !primary.is_primary ||
-      primary.current_epoch != transfer_epoch || !primary.sending_snapshot) {
-    primary.sending_snapshot = false;
+      primary.current_epoch != transfer_epoch ||
+      !primary.snapshot_out[target].active) {
+    // The transfer already ended with its reign (DropInFlight); a newer
+    // transfer to the same peer must not be touched.
     ReleaseSnapshotDrain(primary);
     return;
   }
@@ -1345,45 +1391,47 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
     primary.draining_for_snapshot = true;
     std::shared_ptr<bool> alive = liveness_;
     sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval,
-                    [this, alive, primary_id, transfer_epoch] {
+                    [this, alive, primary_id, target, transfer_epoch] {
                       if (*alive) {
-                        BuildSnapshot(primary_id, transfer_epoch);
+                        BuildSnapshot(primary_id, target, transfer_epoch);
                       }
                     });
     return;
   }
-  ReplicaMessage chunk = MakeMessage(ReplicaMessageType::kStateChunk,
-                                     primary.current_epoch, primary.id);
-  chunk.snapshot_index = primary.log.end();
-  chunk.snapshot_epoch = primary.log.EpochAt(chunk.snapshot_index);
-  auto chunks = std::make_shared<std::vector<ReplicaMessage>>();
-  for (const auto& key : primary.keys) {
-    KvOperation get;
-    get.opcode = Opcode::kGet;
-    get.key = key;
-    KvResultMessage value = primary.server->Execute(get);
-    if (value.code != ResultCode::kOk) {
-      continue;
-    }
-    chunk.kvs.emplace_back(key, std::move(value.value));
-    if (chunk.kvs.size() >= config_.state_transfer_chunk_kvs) {
-      chunks->push_back(chunk);
-      chunk.kvs.clear();
+  ReplicaMessage header = MakeMessage(ReplicaMessageType::kStateChunk,
+                                      primary.current_epoch, primary.id);
+  header.snapshot_index = primary.log.end();
+  header.snapshot_epoch = primary.log.EpochAt(header.snapshot_index);
+  // The session records follow the KVs in eviction order, so a target
+  // promoted later still answers retransmissions of writes it never logged.
+  std::vector<SessionRecord> sessions;
+  for (const uint64_t sequence : primary.session_order) {
+    for (const auto& [slot, result] : primary.sessions.at(sequence)) {
+      sessions.push_back({sequence, slot, result});
     }
   }
-  if (!chunk.kvs.empty() || chunks->empty()) {
-    chunks->push_back(std::move(chunk));
+  std::vector<ReplicaMessage> chunks =
+      CutStateChunks(header, SnapshotKvs(primary, nullptr, 0),
+                     std::move(sessions), config_.state_transfer_chunk_kvs);
+  if (chunks.empty()) {
+    chunks.push_back(header);  // an empty snapshot still resets the target
   }
-  for (size_t i = 0; i < chunks->size(); i++) {
-    (*chunks)[i].chunk_seq = static_cast<uint32_t>(i);
-    (*chunks)[i].chunk_flags = 0;
+  chunks.back().chunk_flags |= kStateChunkLast;
+  std::vector<std::vector<uint8_t>> frames;
+  for (const ReplicaMessage& chunk : chunks) {
+    frames.push_back(
+        FramePacket(++next_repl_sequence_, EncodeReplicaMessage(chunk)));
   }
-  chunks->front().chunk_flags |= kStateChunkFirst;
-  chunks->back().chunk_flags |= kStateChunkLast;
-  SendNextChunk(primary_id, transfer_epoch, chunks, 0);
+  primary.snapshot_out[target].index = header.snapshot_index;
+  primary.snapshot_out[target].stream->Start(std::move(frames));
   // The chunks are fully materialized; writes parked during the drain can
   // resume without perturbing the cut.
   ReleaseSnapshotDrain(primary);
+}
+
+void ReplicationGroup::EndStateTransfer(Replica& primary, uint32_t peer) {
+  primary.snapshot_out[peer].active = false;
+  primary.snapshot_out[peer].stream->Stop();
 }
 
 void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
@@ -1400,39 +1448,6 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
     ExecuteWrites(rep, write.sequence, std::move(write.ops),
                   std::move(write.respond));
   }
-}
-
-void ReplicationGroup::SendNextChunk(
-    uint32_t primary_id, uint64_t transfer_epoch,
-    std::shared_ptr<std::vector<ReplicaMessage>> chunks, size_t next) {
-  Replica& primary = *replicas_[primary_id];
-  if (primary.crashed || !primary.is_primary ||
-      primary.current_epoch != transfer_epoch || !primary.sending_snapshot) {
-    primary.sending_snapshot = false;
-    return;
-  }
-  const ReplicaMessage& chunk = (*chunks)[next];
-  const size_t encoded_bytes = EncodeReplicaMessage(chunk).size();
-  stats_.state_transfer_bytes += encoded_bytes;
-  stats_.state_transfer_kvs += chunk.kvs.size();
-  SendReplicaMessage(primary_id, primary.snapshot_target, chunk);
-  if (next + 1 == chunks->size()) {
-    // Done; appends to the target resume once its catch-up request arrives.
-    primary.sending_snapshot = false;
-    return;
-  }
-  // Pace the stream: the next chunk leaves once this one's bytes have had
-  // their slot at the configured resync rate.
-  const SimTime pace = std::max<SimTime>(
-      1, static_cast<SimTime>(static_cast<double>(encoded_bytes) /
-                              config_.state_transfer_bytes_per_sec * kSecond));
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + pace,
-                  [this, alive, primary_id, transfer_epoch, chunks, next] {
-                    if (*alive) {
-                      SendNextChunk(primary_id, transfer_epoch, chunks, next + 1);
-                    }
-                  });
 }
 
 void ReplicationGroup::WipeState(Replica& rep) {
@@ -1466,8 +1481,13 @@ void ReplicationGroup::Tick() {
     }
     if (rep.is_primary) {
       for (uint32_t peer = 0; peer < num_replicas(); peer++) {
-        if (peer == rep.id ||
-            (rep.sending_snapshot && rep.snapshot_target == peer)) {
+        if (peer == rep.id) {
+          continue;
+        }
+        if (rep.snapshot_out[peer].active) {
+          // A peer being resynced gets the stream's go-back-N check instead:
+          // it re-sends lost chunks from the acked point.
+          rep.snapshot_out[peer].stream->CheckProgress();
           continue;
         }
         // Re-align to the confirmed position: this is what retransmits
@@ -1529,11 +1549,15 @@ void ReplicationGroup::RegisterMetrics() {
   metrics_.RegisterCounter("kvd_repl_state_transfers_total",
                            "Full-partition state transfers started", {},
                            &stats_.state_transfers);
-  metrics_.RegisterCounter("kvd_repl_state_transfer_bytes_total",
-                           "Encoded snapshot bytes streamed", {},
-                           &stats_.state_transfer_bytes);
+  metrics_.RegisterCounter(
+      "kvd_repl_state_transfer_bytes_total",
+      "Framed snapshot chunk bytes put on the wire, resends included", {},
+      &stats_.snapshot_stream.bytes_sent);
+  metrics_.RegisterCounter("kvd_repl_state_transfer_retransmits_total",
+                           "Snapshot chunks resent by go-back-N", {},
+                           &stats_.snapshot_stream.retransmits);
   metrics_.RegisterCounter("kvd_repl_state_transfer_kvs_total",
-                           "KV pairs streamed in snapshots", {},
+                           "KV pairs installed from snapshot chunks", {},
                            &stats_.state_transfer_kvs);
   metrics_.RegisterCounter("kvd_repl_snapshot_deferred_writes_total",
                            "Client writes parked while a snapshot cut drained",

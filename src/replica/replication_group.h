@@ -35,7 +35,10 @@
 //   - Catch-up: a lagging or rejoining backup replays log windows from its
 //     last matching position; if its log diverged (a deposed primary's
 //     unacked tail) or the needed entries were trimmed, the primary falls
-//     back to a bounded-rate full-partition state transfer.
+//     back to a full-partition state transfer: KVs plus session records,
+//     streamed by a SnapshotStream (src/transport) — paced, acked per chunk,
+//     and resent go-back-N from the acked point on heartbeat ticks, so a
+//     lost chunk costs a resend, not a restart.
 //
 // Crashes are fail-stop with durable state: a crashed replica stops
 // communicating (drops every inbound and outbound frame) but its local
@@ -60,6 +63,7 @@
 #include "src/replica/replica_log.h"
 #include "src/replica/replica_wire.h"
 #include "src/transport/frame_endpoint.h"
+#include "src/transport/snapshot_stream.h"
 
 namespace kvd {
 
@@ -112,7 +116,7 @@ struct ReplicationConfig {
   // Older entries are trimmed beyond this; a peer needing them falls back to
   // state transfer.
   uint64_t max_log_entries = 1u << 16;
-  uint32_t state_transfer_chunk_kvs = 64;
+  uint32_t state_transfer_chunk_kvs = 64;  // KVs + session records per chunk
   double state_transfer_bytes_per_sec = 5e9;  // resync rate bound
 
   // Client replay cache per replica (same semantics as ServerConfig's).
@@ -226,17 +230,11 @@ class ReplicationGroup {
   void InstallSessionRecord(uint64_t sequence, uint16_t slot,
                             const KvResultMessage& result);
   // The primary's live KVs owned by `partition` (deterministic key order).
-  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>>
-  SnapshotPartitionKvs(const KeyRouter& router, uint32_t partition);
+  StateKvs SnapshotPartitionKvs(const KeyRouter& router, uint32_t partition);
   // Session records of writes to `partition`, scanned from the primary's
   // log. Records of trimmed entries are not recoverable here; migrations
   // keep their window well inside max_log_entries.
-  struct SessionExport {
-    uint64_t sequence = 0;
-    uint16_t slot = 0;
-    KvResultMessage result;
-  };
-  std::vector<SessionExport> ExportPartitionSessions(const KeyRouter& router,
+  std::vector<SessionRecord> ExportPartitionSessions(const KeyRouter& router,
                                                      uint32_t partition) const;
 
   // --- fault control ---
@@ -276,8 +274,8 @@ class ReplicationGroup {
     uint64_t failovers = 0;              // promotions installed
     uint64_t catchup_requests = 0;
     uint64_t state_transfers = 0;
-    uint64_t state_transfer_bytes = 0;
-    uint64_t state_transfer_kvs = 0;
+    uint64_t state_transfer_kvs = 0;     // KVs installed from snapshot chunks
+    SnapshotStream::Stats snapshot_stream;  // chunks, bytes, resends, stale
     uint64_t snapshot_deferred_writes = 0;  // writes parked by drain-then-cut
     uint64_t crashes = 0;
     uint64_t restarts = 0;
@@ -384,9 +382,15 @@ class ReplicationGroup {
     // but not yet in the log, so the target would replay them twice.
     uint64_t inflight_ops = 0;
 
-    // Outbound state transfer (primary side), one target at a time.
-    bool sending_snapshot = false;
-    uint32_t snapshot_target = 0;
+    // Outbound state transfers (primary side), one per lagging peer: the
+    // drain-then-cut wait, then the chunk stream. `index` (the snapshot's
+    // log boundary) names the transfer in the peer's acks.
+    struct OutboundSnapshot {
+      bool active = false;
+      uint64_t index = 0;
+      std::unique_ptr<SnapshotStream> stream;
+    };
+    std::vector<OutboundSnapshot> snapshot_out;  // per peer
     // Drain-then-cut: while a snapshot cut waits for the pipeline to
     // quiesce, new client writes are parked here instead of being admitted
     // (otherwise sustained load could postpone the cut forever). They are
@@ -399,9 +403,13 @@ class ReplicationGroup {
     };
     bool draining_for_snapshot = false;
     std::deque<DeferredWrite> deferred_writes;
-    // Inbound state transfer (target side).
+    // Inbound state transfer (target side). The receiver's cursor belongs to
+    // the transfer named by (sender epoch, snapshot index); chunks of an
+    // older transfer are dropped, a newer one restarts the cursor. A crash
+    // keeps all of it (durable state): the stream resumes on restart.
     bool receiving_snapshot = false;
-    uint32_t expected_chunk = 0;
+    std::pair<uint64_t, uint64_t> inbound_transfer{0, 0};
+    SnapshotStream::Receiver snapshot_in;
 
     // Shadow key set: the hash index has no enumeration, so the group tracks
     // live keys per replica for snapshotting (std::set for deterministic
@@ -444,13 +452,16 @@ class ReplicationGroup {
                       const std::function<void(std::vector<uint8_t>)>& respond,
                       bool cache);
   void AdmitReplay(Replica& rep, uint64_t sequence);
-  void DropInFlight(Replica& rep);  // step-down / crash: forget pending work
+  // Step-down / crash: forget pending work, outbound transfers included.
+  void DropInFlight(Replica& rep);
 
   // --- replication path ---
   // `traces` (optional) records a kReplShip span per handle over the frame's
   // wire flight (append windows carrying traced writes).
   void SendReplicaMessage(uint32_t from, uint32_t to, const ReplicaMessage& msg,
-                          const std::vector<uint64_t>* traces = nullptr);
+                          const std::vector<uint64_t>& traces = {});
+  void SendReplicaFrame(uint32_t to, std::vector<uint8_t> frame,
+                        const std::vector<uint64_t>& traces = {});
   void OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet);
   void OnAppend(Replica& rep, const ReplicaMessage& msg);
   void OnAppendAck(Replica& rep, const ReplicaMessage& msg);
@@ -459,6 +470,11 @@ class ReplicationGroup {
   void OnPromote(Replica& rep, const ReplicaMessage& msg);
   void OnCatchupRequest(Replica& rep, const ReplicaMessage& msg);
   void OnStateChunk(Replica& rep, const ReplicaMessage& msg);
+  void OnStateChunkAck(Replica& rep, const ReplicaMessage& msg);
+  // The receiver's install hook: chunk 0 wipes the target (refused while its
+  // pipeline still holds log entries), the last resets its log to the
+  // snapshot boundary.
+  bool InstallStateChunk(Replica& rep, const ReplicaMessage& msg);
 
   void PushAppends(Replica& primary);  // send a window to every peer
   void SendWindow(Replica& primary, uint32_t peer);
@@ -486,17 +502,22 @@ class ReplicationGroup {
   void RequestCatchup(Replica& rep, uint32_t to);
   void StartStateTransfer(Replica& primary, uint32_t target);
   // Waits for the primary's pipeline to quiesce — parking newly arriving
-  // writes meanwhile (drain-then-cut) — then materializes the snapshot
-  // chunks and starts streaming them.
-  void BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoch);
+  // writes meanwhile (drain-then-cut) — then cuts and frames the snapshot
+  // chunks (KVs, then session records) and starts streaming them.
+  void BuildSnapshot(uint32_t primary_id, uint32_t target,
+                     uint64_t transfer_epoch);
+  // The replica's live KVs (of `partition` when a router is given), in
+  // deterministic key order.
+  static StateKvs SnapshotKvs(Replica& rep, const KeyRouter* router,
+                              uint32_t partition);
+  // Completion, or the end of the reign that started the transfer (crash or
+  // step-down): stops the peer's outbound stream.
+  void EndStateTransfer(Replica& primary, uint32_t peer);
   // Ends a drain: executes the parked writes (or drops them if the replica
   // is no longer an alive primary; the clients retry).
   void ReleaseSnapshotDrain(Replica& rep);
-  void SendNextChunk(uint32_t primary_id, uint64_t transfer_epoch,
-                     std::shared_ptr<std::vector<ReplicaMessage>> chunks,
-                     size_t next);
   // Deletes every tracked KV and resets log/sessions to empty: the clean
-  // slate a state-transfer target starts from (also the abort path).
+  // slate a state-transfer target starts from.
   void WipeState(Replica& rep);
 
   void Tick();

@@ -651,8 +651,8 @@ std::string RunMigrationChaosSoak(uint64_t seed) {
     EXPECT_EQ(AsU64(r.value), 1000 + id + acked_sum[id]) << "key " << id;
   }
   // The chaos actually bit: the copy stream needed go-back-N recovery.
-  EXPECT_GT(cluster.stats().copy_chunk_retransmits +
-                cluster.stats().copy_stale_chunks,
+  EXPECT_GT(cluster.stats().copy_stream.retransmits +
+                cluster.stats().copy_stream.stale_chunks,
             0u);
 
   // A quiescent read round through the recorded endpoint, so the history
@@ -685,7 +685,7 @@ std::string RunMigrationChaosSoak(uint64_t seed) {
   return cluster.metrics().ToJson() +
          "|epoch=" + std::to_string(cluster.map_epoch()) +
          "|forwards=" + std::to_string(cluster.stats().forwards) +
-         "|retx=" + std::to_string(cluster.stats().copy_chunk_retransmits) +
+         "|retx=" + std::to_string(cluster.stats().copy_stream.retransmits) +
          "|history=" + recorder.history().Fingerprint() +
          "|check=" + lin.ToString() + counters.ToString();
 }
@@ -718,7 +718,7 @@ TEST(ClusterMigrationTest, CutoverTriggersFlightRecorderDump) {
   ASSERT_TRUE(ParseFlightDump(dump.json, &parsed).ok());
   EXPECT_EQ(parsed.trigger, "shard_cutover");
   EXPECT_GT(parsed.total_spans, 0u);
-  EXPECT_GT(cluster.stats().copy_chunks_sent, 0u);
+  EXPECT_GT(cluster.stats().copy_stream.chunks_sent, 0u);
 }
 
 // --- elasticity ---

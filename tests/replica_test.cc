@@ -120,11 +120,31 @@ TEST(ReplicaWireTest, EveryTypeRoundTripsAndJunkIsRejected) {
     msg.snapshot_epoch = 6;
     msg.snapshot_index = 12;
     msg.chunk_seq = 1;
-    msg.chunk_flags = kStateChunkLast;
+    msg.chunk_flags = kStateChunkLast | kStateChunkSessions;
     msg.kvs.emplace_back(Key(1), U64Value(2));
+    SessionRecord record;
+    record.sequence = (3ull << 40) + 5;
+    record.slot = 4;
+    record.result.code = ResultCode::kOk;
+    record.result.scalar = 99;
+    record.result.value = U64Value(7);
+    msg.sessions.push_back(record);
     auto decoded = DecodeReplicaMessage(EncodeReplicaMessage(msg));
     ASSERT_TRUE(decoded.ok()) << "type " << int(t);
     EXPECT_EQ(static_cast<uint8_t>(decoded.value().type), t);
+    if (msg.type == ReplicaMessageType::kStateChunk) {
+      // Session records ride behind the KVs under their flag bit.
+      ASSERT_EQ(decoded.value().sessions.size(), 1u);
+      EXPECT_EQ(decoded.value().sessions[0].sequence, record.sequence);
+      EXPECT_EQ(decoded.value().sessions[0].slot, 4u);
+      EXPECT_EQ(decoded.value().sessions[0].result.scalar, 99u);
+      EXPECT_EQ(decoded.value().sessions[0].result.value, U64Value(7));
+    }
+    if (msg.type == ReplicaMessageType::kStateChunkAck) {
+      // The stream cursor and the transfer it belongs to.
+      EXPECT_EQ(decoded.value().ack_index, 11u);
+      EXPECT_EQ(decoded.value().snapshot_index, 12u);
+    }
     if (msg.type == ReplicaMessageType::kPromoteQuery ||
         msg.type == ReplicaMessageType::kPromote) {
       EXPECT_EQ(decoded.value().new_epoch, 10u);
@@ -152,6 +172,31 @@ TEST(ReplicaWireTest, EveryTypeRoundTripsAndJunkIsRejected) {
   vote.type = ReplicaMessageType::kPromoteReply;
   bytes = EncodeReplicaMessage(vote);
   bytes.back() = 2;
+  EXPECT_FALSE(DecodeReplicaMessage(bytes).ok());
+  // State chunks: an unknown flag bit, a session flag with no list behind
+  // it, and a truncated session record are all rejected.
+  ReplicaMessage chunk;
+  chunk.type = ReplicaMessageType::kStateChunk;
+  chunk.kvs.emplace_back(Key(1), U64Value(2));
+  chunk.chunk_flags = 1u << 3;
+  EXPECT_FALSE(DecodeReplicaMessage(EncodeReplicaMessage(chunk)).ok());
+  chunk.chunk_flags = 0;
+  bytes = EncodeReplicaMessage(chunk);
+  ASSERT_TRUE(DecodeReplicaMessage(bytes).ok());
+  bytes[33] = kStateChunkSessions;  // flags byte: type|epoch|sender|2xu64|seq
+  EXPECT_FALSE(DecodeReplicaMessage(bytes).ok());
+  chunk.chunk_flags = kStateChunkSessions;
+  chunk.sessions.resize(1);
+  chunk.sessions[0].result.value = U64Value(3);
+  bytes = EncodeReplicaMessage(chunk);
+  ASSERT_TRUE(DecodeReplicaMessage(bytes).ok());
+  bytes.pop_back();
+  EXPECT_FALSE(DecodeReplicaMessage(bytes).ok());
+  // A chunk ack too short for its cursor.
+  ReplicaMessage chunk_ack;
+  chunk_ack.type = ReplicaMessageType::kStateChunkAck;
+  bytes = EncodeReplicaMessage(chunk_ack);
+  bytes.resize(bytes.size() - 8);
   EXPECT_FALSE(DecodeReplicaMessage(bytes).ok());
 }
 
@@ -681,7 +726,7 @@ TEST(ReplicationGroupTest, TrimmedLogForcesBoundedRateStateTransfer) {
   RunFor(group.simulator(), 30 * kMillisecond);
   EXPECT_GE(group.stats().state_transfers, 1u);
   EXPECT_GT(group.stats().state_transfer_kvs, 0u);
-  EXPECT_GT(group.stats().state_transfer_bytes, 0u);
+  EXPECT_GT(group.stats().snapshot_stream.bytes_sent, 0u);
   EXPECT_EQ(group.log_end(2), group.log_end(0));
   for (uint64_t i : {0ull, 17ull, 39ull}) {
     EXPECT_EQ(ReadU64(group, 2, i), 10 + i) << "key " << i;
@@ -738,12 +783,133 @@ TEST(ReplicationGroupTest, StateTransferCompletesUnderSustainedWriteLoad) {
   }
 }
 
+TEST(ReplicationGroupTest, StateTransferSurvivesChunkLossWithoutRestarting) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;  // the restart below needs a state transfer
+  config.state_transfer_chunk_kvs = 4;  // many chunks, one of them lost
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  // Small flushes keep replica 1 inside the retained log, so replica 2 is
+  // the only peer that needs a transfer.
+  for (uint64_t batch = 0; batch < 6; batch++) {
+    if (batch == 1) {
+      group.CrashReplica(2);
+    }
+    for (uint64_t i = 4 * batch; i < 4 * batch + 4; i++) {
+      client.Enqueue(Put(i, 10 + i));
+    }
+    client.Flush();
+  }
+  group.RestartReplica(2);
+
+  // Each change of the byte counter is one chunk put on the wire. Let three
+  // chunks through, then partition the target's inbound link for exactly the
+  // fourth and heal it before the fifth leaves.
+  Simulator& sim = group.simulator();
+  auto streamed = [&group] {
+    return group.metrics()
+        .CounterValue("kvd_repl_state_transfer_bytes_total")
+        .value_or(0);
+  };
+  auto step_past_next_chunk = [&] {
+    const uint64_t before = streamed();
+    while (streamed() == before) {
+      ASSERT_TRUE(sim.Step());
+    }
+  };
+  for (int chunk = 0; chunk < 3; chunk++) {
+    step_past_next_chunk();
+  }
+  group.replication_network(2).SetPartitioned(/*to_server=*/true, true);
+  step_past_next_chunk();
+  group.replication_network(2).SetPartitioned(/*to_server=*/true, false);
+  RunFor(sim, 30 * kMillisecond);
+
+  // Go-back-N resent from the ack point; the transfer never started over.
+  EXPECT_EQ(group.stats().state_transfers, 1u);
+  EXPECT_GE(group.metrics()
+                .CounterValue("kvd_repl_state_transfer_retransmits_total")
+                .value_or(0),
+            1u);
+  EXPECT_EQ(group.log_end(2), group.log_end(0));
+  for (uint64_t i : {0ull, 3ull, 17ull, 23ull}) {
+    EXPECT_EQ(ReadU64(group, 2, i), 10 + i) << "key " << i;
+  }
+}
+
+TEST(ReplicationGroupTest, ResyncedReplicaKeepsExactlyOnceAfterPromotion) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;  // the rejoin below resyncs by state transfer
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  ASSERT_TRUE(group.Load(Key(5), U64Value(100)).ok());
+  group.CrashReplica(1);
+
+  // A fetch-and-add at sequence S, acked by the quorum {0, 2}.
+  KvOperation update;
+  update.opcode = Opcode::kUpdateScalar;
+  update.key = Key(5);
+  update.param = 7;
+  PacketBuilder builder;
+  ASSERT_TRUE(builder.Add(update));
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  const std::vector<uint8_t> frame = FramePacket(
+      group.AcquireClientSequenceBase() + 1, EncodeGroupRequest(request));
+  auto deliver = [&](uint32_t replica) {
+    std::vector<uint8_t> response;
+    group.DeliverClientFrame(replica, frame, [&](std::vector<uint8_t> bytes) {
+      response = std::move(bytes);
+    });
+    while (response.empty()) {
+      EXPECT_TRUE(sim.Step());
+    }
+    auto decoded = DecodeGroupResponse(ParseFrame(response).value().payload);
+    EXPECT_TRUE(decoded.ok());
+    auto results = DecodeResults(decoded.value().results_payload);
+    EXPECT_TRUE(results.ok());
+    return results.value()[0].scalar;
+  };
+  EXPECT_EQ(deliver(0), 100u);
+
+  // Write until the log trims past S, then rejoin replica 1: it can only be
+  // resynced by a state transfer, never by replaying S's log entry.
+  ReplicatedClient client(group);
+  for (uint64_t i = 0; i < 20; i++) {
+    client.Enqueue(Put(100 + i, i));
+  }
+  client.Flush();
+  group.RestartReplica(1);
+  RunFor(sim, 5 * kMillisecond);
+  ASSERT_GE(group.stats().state_transfers, 1u);
+  ASSERT_EQ(group.log_end(1), group.log_end(0));
+
+  // Replica 1 wins the election over replica 2 on the lowest-id tie.
+  group.CrashReplica(0);
+  RunFor(sim, 5 * kMillisecond);
+  ASSERT_EQ(group.primary_id(), 1u);
+
+  // Redelivered to the resynced primary, S is answered from the session
+  // record the snapshot carried, not executed a second time.
+  const uint64_t hits = group.stats().session_dedup_hits;
+  EXPECT_EQ(deliver(1), 100u);
+  EXPECT_GT(group.stats().session_dedup_hits, hits);
+  KvResultMessage counter = group.Execute(Get(5));
+  uint64_t v = 0;
+  std::memcpy(&v, counter.value.data(), 8);
+  EXPECT_EQ(v, 107u);
+}
+
 // --- determinism ---
 
 std::string RunScriptedFailoverScenario(uint64_t seed) {
   ReplicationConfig config = SmallGroupConfig();
   config.faults.seed = seed;
   config.faults.schedule.push_back({FaultSite::kReplicaCrash, 1});
+  // The rejoin of replica 0 resyncs by state transfer, over replication
+  // links that lose frames.
+  config.max_log_entries = 8;
+  config.faults.at(FaultSite::kNetDropToServer) = 0.05;
   ReplicationGroup group(config);
   ReplicatedClient client(group);
   HistoryRecorder recorder;
@@ -758,6 +924,14 @@ std::string RunScriptedFailoverScenario(uint64_t seed) {
   }
   group.RestartReplica(0);
   RunFor(group.simulator(), 10 * kMillisecond);
+  EXPECT_GE(group.stats().state_transfers, 1u);
+  EXPECT_EQ(group.log_end(0), group.log_end(group.primary_id()));
+  // Every op the client issued across the crash, the failover and the lossy
+  // resync linearizes and honors the session guarantees.
+  const CheckReport lin = CheckLinearizability(recorder.history());
+  EXPECT_TRUE(lin.ok()) << lin.ToString();
+  const AuditReport audit = AuditSessionGuarantees(recorder.history());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
   return group.metrics().ToJson() + "|epoch=" + std::to_string(group.epoch()) +
          "|commit=" + std::to_string(group.commit_index()) +
          "|primary=" + std::to_string(group.primary_id()) +

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "src/cluster/cluster_client.h"
@@ -18,6 +19,7 @@
 #include "src/transport/frame.h"
 #include "src/transport/frame_endpoint.h"
 #include "src/transport/replay_cache.h"
+#include "src/transport/snapshot_stream.h"
 
 namespace kvd {
 namespace {
@@ -287,6 +289,105 @@ TEST(FrameEndpointTest, UncachedControlResponseIsReEvaluated) {
   ASSERT_TRUE(again.has_value());  // re-evaluated, not replayed
   EXPECT_EQ(endpoint.stats().replayed_responses, 0u);
   EXPECT_EQ(endpoint.stats().stale_retransmits, 0u);
+}
+
+// --- snapshot stream ---
+
+// Loopback rig: 1000-byte chunks (byte 0 = sequence) cross a 1 us wire to a
+// receiver that records what it installs; acks return over the same wire.
+// `drop` names the chunk transmissions (0-based, resends counted) it loses.
+struct SnapshotRig {
+  Simulator sim;
+  SnapshotStream::Stats stats;
+  SnapshotStream::Receiver receiver{&stats};
+  std::vector<uint8_t> installed;
+  std::set<uint64_t> drop;
+  uint64_t transmissions = 0;
+  bool refuse = false;
+  SnapshotStream stream{
+      sim, 1e9, &stats, [this](const std::vector<uint8_t>& chunk) {
+        if (drop.count(transmissions++) != 0) {
+          return;
+        }
+        sim.Schedule(kMicrosecond, [this, seq = chunk[0]] {
+          const uint32_t ack = receiver.OnChunk(seq, [&] {
+            if (!refuse) {
+              installed.push_back(seq);
+            }
+            return !refuse;
+          });
+          sim.Schedule(kMicrosecond, [this, ack] { stream.OnAck(ack); });
+        });
+      }};
+
+  void Start(uint8_t chunks) {
+    std::vector<std::vector<uint8_t>> framed;
+    for (uint8_t seq = 0; seq < chunks; seq++) {
+      framed.emplace_back(1000, seq);
+    }
+    stream.Start(std::move(framed));
+  }
+};
+
+TEST(SnapshotStreamTest, GoBackNResendsFromTheAckPoint) {
+  SnapshotRig rig;
+  rig.drop = {2};  // the first transmission of chunk 2 is lost
+  rig.Start(6);
+  rig.sim.RunUntilIdle();
+  // Chunks past the gap arrive but are stale: the cursor waits at 2.
+  EXPECT_EQ(rig.installed, (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(rig.stats.stale_chunks, 3u);
+  EXPECT_EQ(rig.stream.acked(), 2u);
+  // The first check sees progress since the start; the second sees none
+  // and goes back to the ack point, resending chunks 2..5.
+  EXPECT_FALSE(rig.stream.CheckProgress());
+  EXPECT_TRUE(rig.stream.CheckProgress());
+  EXPECT_EQ(rig.stats.retransmits, 4u);
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(rig.installed, (std::vector<uint8_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(rig.stream.done());
+  EXPECT_EQ(rig.stats.chunks_sent, 10u);
+  EXPECT_EQ(rig.stats.bytes_sent, 10000u);
+  EXPECT_FALSE(rig.stream.CheckProgress());  // finished: nothing to resend
+}
+
+TEST(SnapshotStreamTest, RefusedInstallIsOfferedAgain) {
+  SnapshotRig rig;
+  rig.refuse = true;  // e.g. the target's pipeline has not drained yet
+  rig.Start(2);
+  rig.sim.RunUntilIdle();
+  EXPECT_TRUE(rig.installed.empty());
+  EXPECT_EQ(rig.stream.acked(), 0u);
+  rig.refuse = false;
+  EXPECT_TRUE(rig.stream.CheckProgress());
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(rig.installed, (std::vector<uint8_t>{0, 1}));
+  EXPECT_TRUE(rig.stream.done());
+}
+
+TEST(SnapshotStreamTest, StopSilencesPendingSlotsAndAcksAreValidated) {
+  SnapshotRig rig;
+  rig.Start(4);
+  rig.stream.Stop();  // chunk 0 already left; its pacing slot must not send
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(rig.transmissions, 1u);
+  EXPECT_FALSE(rig.stream.active());
+
+  rig.Start(2);
+  rig.stream.OnAck(3);  // past the end: corrupt, ignored
+  EXPECT_EQ(rig.stream.acked(), 0u);
+  // The framed 4-byte ack codec: little-endian cursor behind a frame header.
+  std::vector<uint8_t> ack = SnapshotStream::FrameAck(9, 2);
+  ASSERT_EQ(ack.size(), kFrameHeaderBytes + 4);
+  EXPECT_EQ(ParseFrame(ack).value().payload, Bytes({2, 0, 0, 0}));
+  ack.back() ^= 1;  // corrupt: dropped
+  rig.stream.OnAckFrame(ack);
+  EXPECT_EQ(rig.stream.acked(), 0u);
+  rig.stream.OnAckFrame(FramePacket(9, Bytes({2, 0, 0})));  // wrong size
+  EXPECT_EQ(rig.stream.acked(), 0u);
+  rig.stream.OnAckFrame(SnapshotStream::FrameAck(10, 2));
+  EXPECT_EQ(rig.stream.acked(), 2u);
+  EXPECT_TRUE(rig.stream.done());
 }
 
 // --- fatal paths surface kTimedOut instead of aborting ---
