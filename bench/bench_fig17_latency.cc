@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/table_printer.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 
 namespace kvd {
 namespace {
@@ -64,7 +64,7 @@ void Panel(bool batching, bench::JsonReport& report) {
 }
 
 // Where the microseconds go: a traced pass through the real framed client at
-// a representative point (60 B KVs, uniform, batched). The request tracer's
+// a representative point (60 B KVs, uniform, batched). The tracer's
 // stages tile the client-send -> client-receive interval by construction, so
 // per opcode the average stage total must land within 1% of the measured
 // end-to-end mean (each stage rounds to ns independently, which is the only

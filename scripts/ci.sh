@@ -4,8 +4,9 @@
 #
 #   1. layering guards — the transport layer (src/transport) must hold the
 #      only copy of the framing/replay-dedup logic, the batching client core
-#      the only client-side packing/response-admission path, and
-#      SnapshotStream the only go-back-N chunk stream;
+#      the only client-side packing/response-admission path,
+#      SnapshotStream the only go-back-N chunk stream, and Tracer the only
+#      tracing sink;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -57,6 +58,17 @@ if [[ -n "${streams}" ]]; then
   exit 1
 fi
 
+# One tracer: every component holds one Tracer* (src/obs/tracer.h) that
+# carries both the op traces and the event timeline. A second tracer type or
+# a second hook pointer coming back anywhere fails.
+tracers=$(grep -rnE 'EventTracer|SetRequestTracer|UseRequestTracer|request_tracer_' \
+            src bench tests examples || true)
+if [[ -n "${tracers}" ]]; then
+  echo "second tracing hook set found:" >&2
+  echo "${tracers}" >&2
+  exit 1
+fi
+
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
@@ -77,6 +89,12 @@ echo "=== cluster control-plane suite (ctest -L cluster) ==="
 # Shard map, live migration, chaos soak on the copy stream, rebalancing
 # (DESIGN.md §14) — run again by label so a regression names itself.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L cluster
+
+echo "=== observability suite (ctest -L 'obs|trace') ==="
+# The tracer's op traces, event ring and Chrome export, the flight recorder,
+# and the metric registry (DESIGN.md §7, §10) — run again by label so a
+# regression names itself.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L 'obs|trace'
 
 echo "=== consistency-check suite (ctest -L check) ==="
 # Linearizability checker self-tests plus the nemesis explorer regression

@@ -32,4 +32,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L cluster
 # And the consistency-check suite: the checker's DFS recursion and the
 # nemesis scenario teardown own cross-object histories worth a lifetime pass.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L check
+# And the observability suite: flight dumps walk the tracer's wrapped event
+# ring and its live traces while the simulation keeps mutating both.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L 'obs|trace'
 echo "sanitizer run clean"

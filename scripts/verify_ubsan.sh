@@ -34,4 +34,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L cluster
 # And the consistency-check suite: history fingerprinting and the checker's
 # interval arithmetic run on full-width SimTime values.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L check
+# And the observability suite: event-ring index arithmetic and picosecond
+# timestamps rendered into trace and dump JSON.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L 'obs|trace'
 echo "ubsan run clean"

@@ -20,8 +20,8 @@
 #include "src/alloc/host_daemon.h"
 #include "src/alloc/slab_config.h"
 #include "src/common/status.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
+#include "src/obs/tracer.h"
 
 namespace kvd {
 
@@ -62,7 +62,7 @@ class SlabAllocator final : public Allocator {
 
   // Observability: counters backed by sync_stats_, instants for pool syncs.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   HostDaemon& daemon() { return daemon_; }
   const HostDaemon& daemon() const { return daemon_; }
 
@@ -76,7 +76,7 @@ class SlabAllocator final : public Allocator {
   HostDaemon daemon_;
   std::vector<std::vector<uint64_t>> nic_stacks_;  // per class
   SyncStats sync_stats_;
-  EventTracer* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace kvd

@@ -26,13 +26,11 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
   KVD_CHECK_MSG(config_.num_groups >= 1, "a cluster needs at least one group");
   KVD_CHECK_MSG(config_.num_partitions >= 1, "a cluster needs partitions");
   tracer_.set_enabled(config_.enable_request_tracing);
-  request_tracer_.set_enabled(config_.enable_request_tracing);
   flight_recorder_.Configure(config_.flight);
   flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
+  flight_recorder_.SetTracer(&tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
-  request_tracer_.set_on_complete(
+  tracer_.set_on_complete(
       [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
 
   migration_fault_ = std::make_unique<FaultInjector>(config_.migration_faults);
@@ -41,7 +39,6 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
   migration_net_ = std::make_unique<NetworkModel>(sim_, config_.migration_network);
   migration_net_->SetFaultInjector(migration_fault_.get());
   migration_net_->SetTracer(&tracer_);
-  migration_net_->SetRequestTracer(&request_tracer_);
 
   map_ = ShardMap::Initial(config_.num_partitions, config_.num_groups);
   partition_ops_.assign(config_.num_partitions, 0);
@@ -206,11 +203,11 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
   migration_.phase = Migration::Phase::kCopy;
   migration_.round = round;
   migration_.started_at = sim_.Now();
-  if (request_tracer_.enabled()) {
+  if (tracer_.enabled()) {
     // The migration is traced as one synthetic op: chunk flights, forwards,
     // retransmissions, and the freeze window all hang off this handle, and
     // the cutover flight dump carries the whole span tree.
-    migration_.trace = request_tracer_.Start(
+    migration_.trace = tracer_.Start(
         Opcode::kPut, (1ull << 62) | ++next_migration_trace_sequence_, 0);
   }
   stats_.migrations_started++;
@@ -351,9 +348,9 @@ void ClusterCoordinator::ArmRetransmitTimer() {
           return;
         }
         if (copy_out_.CheckProgress() && migration_.trace != 0) {
-          request_tracer_.Span(migration_.trace, SpanKind::kRetransmit,
-                               sim_.Now() - config_.copy_retransmit_timeout,
-                               sim_.Now(), copy_out_.acked());
+          tracer_.Span(migration_.trace, SpanKind::kRetransmit,
+                       sim_.Now() - config_.copy_retransmit_timeout,
+                       sim_.Now(), copy_out_.acked());
         }
         ArmRetransmitTimer();
       });
@@ -449,8 +446,8 @@ void ClusterCoordinator::OnCommitted(uint32_t group, const LogEntry& entry) {
   }
   dest.InstallSessionRecord(entry.client_sequence, entry.slot, entry.result);
   if (m.trace != 0) {
-    request_tracer_.Span(m.trace, SpanKind::kReplShip, started, sim_.Now(),
-                         stats_.forwards);
+    tracer_.Span(m.trace, SpanKind::kReplShip, started, sim_.Now(),
+                 stats_.forwards);
   }
 }
 
@@ -472,9 +469,9 @@ void ClusterCoordinator::Flip() {
       static_cast<uint64_t>((sim_.Now() - m.started_at) / kNanosecond);
   migration_ns_.Add(elapsed_ns);
   if (m.trace != 0) {
-    request_tracer_.Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at,
-                         sim_.Now(), m.partition);
-    request_tracer_.Finish(m.trace, ResultCode::kOk);
+    tracer_.Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at, sim_.Now(),
+                 m.partition);
+    tracer_.Finish(m.trace, ResultCode::kOk);
   }
   tracer_.Instant(kTraceCategory, "cutover",
                   {{"partition", m.partition},
@@ -570,7 +567,7 @@ void ClusterCoordinator::RegisterMetrics() {
   migration_net_->RegisterMetrics(metrics_);
   migration_fault_->RegisterMetrics(metrics_);
   if (config_.enable_request_tracing) {
-    request_tracer_.RegisterMetrics(metrics_);
+    tracer_.RegisterMetrics(metrics_);
     flight_recorder_.RegisterMetrics(metrics_);
   }
 }

@@ -74,7 +74,8 @@ struct ClusterConfig {
   SimTime migration_poll_interval = 100 * kMicrosecond;
   SimTime cutover_quiesce = 300 * kMicrosecond;
 
-  // Coordinator-level migration tracing (span tree + shard_cutover dumps).
+  // Coordinator-level tracing: the migration span tree, the cluster event
+  // timeline, and shard_cutover dumps.
   bool enable_request_tracing = false;
   FlightRecorderConfig flight;
 
@@ -178,7 +179,7 @@ class ClusterCoordinator {
 
   const MetricRegistry& metrics() const { return metrics_; }
   FlightRecorder& flight_recorder() { return flight_recorder_; }
-  RequestTracer& request_tracer() { return request_tracer_; }
+  Tracer& tracer() { return tracer_; }
   const LatencyHistogram& migration_ns() const { return migration_ns_; }
   const ClusterConfig& config() const { return config_; }
 
@@ -220,8 +221,7 @@ class ClusterCoordinator {
   ClusterConfig config_;
   Simulator sim_;
   MetricRegistry metrics_;
-  EventTracer tracer_{sim_};
-  RequestTracer request_tracer_{sim_};
+  Tracer tracer_{sim_};
   FlightRecorder flight_recorder_{sim_};
   std::unique_ptr<FaultInjector> migration_fault_;
   std::unique_ptr<NetworkModel> migration_net_;

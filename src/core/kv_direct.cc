@@ -63,17 +63,17 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
     std::vector<uint64_t> traces;
     size_t remaining;
     std::function<void(std::vector<uint8_t>)> respond;
-    RequestTracer* tracer = nullptr;
+    Tracer* tracer = nullptr;
   };
   auto state = std::make_shared<PacketState>();
   state->results.resize(ops.size());
   state->remaining = ops.size();
   state->respond = std::move(respond);
-  if (traced_sequence != 0 && runtime_.request_tracer().enabled()) {
+  if (traced_sequence != 0 && runtime_.tracer().enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
-    state->tracer = &runtime_.request_tracer();
+    state->tracer = &runtime_.tracer();
     state->traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
       const uint64_t handle = state->tracer->LookupOp(traced_sequence, i);

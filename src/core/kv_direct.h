@@ -48,7 +48,7 @@ class KvDirectServer {
   // Delivers a client request packet; `respond` fires with the encoded
   // response payload once every operation in the packet has retired.
   // `traced_sequence` (if nonzero) resolves each op's trace handle via the
-  // request tracer's packet registry and stamps server-side checkpoints.
+  // tracer's packet registry and stamps server-side checkpoints.
   void DeliverPacket(std::vector<uint8_t> payload,
                      std::function<void(std::vector<uint8_t>)> respond,
                      uint64_t traced_sequence = 0);
@@ -88,21 +88,17 @@ class KvDirectServer {
   // Every subsystem's counters, gauges, and histograms (Prometheus / JSON /
   // plain-text exposition).
   const MetricRegistry& metrics() const { return runtime_.metrics(); }
-  // Simulator event trace; enable via ServerConfig::enable_tracing or
-  // tracer().set_enabled(true).
-  EventTracer& tracer() { return runtime_.tracer(); }
-
-  // Request-tracing consumers. `request_tracer()` returns the *active* tracer
-  // — the owned one, or the external one after UseRequestTracer (replication
-  // groups share one tracer per group).
-  RequestTracer& request_tracer() { return runtime_.request_tracer(); }
+  // Tracing consumers; enable via ServerConfig::enable_request_tracing.
+  // `tracer()` returns the *active* tracer — the owned one, or the external
+  // one after UseTracer (replication groups share one tracer per group).
+  Tracer& tracer() { return runtime_.tracer(); }
   FlightRecorder& flight_recorder() { return runtime_.flight_recorder(); }
   LatencyBreakdown& breakdown() { return runtime_.breakdown(); }
   SloMonitor& slo_monitor() { return runtime_.slo_monitor(); }
   // Re-points every component (and the framed delivery path) at an external
   // tracer/recorder. The owned instances stay alive, so registered metric
   // readers never dangle.
-  void UseRequestTracer(RequestTracer* tracer) { runtime_.UseRequestTracer(tracer); }
+  void UseTracer(Tracer* tracer) { runtime_.UseTracer(tracer); }
   void UseFlightRecorder(FlightRecorder* recorder) { runtime_.UseFlightRecorder(recorder); }
 
  private:
@@ -142,7 +138,7 @@ class Client : public BatchClient {
 
  private:
   void Wire(const PacketPtr& packet) override;
-  RequestTracer* tracer() override { return &server_.request_tracer(); }
+  Tracer* tracer() override { return &server_.tracer(); }
 
   KvDirectServer& server_;
   Stats stats_;

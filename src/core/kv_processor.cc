@@ -155,10 +155,10 @@ void KvProcessor::Submit(KvOperation op, Completion done) {
 }
 
 void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
-  if (op.trace != 0 && request_tracer_ != nullptr) {
+  if (op.trace != 0 && tracer_ != nullptr) {
     // First-write-wins: a busy-bounced retry keeps the original submit time,
     // so the queue stage honestly includes the backoff.
-    request_tracer_->Point(op.trace, TracePoint::kSubmit);
+    tracer_->Point(op.trace, TracePoint::kSubmit);
   }
   const auto decision = admission_.Accept(cls, op.deadline,
                                           static_cast<uint32_t>(backlog()),
@@ -250,9 +250,9 @@ void KvProcessor::Pump() {
       if (action != AdmissionController::DequeueAction::kProcess) {
         const bool deadline_shed =
             action == AdmissionController::DequeueAction::kShedDeadline;
-        if (deadline_shed && head.op.trace != 0 && request_tracer_ != nullptr) {
-          request_tracer_->Span(head.op.trace, SpanKind::kDeadlineWait,
-                                head.enqueued_at, sim_.Now(), 0);
+        if (deadline_shed && head.op.trace != 0 && tracer_ != nullptr) {
+          tracer_->Span(head.op.trace, SpanKind::kDeadlineWait,
+                        head.enqueued_at, sim_.Now(), 0);
         }
         if (tracer_ != nullptr && tracer_->enabled()) {
           tracer_->Instant("proc",
@@ -290,8 +290,8 @@ void KvProcessor::Pump() {
     inflight.slot = slot;
     inflight.digest = kh.digest;
     inflight.submitted_at = sim_.Now();
-    if (inflight.op.trace != 0 && request_tracer_ != nullptr) {
-      request_tracer_->Point(inflight.op.trace, TracePoint::kAdmit);
+    if (inflight.op.trace != 0 && tracer_ != nullptr) {
+      tracer_->Point(inflight.op.trace, TracePoint::kAdmit);
     }
 
     // Functional execution at admission: the station guarantees per-key
@@ -390,10 +390,9 @@ void KvProcessor::RecordUnpark(uint64_t id) {
     return;
   }
   Inflight& inflight = it->second;
-  if (inflight.parked_at != 0 && inflight.op.trace != 0 &&
-      request_tracer_ != nullptr) {
-    request_tracer_->Span(inflight.op.trace, SpanKind::kStationWait,
-                          inflight.parked_at, sim_.Now(), inflight.slot);
+  if (inflight.parked_at != 0 && inflight.op.trace != 0 && tracer_ != nullptr) {
+    tracer_->Span(inflight.op.trace, SpanKind::kStationWait, inflight.parked_at,
+                  sim_.Now(), inflight.slot);
   }
   inflight.parked_at = 0;
 }
@@ -458,12 +457,10 @@ void KvProcessor::Retire(uint64_t id) {
   inflight_.erase(it);
   stats_.retired++;
   stats_.latency_ns.Add((sim_.Now() - inflight.submitted_at) / kNanosecond);
-  if (inflight.op.trace != 0 && request_tracer_ != nullptr) {
-    request_tracer_->Point(inflight.op.trace, TracePoint::kRetire);
-  }
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Complete("proc", "op", inflight.submitted_at, sim_.Now(),
-                      {{"op", id}, {"slot", inflight.slot}});
+                      {{"op", id}, {"slot", inflight.slot}},
+                      OpMark::Point(inflight.op.trace, TracePoint::kRetire));
   }
   // Retirement-side deadline check: a read that expired in the pipeline is
   // relabeled kDeadlineExceeded (and its payload dropped) — nobody is

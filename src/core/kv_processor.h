@@ -38,10 +38,9 @@
 #include "src/hash/hash_index.h"
 #include "src/mem/access_engine.h"
 #include "src/net/kv_types.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/ooo/reservation_station.h"
 #include "src/sim/simulator.h"
 
@@ -101,8 +100,7 @@ class KvProcessor {
   // Registers processor and reservation-station counters (readers over the
   // live stats structs; no behavior change).
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
-  void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   // kBusy rejection bursts fire the flight recorder.
   void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
@@ -162,8 +160,7 @@ class KvProcessor {
   UpdateFunctionRegistry& registry_;
   KvProcessorConfig config_;
   const SyncStats* slab_sync_stats_ = nullptr;
-  EventTracer* tracer_ = nullptr;
-  RequestTracer* request_tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   ReservationStation station_;
   SimTime cycle_;

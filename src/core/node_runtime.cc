@@ -94,71 +94,59 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   nic_dram_->SetFaultInjector(fault_.get());
   network_->SetFaultInjector(fault_.get());
 
-  // Request tracing: the tracer feeds the breakdown, the SLO monitor, and
-  // the flight-recorder ring; SLO breaches fire the recorder. Components get
-  // the pointers unconditionally (a zero handle short-circuits every hook).
-  request_tracer_.set_enabled(config.enable_request_tracing);
-  request_tracer_.SetBreakdown(&breakdown_);
+  // Tracing: the tracer feeds the breakdown, the SLO monitor, and the
+  // flight-recorder ring, and holds the event window the recorder dumps; SLO
+  // breaches fire the recorder. Components get the pointers unconditionally
+  // (each hook checks enabled() or a zero handle).
+  tracer_.set_enabled(config.enable_request_tracing);
+  tracer_.SetBreakdown(&breakdown_);
   slo_monitor_.Configure(config.slo);
-  request_tracer_.SetSloMonitor(&slo_monitor_);
+  tracer_.SetSloMonitor(&slo_monitor_);
   flight_recorder_.Configure(config.flight);
   flight_recorder_.set_enabled(config.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
+  flight_recorder_.SetTracer(&tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
-  request_tracer_.set_on_complete(
+  tracer_.set_on_complete(
       [this](const OpTrace& trace) { active_flight_->OnTraceComplete(trace); });
   slo_monitor_.set_on_breach([this](const std::string& detail) {
     active_flight_->Trigger(FlightTrigger::kSloBreach, detail);
   });
-  processor_->SetRequestTracer(&request_tracer_);
-  processor_->SetFlightRecorder(&flight_recorder_);
-  dispatcher_->SetRequestTracer(&request_tracer_);
-  dispatcher_->SetFlightRecorder(&flight_recorder_);
-  dma_->SetRequestTracer(&request_tracer_);
-  nic_dram_->SetRequestTracer(&request_tracer_);
-  network_->SetRequestTracer(&request_tracer_);
-  fault_->SetFlightRecorder(&flight_recorder_);
+  UseTracer(&tracer_);
+  UseFlightRecorder(&flight_recorder_);
   if (config.enable_request_tracing) {
     // Registered only when tracing is on, so the default metric exposition
     // is byte-identical to the untraced build.
-    request_tracer_.RegisterMetrics(metrics_);
+    tracer_.RegisterMetrics(metrics_);
     breakdown_.RegisterMetrics(metrics_);
     slo_monitor_.RegisterMetrics(metrics_);
     flight_recorder_.RegisterMetrics(metrics_);
   }
 
   // Observability: every subsystem registers readers over its live stats into
-  // the shared registry and learns about the tracer. Neither changes timing.
-  tracer_.set_enabled(config.enable_tracing);
+  // the shared registry. Neither changes timing.
   metrics_.RegisterCounter("kvd_events_dropped_total",
-                           "Events dropped at the EventTracer capacity limit",
-                           {}, [this] { return tracer_.dropped(); });
+                           "Timeline events overwritten in the full event ring",
+                           {}, [this] { return active_tracer_->dropped_events(); });
   fault_->RegisterMetrics(metrics_);
-  fault_->SetTracer(&tracer_);
   processor_->RegisterMetrics(metrics_);
-  processor_->SetTracer(&tracer_);
   index_->RegisterMetrics(metrics_);
   allocator_->RegisterMetrics(metrics_);
-  allocator_->SetTracer(&tracer_);
   dispatcher_->RegisterMetrics(metrics_);
-  dispatcher_->SetTracer(&tracer_);
   dma_->RegisterMetrics(metrics_);
-  dma_->SetTracer(&tracer_);
   nic_dram_->RegisterMetrics(metrics_);
-  nic_dram_->SetTracer(&tracer_);
   network_->RegisterMetrics(metrics_);
-  network_->SetTracer(&tracer_);
 }
 
-void NodeRuntime::UseRequestTracer(RequestTracer* tracer) {
+void NodeRuntime::UseTracer(Tracer* tracer) {
   KVD_CHECK(tracer != nullptr);
-  active_request_tracer_ = tracer;
-  processor_->SetRequestTracer(tracer);
-  dispatcher_->SetRequestTracer(tracer);
-  dma_->SetRequestTracer(tracer);
-  nic_dram_->SetRequestTracer(tracer);
-  network_->SetRequestTracer(tracer);
+  active_tracer_ = tracer;
+  fault_->SetTracer(tracer);
+  processor_->SetTracer(tracer);
+  allocator_->SetTracer(tracer);
+  dispatcher_->SetTracer(tracer);
+  dma_->SetTracer(tracer);
+  nic_dram_->SetTracer(tracer);
+  network_->SetTracer(tracer);
 }
 
 void NodeRuntime::UseFlightRecorder(FlightRecorder* recorder) {

@@ -4,8 +4,7 @@
 // the hash index and slab heap, the PCIe DMA engine, the NIC DRAM load
 // dispatcher, the reservation station, the KV processor, and the 40 GbE
 // network model — wired to one discrete-event simulator plus the node's
-// observability (metrics, event tracer, request tracer, SLO monitor, flight
-// recorder).
+// observability (metrics, tracer, SLO monitor, flight recorder).
 //
 // The runtime is the composable unit of the layered architecture: a
 // standalone KvDirectServer embeds exactly one; MultiNicServer shards and
@@ -29,10 +28,9 @@
 #include "src/mem/access_engine.h"
 #include "src/mem/host_memory.h"
 #include "src/net/network_model.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
 #include "src/sim/simulator.h"
 
@@ -56,14 +54,11 @@ struct ServerConfig {
   NetworkConfig network;
   KvProcessorConfig processor;
 
-  // Record simulator events (DMA, dispatch, station, network) for Chrome
-  // trace export. Off by default; costs one branch per hook when disabled.
-  bool enable_tracing = false;
-
-  // Per-request tracing (src/obs/request_trace.h): trace contexts created at
-  // client send, propagated through every layer, aggregated into the latency
-  // breakdown, the SLO monitor, and the flight recorder. Off by default; when
-  // disabled every hook is one branch on a zero handle.
+  // Tracing (src/obs/tracer.h): per-request traces created at client send,
+  // propagated through every layer, and aggregated into the latency
+  // breakdown, the SLO monitor, and the flight recorder; plus the hardware
+  // event timeline (DMA, dispatch, station, network) for Chrome trace export
+  // and flight dumps. Off by default; when disabled every hook is one branch.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -113,18 +108,17 @@ class NodeRuntime {
   // Mutable registry for the embedding server's own counters (the transport
   // endpoint's replay stats, for example).
   MetricRegistry& metrics_mutable() { return metrics_; }
-  EventTracer& tracer() { return tracer_; }
 
-  // Request-tracing consumers. `request_tracer()` returns the *active* tracer
-  // — the owned one, or the external one after UseRequestTracer (replication
-  // groups share one tracer per group).
-  RequestTracer& request_tracer() { return *active_request_tracer_; }
+  // Tracing consumers. `tracer()` returns the *active* tracer — the owned
+  // one, or the external one after UseTracer (replication groups share one
+  // tracer per group).
+  Tracer& tracer() { return *active_tracer_; }
   FlightRecorder& flight_recorder() { return *active_flight_; }
   LatencyBreakdown& breakdown() { return breakdown_; }
   SloMonitor& slo_monitor() { return slo_monitor_; }
   // Re-points every component at an external tracer/recorder. The owned
   // instances stay alive, so registered metric readers never dangle.
-  void UseRequestTracer(RequestTracer* tracer);
+  void UseTracer(Tracer* tracer);
   void UseFlightRecorder(FlightRecorder* recorder);
 
  private:
@@ -135,12 +129,11 @@ class NodeRuntime {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  EventTracer tracer_{sim_};
-  RequestTracer request_tracer_{sim_};
+  Tracer tracer_{sim_};
   LatencyBreakdown breakdown_;
   SloMonitor slo_monitor_{sim_};
   FlightRecorder flight_recorder_{sim_};
-  RequestTracer* active_request_tracer_ = &request_tracer_;
+  Tracer* active_tracer_ = &tracer_;
   FlightRecorder* active_flight_ = &flight_recorder_;
   UpdateFunctionRegistry registry_;
   std::unique_ptr<HostMemory> memory_;

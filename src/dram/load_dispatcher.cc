@@ -59,13 +59,16 @@ LoadDispatcher::LineOutcome LoadDispatcher::TouchLine(uint64_t address, bool is_
 }
 
 std::function<void()> LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
+                                                uint32_t bytes,
                                                 std::function<void()> done) {
-  if (trace == 0 || request_tracer_ == nullptr) {
+  if (tracer_ == nullptr || !tracer_->enabled()) {
     return done;
   }
   const SimTime start = sim_.Now();
-  return [this, trace, route, start, done = std::move(done)] {
-    request_tracer_->Span(trace, SpanKind::kMemAccess, start, sim_.Now(), route);
+  return [this, trace, route, bytes, start, done = std::move(done)] {
+    tracer_->Complete("dispatch", RouteName(route), start, sim_.Now(),
+                      {{"bytes", bytes}},
+                      OpMark::Span(trace, SpanKind::kMemAccess, route));
     done();
   };
 }
@@ -73,13 +76,9 @@ std::function<void()> LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
 void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
                             std::function<void()> done, uint64_t op_trace) {
   KVD_CHECK(bytes > 0);
-  const bool trace = tracer_ != nullptr && tracer_->enabled();
   if (!IsCacheable(address)) {
     stats_.pcie_accesses++;
-    if (trace) {
-      tracer_->Instant("dispatch", "pcie", {{"bytes", bytes}});
-    }
-    done = TraceDone(op_trace, kRoutePcie, std::move(done));
+    done = TraceDone(op_trace, kRoutePcie, bytes, std::move(done));
     if (kind == AccessKind::kRead) {
       dma_.Read(address, bytes, std::move(done), /*random_access=*/true,
                 op_trace);
@@ -95,10 +94,7 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // Uncorrectable ECC on the pinned copy: serve from host memory and
       // refill the DRAM line from there.
       stats_.ecc_demotions++;
-      if (trace) {
-        tracer_->Instant("dispatch", "ecc_demote", {{"bytes", bytes}});
-      }
-      done = TraceDone(op_trace, kRouteEccDemotion, std::move(done));
+      done = TraceDone(op_trace, kRouteEccDemotion, bytes, std::move(done));
       dma_.Read(
           address, bytes,
           [this, bytes, op_trace, done = std::move(done)]() mutable {
@@ -117,7 +113,8 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
     }
     // Pinned data: always a DRAM hit, never a fill or writeback.
     stats_.dram_hits++;
-    dram_.Access(bytes, TraceDone(op_trace, kRouteCacheHit, std::move(done)),
+    dram_.Access(bytes,
+                 TraceDone(op_trace, kRouteCacheHit, bytes, std::move(done)),
                  op_trace);
     return;
   }
@@ -143,15 +140,12 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // like a read miss. Functional data lives in the processor model;
       // this charges the degradation's timing cost.
       stats_.ecc_demotions++;
-      if (trace) {
-        tracer_->Instant("dispatch", "ecc_demote", {{"bytes", bytes}});
-      }
       for (uint64_t offset = 0; offset < bytes; offset += kCacheLineBytes) {
         const uint64_t slot =
             ((address + offset) / kCacheLineBytes) % num_cache_lines_;
         line_dirty_[slot] = false;
       }
-      done = TraceDone(op_trace, kRouteEccDemotion, std::move(done));
+      done = TraceDone(op_trace, kRouteEccDemotion, bytes, std::move(done));
       dma_.Read(
           address, bytes,
           [this, bytes, op_trace, done = std::move(done)]() mutable {
@@ -166,20 +160,15 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       return;
     }
     stats_.dram_hits++;
-    if (trace) {
-      tracer_->Instant("dispatch", "hit", {{"bytes", bytes}});
-    }
-    dram_.Access(bytes, TraceDone(op_trace, kRouteCacheHit, std::move(done)),
+    dram_.Access(bytes,
+                 TraceDone(op_trace, kRouteCacheHit, bytes, std::move(done)),
                  op_trace);
     return;
   }
 
   stats_.dram_misses++;
   stats_.writebacks += writebacks;
-  if (trace) {
-    tracer_->Instant("dispatch", "miss", {{"bytes", bytes}, {"writebacks", writebacks}});
-  }
-  done = TraceDone(op_trace, kRouteCacheMiss, std::move(done));
+  done = TraceDone(op_trace, kRouteCacheMiss, bytes, std::move(done));
   // Dirty evictions drain to host memory in the background (posted writes).
   for (uint32_t i = 0; i < writebacks; i++) {
     dma_.Write(address, kCacheLineBytes, [] {}, op_trace);

@@ -30,10 +30,9 @@
 #include "src/common/units.h"
 #include "src/dram/nic_dram.h"
 #include "src/mem/access_engine.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
 #include "src/sim/simulator.h"
 
@@ -83,8 +82,7 @@ class LoadDispatcher {
   const LoadDispatcherConfig& config() const { return config_; }
 
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
-  void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   // ECC demotions fire the flight recorder once the recovery read completes.
   void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
@@ -104,16 +102,17 @@ class LoadDispatcher {
     bool writeback = false;
   };
   LineOutcome TouchLine(uint64_t address, bool is_write);
-  // Wraps `done` so its invocation closes a kMemAccess span tagged `route`.
-  std::function<void()> TraceDone(uint64_t trace, uint64_t route,
+  // Wraps `done` so its invocation records the access as one "dispatch"
+  // timeline interval named for `route`, which is also a kMemAccess span of
+  // op `trace`.
+  std::function<void()> TraceDone(uint64_t trace, uint64_t route, uint32_t bytes,
                                   std::function<void()> done);
 
   Simulator& sim_;
   DmaEngine& dma_;
   NicDram& dram_;
   LoadDispatcherConfig config_;
-  EventTracer* tracer_ = nullptr;
-  RequestTracer* request_tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   uint64_t cacheable_threshold_;  // dispatch ratio scaled to the hash range
   uint64_t num_cache_lines_;

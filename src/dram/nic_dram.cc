@@ -27,14 +27,12 @@ void NicDram::Access(uint32_t bytes, std::function<void()> done, uint64_t trace)
   const SimTime start = std::max(sim_.Now(), channel_free_at_);
   channel_free_at_ = start + occupancy;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("nic_dram", "access", start,
+    // The wait for the channel, its occupancy and the access latency are all
+    // known at issue time.
+    tracer_->Complete("nic_dram", "access", sim_.Now(),
                       channel_free_at_ + config_.access_latency,
-                      {{"bytes", bytes}});
-  }
-  if (trace != 0 && request_tracer_ != nullptr) {
-    // The whole channel occupancy plus access latency is known at issue time.
-    request_tracer_->Span(trace, SpanKind::kNicDramAccess, sim_.Now(),
-                          channel_free_at_ + config_.access_latency, bytes);
+                      {{"bytes", bytes}},
+                      OpMark::Span(trace, SpanKind::kNicDramAccess, bytes));
   }
   sim_.ScheduleAt(channel_free_at_ + config_.access_latency, std::move(done));
 }

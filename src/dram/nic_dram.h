@@ -13,9 +13,8 @@
 
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 
 namespace kvd {
@@ -62,15 +61,13 @@ class NicDram {
   uint64_t ecc_uncorrectable_injected() const { return uncorrectable_injected_; }
 
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
-  void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   void SetFaultInjector(FaultInjector* injector) { fault_ = injector; }
 
  private:
   Simulator& sim_;
   NicDramConfig config_;
-  EventTracer* tracer_ = nullptr;
-  RequestTracer* request_tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   FaultInjector* fault_ = nullptr;
   double picos_per_byte_;
   SimTime channel_free_at_ = 0;

@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
+#include "src/obs/tracer.h"
 
 namespace kvd {
 
@@ -109,14 +109,14 @@ class FaultInjector {
 
   // Per-site event/injection counters labelled {site="..."}.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   // Each injection fires the flight recorder — but only when the recorder's
   // config opts in (chaos runs inject thousands of faults by design).
   void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
  private:
   FaultPlan plan_;
-  EventTracer* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   std::array<Rng, kNumFaultSites> rng_;
   std::array<FaultSiteStats, kNumFaultSites> stats_{};

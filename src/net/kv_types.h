@@ -155,7 +155,7 @@ struct KvOperation {
   // retransmitting an expired packet, the server sheds expired operations on
   // admission and at dequeue instead of doing dead work.
   uint64_t deadline = 0;
-  // Request-trace handle (src/obs/request_trace.h). In-memory only — never
+  // Request-trace handle (src/obs/tracer.h). In-memory only — never
   // encoded on the wire; 0 means untraced.
   uint64_t trace = 0;
 };

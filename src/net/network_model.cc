@@ -76,12 +76,11 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
   uint64_t& bytes = to_server ? to_server_bytes_ : to_client_bytes_;
   const auto size = static_cast<uint32_t>(payload.size());
   auto record = [&](const WireInterval& wire) {
-    if (request_tracer_ == nullptr || traces == nullptr) {
+    if (tracer_ == nullptr || traces == nullptr) {
       return;
     }
     for (const uint64_t trace : *traces) {
-      request_tracer_->Span(trace, kind, wire.start, wire.delivery,
-                            to_server ? 0 : 1);
+      tracer_->Span(trace, kind, wire.start, wire.delivery, to_server ? 0 : 1);
     }
   };
   LinkHealth& health = to_server ? to_server_health_ : to_client_health_;

@@ -72,13 +72,11 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
     json.Null();
   }
   json.Key("events").BeginArray();
-  if (events_ != nullptr) {
-    const std::vector<TraceEvent>& events = events_->events();
-    const size_t first = events.size() > config_.event_window
-                             ? events.size() - config_.event_window
-                             : 0;
-    for (size_t i = first; i < events.size(); i++) {
-      const TraceEvent& e = events[i];
+  if (tracer_ != nullptr) {
+    const size_t count = tracer_->num_events();
+    const size_t first = count > config_.event_window ? count - config_.event_window : 0;
+    for (size_t i = first; i < count; i++) {
+      const TraceEvent& e = tracer_->Event(i);
       json.BeginObject();
       json.Field("name", std::string_view(e.name));
       json.Field("cat", std::string_view(e.category));
@@ -88,6 +86,7 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
       if (e.phase == 'X') {
         json.Field("dur_ps", e.duration);
       }
+      AppendEventArgsJson(e, json);
       json.EndObject();
     }
   }
@@ -98,14 +97,7 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
     json.Field("live_traces_at_trigger",
                static_cast<uint64_t>(tracer_->LiveTraces().size()));
     json.Field("dropped_trace_records", tracer_->dropped());
-  }
-  if (events_ != nullptr) {
-    json.Field("dropped_events", events_->dropped());
-    if (events_->dropped() > 0) {
-      json.Field("warning",
-                 std::string_view("event buffer overflowed; the event window "
-                                  "is incomplete"));
-    }
+    json.Field("dropped_events", tracer_->dropped_events());
   }
   json.EndObject();
   json.EndObject();

@@ -5,7 +5,7 @@
 //
 // A dump captures the completed-trace ring, the still-live traces (the ops in
 // flight at trigger time, span trees included), a metrics-registry snapshot,
-// and a recent window of EventTracer events. Everything runs on the simulated
+// and the trailing window of the tracer's event ring. Everything runs on the simulated
 // clock, so same-seed runs produce bit-identical dumps — they double as
 // regression artifacts.
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
@@ -20,9 +20,8 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 
 namespace kvd {
@@ -61,7 +60,7 @@ constexpr const char* FlightTriggerName(FlightTrigger trigger) {
 
 struct FlightRecorderConfig {
   size_t ring_capacity = 64;   // completed op traces kept
-  size_t event_window = 256;   // trailing EventTracer events per dump
+  size_t event_window = 256;   // trailing timeline events per dump
   size_t max_dumps = 8;        // hard cap on dumps per run
   // Each trigger kind fires at most once until Rearm() — a cascading failure
   // produces one dump per root cause instead of one per symptom.
@@ -85,12 +84,12 @@ class FlightRecorder {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  // Optional dump enrichments; all may be null.
-  void SetRequestTracer(const RequestTracer* tracer) { tracer_ = tracer; }
+  // Optional dump enrichments; both may be null. The tracer supplies the
+  // live traces and the event window.
+  void SetTracer(const Tracer* tracer) { tracer_ = tracer; }
   void SetMetricRegistry(const MetricRegistry* registry) { registry_ = registry; }
-  void SetEventTracer(const EventTracer* events) { events_ = events; }
 
-  // Ring feed — wire as the RequestTracer's on_complete callback.
+  // Ring feed — wire as the Tracer's on_complete callback.
   void OnTraceComplete(const OpTrace& trace);
 
   // Takes a dump unless suppressed (disabled, max_dumps reached, or this
@@ -122,9 +121,8 @@ class FlightRecorder {
   Simulator& sim_;
   FlightRecorderConfig config_;
   bool enabled_ = false;
-  const RequestTracer* tracer_ = nullptr;
+  const Tracer* tracer_ = nullptr;
   const MetricRegistry* registry_ = nullptr;
-  const EventTracer* events_ = nullptr;
   std::deque<OpTrace> ring_;
   std::array<bool, kNumFlightTriggers> fired_{};
   std::vector<Dump> dumps_;

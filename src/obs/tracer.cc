@@ -1,7 +1,8 @@
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "src/common/assert.h"
 #include "src/obs/json_writer.h"
@@ -317,10 +318,14 @@ void SloMonitor::RegisterMetrics(MetricRegistry& registry) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestTracer
+// Tracer: per-operation traces
 
-uint64_t RequestTracer::Start(Opcode opcode, uint64_t sequence,
-                              uint32_t op_index) {
+Tracer::Tracer(Simulator& sim, size_t max_events)
+    : sim_(sim), max_events_(max_events) {
+  KVD_CHECK(max_events >= 1);
+}
+
+uint64_t Tracer::Start(Opcode opcode, uint64_t sequence, uint32_t op_index) {
   if (!enabled_) {
     return 0;
   }
@@ -328,7 +333,9 @@ uint64_t RequestTracer::Start(Opcode opcode, uint64_t sequence,
     dropped_++;
     return 0;
   }
-  const uint64_t handle = (sequence << 16) | (op_index & 0xffff);
+  // Handles come from one counter, not from the wire sequence: clients hand
+  // out overlapping sequence spaces, and a handle must name exactly one op.
+  const uint64_t handle = next_handle_++;
   OpTrace& trace = live_[handle];
   trace.id = handle;
   trace.opcode = opcode;
@@ -339,7 +346,7 @@ uint64_t RequestTracer::Start(Opcode opcode, uint64_t sequence,
   return handle;
 }
 
-void RequestTracer::Point(uint64_t handle, TracePoint point) {
+void Tracer::Point(uint64_t handle, TracePoint point) {
   if (handle == 0) {
     return;
   }
@@ -353,8 +360,8 @@ void RequestTracer::Point(uint64_t handle, TracePoint point) {
   }
 }
 
-void RequestTracer::Span(uint64_t handle, SpanKind kind, SimTime start,
-                         SimTime end, uint64_t detail) {
+void Tracer::Span(uint64_t handle, SpanKind kind, SimTime start, SimTime end,
+                  uint64_t detail) {
   if (handle == 0) {
     return;
   }
@@ -370,7 +377,7 @@ void RequestTracer::Span(uint64_t handle, SpanKind kind, SimTime start,
   it->second.spans.push_back({kind, start, end, detail});
 }
 
-void RequestTracer::CountAttempt(uint64_t handle) {
+void Tracer::CountAttempt(uint64_t handle) {
   if (handle == 0) {
     return;
   }
@@ -380,7 +387,7 @@ void RequestTracer::CountAttempt(uint64_t handle) {
   }
 }
 
-void RequestTracer::Finish(uint64_t handle, ResultCode result) {
+void Tracer::Finish(uint64_t handle, ResultCode result) {
   if (handle == 0) {
     return;
   }
@@ -407,36 +414,35 @@ void RequestTracer::Finish(uint64_t handle, ResultCode result) {
   live_.erase(it);
 }
 
-void RequestTracer::Abandon(uint64_t handle) {
+void Tracer::Abandon(uint64_t handle) {
   if (handle == 0) {
     return;
   }
   live_.erase(handle);
 }
 
-void RequestTracer::RegisterPacket(uint64_t sequence,
-                                   const std::vector<uint64_t>& handles) {
-  if (!enabled_) {
+void Tracer::RegisterPacket(uint64_t sequence,
+                            const std::vector<uint64_t>& handles) {
+  if (!enabled_ ||
+      std::all_of(handles.begin(), handles.end(),
+                  [](uint64_t handle) { return handle == 0; })) {
     return;
   }
-  bool any = false;
-  for (const uint64_t handle : handles) {
-    if (handle != 0) {
-      any = true;
-      break;
-    }
+  auto [it, inserted] = packet_ops_.try_emplace(sequence);
+  it->second = handles;
+  if (!inserted) {
+    return;  // re-registration keeps the entry's place in the eviction order
   }
-  if (!any) {
-    return;
+  packet_order_.push_back(sequence);
+  // Several clients share one tracer, each with its own sequence space, so
+  // the smallest sequence is not the oldest entry: evict in arrival order.
+  while (packet_order_.size() > kMaxPackets) {
+    packet_ops_.erase(packet_order_.front());
+    packet_order_.pop_front();
   }
-  // Sequences grow monotonically per client, so begin() is the oldest entry.
-  while (packet_ops_.size() >= kMaxPackets) {
-    packet_ops_.erase(packet_ops_.begin());
-  }
-  packet_ops_[sequence] = handles;
 }
 
-uint64_t RequestTracer::LookupOp(uint64_t sequence, size_t op_index) const {
+uint64_t Tracer::LookupOp(uint64_t sequence, size_t op_index) const {
   auto it = packet_ops_.find(sequence);
   if (it == packet_ops_.end() || op_index >= it->second.size()) {
     return 0;
@@ -444,12 +450,12 @@ uint64_t RequestTracer::LookupOp(uint64_t sequence, size_t op_index) const {
   return it->second[op_index];
 }
 
-const OpTrace* RequestTracer::Live(uint64_t handle) const {
+const OpTrace* Tracer::Live(uint64_t handle) const {
   auto it = live_.find(handle);
   return it == live_.end() ? nullptr : &it->second;
 }
 
-std::vector<const OpTrace*> RequestTracer::LiveTraces() const {
+std::vector<const OpTrace*> Tracer::LiveTraces() const {
   std::vector<const OpTrace*> traces;
   traces.reserve(live_.size());
   for (const auto& [handle, trace] : live_) {
@@ -458,7 +464,7 @@ std::vector<const OpTrace*> RequestTracer::LiveTraces() const {
   return traces;
 }
 
-void RequestTracer::RegisterMetrics(MetricRegistry& registry) {
+void Tracer::RegisterMetrics(MetricRegistry& registry) {
   registry.RegisterCounter("kvd_trace_started", "request traces started", {},
                            &started_);
   registry.RegisterCounter("kvd_trace_finished", "request traces completed", {},
@@ -466,6 +472,132 @@ void RequestTracer::RegisterMetrics(MetricRegistry& registry) {
   registry.RegisterCounter("kvd_trace_dropped",
                            "trace records dropped at capacity bounds", {},
                            &dropped_);
+}
+
+// ---------------------------------------------------------------------------
+// Tracer: timeline
+
+void AppendEventArgsJson(const TraceEvent& event, JsonWriter& json) {
+  if (event.num_args == 0) {
+    return;
+  }
+  json.Key("args").BeginObject();
+  for (size_t i = 0; i < event.num_args; i++) {
+    json.Field(event.args[i].key, event.args[i].value);
+  }
+  json.EndObject();
+}
+
+void Tracer::Record(char phase, const char* category, const char* name,
+                    SimTime start, SimTime duration, Args args) {
+  KVD_DCHECK(args.size() <= kMaxTraceArgs);
+  TraceEvent* slot;
+  if (events_.size() < max_events_) {
+    slot = &events_.emplace_back();
+  } else {
+    slot = &events_[next_event_];
+    next_event_ = (next_event_ + 1) % max_events_;
+    dropped_events_++;
+  }
+  slot->start = start;
+  slot->duration = duration;
+  slot->category = category;
+  slot->name = name;
+  slot->phase = phase;
+  slot->num_args = static_cast<uint8_t>(std::min(args.size(), kMaxTraceArgs));
+  std::copy_n(args.begin(), slot->num_args, slot->args.begin());
+}
+
+void Tracer::Instant(const char* category, const char* name, Args args) {
+  if (!enabled_) {
+    return;
+  }
+  Record('i', category, name, sim_.Now(), 0, args);
+}
+
+void Tracer::Complete(const char* category, const char* name, SimTime start,
+                      SimTime end, Args args, OpMark op) {
+  if (!enabled_) {
+    return;
+  }
+  KVD_DCHECK(end >= start);
+  Record('X', category, name, start, end - start, args);
+  if (op.is_point) {
+    Point(op.handle, op.point);
+  } else {
+    Span(op.handle, op.kind, start, end, op.detail);
+  }
+}
+
+std::string Tracer::ToChromeTraceJson() const {
+  // One track (tid) per category, numbered in name order; named via
+  // thread_name metadata events so Perfetto shows readable lanes.
+  std::map<std::string, int> track_of;
+  for (const TraceEvent& e : events_) {
+    track_of.emplace(e.category, 0);
+  }
+  int next_track = 1;
+  for (auto& [category, track] : track_of) {
+    track = next_track++;
+  }
+
+  JsonWriter json;
+  json.BeginObject().Key("traceEvents").BeginArray();
+  for (const auto& [category, track] : track_of) {
+    json.BeginObject();
+    json.Field("name", std::string_view("thread_name"));
+    json.Field("ph", std::string_view("M"));
+    json.Field("pid", uint64_t{0});
+    json.Field("tid", static_cast<uint64_t>(track));
+    json.Key("args").BeginObject().Field("name", std::string_view(category));
+    json.EndObject().EndObject();
+  }
+  constexpr double kPicosPerMicro = 1e6;
+  for (size_t i = 0; i < num_events(); i++) {
+    const TraceEvent& e = Event(i);
+    json.BeginObject();
+    json.Field("name", std::string_view(e.name));
+    json.Field("cat", std::string_view(e.category));
+    char phase[2] = {e.phase, '\0'};
+    json.Field("ph", std::string_view(phase));
+    json.Field("ts", static_cast<double>(e.start) / kPicosPerMicro);
+    if (e.phase == 'X') {
+      json.Field("dur", static_cast<double>(e.duration) / kPicosPerMicro);
+    }
+    if (e.phase == 'i') {
+      json.Field("s", std::string_view("t"));  // thread-scoped instant
+    }
+    json.Field("pid", uint64_t{0});
+    json.Field("tid", static_cast<uint64_t>(track_of.at(e.category)));
+    AppendEventArgsJson(e, json);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Field("displayTimeUnit", std::string_view("ns"));
+  json.Key("metadata").BeginObject();
+  json.Field("dropped_events", dropped_events_);
+  if (dropped_events_ > 0) {
+    json.Field("warning",
+               std::string_view("event ring overflowed; the oldest events "
+                                "were overwritten"));
+  }
+  json.EndObject();
+  json.EndObject();
+  return json.TakeString();
+}
+
+Status Tracer::WriteChromeTrace(const std::string& path) const {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    return Status::Internal("cannot open trace output file: " + path);
+  }
+  const std::string json = ToChromeTraceJson();
+  const size_t written = std::fwrite(json.data(), 1, json.size(), file);
+  std::fclose(file);
+  if (written != json.size()) {
+    return Status::Internal("short write to trace output file: " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace kvd

@@ -1,13 +1,14 @@
-// Per-operation request tracing: the observability layer behind the paper's
-// Fig. 17 latency decomposition ("where does each microsecond of a GET/PUT
-// go?").
+// The tracer: one sink for every observability hook on the simulated clock.
+// It serves two views of the same run.
 //
-// A trace is created client-side when an operation is first sent and follows
-// the op through every layer on the one simulated clock: client retransmission
-// attempts, network flight, reliable-frame decode, processor admission and
-// retirement, reservation-station waits, dispatcher/DMA/NIC-DRAM accesses,
-// and — for replicated writes — log append, frame shipping, quorum wait, and
-// commit. Two record kinds:
+// Per-operation traces are the layer behind the paper's Fig. 17 latency
+// decomposition ("where does each microsecond of a GET/PUT go?"). A trace is
+// created client-side when an operation is first sent and follows the op
+// through every layer: client retransmission attempts, network flight,
+// reliable-frame decode, processor admission and retirement,
+// reservation-station waits, dispatcher/DMA/NIC-DRAM accesses, and — for
+// replicated writes — log append, frame shipping, quorum wait, and commit.
+// Two record kinds:
 //
 //   - checkpoints (TracePoint): one timestamp per lifecycle milestone,
 //     first-write-wins. The interval between consecutive *present* checkpoints
@@ -17,21 +18,33 @@
 //     DMA TLPs, NIC-DRAM channel occupancy, station parking, replica frame
 //     shipping, retransmission backoff).
 //
+// The timeline is what the hardware models and protocols did — PCIe TLPs,
+// NIC-DRAM accesses, dispatcher routes, station admit/park/retire, slab pool
+// syncs, network packets, replica elections and crashes, shard migrations —
+// kept in one bounded ring of fixed-size records that overwrites its oldest
+// events. It exports as Chrome trace-event JSON (chrome://tracing or
+// https://ui.perfetto.dev, one track per category), and the flight recorder
+// reads its trailing window.
+//
 // Ops carry a 64-bit trace handle in-memory only (never on the wire); handle
-// 0 means untraced, so a disabled tracer costs the hot paths one predictable
-// branch. Everything runs on the simulated clock, so same-seed runs produce
-// bit-identical traces.
-#ifndef SRC_OBS_REQUEST_TRACE_H_
-#define SRC_OBS_REQUEST_TRACE_H_
+// 0 means untraced. Tracing is off by default: every hook is one predictable
+// branch (on `enabled()` or on a zero handle). Everything runs on the
+// simulated clock, so same-seed runs produce bit-identical traces.
+#ifndef SRC_OBS_TRACER_H_
+#define SRC_OBS_TRACER_H_
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/net/kv_types.h"
 #include "src/obs/metric_registry.h"
@@ -153,6 +166,21 @@ inline constexpr uint64_t kRouteCacheHit = 1;
 inline constexpr uint64_t kRouteCacheMiss = 2;
 inline constexpr uint64_t kRouteEccDemotion = 3;
 
+// Timeline event name of a route.
+constexpr const char* RouteName(uint64_t route) {
+  switch (route) {
+    case kRoutePcie:
+      return "pcie";
+    case kRouteCacheHit:
+      return "hit";
+    case kRouteCacheMiss:
+      return "miss";
+    case kRouteEccDemotion:
+      return "ecc_demote";
+  }
+  return "unknown_route";
+}
+
 struct TraceSpan {
   SpanKind kind = SpanKind::kNetWire;
   SimTime start = 0;
@@ -168,7 +196,7 @@ constexpr uint64_t PsToNs(SimTime ps) {
 struct OpTrace {
   static constexpr SimTime kAbsent = ~SimTime{0};
 
-  uint64_t id = 0;          // (first wire sequence << 16) | op index
+  uint64_t id = 0;          // trace handle, minted by the tracer from 1 up
   Opcode opcode = Opcode::kGet;
   uint64_t sequence = 0;    // wire sequence of the first transmission
   uint32_t op_index = 0;    // position within that packet
@@ -287,13 +315,65 @@ class SloMonitor {
   std::function<void(const std::string&)> on_breach_;
 };
 
-// The tracer proper: owns live traces, hands out handles, routes completed
-// traces to the breakdown, the SLO monitor, and the flight recorder.
-class RequestTracer {
+// One argument of a timeline event. The key must outlive the tracer (a
+// string literal): records keep the pointer, never a copy.
+struct TraceArg {
+  const char* key;
+  uint64_t value;
+};
+
+inline constexpr size_t kMaxTraceArgs = 5;
+
+// One timeline record. Fixed size and owning no heap memory, so recording
+// never allocates; category and name must outlive the tracer (string
+// literals), like TraceArg keys.
+struct TraceEvent {
+  SimTime start = 0;     // picoseconds of simulated time
+  SimTime duration = 0;  // 'X' only
+  const char* category = "";
+  const char* name = "";
+  char phase = 'i';      // 'X' complete (start+duration), 'i' instant
+  uint8_t num_args = 0;
+  std::array<TraceArg, kMaxTraceArgs> args{};
+};
+
+// Appends "args":{key:value,...} to the open JSON object when the event has
+// arguments (shared by the Chrome export and flight dumps).
+void AppendEventArgsJson(const TraceEvent& event, JsonWriter& json);
+
+// The op-trace side of a timeline interval, for hooks where both views
+// describe the same thing: the interval is also recorded on op `handle`
+// (when nonzero) as a typed span, or as a checkpoint stamped now.
+struct OpMark {
+  static OpMark Span(uint64_t handle, SpanKind kind, uint64_t detail = 0) {
+    return {handle, false, kind, TracePoint::kClientSend, detail};
+  }
+  static OpMark Point(uint64_t handle, TracePoint point) {
+    return {handle, true, SpanKind::kNetWire, point, 0};
+  }
+
+  uint64_t handle = 0;
+  bool is_point = false;
+  SpanKind kind = SpanKind::kNetWire;
+  TracePoint point = TracePoint::kClientSend;
+  uint64_t detail = 0;
+};
+
+// Owns live op traces and the event ring, hands out handles, and routes
+// completed traces to the breakdown, the SLO monitor, and the flight
+// recorder.
+class Tracer {
  public:
-  explicit RequestTracer(Simulator& sim) : sim_(sim) {}
-  RequestTracer(const RequestTracer&) = delete;
-  RequestTracer& operator=(const RequestTracer&) = delete;
+  using Args = std::initializer_list<TraceArg>;
+
+  static constexpr size_t kDefaultMaxEvents = 1u << 16;
+  // Packet registrations kept for LookupOp; the oldest goes first.
+  static constexpr size_t kMaxPackets = 8192;
+
+  // `max_events` (at least 1) bounds the event ring.
+  explicit Tracer(Simulator& sim, size_t max_events = kDefaultMaxEvents);
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
@@ -305,8 +385,10 @@ class RequestTracer {
     on_complete_ = std::move(fn);
   }
 
-  // Creates a live trace and stamps kClientSend now. Returns the handle, or
-  // 0 when tracing is disabled or the live table is full.
+  // --- per-operation traces ---
+
+  // Creates a live trace and stamps kClientSend now. Returns a fresh handle,
+  // or 0 when tracing is disabled or the live table is full.
   uint64_t Start(Opcode opcode, uint64_t sequence, uint32_t op_index);
 
   // Stamps `point` at the current simulated time. First write wins, so
@@ -329,7 +411,8 @@ class RequestTracer {
 
   // Client side: associates a wire sequence with the handles of the ops it
   // carries (in payload order). Re-registering under a new sequence is how
-  // busy-retries keep their identity across re-sends.
+  // busy-retries keep their identity across re-sends. At capacity the entry
+  // registered first is evicted, whichever client registered it.
   void RegisterPacket(uint64_t sequence, const std::vector<uint64_t>& handles);
 
   // Server side: handle of op `op_index` in the packet with `sequence`, or 0.
@@ -337,12 +420,40 @@ class RequestTracer {
   uint64_t LookupOp(uint64_t sequence, size_t op_index) const;
 
   const OpTrace* Live(uint64_t handle) const;
-  // Live traces in ascending handle order (deterministic).
+  // Live traces in ascending handle (= start) order (deterministic).
   std::vector<const OpTrace*> LiveTraces() const;
 
   uint64_t started() const { return started_; }
   uint64_t finished() const { return finished_; }
+  // Trace records dropped at the live-table and per-op span bounds.
   uint64_t dropped() const { return dropped_; }
+
+  // --- timeline ---
+
+  // Point event at the current simulated time.
+  void Instant(const char* category, const char* name, Args args = {});
+
+  // Interval event [start, end] (end >= start; zero-length intervals are
+  // legal and render as slivers), also recorded on `op`'s trace.
+  void Complete(const char* category, const char* name, SimTime start,
+                SimTime end, Args args = {}, OpMark op = {});
+
+  // Events in the ring, oldest first: Event(0) .. Event(num_events() - 1).
+  size_t num_events() const { return events_.size(); }
+  const TraceEvent& Event(size_t i) const {
+    return events_[(next_event_ + i) % events_.size()];
+  }
+  // Events overwritten because the ring was full.
+  uint64_t dropped_events() const { return dropped_events_; }
+
+  // Chrome trace-event JSON object format:
+  // {"traceEvents":[...],"displayTimeUnit":"ns"}. Timestamps are emitted in
+  // microseconds (the format's unit), with sub-microsecond precision kept as
+  // fractions.
+  std::string ToChromeTraceJson() const;
+
+  // Writes ToChromeTraceJson() to `path`.
+  Status WriteChromeTrace(const std::string& path) const;
 
   // kvd_trace_started/finished/dropped counters.
   void RegisterMetrics(MetricRegistry& registry);
@@ -352,20 +463,30 @@ class RequestTracer {
   // as drops rather than aborting the run.
   static constexpr size_t kMaxLive = 1u << 16;
   static constexpr size_t kMaxSpansPerOp = 4096;
-  static constexpr size_t kMaxPackets = 8192;
+
+  void Record(char phase, const char* category, const char* name,
+              SimTime start, SimTime duration, Args args);
 
   Simulator& sim_;
   bool enabled_ = false;
+  uint64_t next_handle_ = 1;
   uint64_t started_ = 0;
   uint64_t finished_ = 0;
   uint64_t dropped_ = 0;
   std::map<uint64_t, OpTrace> live_;
-  std::map<uint64_t, std::vector<uint64_t>> packet_ops_;
+  std::unordered_map<uint64_t, std::vector<uint64_t>> packet_ops_;
+  std::deque<uint64_t> packet_order_;  // registration order, for eviction
   LatencyBreakdown* breakdown_ = nullptr;
   SloMonitor* slo_ = nullptr;
   std::function<void(const OpTrace&)> on_complete_;
+
+  // The ring grows to max_events_ records, then overwrites the oldest.
+  size_t max_events_;
+  std::vector<TraceEvent> events_;
+  size_t next_event_ = 0;  // oldest record once the ring is full
+  uint64_t dropped_events_ = 0;
 };
 
 }  // namespace kvd
 
-#endif  // SRC_OBS_REQUEST_TRACE_H_
+#endif  // SRC_OBS_TRACER_H_

@@ -19,11 +19,11 @@ DmaEngine::DmaEngine(Simulator& sim, const DmaEngineConfig& config)
   }
 }
 
-PcieLink& DmaEngine::PickLink(uint64_t address) {
+uint32_t DmaEngine::PickLink(uint64_t address) const {
   // Interleave by 64 B line so both links carry equal load regardless of the
   // KVS layout (hash index low addresses, slab heap high addresses).
   const uint64_t line = address / kCacheLineBytes;
-  return *links_[Mix64(line) % links_.size()];
+  return static_cast<uint32_t>(Mix64(line) % links_.size());
 }
 
 void DmaEngine::Read(uint64_t address, uint32_t bytes, std::function<void()> done,
@@ -60,13 +60,15 @@ void DmaEngine::SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_acce
                               uint32_t attempt, uint64_t trace,
                               std::function<void()> on_done) {
   const SimTime start = sim_.Now();
-  PickLink(address).SubmitRead(
+  const uint32_t link = PickLink(address);
+  links_[link]->SubmitRead(
       bytes, random_access,
-      [this, address, bytes, random_access, attempt, trace, start,
+      [this, address, bytes, random_access, attempt, trace, start, link,
        on_done = std::move(on_done)]() mutable {
-        if (trace != 0 && request_tracer_ != nullptr) {
-          request_tracer_->Span(trace, SpanKind::kDmaTlp, start, sim_.Now(),
-                                bytes);
+        if (tracer_ != nullptr && tracer_->enabled()) {
+          tracer_->Complete("pcie", "dma_read", start, sim_.Now(),
+                            {{"link", link}, {"bytes", bytes}},
+                            OpMark::Span(trace, SpanKind::kDmaTlp, bytes));
         }
         if (fault_ != nullptr &&
             fault_->ShouldInject(FaultSite::kPcieReadCompletion)) {
@@ -87,12 +89,14 @@ void DmaEngine::SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_acce
 void DmaEngine::SubmitWriteTlp(uint64_t address, uint32_t bytes, uint32_t attempt,
                                uint64_t trace, std::function<void()> on_done) {
   const SimTime start = sim_.Now();
-  PickLink(address).SubmitWrite(
-      bytes, [this, address, bytes, attempt, trace, start,
+  const uint32_t link = PickLink(address);
+  links_[link]->SubmitWrite(
+      bytes, [this, address, bytes, attempt, trace, start, link,
               on_done = std::move(on_done)]() mutable {
-        if (trace != 0 && request_tracer_ != nullptr) {
-          request_tracer_->Span(trace, SpanKind::kDmaTlp, start, sim_.Now(),
-                                bytes);
+        if (tracer_ != nullptr && tracer_->enabled()) {
+          tracer_->Complete("pcie", "dma_write", start, sim_.Now(),
+                            {{"link", link}, {"bytes", bytes}},
+                            OpMark::Span(trace, SpanKind::kDmaTlp, bytes));
         }
         if (fault_ != nullptr &&
             fault_->ShouldInject(FaultSite::kPcieWriteCompletion)) {
@@ -150,12 +154,6 @@ void DmaEngine::RegisterMetrics(MetricRegistry& registry) const {
                          [this] { return static_cast<double>(read_tags_.peak_in_use()); });
   for (const auto& link : links_) {
     link->RegisterMetrics(registry);
-  }
-}
-
-void DmaEngine::SetTracer(EventTracer* tracer) {
-  for (auto& link : links_) {
-    link->SetTracer(tracer);
   }
 }
 

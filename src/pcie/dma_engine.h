@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/fault/fault_injector.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/pcie/pcie_link.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
@@ -47,11 +47,11 @@ class DmaEngine {
 
   const DmaEngineConfig& config() const { return config_; }
 
-  // Registers engine-level counters plus every link's metrics; forwards the
-  // tracer to the links.
+  // Registers engine-level counters plus every link's metrics.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer);
-  void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
+  // Each TLP attempt becomes one "pcie" timeline interval, which is also a
+  // kDmaTlp span of the op it serves.
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
   // Attaches fault injection for transient completion errors; each failed
   // TLP re-runs through the link (holding its tag) with a bounded budget.
   void SetFaultInjector(FaultInjector* injector) { fault_ = injector; }
@@ -69,7 +69,7 @@ class DmaEngine {
   LatencyHistogram AggregateReadLatency() const;
 
  private:
-  PcieLink& PickLink(uint64_t address);
+  uint32_t PickLink(uint64_t address) const;
   // One TLP transmission; on an injected transient completion error, re-runs
   // itself with `attempt + 1` until the budget is spent.
   void SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_access,
@@ -81,7 +81,7 @@ class DmaEngine {
   Simulator& sim_;
   DmaEngineConfig config_;
   FaultInjector* fault_ = nullptr;
-  RequestTracer* request_tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<PcieLink>> links_;
   TokenPool read_tags_;
   uint64_t reads_issued_ = 0;

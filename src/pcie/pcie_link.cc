@@ -70,10 +70,6 @@ void PcieLink::SubmitRead(uint32_t payload_bytes, bool random_access,
       sim_.ScheduleAt(completion_arrival, [this, payload_bytes, issue_time,
                                            done = std::move(done)] {
         read_latency_.Add((sim_.Now() - issue_time) / kNanosecond);
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Complete("pcie", name_ + "/dma_read", issue_time, sim_.Now(),
-                            {{"bytes", payload_bytes}});
-        }
         done();
       });
     });
@@ -84,12 +80,7 @@ void PcieLink::SubmitWrite(uint32_t payload_bytes, std::function<void()> done) {
   KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
   posted_credits_.Acquire(1, [this, payload_bytes, done = std::move(done)]() mutable {
     write_tlps_++;
-    const SimTime issue_time = sim_.Now();
     const SimTime on_wire = SerializeUpstream(config_.tlp_header_bytes + payload_bytes);
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Complete("pcie", name_ + "/dma_write", issue_time, on_wire,
-                        {{"bytes", payload_bytes}});
-    }
     // Posted semantics: complete at the requester once the TLP is sent.
     sim_.ScheduleAt(on_wire, std::move(done));
     sim_.ScheduleAt(on_wire + config_.host_consume_latency,

@@ -22,7 +22,6 @@
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
@@ -56,9 +55,8 @@ class PcieLink {
   const PcieLinkConfig& config() const { return config_; }
 
   // Observability: wire counters and the read-latency histogram, labelled
-  // with this link's name. DMA TLP trace events when a tracer is attached.
+  // with this link's name.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
 
   // Wire-level statistics.
   uint64_t read_tlps() const { return read_tlps_; }
@@ -76,7 +74,6 @@ class PcieLink {
   PcieLinkConfig config_;
   std::string name_;
   Rng rng_;
-  EventTracer* tracer_ = nullptr;
   double picos_per_byte_;
 
   // Each direction is a serial wire: TLPs occupy it back to back.

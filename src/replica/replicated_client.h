@@ -133,7 +133,7 @@ class ReplicatedClient : public GroupRouter {
   void Route(Packet& packet) override;
   void Wire(const PacketPtr& packet) override;
   void OnSent(const PacketPtr& packet) override;
-  RequestTracer* tracer() override { return &group_.request_tracer(); }
+  Tracer* tracer() override { return &group_.tracer(); }
   // Wires the packet to `target`; `hedge` marks the duplicate copy so its
   // response can be credited as a hedge win.
   void Transmit(const PacketPtr& packet, uint32_t target, bool hedge);

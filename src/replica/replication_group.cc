@@ -33,23 +33,21 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   KVD_CHECK_MSG(config_.EffectiveQuorum() >= 1 &&
                     config_.EffectiveQuorum() <= config_.num_replicas,
                 "quorum must fit the replica count");
-  tracer_.set_enabled(config_.enable_tracing);
   fault_ = std::make_unique<FaultInjector>(config_.faults);
   fault_->SetTracer(&tracer_);
 
   // One tracer/recorder pair for the whole group: a write's trace spans the
   // primary's pipeline, the replication links, and the quorum wait, and must
   // survive a mid-flight failover to another replica's server.
-  request_tracer_.set_enabled(config_.enable_request_tracing);
-  request_tracer_.SetBreakdown(&breakdown_);
+  tracer_.set_enabled(config_.enable_request_tracing);
+  tracer_.SetBreakdown(&breakdown_);
   slo_monitor_.Configure(config_.slo);
-  request_tracer_.SetSloMonitor(&slo_monitor_);
+  tracer_.SetSloMonitor(&slo_monitor_);
   flight_recorder_.Configure(config_.flight);
   flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
+  flight_recorder_.SetTracer(&tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
-  request_tracer_.set_on_complete(
+  tracer_.set_on_complete(
       [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
   slo_monitor_.set_on_breach([this](const std::string& detail) {
     flight_recorder_.Trigger(FlightTrigger::kSloBreach, detail);
@@ -64,13 +62,12 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
     auto rep = std::make_unique<Replica>();
     rep->id = id;
     rep->server = std::make_unique<KvDirectServer>(server_config, &sim_);
-    rep->server->UseRequestTracer(&request_tracer_);
+    rep->server->UseTracer(&tracer_);
     rep->server->UseFlightRecorder(&flight_recorder_);
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
     rep->repl_net->SetTracer(&tracer_);
-    rep->repl_net->SetRequestTracer(&request_tracer_);
     rep->endpoint = std::make_unique<FrameEndpoint>(
         sim_, ReplayCache::Config{config_.replay_cache_entries,
                                   config_.replay_retain_time});
@@ -95,7 +92,7 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   fault_->RegisterMetrics(metrics_);
   if (config_.enable_request_tracing) {
     // Keep the default exposition unchanged when tracing is off.
-    request_tracer_.RegisterMetrics(metrics_);
+    tracer_.RegisterMetrics(metrics_);
     breakdown_.RegisterMetrics(metrics_);
     slo_monitor_.RegisterMetrics(metrics_);
     flight_recorder_.RegisterMetrics(metrics_);
@@ -338,13 +335,13 @@ void ReplicationGroup::HandleClientRequest(
     return;
   }
 
-  if (request_tracer_.enabled()) {
+  if (tracer_.enabled()) {
     // The handles were registered by the replicated client under this
     // sequence; the lookup is non-consuming, so redirects and retransmits
     // resolve to the same trace on whichever replica they land.
     for (size_t i = 0; i < ops.size(); i++) {
       ops[i].trace =
-          request_tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
+          tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
     }
   }
 
@@ -396,7 +393,7 @@ void ReplicationGroup::HandleClientRequest(
       return;
     }
     for (const KvOperation& op : ops) {
-      request_tracer_.Point(op.trace, TracePoint::kServerReceive);
+      tracer_.Point(op.trace, TracePoint::kServerReceive);
     }
     if (request.has_route && load_listener_) {
       load_listener_(request.partition, static_cast<uint32_t>(ops.size()),
@@ -421,7 +418,7 @@ void ReplicationGroup::HandleClientRequest(
     return;
   }
   for (const KvOperation& op : ops) {
-    request_tracer_.Point(op.trace, TracePoint::kServerReceive);
+    tracer_.Point(op.trace, TracePoint::kServerReceive);
   }
   if (request.has_route && load_listener_) {
     load_listener_(request.partition, static_cast<uint32_t>(ops.size()), false);
@@ -587,12 +584,12 @@ void ReplicationGroup::RespondWrite(
     commit_wait_ns_.Add(
         static_cast<uint64_t>((sim_.Now() - appended_at) / kNanosecond));
   }
-  if (request_tracer_.enabled()) {
+  if (tracer_.enabled()) {
     for (size_t i = 0; i < results.size(); i++) {
       const uint64_t handle =
-          request_tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
-      request_tracer_.Point(handle, TracePoint::kReplCommit);
-      request_tracer_.Point(handle, TracePoint::kResponseSent);
+          tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
+      tracer_.Point(handle, TracePoint::kReplCommit);
+      tracer_.Point(handle, TracePoint::kResponseSent);
     }
   }
   GroupResponse resp;
@@ -609,7 +606,7 @@ void ReplicationGroup::RespondWrite(
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
                                             uint16_t slot, const KvOperation& op,
                                             const KvResultMessage& result) {
-  request_tracer_.Point(op.trace, TracePoint::kReplAppend);
+  tracer_.Point(op.trace, TracePoint::kReplAppend);
   LogEntry entry;
   entry.epoch = rep.current_epoch;
   entry.client_sequence = sequence;
@@ -997,13 +994,13 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
   stats_.appends_sent++;
   stats_.entries_shipped += msg.entries.size();
   std::vector<uint64_t> traces;
-  if (request_tracer_.enabled()) {
+  if (tracer_.enabled()) {
     for (const LogEntry& entry : msg.entries) {
       if (entry.client_sequence == 0) {
         continue;  // promotion barrier
       }
       const uint64_t handle =
-          request_tracer_.LookupOp(entry.client_sequence, entry.slot);
+          tracer_.LookupOp(entry.client_sequence, entry.slot);
       if (handle != 0) {
         traces.push_back(handle);
       }

@@ -125,12 +125,12 @@ struct ReplicationConfig {
   // Replicated session-result records kept (oldest evicted first).
   uint32_t session_entries = 1u << 16;
 
-  bool enable_tracing = false;
-
-  // Group-level request tracing: one RequestTracer/FlightRecorder pair shared
-  // by every replica (the per-server ones are bypassed), so a write's trace
-  // follows it from the client through the primary's pipeline, the log, the
-  // replication links, and the quorum wait. Off by default.
+  // Group-level tracing: one Tracer/FlightRecorder pair shared by every
+  // replica (the per-server ones are bypassed), so a write's trace follows
+  // it from the client through the primary's pipeline, the log, the
+  // replication links, and the quorum wait, and every replica's hardware
+  // events share one timeline with the group's protocol events (elections,
+  // crashes, promotions). Off by default.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -257,9 +257,8 @@ class ReplicationGroup {
   KvDirectServer& replica(uint32_t id) { return *replicas_[id]->server; }
   Simulator& simulator() { return sim_; }
   const MetricRegistry& metrics() const { return metrics_; }
-  EventTracer& tracer() { return tracer_; }
+  Tracer& tracer() { return tracer_; }
   FaultInjector& faults() { return *fault_; }
-  RequestTracer& request_tracer() { return request_tracer_; }
   FlightRecorder& flight_recorder() { return flight_recorder_; }
   LatencyBreakdown& breakdown() { return breakdown_; }
   SloMonitor& slo_monitor() { return slo_monitor_; }
@@ -528,8 +527,7 @@ class ReplicationGroup {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  EventTracer tracer_{sim_};
-  RequestTracer request_tracer_{sim_};
+  Tracer tracer_{sim_};
   LatencyBreakdown breakdown_;
   SloMonitor slo_monitor_{sim_};
   FlightRecorder flight_recorder_{sim_};

@@ -103,8 +103,8 @@ std::vector<KvResultMessage> BatchClient::Flush() {
   return TakeResults();
 }
 
-RequestTracer* BatchClient::ActiveTracer() {
-  RequestTracer* rt = tracer();
+Tracer* BatchClient::ActiveTracer() {
+  Tracer* rt = tracer();
   return rt != nullptr && rt->enabled() ? rt : nullptr;
 }
 
@@ -149,7 +149,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
     packet->sequence = next_sequence_++;
     Route(*packet);
     Reframe(*packet);
-    if (RequestTracer* rt = ActiveTracer()) {
+    if (Tracer* rt = ActiveTracer()) {
       // First send starts the trace; a busy re-send keeps its handle and
       // re-registers it under the new wire sequence so the server-side
       // lookup still resolves.
@@ -179,7 +179,7 @@ void BatchClient::Reframe(Packet& packet) {
 }
 
 void BatchClient::TraceAttempt(const Packet& packet) {
-  RequestTracer* rt = ActiveTracer();
+  Tracer* rt = ActiveTracer();
   if (rt == nullptr) {
     return;
   }
@@ -221,7 +221,7 @@ bool BatchClient::Complete(const PacketPtr& packet,
     return false;
   }
   packet->completed = true;
-  if (RequestTracer* rt = ActiveTracer()) {
+  if (Tracer* rt = ActiveTracer()) {
     for (size_t i = 0; i < packet->traces.size(); i++) {
       const ResultCode code = results[packet->slots[i]].code;
       if (router_.busy_rounds > 0 && IsBusy(code)) {
@@ -257,7 +257,7 @@ void BatchClient::OnFail(const PacketPtr& packet) {
   for (const size_t slot : packet->slots) {
     packet->flush->results[slot] = failed;
   }
-  if (RequestTracer* rt = ActiveTracer()) {
+  if (Tracer* rt = ActiveTracer()) {
     for (const uint64_t handle : packet->traces) {
       rt->Finish(handle, packet->fail_code);
     }
@@ -277,7 +277,7 @@ void BatchClient::EndBusyRound(const std::shared_ptr<FlushState>& flush) {
   // packet already executed and must not run twice. An op whose deadline has
   // passed gives up as kDeadlineExceeded instead. Only the round just ended
   // can hold busy codes, so scanning every slot finds exactly its bounces.
-  RequestTracer* rt = ActiveTracer();
+  Tracer* rt = ActiveTracer();
   std::vector<size_t> busy;
   for (size_t slot = 0; slot < flush->results.size(); slot++) {
     KvResultMessage& result = flush->results[slot];
@@ -316,7 +316,7 @@ void BatchClient::EndBusyRound(const std::shared_ptr<FlushState>& flush) {
   flush->outstanding++;  // the backoff holds the flush open
   const SimTime backoff_start = sim_.Now();
   sim_.Schedule(backoff, [this, flush, busy = std::move(busy), backoff_start] {
-    if (RequestTracer* retry_tracer = ActiveTracer()) {
+    if (Tracer* retry_tracer = ActiveTracer()) {
       for (const size_t slot : busy) {
         retry_tracer->Span(flush->traces[slot], SpanKind::kBusyRetry, backoff_start,
                            sim_.Now(), flush->busy_round);

@@ -28,7 +28,7 @@
 
 #include "src/common/units.h"
 #include "src/net/kv_types.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 #include "src/transport/kv_endpoint.h"
 #include "src/transport/reliable_sender.h"
@@ -133,7 +133,7 @@ class BatchClient : public KvEndpoint {
   // Runs after a packet's first transmission.
   virtual void OnSent(const PacketPtr& /*packet*/) {}
   // Where this client's requests are traced; nullptr = untraced.
-  virtual RequestTracer* tracer() { return nullptr; }
+  virtual Tracer* tracer() { return nullptr; }
 
   // --- core services for routers ---
   // Admits a framed response (dedup, checksum, sequence echo) and hands its
@@ -163,7 +163,7 @@ class BatchClient : public KvEndpoint {
   void PacketDone(const std::shared_ptr<FlushState>& flush);
   // All of a round's packets are answered: re-send its busy operations.
   void EndBusyRound(const std::shared_ptr<FlushState>& flush);
-  RequestTracer* ActiveTracer();
+  Tracer* ActiveTracer();
 
   Simulator& sim_;
   Options options_;

@@ -1,7 +1,7 @@
 // Tests for src/obs: the JSON writer, the metric registry and its three
-// exposition formats, the simulated-time sampler, and the event tracer with
-// Chrome trace export — plus an end-to-end YCSB-B run through KvDirectServer
-// exporting all of them.
+// exposition formats, the simulated-time sampler, and the tracer's event
+// timeline with Chrome trace export — plus an end-to-end YCSB-B run through
+// KvDirectServer exporting all of them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,10 +11,10 @@
 
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/time_series_sampler.h"
+#include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
 
@@ -187,18 +187,18 @@ TEST(TimeSeriesSamplerTest, MaxSamplesLeavesQueueDrainable) {
   EXPECT_EQ(sampler.samples().size(), 5u);
 }
 
-TEST(EventTracerTest, DisabledRecordsNothing) {
+TEST(TracerTimelineTest, DisabledRecordsNothing) {
   Simulator sim;
-  EventTracer tracer(sim);
+  Tracer tracer(sim);
   EXPECT_FALSE(tracer.enabled());
   tracer.Instant("cat", "evt");
   tracer.Complete("cat", "span", 0, 100);
-  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.num_events(), 0u);
 }
 
-TEST(EventTracerTest, ChromeTraceShape) {
+TEST(TracerTimelineTest, ChromeTraceShape) {
   Simulator sim;
-  EventTracer tracer(sim);
+  Tracer tracer(sim);
   tracer.set_enabled(true);
   sim.Schedule(2 * kMicrosecond, [&] {
     tracer.Instant("station", "park", {{"slot", 3}});
@@ -206,7 +206,7 @@ TEST(EventTracerTest, ChromeTraceShape) {
   sim.RunUntilIdle();
   tracer.Complete("pcie", "dma_read", kMicrosecond, 3 * kMicrosecond,
                   {{"bytes", 64}});
-  ASSERT_EQ(tracer.size(), 2u);
+  ASSERT_EQ(tracer.num_events(), 2u);
 
   const std::string json = tracer.ToChromeTraceJson();
   // Track metadata: one named lane per category.
@@ -225,23 +225,25 @@ TEST(EventTracerTest, ChromeTraceShape) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
 }
 
-TEST(EventTracerTest, BoundedBufferDropsNewest) {
+// The ring keeps the newest events: once full, each record overwrites the
+// oldest one, and the overwrites are counted as dropped.
+TEST(TracerTimelineTest, BoundedRingDropsOldest) {
   Simulator sim;
-  EventTracer tracer(sim, /*max_events=*/3);
+  Tracer tracer(sim, /*max_events=*/3);
   tracer.set_enabled(true);
-  for (int i = 0; i < 5; i++) {
-    tracer.Instant("cat", "evt");
+  for (uint64_t i = 0; i < 5; i++) {
+    tracer.Instant("cat", "evt", {{"i", i}});
   }
-  EXPECT_EQ(tracer.size(), 3u);
-  EXPECT_EQ(tracer.dropped(), 2u);
-  tracer.Clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(tracer.num_events(), 3u);
+  EXPECT_EQ(tracer.dropped_events(), 2u);
+  for (size_t i = 0; i < 3; i++) {
+    EXPECT_EQ(tracer.Event(i).args[0].value, i + 2);  // oldest first
+  }
 }
 
-TEST(EventTracerTest, WriteChromeTraceSmoke) {
+TEST(TracerTimelineTest, WriteChromeTraceSmoke) {
   Simulator sim;
-  EventTracer tracer(sim);
+  Tracer tracer(sim);
   tracer.set_enabled(true);
   tracer.Complete("net", "packet", 0, kMicrosecond);
   const std::string path = ::testing::TempDir() + "/obs_trace.json";
@@ -261,7 +263,7 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   ServerConfig config;
   config.kvs_memory_bytes = 4 * kMiB;
   config.nic_dram.capacity_bytes = 512 * kKiB;
-  config.enable_tracing = true;
+  config.enable_request_tracing = true;
   KvDirectServer server(config);
 
   WorkloadConfig wl;
@@ -322,7 +324,7 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   EXPECT_NE(sampler.ToJson().find("kvd_proc_retired_total"), std::string::npos);
 
   // The trace captured hardware events across categories.
-  EXPECT_GT(server.tracer().size(), 0u);
+  EXPECT_GT(server.tracer().num_events(), 0u);
   const std::string trace = server.tracer().ToChromeTraceJson();
   for (const char* category : {"pcie", "dispatch", "station", "proc", "net"}) {
     EXPECT_NE(trace.find("{\"name\":\"" + std::string(category) + "\"}"),

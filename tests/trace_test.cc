@@ -6,7 +6,8 @@
 // interval), flight-recorder triggers (ECC demotion, primary crash, kBusy
 // bursts, SLO breaches) firing exactly once per cause, same-seed bit-identical
 // dumps, fuzz-style negative parsing of dump JSON, exact histogram merging,
-// and EventTracer drop surfacing.
+// trace-handle and packet-table bounds shared across clients, and the event
+// ring's overwrite surfacing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@
 #include "src/core/multi_nic.h"
 #include "src/fault/fault_injector.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/tracer.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
 
@@ -134,12 +135,62 @@ TEST(RequestTraceTest, TracingIsOffByDefault) {
   Client client(server);
   ASSERT_TRUE(client.Put(Key(1), U64Value(7)).ok());
   ASSERT_TRUE(client.Get(Key(1)).ok());
-  EXPECT_FALSE(server.request_tracer().enabled());
-  EXPECT_EQ(server.request_tracer().started(), 0u);
+  EXPECT_FALSE(server.tracer().enabled());
+  EXPECT_EQ(server.tracer().started(), 0u);
   EXPECT_EQ(server.breakdown().recorded(), 0u);
   // The trace metric families stay out of the default exposition.
   EXPECT_EQ(server.metrics().PrometheusText().find("kvd_trace_"),
             std::string::npos);
+}
+
+// Clients get disjoint 2^40-sequence spaces (KvDirectServer hands out
+// `id << 40`), and one tracer serves them all: every Start must mint a
+// distinct, nonzero handle whatever sequence the op rides on.
+TEST(TracerHandleTest, HandlesAreUniqueAcrossClientSequenceSpaces) {
+  Simulator sim;
+  Tracer tracer(sim);
+  tracer.set_enabled(true);
+  const uint64_t client1 = tracer.Start(Opcode::kGet, 1ull << 40, 0);
+  const uint64_t client257 = tracer.Start(Opcode::kGet, 257ull << 40, 0);
+  const uint64_t client256 = tracer.Start(Opcode::kGet, 256ull << 40, 0);
+  // Cluster clients mark their sequences with bit 63.
+  const uint64_t cluster = tracer.Start(Opcode::kGet, (1ull << 63) | 1, 0);
+  const uint64_t plain = tracer.Start(Opcode::kGet, 1, 0);
+  const std::vector<uint64_t> handles = {client1, client257, client256, cluster,
+                                         plain};
+  for (size_t i = 0; i < handles.size(); i++) {
+    EXPECT_NE(handles[i], 0u) << i;
+    for (size_t j = i + 1; j < handles.size(); j++) {
+      EXPECT_NE(handles[i], handles[j]) << i << " vs " << j;
+    }
+  }
+  EXPECT_EQ(tracer.LiveTraces().size(), handles.size());
+  EXPECT_EQ(tracer.started(), handles.size());
+  // Each trace keeps the wire identity it started on.
+  ASSERT_NE(tracer.Live(client257), nullptr);
+  EXPECT_EQ(tracer.Live(client257)->sequence, 257ull << 40);
+}
+
+// A full packet table evicts the registration that arrived first, not the
+// smallest sequence: with two clients the smallest sequence belongs to the
+// lower client id, whose newest packet must still resolve server-side.
+TEST(TracerHandleTest, PacketTableEvictsInRegistrationOrderAcrossClients) {
+  Simulator sim;
+  Tracer tracer(sim);
+  tracer.set_enabled(true);
+  const uint64_t client1 = 1ull << 40;
+  const uint64_t client2 = 2ull << 40;
+  for (uint64_t i = 0; i < Tracer::kMaxPackets; i++) {
+    tracer.RegisterPacket(client2 + i, {i + 1});
+  }
+  tracer.RegisterPacket(client1, {777});
+  tracer.RegisterPacket(client2 + Tracer::kMaxPackets, {888});
+  EXPECT_EQ(tracer.LookupOp(client1, 0), 777u);
+  EXPECT_EQ(tracer.LookupOp(client2 + Tracer::kMaxPackets, 0), 888u);
+  // The two oldest registrations made room.
+  EXPECT_EQ(tracer.LookupOp(client2, 0), 0u);
+  EXPECT_EQ(tracer.LookupOp(client2 + 1, 0), 0u);
+  EXPECT_EQ(tracer.LookupOp(client2 + 2, 0), 3u);
 }
 
 TEST(RequestTraceTest, SpansNestInsideStagesInsideEndToEnd) {
@@ -163,7 +214,7 @@ TEST(RequestTraceTest, SpansNestInsideStagesInsideEndToEnd) {
   for (const auto& r : results) {
     EXPECT_EQ(r.code, ResultCode::kOk);
   }
-  EXPECT_EQ(server.request_tracer().finished(), 32u);
+  EXPECT_EQ(server.tracer().finished(), 32u);
   EXPECT_EQ(server.breakdown().recorded(), 32u);
 
   ASSERT_TRUE(server.flight_recorder().Trigger(FlightTrigger::kManual, "test"));
@@ -323,6 +374,42 @@ TEST(ReplicatedTraceTest, WriteTracesCarryReplicationStages) {
       group.metrics().HistogramValue("kvd_repl_commit_wait_ns").has_value());
 }
 
+// One knob traces the whole group: every replica's hardware events land in
+// the group's single timeline, next to the group's protocol events.
+TEST(ReplicatedTraceTest, GroupTimelineHoldsReplicaHardwareAndProtocolEvents) {
+  ReplicationConfig config = TracedGroupConfig();
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  for (uint64_t k = 0; k < 32; k++) {
+    ASSERT_TRUE(client.Put(Key(k), U64Value(k)).ok());
+  }
+  group.CrashReplica(0);
+  Simulator& sim = group.simulator();
+  sim.RunUntil(sim.Now() + 5 * kMillisecond);
+  for (uint64_t k = 0; k < 32; k++) {
+    ASSERT_TRUE(client.Get(Key(k)).ok());
+  }
+  EXPECT_GE(group.stats().failovers, 1u);
+
+  const std::string trace = group.tracer().ToChromeTraceJson();
+  for (const char* category :
+       {"pcie", "dispatch", "nic_dram", "station", "proc", "net", "replica"}) {
+    EXPECT_NE(trace.find("{\"name\":\"" + std::string(category) + "\"}"),
+              std::string::npos)
+        << category;
+  }
+  for (const char* event : {"crash", "election", "promote"}) {
+    EXPECT_NE(trace.find("\"name\":\"" + std::string(event) +
+                         "\",\"cat\":\"replica\""),
+              std::string::npos)
+        << event;
+  }
+  // No replica keeps a timeline of its own.
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(&group.replica(id).tracer(), &group.tracer());
+  }
+}
+
 // --- flight-recorder triggers ---
 
 TEST(FlightRecorderTest, EccDemotionTriggersExactlyOneDump) {
@@ -382,6 +469,35 @@ TEST(FlightRecorderTest, EccDemotionTriggersExactlyOneDump) {
   EXPECT_TRUE(demoted_span);
 }
 
+// Once the event ring is full, a dump's trailing window must still show the
+// newest events, not the ones recorded when the ring filled up.
+TEST(FlightRecorderTest, EventWindowFollowsTheRingAfterItFills) {
+  Simulator sim;
+  Tracer tracer(sim, /*max_events=*/4);
+  tracer.set_enabled(true);
+  FlightRecorder flight(sim);
+  FlightRecorderConfig config;
+  config.event_window = 2;
+  flight.Configure(config);
+  flight.set_enabled(true);
+  flight.SetTracer(&tracer);
+  constexpr const char* kNames[] = {"e0", "e1", "e2", "e3", "e4",
+                                    "e5", "e6", "e7", "e8", "e9"};
+  for (const char* name : kNames) {
+    tracer.Instant("test", name);
+  }
+  ASSERT_TRUE(flight.Trigger(FlightTrigger::kManual, "window"));
+  const std::string& json = flight.dumps()[0].json;
+  const size_t e8 = json.find("\"name\":\"e8\"");
+  const size_t e9 = json.find("\"name\":\"e9\"");
+  ASSERT_NE(e8, std::string::npos);
+  ASSERT_NE(e9, std::string::npos);
+  EXPECT_LT(e8, e9);
+  EXPECT_EQ(json.find("\"name\":\"e7\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"e3\""), std::string::npos);
+  EXPECT_NE(json.find("\"dropped_events\":6"), std::string::npos);
+}
+
 // Scripted failover scenario shared by the trigger and determinism tests.
 struct FailoverRun {
   std::vector<FlightRecorder::Dump> dumps;
@@ -413,6 +529,25 @@ FailoverRun RunScriptedFailover(uint64_t seed) {
   }
   FailoverRun run;
   run.dumps = group.flight_recorder().dumps();
+  // The failover dump carries the timeline that led to it: the primary's
+  // crash, then the election it caused, both from the group's protocol.
+  for (const FlightRecorder::Dump& dump : run.dumps) {
+    if (dump.trigger != FlightTrigger::kFailover) {
+      continue;
+    }
+    const size_t crash = dump.json.find(
+        "{\"name\":\"crash\",\"cat\":\"replica\",\"ph\":\"i\"");
+    const size_t election = dump.json.find(
+        "{\"name\":\"election\",\"cat\":\"replica\",\"ph\":\"i\"");
+    EXPECT_NE(crash, std::string::npos);
+    EXPECT_NE(election, std::string::npos);
+    EXPECT_LT(crash, election);
+    if (crash != std::string::npos) {
+      const size_t end = dump.json.find('}', crash);
+      EXPECT_NE(dump.json.substr(crash, end - crash).find("\"args\":{\"replica\":0,"),
+                std::string::npos);
+    }
+  }
   run.breakdown_json = LatencyBreakdownReport::ToJson(group.breakdown());
   run.failovers = group.stats().failovers;
   return run;
@@ -614,23 +749,23 @@ TEST(ParseFlightDumpTest, OversizedSpanCountIsRejected) {
   EXPECT_FALSE(ParseFlightDump(json, &capped, /*max_spans=*/1).ok());
 }
 
-// --- EventTracer drop surfacing ---
+// --- event ring overwrite surfacing ---
 
-TEST(EventTracerDropTest, DropsAreCountedAndWarnedInTraceJson) {
+TEST(TracerEventRingTest, OverwritesAreCountedAndWarnedInTraceJson) {
   Simulator sim;
-  EventTracer tracer(sim, /*max_events=*/2);
+  Tracer tracer(sim, /*max_events=*/2);
   tracer.set_enabled(true);
   for (int i = 0; i < 5; i++) {
     tracer.Instant("test", "event");
   }
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 3u);
+  EXPECT_EQ(tracer.num_events(), 2u);
+  EXPECT_EQ(tracer.dropped_events(), 3u);
   const std::string json = tracer.ToChromeTraceJson();
   EXPECT_NE(json.find("\"dropped_events\":3"), std::string::npos);
-  EXPECT_NE(json.find("warning"), std::string::npos);
+  EXPECT_NE(json.find("oldest events were overwritten"), std::string::npos);
 }
 
-TEST(EventTracerDropTest, DroppedCounterIsRegistered) {
+TEST(TracerEventRingTest, DroppedCounterIsRegistered) {
   ServerConfig config;
   config.kvs_memory_bytes = 8 * kMiB;
   config.nic_dram.capacity_bytes = 1 * kMiB;
