@@ -10,8 +10,10 @@
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
-#   4. scripts/verify_asan.sh  — ASan+UBSan build, full suite;
-#   5. scripts/verify_ubsan.sh — pure-UBSan build, full suite.
+#   4. perfbench trajectory — the newest BENCH_perfbench.json row's
+#      fingerprints and final clocks must come out of this tree;
+#   5. scripts/verify_asan.sh  — ASan+UBSan build, full suite;
+#   6. scripts/verify_ubsan.sh — pure-UBSan build, full suite.
 #
 # The tier-1 stage runs first and alone decides pass/fail for correctness;
 # the sanitizer stages catch memory/UB bugs that the plain build hides.
@@ -127,6 +129,13 @@ for golden in fig16_throughput chaos replication overload rebalance; do
   cmp "bench/golden/${golden}.json" "${GOLDEN_TMP}/${golden}.json"
 done
 echo "golden rows byte-identical"
+
+echo "=== perfbench trajectory: newest BENCH_perfbench.json row reproduces ==="
+# One short perfbench pass per workload (Release build under .bench_build/):
+# the fingerprint and final simulated clock must match the newest row, so a
+# speed-up that moves a simulated bit fails here. Host fields are recorded,
+# not gated.
+python3 scripts/check_bench_trajectory.py
 
 if [[ "${KVD_CI_SKIP_SANITIZERS:-0}" == "1" ]]; then
   echo "ci pass (sanitizers skipped)"

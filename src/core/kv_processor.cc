@@ -39,6 +39,7 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
       config_(config),
       station_(config.ooo),
       cycle_(static_cast<SimTime>(std::llround(1e12 / config.clock_hz))),
+      inflight_(config.ooo.max_inflight),
       admission_(config.admission) {
   KVD_CHECK(config.clock_hz > 0);
 }
@@ -283,13 +284,15 @@ void KvProcessor::Pump() {
     }
     next_id_++;
 
-    Inflight inflight;
+    Inflight& inflight = inflight_.Insert(id);
     inflight.op = std::move(op);
     inflight.done = std::move(head.done);
     queue->pop_front();
+    inflight.next_access = 0;
     inflight.slot = slot;
     inflight.digest = kh.digest;
     inflight.submitted_at = sim_.Now();
+    inflight.parked_at = 0;
     if (inflight.op.trace != 0 && tracer_ != nullptr) {
       tracer_->Point(inflight.op.trace, TracePoint::kAdmit);
     }
@@ -305,7 +308,7 @@ void KvProcessor::Pump() {
     if (!inflight.op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }
-    inflight.trace = engine_.TakeTrace();
+    engine_.TakeTrace(inflight.trace);
     slot_bucket_address_[slot] = index_.BucketAddressFor(inflight.op.key);
     if (slab_sync_stats_ != nullptr) {
       // Slab-pool synchronizations triggered by this operation become DMA
@@ -333,36 +336,25 @@ void KvProcessor::Pump() {
     }
 
     switch (action) {
-      case ReservationStation::Action::kIssueToPipeline: {
+      case ReservationStation::Action::kIssueToPipeline:
         stats_.pipeline_ops++;
-        const uint64_t op_id = id;
-        auto [it, inserted] = inflight_.emplace(op_id, std::move(inflight));
-        KVD_CHECK(inserted);
-        sim_.ScheduleAt(NextCycleTime(), [this, op_id] { StepPipelineOp(op_id); });
+        sim_.ScheduleAt(NextCycleTime(), [this, id] { StepPipelineOp(id); });
         break;
-      }
-      case ReservationStation::Action::kFastPath: {
+      case ReservationStation::Action::kFastPath:
         stats_.fast_path_ops++;
-        const uint64_t op_id = id;
-        auto [it, inserted] = inflight_.emplace(op_id, std::move(inflight));
-        KVD_CHECK(inserted);
         // Retires in one clock cycle from the cached value; the slot may now
         // need a (new) write-back.
-        const uint16_t fast_slot = it->second.slot;
-        sim_.ScheduleAt(NextCycleTime(), [this, op_id, fast_slot] {
-          Retire(op_id);
+        sim_.ScheduleAt(NextCycleTime(), [this, id] {
+          const uint16_t fast_slot = inflight_.Find(id)->slot;
+          Retire(id);
           AdvanceSlot(fast_slot, slot_bucket_address_[fast_slot]);
         });
         break;
-      }
-      case ReservationStation::Action::kPark: {
+      case ReservationStation::Action::kPark:
         // Waits in the station chain; timing resumes at CompletePipeline or
         // TryIssueNext.
         inflight.parked_at = sim_.Now();
-        auto [it, inserted] = inflight_.emplace(id, std::move(inflight));
-        KVD_CHECK(inserted);
         break;
-      }
       case ReservationStation::Action::kRejectFull:
         KVD_CHECK(false);  // handled above
     }
@@ -370,37 +362,35 @@ void KvProcessor::Pump() {
 }
 
 void KvProcessor::StepPipelineOp(uint64_t id) {
-  auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  Inflight& inflight = it->second;
-  if (inflight.next_access >= inflight.trace.size()) {
+  Inflight* inflight = inflight_.Find(id);
+  KVD_CHECK(inflight != nullptr);
+  if (inflight->next_access >= inflight->trace.size()) {
     OnPipelineComplete(id);
     return;
   }
   // Accesses within one operation are dependent (bucket read before slab
   // read before write-back), so they run serially.
-  const AccessRecord access = inflight.trace[inflight.next_access++];
+  const AccessRecord access = inflight->trace[inflight->next_access++];
   dispatcher_.Access(access.kind, access.address, access.length,
-                     [this, id] { StepPipelineOp(id); }, inflight.op.trace);
+                     [this, id] { StepPipelineOp(id); }, inflight->op.trace);
 }
 
 void KvProcessor::RecordUnpark(uint64_t id) {
-  const auto it = inflight_.find(id);
-  if (it == inflight_.end()) {
+  Inflight* inflight = inflight_.Find(id);
+  if (inflight == nullptr) {
     return;
   }
-  Inflight& inflight = it->second;
-  if (inflight.parked_at != 0 && inflight.op.trace != 0 && tracer_ != nullptr) {
-    tracer_->Span(inflight.op.trace, SpanKind::kStationWait, inflight.parked_at,
-                  sim_.Now(), inflight.slot);
+  if (inflight->parked_at != 0 && inflight->op.trace != 0 && tracer_ != nullptr) {
+    tracer_->Span(inflight->op.trace, SpanKind::kStationWait, inflight->parked_at,
+                  sim_.Now(), inflight->slot);
   }
-  inflight.parked_at = 0;
+  inflight->parked_at = 0;
 }
 
 void KvProcessor::OnPipelineComplete(uint64_t id) {
-  const auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  const uint16_t slot = it->second.slot;
+  const Inflight* inflight = inflight_.Find(id);
+  KVD_CHECK(inflight != nullptr);
+  const uint16_t slot = inflight->slot;
   const uint64_t bucket_address = slot_bucket_address_[slot];
   Retire(id);
 
@@ -451,32 +441,39 @@ void KvProcessor::AdvanceSlot(uint16_t slot, uint64_t bucket_address) {
 }
 
 void KvProcessor::Retire(uint64_t id) {
-  auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  Inflight inflight = std::move(it->second);
-  inflight_.erase(it);
+  Inflight* entry = inflight_.Find(id);
+  KVD_CHECK(entry != nullptr);
+  // Take what retirement needs and free the entry first: `done` may submit,
+  // and so admit, new operations into the table.
+  const KvOperation& op = entry->op;
+  const SimTime submitted_at = entry->submitted_at;
+  const uint16_t slot = entry->slot;
+  const uint64_t trace = op.trace;
+  const bool expired_read = op.deadline != 0 && sim_.Now() >= op.deadline &&
+                            !IsWriteOpcode(op.opcode);
+  KvResultMessage result = std::move(entry->result);
+  Completion done = std::move(entry->done);
+  inflight_.Erase(*entry);
   stats_.retired++;
-  stats_.latency_ns.Add((sim_.Now() - inflight.submitted_at) / kNanosecond);
+  stats_.latency_ns.Add((sim_.Now() - submitted_at) / kNanosecond);
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("proc", "op", inflight.submitted_at, sim_.Now(),
-                      {{"op", id}, {"slot", inflight.slot}},
-                      OpMark::Point(inflight.op.trace, TracePoint::kRetire));
+    tracer_->Complete("proc", "op", submitted_at, sim_.Now(),
+                      {{"op", id}, {"slot", slot}},
+                      OpMark::Point(trace, TracePoint::kRetire));
   }
   // Retirement-side deadline check: a read that expired in the pipeline is
   // relabeled kDeadlineExceeded (and its payload dropped) — nobody is
   // waiting for the bytes. Writes keep their true outcome: the mutation
   // already executed, and reporting otherwise would break exactly-once
   // accounting downstream.
-  if (inflight.op.deadline != 0 && sim_.Now() >= inflight.op.deadline &&
-      !IsWriteOpcode(inflight.op.opcode) &&
-      inflight.result.code == ResultCode::kOk) {
+  if (expired_read && result.code == ResultCode::kOk) {
     stats_.deadline_retire_shed++;
-    inflight.result.code = ResultCode::kDeadlineExceeded;
-    inflight.result.value.clear();
-    inflight.result.scalar = 0;
+    result.code = ResultCode::kDeadlineExceeded;
+    result.value.clear();
+    result.scalar = 0;
   }
-  if (inflight.done) {
-    inflight.done(std::move(inflight.result));
+  if (done) {
+    done(std::move(result));
   }
 }
 

@@ -26,13 +26,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/core/admission.h"
+#include "src/core/id_table.h"
 #include "src/core/update_functions.h"
 #include "src/dram/load_dispatcher.h"
 #include "src/hash/hash_index.h"
@@ -118,6 +118,7 @@ class KvProcessor {
 
  private:
   struct Inflight {
+    uint64_t id = 0;  // 0 marks a free IdTable entry
     KvOperation op;
     KvResultMessage result;
     std::vector<AccessRecord> trace;
@@ -170,13 +171,17 @@ class KvProcessor {
   uint64_t busy_window_count_ = 0;
 
   uint64_t next_id_ = 1;
-  std::unordered_map<uint64_t, Inflight> inflight_;
+  // Admitted, unretired operations by id, sized from the station's in-flight
+  // bound. Entries are reused in place, so a warm op's access trace keeps its
+  // buffer.
+  IdTable<Inflight> inflight_;
   // One FIFO per priority class, drained control → reads → writes. With
   // admission.class_queues off every op lands in queue 0 (legacy FIFO order).
   std::array<std::deque<Waiting>, kNumOpClasses> waiting_;
   AdmissionController admission_;
-  // Bucket addresses for pending write-backs, keyed by station slot.
-  std::unordered_map<uint16_t, uint64_t> slot_bucket_address_;
+  // Bucket addresses for pending write-backs, indexed by the 10-bit station
+  // slot (KeyHash::StationSlot).
+  std::array<uint64_t, 1024> slot_bucket_address_{};
 
   KvProcessorStats stats_;
 };

@@ -58,19 +58,47 @@ LoadDispatcher::LineOutcome LoadDispatcher::TouchLine(uint64_t address, bool is_
   return outcome;
 }
 
-std::function<void()> LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
-                                                uint32_t bytes,
-                                                std::function<void()> done) {
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    return done;
+uint32_t LoadDispatcher::OpenRoute(uint64_t route, uint32_t bytes, uint64_t trace,
+                                   std::function<void()> done) {
+  const uint32_t index = routes_.Acquire();
+  Route& record = routes_[index];
+  record.done = std::move(done);
+  record.start = sim_.Now();
+  record.trace = trace;
+  record.route = route;
+  record.bytes = bytes;
+  record.traced = tracer_ != nullptr && tracer_->enabled();
+  record.fill = false;
+  record.flight_message = nullptr;
+  return index;
+}
+
+void LoadDispatcher::FinishRoute(uint32_t index) {
+  Route& record = routes_[index];
+  if (record.fill) {
+    dram_.Access(record.bytes, [] {}, record.trace);
   }
-  const SimTime start = sim_.Now();
-  return [this, trace, route, bytes, start, done = std::move(done)] {
-    tracer_->Complete("dispatch", RouteName(route), start, sim_.Now(),
-                      {{"bytes", bytes}},
-                      OpMark::Span(trace, SpanKind::kMemAccess, route));
-    done();
-  };
+  if (record.traced) {
+    tracer_->Complete("dispatch", RouteName(record.route), record.start, sim_.Now(),
+                      {{"bytes", record.bytes}},
+                      OpMark::Span(record.trace, SpanKind::kMemAccess, record.route));
+  }
+  const char* flight_message = record.flight_message;
+  std::function<void()> done = std::move(record.done);
+  routes_.Release(index);
+  done();
+  // Fire once the recovery read has landed (and `done` has closed the route
+  // span) so the dump's live trace carries the demoted access's full span
+  // tree.
+  if (flight_message != nullptr && flight_ != nullptr) {
+    flight_->Trigger(FlightTrigger::kEccDemotion, flight_message);
+  }
+}
+
+void LoadDispatcher::ReadAndFill(uint64_t address, uint32_t bytes, uint32_t index) {
+  routes_[index].fill = true;
+  dma_.Read(address, bytes, [this, index] { FinishRoute(index); },
+            /*random_access=*/true, routes_[index].trace);
 }
 
 void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
@@ -78,12 +106,12 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
   KVD_CHECK(bytes > 0);
   if (!IsCacheable(address)) {
     stats_.pcie_accesses++;
-    done = TraceDone(op_trace, kRoutePcie, bytes, std::move(done));
+    const uint32_t index = OpenRoute(kRoutePcie, bytes, op_trace, std::move(done));
     if (kind == AccessKind::kRead) {
-      dma_.Read(address, bytes, std::move(done), /*random_access=*/true,
-                op_trace);
+      dma_.Read(address, bytes, [this, index] { FinishRoute(index); },
+                /*random_access=*/true, op_trace);
     } else {
-      dma_.Write(address, bytes, std::move(done), op_trace);
+      dma_.Write(address, bytes, [this, index] { FinishRoute(index); }, op_trace);
     }
     return;
   }
@@ -94,28 +122,16 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // Uncorrectable ECC on the pinned copy: serve from host memory and
       // refill the DRAM line from there.
       stats_.ecc_demotions++;
-      done = TraceDone(op_trace, kRouteEccDemotion, bytes, std::move(done));
-      dma_.Read(
-          address, bytes,
-          [this, bytes, op_trace, done = std::move(done)]() mutable {
-            dram_.Access(bytes, [] {}, op_trace);
-            done();
-            // Fire once the recovery read has landed (and `done` has closed
-            // the route span) so the dump's live trace carries the demoted
-            // access's full span tree.
-            if (flight_ != nullptr) {
-              flight_->Trigger(FlightTrigger::kEccDemotion,
-                               "uncorrectable ECC; line demoted to host");
-            }
-          },
-          /*random_access=*/true, op_trace);
+      const uint32_t index =
+          OpenRoute(kRouteEccDemotion, bytes, op_trace, std::move(done));
+      routes_[index].flight_message = "uncorrectable ECC; line demoted to host";
+      ReadAndFill(address, bytes, index);
       return;
     }
     // Pinned data: always a DRAM hit, never a fill or writeback.
     stats_.dram_hits++;
-    dram_.Access(bytes,
-                 TraceDone(op_trace, kRouteCacheHit, bytes, std::move(done)),
-                 op_trace);
+    const uint32_t index = OpenRoute(kRouteCacheHit, bytes, op_trace, std::move(done));
+    dram_.Access(bytes, [this, index] { FinishRoute(index); }, op_trace);
     return;
   }
 
@@ -145,30 +161,21 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
             ((address + offset) / kCacheLineBytes) % num_cache_lines_;
         line_dirty_[slot] = false;
       }
-      done = TraceDone(op_trace, kRouteEccDemotion, bytes, std::move(done));
-      dma_.Read(
-          address, bytes,
-          [this, bytes, op_trace, done = std::move(done)]() mutable {
-            dram_.Access(bytes, [] {}, op_trace);
-            done();
-            if (flight_ != nullptr) {
-              flight_->Trigger(FlightTrigger::kEccDemotion,
-                               "uncorrectable ECC; cached line demoted");
-            }
-          },
-          /*random_access=*/true, op_trace);
+      const uint32_t index =
+          OpenRoute(kRouteEccDemotion, bytes, op_trace, std::move(done));
+      routes_[index].flight_message = "uncorrectable ECC; cached line demoted";
+      ReadAndFill(address, bytes, index);
       return;
     }
     stats_.dram_hits++;
-    dram_.Access(bytes,
-                 TraceDone(op_trace, kRouteCacheHit, bytes, std::move(done)),
-                 op_trace);
+    const uint32_t index = OpenRoute(kRouteCacheHit, bytes, op_trace, std::move(done));
+    dram_.Access(bytes, [this, index] { FinishRoute(index); }, op_trace);
     return;
   }
 
   stats_.dram_misses++;
   stats_.writebacks += writebacks;
-  done = TraceDone(op_trace, kRouteCacheMiss, bytes, std::move(done));
+  const uint32_t index = OpenRoute(kRouteCacheMiss, bytes, op_trace, std::move(done));
   // Dirty evictions drain to host memory in the background (posted writes).
   for (uint32_t i = 0; i < writebacks; i++) {
     dma_.Write(address, kCacheLineBytes, [] {}, op_trace);
@@ -176,18 +183,12 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
   if (is_write) {
     // Write miss: the line is allocated in DRAM and marked dirty; the write
     // is durable (w.r.t. NIC-side ordering) once the DRAM accepts it.
-    dram_.Access(bytes, std::move(done), op_trace);
+    dram_.Access(bytes, [this, index] { FinishRoute(index); }, op_trace);
     return;
   }
   // Read miss: fetch over PCIe, then fill DRAM (fill overlaps the return
   // path; data is available to the pipeline when PCIe completes).
-  dma_.Read(
-      address, bytes,
-      [this, bytes, op_trace, done = std::move(done)]() mutable {
-        dram_.Access(bytes, [] {}, op_trace);
-        done();
-      },
-      /*random_access=*/true, op_trace);
+  ReadAndFill(address, bytes, index);
 }
 
 void LoadDispatcher::RegisterMetrics(MetricRegistry& registry) const {
@@ -204,6 +205,9 @@ void LoadDispatcher::RegisterMetrics(MetricRegistry& registry) const {
   registry.RegisterCounter("kvd_dispatch_ecc_demotions_total",
                            "Lines demoted to host memory after uncorrectable ECC",
                            {}, &stats_.ecc_demotions);
+  registry.RegisterGauge("kvd_dispatch_routes_peak",
+                         "Peak dispatched accesses in flight (completion records held)",
+                         {}, [this] { return static_cast<double>(routes_.peak()); });
   registry.RegisterGauge("kvd_dispatch_hit_rate", "Hit rate over cacheable accesses",
                          {}, [this] { return stats_.HitRate(); });
 }

@@ -34,6 +34,7 @@
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/simulator.h"
 
 namespace kvd {
@@ -80,6 +81,10 @@ class LoadDispatcher {
 
   const DispatchStats& stats() const { return stats_; }
   const LoadDispatcherConfig& config() const { return config_; }
+  // Accesses between Access() and `done`; the record pool grows only to this
+  // peak, which the KV processor's in-flight bound (plus its write-backs)
+  // caps.
+  uint32_t peak_routes_in_flight() const { return routes_.peak(); }
 
   void RegisterMetrics(MetricRegistry& registry) const;
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
@@ -102,11 +107,26 @@ class LoadDispatcher {
     bool writeback = false;
   };
   LineOutcome TouchLine(uint64_t address, bool is_write);
-  // Wraps `done` so its invocation records the access as one "dispatch"
-  // timeline interval named for `route`, which is also a kMemAccess span of
-  // op `trace`.
-  std::function<void()> TraceDone(uint64_t trace, uint64_t route, uint32_t bytes,
-                                  std::function<void()> done);
+  // One routed access in flight: the caller's `done` and what completing it
+  // takes — an optional NIC DRAM refill first, the route's timeline interval
+  // (which is also a kMemAccess span of op `trace`) when tracing was on at
+  // issue, and an optional flight-recorder trigger after `done`.
+  struct Route {
+    std::function<void()> done;
+    SimTime start = 0;
+    uint64_t trace = 0;
+    uint64_t route = 0;  // kRoute* (src/obs/tracer.h)
+    uint32_t bytes = 0;
+    bool traced = false;
+    bool fill = false;
+    const char* flight_message = nullptr;
+  };
+  uint32_t OpenRoute(uint64_t route, uint32_t bytes, uint64_t trace,
+                     std::function<void()> done);
+  void FinishRoute(uint32_t index);
+  // Fetches the extent over PCIe, refills the NIC DRAM line when the read
+  // lands, then completes `index`.
+  void ReadAndFill(uint64_t address, uint32_t bytes, uint32_t index);
 
   Simulator& sim_;
   DmaEngine& dma_;
@@ -123,6 +143,7 @@ class LoadDispatcher {
   std::vector<uint64_t> line_tag_;
   std::vector<bool> line_dirty_;
 
+  RecordPool<Route> routes_;
   DispatchStats stats_;
 };
 

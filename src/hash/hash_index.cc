@@ -1,6 +1,7 @@
 #include "src/hash/hash_index.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -16,8 +17,18 @@ struct ParsedEntry {
   uint8_t vlen = 0;  // inline only
 };
 
-std::vector<ParsedEntry> ParseEntries(const BucketView& bucket) {
-  std::vector<ParsedEntry> entries;
+// A bucket's entries in slot order. Every entry takes at least one slot, so
+// ten always suffice and the parse lives on the stack.
+struct ParsedBucket {
+  std::array<ParsedEntry, kSlotsPerBucket> entries;
+  uint32_t count = 0;
+
+  const ParsedEntry* begin() const { return entries.data(); }
+  const ParsedEntry* end() const { return entries.data() + count; }
+};
+
+ParsedBucket ParseEntries(const BucketView& bucket) {
+  ParsedBucket parsed;
   uint32_t slot = 0;
   while (slot < kSlotsPerBucket) {
     const uint8_t type = bucket.SlotType(slot);
@@ -25,55 +36,79 @@ std::vector<ParsedEntry> ParseEntries(const BucketView& bucket) {
       slot++;
       continue;
     }
+    ParsedEntry& entry = parsed.entries[parsed.count++];
     if (type == kSlotInline) {
       KVD_CHECK_MSG(bucket.InlineBegin(slot), "inline slot without begin mark");
-      uint8_t header[kInlineHeaderBytes];
-      bucket.ReadInlineBytes(slot, std::span<uint8_t>(header, kInlineHeaderBytes));
-      ParsedEntry entry;
-      entry.slot = slot;
-      entry.is_inline = true;
-      entry.klen = header[0];
-      entry.vlen = header[1];
-      entry.span = BucketView::InlineSlotSpan(entry.klen + entry.vlen);
-      entries.push_back(entry);
-      slot += entry.span;
+      const std::span<const uint8_t> header =
+          bucket.InlineBytes(slot, kInlineHeaderBytes);
+      entry = ParsedEntry{slot, BucketView::InlineSlotSpan(header[0] + header[1]),
+                          true, header[0], header[1]};
     } else {
-      entries.push_back(ParsedEntry{slot, 1, false, 0, 0});
-      slot++;
+      entry = ParsedEntry{slot, 1, false, 0, 0};
     }
+    slot += entry.span;
   }
-  return entries;
+  return parsed;
 }
+
+// Largest slab image built on the stack: the paper's slab classes top out at
+// 512 B; only the vector extension's bigger classes spill to the heap.
+constexpr size_t kStackSlabBytes = 512;
 
 // Serialized slab image: u16 klen, u16 vlen, key, value.
-std::vector<uint8_t> BuildSlabImage(std::span<const uint8_t> key,
-                                    std::span<const uint8_t> value) {
-  std::vector<uint8_t> slab(HashIndex::kSlabHeaderBytes + key.size() + value.size());
-  const auto klen = static_cast<uint16_t>(key.size());
-  const auto vlen = static_cast<uint16_t>(value.size());
-  std::memcpy(slab.data(), &klen, 2);
-  std::memcpy(slab.data() + 2, &vlen, 2);
-  std::memcpy(slab.data() + HashIndex::kSlabHeaderBytes, key.data(), key.size());
-  if (!value.empty()) {  // an empty span's data() may be null
-    std::memcpy(slab.data() + HashIndex::kSlabHeaderBytes + key.size(),
-                value.data(), value.size());
+class SlabImage {
+ public:
+  SlabImage(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+    const size_t size = HashIndex::kSlabHeaderBytes + key.size() + value.size();
+    uint8_t* out = stack_.data();
+    if (size > stack_.size()) {
+      heap_.resize(size);
+      out = heap_.data();
+    }
+    const auto klen = static_cast<uint16_t>(key.size());
+    const auto vlen = static_cast<uint16_t>(value.size());
+    std::memcpy(out, &klen, 2);
+    std::memcpy(out + 2, &vlen, 2);
+    std::memcpy(out + HashIndex::kSlabHeaderBytes, key.data(), key.size());
+    if (!value.empty()) {  // an empty span's data() may be null
+      std::memcpy(out + HashIndex::kSlabHeaderBytes + key.size(), value.data(),
+                  value.size());
+    }
+    bytes_ = std::span<const uint8_t>(out, size);
   }
-  return slab;
-}
+  SlabImage(const SlabImage&) = delete;
+  SlabImage& operator=(const SlabImage&) = delete;
 
-// Serialized inline image: u8 klen, u8 vlen, key, value.
-std::vector<uint8_t> BuildInlineImage(std::span<const uint8_t> key,
-                                      std::span<const uint8_t> value) {
-  std::vector<uint8_t> data(kInlineHeaderBytes + key.size() + value.size());
-  data[0] = static_cast<uint8_t>(key.size());
-  data[1] = static_cast<uint8_t>(value.size());
-  std::memcpy(data.data() + kInlineHeaderBytes, key.data(), key.size());
-  if (!value.empty()) {  // an empty span's data() may be null
-    std::memcpy(data.data() + kInlineHeaderBytes + key.size(), value.data(),
-                value.size());
+  std::span<const uint8_t> bytes() const { return bytes_; }
+
+ private:
+  std::array<uint8_t, kStackSlabBytes> stack_;
+  std::vector<uint8_t> heap_;
+  std::span<const uint8_t> bytes_;
+};
+
+// Serialized inline image: u8 klen, u8 vlen, key, value. It spans at most the
+// bucket's ten slots.
+class InlineImage {
+ public:
+  InlineImage(std::span<const uint8_t> key, std::span<const uint8_t> value)
+      : size_(kInlineHeaderBytes + key.size() + value.size()) {
+    KVD_CHECK(size_ <= data_.size());
+    data_[0] = static_cast<uint8_t>(key.size());
+    data_[1] = static_cast<uint8_t>(value.size());
+    std::memcpy(data_.data() + kInlineHeaderBytes, key.data(), key.size());
+    if (!value.empty()) {  // an empty span's data() may be null
+      std::memcpy(data_.data() + kInlineHeaderBytes + key.size(), value.data(),
+                  value.size());
+    }
   }
-  return data;
-}
+
+  std::span<const uint8_t> bytes() const { return {data_.data(), size_}; }
+
+ private:
+  std::array<uint8_t, kSlotsPerBucket * kSlotBytes> data_;
+  size_t size_;
+};
 
 }  // namespace
 
@@ -132,27 +167,32 @@ void HashIndex::WriteBucket(uint64_t address, const BucketView& bucket) {
   engine_.Write(address, bucket.raw());
 }
 
-bool HashIndex::ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> key,
-                           std::vector<uint8_t>* value_out) {
+std::optional<uint16_t> HashIndex::ReadSlabKv(const PointerSlot& pointer,
+                                              std::span<const uint8_t> key,
+                                              std::vector<uint8_t>* value_out) {
   const uint32_t slab_bytes = config_.min_slab_bytes << pointer.slab_class;
-  std::vector<uint8_t> slab(slab_bytes);
-  if (slab_bytes <= 512) {
+  std::array<uint8_t, kStackSlabBytes> stack;
+  std::vector<uint8_t> heap;
+  std::span<uint8_t> slab;
+  if (slab_bytes <= kStackSlabBytes) {
     // Paper-sized slabs (32..512 B): fetch the whole class in one DMA, so a
     // non-inline GET costs exactly bucket + KV = 2 accesses (§3.3.1).
+    slab = std::span<uint8_t>(stack.data(), slab_bytes);
     engine_.Read(pointer.address, slab);
   } else {
     // Large slabs (the vector extension): internal fragmentation can waste
     // half the class, so read the first line for the length header, then
     // exactly the remaining payload.
-    engine_.Read(pointer.address, std::span<uint8_t>(slab.data(), 64));
+    heap.resize(slab_bytes);
+    slab = heap;
+    engine_.Read(pointer.address, slab.first(64));
     uint16_t k;
     uint16_t v;
     std::memcpy(&k, slab.data(), 2);
     std::memcpy(&v, slab.data() + 2, 2);
     const uint64_t total = kSlabHeaderBytes + static_cast<uint64_t>(k) + v;
     if (total > 64 && total <= slab_bytes) {
-      engine_.Read(pointer.address + 64,
-                   std::span<uint8_t>(slab.data() + 64, total - 64));
+      engine_.Read(pointer.address + 64, slab.subspan(64, total - 64));
     }
   }
   uint16_t klen;
@@ -162,13 +202,13 @@ bool HashIndex::ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> 
   if (klen != key.size() ||
       std::memcmp(slab.data() + kSlabHeaderBytes, key.data(), klen) != 0) {
     stats_.secondary_false_hits++;
-    return false;
+    return std::nullopt;
   }
   if (value_out != nullptr) {
-    value_out->assign(slab.begin() + kSlabHeaderBytes + klen,
-                      slab.begin() + kSlabHeaderBytes + klen + vlen);
+    const uint8_t* value = slab.data() + kSlabHeaderBytes + klen;
+    value_out->assign(value, value + vlen);
   }
-  return true;
+  return vlen;
 }
 
 std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
@@ -192,8 +232,8 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
         if (entry.klen != key.size()) {
           continue;
         }
-        std::vector<uint8_t> data(kInlineHeaderBytes + entry.klen + entry.vlen);
-        bucket.ReadInlineBytes(entry.slot, data);
+        const std::span<const uint8_t> data = bucket.InlineBytes(
+            entry.slot, kInlineHeaderBytes + entry.klen + entry.vlen);
         if (std::memcmp(data.data() + kInlineHeaderBytes, key.data(), entry.klen) != 0) {
           continue;
         }
@@ -213,17 +253,13 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
       if (pointer.secondary_hash != kh.SecondaryHash()) {
         continue;
       }
-      std::vector<uint8_t> value;
-      if (ReadSlabKv(pointer, key, &value)) {
-        if (value_out != nullptr) {
-          *value_out = value;
-        }
+      if (const std::optional<uint16_t> vlen = ReadSlabKv(pointer, key, value_out)) {
         Location loc;
         loc.bucket_address = address;
         loc.bucket = bucket;
         loc.slot = entry.slot;
         loc.is_inline = false;
-        loc.kv_bytes = static_cast<uint32_t>(key.size() + value.size());
+        loc.kv_bytes = static_cast<uint32_t>(key.size() + *vlen);
         loc.pointer = pointer;
         loc.parent_address = parent;
         return loc;
@@ -251,9 +287,7 @@ BucketView HashIndex::Compacted(const BucketView& bucket) {
   for (const ParsedEntry& entry : ParseEntries(bucket)) {
     if (entry.is_inline) {
       const uint32_t bytes = kInlineHeaderBytes + entry.klen + entry.vlen;
-      std::vector<uint8_t> data(bytes);
-      bucket.ReadInlineBytes(entry.slot, data);
-      out.WriteInlineBytes(next, data);
+      out.WriteInlineBytes(next, bucket.InlineBytes(entry.slot, bytes));
       out.SetInlineBegin(next, true);
       for (uint32_t s = 0; s < entry.span; s++) {
         out.SetSlotType(next + s, kSlotInline);
@@ -288,7 +322,7 @@ bool HashIndex::TryPlace(BucketView& bucket, std::span<const uint8_t> key,
   BucketView compacted = Compacted(bucket);
   const uint32_t first = kSlotsPerBucket - compacted.FreeSlots();
   if (inline_kv) {
-    compacted.WriteInlineBytes(first, BuildInlineImage(key, value));
+    compacted.WriteInlineBytes(first, InlineImage(key, value).bytes());
     compacted.SetInlineBegin(first, true);
     for (uint32_t s = 0; s < needed; s++) {
       compacted.SetSlotType(first + s, kSlotInline);
@@ -300,8 +334,7 @@ bool HashIndex::TryPlace(BucketView& bucket, std::span<const uint8_t> key,
   return true;
 }
 
-Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> value,
-                         std::vector<WalkedBucket> walked) {
+Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> value) {
   const KeyHash kh = HashKey(key);
   const auto kv_bytes = static_cast<uint32_t>(key.size() + value.size());
   const bool inline_kv =
@@ -318,16 +351,16 @@ Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> 
     slab_address = *allocated;
     slab_class = SlabClassFor(slab_bytes);
     // One DMA write for the KV body: header + key + value.
-    engine_.Write(slab_address, BuildSlabImage(key, value));
+    engine_.Write(slab_address, SlabImage(key, value).bytes());
   }
 
   // Use the buckets the caller's Find() already read (the hardware pipeline
   // keeps them in flight); walk further only if the cache is empty or stale.
-  if (walked.empty()) {
+  if (walked_.empty()) {
     uint64_t address = index_base_ + kh.BucketIndex(num_buckets_) * kBucketBytes;
     while (true) {
       BucketView bucket = ReadBucket(address);
-      walked.push_back(WalkedBucket{address, bucket});
+      walked_.push_back(WalkedBucket{address, bucket});
       if (!bucket.HasChain()) {
         break;
       }
@@ -337,7 +370,7 @@ Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> 
   }
 
   // Place into the first bucket along the chain with space.
-  for (WalkedBucket& wb : walked) {
+  for (WalkedBucket& wb : walked_) {
     if (TryPlace(wb.view, key, value, inline_kv, slab_address, slab_class,
                  kh.SecondaryHash())) {
       WriteBucket(wb.address, wb.view);
@@ -359,7 +392,7 @@ Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> 
   KVD_CHECK(TryPlace(fresh, key, value, inline_kv, slab_address, slab_class,
                      kh.SecondaryHash()));
   WriteBucket(*chained, fresh);
-  WalkedBucket& tail = walked.back();
+  WalkedBucket& tail = walked_.back();
   tail.view.SetChain(*chained);
   WriteBucket(tail.address, tail.view);
   stats_.chained_buckets_live++;
@@ -383,17 +416,17 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
     return Status::InvalidArgument("value size");
   }
 
-  std::vector<WalkedBucket> walked;
-  std::optional<Location> loc = Find(key, nullptr, &walked);
+  walked_.clear();
+  std::optional<Location> loc = Find(key, nullptr, &walked_);
   if (!loc.has_value()) {
-    return Insert(key, value, std::move(walked));
+    return Insert(key, value);
   }
 
   if (loc->is_inline && fits_inline &&
       BucketView::InlineSlotSpan(kv_bytes) ==
           BucketView::InlineSlotSpan(loc->kv_bytes)) {
     // Same slot span: overwrite the inline bytes, one bucket write.
-    loc->bucket.WriteInlineBytes(loc->slot, BuildInlineImage(key, value));
+    loc->bucket.WriteInlineBytes(loc->slot, InlineImage(key, value).bytes());
     WriteBucket(loc->bucket_address, loc->bucket);
     payload_bytes_ += kv_bytes;
     payload_bytes_ -= loc->kv_bytes;
@@ -403,7 +436,7 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   if (!loc->is_inline && !fits_inline &&
       SlabClassFor(kSlabHeaderBytes + kv_bytes) == loc->pointer.slab_class) {
     // Same slab class: rewrite the slab body in place, bucket untouched.
-    engine_.Write(loc->pointer.address, BuildSlabImage(key, value));
+    engine_.Write(loc->pointer.address, SlabImage(key, value).bytes());
     payload_bytes_ += kv_bytes;
     payload_bytes_ -= loc->kv_bytes;
     return Status::Ok();
@@ -412,7 +445,8 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   // Shape changed (inline <-> slab, or different slab class): replace. The
   // walked buckets are stale after the removal, so Insert re-walks.
   RemoveAt(*loc);
-  return Insert(key, value, {});
+  walked_.clear();
+  return Insert(key, value);
 }
 
 Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
@@ -430,10 +464,10 @@ Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
   KVD_CHECK_MSG(value.size() + key.size() == loc->kv_bytes,
                 "UpdateInPlace must preserve value size");
   if (loc->is_inline) {
-    loc->bucket.WriteInlineBytes(loc->slot, BuildInlineImage(key, value));
+    loc->bucket.WriteInlineBytes(loc->slot, InlineImage(key, value).bytes());
     WriteBucket(loc->bucket_address, loc->bucket);
   } else {
-    engine_.Write(loc->pointer.address, BuildSlabImage(key, value));
+    engine_.Write(loc->pointer.address, SlabImage(key, value).bytes());
   }
   return Status::Ok();
 }

@@ -134,15 +134,15 @@ class HashIndex {
                                std::vector<uint8_t>* value_out = nullptr,
                                std::vector<WalkedBucket>* walked = nullptr);
 
-  // Reads the KV stored in a slab; returns false on key mismatch
-  // (secondary-hash false positive).
-  bool ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> key,
-                  std::vector<uint8_t>* value_out);
+  // Reads the KV stored in a slab; returns its value length, or nullopt on
+  // key mismatch (secondary-hash false positive).
+  std::optional<uint16_t> ReadSlabKv(const PointerSlot& pointer,
+                                     std::span<const uint8_t> key,
+                                     std::vector<uint8_t>* value_out);
 
-  // Inserts a fresh key (caller guarantees absence). `walked` carries the
-  // chain buckets a preceding Find() already read; pass empty to re-walk.
-  Status Insert(std::span<const uint8_t> key, std::span<const uint8_t> value,
-                std::vector<WalkedBucket> walked);
+  // Inserts a fresh key (caller guarantees absence). `walked_` holds the
+  // chain buckets a preceding Find() already read; clear it to re-walk.
+  Status Insert(std::span<const uint8_t> key, std::span<const uint8_t> value);
 
   // Removes the entry at `loc` and frees its storage; rewrites the bucket and
   // unlinks it from the chain if it became empty.
@@ -165,6 +165,9 @@ class HashIndex {
   uint64_t num_kvs_ = 0;
   uint64_t payload_bytes_ = 0;
   HashIndexStats stats_;
+  // Put's walked chain, shared by Find and Insert and reused across calls so
+  // a PUT allocates nothing.
+  std::vector<WalkedBucket> walked_;
 };
 
 }  // namespace kvd

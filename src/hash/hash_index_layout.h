@@ -116,10 +116,11 @@ class BucketView {
   }
 
   // --- inline data spanning slots ---
-  // Reads/writes `length` bytes starting at byte `offset` of slot `first`.
-  void ReadInlineBytes(uint32_t first_slot, std::span<uint8_t> out) const {
-    KVD_DCHECK(first_slot * kSlotBytes + out.size() <= kSlotsPerBucket * kSlotBytes);
-    std::memcpy(out.data(), raw_.data() + first_slot * kSlotBytes, out.size());
+  // The `length` bytes starting at slot `first_slot`, in place; and a write of
+  // `in` to the same place.
+  std::span<const uint8_t> InlineBytes(uint32_t first_slot, size_t length) const {
+    KVD_DCHECK(first_slot * kSlotBytes + length <= kSlotsPerBucket * kSlotBytes);
+    return std::span<const uint8_t>(raw_.data() + first_slot * kSlotBytes, length);
   }
   void WriteInlineBytes(uint32_t first_slot, std::span<const uint8_t> in) {
     KVD_DCHECK(first_slot * kSlotBytes + in.size() <= kSlotsPerBucket * kSlotBytes);

@@ -86,7 +86,9 @@ class DirectEngine final : public AccessEngine {
 
 // Records the access sequence of the current operation on top of a base
 // engine. The KV processor brackets each operation with BeginOp()/TakeTrace()
-// and hands the trace to the timing pipeline.
+// and hands the trace to the timing pipeline. TakeTrace swaps buffers with the
+// caller, so both sides keep their capacity and a warm op records without
+// allocating.
 class TraceRecordingEngine final : public AccessEngine {
  public:
   explicit TraceRecordingEngine(AccessEngine& base) : base_(base) {}
@@ -110,9 +112,11 @@ class TraceRecordingEngine final : public AccessEngine {
     trace_.clear();
     recording_ = true;
   }
-  std::vector<AccessRecord> TakeTrace() {
+  // Moves the recorded trace into `out`; `out`'s old buffer becomes the
+  // recording buffer for the next op.
+  void TakeTrace(std::vector<AccessRecord>& out) {
     recording_ = false;
-    return std::move(trace_);
+    out.swap(trace_);
   }
 
  private:

@@ -26,112 +26,118 @@ uint32_t DmaEngine::PickLink(uint64_t address) const {
   return static_cast<uint32_t>(Mix64(line) % links_.size());
 }
 
+uint32_t DmaEngine::OpenRequest(uint32_t bytes, bool random_access, uint64_t trace,
+                               std::function<void()> done) {
+  const uint32_t max_payload = config_.link.max_payload_bytes;
+  const uint32_t request = requests_.Acquire();
+  DmaRequest& record = requests_[request];
+  record.done = std::move(done);
+  record.remaining = (bytes + max_payload - 1) / max_payload;
+  record.random_access = random_access;
+  record.trace = trace;
+  return request;
+}
+
 void DmaEngine::Read(uint64_t address, uint32_t bytes, std::function<void()> done,
                      bool random_access, uint64_t trace) {
   KVD_CHECK(bytes > 0);
   reads_issued_++;
-  const uint32_t max_payload = config_.link.max_payload_bytes;
-  const uint32_t num_tlps = (bytes + max_payload - 1) / max_payload;
-
   // Fan out TLPs; `done` fires when the last completion arrives.
-  auto remaining = std::make_shared<uint32_t>(num_tlps);
-  auto on_tlp_done = [this, remaining, done = std::move(done)]() mutable {
-    read_tags_.Release(1);
-    if (--*remaining == 0) {
-      done();
-    }
-  };
-
-  uint32_t offset = 0;
-  for (uint32_t i = 0; i < num_tlps; i++) {
-    const uint32_t chunk = std::min(max_payload, bytes - offset);
-    const uint64_t chunk_address = address + offset;
-    offset += chunk;
+  const uint32_t request = OpenRequest(bytes, random_access, trace, std::move(done));
+  const uint32_t max_payload = config_.link.max_payload_bytes;
+  for (uint32_t offset = 0; offset < bytes; offset += max_payload) {
+    const uint32_t tlp = tlps_.Acquire();
+    tlps_[tlp] = DmaTlp{request, std::min(max_payload, bytes - offset),
+                        address + offset, 1, 0, 0};
     // Each in-flight read TLP needs a unique tag to match its completion.
-    read_tags_.Acquire(
-        1, [this, chunk, chunk_address, random_access, trace, on_tlp_done] {
-          SubmitReadTlp(chunk_address, chunk, random_access, 1, trace,
-                        on_tlp_done);
-        });
+    read_tags_.Acquire(1, [this, tlp] { SubmitReadTlp(tlp); });
   }
-}
-
-void DmaEngine::SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_access,
-                              uint32_t attempt, uint64_t trace,
-                              std::function<void()> on_done) {
-  const SimTime start = sim_.Now();
-  const uint32_t link = PickLink(address);
-  links_[link]->SubmitRead(
-      bytes, random_access,
-      [this, address, bytes, random_access, attempt, trace, start, link,
-       on_done = std::move(on_done)]() mutable {
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Complete("pcie", "dma_read", start, sim_.Now(),
-                            {{"link", link}, {"bytes", bytes}},
-                            OpMark::Span(trace, SpanKind::kDmaTlp, bytes));
-        }
-        if (fault_ != nullptr &&
-            fault_->ShouldInject(FaultSite::kPcieReadCompletion)) {
-          // Transient completion error: replay the TLP. The tag stays held
-          // for the whole transaction, exactly as the hardware would keep it
-          // allocated until a good completion arrives.
-          KVD_CHECK_MSG(attempt < config_.max_tlp_attempts,
-                        "PCIe read TLP failed after retry budget");
-          read_retries_++;
-          SubmitReadTlp(address, bytes, random_access, attempt + 1, trace,
-                        std::move(on_done));
-          return;
-        }
-        on_done();
-      });
-}
-
-void DmaEngine::SubmitWriteTlp(uint64_t address, uint32_t bytes, uint32_t attempt,
-                               uint64_t trace, std::function<void()> on_done) {
-  const SimTime start = sim_.Now();
-  const uint32_t link = PickLink(address);
-  links_[link]->SubmitWrite(
-      bytes, [this, address, bytes, attempt, trace, start, link,
-              on_done = std::move(on_done)]() mutable {
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Complete("pcie", "dma_write", start, sim_.Now(),
-                            {{"link", link}, {"bytes", bytes}},
-                            OpMark::Span(trace, SpanKind::kDmaTlp, bytes));
-        }
-        if (fault_ != nullptr &&
-            fault_->ShouldInject(FaultSite::kPcieWriteCompletion)) {
-          KVD_CHECK_MSG(attempt < config_.max_tlp_attempts,
-                        "PCIe write TLP failed after retry budget");
-          write_retries_++;
-          SubmitWriteTlp(address, bytes, attempt + 1, trace,
-                         std::move(on_done));
-          return;
-        }
-        on_done();
-      });
 }
 
 void DmaEngine::Write(uint64_t address, uint32_t bytes, std::function<void()> done,
                       uint64_t trace) {
   KVD_CHECK(bytes > 0);
   writes_issued_++;
+  const uint32_t request =
+      OpenRequest(bytes, /*random_access=*/false, trace, std::move(done));
   const uint32_t max_payload = config_.link.max_payload_bytes;
-  const uint32_t num_tlps = (bytes + max_payload - 1) / max_payload;
-
-  auto remaining = std::make_shared<uint32_t>(num_tlps);
-  auto on_tlp_done = [remaining, done = std::move(done)]() mutable {
-    if (--*remaining == 0) {
-      done();
-    }
-  };
-
-  uint32_t offset = 0;
-  for (uint32_t i = 0; i < num_tlps; i++) {
-    const uint32_t chunk = std::min(max_payload, bytes - offset);
-    const uint64_t chunk_address = address + offset;
-    offset += chunk;
-    SubmitWriteTlp(chunk_address, chunk, 1, trace, on_tlp_done);
+  for (uint32_t offset = 0; offset < bytes; offset += max_payload) {
+    const uint32_t tlp = tlps_.Acquire();
+    tlps_[tlp] = DmaTlp{request, std::min(max_payload, bytes - offset),
+                        address + offset, 1, 0, 0};
+    SubmitWriteTlp(tlp);
   }
+}
+
+void DmaEngine::SubmitReadTlp(uint32_t tlp) {
+  DmaTlp& record = tlps_[tlp];
+  record.start = sim_.Now();
+  record.link = PickLink(record.address);
+  links_[record.link]->SubmitRead(record.bytes,
+                                  requests_[record.request].random_access,
+                                  [this, tlp] { OnReadTlpDone(tlp); });
+}
+
+void DmaEngine::OnReadTlpDone(uint32_t tlp) {
+  DmaTlp& record = tlps_[tlp];
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->Complete("pcie", "dma_read", record.start, sim_.Now(),
+                      {{"link", record.link}, {"bytes", record.bytes}},
+                      OpMark::Span(requests_[record.request].trace,
+                                   SpanKind::kDmaTlp, record.bytes));
+  }
+  if (fault_ != nullptr && fault_->ShouldInject(FaultSite::kPcieReadCompletion)) {
+    // Transient completion error: replay the TLP. The tag stays held for the
+    // whole transaction, exactly as the hardware would keep it allocated
+    // until a good completion arrives.
+    KVD_CHECK_MSG(record.attempt < config_.max_tlp_attempts,
+                  "PCIe read TLP failed after retry budget");
+    read_retries_++;
+    record.attempt++;
+    SubmitReadTlp(tlp);
+    return;
+  }
+  read_tags_.Release(1);
+  FinishTlp(tlp);
+}
+
+void DmaEngine::SubmitWriteTlp(uint32_t tlp) {
+  DmaTlp& record = tlps_[tlp];
+  record.start = sim_.Now();
+  record.link = PickLink(record.address);
+  links_[record.link]->SubmitWrite(record.bytes,
+                                   [this, tlp] { OnWriteTlpDone(tlp); });
+}
+
+void DmaEngine::OnWriteTlpDone(uint32_t tlp) {
+  DmaTlp& record = tlps_[tlp];
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->Complete("pcie", "dma_write", record.start, sim_.Now(),
+                      {{"link", record.link}, {"bytes", record.bytes}},
+                      OpMark::Span(requests_[record.request].trace,
+                                   SpanKind::kDmaTlp, record.bytes));
+  }
+  if (fault_ != nullptr &&
+      fault_->ShouldInject(FaultSite::kPcieWriteCompletion)) {
+    KVD_CHECK_MSG(record.attempt < config_.max_tlp_attempts,
+                  "PCIe write TLP failed after retry budget");
+    write_retries_++;
+    record.attempt++;
+    SubmitWriteTlp(tlp);
+    return;
+  }
+  FinishTlp(tlp);
+}
+
+void DmaEngine::FinishTlp(uint32_t tlp) {
+  const uint32_t request = tlps_[tlp].request;
+  tlps_.Release(tlp);
+  if (--requests_[request].remaining > 0) {
+    return;
+  }
+  std::function<void()> done = std::move(requests_[request].done);
+  requests_.Release(request);
+  done();
 }
 
 void DmaEngine::RegisterMetrics(MetricRegistry& registry) const {
@@ -152,6 +158,12 @@ void DmaEngine::RegisterMetrics(MetricRegistry& registry) const {
                          });
   registry.RegisterGauge("kvd_dma_read_tags_peak", "Peak DMA read tags held", {},
                          [this] { return static_cast<double>(read_tags_.peak_in_use()); });
+  registry.RegisterGauge("kvd_dma_request_records_peak",
+                         "Peak DMA requests in flight (completion records held)",
+                         {}, [this] { return static_cast<double>(requests_.peak()); });
+  registry.RegisterGauge("kvd_dma_tlp_records_peak",
+                         "Peak DMA TLPs in flight (completion records held)", {},
+                         [this] { return static_cast<double>(tlps_.peak()); });
   for (const auto& link : links_) {
     link->RegisterMetrics(registry);
   }

@@ -16,6 +16,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/obs/tracer.h"
 #include "src/pcie/pcie_link.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
 
@@ -29,6 +30,25 @@ struct DmaEngineConfig {
   // model's equivalent of a PCIe AER uncorrectable error.
   uint32_t max_tlp_attempts = 8;
   PcieLinkConfig link;
+};
+
+// One DMA request in flight: the caller's completion and the TLPs it awaits.
+struct DmaRequest {
+  std::function<void()> done;
+  uint32_t remaining = 0;  // TLPs not yet completed
+  bool random_access = true;
+  uint64_t trace = 0;
+};
+
+// One TLP of a request, from tag grant (reads) or issue (writes) to a good
+// completion, across any replays.
+struct DmaTlp {
+  uint32_t request = 0;
+  uint32_t bytes = 0;
+  uint64_t address = 0;
+  uint32_t attempt = 0;
+  uint32_t link = 0;
+  SimTime start = 0;  // of the current attempt
 };
 
 class DmaEngine {
@@ -64,19 +84,29 @@ class DmaEngine {
   uint64_t read_retries() const { return read_retries_; }
   uint64_t write_retries() const { return write_retries_; }
   const TokenPool& tag_pool() const { return read_tags_; }
+  // Completion-record pools (src/sim/record_pool.h). Each grows only to its
+  // peak in-flight count: DMA requests outstanding, and TLPs outstanding
+  // including reads still queued for a tag.
+  const RecordPool<DmaRequest>& request_records() const { return requests_; }
+  const RecordPool<DmaTlp>& tlp_records() const { return tlps_; }
 
   // Aggregate read latency over all links, in nanoseconds.
   LatencyHistogram AggregateReadLatency() const;
 
  private:
   uint32_t PickLink(uint64_t address) const;
-  // One TLP transmission; on an injected transient completion error, re-runs
-  // itself with `attempt + 1` until the budget is spent.
-  void SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_access,
-                     uint32_t attempt, uint64_t trace,
-                     std::function<void()> on_done);
-  void SubmitWriteTlp(uint64_t address, uint32_t bytes, uint32_t attempt,
-                      uint64_t trace, std::function<void()> on_done);
+  // Parks `done` in a request record awaiting one TLP per max-payload chunk
+  // of `bytes`; returns the record's index.
+  uint32_t OpenRequest(uint32_t bytes, bool random_access, uint64_t trace,
+                       std::function<void()> done);
+  // One TLP transmission of record `tlp`; on an injected transient completion
+  // error, runs again with the attempt count bumped until the budget is spent.
+  void SubmitReadTlp(uint32_t tlp);
+  void SubmitWriteTlp(uint32_t tlp);
+  void OnReadTlpDone(uint32_t tlp);
+  void OnWriteTlpDone(uint32_t tlp);
+  // Counts one finished TLP against its request; the last one fires `done`.
+  void FinishTlp(uint32_t tlp);
 
   Simulator& sim_;
   DmaEngineConfig config_;
@@ -84,6 +114,8 @@ class DmaEngine {
   Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<PcieLink>> links_;
   TokenPool read_tags_;
+  RecordPool<DmaRequest> requests_;
+  RecordPool<DmaTlp> tlps_;
   uint64_t reads_issued_ = 0;
   uint64_t writes_issued_ = 0;
   uint64_t read_retries_ = 0;

@@ -48,44 +48,64 @@ SimTime PcieLink::SampleReadLatency(bool random_access) {
   return latency;
 }
 
+uint32_t PcieLink::OpenTlp(uint32_t payload_bytes, bool random_access,
+                           std::function<void()> done) {
+  KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
+  const uint32_t tlp = tlps_.Acquire();
+  Tlp& record = tlps_[tlp];
+  record.done = std::move(done);
+  record.payload_bytes = payload_bytes;
+  record.random_access = random_access;
+  return tlp;
+}
+
 void PcieLink::SubmitRead(uint32_t payload_bytes, bool random_access,
                           std::function<void()> done) {
-  KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
-  nonposted_credits_.Acquire(1, [this, payload_bytes, random_access,
-                                 done = std::move(done)]() mutable {
-    read_tlps_++;
-    // Request header travels upstream; credit returns once the host root
-    // complex has consumed the request.
-    const SimTime request_at_host = SerializeUpstream(config_.tlp_header_bytes);
-    sim_.ScheduleAt(request_at_host + config_.host_consume_latency,
-                    [this] { nonposted_credits_.Release(1); });
+  const uint32_t tlp = OpenTlp(payload_bytes, random_access, std::move(done));
+  nonposted_credits_.Acquire(1, [this, tlp] { IssueRead(tlp); });
+}
 
-    // Host memory access, then the completion TLP travels downstream.
-    const SimTime mem_done = request_at_host + SampleReadLatency(random_access);
-    const SimTime issue_time = sim_.Now();
-    sim_.ScheduleAt(mem_done, [this, payload_bytes, issue_time,
-                               done = std::move(done)]() mutable {
-      const SimTime completion_arrival =
-          SerializeDownstream(config_.tlp_header_bytes + payload_bytes);
-      sim_.ScheduleAt(completion_arrival, [this, payload_bytes, issue_time,
-                                           done = std::move(done)] {
-        read_latency_.Add((sim_.Now() - issue_time) / kNanosecond);
-        done();
-      });
-    });
-  });
+void PcieLink::IssueRead(uint32_t tlp) {
+  read_tlps_++;
+  // Request header travels upstream; credit returns once the host root
+  // complex has consumed the request.
+  const SimTime request_at_host = SerializeUpstream(config_.tlp_header_bytes);
+  sim_.ScheduleAt(request_at_host + config_.host_consume_latency,
+                  [this] { nonposted_credits_.Release(1); });
+
+  // Host memory access, then the completion TLP travels downstream.
+  const SimTime mem_done = request_at_host + SampleReadLatency(tlps_[tlp].random_access);
+  tlps_[tlp].issue_time = sim_.Now();
+  sim_.ScheduleAt(mem_done, [this, tlp] { ReturnCompletion(tlp); });
+}
+
+void PcieLink::ReturnCompletion(uint32_t tlp) {
+  const SimTime completion_arrival =
+      SerializeDownstream(config_.tlp_header_bytes + tlps_[tlp].payload_bytes);
+  sim_.ScheduleAt(completion_arrival, [this, tlp] { CompleteRead(tlp); });
+}
+
+void PcieLink::CompleteRead(uint32_t tlp) {
+  read_latency_.Add((sim_.Now() - tlps_[tlp].issue_time) / kNanosecond);
+  std::function<void()> done = std::move(tlps_[tlp].done);
+  tlps_.Release(tlp);
+  done();
 }
 
 void PcieLink::SubmitWrite(uint32_t payload_bytes, std::function<void()> done) {
-  KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
-  posted_credits_.Acquire(1, [this, payload_bytes, done = std::move(done)]() mutable {
-    write_tlps_++;
-    const SimTime on_wire = SerializeUpstream(config_.tlp_header_bytes + payload_bytes);
-    // Posted semantics: complete at the requester once the TLP is sent.
-    sim_.ScheduleAt(on_wire, std::move(done));
-    sim_.ScheduleAt(on_wire + config_.host_consume_latency,
-                    [this] { posted_credits_.Release(1); });
-  });
+  const uint32_t tlp = OpenTlp(payload_bytes, /*random_access=*/false, std::move(done));
+  posted_credits_.Acquire(1, [this, tlp] { IssueWrite(tlp); });
+}
+
+void PcieLink::IssueWrite(uint32_t tlp) {
+  write_tlps_++;
+  const SimTime on_wire =
+      SerializeUpstream(config_.tlp_header_bytes + tlps_[tlp].payload_bytes);
+  // Posted semantics: complete at the requester once the TLP is sent.
+  sim_.ScheduleAt(on_wire, std::move(tlps_[tlp].done));
+  tlps_.Release(tlp);
+  sim_.ScheduleAt(on_wire + config_.host_consume_latency,
+                  [this] { posted_credits_.Release(1); });
 }
 
 void PcieLink::RegisterMetrics(MetricRegistry& registry) const {
@@ -100,6 +120,9 @@ void PcieLink::RegisterMetrics(MetricRegistry& registry) const {
   registry.RegisterCounter("kvd_pcie_downstream_bytes_total",
                            "Bytes host -> NIC (incl. TLP headers)", labels,
                            &downstream_bytes_);
+  registry.RegisterGauge("kvd_pcie_tlp_records_peak",
+                         "Peak TLPs in flight (completion records held)", labels,
+                         [this] { return static_cast<double>(tlps_.peak()); });
   registry.RegisterHistogram("kvd_pcie_read_latency_ns",
                              "DMA read latency, issue to completion", labels,
                              [this] { return read_latency_; });

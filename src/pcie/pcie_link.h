@@ -23,6 +23,7 @@
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/obs/metric_registry.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
 
@@ -64,8 +65,27 @@ class PcieLink {
   uint64_t upstream_bytes() const { return upstream_bytes_; }     // NIC -> host
   uint64_t downstream_bytes() const { return downstream_bytes_; }  // host -> NIC
   const LatencyHistogram& read_latency() const { return read_latency_; }
+  // Peak TLP records held: reads from submission to completion, writes until
+  // their posted credit is granted.
+  uint32_t peak_tlp_records() const { return tlps_.peak(); }
 
  private:
+  // One submitted TLP: the caller's `done`, parked until the TLP completes.
+  struct Tlp {
+    std::function<void()> done;
+    uint32_t payload_bytes = 0;
+    bool random_access = false;
+    SimTime issue_time = 0;
+  };
+
+  uint32_t OpenTlp(uint32_t payload_bytes, bool random_access,
+                   std::function<void()> done);
+  // Read TLP stages: credit granted, host memory done, completion arrived.
+  void IssueRead(uint32_t tlp);
+  void ReturnCompletion(uint32_t tlp);
+  void CompleteRead(uint32_t tlp);
+  void IssueWrite(uint32_t tlp);
+
   SimTime SerializeUpstream(uint32_t bytes);    // returns completion time
   SimTime SerializeDownstream(uint32_t bytes);  // returns completion time
   SimTime SampleReadLatency(bool random_access);
@@ -82,6 +102,7 @@ class PcieLink {
 
   TokenPool nonposted_credits_;
   TokenPool posted_credits_;
+  RecordPool<Tlp> tlps_;
 
   uint64_t read_tlps_ = 0;
   uint64_t write_tlps_ = 0;

@@ -8,20 +8,24 @@ namespace kvd {
 
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
   KVD_CHECK_MSG(when >= now_, "event scheduled in the past");
-  queue_.push(Entry{when, next_sequence_++, std::move(fn)});
+  const uint32_t slot = callbacks_.Acquire();
+  callbacks_[slot] = std::move(fn);
+  queue_.push(Key{when, next_sequence_++, slot});
 }
 
 bool Simulator::Step() {
   if (queue_.empty()) {
     return false;
   }
-  // priority_queue::top() is const; the callback is moved out via const_cast,
-  // which is safe because the entry is popped before the callback runs.
-  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  const Key top = queue_.top();
   queue_.pop();
-  now_ = entry.when;
+  // Move the callback out and free its slot before running it: the callback
+  // may schedule events, which may reuse the slot or grow the pool.
+  Callback fn = std::move(callbacks_[top.slot]);
+  callbacks_.Release(top.slot);
+  now_ = top.when;
   executed_++;
-  entry.fn();
+  fn();
   return true;
 }
 

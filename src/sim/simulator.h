@@ -4,6 +4,11 @@
 // driven by one Simulator instance. Events execute in (time, sequence) order;
 // the sequence tiebreak makes same-timestamp behaviour deterministic, which
 // keeps every benchmark bit-reproducible across runs.
+//
+// The queue is a std::priority_queue of 24 B (when, sequence, slot) keys.
+// The callbacks themselves sit still in a free-listed RecordPool and the
+// key's slot points at one, so a sift moves only keys, and a recycled slot
+// reuses its std::function storage.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -13,6 +18,7 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/sim/record_pool.h"
 
 namespace kvd {
 
@@ -44,26 +50,26 @@ class Simulator {
 
   size_t pending_events() const { return queue_.size(); }
   uint64_t executed_events() const { return executed_; }
+  // High-water mark of pending events: the callback pool never grows past it.
+  uint32_t peak_pending_events() const { return callbacks_.peak(); }
 
  private:
-  struct Entry {
+  struct Key {
     SimTime when;
     uint64_t sequence;
-    Callback fn;
+    uint32_t slot;  // index into callbacks_
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.sequence > b.sequence;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.sequence > b.sequence;
     }
   };
 
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  RecordPool<Callback> callbacks_;
 };
 
 }  // namespace kvd

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/common/units.h"
+#include "src/core/id_table.h"
 #include "src/core/kv_direct.h"
 #include "src/core/update_functions.h"
 
@@ -298,6 +301,104 @@ TEST(KvProcessorTest, BacklogDrainsUnderCapacityPressure) {
   server.simulator().RunUntilIdle();
   EXPECT_EQ(completed, 2000);
   EXPECT_EQ(server.processor().backlog(), 0u);
+}
+
+// The admitted-op table is sized from max_inflight, but fast-path ops
+// retire outside the station's count, so a burst on a cached key admits more
+// than max_inflight at once. With max_inflight = 2 the table starts at four
+// entries and has to grow; every GET must still see exactly the PUTs
+// submitted before it on its key.
+TEST(KvProcessorTest, AdmittedOpTableGrowsAndKeepsPerKeyOrder) {
+  ServerConfig config = SmallServerConfig();
+  config.processor.ooo.max_inflight = 2;
+  KvDirectServer server(config);
+  constexpr uint64_t kKeys = 4;
+  std::vector<uint64_t> model(kKeys);
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(server.Load(Key(k), U64Value(k)).ok());
+    model[k] = k;
+  }
+  Rng rng(7);
+  uint64_t completed = 0;
+  for (uint64_t wave = 0; wave < 40; wave++) {
+    for (uint64_t i = 0; i < 50; i++) {
+      const uint64_t k = rng.NextBelow(kKeys);
+      KvOperation op;
+      op.key = Key(k);
+      if (rng.NextBelow(4) == 0) {
+        op.opcode = Opcode::kPut;
+        model[k] = wave * 1000 + i;
+        op.value = U64Value(model[k]);
+        server.Submit(op, [&](KvResultMessage r) {
+          EXPECT_EQ(r.code, ResultCode::kOk);
+          completed++;
+        });
+      } else {
+        op.opcode = Opcode::kGet;
+        server.Submit(op, [&, expected = model[k]](KvResultMessage r) {
+          EXPECT_EQ(r.code, ResultCode::kOk);
+          EXPECT_EQ(AsU64(r.value), expected);
+          completed++;
+        });
+      }
+    }
+    server.simulator().RunUntilIdle();
+  }
+  EXPECT_EQ(completed, 2000u);
+  EXPECT_GT(server.processor().stats().fast_path_ops, 100u);
+  EXPECT_EQ(server.metrics().GaugeValue("kvd_proc_inflight"), 0.0);
+}
+
+// IdTable against a map model: fresh ids sometimes jump by multiples of the
+// capacity so they share a home entry, probe runs wrap past the end, erases
+// in random order shift displaced entries back, and the table grows from
+// four entries. Lookups of retired ids must come back empty.
+TEST(IdTableTest, MatchesMapModelUnderCollisionsAndGrowth) {
+  struct Record {
+    uint64_t id = 0;
+    uint64_t payload = 0;
+  };
+  IdTable<Record> table(2);
+  ASSERT_EQ(table.capacity(), 4u);
+  std::unordered_map<uint64_t, uint64_t> model;
+  std::vector<uint64_t> live;
+  Rng rng(11);
+  uint64_t next_id = 0;
+  for (int step = 0; step < 200000; step++) {
+    const uint64_t choice = rng.NextBelow(100);
+    if (choice < 45 || live.empty()) {
+      next_id += rng.NextBelow(8) == 0 ? table.capacity() * (1 + rng.NextBelow(3)) : 1;
+      Record& record = table.Insert(next_id);
+      record.payload = next_id * 3 + 1;
+      model[next_id] = record.payload;
+      live.push_back(next_id);
+    } else if (choice < 90) {
+      const size_t index = rng.NextBelow(live.size());
+      const uint64_t id = live[index];
+      live[index] = live.back();
+      live.pop_back();
+      Record* record = table.Find(id);
+      ASSERT_NE(record, nullptr) << "live id " << id;
+      EXPECT_EQ(record->payload, model[id]);
+      table.Erase(*record);
+      model.erase(id);
+    } else {
+      const uint64_t id = 1 + rng.NextBelow(next_id);
+      const Record* record = table.Find(id);
+      if (model.count(id) != 0) {
+        ASSERT_NE(record, nullptr) << "live id " << id;
+        EXPECT_EQ(record->payload, model[id]);
+      } else {
+        EXPECT_EQ(record, nullptr) << "retired or unused id " << id;
+      }
+    }
+    ASSERT_EQ(table.size(), model.size());
+    ASSERT_LE(2 * table.size(), table.capacity());
+  }
+  EXPECT_GT(table.capacity(), 4u);
+  for (const uint64_t id : live) {
+    ASSERT_NE(table.Find(id), nullptr);
+  }
 }
 
 // --- full client/server path ---

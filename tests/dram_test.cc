@@ -9,6 +9,7 @@
 #include "src/common/units.h"
 #include "src/dram/load_dispatcher.h"
 #include "src/dram/nic_dram.h"
+#include "src/fault/fault_injector.h"
 #include "src/pcie/dma_engine.h"
 #include "src/sim/simulator.h"
 
@@ -20,8 +21,8 @@ struct Rig {
   DmaEngine dma;
   NicDram dram;
 
-  explicit Rig(NicDramConfig dram_config = {})
-      : dma(sim, DmaEngineConfig{}), dram(sim, dram_config) {}
+  explicit Rig(NicDramConfig dram_config = {}, DmaEngineConfig dma_config = {})
+      : dma(sim, dma_config), dram(sim, dram_config) {}
 };
 
 TEST(NicDramTest, LatencyAndSerialization) {
@@ -139,6 +140,63 @@ TEST(LoadDispatcherTest, MultiLineAccessIsOneDispatch) {
   dispatcher.Access(AccessKind::kRead, 0, 256, [] {});
   rig.sim.RunUntilIdle();
   EXPECT_EQ(dispatcher.stats().dram_hits, 1u);  // all 4 lines present
+}
+
+// The dispatcher's completion records over a replaying, one-tag DMA engine:
+// every multi-TLP access (hits, misses with refill, PCIe-direct reads) fires
+// `done` exactly once, after its PCIe data has fully landed, and the record
+// pool stays at the peak number of accesses in flight, not the total.
+TEST(LoadDispatcherTest, MultiTlpAccessesUnderReplayCompleteOnce) {
+  DmaEngineConfig dma_config;
+  dma_config.read_tags = 1;
+  dma_config.max_tlp_attempts = 64;
+  Rig rig({}, dma_config);
+  FaultPlan plan;
+  plan.at(FaultSite::kPcieReadCompletion) = 0.3;
+  FaultInjector faults(plan);
+  rig.dma.SetFaultInjector(&faults);
+  LoadDispatcherConfig config;
+  config.policy = DispatchPolicy::kHybrid;
+  config.dispatch_ratio = 0.5;
+  config.host_memory_bytes = 1 * kGiB;
+  config.nic_dram_bytes = 64 * kMiB;
+  LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
+
+  constexpr uint32_t kBytes = 512;  // two 256 B TLPs over PCIe
+  constexpr int kWaves = 8;
+  constexpr int kPerWave = 16;
+  std::vector<int> fired(kWaves * kPerWave, 0);
+  std::vector<bool> hit(kWaves * kPerWave, false);
+  for (int wave = 0; wave < kWaves; wave++) {
+    for (int j = 0; j < kPerWave; j++) {
+      // Even waves touch fresh extents (misses / PCIe), odd waves revisit the
+      // previous wave's (hits on the cacheable ones).
+      const int access = wave * kPerWave + j;
+      const uint64_t address = static_cast<uint64_t>((wave / 2) * kPerWave + j) * 4096;
+      const uint64_t reads_before = rig.dma.AggregateReadLatency().count();
+      const uint64_t hits_before = dispatcher.stats().dram_hits;
+      dispatcher.Access(AccessKind::kRead, address, kBytes,
+                        [&, access, reads_before] {
+                          fired[access]++;
+                          // A PCIe-served access returns only after both of
+                          // its TLPs have completed.
+                          if (!hit[access]) {
+                            EXPECT_GE(rig.dma.AggregateReadLatency().count(),
+                                      reads_before + 2);
+                          }
+                        });
+      hit[access] = dispatcher.stats().dram_hits != hits_before;
+    }
+    rig.sim.RunUntilIdle();
+  }
+  EXPECT_EQ(fired, std::vector<int>(kWaves * kPerWave, 1));
+  EXPECT_GT(dispatcher.stats().dram_hits, 0u);
+  EXPECT_GT(dispatcher.stats().dram_misses, 0u);
+  EXPECT_GT(dispatcher.stats().pcie_accesses, 0u);
+  EXPECT_GT(rig.dma.read_retries(), 10u);
+  EXPECT_EQ(dispatcher.peak_routes_in_flight(), static_cast<uint32_t>(kPerWave));
+  EXPECT_EQ(rig.dma.request_records().live(), 0u);
+  EXPECT_LE(rig.dma.request_records().peak(), static_cast<uint32_t>(kPerWave));
 }
 
 TEST(OptimalDispatchRatioTest, UniformWorkloadPrefersHighRatio) {

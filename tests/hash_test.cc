@@ -69,9 +69,8 @@ TEST(BucketViewTest, InlineBytesSpanSlots) {
   for (uint32_t s = 2; s < 2 + 3; s++) {
     bucket.SetSlotType(s, kSlotInline);
   }
-  std::vector<uint8_t> read(data.size());
-  bucket.ReadInlineBytes(2, read);
-  EXPECT_EQ(read, data);
+  const std::span<const uint8_t> read = bucket.InlineBytes(2, data.size());
+  EXPECT_EQ(std::vector<uint8_t>(read.begin(), read.end()), data);
   EXPECT_TRUE(bucket.InlineBegin(2));
   EXPECT_FALSE(bucket.InlineBegin(3));
 }

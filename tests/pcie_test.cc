@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "src/common/hashing.h"
 #include "src/common/units.h"
+#include "src/fault/fault_injector.h"
 #include "src/pcie/dma_engine.h"
 #include "src/pcie/pcie_link.h"
 #include "src/sim/simulator.h"
@@ -159,6 +161,76 @@ TEST(DmaEngineTest, LargeReadsSplitIntoTlps) {
     tlps += dma.link(i).read_tlps();
   }
   EXPECT_EQ(tlps, 4u);  // 1024 / 256 max payload
+}
+
+// Completion records under replay: one tag serializes every TLP, so read i's
+// `done` must come after exactly 4 (i + 1) good completions plus the replays
+// so far — after its own last TLP, never before — and only once. Issued in
+// waves, the record pools stay at one wave's size, not the total read count.
+TEST(DmaEngineTest, MultiTlpReadsUnderReplayCompleteOnceAfterLastTlp) {
+  Simulator sim;
+  DmaEngineConfig config;
+  config.read_tags = 1;
+  config.max_tlp_attempts = 64;
+  config.link.random_read_extra_mean = 0;
+  DmaEngine dma(sim, config);
+  FaultPlan plan;
+  plan.at(FaultSite::kPcieReadCompletion) = 0.3;
+  FaultInjector faults(plan);
+  dma.SetFaultInjector(&faults);
+
+  constexpr uint32_t kBytes = 3 * 256 + 64;  // 4 TLPs at 256 B max payload
+  constexpr int kWaves = 10;
+  constexpr int kPerWave = 20;
+  std::vector<int> fired(kWaves * kPerWave, 0);
+  int completed = 0;
+  for (int wave = 0; wave < kWaves; wave++) {
+    for (int j = 0; j < kPerWave; j++) {
+      const int read = wave * kPerWave + j;
+      dma.Read(static_cast<uint64_t>(read) * 4096, kBytes, [&, read] {
+        fired[read]++;
+        EXPECT_EQ(read, completed++) << "reads complete in issue order";
+        const uint64_t transmissions = dma.AggregateReadLatency().count();
+        EXPECT_EQ(transmissions, 4u * (read + 1) + dma.read_retries());
+      });
+    }
+    sim.RunUntilIdle();
+  }
+  EXPECT_EQ(fired, std::vector<int>(kWaves * kPerWave, 1));
+  EXPECT_GT(dma.read_retries(), 100u);  // the replay path really ran
+  EXPECT_EQ(dma.tag_pool().peak_in_use(), 1u);
+  EXPECT_EQ(dma.tag_pool().available(), 1u);
+  // Pools sized by one wave in flight, all records back once idle.
+  EXPECT_EQ(dma.request_records().peak(), static_cast<uint32_t>(kPerWave));
+  EXPECT_EQ(dma.request_records().size(), dma.request_records().peak());
+  EXPECT_EQ(dma.tlp_records().peak(), 4u * kPerWave);
+  EXPECT_EQ(dma.tlp_records().size(), dma.tlp_records().peak());
+  EXPECT_EQ(dma.request_records().live(), 0u);
+  EXPECT_EQ(dma.tlp_records().live(), 0u);
+  for (uint32_t i = 0; i < dma.num_links(); i++) {
+    EXPECT_EQ(dma.link(i).peak_tlp_records(), 1u);  // one tag, one TLP
+  }
+}
+
+TEST(DmaEngineTest, MultiTlpWritesUnderReplayCompleteOnce) {
+  Simulator sim;
+  DmaEngineConfig config;
+  config.max_tlp_attempts = 64;
+  DmaEngine dma(sim, config);
+  FaultPlan plan;
+  plan.at(FaultSite::kPcieWriteCompletion) = 0.3;
+  FaultInjector faults(plan);
+  dma.SetFaultInjector(&faults);
+  std::vector<int> fired(100, 0);
+  for (int i = 0; i < 100; i++) {
+    dma.Write(static_cast<uint64_t>(i) * 4096, 1000, [&fired, i] { fired[i]++; });
+  }
+  sim.RunUntilIdle();
+  EXPECT_EQ(fired, std::vector<int>(100, 1));
+  EXPECT_GT(dma.write_retries(), 20u);
+  EXPECT_EQ(dma.request_records().live(), 0u);
+  EXPECT_EQ(dma.request_records().peak(), 100u);
+  EXPECT_EQ(dma.tlp_records().peak(), 400u);
 }
 
 TEST(DmaEngineTest, SpreadsLoadAcrossLinks) {

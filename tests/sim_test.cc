@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event simulator and token pools.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
 
@@ -67,6 +70,121 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
 TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   Simulator sim;
   EXPECT_FALSE(sim.Step());
+}
+
+// Reference event queue: a binary std::priority_queue ordered by (time,
+// sequence). Events carry an id; running one records it and applies the same
+// re-entrant scheduling rule as the simulator under test.
+class ReferenceQueue {
+ public:
+  SimTime now = 0;
+  uint64_t executed = 0;
+  std::vector<uint64_t> order;
+
+  void ScheduleAt(SimTime when, uint64_t id) {
+    queue_.push(Event{when, next_sequence_++, id});
+  }
+  bool Step() {
+    if (queue_.empty()) {
+      return false;
+    }
+    const Event event = queue_.top();
+    queue_.pop();
+    now = event.when;
+    executed++;
+    Run(event.id);
+    return true;
+  }
+  void RunUntil(SimTime deadline) {
+    while (!queue_.empty() && queue_.top().when <= deadline) {
+      Step();
+    }
+    if (now < deadline) {
+      now = deadline;
+    }
+  }
+  size_t pending() const { return queue_.size(); }
+
+  // Every third event schedules a child 0..4 ps later — 0 lands on the
+  // current timestamp, behind events already queued there.
+  static bool HasChild(uint64_t id) { return id % 3 == 1; }
+  static SimTime ChildDelay(uint64_t id) { return id % 5; }
+  static uint64_t ChildId(uint64_t id) { return id * 2 + 1'000'000'000; }
+
+ private:
+  struct Event {
+    SimTime when;
+    uint64_t sequence;
+    uint64_t id;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.when != b.when ? a.when > b.when : a.sequence > b.sequence;
+    }
+  };
+  void Run(uint64_t id) {
+    order.push_back(id);
+    if (HasChild(id)) {
+      ScheduleAt(now + ChildDelay(id), ChildId(id));
+    }
+  }
+
+  uint64_t next_sequence_ = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+};
+
+TEST(SimulatorTest, MatchesReferenceQueueOverRandomInterleavings) {
+  Simulator sim;
+  ReferenceQueue reference;
+  std::vector<uint64_t> order;
+  std::function<void(uint64_t)> run = [&](uint64_t id) {
+    order.push_back(id);
+    if (ReferenceQueue::HasChild(id)) {
+      const uint64_t child = ReferenceQueue::ChildId(id);
+      sim.Schedule(ReferenceQueue::ChildDelay(id), [&run, child] { run(child); });
+    }
+  };
+  Rng rng(42);
+  uint64_t next_id = 0;
+  for (int i = 0; i < 200000; i++) {
+    const uint64_t choice = rng.NextBelow(100);
+    if (choice < 50) {
+      // Short delays from a small range: many events share a timestamp.
+      const SimTime delay = rng.NextBelow(4) == 0 ? 0 : rng.NextBelow(40);
+      const uint64_t id = next_id++;
+      sim.Schedule(delay, [&run, id] { run(id); });
+      reference.ScheduleAt(reference.now + delay, id);
+    } else if (choice < 90) {
+      EXPECT_EQ(sim.Step(), reference.Step());
+    } else {
+      const SimTime deadline = sim.Now() + rng.NextBelow(30);
+      sim.RunUntil(deadline);
+      reference.RunUntil(deadline);
+    }
+    ASSERT_EQ(sim.Now(), reference.now) << "after operation " << i;
+    ASSERT_EQ(sim.pending_events(), reference.pending()) << "after operation " << i;
+    ASSERT_EQ(sim.executed_events(), reference.executed) << "after operation " << i;
+    ASSERT_EQ(order.size(), reference.order.size()) << "after operation " << i;
+  }
+  sim.RunUntilIdle();
+  while (reference.Step()) {
+  }
+  EXPECT_EQ(order, reference.order);
+  EXPECT_EQ(sim.executed_events(), reference.executed);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_GT(sim.executed_events(), 100000u);
+}
+
+TEST(SimulatorTest, CallbackPoolGrowsOnlyToPeakPending) {
+  Simulator sim;
+  for (int wave = 0; wave < 100; wave++) {
+    for (int i = 0; i < 50; i++) {
+      sim.Schedule(static_cast<SimTime>(i), [] {});
+    }
+    sim.RunUntilIdle();
+  }
+  EXPECT_EQ(sim.executed_events(), 5000u);
+  EXPECT_EQ(sim.peak_pending_events(), 50u);
 }
 
 TEST(TokenPoolTest, ImmediateGrantWhenAvailable) {
