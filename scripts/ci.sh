@@ -5,8 +5,8 @@
 #   1. layering guards — the transport layer (src/transport) must hold the
 #      only copy of the framing/replay-dedup logic, the batching client core
 #      the only client-side packing/response-admission path,
-#      SnapshotStream the only go-back-N chunk stream, and Tracer the only
-#      tracing sink;
+#      SnapshotStream the only go-back-N chunk stream, Tracer the only
+#      tracing sink, and each replica's hash index the one key store;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -68,6 +68,18 @@ tracers=$(grep -rnE 'EventTracer|SetRequestTracer|UseRequestTracer|request_trace
 if [[ -n "${tracers}" ]]; then
   echo "second tracing hook set found:" >&2
   echo "${tracers}" >&2
+  exit 1
+fi
+
+# One key store: a replica's hash index is the only record of the keys it
+# holds (HashIndex::ForEach enumerates it for snapshots and wipes). A
+# per-replica key mirror maintained beside it anywhere in src/ fails.
+mirrors=$( (grep -rnE 'TrackKey|Shadow key set|\b(rep|rp|primary|replica)(\.|->)keys\b' src || true;
+            grep -nE '^\s+[^/ ].*[ >&*]keys( = .*)?;' src/replica/replication_group.h \
+              | sed 's|^|src/replica/replication_group.h:|' || true) )
+if [[ -n "${mirrors}" ]]; then
+  echo "per-replica key mirror found beside the hash index:" >&2
+  echo "${mirrors}" >&2
   exit 1
 fi
 

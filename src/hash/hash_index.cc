@@ -110,6 +110,48 @@ class InlineImage {
   size_t size_;
 };
 
+// One slab read back from memory, the inverse of SlabImage: `key` and
+// `value` view the stored KV. Paper-sized classes land on the stack, bigger
+// ones on the heap.
+class SlabRead {
+ public:
+  SlabRead(AccessEngine& engine, uint64_t address, uint32_t slab_bytes) {
+    std::span<uint8_t> slab(stack_.data(), std::min<size_t>(slab_bytes, kStackSlabBytes));
+    const bool large = slab_bytes > kStackSlabBytes;
+    if (!large) {
+      // Paper-sized slabs (32..512 B): fetch the whole class in one DMA, so a
+      // non-inline GET costs exactly bucket + KV = 2 accesses (§3.3.1).
+      engine.Read(address, slab);
+    } else {
+      // Large slabs (the vector extension): internal fragmentation can waste
+      // half the class, so read the first line for the length header, then
+      // exactly the remaining payload.
+      heap_.resize(slab_bytes);
+      slab = heap_;
+      engine.Read(address, slab.first(64));
+    }
+    uint16_t klen;
+    uint16_t vlen;
+    std::memcpy(&klen, slab.data(), 2);
+    std::memcpy(&vlen, slab.data() + 2, 2);
+    const uint64_t total = HashIndex::kSlabHeaderBytes + uint64_t{klen} + vlen;
+    if (large && total > 64 && total <= slab_bytes) {
+      engine.Read(address + 64, slab.subspan(64, total - 64));
+    }
+    key = slab.subspan(HashIndex::kSlabHeaderBytes, klen);
+    value = slab.subspan(HashIndex::kSlabHeaderBytes + klen, vlen);
+  }
+  SlabRead(const SlabRead&) = delete;
+  SlabRead& operator=(const SlabRead&) = delete;
+
+  std::span<const uint8_t> key;
+  std::span<const uint8_t> value;
+
+ private:
+  std::array<uint8_t, kStackSlabBytes> stack_;
+  std::vector<uint8_t> heap_;
+};
+
 }  // namespace
 
 HashIndexConfig::Regions HashIndexConfig::ComputeRegions() const {
@@ -167,50 +209,6 @@ void HashIndex::WriteBucket(uint64_t address, const BucketView& bucket) {
   engine_.Write(address, bucket.raw());
 }
 
-std::optional<uint16_t> HashIndex::ReadSlabKv(const PointerSlot& pointer,
-                                              std::span<const uint8_t> key,
-                                              std::vector<uint8_t>* value_out) {
-  const uint32_t slab_bytes = config_.min_slab_bytes << pointer.slab_class;
-  std::array<uint8_t, kStackSlabBytes> stack;
-  std::vector<uint8_t> heap;
-  std::span<uint8_t> slab;
-  if (slab_bytes <= kStackSlabBytes) {
-    // Paper-sized slabs (32..512 B): fetch the whole class in one DMA, so a
-    // non-inline GET costs exactly bucket + KV = 2 accesses (§3.3.1).
-    slab = std::span<uint8_t>(stack.data(), slab_bytes);
-    engine_.Read(pointer.address, slab);
-  } else {
-    // Large slabs (the vector extension): internal fragmentation can waste
-    // half the class, so read the first line for the length header, then
-    // exactly the remaining payload.
-    heap.resize(slab_bytes);
-    slab = heap;
-    engine_.Read(pointer.address, slab.first(64));
-    uint16_t k;
-    uint16_t v;
-    std::memcpy(&k, slab.data(), 2);
-    std::memcpy(&v, slab.data() + 2, 2);
-    const uint64_t total = kSlabHeaderBytes + static_cast<uint64_t>(k) + v;
-    if (total > 64 && total <= slab_bytes) {
-      engine_.Read(pointer.address + 64, slab.subspan(64, total - 64));
-    }
-  }
-  uint16_t klen;
-  uint16_t vlen;
-  std::memcpy(&klen, slab.data(), 2);
-  std::memcpy(&vlen, slab.data() + 2, 2);
-  if (klen != key.size() ||
-      std::memcmp(slab.data() + kSlabHeaderBytes, key.data(), klen) != 0) {
-    stats_.secondary_false_hits++;
-    return std::nullopt;
-  }
-  if (value_out != nullptr) {
-    const uint8_t* value = slab.data() + kSlabHeaderBytes + klen;
-    value_out->assign(value, value + vlen);
-  }
-  return vlen;
-}
-
 std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
                                                    std::vector<uint8_t>* value_out,
                                                    std::vector<WalkedBucket>* walked) {
@@ -253,17 +251,18 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
       if (pointer.secondary_hash != kh.SecondaryHash()) {
         continue;
       }
-      if (const std::optional<uint16_t> vlen = ReadSlabKv(pointer, key, value_out)) {
-        Location loc;
-        loc.bucket_address = address;
-        loc.bucket = bucket;
-        loc.slot = entry.slot;
-        loc.is_inline = false;
-        loc.kv_bytes = static_cast<uint32_t>(key.size() + *vlen);
-        loc.pointer = pointer;
-        loc.parent_address = parent;
-        return loc;
+      const SlabRead slab(engine_, pointer.address,
+                          config_.min_slab_bytes << pointer.slab_class);
+      if (slab.key.size() != key.size() ||
+          std::memcmp(slab.key.data(), key.data(), key.size()) != 0) {
+        stats_.secondary_false_hits++;
+        continue;
       }
+      if (value_out != nullptr) {
+        value_out->assign(slab.value.begin(), slab.value.end());
+      }
+      const auto kv_bytes = static_cast<uint32_t>(key.size() + slab.value.size());
+      return Location{address, bucket, entry.slot, false, kv_bytes, pointer, parent};
     }
     if (!bucket.HasChain()) {
       return std::nullopt;
@@ -516,6 +515,34 @@ Status HashIndex::Delete(std::span<const uint8_t> key) {
 
 bool HashIndex::Contains(std::span<const uint8_t> key) {
   return Find(key).has_value();
+}
+
+void HashIndex::ForEach(const KvVisitor& visit) {
+  for (uint64_t head = 0; head < num_buckets_; head++) {
+    uint64_t address = index_base_ + head * kBucketBytes;
+    while (true) {
+      const BucketView bucket = ReadBucket(address);
+      // Most chain heads of a sparse index are empty; skip their parse.
+      for (const ParsedEntry& entry :
+           bucket.Empty() ? ParsedBucket{} : ParseEntries(bucket)) {
+        if (entry.is_inline) {
+          const std::span<const uint8_t> data = bucket.InlineBytes(
+              entry.slot, kInlineHeaderBytes + entry.klen + entry.vlen);
+          visit(data.subspan(kInlineHeaderBytes, entry.klen),
+                data.subspan(kInlineHeaderBytes + entry.klen));
+          continue;
+        }
+        const PointerSlot pointer = bucket.GetPointerSlot(entry.slot);
+        const SlabRead slab(engine_, pointer.address,
+                            config_.min_slab_bytes << pointer.slab_class);
+        visit(slab.key, slab.value);
+      }
+      if (!bucket.HasChain()) {
+        break;
+      }
+      address = bucket.ChainAddress();
+    }
+  }
 }
 
 void HashIndex::RegisterMetrics(MetricRegistry& registry) const {

@@ -83,6 +83,14 @@ class HashIndex {
   // True if `key` is present (same cost as Get without the value copy).
   bool Contains(std::span<const uint8_t> key);
 
+  // Hands every stored KV to `visit`: chain-head buckets in address order,
+  // each chain followed to its tail, slots in order within a bucket. Untimed
+  // and functional only, like a Load. The spans live for one call, and
+  // `visit` must not mutate the index.
+  using KvVisitor = std::function<void(std::span<const uint8_t> key,
+                                       std::span<const uint8_t> value)>;
+  void ForEach(const KvVisitor& visit);
+
   uint64_t num_buckets() const { return num_buckets_; }
   uint64_t num_kvs() const { return num_kvs_; }
   uint64_t payload_bytes() const { return payload_bytes_; }
@@ -133,12 +141,6 @@ class HashIndex {
   std::optional<Location> Find(std::span<const uint8_t> key,
                                std::vector<uint8_t>* value_out = nullptr,
                                std::vector<WalkedBucket>* walked = nullptr);
-
-  // Reads the KV stored in a slab; returns its value length, or nullopt on
-  // key mismatch (secondary-hash false positive).
-  std::optional<uint16_t> ReadSlabKv(const PointerSlot& pointer,
-                                     std::span<const uint8_t> key,
-                                     std::vector<uint8_t>* value_out);
 
   // Inserts a fresh key (caller guarantees absence). `walked_` holds the
   // chain buckets a preceding Find() already read; clear it to re-walk.

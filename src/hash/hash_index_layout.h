@@ -152,6 +152,9 @@ class BucketView {
     return (kInlineHeaderBytes + kv_bytes + kSlotBytes - 1) / kSlotBytes;
   }
 
+  // True when no slot holds an entry: one load of the type field.
+  bool Empty() const { return (LoadU32(50) & 0x3fffffffu) == 0; }
+
   // Count of empty slots in the bucket.
   uint32_t FreeSlots() const {
     uint32_t free = 0;

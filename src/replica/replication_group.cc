@@ -144,7 +144,6 @@ Status ReplicationGroup::Load(std::span<const uint8_t> key,
     if (!status.ok()) {
       return status;
     }
-    rep->keys.insert(std::vector<uint8_t>(key.begin(), key.end()));
   }
   return Status::Ok();
 }
@@ -167,7 +166,6 @@ Status ReplicationGroup::Erase(std::span<const uint8_t> key) {
       continue;
     }
     rep->server->Execute(del);  // kNotFound is fine: absent on this replica
-    rep->keys.erase(del.key);
   }
   return Status::Ok();
 }
@@ -189,19 +187,15 @@ StateKvs ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
 StateKvs ReplicationGroup::SnapshotKvs(Replica& rep, const KeyRouter* router,
                                        uint32_t partition) {
   StateKvs kvs;
-  for (const auto& key : rep.keys) {
-    if (router != nullptr && router->PartitionOf(key) != partition) {
-      continue;
-    }
-    KvOperation get;
-    get.opcode = Opcode::kGet;
-    get.key = key;
-    KvResultMessage value = rep.server->Execute(get);
-    if (value.code != ResultCode::kOk) {
-      continue;
-    }
-    kvs.emplace_back(key, std::move(value.value));
-  }
+  rep.server->index().ForEach(
+      [&](std::span<const uint8_t> key, std::span<const uint8_t> value) {
+        if (router == nullptr || router->PartitionOf(key) == partition) {
+          kvs.emplace_back(std::vector<uint8_t>(key.begin(), key.end()),
+                           std::vector<uint8_t>(value.begin(), value.end()));
+        }
+      });
+  std::ranges::sort(kvs, std::less<std::vector<uint8_t>>(),
+                    &StateKvs::value_type::first);
   return kvs;
 }
 
@@ -257,13 +251,11 @@ void ReplicationGroup::RestartReplica(uint32_t id) {
     if (value.has_value()) {
       KVD_CHECK_MSG(rep.server->Load(key, *value).ok(),
                     "restart reconciliation out of capacity");
-      rep.keys.insert(key);
     } else {
       KvOperation del;
       del.opcode = Opcode::kDelete;
       del.key = key;
       rep.server->Execute(del);  // kNotFound is fine: never present here
-      rep.keys.erase(key);
     }
   }
   rep.pending_state.clear();
@@ -621,7 +613,6 @@ void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
   rep.match[rep.id] = rep.log.end();
   rep.next[rep.id] = rep.log.end() + 1;
   rep.applied = rep.log.end();  // execute-then-log: effects already in store
-  TrackKey(rep, op);
   RecordSession(rep, sequence, slot, result);
   TrimLog(rep);
 }
@@ -637,17 +628,6 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
       rep.sessions.erase(rep.session_order.front());
       rep.session_order.pop_front();
     }
-  }
-}
-
-void ReplicationGroup::TrackKey(Replica& rep, const KvOperation& op) {
-  if (!IsWriteOpcode(op.opcode)) {
-    return;  // reads (and the promotion barrier no-op) leave no key behind
-  }
-  if (op.opcode == Opcode::kDelete) {
-    rep.keys.erase(op.key);
-  } else {
-    rep.keys.insert(op.key);
   }
 }
 
@@ -926,7 +906,6 @@ bool ReplicationGroup::InstallStateChunk(Replica& rep,
     put.key = key;
     put.value = value;
     if (rep.server->Execute(put).code == ResultCode::kOk) {
-      rep.keys.insert(key);
       stats_.state_transfer_kvs++;
     }
   }
@@ -1151,7 +1130,6 @@ void ReplicationGroup::ApplyThrough(Replica& rep, uint64_t target) {
     // policy — dropping one would diverge this store from the log.
     rep.server->Submit(entry.op, [rp](KvResultMessage) { rp->inflight_ops--; },
                        OpClass::kControl);
-    TrackKey(rep, entry.op);
     if (entry.client_sequence != 0) {  // promotion barriers carry no session
       RecordSession(rep, entry.client_sequence, entry.slot, entry.result);
     }
@@ -1364,7 +1342,7 @@ void ReplicationGroup::StartStateTransfer(Replica& primary, uint32_t target) {
   tracer_.Instant(kTraceCategory, "state_transfer",
                   {{"from", primary.id},
                    {"to", target},
-                   {"keys", static_cast<uint64_t>(primary.keys.size())}});
+                   {"keys", primary.server->index().num_kvs()}});
   BuildSnapshot(primary.id, target, primary.current_epoch);
 }
 
@@ -1448,13 +1426,12 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
 }
 
 void ReplicationGroup::WipeState(Replica& rep) {
-  for (const auto& key : rep.keys) {
+  for (auto& [key, value] : SnapshotKvs(rep, nullptr, 0)) {
     KvOperation del;
     del.opcode = Opcode::kDelete;
-    del.key = key;
+    del.key = std::move(key);
     rep.server->Execute(del);
   }
-  rep.keys.clear();
   rep.sessions.clear();
   rep.session_order.clear();
   rep.log.ResetToSnapshot(0, 0);

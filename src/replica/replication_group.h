@@ -53,7 +53,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -410,11 +409,6 @@ class ReplicationGroup {
     std::pair<uint64_t, uint64_t> inbound_transfer{0, 0};
     SnapshotStream::Receiver snapshot_in;
 
-    // Shadow key set: the hash index has no enumeration, so the group tracks
-    // live keys per replica for snapshotting (std::set for deterministic
-    // order).
-    std::set<std::vector<uint8_t>> keys;
-
     // Below-log state mutations (cluster Load/Erase) that arrived while this
     // replica was crashed: value = upsert, nullopt = erase. Applied on
     // restart, modeling recovery-time state reconciliation — a migration
@@ -446,7 +440,6 @@ class ReplicationGroup {
                             const KvOperation& op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
-  void TrackKey(Replica& rep, const KvOperation& op);
   void FinishResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                       const std::function<void(std::vector<uint8_t>)>& respond,
                       bool cache);
@@ -505,8 +498,8 @@ class ReplicationGroup {
   // chunks (KVs, then session records) and starts streaming them.
   void BuildSnapshot(uint32_t primary_id, uint32_t target,
                      uint64_t transfer_epoch);
-  // The replica's live KVs (of `partition` when a router is given), in
-  // deterministic key order.
+  // The replica's live KVs (of `partition` when a router is given): an
+  // enumeration of its hash index, sorted by key once per cut.
   static StateKvs SnapshotKvs(Replica& rep, const KeyRouter* router,
                               uint32_t partition);
   // Completion, or the end of the reign that started the transfer (crash or
@@ -515,7 +508,8 @@ class ReplicationGroup {
   // Ends a drain: executes the parked writes (or drops them if the replica
   // is no longer an alive primary; the clients retry).
   void ReleaseSnapshotDrain(Replica& rep);
-  // Deletes every tracked KV and resets log/sessions to empty: the clean
+  // Deletes every stored KV in snapshot (key) order, so the slab free lists
+  // always evolve the same way, and resets log/sessions to empty: the clean
   // slate a state-transfer target starts from.
   void WipeState(Replica& rep);
 

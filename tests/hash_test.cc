@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@ std::vector<uint8_t> MakeValue(uint8_t fill, size_t len) {
 TEST(BucketViewTest, EmptyBucketHasTenFreeSlots) {
   BucketView bucket;
   EXPECT_EQ(bucket.FreeSlots(), kSlotsPerBucket);
+  EXPECT_TRUE(bucket.Empty());
   EXPECT_FALSE(bucket.HasChain());
   for (uint32_t s = 0; s < kSlotsPerBucket; s++) {
     EXPECT_EQ(bucket.SlotType(s), kSlotEmpty);
@@ -79,6 +81,7 @@ TEST(BucketViewTest, ChainRoundTrip) {
   BucketView bucket;
   bucket.SetChain(4096);
   EXPECT_TRUE(bucket.HasChain());
+  EXPECT_TRUE(bucket.Empty());  // a chain pointer is not an entry
   EXPECT_EQ(bucket.ChainAddress(), 4096u);
   bucket.ClearChain();
   EXPECT_FALSE(bucket.HasChain());
@@ -87,6 +90,7 @@ TEST(BucketViewTest, ChainRoundTrip) {
 TEST(BucketViewTest, ChainDoesNotClobberSlots) {
   BucketView bucket;
   bucket.SetPointerSlot(9, 32 * 99, 0x123, 1);
+  EXPECT_FALSE(bucket.Empty());  // the last slot's type bits count too
   bucket.SetChain(64 * 1000);
   EXPECT_EQ(bucket.GetPointerSlot(9).address, 32u * 99);
   EXPECT_EQ(bucket.GetPointerSlot(9).secondary_hash, 0x123);
@@ -121,6 +125,7 @@ struct IndexRig {
     SlabConfig slab;
     slab.region_base = regions.heap_base;
     slab.region_size = regions.heap_size;
+    slab.min_slab_bytes = config.min_slab_bytes;
     slab.max_slab_bytes = config.max_slab_bytes;
     return slab;
   }
@@ -131,6 +136,20 @@ struct IndexRig {
         allocator(MakeSlabConfig(config)),
         index(engine, allocator, config) {}
 };
+
+using KvMap = std::map<std::string, std::vector<uint8_t>>;
+
+// The index's contents as ForEach yields them; a key yielded twice fails.
+KvMap Enumerate(HashIndex& index) {
+  KvMap seen;
+  index.ForEach([&](std::span<const uint8_t> key, std::span<const uint8_t> value) {
+    const bool fresh = seen.emplace(std::string(key.begin(), key.end()),
+                                    std::vector<uint8_t>(value.begin(), value.end()))
+                           .second;
+    EXPECT_TRUE(fresh) << "ForEach yielded a key twice";
+  });
+  return seen;
+}
 
 HashIndexConfig SmallIndexConfig() {
   HashIndexConfig config;
@@ -308,10 +327,15 @@ TEST(HashIndexTest, ChainingKeepsAllKeysReachable) {
   }
   EXPECT_GT(rig.index.stats().chained_buckets_live, 100u);
   std::vector<uint8_t> out;
+  KvMap reference;
   for (uint64_t i = 0; i < kKeys; i++) {
     ASSERT_TRUE(rig.index.Get(MakeKey(i), out).ok()) << i;
     EXPECT_EQ(out, MakeValue(static_cast<uint8_t>(i), 2));
+    const auto key = MakeKey(i);
+    reference[std::string(key.begin(), key.end())] = out;
   }
+  // Enumeration follows every chain to its tail.
+  EXPECT_EQ(Enumerate(rig.index), reference);
 }
 
 TEST(HashIndexTest, DeletionUnlinksEmptyChainedBuckets) {
@@ -362,45 +386,57 @@ TEST(HashIndexTest, FillsToHighUtilizationBeforeOom) {
 }
 
 TEST(HashIndexTest, RandomizedAgainstReferenceMap) {
-  HashIndexConfig config;
-  config.memory_size = 2 * kMiB;
-  config.hash_index_ratio = 0.3;
-  config.inline_threshold_bytes = 20;
-  IndexRig rig(config);
-  std::map<std::string, std::vector<uint8_t>> reference;
-  Rng rng(2024);
-  for (int op = 0; op < 20000; op++) {
-    const uint64_t id = rng.NextBelow(500);
-    const auto key = MakeKey(id, 8);
-    const std::string key_str(key.begin(), key.end());
-    const uint32_t action = static_cast<uint32_t>(rng.NextBelow(10));
-    if (action < 5) {  // PUT with a random size: inline and slab both covered
-      const size_t len = 1 + rng.NextBelow(300);
-      const auto value = MakeValue(static_cast<uint8_t>(rng.Next()), len);
-      ASSERT_TRUE(rig.index.Put(key, value).ok());
-      reference[key_str] = value;
-    } else if (action < 8) {  // GET
-      std::vector<uint8_t> out;
-      const Status status = rig.index.Get(key, out);
-      auto it = reference.find(key_str);
-      if (it == reference.end()) {
-        EXPECT_EQ(status.code(), StatusCode::kNotFound);
-      } else {
-        ASSERT_TRUE(status.ok());
-        EXPECT_EQ(out, it->second);
+  HashIndexConfig paper;
+  paper.memory_size = 2 * kMiB;
+  paper.hash_index_ratio = 0.3;
+  paper.inline_threshold_bytes = 20;
+  // The vector extension's classes: slabs above 512 B are read in two steps
+  // (header line, then the rest of the payload).
+  HashIndexConfig vector = paper;
+  vector.memory_size = 8 * kMiB;
+  vector.min_slab_bytes = 256;
+  vector.max_slab_bytes = 4096;
+  for (const auto& [config, max_value_bytes] :
+       {std::pair{paper, 300}, std::pair{vector, 4000}}) {
+    SCOPED_TRACE(config.max_slab_bytes);
+    IndexRig rig(config);
+    KvMap reference;
+    Rng rng(2024);
+    for (int op = 0; op < 20000; op++) {
+      const uint64_t id = rng.NextBelow(500);
+      const auto key = MakeKey(id, 8);
+      const std::string key_str(key.begin(), key.end());
+      const uint32_t action = static_cast<uint32_t>(rng.NextBelow(10));
+      if (action < 5) {  // PUT with a random size: inline and slab both covered
+        const size_t len = 1 + rng.NextBelow(max_value_bytes);
+        const auto value = MakeValue(static_cast<uint8_t>(rng.Next()), len);
+        ASSERT_TRUE(rig.index.Put(key, value).ok());
+        reference[key_str] = value;
+      } else if (action < 8) {  // GET
+        std::vector<uint8_t> out;
+        const Status status = rig.index.Get(key, out);
+        auto it = reference.find(key_str);
+        if (it == reference.end()) {
+          EXPECT_EQ(status.code(), StatusCode::kNotFound);
+        } else {
+          ASSERT_TRUE(status.ok());
+          EXPECT_EQ(out, it->second);
+        }
+      } else {  // DELETE
+        const Status status = rig.index.Delete(key);
+        EXPECT_EQ(status.ok(), reference.erase(key_str) > 0);
       }
-    } else {  // DELETE
-      const Status status = rig.index.Delete(key);
-      EXPECT_EQ(status.ok(), reference.erase(key_str) > 0);
     }
-  }
-  EXPECT_EQ(rig.index.num_kvs(), reference.size());
-  // Final sweep: everything in the reference is retrievable.
-  for (const auto& [key_str, value] : reference) {
-    std::vector<uint8_t> out;
-    const std::vector<uint8_t> key(key_str.begin(), key_str.end());
-    ASSERT_TRUE(rig.index.Get(key, out).ok());
-    EXPECT_EQ(out, value);
+    EXPECT_EQ(rig.index.num_kvs(), reference.size());
+    // Final sweep: everything in the reference is retrievable.
+    for (const auto& [key_str, value] : reference) {
+      std::vector<uint8_t> out;
+      const std::vector<uint8_t> key(key_str.begin(), key_str.end());
+      ASSERT_TRUE(rig.index.Get(key, out).ok());
+      EXPECT_EQ(out, value);
+    }
+    // And enumeration yields exactly the reference, each key once.
+    EXPECT_EQ(Enumerate(rig.index), reference);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,13 @@ KvOperation Put(uint64_t id, uint64_t v) {
   return op;
 }
 
+KvOperation Delete(uint64_t id) {
+  KvOperation op;
+  op.opcode = Opcode::kDelete;
+  op.key = Key(id);
+  return op;
+}
+
 KvOperation Get(uint64_t id) {
   KvOperation op;
   op.opcode = Opcode::kGet;
@@ -71,6 +79,18 @@ uint64_t ReadU64(ReplicationGroup& group, uint32_t replica, uint64_t id) {
   uint64_t v = 0;
   std::memcpy(&v, r.value.data(), std::min<size_t>(8, r.value.size()));
   return v;
+}
+
+// A replica's whole store as its hash index enumerates it, in key order.
+StateKvs StoreContents(ReplicationGroup& group, uint32_t replica) {
+  StateKvs kvs;
+  group.replica(replica).index().ForEach(
+      [&](std::span<const uint8_t> key, std::span<const uint8_t> value) {
+        kvs.emplace_back(std::vector<uint8_t>(key.begin(), key.end()),
+                         std::vector<uint8_t>(value.begin(), value.end()));
+      });
+  std::ranges::sort(kvs);
+  return kvs;
 }
 
 // --- wire formats ---
@@ -715,10 +735,15 @@ TEST(ReplicationGroupTest, TrimmedLogForcesBoundedRateStateTransfer) {
     client.Enqueue(Put(i, 10 + i));
   }
   client.Flush();
+  RunFor(group.simulator(), 1 * kMillisecond);  // replica 2 applies keys 0..3
   group.CrashReplica(2);
   for (uint64_t i = 4; i < 40; i++) {
     client.Enqueue(Put(i, 10 + i));
   }
+  // Keys replica 2 still holds from before its crash: the snapshot install
+  // must wipe them.
+  client.Enqueue(Delete(1));
+  client.Enqueue(Delete(2));
   client.Flush();
   ASSERT_GT(group.replica(0).simulator().Now(), 0u);
 
@@ -730,6 +755,12 @@ TEST(ReplicationGroupTest, TrimmedLogForcesBoundedRateStateTransfer) {
   EXPECT_EQ(group.log_end(2), group.log_end(0));
   for (uint64_t i : {0ull, 17ull, 39ull}) {
     EXPECT_EQ(ReadU64(group, 2, i), 10 + i) << "key " << i;
+  }
+  // Every replica's whole store equals the primary's.
+  const StateKvs primary = StoreContents(group, group.primary_id());
+  EXPECT_EQ(primary.size(), 38u);
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(StoreContents(group, id), primary) << "replica " << id;
   }
 }
 
