@@ -36,12 +36,12 @@ Rates Measure(DispatchPolicy policy, double dispatch_ratio, bool long_tail,
   Simulator sim;
   DmaEngineConfig pcie_config;
   DmaEngine dma(sim, pcie_config);
+  // 1/16 of host memory, like the paper.
   NicDram dram(sim, NicDramConfig{.capacity_bytes = 64 * kMiB});
   LoadDispatcherConfig config;
   config.policy = policy;
   config.dispatch_ratio = dispatch_ratio;
   config.host_memory_bytes = kHostMemory;
-  config.nic_dram_bytes = 64 * kMiB;  // 1/16 of host memory, like the paper
   LoadDispatcher dispatcher(sim, dma, dram, config);
 
   Rng rng(11);

@@ -6,7 +6,8 @@
 #      only copy of the framing/replay-dedup logic, the batching client core
 #      the only client-side packing/response-admission path,
 #      SnapshotStream the only go-back-N chunk stream, Tracer the only
-#      tracing sink, and each replica's hash index the one key store;
+#      tracing sink, and each replica's hash index the one key store; and
+#      src/ holds only served code (no module that only tests reach);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -39,10 +40,10 @@ fi
 
 # One batching client core: packing ops into packets (PacketBuilder) and
 # admitting responses (ReliableSender::AcceptResponse) happen in src/transport
-# (plus the wire format itself in src/net and trace encoding in
-# src/workload). A client anywhere else in src/ growing its own copy fails.
+# (plus the wire format itself in src/net). A client anywhere else in src/
+# growing its own copy fails.
 packers=$(grep -rnE 'PacketBuilder|AcceptResponse\(' src --include='*.h' --include='*.cc' \
-            | grep -vE '^src/(net|transport|workload)/' || true)
+            | grep -vE '^src/(net|transport)/' || true)
 if [[ -n "${packers}" ]]; then
   echo "client packing/response admission found outside the batching core:" >&2
   echo "${packers}" >&2
@@ -80,6 +81,17 @@ mirrors=$( (grep -rnE 'TrackKey|Shadow key set|\b(rep|rp|primary|replica)(\.|->)
 if [[ -n "${mirrors}" ]]; then
   echo "per-replica key mirror found beside the hash index:" >&2
   echo "${mirrors}" >&2
+  exit 1
+fi
+
+# Served code only: src/ holds what a server, client, bench or example runs.
+# Code that only tests reach belongs under tests/ (the flight-dump parser
+# lives in tests/support); these test-only names showing up in src/ fail.
+unserved=$(grep -rnE 'DramCacheStore|TimeSeriesSampler|DiagnosticsReport|RunningStat|EncodeTrace|ParseFlightDump' \
+             src || true)
+if [[ -n "${unserved}" ]]; then
+  echo "test-only module found under src/:" >&2
+  echo "${unserved}" >&2
   exit 1
 fi
 

@@ -9,47 +9,6 @@
 
 namespace kvd {
 
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  count_++;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
-void RunningStat::Reset() { *this = RunningStat(); }
-
-double RunningStat::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets, 0) {}
 
 int LatencyHistogram::BucketFor(uint64_t value) {

@@ -1,6 +1,6 @@
-// Statistics accumulators used by the hardware models and the benchmark
-// harness: running mean/min/max, and an HDR-style histogram for latency
-// percentiles (the paper reports 5th/95th/99th percentiles and tail latency).
+// Latency statistics used by the hardware models and the benchmark harness:
+// an HDR-style histogram for latency percentiles (the paper reports
+// 5th/95th/99th percentiles and tail latency).
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
@@ -9,29 +9,6 @@
 #include <vector>
 
 namespace kvd {
-
-// Running scalar statistics (Welford's algorithm for variance).
-class RunningStat {
- public:
-  void Add(double x);
-  void Merge(const RunningStat& other);
-  void Reset();
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0; }
-  double min() const { return count_ > 0 ? min_ : 0; }
-  double max() const { return count_ > 0 ? max_ : 0; }
-  double variance() const;
-  double stddev() const;
-  double sum() const { return mean_ * static_cast<double>(count_); }
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 // Log-linear histogram: values bucketed with ~1.5% relative error, constant
 // memory, O(1) insert. Suitable for latency distributions spanning ns..ms.

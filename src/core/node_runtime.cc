@@ -68,7 +68,6 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   LoadDispatcherConfig dispatch_config;
   dispatch_config.policy = config.dispatch_policy;
   dispatch_config.host_memory_bytes = config.kvs_memory_bytes;
-  dispatch_config.nic_dram_bytes = config.nic_dram.capacity_bytes;
   if (config.dispatch_ratio >= 0) {
     dispatch_config.dispatch_ratio = config.dispatch_ratio;
   } else {

@@ -20,7 +20,8 @@ LoadDispatcher::LoadDispatcher(Simulator& sim, DmaEngine& dma, NicDram& dram,
   }
   cacheable_threshold_ = static_cast<uint64_t>(
       ratio * static_cast<double>(~uint64_t{0}));
-  num_cache_lines_ = std::max<uint64_t>(1, config.nic_dram_bytes / kCacheLineBytes);
+  num_cache_lines_ =
+      std::max<uint64_t>(1, dram.config().capacity_bytes / kCacheLineBytes);
   line_tag_.assign(num_cache_lines_, kInvalidTag);
   line_dirty_.assign(num_cache_lines_, false);
 }

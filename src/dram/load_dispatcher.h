@@ -50,7 +50,6 @@ struct LoadDispatcherConfig {
   DispatchPolicy policy = DispatchPolicy::kHybrid;
   double dispatch_ratio = 0.5;       // l: fraction of host memory cacheable
   uint64_t host_memory_bytes = 0;    // required; cache indexing is derived
-  uint64_t nic_dram_bytes = 4 * kGiB;
 };
 
 struct DispatchStats {
@@ -70,6 +69,7 @@ struct DispatchStats {
 
 class LoadDispatcher {
  public:
+  // The cache has one direct-mapped line per 64 B of `dram`'s capacity.
   LoadDispatcher(Simulator& sim, DmaEngine& dma, NicDram& dram,
                  const LoadDispatcherConfig& config);
 

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
@@ -129,21 +128,6 @@ class FlightRecorder {
   uint64_t triggers_seen_ = 0;
   uint64_t dumps_taken_ = 0;
 };
-
-// Validated loader for flight-recorder dump JSON (the negative-test surface:
-// a truncated file or a hostile span count must produce an error Status, not
-// a crash or an unbounded allocation).
-struct ParsedFlightDump {
-  std::string trigger;
-  std::string detail;
-  SimTime sim_time = 0;
-  std::vector<OpTrace> traces;       // completed ring, oldest first
-  std::vector<OpTrace> live_traces;  // in flight at trigger time
-  uint64_t total_spans = 0;
-};
-
-Status ParseFlightDump(std::string_view json, ParsedFlightDump* out,
-                       size_t max_spans = 1u << 16);
 
 }  // namespace kvd
 

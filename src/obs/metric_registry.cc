@@ -141,30 +141,6 @@ std::vector<std::string> MetricRegistry::Names() const {
   return names;
 }
 
-std::vector<std::string> MetricRegistry::ScalarNames() const {
-  std::vector<std::string> names;
-  for (const size_t i : SortedOrder()) {
-    const Metric& m = metrics_[i];
-    if (m.kind != Kind::kHistogram) {
-      names.push_back(m.name + m.rendered_labels);
-    }
-  }
-  return names;
-}
-
-std::vector<double> MetricRegistry::ScalarValues() const {
-  std::vector<double> values;
-  for (const size_t i : SortedOrder()) {
-    const Metric& m = metrics_[i];
-    if (m.kind == Kind::kCounter) {
-      values.push_back(static_cast<double>(m.counter()));
-    } else if (m.kind == Kind::kGauge) {
-      values.push_back(m.gauge());
-    }
-  }
-  return values;
-}
-
 std::string MetricRegistry::PrometheusText() const {
   std::string out;
   std::string last_family;

@@ -8,7 +8,7 @@
 // in three forms:
 //   - Prometheus text exposition (counters, gauges, summaries)
 //   - a JSON snapshot (machine-readable, one record per metric)
-//   - sorted plain text (the DiagnosticsReport body; golden-testable)
+//   - sorted plain text (golden-testable)
 //
 // Thread-free by design: the whole system runs under one discrete-event
 // simulator, so reads are always quiescent.
@@ -70,11 +70,6 @@ class MetricRegistry {
   // Sorted, deduplicated metric names.
   std::vector<std::string> Names() const;
 
-  // Every counter and gauge as `name{labels}`, sorted — the sampler's series
-  // list — and their current values in the same order.
-  std::vector<std::string> ScalarNames() const;
-  std::vector<double> ScalarValues() const;
-
   // Prometheus text format, sorted by (name, labels), with # HELP / # TYPE
   // headers once per metric family. Histograms render as summaries with
   // quantile="0.5|0.95|0.99" series plus _sum and _count.
@@ -86,7 +81,7 @@ class MetricRegistry {
   std::string ToJson() const;
 
   // One sorted `name{labels} value` line per metric; histograms render their
-  // one-line Summary(). Deterministic — DiagnosticsReport builds on this.
+  // one-line Summary(). Deterministic for a given system state.
   std::string PlainText() const;
 
  private:

@@ -24,6 +24,7 @@
 #include "src/common/units.h"
 #include "src/net/wire_format.h"
 #include "src/replica/replica_wire.h"
+#include "tests/support/flight_dump_parser.h"
 
 namespace kvd {
 namespace {

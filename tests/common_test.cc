@@ -151,34 +151,6 @@ TEST(ZipfTest, ScrambledPreservesSkewButMovesHotKey) {
   EXPECT_NE(hottest - counts.begin(), 0);
 }
 
-TEST(RunningStatTest, BasicMoments) {
-  RunningStat s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.5);
-}
-
-TEST(RunningStatTest, MergeMatchesCombined) {
-  RunningStat a;
-  RunningStat b;
-  RunningStat all;
-  Rng rng(3);
-  for (int i = 0; i < 1000; i++) {
-    const double x = rng.NextDouble() * 100;
-    (i % 2 == 0 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-}
-
 TEST(LatencyHistogramTest, PercentilesBracketValues) {
   LatencyHistogram h;
   for (uint64_t v = 1; v <= 1000; v++) {

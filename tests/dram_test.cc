@@ -86,11 +86,11 @@ TEST(LoadDispatcherTest, RepeatedAccessHitsAfterFill) {
 }
 
 TEST(LoadDispatcherTest, DirtyEvictionCausesWriteback) {
-  Rig rig;
+  // 16-line cache for easy conflicts.
+  Rig rig(NicDramConfig{.capacity_bytes = 64 * 16});
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
   config.host_memory_bytes = 1 * kGiB;
-  config.nic_dram_bytes = 64 * 16;  // 16-line cache for easy conflicts
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   // Write line 0, then touch the conflicting line 16 (same slot).
   dispatcher.Access(AccessKind::kWrite, 0, 64, [] {});
@@ -100,15 +100,35 @@ TEST(LoadDispatcherTest, DirtyEvictionCausesWriteback) {
 }
 
 TEST(LoadDispatcherTest, CleanEvictionCausesNoWriteback) {
-  Rig rig;
+  Rig rig(NicDramConfig{.capacity_bytes = 64 * 16});
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
   config.host_memory_bytes = 1 * kGiB;
-  config.nic_dram_bytes = 64 * 16;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   dispatcher.Access(AccessKind::kRead, 0, 64, [] {});
   dispatcher.Access(AccessKind::kRead, 16 * 64, 64, [] {});
   rig.sim.RunUntilIdle();
+  EXPECT_EQ(dispatcher.stats().writebacks, 0u);
+}
+
+// An uncorrectable ECC error on a dirty cached line demotes it: the host copy
+// replaces the dead cached one, so the line is no longer dirty and evicting it
+// writes nothing back.
+TEST(LoadDispatcherTest, UncorrectableEccOnDirtyCachedLineDemotesWithoutWriteback) {
+  Rig rig(NicDramConfig{.capacity_bytes = 64 * 16});
+  FaultPlan plan;
+  plan.schedule.push_back({FaultSite::kDramUncorrectableFlip, 1});
+  FaultInjector faults(plan);
+  rig.dram.SetFaultInjector(&faults);
+  LoadDispatcherConfig config;
+  config.policy = DispatchPolicy::kCacheAll;
+  config.host_memory_bytes = 1 * kGiB;
+  LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
+  dispatcher.Access(AccessKind::kWrite, 0, 64, [] {});
+  dispatcher.Access(AccessKind::kRead, 0, 64, [] {});  // the demotion
+  dispatcher.Access(AccessKind::kRead, 16 * 64, 64, [] {});
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(dispatcher.stats().ecc_demotions, 1u);
   EXPECT_EQ(dispatcher.stats().writebacks, 0u);
 }
 
@@ -150,7 +170,7 @@ TEST(LoadDispatcherTest, MultiTlpAccessesUnderReplayCompleteOnce) {
   DmaEngineConfig dma_config;
   dma_config.read_tags = 1;
   dma_config.max_tlp_attempts = 64;
-  Rig rig({}, dma_config);
+  Rig rig(NicDramConfig{.capacity_bytes = 64 * kMiB}, dma_config);
   FaultPlan plan;
   plan.at(FaultSite::kPcieReadCompletion) = 0.3;
   FaultInjector faults(plan);
@@ -159,7 +179,6 @@ TEST(LoadDispatcherTest, MultiTlpAccessesUnderReplayCompleteOnce) {
   config.policy = DispatchPolicy::kHybrid;
   config.dispatch_ratio = 0.5;
   config.host_memory_bytes = 1 * kGiB;
-  config.nic_dram_bytes = 64 * kMiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
 
   constexpr uint32_t kBytes = 512;  // two 256 B TLPs over PCIe

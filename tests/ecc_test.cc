@@ -4,10 +4,8 @@
 
 #include <array>
 #include <cstring>
-#include <vector>
 
 #include "src/common/random.h"
-#include "src/dram/dram_cache_store.h"
 #include "src/dram/ecc_metadata.h"
 
 namespace kvd {
@@ -135,94 +133,6 @@ TEST(EccLineTest, BitBudgetMatchesPaper) {
   EXPECT_LT(kSpareBitWord, 8);
   // 2 parity + 4 tag + 1 dirty + 1 spare = the 8 repurposed MSBs.
   EXPECT_EQ(2 + 4 + 1 + 1, 8);
-}
-
-// --- DramCacheStore: the ECC codec under a real cache ---
-
-std::array<uint8_t, 64> LinePattern(uint8_t fill) {
-  std::array<uint8_t, 64> data;
-  data.fill(fill);
-  return data;
-}
-
-TEST(DramCacheStoreTest, InstallLookupRoundTrip) {
-  DramCacheStore cache(16);
-  const auto data = LinePattern(0x7b);
-  EXPECT_FALSE(cache.Install(3 * 64, data, false).has_value());
-  const auto hit = cache.Lookup(3 * 64);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->data, data);
-  EXPECT_FALSE(hit->dirty);
-}
-
-TEST(DramCacheStoreTest, TagDistinguishesConflictingHostLines) {
-  DramCacheStore cache(16);
-  // Host lines 3 and 3+16 map to the same slot with different tags.
-  EXPECT_FALSE(cache.Install(3 * 64, LinePattern(1), false).has_value());
-  ASSERT_TRUE(cache.Lookup(3 * 64).has_value());
-  EXPECT_FALSE(cache.Lookup((3 + 16) * 64).has_value());  // tag mismatch
-  // Installing the conflicting line displaces the first.
-  EXPECT_FALSE(cache.Install((3 + 16) * 64, LinePattern(2), false).has_value());
-  EXPECT_FALSE(cache.Lookup(3 * 64).has_value());
-  ASSERT_TRUE(cache.Lookup((3 + 16) * 64).has_value());
-}
-
-TEST(DramCacheStoreTest, DirtyEvictionCarriesDataAndAddress) {
-  DramCacheStore cache(16);
-  EXPECT_FALSE(cache.Install(5 * 64, LinePattern(9), /*dirty=*/true).has_value());
-  const auto eviction = cache.Install((5 + 32) * 64, LinePattern(4), false);
-  ASSERT_TRUE(eviction.has_value());
-  EXPECT_TRUE(eviction->dirty);
-  EXPECT_EQ(eviction->host_address, 5u * 64);
-  EXPECT_EQ(eviction->data, LinePattern(9));
-}
-
-TEST(DramCacheStoreTest, MarkDirtyUpdatesInPlace) {
-  DramCacheStore cache(16);
-  EXPECT_FALSE(cache.Install(2 * 64, LinePattern(1), false).has_value());
-  EXPECT_TRUE(cache.MarkDirty(2 * 64, LinePattern(8)));
-  const auto hit = cache.Lookup(2 * 64);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->dirty);
-  EXPECT_EQ(hit->data, LinePattern(8));
-  // Tag mismatch refuses the write-hit path.
-  EXPECT_FALSE(cache.MarkDirty((2 + 16) * 64, LinePattern(8)));
-}
-
-TEST(DramCacheStoreTest, SingleBitFaultsAreScrubbedTransparently) {
-  DramCacheStore cache(64);
-  Rng rng(21);
-  int survived = 0;
-  for (int trial = 0; trial < 200; trial++) {
-    const uint64_t line = rng.NextBelow(64);
-    const auto data = LinePattern(static_cast<uint8_t>(trial));
-    cache.Install(line * 64, data, false);
-    cache.InjectBitFlip(line, static_cast<uint32_t>(rng.NextBelow(512)));  // data bits
-    const auto hit = cache.Lookup(line * 64);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->data, data);
-    survived++;
-    // The scrub rewrote the corrected line: a second read is clean.
-    const uint64_t corrected_before = cache.corrected_errors();
-    ASSERT_TRUE(cache.Lookup(line * 64).has_value());
-    EXPECT_EQ(cache.corrected_errors(), corrected_before);
-  }
-  EXPECT_EQ(survived, 200);
-  EXPECT_EQ(cache.corrected_errors(), 200u);
-}
-
-TEST(DramCacheStoreTest, DoubleBitFaultBecomesACountedMiss) {
-  DramCacheStore cache(16);
-  const auto data = LinePattern(0x3c);
-  cache.Install(7 * 64, data, false);
-  // Two flips in the same 64-bit word.
-  cache.InjectBitFlip(7, 130);
-  cache.InjectBitFlip(7, 140);
-  EXPECT_FALSE(cache.Lookup(7 * 64).has_value());
-  EXPECT_EQ(cache.double_errors(), 1u);
-  // The slot was reset: a refetched install works again.
-  cache.Install(7 * 64, data, false);
-  ASSERT_TRUE(cache.Lookup(7 * 64).has_value());
 }
 
 }  // namespace

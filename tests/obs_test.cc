@@ -1,7 +1,7 @@
 // Tests for src/obs: the JSON writer, the metric registry and its three
-// exposition formats, the simulated-time sampler, and the tracer's event
-// timeline with Chrome trace export — plus an end-to-end YCSB-B run through
-// KvDirectServer exporting all of them.
+// exposition formats, and the tracer's event timeline with Chrome trace
+// export — plus an end-to-end YCSB-B run through KvDirectServer exporting
+// all of them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "src/core/kv_direct.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/time_series_sampler.h"
 #include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
@@ -146,47 +145,6 @@ TEST(MetricRegistryTest, PlainTextIsSorted) {
             "z_total 1\n");
 }
 
-TEST(TimeSeriesSamplerTest, SamplesOnSimulatedCadence) {
-  Simulator sim;
-  MetricRegistry registry;
-  uint64_t events = 0;
-  registry.RegisterCounter("events_total", "events", {}, &events);
-
-  TimeSeriesSampler sampler(sim, registry,
-                            {.interval = 10 * kMicrosecond, .max_samples = 1000});
-  sampler.Start();
-  ASSERT_EQ(sampler.series_names(), std::vector<std::string>{"events_total"});
-
-  // The workload bumps the counter at 5, 15, 25 us; the sampler reads at
-  // 10, 20, 30, ... us of simulated time.
-  for (int i = 0; i < 3; i++) {
-    sim.ScheduleAt((5 + 10 * i) * kMicrosecond, [&] { events++; });
-  }
-  sim.RunUntil(35 * kMicrosecond);
-  sampler.Stop();
-  sim.RunUntilIdle();  // drains the one already-scheduled no-op tick
-
-  ASSERT_EQ(sampler.samples().size(), 3u);
-  for (size_t i = 0; i < 3; i++) {
-    EXPECT_EQ(sampler.samples()[i].when, (10 + 10 * i) * kMicrosecond);
-    EXPECT_EQ(sampler.samples()[i].values[0], static_cast<double>(i + 1));
-  }
-
-  const std::string json = sampler.ToJson();
-  EXPECT_NE(json.find("\"interval_ps\":10000000"), std::string::npos);
-  EXPECT_NE(json.find("\"events_total\":[[10000000,1]"), std::string::npos);
-}
-
-TEST(TimeSeriesSamplerTest, MaxSamplesLeavesQueueDrainable) {
-  Simulator sim;
-  MetricRegistry registry;
-  registry.RegisterGauge("g", "g", {}, [] { return 1.0; });
-  TimeSeriesSampler sampler(sim, registry, {.interval = kMicrosecond, .max_samples = 5});
-  sampler.Start();
-  sim.RunUntilIdle();  // terminates: the sampler stops re-arming at the cap
-  EXPECT_EQ(sampler.samples().size(), 5u);
-}
-
 TEST(TracerTimelineTest, DisabledRecordsNothing) {
   Simulator sim;
   Tracer tracer(sim);
@@ -277,10 +235,6 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
     ASSERT_TRUE(server.Load(op.key, op.value).ok());
   }
 
-  TimeSeriesSampler sampler(server.simulator(), server.metrics(),
-                            {.interval = 5 * kMicrosecond});
-  sampler.Start();
-
   Client client(server);
   constexpr uint64_t kOps = 2000;
   for (uint64_t i = 0; i < kOps; i++) {
@@ -288,7 +242,6 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   }
   const std::vector<KvResultMessage> results = client.Flush();
   ASSERT_EQ(results.size(), kOps);
-  sampler.Stop();
 
   const MetricRegistry& metrics = server.metrics();
   // Per-subsystem counters moved: fast-path ops, DMA bytes, dispatcher
@@ -318,10 +271,6 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   const std::string json = metrics.ToJson();
   EXPECT_EQ(json.rfind("{\"metrics\":[", 0), 0u);
   EXPECT_NE(json.find("\"name\":\"kvd_store_kvs\""), std::string::npos);
-
-  // The sampler saw the run on its simulated-time cadence.
-  EXPECT_GT(sampler.samples().size(), 0u);
-  EXPECT_NE(sampler.ToJson().find("kvd_proc_retired_total"), std::string::npos);
 
   // The trace captured hardware events across categories.
   EXPECT_GT(server.tracer().num_events(), 0u);

@@ -25,6 +25,7 @@
 #include "src/obs/tracer.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
+#include "tests/support/flight_dump_parser.h"
 
 namespace kvd {
 namespace {

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/workload/trace.h"
 #include "src/workload/ycsb.h"
 
 namespace kvd {
@@ -97,70 +96,6 @@ TEST(YcsbTest, LoadOpsDeterministic) {
   EXPECT_EQ(op.opcode, Opcode::kPut);
   EXPECT_EQ(op.value.size(), 24u);
   EXPECT_EQ(op.value, workload.LoadOpFor(7).value);
-}
-
-// --- trace record / replay ---
-
-TEST(TraceTest, EncodeDecodeRoundTrip) {
-  WorkloadConfig config = WorkloadConfig::YcsbA();
-  config.num_keys = 500;
-  config.value_bytes = 24;
-  YcsbWorkload workload(config);
-  std::vector<KvOperation> ops;
-  for (int i = 0; i < 1000; i++) {
-    ops.push_back(workload.NextOp());
-  }
-  auto decoded = DecodeTrace(EncodeTrace(ops));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), ops.size());
-  for (size_t i = 0; i < ops.size(); i++) {
-    EXPECT_EQ((*decoded)[i].opcode, ops[i].opcode) << i;
-    EXPECT_EQ((*decoded)[i].key, ops[i].key) << i;
-    EXPECT_EQ((*decoded)[i].value, ops[i].value) << i;
-  }
-}
-
-TEST(TraceTest, RejectsGarbageAndWrongVersion) {
-  EXPECT_FALSE(DecodeTrace({1, 2, 3}).ok());
-  std::vector<KvOperation> ops(1);
-  ops[0].key = {1};
-  std::vector<uint8_t> bytes = EncodeTrace(ops);
-  bytes[8] = 99;  // version
-  EXPECT_FALSE(DecodeTrace(bytes).ok());
-  std::vector<uint8_t> truncated = EncodeTrace(ops);
-  truncated.resize(truncated.size() - 1);
-  EXPECT_FALSE(DecodeTrace(truncated).ok());
-}
-
-TEST(TraceTest, FileRoundTrip) {
-  WorkloadConfig config;
-  config.num_keys = 100;
-  YcsbWorkload workload(config);
-  std::vector<KvOperation> ops;
-  for (int i = 0; i < 200; i++) {
-    ops.push_back(workload.NextOp());
-  }
-  const std::string path = ::testing::TempDir() + "/kvd_trace_test.bin";
-  ASSERT_TRUE(WriteTraceFile(path, ops).ok());
-  auto loaded = ReadTraceFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), ops.size());
-  EXPECT_FALSE(ReadTraceFile(path + ".missing").ok());
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, CompressionShrinksRegularTraces) {
-  // Uniform-size PUTs with identical values compress heavily.
-  std::vector<KvOperation> ops;
-  for (int i = 0; i < 500; i++) {
-    KvOperation op;
-    op.opcode = Opcode::kPut;
-    op.key.assign(8, static_cast<uint8_t>(i));
-    op.value.assign(32, 7);
-    ops.push_back(std::move(op));
-  }
-  const size_t encoded = EncodeTrace(ops).size();
-  EXPECT_LT(encoded, ops.size() * (2 + 8 + 32));  // far below raw size
 }
 
 }  // namespace
