@@ -6,8 +6,11 @@
 #      only copy of the framing/replay-dedup logic, the batching client core
 #      the only client-side packing/response-admission path,
 #      SnapshotStream the only go-back-N chunk stream, Tracer the only
-#      tracing sink, and each replica's hash index the one key store; and
-#      src/ holds only served code (no module that only tests reach);
+#      tracing sink, and each replica's hash index the one key store;
+#      src/ holds only served code (no module that only tests reach); and
+#      the replicated path keeps its per-key state hashed (the "hashed
+#      per-key replica state" guard: no ordered tree keyed by key bytes in
+#      the group routers, no map of maps for the session records);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -92,6 +95,21 @@ unserved=$(grep -rnE 'DramCacheStore|TimeSeriesSampler|DiagnosticsReport|Running
 if [[ -n "${unserved}" ]]; then
   echo "test-only module found under src/:" >&2
   echo "${unserved}" >&2
+  exit 1
+fi
+
+# Hashed per-key replica state: the client's read watermarks are looked up
+# once per key per packet and the session records once per write slot;
+# nothing iterates either, so neither is an ordered tree.
+ordered=$( (grep -nF 'std::map<std::vector<uint8_t>' src/replica/replicated_client.h \
+              | sed 's|^|src/replica/replicated_client.h:|' || true;
+            grep -nF 'std::map<std::vector<uint8_t>' src/cluster/cluster_client.h \
+              | sed 's|^|src/cluster/cluster_client.h:|' || true;
+            grep -nF 'std::map<uint64_t, std::map<uint16_t' src/replica/replication_group.h \
+              | sed 's|^|src/replica/replication_group.h:|' || true) )
+if [[ -n "${ordered}" ]]; then
+  echo "hashed per-key replica state: ordered per-key map found:" >&2
+  echo "${ordered}" >&2
   exit 1
 fi
 

@@ -22,9 +22,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/hashing.h"
 #include "src/replica/replica_wire.h"
 #include "src/replica/replication_group.h"
 #include "src/transport/batch_client.h"
@@ -93,12 +94,18 @@ class GroupRouter : public BatchClient {
     uint32_t group = 0;
     uint64_t index = 0;
   };
+  struct KeyBytesHash {
+    size_t operator()(const std::vector<uint8_t>& key) const {
+      return HashBytes(key);
+    }
+  };
 
   SimTime redirect_backoff_;
   Stats& stats_;
   std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // std::map for deterministic iteration.
-  std::map<std::vector<uint8_t>, Watermark> watermarks_;
+  // Per key: searched once per key per packet, never iterated.
+  std::unordered_map<std::vector<uint8_t>, Watermark, KeyBytesHash>
+      watermarks_;
 };
 
 class ReplicatedClient : public GroupRouter {

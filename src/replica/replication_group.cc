@@ -22,6 +22,14 @@ ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sen
   return msg;
 }
 
+// First session record at or after `slot` in a sequence's slot-sorted records.
+template <typename Slots>
+auto LowerBoundSlot(Slots& slots, uint16_t slot) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), slot,
+      [](const auto& stored, uint16_t wanted) { return stored.slot < wanted; });
+}
+
 }  // namespace
 
 ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
@@ -473,6 +481,7 @@ void ReplicationGroup::ExecuteWrites(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
   struct WriteState {
+    std::vector<KvOperation> ops;
     std::vector<KvResultMessage> results;
     size_t remaining = 0;
     uint64_t needed_index = 0;
@@ -481,7 +490,8 @@ void ReplicationGroup::ExecuteWrites(
     std::function<void(std::vector<uint8_t>)> respond;
   };
   auto state = std::make_shared<WriteState>();
-  state->results.resize(ops.size());
+  state->ops = std::move(ops);
+  state->results.resize(state->ops.size());
   state->respond = std::move(respond);
 
   // Replicated session records answer write slots that already executed —
@@ -490,11 +500,12 @@ void ReplicationGroup::ExecuteWrites(
   std::vector<size_t> submit;
   auto session = rep.sessions.find(sequence);
   bool session_hit = false;
-  for (size_t i = 0; i < ops.size(); i++) {
-    if (IsWriteOpcode(ops[i].opcode) && session != rep.sessions.end()) {
-      auto stored = session->second.find(static_cast<uint16_t>(i));
-      if (stored != session->second.end()) {
-        state->results[i] = stored->second;
+  for (size_t i = 0; i < state->ops.size(); i++) {
+    if (IsWriteOpcode(state->ops[i].opcode) && session != rep.sessions.end()) {
+      const uint16_t slot = static_cast<uint16_t>(i);
+      auto stored = LowerBoundSlot(session->second, slot);
+      if (stored != session->second.end() && stored->slot == slot) {
+        state->results[i] = stored->result;
         stats_.session_dedup_hits++;
         session_hit = true;
         continue;
@@ -537,20 +548,21 @@ void ReplicationGroup::ExecuteWrites(
   }
   state->remaining = submit.size();
   for (size_t i : submit) {
-    KvOperation op = ops[i];
-    const bool is_write = IsWriteOpcode(op.opcode);
+    const bool is_write = IsWriteOpcode(state->ops[i].opcode);
     if (is_write) {
       rep.inflight_ops++;
     }
+    // The one copy of the op: the batch's own stays in `state` until the
+    // log entry takes it.
     rep.server->Submit(
-        ops[i], [this, rp, state, sequence, i, is_write, finish,
-                 op = std::move(op)](KvResultMessage result) {
+        state->ops[i], [this, rp, state, sequence, i, is_write,
+                        finish](KvResultMessage result) {
           if (is_write) {
             rp->inflight_ops--;
           }
           if (is_write && result.code == ResultCode::kOk) {
-            AppendEffectiveWrite(*rp, sequence, static_cast<uint16_t>(i), op,
-                                 result);
+            AppendEffectiveWrite(*rp, sequence, static_cast<uint16_t>(i),
+                                 std::move(state->ops[i]), result);
             state->needed_index = rp->log.end();
             state->appended = true;
             state->appended_at = sim_.Now();
@@ -596,20 +608,27 @@ void ReplicationGroup::RespondWrite(
 }
 
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
-                                            uint16_t slot, const KvOperation& op,
+                                            uint16_t slot, KvOperation op,
                                             const KvResultMessage& result) {
   tracer_.Point(op.trace, TracePoint::kReplAppend);
   LogEntry entry;
   entry.epoch = rep.current_epoch;
   entry.client_sequence = sequence;
   entry.slot = slot;
-  entry.op = op;
+  entry.op = std::move(op);
   // Backups re-execute the entry through their own timed pipeline; the
   // client's live trace must not collect those replica-local spans.
   entry.op.trace = 0;
   entry.result = result;
   rep.log.Append(std::move(entry));
-  rep.append_time[rep.log.end()] = sim_.Now();
+  if (rep.is_primary && !rep.crashed) {
+    // Only a live reign's appends are timed: a crashed or deposed primary's
+    // late retirements land in a log tail the next reign may rewrite, and
+    // the next promotion clears them anyway.
+    KVD_DCHECK(rep.append_time.empty() ||
+               rep.append_time.back().first < rep.log.end());
+    rep.append_time.emplace_back(rep.log.end(), sim_.Now());
+  }
   rep.match[rep.id] = rep.log.end();
   rep.next[rep.id] = rep.log.end() + 1;
   rep.applied = rep.log.end();  // execute-then-log: effects already in store
@@ -621,7 +640,13 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
                                      uint16_t slot,
                                      const KvResultMessage& result) {
   auto [it, inserted] = rep.sessions.try_emplace(sequence);
-  it->second[slot] = result;
+  std::vector<SessionSlot>& slots = it->second;
+  auto at = LowerBoundSlot(slots, slot);
+  if (at != slots.end() && at->slot == slot) {
+    at->result = result;
+  } else {
+    slots.insert(at, SessionSlot{slot, result});
+  }
   if (inserted) {
     rep.session_order.push_back(sequence);
     while (rep.session_order.size() > config_.session_entries) {
@@ -1019,11 +1044,11 @@ void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
     // commits the whole inherited prefix with it once it reaches quorum.
     return;
   }
-  for (auto it = primary.append_time.begin();
-       it != primary.append_time.end() && it->first <= candidate;) {
-    propagation_lag_ns_.Add(
-        static_cast<uint64_t>((sim_.Now() - it->second) / kNanosecond));
-    it = primary.append_time.erase(it);
+  while (!primary.append_time.empty() &&
+         primary.append_time.front().first <= candidate) {
+    propagation_lag_ns_.Add(static_cast<uint64_t>(
+        (sim_.Now() - primary.append_time.front().second) / kNanosecond));
+    primary.append_time.pop_front();
   }
   const uint64_t previous_commit = primary.commit;
   primary.commit = candidate;
@@ -1381,8 +1406,8 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint32_t target,
   // promoted later still answers retransmissions of writes it never logged.
   std::vector<SessionRecord> sessions;
   for (const uint64_t sequence : primary.session_order) {
-    for (const auto& [slot, result] : primary.sessions.at(sequence)) {
-      sessions.push_back({sequence, slot, result});
+    for (const SessionSlot& stored : primary.sessions.at(sequence)) {
+      sessions.push_back({sequence, stored.slot, stored.result});
     }
   }
   std::vector<ReplicaMessage> chunks =

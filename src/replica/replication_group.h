@@ -54,6 +54,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/key_router.h"
@@ -313,6 +315,11 @@ class ReplicationGroup {
     std::function<void(std::vector<uint8_t>)> respond;
   };
 
+  struct SessionSlot {
+    uint16_t slot = 0;
+    KvResultMessage result;
+  };
+
   struct Replica {
     uint32_t id = 0;
     std::unique_ptr<KvDirectServer> server;
@@ -352,7 +359,9 @@ class ReplicationGroup {
     std::vector<uint64_t> match;
     std::vector<uint64_t> next;
     std::vector<PendingAck> pending;
-    std::map<uint64_t, SimTime> append_time;
+    // (log index, append time), pushed in append order and popped from the
+    // front as commit advances.
+    std::deque<std::pair<uint64_t, SimTime>> append_time;
     // Gray-failure tracking (primary bookkeeping, config.demote_lag_entries):
     // per-peer demoted flag, the start of the peer's current continuous
     // lagging stretch (0 = caught up), and the start of its current
@@ -416,9 +425,11 @@ class ReplicationGroup {
     std::map<std::vector<uint8_t>, std::optional<std::vector<uint8_t>>>
         pending_state;
 
-    // Replicated session results: client sequence -> slot -> result, FIFO
-    // evicted. Identical on every replica holding the same log prefix.
-    std::map<uint64_t, std::map<uint16_t, KvResultMessage>> sessions;
+    // Replicated session results: client sequence -> its write slots'
+    // results, kept sorted by slot (ops retire out of order, so inserts keep
+    // the order), FIFO evicted in session_order. Identical on every replica
+    // holding the same log prefix.
+    std::unordered_map<uint64_t, std::vector<SessionSlot>> sessions;
     std::deque<uint64_t> session_order;
   };
 
@@ -437,7 +448,7 @@ class ReplicationGroup {
                     const std::function<void(std::vector<uint8_t>)>& respond,
                     SimTime appended_at = 0);
   void AppendEffectiveWrite(Replica& rep, uint64_t sequence, uint16_t slot,
-                            const KvOperation& op, const KvResultMessage& result);
+                            KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
   void FinishResponse(Replica& rep, uint64_t sequence, GroupResponse response,

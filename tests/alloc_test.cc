@@ -1,9 +1,12 @@
 // Tests for the slab allocator stack: bitmap, mergers, host daemon,
-// NIC-side allocator (paper §3.3.2, §4, Figures 8 and 12).
+// NIC-side allocator (paper §3.3.2, §4, Figures 8 and 12), and the host
+// memory arena under them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -158,6 +161,61 @@ TEST(RadixSortTest, ThreadCountsAgree) {
     RadixSortMerger::ParallelRadixSort(values, threads);
     EXPECT_TRUE(std::is_sorted(values.begin(), values.end())) << threads;
   }
+}
+
+// --- HostMemory: the demand-zero arena every store structure lives in ---
+
+bool AllZero(const HostMemory& memory, uint64_t address, uint64_t length) {
+  std::vector<uint8_t> bytes(length, 0xff);
+  memory.Read(address, bytes);
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](uint8_t byte) { return byte == 0; });
+}
+
+TEST(HostMemoryTest, FreshArenaReadsZeroEverywhere) {
+  constexpr uint64_t kHuge = 2 * kMiB;
+  // Multiples of neither 4 KiB nor 2 MiB, below and above one huge page.
+  for (const uint64_t size : {uint64_t{1}, uint64_t{5000}, 3 * kHuge + 123}) {
+    HostMemory memory(size);
+    EXPECT_EQ(memory.size(), size);
+    EXPECT_TRUE(AllZero(memory, 0, 1)) << size;
+    EXPECT_TRUE(AllZero(memory, size - 1, 1)) << size;
+    if (size > kHuge) {
+      EXPECT_TRUE(AllZero(memory, kHuge - 32, 64)) << size;  // spans a boundary
+      // A huge-page-sized arena starts on a 2 MiB boundary.
+      const auto base = reinterpret_cast<uintptr_t>(memory.Span(0, 1).data());
+      EXPECT_EQ(base % kHuge, 0u);
+    }
+  }
+}
+
+TEST(HostMemoryTest, FillWriteReadRoundTrip) {
+  HostMemory memory(2 * kMiB + 4097);
+  const uint64_t last = memory.size() - 1;
+  memory.Fill(2 * kMiB - 8, 16, 0xab);
+  std::vector<uint8_t> bytes(16);
+  memory.Read(2 * kMiB - 8, bytes);
+  EXPECT_EQ(bytes, std::vector<uint8_t>(16, 0xab));
+  EXPECT_TRUE(AllZero(memory, 2 * kMiB - 9, 1));
+  EXPECT_TRUE(AllZero(memory, 2 * kMiB + 8, 1));
+
+  const std::vector<uint8_t> in = {1, 2, 3, 4, 5};
+  memory.Write(last - 4, in);
+  std::vector<uint8_t> out(5);
+  memory.Read(last - 4, out);
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(memory.Span(last, 1)[0], 5);
+}
+
+TEST(HostMemoryTest, MovedFromArenaIsSafeToDestroy) {
+  auto source = std::make_unique<HostMemory>(3 * kMiB);
+  source->Fill(0, 8, 0x5a);
+  HostMemory moved = std::move(*source);
+  source.reset();  // destroys the moved-from arena first
+  std::vector<uint8_t> bytes(8);
+  moved.Read(0, bytes);
+  EXPECT_EQ(bytes, std::vector<uint8_t>(8, 0x5a));
+  EXPECT_TRUE(AllZero(moved, moved.size() - 1, 1));
 }
 
 // --- DequeStack: the Figure 8 double-ended stack in real memory ---

@@ -701,6 +701,93 @@ TEST(ReplicationGroupTest, SessionDedupAnswersRetransmitAcrossFailover) {
   EXPECT_EQ(v, 107u);
 }
 
+TEST(ReplicationGroupTest, SessionRecordsStayInSlotOrderThroughStateTransfer) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;  // the rejoin below resyncs by state transfer
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  for (const uint64_t id : {11ull, 13ull, 15ull}) {
+    ASSERT_TRUE(group.Load(Key(id), U64Value(100)).ok());
+  }
+  // Replica 1 misses the installs: it can only learn them from a snapshot.
+  group.CrashReplica(1);
+
+  // Records for one sequence arrive out of slot order, as ops retire.
+  const uint64_t sequence = group.AcquireClientSequenceBase() + 1;
+  for (const uint16_t slot : {5, 1, 3}) {
+    KvResultMessage result;
+    result.scalar = 1000 + slot;
+    group.InstallSessionRecord(sequence, slot, result);
+  }
+
+  // The matching frame: fetch-and-adds on keys 11/13/15 at slots 1/3/5,
+  // GETs between them.
+  PacketBuilder builder;
+  for (uint64_t slot = 0; slot < 6; slot++) {
+    if (slot % 2 == 0) {
+      ASSERT_TRUE(builder.Add(Get(11)));
+      continue;
+    }
+    KvOperation update;
+    update.opcode = Opcode::kUpdateScalar;
+    update.key = Key(10 + slot);
+    update.param = 7;
+    ASSERT_TRUE(builder.Add(update));
+  }
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  const std::vector<uint8_t> frame =
+      FramePacket(sequence, EncodeGroupRequest(request));
+  auto deliver = [&](uint32_t replica) {
+    std::vector<uint8_t> response;
+    group.DeliverClientFrame(replica, frame, [&](std::vector<uint8_t> bytes) {
+      response = std::move(bytes);
+    });
+    while (response.empty()) {
+      EXPECT_TRUE(sim.Step());
+    }
+    auto decoded = DecodeGroupResponse(ParseFrame(response).value().payload);
+    EXPECT_TRUE(decoded.ok());
+    auto results = DecodeResults(decoded.value().results_payload);
+    EXPECT_TRUE(results.ok());
+    return results.value();
+  };
+  // Every write slot is answered with its own stored result and none of the
+  // three counters moves.
+  auto expect_answered_from_sessions = [&](uint32_t replica) {
+    const uint64_t hits = group.stats().session_dedup_hits;
+    const std::vector<KvResultMessage> results = deliver(replica);
+    ASSERT_EQ(results.size(), 6u);
+    for (const uint16_t slot : {1, 3, 5}) {
+      EXPECT_EQ(results[slot].scalar, 1000u + slot) << "slot " << slot;
+    }
+    EXPECT_EQ(group.stats().session_dedup_hits, hits + 3);
+    for (const uint64_t id : {11ull, 13ull, 15ull}) {
+      EXPECT_EQ(ReadU64(group, group.primary_id(), id), 100u) << "key " << id;
+    }
+  };
+  expect_answered_from_sessions(0);
+
+  // Write until the log trims, then rejoin replica 1: the state transfer
+  // wipes it and installs the KVs and the session records.
+  ReplicatedClient client(group);
+  for (uint64_t i = 0; i < 20; i++) {
+    client.Enqueue(Put(100 + i, i));
+  }
+  client.Flush();
+  group.RestartReplica(1);
+  RunFor(sim, 5 * kMillisecond);
+  ASSERT_GE(group.stats().state_transfers, 1u);
+  ASSERT_EQ(group.log_end(1), group.log_end(0));
+
+  // Replica 1 wins the election over replica 2 on the lowest-id tie and
+  // answers the same frame from the transferred records, slot by slot.
+  group.CrashReplica(0);
+  RunFor(sim, 5 * kMillisecond);
+  ASSERT_EQ(group.primary_id(), 1u);
+  expect_answered_from_sessions(1);
+}
+
 // --- catch-up and state transfer ---
 
 TEST(ReplicationGroupTest, RestartedBackupCatchesUpByLogReplay) {
