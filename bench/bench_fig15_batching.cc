@@ -33,10 +33,10 @@ Point Measure(uint32_t kv_bytes, bool batching) {
 
   bench::DriveOptions options;
   options.total_ops = 30000;
-  options.use_network = true;
   options.ops_per_packet = batching ? 40 : 1;
   options.pipeline_depth = batching ? 512 : 256;
-  const bench::DriveResult result = bench::Drive(server, workload, options);
+  const bench::DriveResult result =
+      bench::DriveFramed(server, options, [&] { return workload.NextOp(); });
   return {result.mops, result.latency_ns.mean() / 1000.0};
 }
 

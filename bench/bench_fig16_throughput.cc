@@ -43,11 +43,10 @@ bench::DriveResult Measure(uint32_t kv_bytes, double get_ratio, bool long_tail) 
 
   bench::DriveOptions options;
   options.total_ops = 60000;
-  options.use_network = true;
   options.ops_per_packet = 40;
   // Enough packets in flight to keep the 256-entry reservation station full.
   options.pipeline_depth = 2048;
-  return bench::Drive(server, workload, options);
+  return bench::DriveFramed(server, options, [&] { return workload.NextOp(); });
 }
 
 void Panel(bool long_tail, bench::JsonReport& report, bool golden) {

@@ -31,11 +31,10 @@ bench::DriveResult Measure(uint32_t kv_bytes, bool is_get, bool long_tail,
 
   bench::DriveOptions options;
   options.total_ops = 20000;
-  options.use_network = true;
   options.ops_per_packet = batching ? 40 : 1;
   // Moderate pipeline: latency at sustainable load, not at saturation knee.
   options.pipeline_depth = batching ? 160 : 64;
-  return bench::Drive(server, workload, options);
+  return bench::DriveFramed(server, options, [&] { return workload.NextOp(); });
 }
 
 void Panel(bool batching, bench::JsonReport& report) {

@@ -32,48 +32,18 @@ ServerConfig VectorServerConfig() {
   return config;
 }
 
-// Closed-loop over the network with caller-provided operation generator;
-// returns ops/second (simulated).
+// Closed-loop over the framed network path (16 packets of up to 16 ops and
+// 8 KiB in flight) with a caller-provided operation generator; returns
+// ops/second (simulated).
 double DriveOps(KvDirectServer& server, uint64_t total_ops,
                 const std::function<KvOperation(uint64_t)>& make_op) {
-  Simulator& sim = server.simulator();
-  NetworkModel& network = server.network();
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  const SimTime start = sim.Now();
-  std::function<void()> send_one = [&] {
-    if (submitted >= total_ops) {
-      return;
-    }
-    PacketBuilder builder(8192);
-    uint32_t in_packet = 0;
-    while (in_packet < 16 && submitted < total_ops &&
-           builder.Add(make_op(submitted))) {
-      in_packet++;
-      submitted++;
-    }
-    std::vector<uint8_t> payload = builder.Finish();
-    const auto payload_size = static_cast<uint32_t>(payload.size());
-    network.SendToServer(payload_size, [&, in_packet,
-                                        payload = std::move(payload)]() mutable {
-      server.DeliverPacket(std::move(payload),
-                           [&, in_packet](std::vector<uint8_t> response) {
-                             const auto response_size =
-                                 static_cast<uint32_t>(response.size());
-                             network.SendToClient(response_size, [&, in_packet] {
-                               completed += in_packet;
-                               send_one();
-                             });
-                           });
-    });
-  };
-  for (int i = 0; i < 16; i++) {
-    send_one();
-  }
-  while (completed < total_ops && sim.Step()) {
-  }
-  const double elapsed_s = static_cast<double>(sim.Now() - start) / kSecond;
-  return static_cast<double>(completed) / elapsed_s;
+  bench::DriveOptions options;
+  options.total_ops = total_ops;
+  options.ops_per_packet = 16;
+  options.pipeline_depth = 16 * 16;
+  options.packet_payload = 8192;
+  uint64_t next = 0;
+  return bench::DriveFramed(server, options, [&] { return make_op(next++); }).mops * 1e6;
 }
 
 std::vector<uint8_t> VectorKey(uint64_t id) {

@@ -35,8 +35,7 @@ double MeasureKvDirectMops(bool long_tail) {
   bench::Preload(server, workload, wl.num_keys);
   bench::DriveOptions options;
   options.total_ops = 50000;
-  options.use_network = true;
-  return bench::Drive(server, workload, options).mops;
+  return bench::DriveFramed(server, options, [&] { return workload.NextOp(); }).mops;
 }
 
 // The paper's multi-NIC experiment: 10 NICs in one server, each with its own
@@ -60,8 +59,8 @@ double MeasureTenNicMops() {
     bench::Preload(server, workload, wl.num_keys);
     bench::DriveOptions options;
     options.total_ops = 20000;
-    options.use_network = true;
-    total += bench::Drive(server, workload, options).mops;
+    total +=
+        bench::DriveFramed(server, options, [&] { return workload.NextOp(); }).mops;
   }
   return total;
 }

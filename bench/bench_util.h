@@ -6,8 +6,11 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench/json_report.h"
@@ -16,6 +19,7 @@
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
 #include "src/net/wire_format.h"
+#include "src/transport/frame.h"
 #include "src/transport/kv_endpoint.h"
 #include "src/workload/ycsb.h"
 
@@ -38,9 +42,8 @@ inline uint64_t Preload(KvDirectServer& server, const YcsbWorkload& workload,
 struct DriveOptions {
   uint64_t total_ops = 50000;
   uint32_t pipeline_depth = 512;  // ops kept outstanding (closed loop)
-  bool use_network = false;       // wrap ops in packets over the 40 GbE model
-  uint32_t ops_per_packet = 40;   // network mode: client-side batch size
-  uint32_t packet_payload = 4096;
+  uint32_t ops_per_packet = 40;   // DriveFramed: client-side batch size
+  uint32_t packet_payload = 4096;  // DriveFramed: ops bytes per packet
 };
 
 struct DriveResult {
@@ -49,48 +52,75 @@ struct DriveResult {
   LatencyHistogram latency_ns;  // per-operation (submit -> result)
 };
 
-// Closed-loop packetized driver over any KvEndpoint that supports the raw
-// datagram path (KvEndpoint::SubmitPacket): keeps pipeline_depth /
-// ops_per_packet packets outstanding until `total_ops` operations retire.
-// Topology-agnostic — the endpoint decides what a packet round trip means.
-inline DriveResult DriveEndpoint(KvEndpoint& ep, YcsbWorkload& workload,
-                                 const DriveOptions& options) {
+// Closed-loop driver over the framed client path (the 40 GbE model, frame
+// codec, replay cache and retransmission timer production traffic takes):
+// max(1, pipeline_depth / ops_per_packet) Clients on the server's clock, each
+// keeping one single-packet flush in flight and refilled the moment it
+// completes, until `total_ops` operations from `next_op` retire. A flush
+// takes ops while it holds fewer than ops_per_packet and their encoded size
+// fits packet_payload; the op that does not fit opens the next flush.
+// Latency is the flush round trip, recorded once per packet.
+inline DriveResult DriveFramed(KvDirectServer& server, const DriveOptions& options,
+                               const std::function<KvOperation()>& next_op) {
+  Simulator& sim = server.simulator();
+  Client::Options client_options;
+  client_options.batch_payload_bytes =
+      options.packet_payload + static_cast<uint32_t>(kFrameHeaderBytes);
+  client_options.max_ops_per_packet = options.ops_per_packet;
+  struct Lane {
+    std::unique_ptr<Client> client;
+    uint32_t ops = 0;  // in the flush in flight; 0 when idle
+    SimTime issued = 0;
+  };
+  std::vector<Lane> lanes(std::max<uint32_t>(1, options.pipeline_depth / options.ops_per_packet));
+  for (Lane& lane : lanes) {
+    lane.client = std::make_unique<Client>(server, client_options);
+  }
+
   DriveResult result;
-  const SimTime start = ep.now();
+  const SimTime start = sim.Now();
   uint64_t submitted = 0;
   uint64_t completed = 0;
-  const uint32_t packets_outstanding_target =
-      std::max<uint32_t>(1, options.pipeline_depth / options.ops_per_packet);
-  std::function<void()> send_packet = [&] {
-    if (submitted >= options.total_ops) {
-      return;
-    }
-    PacketBuilder builder(options.packet_payload);
-    uint32_t in_packet = 0;
-    while (in_packet < options.ops_per_packet && submitted < options.total_ops) {
-      const KvOperation op = workload.NextOp();
-      if (!builder.Add(op)) {
+  std::optional<KvOperation> carry;  // drawn, but did not fit the last flush
+  KvOperation previous;              // the flush's last op (wire compression)
+  auto begin_flush = [&](Lane& lane) {
+    uint32_t bytes = 0;
+    lane.ops = 0;
+    while (lane.ops < options.ops_per_packet && submitted < options.total_ops) {
+      KvOperation op = carry.has_value() ? std::move(*carry) : next_op();
+      carry.reset();
+      const uint32_t size = EncodedOperationSize(
+          op, lane.ops == 0 ? nullptr : &previous, /*enable_compression=*/true);
+      if (lane.ops > 0 && bytes + size > options.packet_payload) {
+        carry = std::move(op);
         break;
       }
-      in_packet++;
+      bytes += size;
+      lane.ops++;
       submitted++;
+      lane.client->Enqueue(op);
+      previous = std::move(op);
     }
-    const SimTime issued = ep.now();
-    KVD_CHECK_MSG(ep.SubmitPacket(builder.Finish(),
-                                  [&, issued, in_packet] {
-                                    completed += in_packet;
-                                    result.latency_ns.Add((ep.now() - issued) /
-                                                          kNanosecond);
-                                    send_packet();
-                                  }),
-                  "endpoint does not support the raw datagram path");
+    if (lane.ops > 0) {
+      lane.issued = sim.Now();
+      lane.client->BeginFlush();
+    }
   };
-  for (uint32_t i = 0; i < packets_outstanding_target; i++) {
-    send_packet();
+  for (Lane& lane : lanes) {
+    begin_flush(lane);
   }
-  while (completed < options.total_ops && ep.Step()) {
+  while (completed < options.total_ops && sim.Step()) {
+    for (Lane& lane : lanes) {
+      if (lane.ops == 0 || !lane.client->flush_done()) {
+        continue;
+      }
+      (void)lane.client->TakeResults();
+      completed += lane.ops;
+      result.latency_ns.Add((sim.Now() - lane.issued) / kNanosecond);
+      begin_flush(lane);
+    }
   }
-  result.elapsed_us = static_cast<double>(ep.now() - start) / kMicrosecond;
+  result.elapsed_us = static_cast<double>(sim.Now() - start) / kMicrosecond;
   result.mops = static_cast<double>(completed) / result.elapsed_us;
   return result;
 }
@@ -110,17 +140,10 @@ inline SimTime DriveBatches(KvEndpoint& ep, uint64_t total_ops, uint64_t batch,
   return ep.now() - start;
 }
 
-// Closed-loop throughput measurement: keeps `pipeline_depth` operations (or
-// the equivalent number of packets) outstanding until `total_ops` retire.
+// Closed-loop throughput of the processor alone (no network): keeps
+// `pipeline_depth` operations outstanding until `total_ops` retire.
 inline DriveResult Drive(KvDirectServer& server, YcsbWorkload& workload,
                          const DriveOptions& options) {
-  if (options.use_network) {
-    // Network mode wraps ops in packets over the 40 GbE model: exactly the
-    // endpoint driver over a single-server client's raw datagram path.
-    Client client(server);
-    return DriveEndpoint(client, workload, options);
-  }
-
   Simulator& sim = server.simulator();
   DriveResult result;
   const SimTime start = sim.Now();

@@ -7,10 +7,13 @@
 #      the only client-side packing/response-admission path,
 #      SnapshotStream the only go-back-N chunk stream, Tracer the only
 #      tracing sink, and each replica's hash index the one key store;
-#      src/ holds only served code (no module that only tests reach); and
-#      the replicated path keeps its per-key state hashed (the "hashed
+#      src/ holds only served code (no module that only tests reach); the
+#      replicated path keeps its per-key state hashed (the "hashed
 #      per-key replica state" guard: no ordered tree keyed by key bytes in
-#      the group routers, no map of maps for the session records);
+#      the group routers, no map of maps for the session records); and
+#      every client, bench and test takes one wire path (the "one wire
+#      path" guard: framed packets into KvDirectServer::DeliverFrame, no
+#      raw datagram path beside it);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -110,6 +113,18 @@ ordered=$( (grep -nF 'std::map<std::vector<uint8_t>' src/replica/replicated_clie
 if [[ -n "${ordered}" ]]; then
   echo "hashed per-key replica state: ordered per-key map found:" >&2
   echo "${ordered}" >&2
+  exit 1
+fi
+
+# One wire path: benches, tests and examples drive the framed client into
+# KvDirectServer::DeliverFrame. The deleted raw datagram path (unframed
+# packets, timing-only wire sends, the bench driver over them) and the
+# per-NIC clocks MultiNicClient used to fan out over must not come back.
+rawpath=$(grep -rnE 'SubmitPacket|DeliverPacket|SendToServer\(|SendToClient\(|DriveEndpoint|MaxSimTime' \
+            src bench tests examples || true)
+if [[ -n "${rawpath}" ]]; then
+  echo "one wire path: raw datagram path found:" >&2
+  echo "${rawpath}" >&2
   exit 1
 fi
 

@@ -34,10 +34,22 @@ void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done,
   runtime_.processor().Submit(std::move(op), std::move(done), cls);
 }
 
-void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
-                                   std::function<void(std::vector<uint8_t>)> respond,
-                                   uint64_t traced_sequence) {
-  PacketParser parser(std::move(payload));
+void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
+                                  std::function<void(std::vector<uint8_t>)> respond) {
+  // The endpoint drops corrupt frames (the client's retransmission timer
+  // covers them), replays cached responses, and swallows retransmissions of
+  // still-executing sequences; only genuinely new frames come back.
+  std::optional<Frame> frame = endpoint_.Accept(packet, respond);
+  if (!frame.has_value()) {
+    return;
+  }
+  const uint64_t sequence = frame->sequence;
+  endpoint_.Admit(sequence);
+  auto reply = [this, sequence, respond = std::move(respond)](
+                   const std::vector<uint8_t>& results) {
+    respond(endpoint_.Complete(sequence, results, /*cache=*/true));
+  };
+  PacketParser parser(std::move(frame->payload));
   std::vector<KvOperation> ops;
   while (true) {
     Result<std::optional<KvOperation>> next = parser.Next();
@@ -45,7 +57,7 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
       // Malformed packet: respond with a single error result.
       KvResultMessage error;
       error.code = ResultCode::kInvalidArgument;
-      respond(EncodeResults({error}));
+      reply(EncodeResults({error}));
       return;
     }
     if (!next->has_value()) {
@@ -54,7 +66,7 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
     ops.push_back(std::move(**next));
   }
   if (ops.empty()) {
-    respond({});
+    reply({});
     return;
   }
   // Collect results in request order; respond when the last one retires.
@@ -62,21 +74,21 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
     std::vector<KvResultMessage> results;
     std::vector<uint64_t> traces;
     size_t remaining;
-    std::function<void(std::vector<uint8_t>)> respond;
+    std::function<void(const std::vector<uint8_t>&)> reply;
     Tracer* tracer = nullptr;
   };
   auto state = std::make_shared<PacketState>();
   state->results.resize(ops.size());
   state->remaining = ops.size();
-  state->respond = std::move(respond);
-  if (traced_sequence != 0 && runtime_.tracer().enabled()) {
+  state->reply = std::move(reply);
+  if (runtime_.tracer().enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
     state->tracer = &runtime_.tracer();
     state->traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      const uint64_t handle = state->tracer->LookupOp(traced_sequence, i);
+      const uint64_t handle = state->tracer->LookupOp(sequence, i);
       state->traces[i] = handle;
       ops[i].trace = handle;
       if (handle != 0) {
@@ -95,30 +107,10 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
             }
           }
         }
-        state->respond(EncodeResults(state->results));
+        state->reply(EncodeResults(state->results));
       }
     });
   }
-}
-
-void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
-                                  std::function<void(std::vector<uint8_t>)> respond) {
-  // The endpoint drops corrupt frames (the client's retransmission timer
-  // covers them), replays cached responses, and swallows retransmissions of
-  // still-executing sequences; only genuinely new frames come back.
-  std::optional<Frame> frame = endpoint_.Accept(packet, respond);
-  if (!frame.has_value()) {
-    return;
-  }
-  endpoint_.Admit(frame->sequence);
-  const uint64_t sequence = frame->sequence;
-  DeliverPacket(
-      std::move(frame->payload),
-      [this, sequence, respond = std::move(respond)](
-          std::vector<uint8_t> response) {
-        respond(endpoint_.Complete(sequence, response, /*cache=*/true));
-      },
-      /*traced_sequence=*/sequence);
 }
 
 KvResultMessage KvDirectServer::Execute(const KvOperation& op) {
@@ -130,8 +122,8 @@ Status KvDirectServer::Load(std::span<const uint8_t> key,
   return runtime_.index().Put(key, value);
 }
 
-Client::Client(KvDirectServer& server, const Options& options)
-    : BatchClient(server.simulator(), server.AcquireClientSequenceBase(), options,
+Client::Client(KvDirectServer& server, const Options& options, uint64_t sequence_base)
+    : BatchClient(server.simulator(), sequence_base, options,
                   {.max_ops_per_packet = options.max_ops_per_packet,
                    .backoff_shift_cap = 20,
                    .busy_rounds = 16,
@@ -143,12 +135,13 @@ Client::Client(KvDirectServer& server, const Options& options)
 // delivery, framed response back to Receive. Fault sites on both wire
 // directions may drop/duplicate/corrupt; the sender's timer recovers.
 void Client::Wire(const PacketPtr& packet) {
-  server_.network().SendPayloadToServer(
+  KvDirectServer& server = ServerOf(*packet);
+  server.network().SendPayloadToServer(
       packet->framed,
-      [this, packet](std::vector<uint8_t> request) {
-        server_.DeliverFrame(
-            std::move(request), [this, packet](std::vector<uint8_t> response) {
-              server_.network().SendPayloadToClient(
+      [this, &server, packet](std::vector<uint8_t> request) {
+        server.DeliverFrame(
+            std::move(request), [this, &server, packet](std::vector<uint8_t> response) {
+              server.network().SendPayloadToClient(
                   std::move(response),
                   [this, packet](std::vector<uint8_t> delivered) {
                     Receive(packet, std::move(delivered));
@@ -157,28 +150,6 @@ void Client::Wire(const PacketPtr& packet) {
             });
       },
       packet->traces);
-}
-
-bool Client::SubmitPacket(std::vector<uint8_t> ops_payload,
-                          std::function<void()> done) {
-  stats_.packets_sent++;
-  NetworkModel& network = server_.network();
-  // The payload size must be read before the move below captures it (the
-  // evaluation order of arguments vs. captures is unspecified).
-  const auto payload_size = static_cast<uint32_t>(ops_payload.size());
-  network.SendToServer(
-      payload_size,
-      [this, payload = std::move(ops_payload), done = std::move(done),
-       &network]() mutable {
-        server_.DeliverPacket(
-            std::move(payload),
-            [done = std::move(done), &network](std::vector<uint8_t> response) {
-              const auto response_size = static_cast<uint32_t>(response.size());
-              network.SendToClient(response_size,
-                                   [done = std::move(done)] { done(); });
-            });
-      });
-  return true;
 }
 
 }  // namespace kvd

@@ -45,18 +45,15 @@ class KvDirectServer {
   // applies) exempt from admission shedding.
   void Submit(KvOperation op, KvProcessor::Completion done);
   void Submit(KvOperation op, KvProcessor::Completion done, OpClass cls);
-  // Delivers a client request packet; `respond` fires with the encoded
-  // response payload once every operation in the packet has retired.
-  // `traced_sequence` (if nonzero) resolves each op's trace handle via the
-  // tracer's packet registry and stamps server-side checkpoints.
-  void DeliverPacket(std::vector<uint8_t> payload,
-                     std::function<void(std::vector<uint8_t>)> respond,
-                     uint64_t traced_sequence = 0);
-  // Delivers a *framed* request ([sequence | checksum | payload]). Frames
-  // that fail the checksum are dropped (the client retransmits on timeout);
-  // a sequence seen before is answered from the replay cache without
-  // re-executing, making retransmission idempotent. `respond` fires with the
-  // framed response echoing the request sequence.
+  // Delivers a framed client request ([sequence | checksum | ops payload]).
+  // Frames that fail the checksum are dropped (the client retransmits on
+  // timeout); a sequence seen before is answered from the replay cache
+  // without re-executing, making retransmission idempotent. A new frame's
+  // ops are submitted to the processor, and `respond` fires with the framed
+  // response echoing the request sequence once every one has retired; a
+  // malformed ops payload is answered with one kInvalidArgument result. With
+  // tracing on, the sequence resolves each op's trace handle through the
+  // tracer's packet registry and stamps the server-side checkpoints.
   void DeliverFrame(std::vector<uint8_t> packet,
                     std::function<void(std::vector<uint8_t>)> respond);
 
@@ -127,14 +124,19 @@ class Client : public BatchClient {
   using Stats = ReliableSender::Stats;
 
   explicit Client(KvDirectServer& server) : Client(server, Options()) {}
-  Client(KvDirectServer& server, const Options& options);
-
-  // Raw datagram path (no framing, no retry): the closed-loop bench driver.
-  bool SubmitPacket(std::vector<uint8_t> ops_payload,
-                    std::function<void()> done) override;
+  Client(KvDirectServer& server, const Options& options)
+      : Client(server, options, server.AcquireClientSequenceBase()) {}
 
   uint64_t packets_sent() const { return stats_.packets_sent; }
   const Stats& stats() const { return stats_; }
+
+ protected:
+  // For routers over several servers: `server` is the default target and
+  // owns the tracer; `sequence_base` must be unused on every target.
+  Client(KvDirectServer& server, const Options& options, uint64_t sequence_base);
+
+  // The server a packet travels to.
+  virtual KvDirectServer& ServerOf(const Packet& /*packet*/) { return server_; }
 
  private:
   void Wire(const PacketPtr& packet) override;

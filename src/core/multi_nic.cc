@@ -8,10 +8,14 @@ namespace kvd {
 
 MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config,
                                Simulator* shared_sim)
-    : router_(num_nics) {
+    : router_(num_nics),
+      owned_sim_(shared_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
+      sim_(shared_sim != nullptr ? *shared_sim : *owned_sim_) {
   KVD_CHECK(num_nics >= 1);
   for (uint32_t i = 0; i < num_nics; i++) {
-    nics_.push_back(std::make_unique<KvDirectServer>(per_nic_config, shared_sim));
+    nics_.push_back(std::make_unique<KvDirectServer>(per_nic_config, &sim_));
+    nics_.back()->UseTracer(&nics_[0]->tracer());
+    nics_.back()->UseFlightRecorder(&nics_[0]->flight_recorder());
   }
 }
 
@@ -44,14 +48,6 @@ uint64_t MultiNicServer::TotalRetired() const {
   return total;
 }
 
-SimTime MultiNicServer::MaxSimTime() const {
-  SimTime latest = 0;
-  for (const auto& nic : nics_) {
-    latest = std::max(latest, nic->simulator().Now());
-  }
-  return latest;
-}
-
 LatencyHistogram MultiNicServer::MergedLatency() {
   LatencyHistogram merged;
   for (const auto& nic : nics_) {
@@ -60,46 +56,28 @@ LatencyHistogram MultiNicServer::MergedLatency() {
   return merged;
 }
 
-MultiNicClient::MultiNicClient(MultiNicServer& cluster, const Client::Options& options)
-    : cluster_(cluster) {
+namespace {
+
+// A sequence base no NIC has handed out: each NIC's counter is advanced to
+// the highest base any of them returns, so a plain Client created later on
+// any NIC cannot collide with the router in that NIC's replay cache.
+uint64_t SharedSequenceBase(MultiNicServer& cluster) {
+  std::vector<uint64_t> bases(cluster.num_nics());
   for (uint32_t i = 0; i < cluster.num_nics(); i++) {
-    clients_.push_back(std::make_unique<Client>(cluster.nic(i), options));
+    bases[i] = cluster.nic(i).AcquireClientSequenceBase();
   }
-}
-
-size_t MultiNicClient::Enqueue(KvOperation op) {
-  pending_.push_back(std::move(op));
-  return pending_.size() - 1;
-}
-
-std::vector<KvResultMessage> MultiNicClient::Flush() {
-  std::vector<KvOperation> ops = std::move(pending_);
-  pending_.clear();
-  // Partition by owner, remembering each op's original position.
-  std::vector<std::vector<size_t>> positions(clients_.size());
-  for (size_t i = 0; i < ops.size(); i++) {
-    const uint32_t owner = cluster_.OwnerOf(ops[i].key);
-    positions[owner].push_back(i);
-    clients_[owner]->Enqueue(std::move(ops[i]));
-  }
-  // Flush every NIC; each runs its own simulator (parallel hardware).
-  std::vector<KvResultMessage> results(ops.size());
-  for (uint32_t nic = 0; nic < clients_.size(); nic++) {
-    std::vector<KvResultMessage> partial = clients_[nic]->Flush();
-    KVD_CHECK(partial.size() == positions[nic].size());
-    for (size_t i = 0; i < partial.size(); i++) {
-      results[positions[nic][i]] = std::move(partial[i]);
+  const uint64_t base = *std::max_element(bases.begin(), bases.end());
+  for (uint32_t i = 0; i < cluster.num_nics(); i++) {
+    while (bases[i] < base) {
+      bases[i] = cluster.nic(i).AcquireClientSequenceBase();
     }
   }
-  return results;
+  return base;
 }
 
-ReliableSender::Stats MultiNicClient::endpoint_stats() const {
-  ReliableSender::Stats total;
-  for (const auto& client : clients_) {
-    total += client->stats();
-  }
-  return total;
-}
+}  // namespace
+
+MultiNicClient::MultiNicClient(MultiNicServer& cluster, const Client::Options& options)
+    : Client(cluster.nic(0), options, SharedSequenceBase(cluster)), cluster_(cluster) {}
 
 }  // namespace kvd

@@ -54,18 +54,6 @@ NetworkModel::WireInterval NetworkModel::Send(
   return {start, wire_free_at + latency};
 }
 
-void NetworkModel::SendToServer(uint32_t payload_bytes,
-                                std::function<void()> delivered) {
-  Send("to_server", payload_bytes, to_server_free_at_, to_server_packets_,
-       to_server_bytes_, std::move(delivered));
-}
-
-void NetworkModel::SendToClient(uint32_t payload_bytes,
-                                std::function<void()> delivered) {
-  Send("to_client", payload_bytes, to_client_free_at_, to_client_packets_,
-       to_client_bytes_, std::move(delivered));
-}
-
 void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
                                PayloadHandler delivered,
                                const std::vector<uint64_t>* traces,

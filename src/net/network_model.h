@@ -39,17 +39,12 @@ class NetworkModel {
 
   using PayloadHandler = std::function<void(std::vector<uint8_t>)>;
 
-  // Client -> server direction; `delivered` fires at arrival. The byte-count
-  // overloads model a lossless wire (timing only); benches use them directly.
-  void SendToServer(uint32_t payload_bytes, std::function<void()> delivered);
-  // Server -> client direction.
-  void SendToClient(uint32_t payload_bytes, std::function<void()> delivered);
-
-  // Payload-carrying sends: the wire that can fail. When a FaultInjector is
-  // attached, packets may be dropped (delivered never fires; the wire is
-  // still occupied), duplicated (delivered fires twice, two transmissions),
-  // or corrupted (bits flipped in flight — the framing checksum catches it at
-  // the receiver). The retry/timeout layer in Client/KvDirectServer recovers.
+  // Client -> server and server -> client sends; `delivered` fires with the
+  // payload at arrival. When a FaultInjector is attached, packets may be
+  // dropped (delivered never fires; the wire is still occupied), duplicated
+  // (delivered fires twice, two transmissions), or corrupted (bits flipped in
+  // flight — the framing checksum catches it at the receiver). The
+  // retry/timeout layer in Client/KvDirectServer recovers.
   void SendPayloadToServer(std::vector<uint8_t> payload, PayloadHandler delivered);
   void SendPayloadToClient(std::vector<uint8_t> payload, PayloadHandler delivered);
 
@@ -75,11 +70,10 @@ class NetworkModel {
   uint64_t gray_dropped() const { return gray_dropped_; }
 
   // --- scriptable link health (partitions and gray failure) ---
-  // Hard partition of one direction: every payload packet is dropped (it
+  // Hard partition of one direction: every packet is dropped (it
   // still occupies the wire — the bits leave; they just never arrive).
   // Setting only one direction models an asymmetric partition; both model a
-  // full one. Timing-only sends (SendToServer/SendToClient) are unaffected:
-  // they model pre-reliability benches that assume a lossless wire.
+  // full one.
   void SetPartitioned(bool to_server, bool on) {
     (to_server ? to_server_health_ : to_client_health_).partitioned = on;
   }

@@ -81,10 +81,6 @@ void BatchClient::BeginFlush() {
   Send(flush_, slots);
 }
 
-bool BatchClient::flush_done() const {
-  return flush_ == nullptr || flush_->outstanding == 0;
-}
-
 std::vector<KvResultMessage> BatchClient::TakeResults() {
   KVD_CHECK_MSG(flush_ != nullptr && flush_->outstanding == 0, "flush not complete");
   std::vector<KvResultMessage> results = std::move(flush_->results);

@@ -18,7 +18,8 @@
 // through the protected hooks: how ops are bucketed, the request header, the
 // target and the wire round trip, and what a bounce means. The routers are
 // Client (one server), ReplicatedClient (one replication group) and
-// ClusterClient (sharded groups).
+// ClusterClient (sharded groups); MultiNicClient (src/core/multi_nic.h) is
+// Client with one bucket per NIC.
 #ifndef SRC_TRANSPORT_BATCH_CLIENT_H_
 #define SRC_TRANSPORT_BATCH_CLIENT_H_
 
@@ -68,7 +69,7 @@ class BatchClient : public KvEndpoint {
   // transmits without stepping the simulator; the caller steps the clock
   // until flush_done(), then TakeResults() (in Enqueue order).
   void BeginFlush();
-  bool flush_done() const;
+  bool flush_done() const { return flush_ == nullptr || flush_->outstanding == 0; }
   std::vector<KvResultMessage> TakeResults();
 
   ReliableSender::Stats endpoint_stats() const override { return stats_; }

@@ -1,18 +1,15 @@
 // Topology-independent client interface.
 //
 // Every client in the repo speaks this interface, so a benchmark or test
-// driver written once (bench/bench_util.h DriveEndpoint, the YCSB harness)
-// runs unchanged against any topology. Client (one server), ReplicatedClient
-// (one replicated group) and ClusterClient (sharded replicated groups) are
-// routers over one batching core (src/transport/batch_client.h);
-// MultiNicClient fans a flush out over one Client per NIC.
+// driver written once (bench/bench_util.h DriveBatches, the YCSB harness)
+// runs unchanged against any topology. Client (one server), MultiNicClient
+// (hash-partitioned NICs), ReplicatedClient (one replicated group) and
+// ClusterClient (sharded replicated groups) are routers over one batching
+// core (src/transport/batch_client.h), so every endpoint runs on one clock.
 //
 // Enqueue/Flush is the reliable batched path all endpoints implement. The
 // synchronous single-operation calls (Get, Put, ...) are one-op flushes
 // over it, so every endpoint has them.
-// SubmitPacket is the raw datagram path used by closed-loop throughput
-// benches (no framing, no retry — the bench counts undecoded responses);
-// only endpoints with a single direct server wire support it.
 //
 // The consistency harness taps this interface too: RecordingEndpoint
 // (src/check/history.h) wraps any KvEndpoint and captures every op's
@@ -21,7 +18,6 @@
 #ifndef SRC_TRANSPORT_KV_ENDPOINT_H_
 #define SRC_TRANSPORT_KV_ENDPOINT_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -47,21 +43,11 @@ class KvEndpoint {
   // sharded endpoints sum across their per-shard clients.
   virtual ReliableSender::Stats endpoint_stats() const = 0;
 
-  // Simulated clock, for latency measurement around Enqueue/Flush or
-  // SubmitPacket.
+  // Simulated clock, for latency measurement around Enqueue/Flush.
   virtual SimTime now() const = 0;
 
-  // Advances the endpoint's simulation by one event; false when idle (or when
-  // the endpoint spans independent clocks and cannot be stepped as one).
+  // Advances the endpoint's simulation by one event; false when idle.
   virtual bool Step() = 0;
-
-  // Raw datagram path: ships one already-encoded ops payload and invokes
-  // `done` when its (undecoded) response reaches the client side. Returns
-  // false if this endpoint has no raw path; the payload is then untouched.
-  virtual bool SubmitPacket(std::vector<uint8_t> /*ops_payload*/,
-                            std::function<void()> /*done*/) {
-    return false;
-  }
 
   // --- single synchronous operations (each one Enqueue + Flush; nothing
   // else may be queued) ---

@@ -12,6 +12,7 @@
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
 #include "src/net/wire_format.h"
+#include "src/transport/frame.h"
 #include "src/workload/ycsb.h"
 
 namespace kvd {
@@ -198,8 +199,9 @@ TEST(SystemTest, YcsbOverNetworkMatchesFunctionalReplay) {
   }
 }
 
-// Fuzz: random bytes fed to the packet parser must never crash and the
-// server must answer every malformed packet with an error response.
+// Fuzz: random bytes framed as a valid request must never crash the packet
+// parser, and the server must answer every malformed packet with an error
+// response.
 TEST(SystemTest, MalformedPacketsAreRejectedGracefully) {
   KvDirectServer server(IntegrationConfig());
   Rng rng(2025);
@@ -209,9 +211,8 @@ TEST(SystemTest, MalformedPacketsAreRejectedGracefully) {
     for (auto& byte : junk) {
       byte = static_cast<uint8_t>(rng.Next());
     }
-    server.DeliverPacket(std::move(junk), [&](std::vector<uint8_t>) {
-      responses++;
-    });
+    server.DeliverFrame(FramePacket(trial + 1, junk),
+                        [&](std::vector<uint8_t>) { responses++; });
     server.simulator().RunUntilIdle();
   }
   EXPECT_EQ(responses, 2000);

@@ -1,7 +1,9 @@
 // Tests for the multi-NIC deployment (paper Table 3: 10 NICs, near-linear).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -101,7 +103,8 @@ TEST(MultiNicTest, BatchFlushPreservesOrderAcrossPartitions) {
 
 TEST(MultiNicTest, ThroughputScalesNearLinearly) {
   // Weak scaling, like the paper's 10-NIC experiment: every NIC serves its
-  // own partition at full load, and the aggregate is ops / slowest clock.
+  // own partition at full load on one shared clock, so the aggregate is ops
+  // over the time the slowest NIC takes.
   auto run = [](uint32_t num_nics) {
     MultiNicServer cluster(num_nics, PerNicConfig());
     MultiNicClient client(cluster);
@@ -117,7 +120,7 @@ TEST(MultiNicTest, ThroughputScalesNearLinearly) {
     }
     client.Flush();
     return static_cast<double>(ops) /
-           (static_cast<double>(cluster.MaxSimTime()) / kMicrosecond);
+           (static_cast<double>(cluster.simulator().Now()) / kMicrosecond);
   };
   const double one = run(1);
   const double four = run(4);
@@ -156,6 +159,87 @@ TEST(MultiNicTest, SummedStatsIncludeDeadlineFailures) {
   EXPECT_EQ(stats.packets_sent, 4u);  // one packet per NIC
   EXPECT_EQ(stats.deadline_failures, stats.packets_sent);
   EXPECT_GT(stats.retransmits, 0u);
+}
+
+TEST(MultiNicTest, RouterAndPlainClientsShareANicWithoutReplays) {
+  MultiNicServer cluster(4, PerNicConfig());
+  // nic(0) hands out two sequence bases before the router exists and nic(1)
+  // none, so the router's base is ahead of nic(1)'s counter. None of the
+  // next three bases nic(1) hands out may equal the router's.
+  Client earlier(cluster.nic(0));
+  Client earlier_too(cluster.nic(0));
+  MultiNicClient router(cluster);
+  std::vector<std::unique_ptr<Client>> plain;
+  for (int i = 0; i < 3; i++) {
+    plain.push_back(std::make_unique<Client>(cluster.nic(1)));
+  }
+  // Each plain client writes 20 keys nic(1) owns; the router writes keys on
+  // every NIC, nic(1) included, under the same sequence numbers when the
+  // bases collide.
+  std::vector<uint64_t> nic1_keys;
+  for (uint64_t i = 0; nic1_keys.size() < 60; i++) {
+    if (cluster.OwnerOf(Key(i)) == 1) {
+      nic1_keys.push_back(i);
+    }
+  }
+  for (uint64_t round = 0; round < 4; round++) {
+    for (uint64_t i = 0; i < 60; i++) {
+      router.Enqueue({.opcode = Opcode::kPut, .key = Key(1000 + i), .value = Key(round)});
+      plain[i % 3]->Enqueue(
+          {.opcode = Opcode::kPut, .key = Key(nic1_keys[i]), .value = Key(round + 7)});
+    }
+    router.BeginFlush();
+    for (auto& client : plain) {
+      client->BeginFlush();
+    }
+    auto all_done = [&] {
+      return router.flush_done() &&
+             std::all_of(plain.begin(), plain.end(),
+                         [](const auto& client) { return client->flush_done(); });
+    };
+    while (!all_done()) {
+      ASSERT_TRUE(cluster.simulator().Step());
+    }
+    for (const KvResultMessage& result : router.TakeResults()) {
+      EXPECT_EQ(result.code, ResultCode::kOk);
+    }
+    for (auto& client : plain) {
+      for (const KvResultMessage& result : client->TakeResults()) {
+        EXPECT_EQ(result.code, ResultCode::kOk);
+      }
+    }
+  }
+  for (uint64_t i = 0; i < 60; i++) {
+    auto routed = router.Get(Key(1000 + i));
+    ASSERT_TRUE(routed.ok()) << i;
+    EXPECT_EQ(*routed, Key(3));
+    auto direct = plain[i % 3]->Get(Key(nic1_keys[i]));
+    ASSERT_TRUE(direct.ok()) << i;
+    EXPECT_EQ(*direct, Key(10));
+  }
+  EXPECT_EQ(cluster.nic(1).replayed_responses(), 0u);
+}
+
+TEST(MultiNicTest, OneFlushIsTracedOnEveryNic) {
+  ServerConfig config = PerNicConfig();
+  config.enable_request_tracing = true;
+  MultiNicServer cluster(4, config);
+  MultiNicClient client(cluster);
+  constexpr uint64_t kOps = 64;
+  std::set<uint32_t> owners;
+  for (uint64_t i = 0; i < kOps; i++) {
+    owners.insert(cluster.OwnerOf(Key(i)));
+    client.Enqueue({.opcode = Opcode::kPut, .key = Key(i), .value = Key(i)});
+  }
+  ASSERT_EQ(owners.size(), 4u);
+  for (const KvResultMessage& result : client.Flush()) {
+    EXPECT_EQ(result.code, ResultCode::kOk);
+  }
+  // The client starts its traces in nic(0)'s tracer; every NIC records into
+  // it, so each op is stamped on arrival at whichever NIC executed it.
+  const LatencyBreakdown& breakdown = cluster.nic(0).breakdown();
+  EXPECT_EQ(breakdown.EndToEnd(Opcode::kPut).count(), kOps);
+  EXPECT_EQ(breakdown.Stage(Opcode::kPut, TracePoint::kServerReceive).count(), kOps);
 }
 
 }  // namespace

@@ -205,7 +205,9 @@ TEST(NetworkModelTest, DeliveryAfterSerializationPlusLatency) {
   Simulator sim;
   NetworkModel net(sim, NetworkConfig{});
   SimTime delivered_at = 0;
-  net.SendToServer(912, [&] { delivered_at = sim.Now(); });  // 912+88 = 1000 B
+  // 912 + 88 = 1000 B on the wire.
+  net.SendPayloadToServer(std::vector<uint8_t>(912),
+                          [&](std::vector<uint8_t>) { delivered_at = sim.Now(); });
   sim.RunUntilIdle();
   // 1000 B at 5 GB/s = 200 ns wire + 60 ns packet processing + 1 us latency.
   EXPECT_NEAR(static_cast<double>(delivered_at), 1260.0 * kNanosecond,
@@ -217,8 +219,10 @@ TEST(NetworkModelTest, DirectionsAreIndependent) {
   NetworkModel net(sim, NetworkConfig{});
   SimTime up = 0;
   SimTime down = 0;
-  net.SendToServer(912, [&] { up = sim.Now(); });
-  net.SendToClient(912, [&] { down = sim.Now(); });
+  net.SendPayloadToServer(std::vector<uint8_t>(912),
+                          [&](std::vector<uint8_t>) { up = sim.Now(); });
+  net.SendPayloadToClient(std::vector<uint8_t>(912),
+                          [&](std::vector<uint8_t>) { down = sim.Now(); });
   sim.RunUntilIdle();
   EXPECT_EQ(up, down);  // no shared wire contention
 }
@@ -228,7 +232,8 @@ TEST(NetworkModelTest, BackToBackPacketsQueueOnTheWire) {
   NetworkModel net(sim, NetworkConfig{});
   std::vector<SimTime> arrivals;
   for (int i = 0; i < 3; i++) {
-    net.SendToServer(912, [&] { arrivals.push_back(sim.Now()); });
+    net.SendPayloadToServer(std::vector<uint8_t>(912),
+                            [&](std::vector<uint8_t>) { arrivals.push_back(sim.Now()); });
   }
   sim.RunUntilIdle();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -244,7 +249,8 @@ TEST(NetworkModelTest, OversizedPayloadSegments) {
   config.max_payload_bytes = 1000;
   NetworkModel net(sim, config);
   bool done = false;
-  net.SendToClient(2500, [&] { done = true; });
+  net.SendPayloadToClient(std::vector<uint8_t>(2500),
+                          [&](std::vector<uint8_t>) { done = true; });
   sim.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_EQ(net.packets_to_client(), 3u);
@@ -254,8 +260,8 @@ TEST(NetworkModelTest, OversizedPayloadSegments) {
 TEST(NetworkModelTest, ByteAndPacketAccounting) {
   Simulator sim;
   NetworkModel net(sim, NetworkConfig{});
-  net.SendToServer(100, [] {});
-  net.SendToServer(200, [] {});
+  net.SendPayloadToServer(std::vector<uint8_t>(100), [](std::vector<uint8_t>) {});
+  net.SendPayloadToServer(std::vector<uint8_t>(200), [](std::vector<uint8_t>) {});
   sim.RunUntilIdle();
   EXPECT_EQ(net.packets_to_server(), 2u);
   EXPECT_EQ(net.bytes_to_server(), 300u + 2 * 88);
@@ -280,17 +286,6 @@ TEST(NetworkModelTest, PartitionIsPerDirection) {
   sim.RunUntilIdle();
   EXPECT_EQ(to_server, 1);
   EXPECT_EQ(net.partition_dropped(), 1u);
-}
-
-TEST(NetworkModelTest, TimingOnlySendsIgnorePartition) {
-  Simulator sim;
-  NetworkModel net(sim, NetworkConfig{});
-  net.SetPartitioned(/*to_server=*/true, true);
-  net.SetPartitioned(/*to_server=*/false, true);
-  bool delivered = false;
-  net.SendToServer(100, [&] { delivered = true; });
-  sim.RunUntilIdle();
-  EXPECT_TRUE(delivered);
 }
 
 TEST(NetworkModelTest, GrayLinkMultipliesLatency) {
