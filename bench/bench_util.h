@@ -66,7 +66,6 @@ inline DriveResult DriveFramed(KvDirectServer& server, const DriveOptions& optio
   Client::Options client_options;
   client_options.batch_payload_bytes =
       options.packet_payload + static_cast<uint32_t>(kFrameHeaderBytes);
-  client_options.max_ops_per_packet = options.ops_per_packet;
   struct Lane {
     std::unique_ptr<Client> client;
     uint32_t ops = 0;  // in the flush in flight; 0 when idle
