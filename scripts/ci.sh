@@ -13,7 +13,10 @@
 #      the group routers, no map of maps for the session records); and
 #      every client, bench and test takes one wire path (the "one wire
 #      path" guard: framed packets into KvDirectServer::DeliverFrame, no
-#      raw datagram path beside it);
+#      raw datagram path beside it); and a packet batch is copied once (the
+#      "one copy per packet batch" guard: ops complete through pooled batch
+#      records, not a shared per-packet state, and append windows are
+#      encoded straight from the log, not copied out of it first);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -125,6 +128,19 @@ rawpath=$(grep -rnE 'SubmitPacket|DeliverPacket|SendToServer\(|SendToClient\(|Dr
 if [[ -n "${rawpath}" ]]; then
   echo "one wire path: raw datagram path found:" >&2
   echo "${rawpath}" >&2
+  exit 1
+fi
+
+# One copy per packet batch: a packet's ops complete through pooled batch
+# records (src/core/result_batch.h), and a primary encodes its append
+# windows straight from the log (ReplicaLog::EncodeWindow). A shared_ptr
+# batch state per packet, or a log window copied into a message, coming
+# back fails.
+copies=$(grep -rnE 'make_shared<(PacketState|ReadState|WriteState)>|ReplicaLog::Window\(|log\.Window\(' \
+           src || true)
+if [[ -n "${copies}" ]]; then
+  echo "one copy per packet batch: per-packet shared state or a copied log window found:" >&2
+  echo "${copies}" >&2
   exit 1
 fi
 

@@ -23,6 +23,9 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
   metrics.RegisterCounter("kvd_replay_evict_scan_steps_total",
                           "Replay-cache eviction queue entries examined", {},
                           endpoint_.evict_scan_steps_counter());
+  metrics.RegisterGauge("kvd_server_batch_records_peak",
+                        "Peak packets admitted and not yet answered", {},
+                        [this] { return static_cast<double>(packets_.peak()); });
 }
 
 void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done) {
@@ -45,10 +48,6 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   }
   const uint64_t sequence = frame->sequence;
   endpoint_.Admit(sequence);
-  auto reply = [this, sequence, respond = std::move(respond)](
-                   const std::vector<uint8_t>& results) {
-    respond(endpoint_.Complete(sequence, results, /*cache=*/true));
-  };
   PacketParser parser(std::move(frame->payload));
   std::vector<KvOperation> ops;
   while (true) {
@@ -57,7 +56,7 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
       // Malformed packet: respond with a single error result.
       KvResultMessage error;
       error.code = ResultCode::kInvalidArgument;
-      reply(EncodeResults({error}));
+      respond(endpoint_.Complete(sequence, EncodeResults({error}), /*cache=*/true));
       return;
     }
     if (!next->has_value()) {
@@ -66,51 +65,57 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
     ops.push_back(std::move(**next));
   }
   if (ops.empty()) {
-    reply({});
+    respond(endpoint_.Complete(sequence, {}, /*cache=*/true));
     return;
   }
-  // Collect results in request order; respond when the last one retires.
-  struct PacketState {
-    std::vector<KvResultMessage> results;
-    std::vector<uint64_t> traces;
-    size_t remaining;
-    std::function<void(const std::vector<uint8_t>&)> reply;
-    Tracer* tracer = nullptr;
-  };
-  auto state = std::make_shared<PacketState>();
-  state->results.resize(ops.size());
-  state->remaining = ops.size();
-  state->reply = std::move(reply);
+  // Collect results in request order; answer when the last one retires.
+  const uint32_t batch = packets_.Open(ops.size());
+  PacketReply& reply = packets_[batch].context;
+  reply.sequence = sequence;
+  reply.respond = std::move(respond);
+  reply.tracer = nullptr;
+  reply.traces.clear();
   if (runtime_.tracer().enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
-    state->tracer = &runtime_.tracer();
-    state->traces.resize(ops.size());
+    reply.tracer = &runtime_.tracer();
+    reply.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      const uint64_t handle = state->tracer->LookupOp(sequence, i);
-      state->traces[i] = handle;
+      const uint64_t handle = reply.tracer->LookupOp(sequence, i);
+      reply.traces[i] = handle;
       ops[i].trace = handle;
       if (handle != 0) {
-        state->tracer->Point(handle, TracePoint::kServerReceive);
+        reply.tracer->Point(handle, TracePoint::kServerReceive);
       }
     }
   }
-  for (size_t i = 0; i < ops.size(); i++) {
-    runtime_.processor().Submit(std::move(ops[i]), [state, i](KvResultMessage result) {
-      state->results[i] = std::move(result);
-      if (--state->remaining == 0) {
-        if (state->tracer != nullptr) {
-          for (const uint64_t handle : state->traces) {
-            if (handle != 0) {
-              state->tracer->Point(handle, TracePoint::kResponseSent);
-            }
-          }
-        }
-        state->reply(EncodeResults(state->results));
-      }
-    });
+  // Start every op's bucket-line miss before the first admission needs one.
+  for (const KvOperation& op : ops) {
+    runtime_.index().Prefetch(op.key);
   }
+  for (size_t i = 0; i < ops.size(); i++) {
+    runtime_.processor().Submit(std::move(ops[i]),
+                                packets_.Completion(batch, static_cast<uint32_t>(i)));
+  }
+}
+
+void KvDirectServer::AnswerPacket(uint32_t batch) {
+  auto& record = packets_[batch];
+  PacketReply& reply = record.context;
+  if (reply.tracer != nullptr) {
+    for (const uint64_t handle : reply.traces) {
+      if (handle != 0) {
+        reply.tracer->Point(handle, TracePoint::kResponseSent);
+      }
+    }
+  }
+  std::vector<uint8_t> response =
+      endpoint_.Complete(reply.sequence, EncodeResults(record.results), /*cache=*/true);
+  // Respond through a local: the call may deliver more frames, which can grow
+  // the pool under `reply`.
+  const std::function<void(std::vector<uint8_t>)> respond = std::move(reply.respond);
+  respond(std::move(response));
 }
 
 KvResultMessage KvDirectServer::Execute(const KvOperation& op) {

@@ -22,6 +22,7 @@
 
 #include "src/common/units.h"
 #include "src/core/node_runtime.h"
+#include "src/core/result_batch.h"
 #include "src/net/wire_format.h"
 #include "src/transport/batch_client.h"
 #include "src/transport/frame_endpoint.h"
@@ -99,8 +100,21 @@ class KvDirectServer {
   void UseFlightRecorder(FlightRecorder* recorder) { runtime_.UseFlightRecorder(recorder); }
 
  private:
+  // What answering a delivered frame takes: its sequence, the transport's
+  // respond, and (tracing on) the tracer and each op's trace handle.
+  struct PacketReply {
+    uint64_t sequence = 0;
+    std::function<void(std::vector<uint8_t>)> respond;
+    Tracer* tracer = nullptr;
+    std::vector<uint64_t> traces;
+  };
+  // Encodes a packet's results once its last op retired, and responds.
+  void AnswerPacket(uint32_t batch);
+
   NodeRuntime runtime_;
   FrameEndpoint endpoint_;
+  ResultBatches<PacketReply> packets_{
+      [this](uint32_t batch) { AnswerPacket(batch); }};
   uint64_t next_client_id_ = 0;
 };
 

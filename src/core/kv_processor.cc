@@ -25,6 +25,20 @@ ResultCode ToResultCode(const Status& status) {
   }
 }
 
+// A station slot and its bucket address in one word, so a closure carrying
+// both beside `this` is 16 B and fits std::function's local buffer. Bucket
+// addresses lie in the host arena, far below 2^48.
+struct SlotBucket {
+  uint64_t word;
+
+  SlotBucket(uint16_t slot, uint64_t bucket_address)
+      : word(bucket_address << 16 | slot) {
+    KVD_DCHECK(bucket_address < (uint64_t{1} << 48));
+  }
+  uint16_t slot() const { return static_cast<uint16_t>(word); }
+  uint64_t bucket_address() const { return word >> 16; }
+};
+
 }  // namespace
 
 KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
@@ -229,7 +243,7 @@ void KvProcessor::NoteBusyBurst() {
   }
 }
 
-std::deque<KvProcessor::Waiting>* KvProcessor::NextQueue() {
+RingFifo<KvProcessor::Waiting>* KvProcessor::NextQueue() {
   for (auto& q : waiting_) {
     if (!q.empty()) {
       return &q;
@@ -239,7 +253,7 @@ std::deque<KvProcessor::Waiting>* KvProcessor::NextQueue() {
 }
 
 void KvProcessor::Pump() {
-  while (std::deque<Waiting>* queue = NextQueue()) {
+  while (RingFifo<Waiting>* queue = NextQueue()) {
     // Dequeue-side shedding: the head op may have expired while queued, or
     // CoDel may demand a shed to drag the standing queue delay back under
     // target. Control ops are exempt — shedding a replication apply would
@@ -409,8 +423,9 @@ void KvProcessor::OnPipelineComplete(uint64_t id) {
   if (fast_path.empty()) {
     AdvanceSlot(slot, bucket_address);
   } else {
-    sim_.ScheduleAt(retire_at,
-                    [this, slot, bucket_address] { AdvanceSlot(slot, bucket_address); });
+    sim_.ScheduleAt(retire_at, [this, at = SlotBucket(slot, bucket_address)] {
+      AdvanceSlot(at.slot(), at.bucket_address());
+    });
   }
   Pump();
 }
@@ -424,9 +439,9 @@ void KvProcessor::AdvanceSlot(uint16_t slot, uint64_t bucket_address) {
     }
     // Cache write-back: one bucket-line write issued to the memory system.
     dispatcher_.Access(AccessKind::kWrite, bucket_address, kBucketBytes,
-                       [this, slot, bucket_address] {
-                         station_.CompleteWriteback(slot);
-                         AdvanceSlot(slot, bucket_address);
+                       [this, at = SlotBucket(slot, bucket_address)] {
+                         station_.CompleteWriteback(at.slot());
+                         AdvanceSlot(at.slot(), at.bucket_address());
                        });
     return;
   }

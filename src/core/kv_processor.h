@@ -24,11 +24,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/core/admission.h"
@@ -141,7 +141,7 @@ class KvProcessor {
   // capacity allows, shedding expired/over-target heads along the way.
   void Pump();
   // Highest-priority non-empty waiting queue, or nullptr when all drained.
-  std::deque<Waiting>* NextQueue();
+  RingFifo<Waiting>* NextQueue();
   // Feeds the flight recorder's rejection-burst trigger.
   void NoteBusyBurst();
   // Runs the next access of a pipeline op, or completes it.
@@ -177,7 +177,7 @@ class KvProcessor {
   IdTable<Inflight> inflight_;
   // One FIFO per priority class, drained control → reads → writes. With
   // admission.class_queues off every op lands in queue 0 (legacy FIFO order).
-  std::array<std::deque<Waiting>, kNumOpClasses> waiting_;
+  std::array<RingFifo<Waiting>, kNumOpClasses> waiting_;
   AdmissionController admission_;
   // Bucket addresses for pending write-backs, indexed by the 10-bit station
   // slot (KeyHash::StationSlot).

@@ -111,6 +111,10 @@ class HashIndex {
   // write-back path, which targets the key's bucket line).
   uint64_t BucketAddressFor(std::span<const uint8_t> key) const;
 
+  // Hints the host to load `key`'s chain-head bucket line ahead of the
+  // lookup. Host-only: no access is counted, recorded or timed.
+  void Prefetch(std::span<const uint8_t> key) { engine_.Prefetch(BucketAddressFor(key)); }
+
  private:
   // Where `key` lives: bucket address, first slot, and (non-inline) the slab.
   struct Location {

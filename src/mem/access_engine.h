@@ -55,6 +55,10 @@ class AccessEngine {
 
   virtual void Read(uint64_t address, std::span<uint8_t> out) = 0;
   virtual void Write(uint64_t address, std::span<const uint8_t> in) = 0;
+  // A host-only hint that `address` is about to be read: it starts the
+  // host's cache miss early and is neither counted nor recorded, because no
+  // modelled DMA happens.
+  virtual void Prefetch(uint64_t address) = 0;
 
   virtual const AccessStats& stats() const = 0;
 };
@@ -74,6 +78,7 @@ class DirectEngine final : public AccessEngine {
     stats_.writes++;
     stats_.write_bytes += in.size();
   }
+  void Prefetch(uint64_t address) override { memory_.Prefetch(address); }
 
   const AccessStats& stats() const override { return stats_; }
 
@@ -105,6 +110,7 @@ class TraceRecordingEngine final : public AccessEngine {
       trace_.push_back({AccessKind::kWrite, address, static_cast<uint32_t>(in.size())});
     }
   }
+  void Prefetch(uint64_t address) override { base_.Prefetch(address); }
 
   const AccessStats& stats() const override { return base_.stats(); }
 

@@ -22,16 +22,22 @@ const LogEntry& ReplicaLog::At(uint64_t index) const {
   return entries_[index - base_ - 1];
 }
 
-std::vector<LogEntry> ReplicaLog::Window(uint64_t first, uint32_t max_entries) const {
-  std::vector<LogEntry> out;
-  if (first <= base_ || first > end()) {
-    KVD_CHECK_MSG(first > base_, "window starts below the trimmed base");
-    return out;
-  }
-  const uint64_t last = std::min(end(), first + max_entries - 1);
-  out.reserve(last - first + 1);
+uint64_t ReplicaLog::WindowLast(uint64_t first, uint32_t max_entries) const {
+  KVD_CHECK_MSG(first > base_, "window starts below the trimmed base");
+  KVD_CHECK_MSG(first <= end() + 1, "window starts past the log end");
+  return std::min(end(), first + max_entries - 1);
+}
+
+std::vector<uint8_t> ReplicaLog::EncodeWindow(const ReplicaMessage& header,
+                                              uint64_t first, uint64_t last) const {
+  size_t entry_bytes = 0;
   for (uint64_t index = first; index <= last; index++) {
-    out.push_back(entries_[index - base_ - 1]);
+    entry_bytes += EncodedLogEntryBytes(At(index));
+  }
+  std::vector<uint8_t> out = EncodeAppendHead(
+      header, static_cast<uint32_t>(last + 1 - first), entry_bytes);
+  for (uint64_t index = first; index <= last; index++) {
+    EncodeLogEntry(out, At(index));
   }
   return out;
 }

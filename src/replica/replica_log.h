@@ -34,8 +34,15 @@ class ReplicaLog {
 
   const LogEntry& At(uint64_t index) const;
 
-  // Entries [first, min(end, first + max_entries - 1)]; empty when first > end.
-  std::vector<LogEntry> Window(uint64_t first, uint32_t max_entries) const;
+  // Last index of the window that starts at `first` and holds at most
+  // `max_entries`: min(end, first + max_entries - 1), which is first - 1
+  // for an empty window (first == end + 1: a heartbeat).
+  uint64_t WindowLast(uint64_t first, uint32_t max_entries) const;
+
+  // Encodes `header` as a kAppend carrying entries [first, last], read in
+  // place: the window is copied once, into the message bytes.
+  std::vector<uint8_t> EncodeWindow(const ReplicaMessage& header, uint64_t first,
+                                    uint64_t last) const;
 
   // Drops oldest entries until at most `max_entries` remain (raises base).
   void Trim(uint64_t max_entries);

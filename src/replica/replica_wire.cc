@@ -5,6 +5,14 @@
 namespace kvd {
 namespace {
 
+// type, epoch, sender: the head of every replica message.
+constexpr size_t kMessageHeadBytes = 1 + 8 + 4;
+// A kAppend's window position and entry count.
+constexpr size_t kAppendHeadBytes = kMessageHeadBytes + 4 * 8 + 4;
+// An entry's fixed fields (37 B) and its result's (13 B); the key, the value
+// and the result's value follow as counted bytes.
+constexpr size_t kEntryFixedBytes = 37 + 13;
+
 void PutU16(std::vector<uint8_t>& out, uint16_t v) {
   const size_t at = out.size();
   out.resize(at + 2);
@@ -70,20 +78,10 @@ bool DecodeResult(Reader& reader, KvResultMessage& result) {
   return reader.TakeBytes(result.value, len);
 }
 
-void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
-  PutU64(out, entry.epoch);
-  PutU64(out, entry.client_sequence);
-  PutU16(out, entry.slot);
-  out.push_back(static_cast<uint8_t>(entry.op.opcode));
-  out.push_back(entry.op.element_width);
-  out.push_back(entry.op.return_value ? 1 : 0);
-  PutU16(out, entry.op.function_id);
-  PutU64(out, entry.op.param);
-  PutU16(out, static_cast<uint16_t>(entry.op.key.size()));
-  PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
-  PutBytes(out, entry.op.key);
-  PutBytes(out, entry.op.value);
-  EncodeResult(out, entry.result);
+void EncodeMessageHead(std::vector<uint8_t>& out, const ReplicaMessage& msg) {
+  out.push_back(static_cast<uint8_t>(msg.type));
+  PutU64(out, msg.epoch);
+  PutU32(out, msg.sender);
 }
 
 bool DecodeEntry(Reader& reader, LogEntry& entry) {
@@ -186,22 +184,59 @@ bool DecodeBody(Reader& reader, ReplicaMessage& msg) {
 
 }  // namespace
 
-std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
+void EncodeLogEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
+  PutU64(out, entry.epoch);
+  PutU64(out, entry.client_sequence);
+  PutU16(out, entry.slot);
+  out.push_back(static_cast<uint8_t>(entry.op.opcode));
+  out.push_back(entry.op.element_width);
+  out.push_back(entry.op.return_value ? 1 : 0);
+  PutU16(out, entry.op.function_id);
+  PutU64(out, entry.op.param);
+  PutU16(out, static_cast<uint16_t>(entry.op.key.size()));
+  PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
+  PutBytes(out, entry.op.key);
+  PutBytes(out, entry.op.value);
+  EncodeResult(out, entry.result);
+}
+
+size_t EncodedLogEntryBytes(const LogEntry& entry) {
+  return kEntryFixedBytes + entry.op.key.size() + entry.op.value.size() +
+         entry.result.value.size();
+}
+
+std::vector<uint8_t> EncodeAppendHead(const ReplicaMessage& msg, uint32_t count,
+                                      size_t entry_bytes) {
   std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(msg.type));
-  PutU64(out, msg.epoch);
-  PutU32(out, msg.sender);
+  out.reserve(kAppendHeadBytes + entry_bytes);
+  EncodeMessageHead(out, msg);
+  PutU64(out, msg.first_index);
+  PutU64(out, msg.prev_epoch);
+  PutU64(out, msg.commit_index);
+  PutU64(out, msg.leader_end);
+  PutU32(out, count);
+  return out;
+}
+
+std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
+  if (msg.type == ReplicaMessageType::kAppend) {
+    size_t entry_bytes = 0;
+    for (const LogEntry& entry : msg.entries) {
+      entry_bytes += EncodedLogEntryBytes(entry);
+    }
+    std::vector<uint8_t> out = EncodeAppendHead(
+        msg, static_cast<uint32_t>(msg.entries.size()), entry_bytes);
+    for (const LogEntry& entry : msg.entries) {
+      EncodeLogEntry(out, entry);
+    }
+    return out;
+  }
+  std::vector<uint8_t> out;
+  out.reserve(kMessageHeadBytes + 4 * 8);  // every fixed-size message fits
+  EncodeMessageHead(out, msg);
   switch (msg.type) {
     case ReplicaMessageType::kAppend:
-      PutU64(out, msg.first_index);
-      PutU64(out, msg.prev_epoch);
-      PutU64(out, msg.commit_index);
-      PutU64(out, msg.leader_end);
-      PutU32(out, static_cast<uint32_t>(msg.entries.size()));
-      for (const LogEntry& entry : msg.entries) {
-        EncodeEntry(out, entry);
-      }
-      break;
+      break;  // encoded above
     case ReplicaMessageType::kAppendAck:
       PutU64(out, msg.ack_index);
       break;

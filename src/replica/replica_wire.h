@@ -121,6 +121,16 @@ struct ReplicaMessage {
 std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);
 Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload);
 
+// A kAppend in two steps, so a primary encodes a window straight from its
+// log instead of copying it into msg.entries: the message through its entry
+// count (msg.entries is not read; the buffer is reserved for `entry_bytes`
+// more), then each entry appended in log order. EncodeReplicaMessage encodes
+// a kAppend the same way, byte for byte.
+std::vector<uint8_t> EncodeAppendHead(const ReplicaMessage& msg, uint32_t count,
+                                      size_t entry_bytes);
+void EncodeLogEntry(std::vector<uint8_t>& out, const LogEntry& entry);
+size_t EncodedLogEntryBytes(const LogEntry& entry);
+
 // Cuts a snapshot into kStateChunk messages that copy `header`: the KVs, then
 // the session records (their chunks flagged kStateChunkSessions), at most
 // `per_chunk` items per chunk, numbered from 0. An empty snapshot yields no

@@ -430,36 +430,37 @@ void ReplicationGroup::ServeReads(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
   AdmitReplay(rep, sequence);
-  struct ReadState {
-    std::vector<KvResultMessage> results;
-    size_t remaining = 0;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->results.resize(ops.size());
-  state->remaining = ops.size();
-  state->respond = std::move(respond);
-  Replica* rp = &rep;
-  for (size_t i = 0; i < ops.size(); i++) {
-    rep.server->Submit(
-        std::move(ops[i]), [this, rp, state, sequence, i](KvResultMessage result) {
-          state->results[i] = std::move(result);
-          if (--state->remaining > 0) {
-            return;
-          }
-          if (rp->crashed) {
-            return;  // response died with the replica
-          }
-          GroupResponse resp;
-          resp.epoch = rp->current_epoch;
-          resp.primary_id = rp->believed_primary;
-          for (KvResultMessage& r : state->results) {
-            r.epoch = static_cast<uint32_t>(rp->current_epoch);
-          }
-          resp.results_payload = EncodeResults(state->results);
-          FinishResponse(*rp, sequence, std::move(resp), state->respond, true);
-        });
+  const uint32_t batch = read_batches_.Open(ops.size());
+  ReadBatch& read = read_batches_[batch].context;
+  read.rep = &rep;
+  read.sequence = sequence;
+  read.respond = std::move(respond);
+  for (const KvOperation& op : ops) {
+    rep.server->index().Prefetch(op.key);
   }
+  for (size_t i = 0; i < ops.size(); i++) {
+    rep.server->Submit(std::move(ops[i]),
+                       read_batches_.Completion(batch, static_cast<uint32_t>(i)));
+  }
+}
+
+void ReplicationGroup::AnswerReads(uint32_t batch) {
+  auto& record = read_batches_[batch];
+  Replica& rep = *record.context.rep;
+  if (rep.crashed) {
+    return;  // response died with the replica
+  }
+  GroupResponse resp;
+  resp.epoch = rep.current_epoch;
+  resp.primary_id = rep.believed_primary;
+  for (KvResultMessage& r : record.results) {
+    r.epoch = static_cast<uint32_t>(rep.current_epoch);
+  }
+  resp.results_payload = EncodeResults(record.results);
+  // Respond through a local: delivery may open batches and grow the pool.
+  const std::function<void(std::vector<uint8_t>)> respond =
+      std::move(record.context.respond);
+  FinishResponse(rep, record.context.sequence, std::move(resp), respond, true);
 }
 
 void ReplicationGroup::ServeWrites(
@@ -480,102 +481,115 @@ void ReplicationGroup::ServeWrites(
 void ReplicationGroup::ExecuteWrites(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
-  struct WriteState {
-    std::vector<KvOperation> ops;
-    std::vector<KvResultMessage> results;
-    size_t remaining = 0;
-    uint64_t needed_index = 0;
-    bool appended = false;
-    SimTime appended_at = 0;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
-  auto state = std::make_shared<WriteState>();
-  state->ops = std::move(ops);
-  state->results.resize(state->ops.size());
-  state->respond = std::move(respond);
+  const uint32_t batch = write_batches_.Open(ops.size());
+  auto& record = write_batches_[batch];
+  WriteBatch& write = record.context;
+  write.rep = &rep;
+  write.sequence = sequence;
+  write.ops = std::move(ops);
+  write.needed_index = 0;
+  write.appended = false;
+  write.appended_at = 0;
+  write.respond = std::move(respond);
 
   // Replicated session records answer write slots that already executed —
   // possibly under a previous primary — without re-executing them. That is
-  // what makes retransmission across failover exactly-once.
-  std::vector<size_t> submit;
-  auto session = rep.sessions.find(sequence);
-  bool session_hit = false;
-  for (size_t i = 0; i < state->ops.size(); i++) {
-    if (IsWriteOpcode(state->ops[i].opcode) && session != rep.sessions.end()) {
+  // what makes retransmission across failover exactly-once. An answered
+  // slot's op stays in the record but is never submitted.
+  const size_t num_ops = write.ops.size();
+  std::vector<bool> answered;
+  if (auto session = rep.sessions.find(sequence); session != rep.sessions.end()) {
+    answered.resize(num_ops);
+    for (size_t i = 0; i < num_ops; i++) {
+      if (!IsWriteOpcode(write.ops[i].opcode)) {
+        continue;
+      }
       const uint16_t slot = static_cast<uint16_t>(i);
       auto stored = LowerBoundSlot(session->second, slot);
       if (stored != session->second.end() && stored->slot == slot) {
-        state->results[i] = stored->result;
+        record.results[i] = stored->result;
+        record.remaining--;
+        answered[i] = true;
         stats_.session_dedup_hits++;
-        session_hit = true;
-        continue;
       }
     }
-    submit.push_back(i);
   }
-  if (session_hit) {
+  if (record.remaining < num_ops) {
     // The stored entries sit at or below the current log end; wait for the
     // whole present log to commit (conservative, but simple and safe).
-    state->needed_index = rep.log.end();
+    write.needed_index = rep.log.end();
   }
-
-  Replica* rp = &rep;
-  auto finish = [this, rp, sequence, state] {
-    if (state->appended) {
-      TryAdvanceCommit(*rp);  // a quorum of one commits immediately
-    }
-    if (rp->commit >= state->needed_index) {
-      RespondWrite(*rp, sequence, state->needed_index,
-                   std::move(state->results), state->respond,
-                   state->appended_at);
-    } else {
-      PendingAck pending;
-      pending.needed_index = state->needed_index;
-      pending.sequence = sequence;
-      pending.appended_at = state->appended_at;
-      pending.results = std::move(state->results);
-      pending.respond = state->respond;
-      rp->pending.push_back(std::move(pending));
-    }
-    if (state->appended) {
-      PushAppends(*rp);
-    }
-  };
-
-  if (submit.empty()) {
-    finish();
+  if (record.remaining == 0) {
+    write_batches_.Complete(batch);
     return;
   }
-  state->remaining = submit.size();
-  for (size_t i : submit) {
-    const bool is_write = IsWriteOpcode(state->ops[i].opcode);
-    if (is_write) {
+  auto submitted = [&](size_t i) { return answered.empty() || !answered[i]; };
+  for (size_t i = 0; i < num_ops; i++) {
+    if (submitted(i)) {
+      rep.server->index().Prefetch(write.ops[i].key);
+    }
+  }
+  // From here on the record is reached through its index: Submit must not
+  // be trusted to leave the pool where it was.
+  for (size_t i = 0; i < num_ops; i++) {
+    if (!submitted(i)) {
+      continue;
+    }
+    const KvOperation& op = write_batches_[batch].context.ops[i];
+    if (IsWriteOpcode(op.opcode)) {
       rep.inflight_ops++;
     }
-    // The one copy of the op: the batch's own stays in `state` until the
+    // The one copy of the op: the batch's own stays in its record until the
     // log entry takes it.
-    rep.server->Submit(
-        state->ops[i], [this, rp, state, sequence, i, is_write,
-                        finish](KvResultMessage result) {
-          if (is_write) {
-            rp->inflight_ops--;
-          }
-          if (is_write && result.code == ResultCode::kOk) {
-            AppendEffectiveWrite(*rp, sequence, static_cast<uint16_t>(i),
-                                 std::move(state->ops[i]), result);
-            state->needed_index = rp->log.end();
-            state->appended = true;
-            state->appended_at = sim_.Now();
-          }
-          state->results[i] = std::move(result);
-          if (--state->remaining > 0) {
-            return;
-          }
-          if (rp->crashed || !rp->is_primary) {
-            return;  // crashed or deposed mid-request; the client retries
-          }
-          finish();
-        });
+    rep.server->Submit(op, write_batches_.Completion(batch, static_cast<uint32_t>(i)));
+  }
+}
+
+void ReplicationGroup::OnWriteRetired(uint32_t batch, uint32_t slot,
+                                      KvResultMessage& result) {
+  WriteBatch& write = write_batches_[batch].context;
+  Replica& rep = *write.rep;
+  if (!IsWriteOpcode(write.ops[slot].opcode)) {
+    return;
+  }
+  rep.inflight_ops--;
+  if (result.code != ResultCode::kOk) {
+    return;
+  }
+  AppendEffectiveWrite(rep, write.sequence, static_cast<uint16_t>(slot),
+                       std::move(write.ops[slot]), result);
+  write.needed_index = rep.log.end();
+  write.appended = true;
+  write.appended_at = sim_.Now();
+}
+
+void ReplicationGroup::FinishWrites(uint32_t batch) {
+  auto& record = write_batches_[batch];
+  Replica& rep = *record.context.rep;
+  if (rep.crashed || !rep.is_primary) {
+    return;  // crashed or deposed mid-request; the client retries
+  }
+  // Take the answer out of the record first: the calls below respond to
+  // clients, which can open batches and grow the pool under `record`.
+  PendingAck pending;
+  pending.needed_index = record.context.needed_index;
+  pending.sequence = record.context.sequence;
+  pending.appended_at = record.context.appended_at;
+  pending.results = std::move(record.results);
+  pending.respond = std::move(record.context.respond);
+  const bool appended = record.context.appended;
+  if (appended) {
+    TryAdvanceCommit(rep);  // a quorum of one commits immediately
+  }
+  if (rep.commit >= pending.needed_index) {
+    RespondWrite(rep, pending.sequence, pending.needed_index,
+                 std::move(pending.results), pending.respond,
+                 pending.appended_at);
+  } else {
+    rep.pending.push_back(std::move(pending));
+  }
+  if (appended) {
+    PushAppends(rep);
   }
 }
 
@@ -721,7 +735,8 @@ void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) 
     stats_.corrupt_replica_frames++;
     return;
   }
-  const ReplicaMessage& msg = decoded.value();
+  // The message is ours: OnAppend moves its entries into the log.
+  ReplicaMessage& msg = decoded.value();
   switch (msg.type) {
     case ReplicaMessageType::kAppend:
       OnAppend(rep, msg);
@@ -750,7 +765,7 @@ void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) 
   }
 }
 
-void ReplicationGroup::OnAppend(Replica& rep, const ReplicaMessage& msg) {
+void ReplicationGroup::OnAppend(Replica& rep, ReplicaMessage& msg) {
   if (msg.epoch < rep.current_epoch) {
     // Depose the stale primary: an ack carrying a higher epoch does it.
     ReplicaMessage ack = MakeMessage(ReplicaMessageType::kAppendAck,
@@ -993,13 +1008,14 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
   msg.prev_epoch = primary.log.EpochAt(first - 1);
   msg.commit_index = primary.commit;
   msg.leader_end = primary.log.end();
-  msg.entries = primary.log.Window(first, config_.max_append_entries);
-  primary.next[peer] = first + msg.entries.size();
+  const uint64_t last = primary.log.WindowLast(first, config_.max_append_entries);
+  primary.next[peer] = last + 1;
   stats_.appends_sent++;
-  stats_.entries_shipped += msg.entries.size();
+  stats_.entries_shipped += last + 1 - first;
   std::vector<uint64_t> traces;
   if (tracer_.enabled()) {
-    for (const LogEntry& entry : msg.entries) {
+    for (uint64_t index = first; index <= last; index++) {
+      const LogEntry& entry = primary.log.At(index);
       if (entry.client_sequence == 0) {
         continue;  // promotion barrier
       }
@@ -1010,7 +1026,14 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
       }
     }
   }
-  SendReplicaMessage(primary.id, peer, msg, traces);
+  if (primary.crashed) {
+    return;  // as SendReplicaMessage: a crashed replica sends nothing
+  }
+  // The window is encoded straight from the log: its one copy is the bytes.
+  SendReplicaFrame(peer,
+                   FramePacket(++next_repl_sequence_,
+                               primary.log.EncodeWindow(msg, first, last)),
+                   traces);
 }
 
 void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
@@ -1134,15 +1157,14 @@ void ReplicationGroup::EvaluateGrayPeers(Replica& primary) {
   }
 }
 
-void ReplicationGroup::AppendToLog(Replica& rep,
-                                   const std::vector<LogEntry>& entries,
+void ReplicationGroup::AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
                                    uint64_t first_index) {
   const uint64_t start = rep.log.end() + 1;
   for (size_t i = 0; i < entries.size(); i++) {
     if (first_index + i < start) {
       continue;  // duplicate from a retransmitted window
     }
-    rep.log.Append(entries[i]);
+    rep.log.Append(std::move(entries[i]));
   }
 }
 
@@ -1632,6 +1654,14 @@ void ReplicationGroup::RegisterMetrics() {
   metrics_.RegisterGauge("kvd_repl_commit_index",
                          "Quorum-committed log index at the primary", {},
                          [this] { return static_cast<double>(commit_index()); });
+  metrics_.RegisterGauge(
+      "kvd_repl_read_batch_records_peak",
+      "Peak read packets admitted and not yet answered", {},
+      [this] { return static_cast<double>(read_batches_.peak()); });
+  metrics_.RegisterGauge(
+      "kvd_repl_write_batch_records_peak",
+      "Peak write packets admitted and not yet answered", {},
+      [this] { return static_cast<double>(write_batches_.peak()); });
   metrics_.RegisterGauge(
       "kvd_repl_last_failover_downtime_ns",
       "Simulated time from primary crash to next promotion", {}, [this] {

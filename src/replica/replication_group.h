@@ -306,6 +306,11 @@ class ReplicationGroup {
   }
   const LatencyHistogram& commit_wait_ns() const { return commit_wait_ns_; }
 
+  // Batch records held: read and write packets admitted on some replica and
+  // not yet answered or dropped.
+  uint32_t read_batches_live() const { return read_batches_.live(); }
+  uint32_t write_batches_live() const { return write_batches_.live(); }
+
  private:
   struct PendingAck {
     uint64_t needed_index = 0;
@@ -433,6 +438,24 @@ class ReplicationGroup {
     std::deque<uint64_t> session_order;
   };
 
+  // A read packet in flight on a replica, and where its answer goes.
+  struct ReadBatch {
+    Replica* rep = nullptr;
+    uint64_t sequence = 0;
+    std::function<void(std::vector<uint8_t>)> respond;
+  };
+  // A write packet in flight on the primary: its ops, each kept until its
+  // log entry takes it, and the log index its answer waits to see commit.
+  struct WriteBatch {
+    Replica* rep = nullptr;
+    uint64_t sequence = 0;
+    std::vector<KvOperation> ops;
+    uint64_t needed_index = 0;
+    bool appended = false;
+    SimTime appended_at = 0;  // last log append (commit-wait histogram)
+    std::function<void(std::vector<uint8_t>)> respond;
+  };
+
   // --- client path ---
   void HandleClientRequest(Replica& rep, uint64_t sequence, GroupRequest request,
                            std::function<void(std::vector<uint8_t>)> respond);
@@ -443,6 +466,12 @@ class ReplicationGroup {
   void ExecuteWrites(Replica& rep, uint64_t sequence,
                      std::vector<KvOperation> ops,
                      std::function<void(std::vector<uint8_t>)> respond);
+  // Batch hooks: a read packet's last op retired; a write packet's op
+  // retired (an effective write is logged at once); its last op retired.
+  // A crashed or deposed replica answers nobody.
+  void AnswerReads(uint32_t batch);
+  void OnWriteRetired(uint32_t batch, uint32_t slot, KvResultMessage& result);
+  void FinishWrites(uint32_t batch);
   void RespondWrite(Replica& rep, uint64_t sequence, uint64_t needed_index,
                     std::vector<KvResultMessage> results,
                     const std::function<void(std::vector<uint8_t>)>& respond,
@@ -466,7 +495,7 @@ class ReplicationGroup {
   void SendReplicaFrame(uint32_t to, std::vector<uint8_t> frame,
                         const std::vector<uint64_t>& traces = {});
   void OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet);
-  void OnAppend(Replica& rep, const ReplicaMessage& msg);
+  void OnAppend(Replica& rep, ReplicaMessage& msg);
   void OnAppendAck(Replica& rep, const ReplicaMessage& msg);
   void OnPromoteQuery(Replica& rep, const ReplicaMessage& msg);
   void OnPromoteReply(Replica& rep, const ReplicaMessage& msg);
@@ -486,9 +515,9 @@ class ReplicationGroup {
   // whose replication lag exceeded demote_lag_entries for demote_grace, and
   // reinstates demoted peers that caught back up.
   void EvaluateGrayPeers(Replica& primary);
-  // Appends a received window to the log (skipping already-held entries);
-  // application happens separately, at commit time.
-  void AppendToLog(Replica& rep, const std::vector<LogEntry>& entries,
+  // Moves a received window's entries into the log (skipping already-held
+  // entries); application happens separately, at commit time.
+  void AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
                    uint64_t first_index);
   // Submits log entries (applied, target] to the store in log order.
   void ApplyThrough(Replica& rep, uint64_t target);
@@ -552,6 +581,13 @@ class ReplicationGroup {
   LatencyHistogram propagation_lag_ns_;
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum
+  ResultBatches<ReadBatch> read_batches_{
+      [this](uint32_t batch) { AnswerReads(batch); }};
+  ResultBatches<WriteBatch> write_batches_{
+      [this](uint32_t batch) { FinishWrites(batch); },
+      [this](uint32_t batch, uint32_t slot, KvResultMessage& result) {
+        OnWriteRetired(batch, slot, result);
+      }};
   // Guards the self-rescheduling heartbeat tick against outliving the group
   // on an external simulator.
   std::shared_ptr<bool> liveness_ = std::make_shared<bool>(true);

@@ -8,11 +8,11 @@
 #define SRC_SIM_TOKEN_POOL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "src/common/assert.h"
+#include "src/common/ring_fifo.h"
 
 namespace kvd {
 
@@ -43,7 +43,7 @@ class TokenPool {
 
  private:
   struct Waiter {
-    uint32_t count;
+    uint32_t count = 0;
     std::function<void()> granted;
   };
 
@@ -55,7 +55,7 @@ class TokenPool {
   uint32_t peak_in_use_ = 0;
   uint64_t total_acquires_ = 0;
   uint64_t total_waits_ = 0;
-  std::deque<Waiter> waiters_;
+  RingFifo<Waiter> waiters_;
 };
 
 }  // namespace kvd

@@ -4,11 +4,14 @@
 #include <algorithm>
 #include <cstring>
 #include <cmath>
+#include <deque>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "src/common/hashing.h"
 #include "src/common/random.h"
+#include "src/common/ring_fifo.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -47,6 +50,39 @@ TEST(ResultTest, HoldsError) {
   Result<int> r(Status::OutOfMemory("pool dry"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfMemory);
+}
+
+// The ring against a std::deque model over random pushes and pops, so the
+// ring wraps, grows while wrapped, and drains to empty many times; a popped
+// slot releases what it held.
+TEST(RingFifoTest, MatchesDequeAndReleasesPoppedSlots) {
+  RingFifo<std::unique_ptr<int>> ring;
+  std::deque<int> model;
+  Rng rng(7);
+  int next = 0;
+  for (int step = 0; step < 20000; step++) {
+    // Drift between push-heavy and pop-heavy stretches.
+    const bool push_heavy = (step / 1000) % 2 == 0;
+    if (model.empty() || rng.NextBelow(100) < (push_heavy ? 70u : 30u)) {
+      ring.push_back(std::make_unique<int>(next));
+      model.push_back(next++);
+    } else {
+      std::unique_ptr<int> taken = std::move(ring.front());
+      ring.pop_front();
+      ASSERT_EQ(*taken, model.front());
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    if (!model.empty()) {
+      ASSERT_EQ(*ring[model.size() - 1], model.back());
+    }
+  }
+  RingFifo<std::shared_ptr<int>> shared;
+  auto held = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = held;
+  shared.push_back(std::move(held));
+  shared.pop_front();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -295,6 +295,45 @@ TEST(HashIndexTest, InlineGetCostsOneAccessPutCostsTwo) {
   EXPECT_EQ(delta.total(), 1u);  // bucket read only
 }
 
+// A prefetch is a host-only hint: neither engine counts it, the recording
+// engine leaves it out of the op's trace, and a lookup after it records
+// exactly its usual one bucket read.
+TEST(HashIndexTest, PrefetchIsNeitherCountedNorRecorded) {
+  IndexRig rig(SmallIndexConfig());
+  const auto key = MakeKey(11);
+  ASSERT_TRUE(rig.index.Put(key, MakeValue(1, 8)).ok());
+  const uint64_t bucket = rig.index.BucketAddressFor(key);
+
+  const AccessStats before = rig.engine.stats();
+  rig.engine.Prefetch(bucket);
+  rig.index.Prefetch(key);
+  rig.index.Prefetch(MakeKey(12));  // absent keys prefetch their bucket too
+  const AccessStats after_direct = rig.engine.stats() - before;
+  EXPECT_EQ(after_direct.total(), 0u);
+  EXPECT_EQ(after_direct.total_bytes(), 0u);
+
+  TraceRecordingEngine recording(rig.engine);
+  HashIndex traced(recording, rig.allocator, SmallIndexConfig());
+  std::vector<AccessRecord> trace;
+  recording.BeginOp();
+  recording.Prefetch(bucket);
+  traced.Prefetch(key);
+  recording.TakeTrace(trace);
+  EXPECT_TRUE(trace.empty());
+  EXPECT_EQ((recording.stats() - before).total(), 0u);
+
+  recording.BeginOp();
+  traced.Prefetch(key);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(traced.Get(key, out).ok());
+  recording.TakeTrace(trace);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].kind, AccessKind::kRead);
+  EXPECT_EQ(trace[0].address, bucket);
+  EXPECT_EQ(trace[0].length, kBucketBytes);
+  EXPECT_EQ((recording.stats() - before).reads, 1u);
+}
+
 TEST(HashIndexTest, NonInlineAddsOneAccess) {
   IndexRig rig(SmallIndexConfig());
   const auto key = MakeKey(11);

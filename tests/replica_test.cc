@@ -244,6 +244,50 @@ TEST(ReplicaWireTest, GroupRequestResponseRoundTrip) {
 
 // --- the log ---
 
+// Encodes the append window of at most `max_entries` that starts at `first`
+// straight from the log, decodes it, and checks that it carries exactly the
+// log's entries [first, expected_last], byte-identical to encoding copies.
+void ExpectWindowRoundTrips(const ReplicaLog& log, uint64_t first,
+                            uint32_t max_entries, uint64_t expected_last) {
+  const uint64_t last = log.WindowLast(first, max_entries);
+  ASSERT_EQ(last, expected_last);
+  ReplicaMessage header;
+  header.type = ReplicaMessageType::kAppend;
+  header.epoch = 9;
+  header.sender = 2;
+  header.first_index = first;
+  header.prev_epoch = log.EpochAt(first - 1);
+  header.commit_index = first - 1;
+  header.leader_end = log.end();
+  const std::vector<uint8_t> bytes = log.EncodeWindow(header, first, last);
+  auto decoded = DecodeReplicaMessage(bytes);
+  ASSERT_TRUE(decoded.ok());
+  const ReplicaMessage& out = decoded.value();
+  EXPECT_EQ(out.type, ReplicaMessageType::kAppend);
+  EXPECT_EQ(out.epoch, 9u);
+  EXPECT_EQ(out.sender, 2u);
+  EXPECT_EQ(out.first_index, first);
+  EXPECT_EQ(out.prev_epoch, log.EpochAt(first - 1));
+  EXPECT_EQ(out.commit_index, first - 1);
+  EXPECT_EQ(out.leader_end, log.end());
+  ASSERT_EQ(out.entries.size(), last + 1 - first);
+  for (uint64_t index = first; index <= last; index++) {
+    const LogEntry& want = log.At(index);
+    const LogEntry& got = out.entries[index - first];
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.client_sequence, want.client_sequence);
+    EXPECT_EQ(got.slot, want.slot);
+    EXPECT_EQ(got.op.opcode, want.op.opcode);
+    EXPECT_EQ(got.op.key, want.op.key);
+    EXPECT_EQ(got.op.value, want.op.value);
+    EXPECT_EQ(got.result.code, want.result.code);
+    EXPECT_EQ(got.result.scalar, want.result.scalar);
+    EXPECT_EQ(got.result.value, want.result.value);
+    header.entries.push_back(want);
+  }
+  EXPECT_EQ(bytes, EncodeReplicaMessage(header));
+}
+
 TEST(ReplicaLogTest, IndicesTrimAndSnapshotReset) {
   ReplicaLog log;
   EXPECT_EQ(log.end(), 0u);
@@ -251,14 +295,19 @@ TEST(ReplicaLogTest, IndicesTrimAndSnapshotReset) {
   for (int i = 1; i <= 10; i++) {
     LogEntry entry;
     entry.epoch = i <= 5 ? 1 : 2;
+    entry.client_sequence = (5ull << 40) + i;
+    entry.slot = static_cast<uint16_t>(i);
+    entry.op = Put(i, 100 + i);
+    entry.result.scalar = i;
+    entry.result.value = U64Value(1000 + i);
     log.Append(entry);
   }
   EXPECT_EQ(log.end(), 10u);
   EXPECT_EQ(log.EpochAt(5), 1u);
   EXPECT_EQ(log.EpochAt(6), 2u);
-  EXPECT_EQ(log.Window(8, 64).size(), 3u);
-  EXPECT_EQ(log.Window(11, 64).size(), 0u);
-  EXPECT_EQ(log.Window(1, 4).size(), 4u);
+  ExpectWindowRoundTrips(log, 8, 64, 10);
+  ExpectWindowRoundTrips(log, 11, 64, 10);  // empty: a heartbeat
+  ExpectWindowRoundTrips(log, 1, 4, 4);
 
   log.Trim(4);
   EXPECT_EQ(log.base(), 6u);
@@ -266,6 +315,9 @@ TEST(ReplicaLogTest, IndicesTrimAndSnapshotReset) {
   EXPECT_EQ(log.EpochAt(6), 2u);  // the trimmed boundary keeps its epoch
   EXPECT_FALSE(log.Contains(6));
   EXPECT_TRUE(log.Contains(7));
+  // The first window past the trimmed base takes its prev_epoch from there.
+  ExpectWindowRoundTrips(log, 7, 64, 10);
+  ExpectWindowRoundTrips(log, 7, 2, 8);
 
   log.ResetToSnapshot(42, 3);
   EXPECT_EQ(log.base(), 42u);
@@ -357,6 +409,53 @@ TEST(ReplicationGroupTest, ReadBelowWatermarkBouncesStale) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().flags, kGroupStaleRead);
   EXPECT_EQ(group.stats().stale_reads, 1u);
+}
+
+// A packet's batch record lives from admission until its last op retires,
+// even when the replica that admitted it can no longer answer: a crashed
+// replica (reads or writes in flight) and a primary that lost its reign
+// (here: crashed and restarted as a backup with writes in flight) release
+// the record and send nothing.
+TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
+  enum class Fate { kCrash, kDepose };
+  struct Case {
+    bool writes;
+    uint32_t replica;
+    Fate fate;
+  };
+  for (const Case& c : {Case{false, 1, Fate::kCrash}, Case{true, 0, Fate::kCrash},
+                        Case{true, 0, Fate::kDepose}}) {
+    SCOPED_TRACE(testing::Message() << "writes " << c.writes << ", replica "
+                                    << c.replica << ", deposed "
+                                    << (c.fate == Fate::kDepose));
+    ReplicationGroup group(SmallGroupConfig());
+    for (uint64_t id = 0; id < 16; id++) {
+      ASSERT_TRUE(group.Load(Key(id), U64Value(id)).ok());
+    }
+    PacketBuilder builder;
+    for (uint64_t id = 0; id < 16; id++) {
+      ASSERT_TRUE(builder.Add(c.writes ? Put(id, 100 + id) : Get(id)));
+    }
+    GroupRequest request;
+    request.ops_payload = builder.Finish();
+    const std::vector<uint8_t> frame = FramePacket(
+        group.AcquireClientSequenceBase() + 1, EncodeGroupRequest(request));
+
+    int responses = 0;
+    group.DeliverClientFrame(c.replica, frame,
+                             [&](std::vector<uint8_t>) { responses++; });
+    EXPECT_EQ(group.read_batches_live(), c.writes ? 0u : 1u);
+    EXPECT_EQ(group.write_batches_live(), c.writes ? 1u : 0u);
+    group.CrashReplica(c.replica);
+    if (c.fate == Fate::kDepose) {
+      group.RestartReplica(c.replica);
+      ASSERT_FALSE(group.is_primary(c.replica));
+    }
+    RunFor(group.simulator(), kMillisecond);
+    EXPECT_EQ(group.read_batches_live(), 0u);
+    EXPECT_EQ(group.write_batches_live(), 0u);
+    EXPECT_EQ(responses, 0);
+  }
 }
 
 TEST(ReplicationGroupTest, LaggingBackupRejectsReadThenClientRetriesPrimary) {
