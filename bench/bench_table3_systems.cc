@@ -83,10 +83,8 @@ void ReportTenNicLatency() {
   wl.num_keys = config.kvs_memory_bytes / 2 / 10;
   wl.seed = 42;
   YcsbWorkload workload(wl);
-  for (uint64_t id = 0; id < wl.num_keys; id++) {
-    const KvOperation op = workload.LoadOpFor(id);
-    (void)cluster.Load(op.key, op.value);
-  }
+  KVD_CHECK_MSG(bench::Preload(cluster, workload, wl.num_keys) == wl.num_keys,
+                "a NIC refused a preload key");
 
   MultiNicClient client(cluster);
   constexpr uint64_t kOps = 20000;

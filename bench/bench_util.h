@@ -7,6 +7,7 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -26,14 +27,34 @@
 namespace kvd {
 namespace bench {
 
-// Preloads `count` keys from the workload into the store (untimed). Returns
-// the number actually inserted (stops early on OOM).
-inline uint64_t Preload(KvDirectServer& server, const YcsbWorkload& workload,
-                        uint64_t count) {
+// Preloads `count` keys from the workload into any store with a Load (a
+// server, a MultiNicServer, a group, a cluster), untimed. Returns the number
+// actually inserted (stops at the first refusal, e.g. OOM). The next
+// kPreloadLookahead ops wait in a ring; on a server each op's bucket line is
+// prefetched as it enters the ring, so the host's cache misses overlap
+// instead of stalling every Load in turn.
+inline constexpr uint64_t kPreloadLookahead = 8;
+
+template <typename Store>
+uint64_t Preload(Store& store, const YcsbWorkload& workload, uint64_t count) {
+  std::array<KvOperation, kPreloadLookahead> ring;
+  const auto draw = [&](uint64_t id) {
+    KvOperation& op = ring[id % kPreloadLookahead];
+    op = workload.LoadOpFor(id);
+    if constexpr (requires { store.index().Prefetch(op.key); }) {
+      store.index().Prefetch(op.key);
+    }
+  };
+  for (uint64_t id = 0; id < std::min(count, kPreloadLookahead); id++) {
+    draw(id);
+  }
   for (uint64_t id = 0; id < count; id++) {
-    const KvOperation op = workload.LoadOpFor(id);
-    if (!server.Load(op.key, op.value).ok()) {
+    const KvOperation& op = ring[id % kPreloadLookahead];
+    if (!store.Load(op.key, op.value).ok()) {
       return id;
+    }
+    if (id + kPreloadLookahead < count) {
+      draw(id + kPreloadLookahead);
     }
   }
   return count;
@@ -72,8 +93,11 @@ inline DriveResult DriveFramed(KvDirectServer& server, const DriveOptions& optio
     SimTime issued = 0;
   };
   std::vector<Lane> lanes(std::max<uint32_t>(1, options.pipeline_depth / options.ops_per_packet));
-  for (Lane& lane : lanes) {
-    lane.client = std::make_unique<Client>(server, client_options);
+  // Lanes whose flush completed during the current simulator step.
+  std::vector<size_t> finished;
+  for (size_t i = 0; i < lanes.size(); i++) {
+    lanes[i].client = std::make_unique<Client>(server, client_options);
+    lanes[i].client->set_on_flush_done([&finished, i] { finished.push_back(i); });
   }
 
   DriveResult result;
@@ -109,15 +133,17 @@ inline DriveResult DriveFramed(KvDirectServer& server, const DriveOptions& optio
     begin_flush(lane);
   }
   while (completed < options.total_ops && sim.Step()) {
-    for (Lane& lane : lanes) {
-      if (lane.ops == 0 || !lane.client->flush_done()) {
-        continue;
-      }
+    // Refill in lane order, however the completions were ordered in the
+    // step. Indexed, so a refill that completes at once may append.
+    std::ranges::sort(finished);
+    for (size_t k = 0; k < finished.size(); k++) {
+      Lane& lane = lanes[finished[k]];
       (void)lane.client->TakeResults();
       completed += lane.ops;
       result.latency_ns.Add((sim.Now() - lane.issued) / kNanosecond);
       begin_flush(lane);
     }
+    finished.clear();
   }
   result.elapsed_us = static_cast<double>(sim.Now() - start) / kMicrosecond;
   result.mops = static_cast<double>(completed) / result.elapsed_us;

@@ -16,7 +16,9 @@
 #      raw datagram path beside it); and a packet batch is copied once (the
 #      "one copy per packet batch" guard: ops complete through pooled batch
 #      records, not a shared per-packet state, and append windows are
-#      encoded straight from the log, not copied out of it first);
+#      encoded straight from the log, not copied out of it first); and
+#      workload preload goes through bench::Preload (the "one preload
+#      loop" guard: no bench calls LoadOpFor itself);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -141,6 +143,16 @@ copies=$(grep -rnE 'make_shared<(PacketState|ReadState|WriteState)>|ReplicaLog::
 if [[ -n "${copies}" ]]; then
   echo "one copy per packet batch: per-packet shared state or a copied log window found:" >&2
   echo "${copies}" >&2
+  exit 1
+fi
+
+# One preload loop: benches load a workload's keys through bench::Preload
+# (bench/bench_util.h), which checks every status and overlaps the bucket
+# misses. A bench hand-rolling the loop over LoadOpFor fails.
+preloads=$(grep -nE 'LoadOpFor' bench/*.cc || true)
+if [[ -n "${preloads}" ]]; then
+  echo "one preload loop: workload preload outside bench::Preload:" >&2
+  echo "${preloads}" >&2
   exit 1
 fi
 

@@ -39,6 +39,13 @@ HostDaemon::HostDaemon(const SlabConfig& config, std::unique_ptr<Merger> merger)
   }
 }
 
+void HostDaemon::CloneFrom(const HostDaemon& source) {
+  KVD_CHECK_MSG(config_ == source.config_, "cloning a daemon of another layout");
+  arena_.CloneFrom(source.arena_);
+  bitmap_ = source.bitmap_;
+  stats_ = source.stats_;
+}
+
 bool HostDaemon::SplitDownTo(uint8_t cls) {
   // Find the nearest larger class with a free slab.
   uint8_t source = cls;

@@ -28,6 +28,8 @@ struct DaemonStats {
   uint64_t splits = 0;        // one larger slab split into two smaller
   uint64_t merge_passes = 0;  // lazy-merge invocations
   uint64_t slabs_merged = 0;  // buddy pairs coalesced
+
+  bool operator==(const DaemonStats&) const = default;
 };
 
 class HostDaemon {
@@ -45,6 +47,10 @@ class HostDaemon {
 
   // Forces a full merge pass across all classes (maintenance entry point).
   void MergeAll();
+
+  // Takes `source`'s pools, bitmap and stats (equal configs). The merger
+  // keeps no state between passes, so there is none of its to copy.
+  void CloneFrom(const HostDaemon& source);
 
   uint64_t StackDepth(uint8_t cls) const { return stacks_[cls].size(); }
   uint64_t FreeBytes() const;

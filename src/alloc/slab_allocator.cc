@@ -78,6 +78,13 @@ void SlabAllocator::Free(uint64_t address, uint32_t bytes) {
   }
 }
 
+void SlabAllocator::CloneFrom(const SlabAllocator& source) {
+  KVD_CHECK_MSG(config_ == source.config_, "cloning an allocator of another layout");
+  daemon_.CloneFrom(source.daemon_);
+  nic_stacks_ = source.nic_stacks_;
+  sync_stats_ = source.sync_stats_;
+}
+
 uint64_t SlabAllocator::FreeBytes() const { return daemon_.FreeBytes(); }
 
 void SlabAllocator::RegisterMetrics(MetricRegistry& registry) const {

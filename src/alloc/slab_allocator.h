@@ -33,6 +33,8 @@ struct SyncStats {
   uint64_t entries_fetched = 0;
   uint64_t entries_flushed = 0;
 
+  bool operator==(const SyncStats&) const = default;
+
   // DMA operations per allocation/free, the paper's <0.07 figure.
   double AmortizedDmaPerOp() const {
     const uint64_t ops = allocations + frees;
@@ -57,6 +59,11 @@ class SlabAllocator final : public Allocator {
   }
 
   uint64_t FreeBytes() const;
+
+  // Takes `source`'s NIC stacks, sync stats and host daemon state (equal
+  // configs): the untimed half of a store clone.
+  void CloneFrom(const SlabAllocator& source);
+
   const SlabConfig& config() const { return config_; }
   const SyncStats& sync_stats() const { return sync_stats_; }
 

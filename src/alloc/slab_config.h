@@ -29,6 +29,8 @@ struct SlabConfig {
   uint32_t low_watermark = 8;
   uint32_t high_watermark = 224;
 
+  bool operator==(const SlabConfig&) const = default;
+
   uint8_t NumClasses() const {
     return static_cast<uint8_t>(std::countr_zero(max_slab_bytes) -
                                 std::countr_zero(min_slab_bytes) + 1);

@@ -136,6 +136,13 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   network_->RegisterMetrics(metrics_);
 }
 
+void NodeRuntime::CloneStoreFrom(const NodeRuntime& source) {
+  memory_->CloneFrom(*source.memory_);
+  direct_engine_->CloneStatsFrom(*source.direct_engine_);
+  allocator_->CloneFrom(*source.allocator_);
+  index_->CloneFrom(*source.index_);
+}
+
 void NodeRuntime::UseTracer(Tracer* tracer) {
   KVD_CHECK(tracer != nullptr);
   active_tracer_ = tracer;

@@ -104,6 +104,15 @@ class NodeRuntime {
   FaultInjector& faults() { return *fault_; }
   const ServerConfig& config() const { return config_; }
   const AccessStats& memory_stats() const { return direct_engine_->stats(); }
+  // The store arena: hash index plus slab heap.
+  const HostMemory& memory() const { return *memory_; }
+
+  // Makes this node's store a copy of `source`'s, untimed: the arena (only
+  // the pages that differ), the slab allocator and its host daemon, the
+  // index counts and stats, and the access counts. Nothing else of the node
+  // changes. The store configs must be equal. A replication group uses it
+  // to seed replicas from one preloaded replica (DESIGN.md §9).
+  void CloneStoreFrom(const NodeRuntime& source);
   const MetricRegistry& metrics() const { return metrics_; }
   // Mutable registry for the embedding server's own counters (the transport
   // endpoint's replay stats, for example).

@@ -87,12 +87,15 @@ class SlabImage {
   std::span<const uint8_t> bytes_;
 };
 
-// Serialized inline image: u8 klen, u8 vlen, key, value. It spans at most the
-// bucket's ten slots.
+// Serialized inline image: u8 klen, u8 vlen, key, value, zero-padded to whole
+// slots, so writing it leaves no stale byte in the entry's last slot. It spans
+// at most the bucket's ten slots.
 class InlineImage {
  public:
   InlineImage(std::span<const uint8_t> key, std::span<const uint8_t> value)
-      : size_(kInlineHeaderBytes + key.size() + value.size()) {
+      : size_(BucketView::InlineSlotSpan(
+                  static_cast<uint32_t>(key.size() + value.size())) *
+              kSlotBytes) {
     KVD_CHECK(size_ <= data_.size());
     data_[0] = static_cast<uint8_t>(key.size());
     data_[1] = static_cast<uint8_t>(value.size());
@@ -106,7 +109,7 @@ class InlineImage {
   std::span<const uint8_t> bytes() const { return {data_.data(), size_}; }
 
  private:
-  std::array<uint8_t, kSlotsPerBucket * kSlotBytes> data_;
+  std::array<uint8_t, kSlotsPerBucket * kSlotBytes> data_{};
   size_t size_;
 };
 
@@ -209,10 +212,10 @@ void HashIndex::WriteBucket(uint64_t address, const BucketView& bucket) {
   engine_.Write(address, bucket.raw());
 }
 
-std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
+std::optional<HashIndex::Location> HashIndex::Find(const KeyHash& kh,
+                                                   std::span<const uint8_t> key,
                                                    std::vector<uint8_t>* value_out,
                                                    std::vector<WalkedBucket>* walked) {
-  const KeyHash kh = HashKey(key);
   uint64_t address = index_base_ + kh.BucketIndex(num_buckets_) * kBucketBytes;
   uint64_t parent = kNoParent;
   bool first = true;
@@ -274,7 +277,7 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
 
 Status HashIndex::Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
   stats_.gets++;
-  if (Find(key, &value_out).has_value()) {
+  if (Find(HashKey(key), key, &value_out).has_value()) {
     return Status::Ok();
   }
   return Status::NotFound();
@@ -312,29 +315,33 @@ bool HashIndex::TryPlace(BucketView& bucket, std::span<const uint8_t> key,
       inline_kv
           ? BucketView::InlineSlotSpan(static_cast<uint32_t>(key.size() + value.size()))
           : 1;
-  if (bucket.FreeSlots() < needed) {
+  const uint32_t free = bucket.FreeSlots();
+  if (free < needed) {
     return false;
   }
-  // Compacting packs live entries to the front, so the free slots are
-  // contiguous at the tail; the rewrite costs nothing extra because a
-  // mutation writes the whole 64 B bucket anyway.
-  BucketView compacted = Compacted(bucket);
-  const uint32_t first = kSlotsPerBucket - compacted.FreeSlots();
+  // The entry goes after the live ones, so the free slots must be contiguous
+  // at the tail. Every byte outside an entry is zero, so a bucket already in
+  // that shape is its own compacted image and takes the entry in place; a
+  // fragmented one is compacted first. The rewrite costs nothing extra
+  // because a mutation writes the whole 64 B bucket anyway.
+  if (!bucket.Compact()) {
+    bucket = Compacted(bucket);
+  }
+  const uint32_t first = kSlotsPerBucket - free;
   if (inline_kv) {
-    compacted.WriteInlineBytes(first, InlineImage(key, value).bytes());
-    compacted.SetInlineBegin(first, true);
+    bucket.WriteInlineBytes(first, InlineImage(key, value).bytes());
+    bucket.SetInlineBegin(first, true);
     for (uint32_t s = 0; s < needed; s++) {
-      compacted.SetSlotType(first + s, kSlotInline);
+      bucket.SetSlotType(first + s, kSlotInline);
     }
   } else {
-    compacted.SetPointerSlot(first, slab_address, secondary, slab_class);
+    bucket.SetPointerSlot(first, slab_address, secondary, slab_class);
   }
-  bucket = compacted;
   return true;
 }
 
-Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> value) {
-  const KeyHash kh = HashKey(key);
+Status HashIndex::Insert(const KeyHash& kh, std::span<const uint8_t> key,
+                         std::span<const uint8_t> value) {
   const auto kv_bytes = static_cast<uint32_t>(key.size() + value.size());
   const bool inline_kv =
       kv_bytes <= config_.inline_threshold_bytes && kv_bytes <= kMaxInlineKvBytes;
@@ -415,10 +422,11 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
     return Status::InvalidArgument("value size");
   }
 
+  const KeyHash kh = HashKey(key);
   walked_.clear();
-  std::optional<Location> loc = Find(key, nullptr, &walked_);
+  std::optional<Location> loc = Find(kh, key, nullptr, &walked_);
   if (!loc.has_value()) {
-    return Insert(key, value);
+    return Insert(kh, key, value);
   }
 
   if (loc->is_inline && fits_inline &&
@@ -445,14 +453,14 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   // walked buckets are stale after the removal, so Insert re-walks.
   RemoveAt(*loc);
   walked_.clear();
-  return Insert(key, value);
+  return Insert(kh, key, value);
 }
 
 Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
                                 const ValueUpdater& updater,
                                 std::vector<uint8_t>* original_out) {
   std::vector<uint8_t> value;
-  std::optional<Location> loc = Find(key, &value);
+  std::optional<Location> loc = Find(HashKey(key), key, &value);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -505,7 +513,7 @@ void HashIndex::RemoveAt(Location& loc) {
 
 Status HashIndex::Delete(std::span<const uint8_t> key) {
   stats_.deletes++;
-  std::optional<Location> loc = Find(key);
+  std::optional<Location> loc = Find(HashKey(key), key);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -514,7 +522,7 @@ Status HashIndex::Delete(std::span<const uint8_t> key) {
 }
 
 bool HashIndex::Contains(std::span<const uint8_t> key) {
-  return Find(key).has_value();
+  return Find(HashKey(key), key).has_value();
 }
 
 void HashIndex::ForEach(const KvVisitor& visit) {
@@ -543,6 +551,13 @@ void HashIndex::ForEach(const KvVisitor& visit) {
       address = bucket.ChainAddress();
     }
   }
+}
+
+void HashIndex::CloneFrom(const HashIndex& source) {
+  KVD_CHECK_MSG(config_ == source.config_, "cloning an index of another layout");
+  num_kvs_ = source.num_kvs_;
+  payload_bytes_ = source.payload_bytes_;
+  stats_ = source.stats_;
 }
 
 void HashIndex::RegisterMetrics(MetricRegistry& registry) const {

@@ -38,6 +38,8 @@ struct HashIndexConfig {
   uint32_t min_slab_bytes = 32;
   uint32_t max_slab_bytes = 512;
 
+  bool operator==(const HashIndexConfig&) const = default;
+
   struct Regions {
     uint64_t index_base;
     uint64_t num_buckets;
@@ -56,6 +58,8 @@ struct HashIndexStats {
   uint64_t chain_follows = 0;        // extra buckets read due to collisions
   uint64_t secondary_false_hits = 0; // 9-bit hash matched, key did not
   uint64_t chained_buckets_live = 0;
+
+  bool operator==(const HashIndexStats&) const = default;
 };
 
 class HashIndex {
@@ -90,6 +94,10 @@ class HashIndex {
   using KvVisitor = std::function<void(std::span<const uint8_t> key,
                                        std::span<const uint8_t> value)>;
   void ForEach(const KvVisitor& visit);
+
+  // Takes `source`'s counts and stats; the buckets live in the arena, which
+  // the caller clones. The configs must be equal.
+  void CloneFrom(const HashIndex& source);
 
   uint64_t num_buckets() const { return num_buckets_; }
   uint64_t num_kvs() const { return num_kvs_; }
@@ -139,16 +147,18 @@ class HashIndex {
     BucketView view;
   };
 
-  // Walks the chain for `key`. Returns its location (and optionally the
-  // stored value), or nullopt. When `walked` is non-null it receives every
-  // bucket read along the way, covering the full chain on a miss.
-  std::optional<Location> Find(std::span<const uint8_t> key,
+  // Walks the chain for `key`, whose hash is `kh`. Returns its location (and
+  // optionally the stored value), or nullopt. When `walked` is non-null it
+  // receives every bucket read along the way, covering the full chain on a
+  // miss.
+  std::optional<Location> Find(const KeyHash& kh, std::span<const uint8_t> key,
                                std::vector<uint8_t>* value_out = nullptr,
                                std::vector<WalkedBucket>* walked = nullptr);
 
   // Inserts a fresh key (caller guarantees absence). `walked_` holds the
   // chain buckets a preceding Find() already read; clear it to re-walk.
-  Status Insert(std::span<const uint8_t> key, std::span<const uint8_t> value);
+  Status Insert(const KeyHash& kh, std::span<const uint8_t> key,
+                std::span<const uint8_t> value);
 
   // Removes the entry at `loc` and frees its storage; rewrites the bucket and
   // unlinks it from the chain if it became empty.
@@ -158,7 +168,9 @@ class HashIndex {
   // chain pointer.
   static BucketView Compacted(const BucketView& bucket);
 
-  // Entry placement into a specific bucket; returns false if it lacks space.
+  // Entry placement into a specific bucket, after its live entries (in place
+  // when they already fill a prefix of the slots, else compacted first);
+  // returns false if it lacks space.
   bool TryPlace(BucketView& bucket, std::span<const uint8_t> key,
                 std::span<const uint8_t> value, bool inline_kv,
                 uint64_t slab_address, uint8_t slab_class, uint16_t secondary);

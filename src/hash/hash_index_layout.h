@@ -25,6 +25,7 @@
 #define SRC_HASH_HASH_INDEX_LAYOUT_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -157,14 +158,27 @@ class BucketView {
 
   // Count of empty slots in the bucket.
   uint32_t FreeSlots() const {
-    uint32_t free = 0;
-    for (uint32_t s = 0; s < kSlotsPerBucket; s++) {
-      free += SlotType(s) == kSlotEmpty ? 1 : 0;
-    }
-    return free;
+    return kSlotsPerBucket - static_cast<uint32_t>(std::popcount(OccupiedMask()));
+  }
+
+  // True when the entries fill a prefix of the slots, so the free slots are
+  // contiguous at the tail.
+  bool Compact() const {
+    const uint32_t occupied = OccupiedMask();
+    const auto entries = static_cast<uint32_t>(std::popcount(occupied));
+    return occupied == (kSlotTypeLowBits & ((1u << (3 * entries)) - 1));
   }
 
  private:
+  // Bit 3 * slot of the slot-type field, for every slot.
+  static constexpr uint32_t kSlotTypeLowBits = 0x09249249u;
+
+  // Bit 3 * slot set for every slot whose type is not empty.
+  uint32_t OccupiedMask() const {
+    const uint32_t types = LoadU32(50);
+    return (types | types >> 1 | types >> 2) & kSlotTypeLowBits;
+  }
+
   uint32_t LoadU32(uint32_t offset) const {
     uint32_t v;
     std::memcpy(&v, raw_.data() + offset, sizeof(v));

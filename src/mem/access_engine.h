@@ -43,6 +43,8 @@ struct AccessStats {
   uint64_t total() const { return reads + writes; }
   uint64_t total_bytes() const { return read_bytes + write_bytes; }
 
+  bool operator==(const AccessStats&) const = default;
+
   AccessStats operator-(const AccessStats& other) const {
     return AccessStats{reads - other.reads, writes - other.writes,
                        read_bytes - other.read_bytes, write_bytes - other.write_bytes};
@@ -81,6 +83,8 @@ class DirectEngine final : public AccessEngine {
   void Prefetch(uint64_t address) override { memory_.Prefetch(address); }
 
   const AccessStats& stats() const override { return stats_; }
+  // Takes `source`'s counts (a store clone copies the arena separately).
+  void CloneStatsFrom(const DirectEngine& source) { stats_ = source.stats_; }
 
   HostMemory& memory() { return memory_; }
 

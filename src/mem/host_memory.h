@@ -44,6 +44,16 @@ class HostMemory {
   void Read(uint64_t address, std::span<uint8_t> out) const;
   void Write(uint64_t address, std::span<const uint8_t> in);
   void Fill(uint64_t address, uint64_t length, uint8_t byte);
+  // Makes this arena's bytes equal to `source`'s (same size), untimed. It
+  // visits only the pages the kernel has mapped in either arena (present or
+  // swapped out, per /proc/self/pagemap): an unmapped page has never been
+  // written and reads zero. A page the source holds non-zero bytes in is
+  // written here without being read first; this arena's other mapped pages
+  // are cleared where they hold anything. So this arena gains resident pages
+  // only where the source has them, and a page neither side mapped is never
+  // touched. Where pagemap cannot be read, every page counts as mapped: the
+  // bytes come out the same, only the untouched pages get visited too.
+  void CloneFrom(const HostMemory& source);
   // Starts loading the cache line at `address` (a hint; no effect on contents).
   void Prefetch(uint64_t address) const {
     KVD_DCHECK(address < size_);

@@ -139,8 +139,38 @@ uint64_t ReplicationGroup::log_end(uint32_t id) const {
   return replicas_[id]->log.end();
 }
 
+void ReplicationGroup::Settle() {
+  if (!pristine_) {
+    return;
+  }
+  pristine_ = false;
+  if (!stale_replicas_) {
+    return;
+  }
+  stale_replicas_ = false;
+  const NodeRuntime& source = replicas_[0]->server->runtime();
+  for (size_t id = 1; id < replicas_.size(); id++) {
+    NodeRuntime& target = replicas_[id]->server->runtime();
+    // A write that reached a stale replica directly (through a replica(id)
+    // reference taken before the first Load) would vanish under the clone.
+    KVD_CHECK_MSG(target.index().num_kvs() == 0 &&
+                      target.index().stats() == HashIndexStats{} &&
+                      target.allocator().sync_stats() == SyncStats{} &&
+                      target.memory_stats() == AccessStats{},
+                  "a replica was written while its group held pristine loads");
+    target.CloneStoreFrom(source);
+  }
+  stats_.load_clones++;
+}
+
 Status ReplicationGroup::Load(std::span<const uint8_t> key,
                               std::span<const uint8_t> value) {
+  if (pristine_) {
+    // Every replica is live and runs the same deterministic code on the same
+    // state, so one load stands for all of them.
+    stale_replicas_ = replicas_.size() > 1;
+    return replicas_[0]->server->Load(key, value);
+  }
   for (const auto& rep : replicas_) {
     if (rep->crashed) {
       // Reconciled on restart: the replica is down, not divergent.
@@ -157,12 +187,14 @@ Status ReplicationGroup::Load(std::span<const uint8_t> key,
 }
 
 KvResultMessage ReplicationGroup::Execute(const KvOperation& op) {
+  Settle();
   KVD_CHECK_MSG(!IsWriteOpcode(op.opcode),
                 "group Execute is read-only; writes go through the log");
   return Primary().server->Execute(op);
 }
 
 Status ReplicationGroup::Erase(std::span<const uint8_t> key) {
+  Settle();
   KvOperation del;
   del.opcode = Opcode::kDelete;
   del.key.assign(key.begin(), key.end());
@@ -180,6 +212,7 @@ Status ReplicationGroup::Erase(std::span<const uint8_t> key) {
 
 void ReplicationGroup::InstallSessionRecord(uint64_t sequence, uint16_t slot,
                                             const KvResultMessage& result) {
+  Settle();
   for (const auto& rep : replicas_) {
     if (!rep->crashed) {
       RecordSession(*rep, sequence, slot, result);
@@ -189,6 +222,7 @@ void ReplicationGroup::InstallSessionRecord(uint64_t sequence, uint16_t slot,
 
 StateKvs ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
                                                uint32_t partition) {
+  Settle();
   return SnapshotKvs(Primary(), &router, partition);
 }
 
@@ -208,7 +242,8 @@ StateKvs ReplicationGroup::SnapshotKvs(Replica& rep, const KeyRouter* router,
 }
 
 std::vector<SessionRecord> ReplicationGroup::ExportPartitionSessions(
-    const KeyRouter& router, uint32_t partition) const {
+    const KeyRouter& router, uint32_t partition) {
+  Settle();
   std::vector<SessionRecord> exported;
   const Replica& primary = *replicas_[primary_view_];
   for (uint64_t index = primary.log.base() + 1; index <= primary.log.end();
@@ -226,6 +261,7 @@ std::vector<SessionRecord> ReplicationGroup::ExportPartitionSessions(
 }
 
 void ReplicationGroup::CrashReplica(uint32_t id) {
+  Settle();
   Replica& rep = *replicas_[id];
   if (rep.crashed) {
     return;
@@ -244,6 +280,7 @@ void ReplicationGroup::CrashReplica(uint32_t id) {
 }
 
 void ReplicationGroup::RestartReplica(uint32_t id) {
+  Settle();
   Replica& rep = *replicas_[id];
   if (!rep.crashed) {
     return;
@@ -279,6 +316,7 @@ void ReplicationGroup::RestartReplica(uint32_t id) {
 void ReplicationGroup::DeliverClientFrame(
     uint32_t replica_id, std::vector<uint8_t> packet,
     std::function<void(std::vector<uint8_t>)> respond) {
+  Settle();
   Replica& rep = *replicas_[replica_id];
   if (rep.crashed) {
     return;  // the client's retransmission timer covers it
@@ -721,6 +759,7 @@ void ReplicationGroup::SendReplicaFrame(uint32_t to, std::vector<uint8_t> frame,
 }
 
 void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) {
+  Settle();
   Replica& rep = *replicas_[to];
   if (rep.crashed) {
     return;
@@ -1487,6 +1526,7 @@ void ReplicationGroup::WipeState(Replica& rep) {
 }
 
 void ReplicationGroup::Tick() {
+  Settle();
   // Scripted/stochastic whole-node crashes, one consult per alive replica in
   // id order (keeps FaultPlan schedules deterministic).
   for (uint32_t id = 0; id < num_replicas(); id++) {

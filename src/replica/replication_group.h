@@ -179,6 +179,10 @@ class ReplicationGroup {
   // Loads a KV into every replica identically, below the log (pre-replication
   // state). Crashed replicas queue the mutation and reconcile on restart
   // (Replica::pending_state); live replicas can still refuse on capacity.
+  // While the group is pristine (it has handled nothing but Loads since it
+  // was built) only replica 0 loads, and the group's first other touch
+  // clones replica 0's store into the others (DESIGN.md §9, "Untimed
+  // preload"); the status is replica 0's either way.
   Status Load(std::span<const uint8_t> key, std::span<const uint8_t> value);
   // Functional read on the current primary (reads only).
   KvResultMessage Execute(const KvOperation& op);
@@ -236,7 +240,7 @@ class ReplicationGroup {
   // log. Records of trimmed entries are not recoverable here; migrations
   // keep their window well inside max_log_entries.
   std::vector<SessionRecord> ExportPartitionSessions(const KeyRouter& router,
-                                                     uint32_t partition) const;
+                                                     uint32_t partition);
 
   // --- fault control ---
   void CrashReplica(uint32_t id);
@@ -255,7 +259,15 @@ class ReplicationGroup {
   // commit index (entries apply only once quorum-committed).
   uint64_t applied_index(uint32_t id) const;
   uint64_t log_end(uint32_t id) const;
-  KvDirectServer& replica(uint32_t id) { return *replicas_[id]->server; }
+  // Settles pristine loads first. Before the first Load there is nothing to
+  // settle and the group stays pristine: fresh replicas are identical, and
+  // topologies collect their replicas as they are built.
+  KvDirectServer& replica(uint32_t id) {
+    if (stale_replicas_) {
+      Settle();
+    }
+    return *replicas_[id]->server;
+  }
   Simulator& simulator() { return sim_; }
   const MetricRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
@@ -291,6 +303,7 @@ class ReplicationGroup {
     uint64_t gray_demotions = 0;         // peers dropped from the commit quorum
     uint64_t gray_reinstatements = 0;    // demoted peers that caught back up
     uint64_t last_failover_downtime_ns = 0;
+    uint64_t load_clones = 0;  // settles that cloned replica 0's preload
   };
   // By value: the replay/frame counters live in the per-replica transport
   // endpoints and are summed into the snapshot here.
@@ -553,6 +566,11 @@ class ReplicationGroup {
   // slate a state-transfer target starts from.
   void WipeState(Replica& rep);
 
+  // Ends the pristine phase, once: clones replica 0's store into the
+  // replicas its Loads skipped. Every settle point (DESIGN.md §9) calls it
+  // first.
+  void Settle();
+
   void Tick();
   void RegisterMetrics();
   Replica& Primary() { return *replicas_[primary_view_]; }
@@ -578,6 +596,10 @@ class ReplicationGroup {
   SimTime failover_started_at_ = 0;
   bool failover_pending_ = false;
   GroupStats stats_;
+  // Untimed preload: true until the first touch other than Load; while it
+  // holds, Load fills replica 0 only and sets stale_replicas_.
+  bool pristine_ = true;
+  bool stale_replicas_ = false;
   LatencyHistogram propagation_lag_ns_;
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum

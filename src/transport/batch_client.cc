@@ -265,6 +265,9 @@ void BatchClient::PacketDone(const std::shared_ptr<FlushState>& flush) {
   if (--flush->outstanding == 0 && router_.busy_rounds > 0) {
     EndBusyRound(flush);
   }
+  if (flush->outstanding == 0 && flush == flush_ && on_flush_done_) {
+    on_flush_done_();
+  }
 }
 
 void BatchClient::EndBusyRound(const std::shared_ptr<FlushState>& flush) {

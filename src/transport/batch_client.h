@@ -24,6 +24,7 @@
 #define SRC_TRANSPORT_BATCH_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,10 @@ class BatchClient : public KvEndpoint {
   void BeginFlush();
   bool flush_done() const { return flush_ == nullptr || flush_->outstanding == 0; }
   std::vector<KvResultMessage> TakeResults();
+  // Runs inside the simulator step in which a flush begun by BeginFlush
+  // completes, so a loop running many clients learns which one finished
+  // without polling them all.
+  void set_on_flush_done(std::function<void()> hook) { on_flush_done_ = std::move(hook); }
 
   ReliableSender::Stats endpoint_stats() const override { return stats_; }
   SimTime now() const override { return sim_.Now(); }
@@ -173,6 +178,7 @@ class BatchClient : public KvEndpoint {
   uint64_t next_sequence_;
   std::vector<KvOperation> pending_;
   std::shared_ptr<FlushState> flush_;
+  std::function<void()> on_flush_done_;
   ReliableSender sender_;
 };
 

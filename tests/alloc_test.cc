@@ -2,12 +2,15 @@
 // NIC-side allocator (paper §3.3.2, §4, Figures 8 and 12), and the host
 // memory arena under them.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/alloc/allocation_bitmap.h"
@@ -216,6 +219,55 @@ TEST(HostMemoryTest, MovedFromArenaIsSafeToDestroy) {
   moved.Read(0, bytes);
   EXPECT_EQ(bytes, std::vector<uint8_t>(8, 0x5a));
   EXPECT_TRUE(AllZero(moved, moved.size() - 1, 1));
+}
+
+TEST(HostMemoryTest, CloneFromMatchesTheSourceWhateverTheTargetHeld) {
+  constexpr uint64_t kHuge = 2 * kMiB;
+  for (const uint64_t size : {uint64_t{5000}, 3 * kHuge + 123}) {
+    SCOPED_TRACE(size);
+    HostMemory source(size);
+    HostMemory target(size);
+    // The source writes one page, the partial last page and (large arena)
+    // zeros into a third; the target holds junk where the source is zero:
+    // in pages the source wrote and in pages it never touched.
+    source.Fill(100, 300, 0x11);
+    source.Fill(size - 3, 3, 0x22);
+    target.Fill(0, 50, 0x33);
+    target.Fill(4096, 10, 0x44);
+    if (size > kHuge) {
+      source.Fill(kHuge, 64, 0);
+      target.Fill(kHuge + 7, 9, 0x55);
+      target.Fill(2 * kHuge + 5, 9, 0x66);
+    }
+    target.CloneFrom(source);
+    EXPECT_TRUE(std::ranges::equal(target.Span(0, size), source.Span(0, size)));
+    target.CloneFrom(source);  // again, onto an equal arena
+    EXPECT_TRUE(std::ranges::equal(target.Span(0, size), source.Span(0, size)));
+  }
+}
+
+TEST(HostMemoryTest, CloneFromLeavesPagesNeitherSideWroteUnmapped) {
+  if (access("/proc/self/pagemap", R_OK) != 0) {
+    GTEST_SKIP() << "no pagemap: CloneFrom visits every page";
+  }
+  constexpr uint64_t kHuge = 2 * kMiB;
+  HostMemory source(4 * kHuge);
+  HostMemory target(4 * kHuge);
+  source.Fill(10, 20, 0x77);
+  source.Fill(3 * kHuge + 5, 1, 0x88);
+  target.CloneFrom(source);
+  const HostMemory& cloned = target;
+  const auto page_bytes = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  // Reading a page would map it (the zero page counts as resident).
+  for (const uint64_t address : {kHuge, 2 * kHuge + 4096}) {
+    unsigned char resident = 1;
+    ASSERT_EQ(mincore(const_cast<uint8_t*>(cloned.Span(address, 1).data()), page_bytes,
+                      &resident),
+              0);
+    EXPECT_EQ(resident & 1, 0) << "page at " << address;
+  }
+  EXPECT_TRUE(std::ranges::equal(cloned.Span(0, cloned.size()),
+                                 std::as_const(source).Span(0, source.size())));
 }
 
 // --- DequeStack: the Figure 8 double-ended stack in real memory ---

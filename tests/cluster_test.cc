@@ -412,6 +412,41 @@ TEST(ClusterMigrationTest, MovesAPartitionAndFlipsTheMap) {
   }
 }
 
+// A cluster preload loads each group's replica 0 and clones it at the
+// group's first heartbeat; a migration's installs into the live destination
+// then take the per-replica path and clone nothing.
+TEST(ClusterMigrationTest, PreloadClonesOnceAndInstallsLoadEveryReplica) {
+  ClusterConfig config = SmallClusterConfig(2, 4, 3);
+  ClusterCoordinator cluster(config);
+  const KeyRouter router = cluster.router();
+  const uint32_t partition = 0;
+  const uint32_t to = 1 - cluster.shard_map().OwnerOf(partition);
+  std::vector<uint64_t> moved;
+  for (uint64_t i = 0; i < 256; i++) {
+    ASSERT_TRUE(cluster.Load(Key(i), U64Value(i)).ok());
+    if (router.PartitionOf(Key(i)) == partition) {
+      moved.push_back(i);
+    }
+  }
+  ASSERT_FALSE(moved.empty());
+  Simulator& sim = cluster.simulator();
+  sim.RunUntil(sim.Now() + 2 * config.group.heartbeat_interval);
+  for (uint32_t g = 0; g < 2; g++) {
+    EXPECT_EQ(cluster.group(g).stats().load_clones, 1u) << "group " << g;
+  }
+
+  ASSERT_TRUE(cluster.StartMigration(partition, to).ok());
+  cluster.DriveMigrationToCompletion();
+  ReplicationGroup& dest = cluster.group(to);
+  EXPECT_EQ(dest.stats().load_clones, 1u);
+  for (uint32_t r = 0; r < dest.num_replicas(); r++) {
+    for (const uint64_t id : moved) {
+      EXPECT_TRUE(dest.replica(r).index().Contains(Key(id)))
+          << "replica " << r << " key " << id;
+    }
+  }
+}
+
 TEST(ClusterMigrationTest, StaleClientConvergesWithinTwoBounces) {
   ClusterConfig config = SmallClusterConfig(2, 4, 3);
   ClusterCoordinator cluster(config);

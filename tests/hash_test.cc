@@ -1,6 +1,7 @@
 // Tests for the bucket layout and the chained hash index (paper §3.3.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <span>
@@ -110,6 +111,30 @@ TEST(BucketViewTest, RawRoundTripThroughMemory) {
   BucketView copy(bucket.raw());
   EXPECT_EQ(copy.GetPointerSlot(4).address, 32u * 7);
   EXPECT_EQ(copy.ChainAddress(), 128u);
+}
+
+TEST(BucketViewTest, FreeSlotsAndCompactReadTheTypeField) {
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; trial++) {
+    BucketView bucket;
+    for (uint32_t s = 0; s < kSlotsPerBucket; s++) {
+      bucket.SetSlotType(s, static_cast<uint8_t>(rng.NextBelow(3) == 0 ? kSlotEmpty
+                                                                       : 1 + rng.NextBelow(7)));
+    }
+    uint32_t free = 0;
+    uint32_t first_free = kSlotsPerBucket;
+    bool occupied_after_free = false;
+    for (uint32_t s = 0; s < kSlotsPerBucket; s++) {
+      if (bucket.SlotType(s) == kSlotEmpty) {
+        free++;
+        first_free = std::min(first_free, s);
+      } else if (first_free < s) {
+        occupied_after_free = true;
+      }
+    }
+    EXPECT_EQ(bucket.FreeSlots(), free);
+    EXPECT_EQ(bucket.Compact(), !occupied_after_free);
+  }
 }
 
 // --- HashIndex fixture ---
@@ -477,6 +502,97 @@ TEST(HashIndexTest, RandomizedAgainstReferenceMap) {
     // And enumeration yields exactly the reference, each key once.
     EXPECT_EQ(Enumerate(rig.index), reference);
   }
+}
+
+// `bucket` rebuilt from its entries alone: kept in their slots, or packed
+// from slot 0 as the index's compaction does. Written from the layout
+// accessors, independently of the index.
+BucketView Rebuilt(const BucketView& bucket, bool pack) {
+  BucketView out;
+  uint32_t next = 0;
+  for (uint32_t slot = 0; slot < kSlotsPerBucket;) {
+    const uint8_t type = bucket.SlotType(slot);
+    if (type == kSlotEmpty) {
+      slot++;
+      continue;
+    }
+    const uint32_t to = pack ? next : slot;
+    uint32_t span = 1;
+    if (type == kSlotInline) {
+      const std::span<const uint8_t> header = bucket.InlineBytes(slot, kInlineHeaderBytes);
+      span = BucketView::InlineSlotSpan(header[0] + header[1]);
+      out.WriteInlineBytes(to, bucket.InlineBytes(slot, kInlineHeaderBytes + header[0] +
+                                                            header[1]));
+      out.SetInlineBegin(to, true);
+      for (uint32_t s = 0; s < span; s++) {
+        out.SetSlotType(to + s, kSlotInline);
+      }
+    } else {
+      const PointerSlot pointer = bucket.GetPointerSlot(slot);
+      out.SetPointerSlot(to, pointer.address, pointer.secondary_hash, pointer.slab_class);
+    }
+    slot += span;
+    next += span;
+  }
+  if (bucket.HasChain()) {
+    out.SetChain(bucket.ChainAddress());
+  }
+  return out;
+}
+
+// Placement writes an entry in place when the bucket's entries already fill
+// a prefix of its slots, and compacts first otherwise. In-place is only
+// right if such a bucket is byte for byte its own compacted image, which
+// holds when no byte outside an entry is ever left non-zero. A history of
+// inserts, deletes and overwrites (inline spans rewritten shorter, shapes
+// changed) over a 16-bucket index checks both after every operation.
+TEST(HashIndexTest, InPlacePlacementMatchesCompactedImage) {
+  HashIndexConfig config;
+  config.memory_size = 256 * kKiB;
+  config.hash_index_ratio = 16.0 * 64 / (256 * kKiB);
+  config.inline_threshold_bytes = 40;
+  IndexRig rig(config);
+  Rng rng(7);
+  KvMap reference;
+  uint64_t compact_partial = 0;  // compact buckets with room: in-place targets
+  uint64_t fragmented = 0;       // buckets that must compact first
+  for (int op = 0; op < 6000; op++) {
+    const auto key = MakeKey(rng.NextBelow(300));
+    const std::string key_str(key.begin(), key.end());
+    if (rng.NextBelow(10) < 7) {
+      // 1..40 B values: inline spans of every length, rewritten shorter
+      // within a span, and slabs once key + value passes the threshold.
+      const auto value = MakeValue(static_cast<uint8_t>(1 + rng.NextBelow(255)),
+                                   1 + rng.NextBelow(40));
+      ASSERT_TRUE(rig.index.Put(key, value).ok());
+      reference[key_str] = value;
+    } else {
+      EXPECT_EQ(rig.index.Delete(key).ok(), reference.erase(key_str) > 0);
+    }
+    for (uint64_t head = 0; head < rig.index.num_buckets(); head++) {
+      uint64_t address = head * kBucketBytes;
+      while (true) {
+        const BucketView bucket(rig.memory.Span(address, kBucketBytes));
+        ASSERT_TRUE(std::ranges::equal(bucket.raw(), Rebuilt(bucket, false).raw()))
+            << "stray bytes outside the entries of bucket " << address << " after op "
+            << op;
+        if (bucket.Compact()) {
+          ASSERT_TRUE(std::ranges::equal(bucket.raw(), Rebuilt(bucket, true).raw()))
+              << "compact bucket " << address << " differs from its compacted image";
+          compact_partial += bucket.FreeSlots() > 0 && !bucket.Empty() ? 1 : 0;
+        } else {
+          fragmented++;
+        }
+        if (!bucket.HasChain()) {
+          break;
+        }
+        address = bucket.ChainAddress();
+      }
+    }
+  }
+  EXPECT_GT(compact_partial, 1000u);
+  EXPECT_GT(fragmented, 1000u);
+  EXPECT_EQ(Enumerate(rig.index), reference);
 }
 
 // Parameterized sweep: round trip across the inline/non-inline boundary.

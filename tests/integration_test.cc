@@ -3,11 +3,13 @@
 // hot-key contention; malformed-input robustness; capacity behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
@@ -145,6 +147,56 @@ TEST(SystemTest, HotKeyOrderingUnderContention) {
   EXPECT_EQ(mismatches, 0);
   // The engine must have merged most operations (hot key => fast path).
   EXPECT_GT(server.processor().stats().fast_path_ops, 3000u);
+}
+
+// bench::Preload against the loop it replaced (one LoadOpFor and Load per
+// key, stopping at the first refusal): the same count and the same store,
+// below the look-ahead distance, just past it, and when the store fills up.
+TEST(PreloadTest, MatchesThePlainLoadLoop) {
+  const auto plain = [](KvDirectServer& server, const YcsbWorkload& workload,
+                        uint64_t count) {
+    for (uint64_t id = 0; id < count; id++) {
+      const KvOperation op = workload.LoadOpFor(id);
+      if (!server.Load(op.key, op.value).ok()) {
+        return id;
+      }
+    }
+    return count;
+  };
+  struct Case {
+    const char* name;
+    uint64_t memory_bytes;
+    uint64_t count;
+    bool fills;
+  };
+  for (const Case& c : {Case{"below the look-ahead", 8 * kMiB, 3, false},
+                        Case{"one past it", 8 * kMiB, bench::kPreloadLookahead + 1, false},
+                        Case{"store fills up", 1 * kMiB, 100000, true}}) {
+    SCOPED_TRACE(c.name);
+    ServerConfig config = IntegrationConfig();
+    config.kvs_memory_bytes = c.memory_bytes;
+    config.nic_dram.capacity_bytes = 256 * kKiB;
+    WorkloadConfig wl;
+    wl.num_keys = c.count;
+    wl.value_bytes = 52;
+    const YcsbWorkload workload(wl);
+    KvDirectServer preloaded(config);
+    KvDirectServer looped(config);
+    const uint64_t loaded = bench::Preload(preloaded, workload, c.count);
+    EXPECT_EQ(loaded, plain(looped, workload, c.count));
+    if (c.fills) {
+      EXPECT_LT(loaded, c.count);
+      EXPECT_GT(loaded, 1000u);
+    } else {
+      EXPECT_EQ(loaded, c.count);
+    }
+    EXPECT_EQ(preloaded.index().num_kvs(), looped.index().num_kvs());
+    EXPECT_EQ(preloaded.index().stats(), looped.index().stats());
+    EXPECT_EQ(preloaded.memory_stats(), looped.memory_stats());
+    const HostMemory& a = preloaded.runtime().memory();
+    const HostMemory& b = looped.runtime().memory();
+    EXPECT_TRUE(std::ranges::equal(a.Span(0, a.size()), b.Span(0, b.size())));
+  }
 }
 
 // A full YCSB-A run through the network path: every response decodes, and

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -1160,6 +1162,234 @@ TEST(ReplicationGroupTest, SameSeedReplayIsBitIdentical) {
   const std::string b = RunScriptedFailoverScenario(7);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("kvd_repl_failovers_total"), std::string::npos);
+}
+
+// --- untimed preload: a pristine group loads replica 0 and clones it ---
+
+// Preload values: inline, 60 B slab and 200 B slab KVs; every fifth key is
+// loaded twice with another shape, so upserts free and reallocate slabs.
+std::vector<uint8_t> PreloadValue(uint64_t id, uint32_t round) {
+  static constexpr size_t kSizes[] = {2, 52, 192};
+  return std::vector<uint8_t>(kSizes[(id + round) % 3], static_cast<uint8_t>(id + round));
+}
+
+void PreloadGroup(ReplicationGroup& group, uint64_t keys) {
+  for (uint64_t id = 0; id < keys; id++) {
+    ASSERT_TRUE(group.Load(Key(id), PreloadValue(id, 0)).ok()) << id;
+  }
+  for (uint64_t id = 0; id < keys; id += 5) {
+    ASSERT_TRUE(group.Load(Key(id), PreloadValue(id, 1)).ok()) << id;
+  }
+}
+
+// The contents a settled group must hold on every replica.
+StateKvs PreloadContents(uint64_t keys) {
+  StateKvs kvs;
+  for (uint64_t id = 0; id < keys; id++) {
+    kvs.emplace_back(Key(id), PreloadValue(id, id % 5 == 0 ? 1 : 0));
+  }
+  std::ranges::sort(kvs);
+  return kvs;
+}
+
+std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> ForEachSequence(
+    KvDirectServer& server) {
+  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> sequence;
+  server.index().ForEach([&](std::span<const uint8_t> key, std::span<const uint8_t> value) {
+    sequence.emplace_back(std::vector<uint8_t>(key.begin(), key.end()),
+                          std::vector<uint8_t>(value.begin(), value.end()));
+  });
+  return sequence;
+}
+
+bool SameBytes(const HostMemory& a, const HostMemory& b) {
+  return a.size() == b.size() &&
+         std::ranges::equal(a.Span(0, a.size()), b.Span(0, b.size()));
+}
+
+// Ends a group's pristine phase without touching any store: it reads the
+// (empty) log only. Loads after it take the per-replica path.
+void LeavePristine(ReplicationGroup& group) {
+  (void)group.ExportPartitionSessions(KeyRouter(4), 0);
+}
+
+TEST(GroupPreloadTest, ClonedReplicasEqualReplicaByReplicaLoads) {
+  constexpr uint64_t kKeys = 3000;
+  ReplicationGroup cloned(SmallGroupConfig());
+  ReplicationGroup reference(SmallGroupConfig());
+  LeavePristine(reference);
+  PreloadGroup(cloned, kKeys);
+  PreloadGroup(reference, kKeys);
+  EXPECT_EQ(cloned.stats().load_clones, 0u);  // nothing touched it yet
+
+  for (uint32_t r = 0; r < 3; r++) {
+    SCOPED_TRACE(testing::Message() << "replica " << r);
+    KvDirectServer& a = cloned.replica(r);
+    KvDirectServer& b = reference.replica(r);
+    EXPECT_TRUE(SameBytes(a.runtime().memory(), b.runtime().memory())) << "store arena";
+    EXPECT_TRUE(SameBytes(a.allocator().daemon().stack_arena(),
+                          b.allocator().daemon().stack_arena()))
+        << "daemon stack arena";
+    EXPECT_EQ(a.index().stats(), b.index().stats());
+    EXPECT_EQ(a.index().num_kvs(), b.index().num_kvs());
+    EXPECT_EQ(a.index().payload_bytes(), b.index().payload_bytes());
+    EXPECT_EQ(a.allocator().sync_stats(), b.allocator().sync_stats());
+    EXPECT_EQ(a.allocator().daemon().stats(), b.allocator().daemon().stats());
+    EXPECT_EQ(a.allocator().daemon().bitmap().allocated_granules(),
+              b.allocator().daemon().bitmap().allocated_granules());
+    EXPECT_EQ(a.memory_stats(), b.memory_stats());
+    EXPECT_EQ(ForEachSequence(a), ForEachSequence(b));
+    EXPECT_EQ(a.metrics().PrometheusText(), b.metrics().PrometheusText());
+  }
+  EXPECT_EQ(cloned.stats().load_clones, 1u);
+  EXPECT_EQ(reference.stats().load_clones, 0u);
+  EXPECT_EQ(StoreContents(cloned, 2), PreloadContents(kKeys));
+  const KeyRouter router(4);
+  for (uint32_t partition = 0; partition < router.num_partitions(); partition++) {
+    EXPECT_EQ(cloned.SnapshotPartitionKvs(router, partition),
+              reference.SnapshotPartitionKvs(router, partition));
+  }
+
+  // Served traffic then runs the same on both: same results, same clock.
+  ReplicatedClient cloned_client(cloned);
+  ReplicatedClient reference_client(reference);
+  for (uint64_t round = 0; round < 8; round++) {
+    for (uint64_t i = 0; i < 64; i++) {
+      const uint64_t id = (round * 389 + i * 47) % kKeys;
+      const KvOperation op = i % 4 == 0 ? Put(id, round) : Get(id);
+      cloned_client.Enqueue(op);
+      reference_client.Enqueue(op);
+    }
+    const std::vector<KvResultMessage> a = cloned_client.Flush();
+    const std::vector<KvResultMessage> b = reference_client.Flush();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); i++) {
+      EXPECT_EQ(a[i].code, b[i].code) << round << "/" << i;
+      EXPECT_EQ(a[i].value, b[i].value) << round << "/" << i;
+    }
+  }
+  EXPECT_EQ(cloned.simulator().Now(), reference.simulator().Now());
+}
+
+TEST(GroupPreloadTest, EverySettlePointClonesOnce) {
+  constexpr uint64_t kKeys = 200;
+  const KeyRouter router(4);
+  struct Touch {
+    const char* name;
+    std::function<void(ReplicationGroup&)> touch;
+    std::optional<uint64_t> erased;  // a key the touch removes
+  };
+  const std::vector<Touch> touches = {
+      {"Tick",
+       [](ReplicationGroup& g) { RunFor(g.simulator(), 2 * g.config().heartbeat_interval); },
+       std::nullopt},
+      {"client frame",
+       [](ReplicationGroup& g) {
+         ReplicatedClient client(g);
+         EXPECT_TRUE(client.Get(Key(7)).ok());
+       },
+       std::nullopt},
+      {"Execute", [](ReplicationGroup& g) { (void)g.Execute(Get(7)); }, std::nullopt},
+      {"Erase", [](ReplicationGroup& g) { EXPECT_TRUE(g.Erase(Key(7)).ok()); }, 7},
+      {"InstallSessionRecord",
+       [](ReplicationGroup& g) { g.InstallSessionRecord(1ull << 40, 0, KvResultMessage()); },
+       std::nullopt},
+      {"SnapshotPartitionKvs",
+       [&router](ReplicationGroup& g) { (void)g.SnapshotPartitionKvs(router, 1); },
+       std::nullopt},
+      {"ExportPartitionSessions",
+       [&router](ReplicationGroup& g) { (void)g.ExportPartitionSessions(router, 1); },
+       std::nullopt},
+      {"CrashReplica", [](ReplicationGroup& g) { g.CrashReplica(2); }, std::nullopt},
+      {"RestartReplica", [](ReplicationGroup& g) { g.RestartReplica(2); }, std::nullopt},
+      {"replica(id)", [](ReplicationGroup& g) { (void)g.replica(1); }, std::nullopt},
+  };
+  for (const Touch& t : touches) {
+    SCOPED_TRACE(t.name);
+    ReplicationGroup group(SmallGroupConfig());
+    (void)group.replica(0);  // before any Load: nothing to settle, still pristine
+    PreloadGroup(group, kKeys);
+    t.touch(group);
+    EXPECT_EQ(group.stats().load_clones, 1u);
+    StateKvs expected = PreloadContents(kKeys);
+    if (t.erased.has_value()) {
+      std::erase_if(expected, [&](const auto& kv) { return kv.first == Key(*t.erased); });
+    }
+    for (uint32_t r = 0; r < 3; r++) {
+      EXPECT_EQ(StoreContents(group, r), expected) << "replica " << r;
+    }
+    // A second touch clones nothing; later Loads go to every live replica.
+    t.touch(group);
+    ASSERT_TRUE(group.Load(Key(kKeys), U64Value(1)).ok());
+    EXPECT_EQ(group.stats().load_clones, 1u);
+    for (uint32_t r = 0; r < 3; r++) {
+      if (!group.crashed(r)) {
+        EXPECT_TRUE(group.replica(r).index().Contains(Key(kKeys))) << "replica " << r;
+      }
+    }
+  }
+}
+
+TEST(GroupPreloadTest, LoadsAfterTrafficOrACrashTakeThePerReplicaPath) {
+  {
+    SCOPED_TRACE("after traffic");
+    ReplicationGroup group(SmallGroupConfig());
+    ReplicatedClient client(group);
+    ASSERT_TRUE(client.Put(Key(1), U64Value(1)).ok());
+    ASSERT_TRUE(group.Load(Key(2), U64Value(2)).ok());
+    RunFor(group.simulator(), kMillisecond);  // backups apply the Put
+    for (uint32_t r = 0; r < 3; r++) {
+      EXPECT_EQ(StoreContents(group, r).size(), 2u) << "replica " << r;
+    }
+    EXPECT_EQ(group.stats().load_clones, 0u);
+  }
+  {
+    SCOPED_TRACE("crashed replica");
+    ReplicationGroup group(SmallGroupConfig());
+    group.CrashReplica(2);
+    PreloadGroup(group, 50);
+    EXPECT_EQ(StoreContents(group, 0), PreloadContents(50));
+    EXPECT_EQ(StoreContents(group, 1), PreloadContents(50));
+    EXPECT_TRUE(StoreContents(group, 2).empty());  // queued, not cloned
+    group.RestartReplica(2);
+    EXPECT_EQ(StoreContents(group, 2), PreloadContents(50));
+    EXPECT_EQ(group.stats().load_clones, 0u);
+  }
+}
+
+TEST(GroupPreloadTest, AWriteToAStaleReplicaFailsTheSettle) {
+  ReplicationGroup group(SmallGroupConfig());
+  KvDirectServer& backup = group.replica(1);  // taken before the first Load
+  PreloadGroup(group, 20);
+  ASSERT_TRUE(backup.Load(Key(99), U64Value(1)).ok());  // the clone would erase it
+  EXPECT_DEATH((void)group.replica(2), "pristine loads");
+}
+
+TEST(GroupPreloadTest, FullGroupRefusesAtTheSameKeyAsReplicaByReplica) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.server.kvs_memory_bytes = 1 * kMiB;
+  config.server.nic_dram.capacity_bytes = 256 * kKiB;
+  ReplicationGroup cloned(config);
+  ReplicationGroup reference(config);
+  LeavePristine(reference);
+  const std::vector<uint8_t> value(52, 9);
+  const auto fill = [&](ReplicationGroup& group) {
+    for (uint64_t id = 0;; id++) {
+      const Status status = group.Load(Key(id), value);
+      if (!status.ok()) {
+        return std::pair{id, status.code()};
+      }
+    }
+  };
+  const auto [cloned_at, cloned_code] = fill(cloned);
+  const auto [reference_at, reference_code] = fill(reference);
+  EXPECT_EQ(cloned_code, StatusCode::kOutOfMemory);
+  EXPECT_EQ(cloned_code, reference_code);
+  EXPECT_EQ(cloned_at, reference_at);
+  EXPECT_GT(cloned_at, 1000u);
+  for (uint32_t r = 0; r < 3; r++) {
+    EXPECT_EQ(StoreContents(cloned, r), StoreContents(reference, r)) << "replica " << r;
+  }
 }
 
 // Sharded + replicated clusters moved to the control plane in src/cluster
