@@ -18,7 +18,10 @@
 #      records, not a shared per-packet state, and append windows are
 #      encoded straight from the log, not copied out of it first); and
 #      workload preload goes through bench::Preload (the "one preload
-#      loop" guard: no bench calls LoadOpFor itself);
+#      loop" guard: no bench calls LoadOpFor itself); and each clock has
+#      one trace sink (the "one trace sink" guard: the Tracer owns its
+#      breakdown, SLO monitor and flight recorder, and nested nodes are
+#      built into their owner's tracer, not re-pointed at it);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -80,6 +83,20 @@ tracers=$(grep -rnE 'EventTracer|SetRequestTracer|UseRequestTracer|request_trace
 if [[ -n "${tracers}" ]]; then
   echo "second tracing hook set found:" >&2
   echo "${tracers}" >&2
+  exit 1
+fi
+
+# One trace sink: a Tracer owns its breakdown, SLO monitor and flight
+# recorder and feeds them itself; components fire flight triggers through
+# their one Tracer*, and a node, group or cluster built on another's clock
+# takes the owner's tracer at construction. Hand wiring between the four,
+# or re-pointing a node at another tracer after it is built, coming back
+# fails.
+sinks=$(grep -rnE 'UseFlightRecorder|SetFlightRecorder|SetBreakdown|SetSloMonitor|set_on_complete|set_on_breach|active_flight_|UseTracer' \
+          src bench tests examples || true)
+if [[ -n "${sinks}" ]]; then
+  echo "one trace sink: hand-wired tracing consumers found:" >&2
+  echo "${sinks}" >&2
   exit 1
 fi
 
@@ -168,7 +185,7 @@ echo "=== replication suite (ctest -L replica) ==="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L replica
 
 echo "=== overload-control suite (ctest -L overload) ==="
-# Deadlines, admission shedding, retry budgets, hedging, gray demotion
+# Deadlines, admission shedding, retry budgets, gray demotion
 # (DESIGN.md §12) — run again by label so a regression names itself.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L overload
 

@@ -88,6 +88,8 @@ class ClusterClient : public GroupRouter {
   // The routed header: the cached map epoch and the packet's partition.
   std::vector<uint8_t> RequestHeader(const Packet& packet) override;
   bool OnShardBounce(const PacketPtr& packet, const GroupResponse& response) override;
+  // Every group records into the coordinator's tracer.
+  Tracer* tracer() override { return &cluster_.tracer(); }
 
   ClusterCoordinator& cluster_;
   SimTime migrate_backoff_;

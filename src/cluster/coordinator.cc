@@ -25,17 +25,8 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
     : config_(config) {
   KVD_CHECK_MSG(config_.num_groups >= 1, "a cluster needs at least one group");
   KVD_CHECK_MSG(config_.num_partitions >= 1, "a cluster needs partitions");
-  tracer_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.Configure(config_.flight);
-  flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetTracer(&tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  tracer_.set_on_complete(
-      [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
-
   migration_fault_ = std::make_unique<FaultInjector>(config_.migration_faults);
   migration_fault_->SetTracer(&tracer_);
-  migration_fault_->SetFlightRecorder(&flight_recorder_);
   migration_net_ = std::make_unique<NetworkModel>(sim_, config_.migration_network);
   migration_net_->SetFaultInjector(migration_fault_.get());
   migration_net_->SetTracer(&tracer_);
@@ -45,7 +36,7 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
   for (uint32_t i = 0; i < config_.num_groups; i++) {
     ReplicationConfig group_config = config_.group;
     group_config.faults.seed = GroupFaultSeed(config_.group.faults.seed, i);
-    groups_.push_back(std::make_unique<ReplicationGroup>(group_config, &sim_));
+    groups_.push_back(std::make_unique<ReplicationGroup>(group_config, &sim_, &tracer_));
     active_.push_back(1);
     WireGroup(i);
   }
@@ -117,7 +108,7 @@ uint32_t ClusterCoordinator::AddGroup() {
   const uint32_t index = num_groups();
   ReplicationConfig group_config = config_.group;
   group_config.faults.seed = GroupFaultSeed(config_.group.faults.seed, index);
-  groups_.push_back(std::make_unique<ReplicationGroup>(group_config, &sim_));
+  groups_.push_back(std::make_unique<ReplicationGroup>(group_config, &sim_, &tracer_));
   active_.push_back(1);
   WireGroup(index);
   tracer_.Instant(kTraceCategory, "group_added", {{"group", index}});
@@ -468,11 +459,8 @@ void ClusterCoordinator::Flip() {
   const uint64_t elapsed_ns =
       static_cast<uint64_t>((sim_.Now() - m.started_at) / kNanosecond);
   migration_ns_.Add(elapsed_ns);
-  if (m.trace != 0) {
-    tracer_.Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at, sim_.Now(),
-                 m.partition);
-    tracer_.Finish(m.trace, ResultCode::kOk);
-  }
+  tracer_.Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at, sim_.Now(),
+               m.partition);
   tracer_.Instant(kTraceCategory, "cutover",
                   {{"partition", m.partition},
                    {"from", m.from},
@@ -482,12 +470,15 @@ void ClusterCoordinator::Flip() {
   const std::string detail = "partition " + std::to_string(m.partition) +
                              " cut over to group " + std::to_string(m.to) +
                              " at map epoch " + std::to_string(map_.epoch);
+  const uint64_t trace = m.trace;
   const uint64_t round = m.round;
   migration_ = Migration{};
   migration_.round = round;  // keeps stale-callback guards monotonic
-  // The dump after the trace is finished: the completed ring now holds the
-  // migration's full span tree.
-  flight_recorder_.Trigger(FlightTrigger::kShardCutover, detail);
+  // The dump carries the migration's full span tree among its live traces.
+  // The synthetic op is then dropped, not finished: it is no client op, so
+  // it must not reach the tracer's breakdown or SLO monitor.
+  tracer_.flight_recorder().Trigger(FlightTrigger::kShardCutover, detail);
+  tracer_.Abandon(trace);
 }
 
 void ClusterCoordinator::ResetLoadCounters() {
@@ -566,10 +557,6 @@ void ClusterCoordinator::RegisterMetrics() {
                              [this] { return migration_ns_; });
   migration_net_->RegisterMetrics(metrics_);
   migration_fault_->RegisterMetrics(metrics_);
-  if (config_.enable_request_tracing) {
-    tracer_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
 }
 
 void ClusterCoordinator::RegisterPartitionGauges(uint32_t first,

@@ -74,8 +74,11 @@ struct ClusterConfig {
   SimTime migration_poll_interval = 100 * kMicrosecond;
   SimTime cutover_quiesce = 300 * kMicrosecond;
 
-  // Coordinator-level tracing: the migration span tree, the cluster event
-  // timeline, and shard_cutover dumps.
+  // Cluster tracing: one Tracer that every group (and so every replica) is
+  // built into — `group`'s tracing fields are ignored. It holds the client
+  // op traces, the migration span tree and the cluster event timeline, and
+  // takes every flight dump (failovers and shard cutovers alike). It has no
+  // SLO targets.
   bool enable_request_tracing = false;
   FlightRecorderConfig flight;
 
@@ -178,7 +181,7 @@ class ClusterCoordinator {
   }
 
   const MetricRegistry& metrics() const { return metrics_; }
-  FlightRecorder& flight_recorder() { return flight_recorder_; }
+  FlightRecorder& flight_recorder() { return tracer_.flight_recorder(); }
   Tracer& tracer() { return tracer_; }
   const LatencyHistogram& migration_ns() const { return migration_ns_; }
   const ClusterConfig& config() const { return config_; }
@@ -221,8 +224,8 @@ class ClusterCoordinator {
   ClusterConfig config_;
   Simulator sim_;
   MetricRegistry metrics_;
-  Tracer tracer_{sim_};
-  FlightRecorder flight_recorder_{sim_};
+  Tracer tracer_{sim_, config_.enable_request_tracing, SloConfig{}, config_.flight,
+                 &metrics_};
   std::unique_ptr<FaultInjector> migration_fault_;
   std::unique_ptr<NetworkModel> migration_net_;
   std::vector<std::unique_ptr<ReplicationGroup>> groups_;

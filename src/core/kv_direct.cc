@@ -4,8 +4,9 @@
 
 namespace kvd {
 
-KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim)
-    : runtime_(config, external_sim),
+KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim,
+                               Tracer* external_tracer)
+    : runtime_(config, external_sim, external_tracer),
       endpoint_(runtime_.simulator(),
                 {config.replay_cache_entries, config.replay_retain_time}) {
   // The transport endpoint's counters join the runtime's registry so one

@@ -31,11 +31,14 @@ namespace kvd {
 
 class KvDirectServer {
  public:
-  // By default the server owns its simulator. Passing `external_sim` puts
-  // several servers on one clock — required when they exchange messages
-  // (MultiNicServer shards, src/replica replication groups).
+  // By default the server owns its simulator and its tracer. Passing
+  // `external_sim` puts several servers on one clock — required when they
+  // exchange messages (MultiNicServer shards, src/replica replication
+  // groups) — and passing the clock owner's `external_tracer` makes the
+  // server record into it instead of building its own.
   explicit KvDirectServer(const ServerConfig& config,
-                          Simulator* external_sim = nullptr);
+                          Simulator* external_sim = nullptr,
+                          Tracer* external_tracer = nullptr);
 
   KvDirectServer(const KvDirectServer&) = delete;
   KvDirectServer& operator=(const KvDirectServer&) = delete;
@@ -86,18 +89,12 @@ class KvDirectServer {
   // Every subsystem's counters, gauges, and histograms (Prometheus / JSON /
   // plain-text exposition).
   const MetricRegistry& metrics() const { return runtime_.metrics(); }
-  // Tracing consumers; enable via ServerConfig::enable_request_tracing.
-  // `tracer()` returns the *active* tracer — the owned one, or the external
-  // one after UseTracer (replication groups share one tracer per group).
+  // Tracing; enable via ServerConfig::enable_request_tracing. `tracer()` is
+  // the server's own, or the owner's it was built into.
   Tracer& tracer() { return runtime_.tracer(); }
-  FlightRecorder& flight_recorder() { return runtime_.flight_recorder(); }
-  LatencyBreakdown& breakdown() { return runtime_.breakdown(); }
-  SloMonitor& slo_monitor() { return runtime_.slo_monitor(); }
-  // Re-points every component (and the framed delivery path) at an external
-  // tracer/recorder. The owned instances stay alive, so registered metric
-  // readers never dangle.
-  void UseTracer(Tracer* tracer) { runtime_.UseTracer(tracer); }
-  void UseFlightRecorder(FlightRecorder* recorder) { runtime_.UseFlightRecorder(recorder); }
+  FlightRecorder& flight_recorder() { return tracer().flight_recorder(); }
+  LatencyBreakdown& breakdown() { return tracer().breakdown(); }
+  SloMonitor& slo_monitor() { return tracer().slo_monitor(); }
 
  private:
   // What answering a delivered frame takes: its sequence, the transport's

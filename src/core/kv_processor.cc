@@ -230,7 +230,7 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
 }
 
 void KvProcessor::NoteBusyBurst() {
-  if (flight_ == nullptr || config_.busy_burst_threshold == 0) {
+  if (tracer_ == nullptr || config_.busy_burst_threshold == 0) {
     return;
   }
   if (sim_.Now() >= busy_window_start_ + config_.busy_burst_window) {
@@ -238,8 +238,8 @@ void KvProcessor::NoteBusyBurst() {
     busy_window_count_ = 0;
   }
   if (++busy_window_count_ == config_.busy_burst_threshold) {
-    flight_->Trigger(FlightTrigger::kBusyBurst,
-                     "kBusy rejection burst at the admission queue");
+    tracer_->flight_recorder().Trigger(
+        FlightTrigger::kBusyBurst, "kBusy rejection burst at the admission queue");
   }
 }
 

@@ -38,7 +38,6 @@
 #include "src/hash/hash_index.h"
 #include "src/mem/access_engine.h"
 #include "src/net/kv_types.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 #include "src/ooo/reservation_station.h"
@@ -100,9 +99,8 @@ class KvProcessor {
   // Registers processor and reservation-station counters (readers over the
   // live stats structs; no behavior change).
   void RegisterMetrics(MetricRegistry& registry) const;
+  // kBusy rejection bursts fire the tracer's flight recorder.
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
-  // kBusy rejection bursts fire the flight recorder.
-  void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
   const KvProcessorStats& stats() const { return stats_; }
   const AdmissionStats& admission_stats() const { return admission_.stats(); }
@@ -162,7 +160,6 @@ class KvProcessor {
   KvProcessorConfig config_;
   const SyncStats* slab_sync_stats_ = nullptr;
   Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   ReservationStation station_;
   SimTime cycle_;
   SimTime next_issue_at_ = 0;

@@ -13,9 +13,8 @@ MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_co
       sim_(shared_sim != nullptr ? *shared_sim : *owned_sim_) {
   KVD_CHECK(num_nics >= 1);
   for (uint32_t i = 0; i < num_nics; i++) {
-    nics_.push_back(std::make_unique<KvDirectServer>(per_nic_config, &sim_));
-    nics_.back()->UseTracer(&nics_[0]->tracer());
-    nics_.back()->UseFlightRecorder(&nics_[0]->flight_recorder());
+    nics_.push_back(std::make_unique<KvDirectServer>(
+        per_nic_config, &sim_, i == 0 ? nullptr : &nics_[0]->tracer()));
   }
 }
 

@@ -8,8 +8,8 @@
 // multi-server deployment would use, which is why scaling is near-linear.
 //
 // MultiNicServer owns N KvDirectServer instances on one simulated clock and
-// points them all at NIC 0's tracer and flight recorder, so one client trace
-// resolves on whichever NIC executes it. MultiNicClient is a hash router over
+// builds NICs 1..n into NIC 0's tracer, so one client trace resolves on
+// whichever NIC executes it. MultiNicClient is a hash router over
 // the batching client core: packets never mix NICs, and a mixed flush
 // completes when the slowest NIC answers, matching the wall-clock behaviour
 // of parallel hardware.

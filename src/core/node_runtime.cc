@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/common/assert.h"
 
 namespace kvd {
 
@@ -35,10 +34,16 @@ void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
       static_cast<double>(kvs_memory_bytes) / std::max<uint32_t>(kv_bytes, 1));
 }
 
-NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
+NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim,
+                         Tracer* external_tracer)
     : config_(config),
       owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
-      sim_(external_sim != nullptr ? *external_sim : *owned_sim_) {
+      sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
+      owned_tracer_(external_tracer != nullptr
+                        ? nullptr
+                        : std::make_unique<Tracer>(sim_, config.enable_request_tracing,
+                                                   config.slo, config.flight, &metrics_)),
+      tracer_(external_tracer != nullptr ? *external_tracer : *owned_tracer_) {
   HashIndexConfig index_config;
   index_config.memory_base = 0;
   index_config.memory_size = config.kvs_memory_bytes;
@@ -93,39 +98,22 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   nic_dram_->SetFaultInjector(fault_.get());
   network_->SetFaultInjector(fault_.get());
 
-  // Tracing: the tracer feeds the breakdown, the SLO monitor, and the
-  // flight-recorder ring, and holds the event window the recorder dumps; SLO
-  // breaches fire the recorder. Components get the pointers unconditionally
-  // (each hook checks enabled() or a zero handle).
-  tracer_.set_enabled(config.enable_request_tracing);
-  tracer_.SetBreakdown(&breakdown_);
-  slo_monitor_.Configure(config.slo);
-  tracer_.SetSloMonitor(&slo_monitor_);
-  flight_recorder_.Configure(config.flight);
-  flight_recorder_.set_enabled(config.enable_request_tracing);
-  flight_recorder_.SetTracer(&tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  tracer_.set_on_complete(
-      [this](const OpTrace& trace) { active_flight_->OnTraceComplete(trace); });
-  slo_monitor_.set_on_breach([this](const std::string& detail) {
-    active_flight_->Trigger(FlightTrigger::kSloBreach, detail);
-  });
-  UseTracer(&tracer_);
-  UseFlightRecorder(&flight_recorder_);
-  if (config.enable_request_tracing) {
-    // Registered only when tracing is on, so the default metric exposition
-    // is byte-identical to the untraced build.
-    tracer_.RegisterMetrics(metrics_);
-    breakdown_.RegisterMetrics(metrics_);
-    slo_monitor_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
+  // Tracing: every component records into the one tracer and fires flight
+  // triggers through it. The pointers are set unconditionally (each hook
+  // checks enabled() or a zero handle).
+  fault_->SetTracer(&tracer_);
+  processor_->SetTracer(&tracer_);
+  allocator_->SetTracer(&tracer_);
+  dispatcher_->SetTracer(&tracer_);
+  dma_->SetTracer(&tracer_);
+  nic_dram_->SetTracer(&tracer_);
+  network_->SetTracer(&tracer_);
 
   // Observability: every subsystem registers readers over its live stats into
   // the shared registry. Neither changes timing.
   metrics_.RegisterCounter("kvd_events_dropped_total",
                            "Timeline events overwritten in the full event ring",
-                           {}, [this] { return active_tracer_->dropped_events(); });
+                           {}, [this] { return tracer_.dropped_events(); });
   fault_->RegisterMetrics(metrics_);
   processor_->RegisterMetrics(metrics_);
   index_->RegisterMetrics(metrics_);
@@ -141,26 +129,6 @@ void NodeRuntime::CloneStoreFrom(const NodeRuntime& source) {
   direct_engine_->CloneStatsFrom(*source.direct_engine_);
   allocator_->CloneFrom(*source.allocator_);
   index_->CloneFrom(*source.index_);
-}
-
-void NodeRuntime::UseTracer(Tracer* tracer) {
-  KVD_CHECK(tracer != nullptr);
-  active_tracer_ = tracer;
-  fault_->SetTracer(tracer);
-  processor_->SetTracer(tracer);
-  allocator_->SetTracer(tracer);
-  dispatcher_->SetTracer(tracer);
-  dma_->SetTracer(tracer);
-  nic_dram_->SetTracer(tracer);
-  network_->SetTracer(tracer);
-}
-
-void NodeRuntime::UseFlightRecorder(FlightRecorder* recorder) {
-  KVD_CHECK(recorder != nullptr);
-  active_flight_ = recorder;
-  processor_->SetFlightRecorder(recorder);
-  dispatcher_->SetFlightRecorder(recorder);
-  fault_->SetFlightRecorder(recorder);
 }
 
 }  // namespace kvd

@@ -4,7 +4,8 @@
 // the hash index and slab heap, the PCIe DMA engine, the NIC DRAM load
 // dispatcher, the reservation station, the KV processor, and the 40 GbE
 // network model — wired to one discrete-event simulator plus the node's
-// observability (metrics, tracer, SLO monitor, flight recorder).
+// observability (metrics and the tracer, which owns the latency breakdown,
+// the SLO monitor and the flight recorder).
 //
 // The runtime is the composable unit of the layered architecture: a
 // standalone KvDirectServer embeds exactly one; MultiNicServer shards and
@@ -28,7 +29,6 @@
 #include "src/mem/access_engine.h"
 #include "src/mem/host_memory.h"
 #include "src/net/network_model.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
@@ -59,6 +59,7 @@ struct ServerConfig {
   // breakdown, the SLO monitor, and the flight recorder; plus the hardware
   // event timeline (DMA, dispatch, station, network) for Chrome trace export
   // and flight dumps. Off by default; when disabled every hook is one branch.
+  // A node built into its owner's tracer ignores these three fields.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -83,11 +84,14 @@ struct ServerConfig {
 
 class NodeRuntime {
  public:
-  // By default the runtime owns its simulator. Passing `external_sim` puts
-  // several nodes on one clock — required when they exchange messages
-  // (MultiNicServer shards, src/replica replication groups).
+  // By default the runtime owns its simulator and its tracer. Passing
+  // `external_sim` puts several nodes on one clock — required when they
+  // exchange messages (MultiNicServer shards, src/replica replication
+  // groups); passing the clock owner's `external_tracer` as well makes the
+  // node record into it, so one trace resolves on whichever node serves it.
   explicit NodeRuntime(const ServerConfig& config,
-                       Simulator* external_sim = nullptr);
+                       Simulator* external_sim = nullptr,
+                       Tracer* external_tracer = nullptr);
 
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -118,17 +122,8 @@ class NodeRuntime {
   // endpoint's replay stats, for example).
   MetricRegistry& metrics_mutable() { return metrics_; }
 
-  // Tracing consumers. `tracer()` returns the *active* tracer — the owned
-  // one, or the external one after UseTracer (replication groups share one
-  // tracer per group).
-  Tracer& tracer() { return *active_tracer_; }
-  FlightRecorder& flight_recorder() { return *active_flight_; }
-  LatencyBreakdown& breakdown() { return breakdown_; }
-  SloMonitor& slo_monitor() { return slo_monitor_; }
-  // Re-points every component at an external tracer/recorder. The owned
-  // instances stay alive, so registered metric readers never dangle.
-  void UseTracer(Tracer* tracer);
-  void UseFlightRecorder(FlightRecorder* recorder);
+  // The node's own tracer, or the owner's it was built into.
+  Tracer& tracer() { return tracer_; }
 
  private:
   ServerConfig config_;
@@ -138,12 +133,9 @@ class NodeRuntime {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  Tracer tracer_{sim_};
-  LatencyBreakdown breakdown_;
-  SloMonitor slo_monitor_{sim_};
-  FlightRecorder flight_recorder_{sim_};
-  Tracer* active_tracer_ = &tracer_;
-  FlightRecorder* active_flight_ = &flight_recorder_;
+  // Null when recording into an external tracer; tracer_ aliases either.
+  std::unique_ptr<Tracer> owned_tracer_;
+  Tracer& tracer_;
   UpdateFunctionRegistry registry_;
   std::unique_ptr<HostMemory> memory_;
   std::unique_ptr<DirectEngine> direct_engine_;

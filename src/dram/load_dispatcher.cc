@@ -91,8 +91,8 @@ void LoadDispatcher::FinishRoute(uint32_t index) {
   // Fire once the recovery read has landed (and `done` has closed the route
   // span) so the dump's live trace carries the demoted access's full span
   // tree.
-  if (flight_message != nullptr && flight_ != nullptr) {
-    flight_->Trigger(FlightTrigger::kEccDemotion, flight_message);
+  if (flight_message != nullptr && tracer_ != nullptr) {
+    tracer_->flight_recorder().Trigger(FlightTrigger::kEccDemotion, flight_message);
   }
 }
 

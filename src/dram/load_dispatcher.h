@@ -30,7 +30,6 @@
 #include "src/common/units.h"
 #include "src/dram/nic_dram.h"
 #include "src/mem/access_engine.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
@@ -87,9 +86,9 @@ class LoadDispatcher {
   uint32_t peak_routes_in_flight() const { return routes_.peak(); }
 
   void RegisterMetrics(MetricRegistry& registry) const;
+  // ECC demotions fire the tracer's flight recorder once the recovery read
+  // completes.
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
-  // ECC demotions fire the flight recorder once the recovery read completes.
-  void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
   // Solves the paper's load-balance condition for the optimal dispatch ratio:
   // PCIe demand [(1-l) + l(1-h(l))] / tput_pcie equals DRAM demand
@@ -133,7 +132,6 @@ class LoadDispatcher {
   NicDram& dram_;
   LoadDispatcherConfig config_;
   Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   uint64_t cacheable_threshold_;  // dispatch ratio scaled to the hash range
   uint64_t num_cache_lines_;
 

@@ -74,11 +74,12 @@ bool FaultInjector::ShouldInject(FaultSite site) {
   }
   if (inject) {
     stats.injected++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
+    if (tracer_ != nullptr) {
       tracer_->Instant("fault", FaultSiteName(site), {{"event", stats.events}});
-    }
-    if (flight_ != nullptr && flight_->config().trigger_on_fault_injection) {
-      flight_->Trigger(FlightTrigger::kFaultInjected, FaultSiteName(site));
+      FlightRecorder& flight = tracer_->flight_recorder();
+      if (flight.config().trigger_on_fault_injection) {
+        flight.Trigger(FlightTrigger::kFaultInjected, FaultSiteName(site));
+      }
     }
   }
   return inject;

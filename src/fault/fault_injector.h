@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 
@@ -109,15 +108,14 @@ class FaultInjector {
 
   // Per-site event/injection counters labelled {site="..."}.
   void RegisterMetrics(MetricRegistry& registry) const;
+  // Each injection is a timeline event, and fires the tracer's flight
+  // recorder when its config opts in (chaos runs inject thousands of faults
+  // by design).
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
-  // Each injection fires the flight recorder — but only when the recorder's
-  // config opts in (chaos runs inject thousands of faults by design).
-  void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
  private:
   FaultPlan plan_;
   Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   std::array<Rng, kNumFaultSites> rng_;
   std::array<FaultSiteStats, kNumFaultSites> stats_{};
   // Scheduled ordinals per site, sorted; consumed front to back.

@@ -246,6 +246,107 @@ std::string LatencyBreakdownReport::ToJson(const LatencyBreakdown& breakdown) {
 }
 
 // ---------------------------------------------------------------------------
+// FlightRecorder
+
+void FlightRecorder::OnTraceComplete(const OpTrace& trace) {
+  if (config_.ring_capacity == 0) {
+    return;
+  }
+  if (ring_.size() >= config_.ring_capacity) {
+    ring_.pop_front();
+  }
+  ring_.push_back(trace);
+}
+
+bool FlightRecorder::Trigger(FlightTrigger trigger, std::string_view detail) {
+  if (!tracer_.enabled()) {
+    return false;
+  }
+  triggers_seen_++;
+  const size_t slot = static_cast<size_t>(trigger);
+  if (config_.once_per_trigger && slot < fired_.size() && fired_[slot]) {
+    return false;
+  }
+  if (dumps_.size() >= config_.max_dumps) {
+    return false;
+  }
+  if (slot < fired_.size()) {
+    fired_[slot] = true;
+  }
+  Dump dump;
+  dump.trigger = trigger;
+  dump.detail = std::string(detail);
+  dump.sim_time = sim_.Now();
+  dump.json = RenderDump(trigger, detail);
+  dumps_.push_back(std::move(dump));
+  dumps_taken_++;
+  return true;
+}
+
+std::string FlightRecorder::RenderDump(FlightTrigger trigger,
+                                       std::string_view detail) const {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("flight_dump").BeginObject();
+  json.Field("trigger", std::string_view(FlightTriggerName(trigger)));
+  json.Field("detail", detail);
+  json.Field("sim_time_ps", sim_.Now());
+  json.Field("ordinal", static_cast<uint64_t>(dumps_.size()));
+  json.Key("traces").BeginArray();
+  for (const OpTrace& trace : ring_) {
+    AppendTraceJson(trace, json);
+  }
+  json.EndArray();
+  json.Key("live_traces").BeginArray();
+  for (const OpTrace* trace : tracer_.LiveTraces()) {
+    AppendTraceJson(*trace, json);
+  }
+  json.EndArray();
+  json.Key("metrics");
+  if (registry_ != nullptr) {
+    json.RawValue(registry_->ToJson());
+  } else {
+    json.Null();
+  }
+  json.Key("events").BeginArray();
+  const size_t count = tracer_.num_events();
+  const size_t first = count > config_.event_window ? count - config_.event_window : 0;
+  for (size_t i = first; i < count; i++) {
+    const TraceEvent& e = tracer_.Event(i);
+    json.BeginObject();
+    json.Field("name", std::string_view(e.name));
+    json.Field("cat", std::string_view(e.category));
+    char phase[2] = {e.phase, '\0'};
+    json.Field("ph", std::string_view(phase));
+    json.Field("start_ps", e.start);
+    if (e.phase == 'X') {
+      json.Field("dur_ps", e.duration);
+    }
+    AppendEventArgsJson(e, json);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("metadata").BeginObject();
+  json.Field("ring_capacity", static_cast<uint64_t>(config_.ring_capacity));
+  json.Field("live_traces_at_trigger",
+             static_cast<uint64_t>(tracer_.LiveTraces().size()));
+  json.Field("dropped_trace_records", tracer_.dropped());
+  json.Field("dropped_events", tracer_.dropped_events());
+  json.EndObject();
+  json.EndObject();
+  json.EndObject();
+  return json.TakeString();
+}
+
+void FlightRecorder::RegisterMetrics(MetricRegistry& registry) {
+  registry.RegisterCounter("kvd_flight_triggers",
+                           "flight-recorder trigger events observed", {},
+                           &triggers_seen_);
+  registry.RegisterCounter("kvd_flight_dumps", "flight-recorder dumps taken",
+                           {}, &dumps_taken_);
+}
+
+// ---------------------------------------------------------------------------
 // SloMonitor
 
 void SloMonitor::Record(uint64_t e2e_ns) {
@@ -253,13 +354,6 @@ void SloMonitor::Record(uint64_t e2e_ns) {
     RollTo(sim_.Now());
   }
   window_.Add(e2e_ns);
-}
-
-void SloMonitor::Flush() {
-  if (window_.count() > 0) {
-    Evaluate();
-    window_.Reset();
-  }
 }
 
 void SloMonitor::RollTo(SimTime now) {
@@ -299,8 +393,8 @@ void SloMonitor::Evaluate() {
     }
     breach += buf;
   }
-  if (!breach.empty() && on_breach_) {
-    on_breach_(breach);
+  if (!breach.empty()) {
+    flight_.Trigger(FlightTrigger::kSloBreach, breach);
   }
 }
 
@@ -320,9 +414,27 @@ void SloMonitor::RegisterMetrics(MetricRegistry& registry) {
 // ---------------------------------------------------------------------------
 // Tracer: per-operation traces
 
-Tracer::Tracer(Simulator& sim, size_t max_events)
-    : sim_(sim), max_events_(max_events) {
+Tracer::Tracer(Simulator& sim, bool enabled, const SloConfig& slo,
+               const FlightRecorderConfig& flight, MetricRegistry* registry,
+               size_t max_events)
+    : sim_(sim),
+      enabled_(enabled),
+      flight_(sim, *this, flight, registry),
+      slo_(sim, slo, flight_),
+      max_events_(max_events) {
   KVD_CHECK(max_events >= 1);
+  if (enabled && registry != nullptr) {
+    registry->RegisterCounter("kvd_trace_started", "request traces started", {},
+                              &started_);
+    registry->RegisterCounter("kvd_trace_finished", "request traces completed",
+                              {}, &finished_);
+    registry->RegisterCounter("kvd_trace_dropped",
+                              "trace records dropped at capacity bounds", {},
+                              &dropped_);
+    breakdown_.RegisterMetrics(*registry);
+    slo_.RegisterMetrics(*registry);
+    flight_.RegisterMetrics(*registry);
+  }
 }
 
 uint64_t Tracer::Start(Opcode opcode, uint64_t sequence, uint32_t op_index) {
@@ -401,15 +513,9 @@ void Tracer::Finish(uint64_t handle, ResultCode result) {
   if (received == OpTrace::kAbsent) {
     received = sim_.Now();
   }
-  if (breakdown_ != nullptr) {
-    breakdown_->Record(trace);
-  }
-  if (slo_ != nullptr && trace.Has(TracePoint::kClientSend)) {
-    slo_->Record(PsToNs(trace.EndToEndPs()));
-  }
-  if (on_complete_) {
-    on_complete_(trace);
-  }
+  breakdown_.Record(trace);
+  slo_.Record(PsToNs(trace.EndToEndPs()));
+  flight_.OnTraceComplete(trace);
   finished_++;
   live_.erase(it);
 }
@@ -462,16 +568,6 @@ std::vector<const OpTrace*> Tracer::LiveTraces() const {
     traces.push_back(&trace);
   }
   return traces;
-}
-
-void Tracer::RegisterMetrics(MetricRegistry& registry) {
-  registry.RegisterCounter("kvd_trace_started", "request traces started", {},
-                           &started_);
-  registry.RegisterCounter("kvd_trace_finished", "request traces completed", {},
-                           &finished_);
-  registry.RegisterCounter("kvd_trace_dropped",
-                           "trace records dropped at capacity bounds", {},
-                           &dropped_);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // The tracer: one sink for every observability hook on the simulated clock.
-// It serves two views of the same run.
+// It serves two views of the same run, and owns what consumes them: the
+// per-stage latency breakdown, the SLO monitor and the flight recorder.
 //
 // Per-operation traces are the layer behind the paper's Fig. 17 latency
 // decomposition ("where does each microsecond of a GET/PUT go?"). A trace is
@@ -36,10 +37,10 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -272,23 +273,121 @@ struct SloConfig {
   uint64_t p99_target_ns = 0;     // 0 disables the p99 objective
 };
 
+enum class FlightTrigger : uint8_t {
+  kManual = 0,
+  kFaultInjected,
+  kEccDemotion,
+  kFailover,
+  kBusyBurst,
+  kSloBreach,
+  kShardCutover,  // cluster shard migration flipped ownership (src/cluster)
+};
+
+inline constexpr size_t kNumFlightTriggers = 7;
+
+constexpr const char* FlightTriggerName(FlightTrigger trigger) {
+  switch (trigger) {
+    case FlightTrigger::kManual:
+      return "manual";
+    case FlightTrigger::kFaultInjected:
+      return "fault_injected";
+    case FlightTrigger::kEccDemotion:
+      return "ecc_demotion";
+    case FlightTrigger::kFailover:
+      return "failover";
+    case FlightTrigger::kBusyBurst:
+      return "busy_burst";
+    case FlightTrigger::kSloBreach:
+      return "slo_breach";
+    case FlightTrigger::kShardCutover:
+      return "shard_cutover";
+  }
+  return "unknown_trigger";
+}
+
+struct FlightRecorderConfig {
+  size_t ring_capacity = 64;   // completed op traces kept
+  size_t event_window = 256;   // trailing timeline events per dump
+  size_t max_dumps = 8;        // hard cap on dumps per run
+  // Each trigger kind fires at most once — a cascading failure produces one
+  // dump per root cause instead of one per symptom.
+  bool once_per_trigger = true;
+  // Fault injections fire the recorder only when opted in: chaos runs inject
+  // thousands of faults by design, and a scripted-fault experiment wants its
+  // single dump to come from the *consequence* (ECC demotion, failover), not
+  // from the injection itself.
+  bool trigger_on_fault_injection = false;
+};
+
+class Tracer;
+
+// Postmortem flight recorder: a bounded ring of the most recently completed
+// op traces that snapshots itself to deterministic JSON when something
+// anomalous happens — a fault injection, an ECC demotion, a failover
+// election, a burst of kBusy rejections, an SLO breach, or a shard cutover.
+//
+// A dump captures the completed-trace ring, the still-live traces (the ops in
+// flight at trigger time, span trees included), a snapshot of the owner's
+// metrics registry, and the trailing window of the tracer's event ring.
+// Same-seed runs produce bit-identical dumps — they double as regression
+// artifacts. The recorder belongs to a Tracer and is on while it is.
+class FlightRecorder {
+ public:
+  // Dumps read `tracer`'s live traces and events and snapshot `registry`
+  // (may be null).
+  FlightRecorder(Simulator& sim, const Tracer& tracer,
+                 const FlightRecorderConfig& config,
+                 const MetricRegistry* registry)
+      : sim_(sim), tracer_(tracer), config_(config), registry_(registry) {}
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
+
+  const FlightRecorderConfig& config() const { return config_; }
+
+  // Ring feed: the tracer hands over every completed trace.
+  void OnTraceComplete(const OpTrace& trace);
+
+  // Takes a dump unless suppressed (tracing off, max_dumps reached, or this
+  // trigger kind already fired under once_per_trigger). Returns whether a
+  // dump was taken.
+  bool Trigger(FlightTrigger trigger, std::string_view detail = "");
+
+  struct Dump {
+    FlightTrigger trigger = FlightTrigger::kManual;
+    std::string detail;
+    SimTime sim_time = 0;
+    std::string json;
+  };
+
+  const std::vector<Dump>& dumps() const { return dumps_; }
+
+  // kvd_flight_triggers / kvd_flight_dumps counters.
+  void RegisterMetrics(MetricRegistry& registry);
+
+ private:
+  std::string RenderDump(FlightTrigger trigger, std::string_view detail) const;
+
+  Simulator& sim_;
+  const Tracer& tracer_;
+  FlightRecorderConfig config_;
+  const MetricRegistry* registry_;
+  std::deque<OpTrace> ring_;
+  std::array<bool, kNumFlightTriggers> fired_{};
+  std::vector<Dump> dumps_;
+  uint64_t triggers_seen_ = 0;
+  uint64_t dumps_taken_ = 0;
+};
+
+// Evaluates each window as the next one opens; a breach fires the flight
+// recorder with a one-line description.
 class SloMonitor {
  public:
-  explicit SloMonitor(Simulator& sim) : sim_(sim) {}
+  SloMonitor(Simulator& sim, const SloConfig& config, FlightRecorder& flight)
+      : sim_(sim), config_(config), flight_(flight) {}
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;
 
-  void Configure(const SloConfig& config) { config_ = config; }
-  const SloConfig& config() const { return config_; }
-
-  // Called on breach with a one-line description (feeds the flight recorder).
-  void set_on_breach(std::function<void(const std::string&)> fn) {
-    on_breach_ = std::move(fn);
-  }
-
   void Record(uint64_t e2e_ns);
-  // Evaluates the currently open window (end-of-run flush).
-  void Flush();
 
   uint64_t windows_evaluated() const { return windows_evaluated_; }
   uint64_t p50_breaches() const { return p50_breaches_; }
@@ -305,6 +404,7 @@ class SloMonitor {
 
   Simulator& sim_;
   SloConfig config_;
+  FlightRecorder& flight_;
   LatencyHistogram window_;
   SimTime window_start_ = 0;
   uint64_t windows_evaluated_ = 0;
@@ -312,7 +412,6 @@ class SloMonitor {
   uint64_t p99_breaches_ = 0;
   double last_p50_ns_ = 0;
   double last_p99_ns_ = 0;
-  std::function<void(const std::string&)> on_breach_;
 };
 
 // One argument of a timeline event. The key must outlive the tracer (a
@@ -359,9 +458,11 @@ struct OpMark {
   uint64_t detail = 0;
 };
 
-// Owns live op traces and the event ring, hands out handles, and routes
-// completed traces to the breakdown, the SLO monitor, and the flight
-// recorder.
+// The one observability sink of a clock. Owns the live op traces and the
+// event ring, hands out handles, and feeds every completed trace to its
+// breakdown, its SLO monitor and its flight recorder. Whatever runs on the
+// clock — a server's components, a group's replicas, a cluster's groups —
+// records into its owner's tracer and fires flight triggers through it.
 class Tracer {
  public:
   using Args = std::initializer_list<TraceArg>;
@@ -370,20 +471,24 @@ class Tracer {
   // Packet registrations kept for LookupOp; the oldest goes first.
   static constexpr size_t kMaxPackets = 8192;
 
-  // `max_events` (at least 1) bounds the event ring.
-  explicit Tracer(Simulator& sim, size_t max_events = kDefaultMaxEvents);
+  // `enabled` turns on the op traces, the timeline and the flight recorder,
+  // for the tracer's life. `registry` is the owner's (null for a standalone
+  // tracer): dumps snapshot it, and an enabled tracer registers its own, the
+  // breakdown's, the SLO monitor's and the recorder's metrics there, so the
+  // untraced exposition is unchanged. `max_events` (at least 1) bounds the
+  // event ring.
+  explicit Tracer(Simulator& sim, bool enabled = false, const SloConfig& slo = {},
+                  const FlightRecorderConfig& flight = {},
+                  MetricRegistry* registry = nullptr,
+                  size_t max_events = kDefaultMaxEvents);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  void SetBreakdown(LatencyBreakdown* breakdown) { breakdown_ = breakdown; }
-  void SetSloMonitor(SloMonitor* slo) { slo_ = slo; }
-  // Invoked with every completed trace (the flight recorder's ring feed).
-  void set_on_complete(std::function<void(const OpTrace&)> fn) {
-    on_complete_ = std::move(fn);
-  }
+  LatencyBreakdown& breakdown() { return breakdown_; }
+  SloMonitor& slo_monitor() { return slo_; }
+  FlightRecorder& flight_recorder() { return flight_; }
 
   // --- per-operation traces ---
 
@@ -455,9 +560,6 @@ class Tracer {
   // Writes ToChromeTraceJson() to `path`.
   Status WriteChromeTrace(const std::string& path) const;
 
-  // kvd_trace_started/finished/dropped counters.
-  void RegisterMetrics(MetricRegistry& registry);
-
  private:
   // Bounds keep a runaway workload from exhausting memory; overflows count
   // as drops rather than aborting the run.
@@ -468,7 +570,7 @@ class Tracer {
               SimTime start, SimTime duration, Args args);
 
   Simulator& sim_;
-  bool enabled_ = false;
+  const bool enabled_;
   uint64_t next_handle_ = 1;
   uint64_t started_ = 0;
   uint64_t finished_ = 0;
@@ -476,9 +578,9 @@ class Tracer {
   std::map<uint64_t, OpTrace> live_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> packet_ops_;
   std::deque<uint64_t> packet_order_;  // registration order, for eviction
-  LatencyBreakdown* breakdown_ = nullptr;
-  SloMonitor* slo_ = nullptr;
-  std::function<void(const OpTrace&)> on_complete_;
+  FlightRecorder flight_;
+  LatencyBreakdown breakdown_;
+  SloMonitor slo_;
 
   // The ring grows to max_events_ records, then overwrites the oldest.
   size_t max_events_;

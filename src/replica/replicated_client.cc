@@ -126,8 +126,7 @@ void GroupRouter::OnResponse(const PacketPtr& packet, std::vector<uint8_t> paylo
 ReplicatedClient::ReplicatedClient(ReplicationGroup& group, const Options& options)
     : GroupRouter(group.simulator(), group.AcquireClientSequenceBase(), options,
                   group.num_replicas(), kGroupRequestHeaderBytes, &stats_),
-      group_(group),
-      options_(options) {
+      group_(group) {
   BelievedPrimary(0) = group.primary_id();
 }
 
@@ -137,57 +136,6 @@ void ReplicatedClient::Route(Packet& packet) {
   } else {
     packet.target = next_read_target_++ % group_.num_replicas();
   }
-}
-
-void ReplicatedClient::Wire(const PacketPtr& packet) {
-  Transmit(packet, packet->target, /*hedge=*/false);
-}
-
-void ReplicatedClient::Transmit(const PacketPtr& packet, uint32_t target, bool hedge) {
-  WireTo(packet, target, [this, packet, hedge](std::vector<uint8_t> bytes) {
-    if (!Receive(packet, std::move(bytes))) {
-      return;
-    }
-    if (!packet->is_write) {
-      read_rtt_ns_.Add(
-          static_cast<uint64_t>((sim().Now() - packet->sent_at) / kNanosecond));
-    }
-    if (hedge) {
-      stats_.hedge_wins++;
-    }
-  });
-}
-
-void ReplicatedClient::OnSent(const PacketPtr& packet) {
-  if (!options_.hedge_reads || packet->is_write || group_.num_replicas() < 2) {
-    return;
-  }
-  // Deadline-aware hedge: if the read is still unanswered after the adaptive
-  // delay (and not already past its deadline), race a duplicate against the
-  // next replica. Same frame sequence, so whichever copy loses is absorbed by
-  // response dedup / the replay cache.
-  sim().Schedule(HedgeDelay(), [this, packet] {
-    if (packet->completed ||
-        (packet->deadline != 0 && sim().Now() >= packet->deadline)) {
-      return;
-    }
-    stats_.hedged_sends++;
-    Transmit(packet, (packet->target + 1) % group_.num_replicas(), /*hedge=*/true);
-  });
-}
-
-SimTime ReplicatedClient::HedgeDelay() const {
-  if (options_.hedge_delay != 0) {
-    return options_.hedge_delay;
-  }
-  // Adaptive: hedge past the tail of observed read RTTs — p99 once the
-  // distribution has a little mass, half the retransmission timeout before
-  // that (hedging at the timeout itself would duplicate the retry timer).
-  SimTime delay = options_.timeout / 2;
-  if (read_rtt_ns_.count() >= 16) {
-    delay = read_rtt_ns_.Percentile(0.99) * kNanosecond;
-  }
-  return std::max(delay, 10 * kMicrosecond);
 }
 
 }  // namespace kvd

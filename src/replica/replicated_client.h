@@ -11,7 +11,7 @@
 //
 // ReplicatedClient routes to a single group: writes go to the primary it
 // currently believes in; read-only packets rotate round-robin across all
-// replicas (optionally hedged to a second replica).
+// replicas.
 //
 // Sharded deployments live in src/cluster: a ClusterCoordinator composes one
 // ReplicationGroup per group on a shared clock under an epoch-versioned shard
@@ -110,47 +110,20 @@ class GroupRouter : public BatchClient {
 
 class ReplicatedClient : public GroupRouter {
  public:
-  struct Options : GroupRouter::Options {
-    // Deadline-aware hedged reads: if a read packet has no response after
-    // the hedge delay, send the same frame (same sequence — replay dedup
-    // makes the duplicate harmless) to the next replica and take whichever
-    // response lands first. Writes are never hedged: they must go to the
-    // primary. The delay adapts to the observed read RTT distribution (p99
-    // once 16 samples exist, timeout/2 before that), floored at 10 us; set
-    // hedge_delay to pin it.
-    bool hedge_reads = false;
-    SimTime hedge_delay = 0;  // 0 = adaptive (p99 of read RTT)
-  };
-
-  struct Stats : GroupRouter::Stats {
-    uint64_t hedge_wins = 0;  // packets completed by the hedge copy
-  };
-
   explicit ReplicatedClient(ReplicationGroup& group)
       : ReplicatedClient(group, Options()) {}
   ReplicatedClient(ReplicationGroup& group, const Options& options);
 
   const Stats& stats() const { return stats_; }
-  // Observed read round-trip distribution (first transmission -> accepted
-  // response, ns) — the source of the adaptive hedge delay.
-  const LatencyHistogram& read_rtt_ns() const { return read_rtt_ns_; }
 
  private:
   ReplicationGroup& GroupOf(uint32_t /*group*/) override { return group_; }
   void Route(Packet& packet) override;
-  void Wire(const PacketPtr& packet) override;
-  void OnSent(const PacketPtr& packet) override;
   Tracer* tracer() override { return &group_.tracer(); }
-  // Wires the packet to `target`; `hedge` marks the duplicate copy so its
-  // response can be credited as a hedge win.
-  void Transmit(const PacketPtr& packet, uint32_t target, bool hedge);
-  SimTime HedgeDelay() const;
 
   ReplicationGroup& group_;
-  Options options_;
   uint32_t next_read_target_ = 0;  // round-robin cursor for read packets
   Stats stats_;
-  LatencyHistogram read_rtt_ns_;
 };
 
 }  // namespace kvd

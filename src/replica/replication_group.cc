@@ -33,10 +33,15 @@ auto LowerBoundSlot(Slots& slots, uint16_t slot) {
 }  // namespace
 
 ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
-                                   Simulator* external_sim)
+                                   Simulator* external_sim, Tracer* external_tracer)
     : config_(config),
       owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
-      sim_(external_sim != nullptr ? *external_sim : *owned_sim_) {
+      sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
+      owned_tracer_(external_tracer != nullptr
+                        ? nullptr
+                        : std::make_unique<Tracer>(sim_, config.enable_request_tracing,
+                                                   config.slo, config.flight, &metrics_)),
+      tracer_(external_tracer != nullptr ? *external_tracer : *owned_tracer_) {
   KVD_CHECK_MSG(config_.num_replicas >= 1, "a group needs at least one replica");
   KVD_CHECK_MSG(config_.EffectiveQuorum() >= 1 &&
                     config_.EffectiveQuorum() <= config_.num_replicas,
@@ -44,41 +49,20 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   fault_ = std::make_unique<FaultInjector>(config_.faults);
   fault_->SetTracer(&tracer_);
 
-  // One tracer/recorder pair for the whole group: a write's trace spans the
+  // Every replica records into the group's tracer: a write's trace spans the
   // primary's pipeline, the replication links, and the quorum wait, and must
   // survive a mid-flight failover to another replica's server.
-  tracer_.set_enabled(config_.enable_request_tracing);
-  tracer_.SetBreakdown(&breakdown_);
-  slo_monitor_.Configure(config_.slo);
-  tracer_.SetSloMonitor(&slo_monitor_);
-  flight_recorder_.Configure(config_.flight);
-  flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetTracer(&tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  tracer_.set_on_complete(
-      [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
-  slo_monitor_.set_on_breach([this](const std::string& detail) {
-    flight_recorder_.Trigger(FlightTrigger::kSloBreach, detail);
-  });
-  fault_->SetFlightRecorder(&flight_recorder_);
-
-  ServerConfig server_config = config_.server;
-  // Per-server tracing stays off; every replica is re-pointed at the group
-  // tracer below so handles resolve identically on any replica.
-  server_config.enable_request_tracing = false;
   for (uint32_t id = 0; id < config_.num_replicas; id++) {
     auto rep = std::make_unique<Replica>();
     rep->id = id;
-    rep->server = std::make_unique<KvDirectServer>(server_config, &sim_);
-    rep->server->UseTracer(&tracer_);
-    rep->server->UseFlightRecorder(&flight_recorder_);
+    rep->server = std::make_unique<KvDirectServer>(config_.server, &sim_, &tracer_);
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
     rep->repl_net->SetTracer(&tracer_);
     rep->endpoint = std::make_unique<FrameEndpoint>(
-        sim_, ReplayCache::Config{config_.replay_cache_entries,
-                                  config_.replay_retain_time});
+        sim_, ReplayCache::Config{config_.server.replay_cache_entries,
+                                  config_.server.replay_retain_time});
     rep->snapshot_in.stats = &stats_.snapshot_stream;
     rep->snapshot_out.resize(config_.num_replicas);
     for (uint32_t peer = 0; peer < config_.num_replicas; peer++) {
@@ -98,13 +82,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   replicas_[0]->is_primary = true;
   RegisterMetrics();
   fault_->RegisterMetrics(metrics_);
-  if (config_.enable_request_tracing) {
-    // Keep the default exposition unchanged when tracing is off.
-    tracer_.RegisterMetrics(metrics_);
-    breakdown_.RegisterMetrics(metrics_);
-    slo_monitor_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
 
   std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this, alive] {
@@ -1327,7 +1304,7 @@ void ReplicationGroup::StartElection(Replica& rep) {
   stats_.elections++;
   tracer_.Instant(kTraceCategory, "election",
                   {{"replica", rep.id}, {"ballot", ballot}});
-  flight_recorder_.Trigger(
+  tracer_.flight_recorder().Trigger(
       FlightTrigger::kFailover,
       "replica " + std::to_string(rep.id) + " campaigns with ballot " +
           std::to_string(ballot));

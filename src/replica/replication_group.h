@@ -120,18 +120,17 @@ struct ReplicationConfig {
   uint32_t state_transfer_chunk_kvs = 64;  // KVs + session records per chunk
   double state_transfer_bytes_per_sec = 5e9;  // resync rate bound
 
-  // Client replay cache per replica (same semantics as ServerConfig's).
-  uint32_t replay_cache_entries = 4096;
-  SimTime replay_retain_time = 100 * kMillisecond;
   // Replicated session-result records kept (oldest evicted first).
   uint32_t session_entries = 1u << 16;
 
-  // Group-level tracing: one Tracer/FlightRecorder pair shared by every
-  // replica (the per-server ones are bypassed), so a write's trace follows
-  // it from the client through the primary's pipeline, the log, the
-  // replication links, and the quorum wait, and every replica's hardware
-  // events share one timeline with the group's protocol events (elections,
-  // crashes, promotions). Off by default.
+  // Group-level tracing: one Tracer (with its breakdown, SLO monitor and
+  // flight recorder) that every replica is built into — `server`'s tracing
+  // fields are ignored — so a write's trace follows it from the client
+  // through the primary's pipeline, the log, the replication links, and the
+  // quorum wait, and every replica's hardware events share one timeline with
+  // the group's protocol events (elections, crashes, promotions). Off by
+  // default; ignored, like `server`'s, in a group built into its owner's
+  // tracer.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -148,9 +147,11 @@ struct ReplicationConfig {
 class ReplicationGroup {
  public:
   // Owns its simulator unless `external_sim` puts several groups (shards) on
-  // one clock. Replica 0 starts as primary at epoch 1.
+  // one clock, and its tracer unless it is built into the clock owner's
+  // `external_tracer`. Replica 0 starts as primary at epoch 1.
   explicit ReplicationGroup(const ReplicationConfig& config,
-                            Simulator* external_sim = nullptr);
+                            Simulator* external_sim = nullptr,
+                            Tracer* external_tracer = nullptr);
   ~ReplicationGroup();
 
   ReplicationGroup(const ReplicationGroup&) = delete;
@@ -272,9 +273,8 @@ class ReplicationGroup {
   const MetricRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
   FaultInjector& faults() { return *fault_; }
-  FlightRecorder& flight_recorder() { return flight_recorder_; }
-  LatencyBreakdown& breakdown() { return breakdown_; }
-  SloMonitor& slo_monitor() { return slo_monitor_; }
+  FlightRecorder& flight_recorder() { return tracer_.flight_recorder(); }
+  LatencyBreakdown& breakdown() { return tracer_.breakdown(); }
   const ReplicationConfig& config() const { return config_; }
 
   struct GroupStats {
@@ -579,10 +579,9 @@ class ReplicationGroup {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  Tracer tracer_{sim_};
-  LatencyBreakdown breakdown_;
-  SloMonitor slo_monitor_{sim_};
-  FlightRecorder flight_recorder_{sim_};
+  // Null when built into an external tracer; tracer_ aliases either.
+  std::unique_ptr<Tracer> owned_tracer_;
+  Tracer& tracer_;
   std::unique_ptr<FaultInjector> fault_;
   ShardGate shard_gate_;
   LoadListener load_listener_;

@@ -161,9 +161,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
       rt->RegisterPacket(packet->sequence, packet->traces);
     }
     stats_.packets_sent++;
-    packet->sent_at = sim_.Now();
     sender_.Send(packet);
-    OnSent(packet);
   }
 }
 

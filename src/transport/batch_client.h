@@ -113,7 +113,6 @@ class BatchClient : public KvEndpoint {
     uint32_t bucket = 0;               // BucketOf() of every op in the packet
     uint32_t group = 0;                // destination replication group
     bool is_write = false;
-    SimTime sent_at = 0;  // first transmission
   };
   using PacketPtr = std::shared_ptr<Packet>;
 
@@ -136,8 +135,6 @@ class BatchClient : public KvEndpoint {
   virtual void OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
     Complete(packet, payload);
   }
-  // Runs after a packet's first transmission.
-  virtual void OnSent(const PacketPtr& /*packet*/) {}
   // Where this client's requests are traced; nullptr = untraced.
   virtual Tracer* tracer() { return nullptr; }
 

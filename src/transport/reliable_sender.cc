@@ -13,7 +13,6 @@ ReliableSender::Stats& ReliableSender::Stats::operator+=(const Stats& other) {
   duplicate_responses += other.duplicate_responses;
   deadline_failures += other.deadline_failures;
   budget_exhausted += other.budget_exhausted;
-  hedged_sends += other.hedged_sends;
   return *this;
 }
 

@@ -109,7 +109,6 @@ class ReliableSender {
     uint64_t duplicate_responses = 0;
     uint64_t deadline_failures = 0;  // packets abandoned past their deadline
     uint64_t budget_exhausted = 0;   // retransmits suppressed by the budget
-    uint64_t hedged_sends = 0;       // duplicate sends to a second target
   };
 
   using PacketPtr = std::shared_ptr<ReliablePacket>;

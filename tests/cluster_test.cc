@@ -2,8 +2,9 @@
 // forged/truncated rejection), KeyRouter hash-contract stability, live shard
 // migration (basic, frozen-window bounces, chaos on the copy stream with
 // zero lost acked writes and exactly-once application), stale-client-map
-// convergence, elasticity (add/remove groups), split relabeling, and the
-// Rebalancer planning policy.
+// convergence, cluster-wide tracing (one tracer for every group),
+// elasticity (add/remove groups), split relabeling, and the Rebalancer
+// planning policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -755,6 +756,82 @@ TEST(ClusterMigrationTest, CutoverTriggersFlightRecorderDump) {
   EXPECT_EQ(parsed.trigger, "shard_cutover");
   EXPECT_GT(parsed.total_spans, 0u);
   EXPECT_GT(cluster.stats().copy_stream.chunks_sent, 0u);
+  // The migration's synthetic op is no client op: the breakdown stays empty.
+  EXPECT_EQ(cluster.tracer().breakdown().recorded(), 0u);
+}
+
+// --- tracing ---
+
+// Every group (an added one too) and every replica records into the
+// coordinator's tracer, and the client starts its traces there, so each
+// cluster op lands in the coordinator's breakdown with its stages.
+TEST(ClusterTracingTest, ClientOpsAreTracedInTheCoordinatorsTracer) {
+  ClusterConfig config = SmallClusterConfig(2, 4, 3);
+  config.enable_request_tracing = true;
+  ClusterCoordinator cluster(config);
+  cluster.AddGroup();
+  for (uint32_t g = 0; g < cluster.num_groups(); g++) {
+    EXPECT_EQ(&cluster.group(g).tracer(), &cluster.tracer()) << "group " << g;
+    for (uint32_t r = 0; r < cluster.group(g).num_replicas(); r++) {
+      EXPECT_EQ(&cluster.group(g).replica(r).tracer(), &cluster.tracer())
+          << "group " << g << " replica " << r;
+    }
+  }
+
+  ClusterClient client(cluster);
+  constexpr uint64_t kKeys = 32;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    client.Enqueue(Put(i, 7000 + i));
+  }
+  for (const KvResultMessage& r : client.Flush()) {
+    EXPECT_EQ(r.code, ResultCode::kOk);
+  }
+  for (uint64_t i = 0; i < kKeys; i++) {
+    client.Enqueue(Get(i));
+  }
+  for (const KvResultMessage& r : client.Flush()) {
+    EXPECT_EQ(r.code, ResultCode::kOk);
+  }
+
+  const LatencyBreakdown& breakdown = cluster.tracer().breakdown();
+  EXPECT_EQ(breakdown.recorded(), 2 * kKeys);
+  for (const Opcode opcode : {Opcode::kPut, Opcode::kGet}) {
+    EXPECT_EQ(breakdown.EndToEnd(opcode).count(), kKeys);
+    EXPECT_EQ(breakdown.Stage(opcode, TracePoint::kServerReceive).count(), kKeys);
+  }
+  EXPECT_EQ(breakdown.Stage(Opcode::kPut, TracePoint::kReplCommit).count(), kKeys);
+}
+
+// A group's failover fires the coordinator's flight recorder: the cluster
+// keeps one recorder, and its dump parses.
+TEST(ClusterTracingTest, GroupFailoverDumpLandsInTheClusterRecorder) {
+  ClusterConfig config = SmallClusterConfig(2, 4, 3);
+  config.enable_request_tracing = true;
+  ClusterCoordinator cluster(config);
+  ClusterClient client(cluster);
+  for (uint64_t i = 0; i < 16; i++) {
+    client.Enqueue(Put(i, i));
+  }
+  for (const KvResultMessage& r : client.Flush()) {
+    EXPECT_EQ(r.code, ResultCode::kOk);
+  }
+
+  ReplicationGroup& group = cluster.group(1);
+  group.CrashReplica(group.primary_id());
+  Simulator& sim = cluster.simulator();
+  sim.RunUntil(sim.Now() + 5 * kMillisecond);
+  ASSERT_GE(group.stats().failovers, 1u);
+
+  const FlightRecorder::Dump* failover = nullptr;
+  for (const FlightRecorder::Dump& dump : cluster.flight_recorder().dumps()) {
+    if (dump.trigger == FlightTrigger::kFailover) {
+      failover = &dump;
+    }
+  }
+  ASSERT_NE(failover, nullptr);
+  ParsedFlightDump parsed;
+  ASSERT_TRUE(ParseFlightDump(failover->json, &parsed).ok());
+  EXPECT_EQ(parsed.trigger, "failover");
 }
 
 // --- elasticity ---

@@ -156,8 +156,7 @@ TEST(TracerTimelineTest, DisabledRecordsNothing) {
 
 TEST(TracerTimelineTest, ChromeTraceShape) {
   Simulator sim;
-  Tracer tracer(sim);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true);
   sim.Schedule(2 * kMicrosecond, [&] {
     tracer.Instant("station", "park", {{"slot", 3}});
   });
@@ -187,8 +186,8 @@ TEST(TracerTimelineTest, ChromeTraceShape) {
 // oldest one, and the overwrites are counted as dropped.
 TEST(TracerTimelineTest, BoundedRingDropsOldest) {
   Simulator sim;
-  Tracer tracer(sim, /*max_events=*/3);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true, SloConfig{}, FlightRecorderConfig{},
+                /*registry=*/nullptr, /*max_events=*/3);
   for (uint64_t i = 0; i < 5; i++) {
     tracer.Instant("cat", "evt", {{"i", i}});
   }
@@ -201,8 +200,7 @@ TEST(TracerTimelineTest, BoundedRingDropsOldest) {
 
 TEST(TracerTimelineTest, WriteChromeTraceSmoke) {
   Simulator sim;
-  Tracer tracer(sim);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true);
   tracer.Complete("net", "packet", 0, kMicrosecond);
   const std::string path = ::testing::TempDir() + "/obs_trace.json";
   ASSERT_TRUE(tracer.WriteChromeTrace(path).ok());

@@ -1,7 +1,6 @@
 // Overload control and graceful degradation (DESIGN.md §12): admission
 // control and shedding, end-to-end deadline propagation, retry budgets,
-// jittered backoff determinism, hedged reads, and gray-failure quorum
-// demotion.
+// jittered backoff determinism, and gray-failure quorum demotion.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -386,47 +385,6 @@ TEST(OverloadTest, JitteredBackoffIsDeterministicForASeed) {
   // are deterministic per seed, not trivially constant.
   const auto other = LossyRun(7);
   EXPECT_NE(std::get<1>(first), std::get<1>(other));
-}
-
-// --- hedged reads ---
-
-TEST(OverloadTest, HedgedReadCompletesDespiteUnresponsiveReplica) {
-  ReplicationConfig config;
-  config.num_replicas = 3;
-  config.server.kvs_memory_bytes = 2 * kMiB;
-  config.server.nic_dram.capacity_bytes = 512 * 1024;
-  ReplicationGroup group(config);
-  for (uint64_t k = 0; k < 8; k++) {
-    ASSERT_TRUE(group.Load(Key(k), U64Value(100 + k)).ok());
-  }
-
-  ReplicatedClient::Options options;
-  options.hedge_reads = true;
-  options.hedge_delay = 50 * kMicrosecond;  // pinned: deterministic firing
-  options.timeout = 2 * kMillisecond;  // retransmission far behind the hedge
-  ReplicatedClient client(group, options);
-
-  // Replica 1 stops answering reads: requests to it vanish on its inbound
-  // client link. Round-robin reads that land there complete only through the
-  // hedge copy sent to the next replica.
-  group.client_network(1).SetPartitioned(/*to_server=*/true, true);
-
-  const SimTime before = group.simulator().Now();
-  for (uint64_t k = 0; k < 8; k++) {
-    KvOperation op;
-    op.opcode = Opcode::kGet;
-    op.key = Key(k);
-    client.Enqueue(std::move(op));
-    std::vector<KvResultMessage> results = client.Flush();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].code, ResultCode::kOk);
-    EXPECT_EQ(AsU64(results[0].value), 100 + k);
-  }
-  EXPECT_GE(client.stats().hedged_sends, 2u);
-  EXPECT_GE(client.stats().hedge_wins, 2u);
-  // Every blocked read completed at hedge-delay cost, not retransmission
-  // cost.
-  EXPECT_LT(group.simulator().Now() - before, 8 * options.timeout);
 }
 
 // --- gray-failure quorum demotion ---

@@ -21,7 +21,6 @@
 #include "src/core/kv_direct.h"
 #include "src/core/multi_nic.h"
 #include "src/fault/fault_injector.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/tracer.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
@@ -149,8 +148,7 @@ TEST(RequestTraceTest, TracingIsOffByDefault) {
 // distinct, nonzero handle whatever sequence the op rides on.
 TEST(TracerHandleTest, HandlesAreUniqueAcrossClientSequenceSpaces) {
   Simulator sim;
-  Tracer tracer(sim);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true);
   const uint64_t client1 = tracer.Start(Opcode::kGet, 1ull << 40, 0);
   const uint64_t client257 = tracer.Start(Opcode::kGet, 257ull << 40, 0);
   const uint64_t client256 = tracer.Start(Opcode::kGet, 256ull << 40, 0);
@@ -177,8 +175,7 @@ TEST(TracerHandleTest, HandlesAreUniqueAcrossClientSequenceSpaces) {
 // lower client id, whose newest packet must still resolve server-side.
 TEST(TracerHandleTest, PacketTableEvictsInRegistrationOrderAcrossClients) {
   Simulator sim;
-  Tracer tracer(sim);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true);
   const uint64_t client1 = 1ull << 40;
   const uint64_t client2 = 2ull << 40;
   for (uint64_t i = 0; i < Tracer::kMaxPackets; i++) {
@@ -474,14 +471,11 @@ TEST(FlightRecorderTest, EccDemotionTriggersExactlyOneDump) {
 // newest events, not the ones recorded when the ring filled up.
 TEST(FlightRecorderTest, EventWindowFollowsTheRingAfterItFills) {
   Simulator sim;
-  Tracer tracer(sim, /*max_events=*/4);
-  tracer.set_enabled(true);
-  FlightRecorder flight(sim);
   FlightRecorderConfig config;
   config.event_window = 2;
-  flight.Configure(config);
-  flight.set_enabled(true);
-  flight.SetTracer(&tracer);
+  Tracer tracer(sim, /*enabled=*/true, SloConfig{}, config, /*registry=*/nullptr,
+                /*max_events=*/4);
+  FlightRecorder& flight = tracer.flight_recorder();
   constexpr const char* kNames[] = {"e0", "e1", "e2", "e3", "e4",
                                     "e5", "e6", "e7", "e8", "e9"};
   for (const char* name : kNames) {
@@ -754,8 +748,8 @@ TEST(ParseFlightDumpTest, OversizedSpanCountIsRejected) {
 
 TEST(TracerEventRingTest, OverwritesAreCountedAndWarnedInTraceJson) {
   Simulator sim;
-  Tracer tracer(sim, /*max_events=*/2);
-  tracer.set_enabled(true);
+  Tracer tracer(sim, /*enabled=*/true, SloConfig{}, FlightRecorderConfig{},
+                /*registry=*/nullptr, /*max_events=*/2);
   for (int i = 0; i < 5; i++) {
     tracer.Instant("test", "event");
   }
