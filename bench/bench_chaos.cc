@@ -110,7 +110,7 @@ ChaosPoint Run(double loss, uint64_t seed) {
   point.loss_percent = loss * 100.0;
   point.goodput_mops =
       elapsed > 0 ? static_cast<double>(kOps) * 1e6 / static_cast<double>(elapsed) : 0.0;
-  const ReliableSender::Stats stats = ep.endpoint_stats();
+  const KvEndpoint::Stats stats = ep.endpoint_stats();
   point.amplification =
       stats.packets_sent > 0
           ? static_cast<double>(stats.packets_sent + stats.retransmits) /

@@ -161,7 +161,7 @@ FailoverPoint RunFailover(uint64_t seed) {
   FailoverPoint point;
   point.downtime_us = static_cast<double>(group.stats().last_failover_downtime_ns) /
                       1e3;
-  const ReliableSender::Stats stats = ep.endpoint_stats();
+  const KvEndpoint::Stats stats = ep.endpoint_stats();
   point.amplification =
       stats.packets_sent > 0
           ? static_cast<double>(stats.packets_sent + stats.retransmits) /

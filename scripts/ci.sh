@@ -21,7 +21,9 @@
 #      loop" guard: no bench calls LoadOpFor itself); and each clock has
 #      one trace sink (the "one trace sink" guard: the Tracer owns its
 #      breakdown, SLO monitor and flight recorder, and nested nodes are
-#      built into their owner's tracer, not re-pointed at it);
+#      built into their owner's tracer, not re-pointed at it); and each end
+#      of the wire is one class (the "one class per wire end" guard:
+#      BatchClient owns its retry engine, KvDirectServer its node stack);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -53,9 +55,9 @@ if [[ -n "${leaks}" ]]; then
 fi
 
 # One batching client core: packing ops into packets (PacketBuilder) and
-# admitting responses (ReliableSender::AcceptResponse) happen in src/transport
-# (plus the wire format itself in src/net). A client anywhere else in src/
-# growing its own copy fails.
+# admitting responses (BatchClient::Receive) happen in src/transport (plus
+# the wire format itself in src/net). A client anywhere else in src/ growing
+# its own packer, or its own AcceptResponse beside Receive, fails.
 packers=$(grep -rnE 'PacketBuilder|AcceptResponse\(' src --include='*.h' --include='*.cc' \
             | grep -vE '^src/(net|transport)/' || true)
 if [[ -n "${packers}" ]]; then
@@ -170,6 +172,19 @@ preloads=$(grep -nE 'LoadOpFor' bench/*.cc || true)
 if [[ -n "${preloads}" ]]; then
   echo "one preload loop: workload preload outside bench::Preload:" >&2
   echo "${preloads}" >&2
+  exit 1
+fi
+
+# One class per wire end: the client's retry engine (backoff, attempt cap,
+# deadline and budget failures, target rotation, response admission) is
+# private to BatchClient, and the per-node subsystem stack is assembled by
+# KvDirectServer itself. A separate sender, its packet base or policy
+# struct, or a node runtime wrapped by the server coming back fails.
+ends=$(grep -rnE 'ReliableSender|ReliablePacket|RetryPolicy|NodeRuntime' \
+         src bench tests examples || true)
+if [[ -n "${ends}" ]]; then
+  echo "one class per wire end: split client or server layer found:" >&2
+  echo "${ends}" >&2
   exit 1
 fi
 

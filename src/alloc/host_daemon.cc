@@ -131,10 +131,6 @@ void HostDaemon::PushBatch(uint8_t cls, std::span<const uint64_t> addresses) {
   }
 }
 
-void HostDaemon::MergeAll() {
-  LazyMergeUpTo(static_cast<uint8_t>(config_.NumClasses() - 1));
-}
-
 uint64_t HostDaemon::FreeBytes() const {
   const uint64_t free_granules =
       bitmap_.total_granules() - bitmap_.allocated_granules();

@@ -45,9 +45,6 @@ class HostDaemon {
   // Returns freed slabs of class `cls` from the NIC to the host pool.
   void PushBatch(uint8_t cls, std::span<const uint64_t> addresses);
 
-  // Forces a full merge pass across all classes (maintenance entry point).
-  void MergeAll();
-
   // Takes `source`'s pools, bitmap and stats (equal configs). The merger
   // keeps no state between passes, so there is none of its to copy.
   void CloneFrom(const HostDaemon& source);

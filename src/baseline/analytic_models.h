@@ -23,7 +23,6 @@ struct CpuKvsModel {
   double loadstore_parallelism = 3.5;  // load-store units usable
   double computation_ns_per_op = 100;  // ~500 instructions of KV processing
   double accesses_per_op = 1.3;     // hash + value on a good hash table
-  uint32_t cores = 16;              // 2 x 8-core E5-2650 v2
 
   // Paper measurement: 29.3 M random 64 B accesses/s/core.
   double RandomAccessMopsPerCore() const {
@@ -45,7 +44,6 @@ struct CpuKvsModel {
         1.05;  // residual non-overlapped work
     return 1e3 / per_op_ns;
   }
-  double BatchedMops() const { return BatchedMopsPerCore() * cores; }
 };
 
 // RDMA-based KVS baselines for Figure 13a (atomics throughput vs key count).

@@ -103,7 +103,7 @@ class RecordingEndpoint : public KvEndpoint {
     return results;
   }
 
-  ReliableSender::Stats endpoint_stats() const override {
+  Stats endpoint_stats() const override {
     return inner_.endpoint_stats();
   }
   SimTime now() const override { return inner_.now(); }

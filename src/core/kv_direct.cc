@@ -1,41 +1,154 @@
 #include "src/core/kv_direct.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace kvd {
 
+void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
+  long_tail_workload = long_tail;
+  constexpr double kSlotPacking = 0.7;  // usable fraction of hash slots
+  if (kv_bytes <= kMaxInlineKvBytes) {
+    // Inline everything of this size: the corpus lives in the hash index, so
+    // the index takes nearly the whole region (a margin remains for chained
+    // buckets and stragglers).
+    inline_threshold_bytes = std::min<uint32_t>(kv_bytes, kMaxInlineKvBytes);
+    hash_index_ratio = 0.9;
+  } else {
+    // Non-inline: the index holds one 5-byte slot per KV, the heap holds the
+    // rounded slab. Ratio = index bytes : total bytes per KV, scale-free.
+    inline_threshold_bytes = 10;
+    const double index_per_kv = kSlotBytes / kSlotPacking;
+    const double slab_per_kv =
+        static_cast<double>(std::bit_ceil(kv_bytes + HashIndex::kSlabHeaderBytes));
+    hash_index_ratio = index_per_kv / (index_per_kv + slab_per_kv);
+  }
+  // Load dispatch ratio from the paper's balance condition (§3.3.4).
+  const double k = static_cast<double>(nic_dram.capacity_bytes) /
+                   static_cast<double>(kvs_memory_bytes);
+  const double pcie_tput =
+      pcie.link.bandwidth_bytes_per_sec * pcie.num_links * 0.84;  // achievable
+  dispatch_ratio = LoadDispatcher::OptimalDispatchRatio(
+      pcie_tput, nic_dram.bandwidth_bytes_per_sec, std::min(k, 1.0), long_tail,
+      static_cast<double>(kvs_memory_bytes) / std::max<uint32_t>(kv_bytes, 1));
+}
+
 KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim,
                                Tracer* external_tracer)
-    : runtime_(config, external_sim, external_tracer),
-      endpoint_(runtime_.simulator(),
-                {config.replay_cache_entries, config.replay_retain_time}) {
-  // The transport endpoint's counters join the runtime's registry so one
+    : config_(config),
+      owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
+      sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
+      owned_tracer_(external_tracer != nullptr
+                        ? nullptr
+                        : std::make_unique<Tracer>(sim_, config.enable_request_tracing,
+                                                   config.slo, config.flight, &metrics_)),
+      tracer_(external_tracer != nullptr ? *external_tracer : *owned_tracer_),
+      endpoint_(sim_, {config.replay_cache_entries, config.replay_retain_time}) {
+  HashIndexConfig index_config;
+  index_config.memory_base = 0;
+  index_config.memory_size = config.kvs_memory_bytes;
+  index_config.hash_index_ratio = config.hash_index_ratio;
+  index_config.inline_threshold_bytes = config.inline_threshold_bytes;
+  index_config.min_slab_bytes = config.min_slab_bytes;
+  index_config.max_slab_bytes = config.max_slab_bytes;
+  const auto regions = index_config.ComputeRegions();
+
+  memory_ = std::make_unique<HostMemory>(config.kvs_memory_bytes);
+  direct_engine_ = std::make_unique<DirectEngine>(*memory_);
+  trace_engine_ = std::make_unique<TraceRecordingEngine>(*direct_engine_);
+
+  SlabConfig slab_config;
+  slab_config.region_base = regions.heap_base;
+  slab_config.region_size = regions.heap_size;
+  slab_config.min_slab_bytes = config.min_slab_bytes;
+  slab_config.max_slab_bytes = config.max_slab_bytes;
+  allocator_ = std::make_unique<SlabAllocator>(slab_config);
+
+  index_ = std::make_unique<HashIndex>(*trace_engine_, *allocator_, index_config);
+
+  fault_ = std::make_unique<FaultInjector>(config.faults);
+  dma_ = std::make_unique<DmaEngine>(sim_, config.pcie);
+  nic_dram_ = std::make_unique<NicDram>(sim_, config.nic_dram);
+
+  LoadDispatcherConfig dispatch_config;
+  dispatch_config.policy = config.dispatch_policy;
+  dispatch_config.host_memory_bytes = config.kvs_memory_bytes;
+  if (config.dispatch_ratio >= 0) {
+    dispatch_config.dispatch_ratio = config.dispatch_ratio;
+  } else {
+    const double k = std::min(1.0, static_cast<double>(config.nic_dram.capacity_bytes) /
+                                       static_cast<double>(config.kvs_memory_bytes));
+    dispatch_config.dispatch_ratio = LoadDispatcher::OptimalDispatchRatio(
+        config.pcie.link.bandwidth_bytes_per_sec * config.pcie.num_links * 0.84,
+        config.nic_dram.bandwidth_bytes_per_sec, k, config.long_tail_workload);
+  }
+  dispatcher_ = std::make_unique<LoadDispatcher>(sim_, *dma_, *nic_dram_,
+                                                 dispatch_config);
+
+  network_ = std::make_unique<NetworkModel>(sim_, config.network);
+
+  processor_ = std::make_unique<KvProcessor>(sim_, *index_, *trace_engine_,
+                                             *dispatcher_, registry_,
+                                             config.processor);
+  processor_->AttachSlabSyncStats(&allocator_->sync_stats());
+
+  // Fault wiring: one injector shared by every site so the plan's per-site
+  // streams stay independent of which subsystems are active.
+  dma_->SetFaultInjector(fault_.get());
+  nic_dram_->SetFaultInjector(fault_.get());
+  network_->SetFaultInjector(fault_.get());
+
+  // Tracing: every component records into the one tracer and fires flight
+  // triggers through it. The pointers are set unconditionally (each hook
+  // checks enabled() or a zero handle).
+  fault_->SetTracer(&tracer_);
+  processor_->SetTracer(&tracer_);
+  allocator_->SetTracer(&tracer_);
+  dispatcher_->SetTracer(&tracer_);
+  dma_->SetTracer(&tracer_);
+  nic_dram_->SetTracer(&tracer_);
+  network_->SetTracer(&tracer_);
+
+  // Observability: every subsystem registers readers over its live stats into
+  // the shared registry. Neither changes timing.
+  metrics_.RegisterCounter("kvd_events_dropped_total",
+                           "Timeline events overwritten in the full event ring",
+                           {}, [this] { return tracer_.dropped_events(); });
+  fault_->RegisterMetrics(metrics_);
+  processor_->RegisterMetrics(metrics_);
+  index_->RegisterMetrics(metrics_);
+  allocator_->RegisterMetrics(metrics_);
+  dispatcher_->RegisterMetrics(metrics_);
+  dma_->RegisterMetrics(metrics_);
+  nic_dram_->RegisterMetrics(metrics_);
+  network_->RegisterMetrics(metrics_);
+  // The transport endpoint's counters join the same registry so one
   // exposition covers the whole node.
-  MetricRegistry& metrics = runtime_.metrics_mutable();
-  metrics.RegisterCounter("kvd_server_replayed_responses_total",
-                          "Retransmitted requests answered from the replay cache",
-                          {}, endpoint_.replayed_responses_counter());
-  metrics.RegisterCounter("kvd_server_corrupt_frames_total",
-                          "Request frames dropped on checksum failure", {},
-                          endpoint_.corrupt_frames_counter());
-  metrics.RegisterCounter("kvd_server_stale_retransmits_total",
-                          "Retransmits dropped while the original executes", {},
-                          endpoint_.stale_retransmits_counter());
-  metrics.RegisterCounter("kvd_replay_evict_scan_steps_total",
-                          "Replay-cache eviction queue entries examined", {},
-                          endpoint_.evict_scan_steps_counter());
-  metrics.RegisterGauge("kvd_server_batch_records_peak",
-                        "Peak packets admitted and not yet answered", {},
-                        [this] { return static_cast<double>(packets_.peak()); });
+  metrics_.RegisterCounter("kvd_server_replayed_responses_total",
+                           "Retransmitted requests answered from the replay cache",
+                           {}, endpoint_.replayed_responses_counter());
+  metrics_.RegisterCounter("kvd_server_corrupt_frames_total",
+                           "Request frames dropped on checksum failure", {},
+                           endpoint_.corrupt_frames_counter());
+  metrics_.RegisterCounter("kvd_server_stale_retransmits_total",
+                           "Retransmits dropped while the original executes", {},
+                           endpoint_.stale_retransmits_counter());
+  metrics_.RegisterCounter("kvd_replay_evict_scan_steps_total",
+                           "Replay-cache eviction queue entries examined", {},
+                           endpoint_.evict_scan_steps_counter());
+  metrics_.RegisterGauge("kvd_server_batch_records_peak",
+                         "Peak packets admitted and not yet answered", {},
+                         [this] { return static_cast<double>(packets_.peak()); });
 }
 
 void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done) {
-  runtime_.processor().Submit(std::move(op), std::move(done));
+  processor_->Submit(std::move(op), std::move(done));
 }
 
 void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done,
                             OpClass cls) {
-  runtime_.processor().Submit(std::move(op), std::move(done), cls);
+  processor_->Submit(std::move(op), std::move(done), cls);
 }
 
 void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
@@ -76,11 +189,11 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   reply.respond = std::move(respond);
   reply.tracer = nullptr;
   reply.traces.clear();
-  if (runtime_.tracer().enabled()) {
+  if (tracer_.enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
-    reply.tracer = &runtime_.tracer();
+    reply.tracer = &tracer_;
     reply.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
       const uint64_t handle = reply.tracer->LookupOp(sequence, i);
@@ -93,11 +206,11 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   }
   // Start every op's bucket-line miss before the first admission needs one.
   for (const KvOperation& op : ops) {
-    runtime_.index().Prefetch(op.key);
+    index_->Prefetch(op.key);
   }
   for (size_t i = 0; i < ops.size(); i++) {
-    runtime_.processor().Submit(std::move(ops[i]),
-                                packets_.Completion(batch, static_cast<uint32_t>(i)));
+    processor_->Submit(std::move(ops[i]),
+                       packets_.Completion(batch, static_cast<uint32_t>(i)));
   }
 }
 
@@ -120,12 +233,19 @@ void KvDirectServer::AnswerPacket(uint32_t batch) {
 }
 
 KvResultMessage KvDirectServer::Execute(const KvOperation& op) {
-  return runtime_.processor().ExecuteFunctional(op);
+  return processor_->ExecuteFunctional(op);
 }
 
 Status KvDirectServer::Load(std::span<const uint8_t> key,
                             std::span<const uint8_t> value) {
-  return runtime_.index().Put(key, value);
+  return index_->Put(key, value);
+}
+
+void KvDirectServer::CloneStoreFrom(const KvDirectServer& source) {
+  memory_->CloneFrom(*source.memory_);
+  direct_engine_->CloneStatsFrom(*source.direct_engine_);
+  allocator_->CloneFrom(*source.allocator_);
+  index_->CloneFrom(*source.index_);
 }
 
 Client::Client(KvDirectServer& server, const Options& options, uint64_t sequence_base)

@@ -1,33 +1,97 @@
 // Public entry points of the KV-Direct library.
 //
 // The layered architecture (DESIGN.md §11):
-//   - NodeRuntime (src/core/node_runtime.h) assembles the per-node subsystem
-//     stack of paper Figure 2/4 — memory, index, allocator, DMA, NIC DRAM,
-//     dispatcher, processor, network — on one simulator.
-//   - The transport layer (src/transport) owns reliability: FrameEndpoint
-//     terminates framed requests server-side (checksum, replay dedup);
-//     ReliableSender drives client-side retransmission.
-//   - KvDirectServer composes one runtime with one frame endpoint; Client is
-//     the matching single-server router over the batching client core
-//     (src/transport/batch_client.h): single synchronous operations for
-//     convenience, and batched pipelined operations (the paper's client-side
-//     network batching, Figure 15) for throughput.
+//   - KvDirectServer is one node: it assembles the subsystem stack of paper
+//     Figure 2/4 — host memory holding the hash index and slab heap, the
+//     PCIe DMA engine, the NIC DRAM load dispatcher, the reservation
+//     station, the KV processor, and the 40 GbE network model — on one
+//     discrete-event simulator, plus the node's observability (metrics and
+//     the tracer, which owns the latency breakdown, the SLO monitor and the
+//     flight recorder), in front of one FrameEndpoint (src/transport) that
+//     terminates framed requests (checksum, replay dedup). MultiNicServer
+//     NICs and ReplicationGroup replicas are KvDirectServers on a shared
+//     simulator.
+//   - Client is the matching single-server router over the batching client
+//     core (src/transport/batch_client.h), which owns client-side
+//     retransmission: single synchronous operations for convenience, and
+//     batched pipelined operations (the paper's client-side network
+//     batching, Figure 15) for throughput.
 #ifndef SRC_CORE_KV_DIRECT_H_
 #define SRC_CORE_KV_DIRECT_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "src/alloc/slab_allocator.h"
 #include "src/common/units.h"
-#include "src/core/node_runtime.h"
+#include "src/core/kv_processor.h"
 #include "src/core/result_batch.h"
+#include "src/core/update_functions.h"
+#include "src/dram/load_dispatcher.h"
+#include "src/dram/nic_dram.h"
+#include "src/fault/fault_injector.h"
+#include "src/hash/hash_index.h"
+#include "src/mem/access_engine.h"
+#include "src/mem/host_memory.h"
+#include "src/net/network_model.h"
 #include "src/net/wire_format.h"
+#include "src/obs/metric_registry.h"
+#include "src/obs/tracer.h"
+#include "src/pcie/dma_engine.h"
+#include "src/sim/simulator.h"
 #include "src/transport/batch_client.h"
 #include "src/transport/frame_endpoint.h"
 
 namespace kvd {
+
+struct ServerConfig {
+  // KVS region in host memory (the paper reserves 64 GiB; scaled here).
+  uint64_t kvs_memory_bytes = 64 * kMiB;
+  double hash_index_ratio = 0.5;
+  uint32_t inline_threshold_bytes = 10;
+  uint32_t min_slab_bytes = 32;
+  uint32_t max_slab_bytes = 512;
+
+  DmaEngineConfig pcie;
+  NicDramConfig nic_dram;
+  DispatchPolicy dispatch_policy = DispatchPolicy::kHybrid;
+  // < 0 selects the analytically optimal ratio for the workload skew.
+  double dispatch_ratio = -1.0;
+  bool long_tail_workload = false;
+
+  NetworkConfig network;
+  KvProcessorConfig processor;
+
+  // Tracing (src/obs/tracer.h): per-request traces created at client send,
+  // propagated through every layer, and aggregated into the latency
+  // breakdown, the SLO monitor, and the flight recorder; plus the hardware
+  // event timeline (DMA, dispatch, station, network) for Chrome trace export
+  // and flight dumps. Off by default; when disabled every hook is one branch.
+  // A node built into its owner's tracer ignores these three fields.
+  bool enable_request_tracing = false;
+  SloConfig slo;
+  FlightRecorderConfig flight;
+
+  // Deterministic fault injection across the network, PCIe, and NIC DRAM
+  // models (src/fault). All-zero probabilities (the default) inject nothing.
+  FaultPlan faults;
+  // Server-side idempotent-replay cache for the framed request path: the
+  // most recent N responses are kept so a retransmitted request is answered
+  // from the cache instead of re-executing its (non-idempotent) operations.
+  uint32_t replay_cache_entries = 4096;
+  // Completed replay entries younger than this are never evicted, even when
+  // the cache is over budget: a retransmission of a just-answered frame may
+  // still be in flight, and evicting its entry would re-execute the ops.
+  // The cache may temporarily exceed `replay_cache_entries` to honor this.
+  SimTime replay_retain_time = 100 * kMillisecond;
+
+  // Tunes hash_index_ratio / inline_threshold / dispatch_ratio for a workload
+  // of `kv_bytes` key+value pairs, as §5.2.1 does before each benchmark.
+  void AutoTune(uint32_t kv_bytes, bool long_tail);
+};
 
 class KvDirectServer {
  public:
@@ -66,35 +130,41 @@ class KvDirectServer {
   Status Load(std::span<const uint8_t> key, std::span<const uint8_t> value);
 
   // --- component access for benchmarks and diagnostics ---
-  NodeRuntime& runtime() { return runtime_; }
-  Simulator& simulator() { return runtime_.simulator(); }
-  KvProcessor& processor() { return runtime_.processor(); }
-  HashIndex& index() { return runtime_.index(); }
-  SlabAllocator& allocator() { return runtime_.allocator(); }
-  LoadDispatcher& dispatcher() { return runtime_.dispatcher(); }
-  DmaEngine& dma() { return runtime_.dma(); }
-  NicDram& nic_dram() { return runtime_.nic_dram(); }
-  NetworkModel& network() { return runtime_.network(); }
-  UpdateFunctionRegistry& registry() { return runtime_.registry(); }
-  FaultInjector& faults() { return runtime_.faults(); }
-  const ServerConfig& config() const { return runtime_.config(); }
+  Simulator& simulator() { return sim_; }
+  KvProcessor& processor() { return *processor_; }
+  HashIndex& index() { return *index_; }
+  SlabAllocator& allocator() { return *allocator_; }
+  LoadDispatcher& dispatcher() { return *dispatcher_; }
+  DmaEngine& dma() { return *dma_; }
+  NicDram& nic_dram() { return *nic_dram_; }
+  NetworkModel& network() { return *network_; }
+  UpdateFunctionRegistry& registry() { return registry_; }
+  FaultInjector& faults() { return *fault_; }
+  const ServerConfig& config() const { return config_; }
   uint64_t replayed_responses() const { return endpoint_.stats().replayed_responses; }
   uint64_t corrupt_frames() const { return endpoint_.stats().corrupt_frames; }
   uint64_t stale_retransmits() const { return endpoint_.stats().stale_retransmits; }
-  const FrameEndpoint& frame_endpoint() const { return endpoint_; }
   // Hands each client a disjoint 2^40-sequence space so frames from
   // different clients never collide in the replay cache.
   uint64_t AcquireClientSequenceBase() { return ++next_client_id_ << 40; }
-  const AccessStats& memory_stats() const { return runtime_.memory_stats(); }
+  const AccessStats& memory_stats() const { return direct_engine_->stats(); }
+  // The store arena: hash index plus slab heap.
+  const HostMemory& memory() const { return *memory_; }
+  // Makes this node's store a copy of `source`'s, untimed: the arena (only
+  // the pages that differ), the slab allocator and its host daemon, the
+  // index counts and stats, and the access counts. Nothing else of the node
+  // changes. The store configs must be equal. A replication group uses it
+  // to seed replicas from one preloaded replica (DESIGN.md §9).
+  void CloneStoreFrom(const KvDirectServer& source);
   // Every subsystem's counters, gauges, and histograms (Prometheus / JSON /
   // plain-text exposition).
-  const MetricRegistry& metrics() const { return runtime_.metrics(); }
+  const MetricRegistry& metrics() const { return metrics_; }
   // Tracing; enable via ServerConfig::enable_request_tracing. `tracer()` is
   // the server's own, or the owner's it was built into.
-  Tracer& tracer() { return runtime_.tracer(); }
-  FlightRecorder& flight_recorder() { return tracer().flight_recorder(); }
-  LatencyBreakdown& breakdown() { return tracer().breakdown(); }
-  SloMonitor& slo_monitor() { return tracer().slo_monitor(); }
+  Tracer& tracer() { return tracer_; }
+  FlightRecorder& flight_recorder() { return tracer_.flight_recorder(); }
+  LatencyBreakdown& breakdown() { return tracer_.breakdown(); }
+  SloMonitor& slo_monitor() { return tracer_.slo_monitor(); }
 
  private:
   // What answering a delivered frame takes: its sequence, the transport's
@@ -108,7 +178,29 @@ class KvDirectServer {
   // Encodes a packet's results once its last op retired, and responds.
   void AnswerPacket(uint32_t batch);
 
-  NodeRuntime runtime_;
+  ServerConfig config_;
+  // Null when running on an external (shared) simulator; sim_ aliases either
+  // the owned instance or the external one. Declared before every member
+  // that captures Simulator& at construction.
+  std::unique_ptr<Simulator> owned_sim_;
+  Simulator& sim_;
+  MetricRegistry metrics_;
+  // Null when recording into an external tracer; tracer_ aliases either.
+  std::unique_ptr<Tracer> owned_tracer_;
+  Tracer& tracer_;
+  UpdateFunctionRegistry registry_;
+  // The subsystem stack, built in the constructor in this order.
+  std::unique_ptr<HostMemory> memory_;
+  std::unique_ptr<DirectEngine> direct_engine_;
+  std::unique_ptr<TraceRecordingEngine> trace_engine_;
+  std::unique_ptr<SlabAllocator> allocator_;
+  std::unique_ptr<HashIndex> index_;
+  std::unique_ptr<FaultInjector> fault_;
+  std::unique_ptr<DmaEngine> dma_;
+  std::unique_ptr<NicDram> nic_dram_;
+  std::unique_ptr<LoadDispatcher> dispatcher_;
+  std::unique_ptr<NetworkModel> network_;
+  std::unique_ptr<KvProcessor> processor_;
   FrameEndpoint endpoint_;
   ResultBatches<PacketReply> packets_{
       [this](uint32_t batch) { AnswerPacket(batch); }};
@@ -128,11 +220,6 @@ class Client : public BatchClient {
     // 1 disables client-side batching entirely (Figure 15/17 ablation).
     uint32_t max_ops_per_packet = 0xffffffff;
   };
-
-  // packets_sent: distinct frames (first transmissions); retransmits:
-  // timeout-driven re-sends; busy_retries: ops re-sent after kBusy;
-  // corrupt_responses / duplicate_responses: dropped response frames.
-  using Stats = ReliableSender::Stats;
 
   explicit Client(KvDirectServer& server) : Client(server, Options()) {}
   Client(KvDirectServer& server, const Options& options)

@@ -6,11 +6,8 @@
 
 namespace kvd {
 
-MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config,
-                               Simulator* shared_sim)
-    : router_(num_nics),
-      owned_sim_(shared_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
-      sim_(shared_sim != nullptr ? *shared_sim : *owned_sim_) {
+MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config)
+    : router_(num_nics) {
   KVD_CHECK(num_nics >= 1);
   for (uint32_t i = 0; i < num_nics; i++) {
     nics_.push_back(std::make_unique<KvDirectServer>(
@@ -35,14 +32,6 @@ uint64_t MultiNicServer::TotalKvs() const {
   uint64_t total = 0;
   for (const auto& nic : nics_) {
     total += nic->index().num_kvs();
-  }
-  return total;
-}
-
-uint64_t MultiNicServer::TotalRetired() const {
-  uint64_t total = 0;
-  for (const auto& nic : nics_) {
-    total += nic->processor().stats().retired;
   }
   return total;
 }

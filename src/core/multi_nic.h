@@ -29,11 +29,8 @@ namespace kvd {
 class MultiNicServer {
  public:
   // `per_nic_config` applies to every NIC; kvs_memory_bytes is the size of
-  // each NIC's partition (total capacity = num_nics x partition). The server
-  // owns its simulator unless `shared_sim` puts the NICs on a clock shared
-  // with other subsystems (src/replica).
-  MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config,
-                 Simulator* shared_sim = nullptr);
+  // each NIC's partition (total capacity = num_nics x partition).
+  MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config);
 
   uint32_t num_nics() const { return static_cast<uint32_t>(nics_.size()); }
   KvDirectServer& nic(uint32_t i) { return *nics_[i]; }
@@ -48,7 +45,6 @@ class MultiNicServer {
 
   // Aggregate statistics.
   uint64_t TotalKvs() const;
-  uint64_t TotalRetired() const;
   // Cluster-wide submission->retirement latency distribution: every NIC's
   // histogram merged exactly (Merge sums per-bucket counts, so quantiles over
   // the merged histogram equal quantiles over the pooled samples).
@@ -56,8 +52,7 @@ class MultiNicServer {
 
  private:
   KeyRouter router_;
-  std::unique_ptr<Simulator> owned_sim_;
-  Simulator& sim_;
+  Simulator sim_;
   std::vector<std::unique_ptr<KvDirectServer>> nics_;
 };
 

@@ -32,10 +32,6 @@ bool LoadDispatcher::IsCacheable(uint64_t address) const {
       return false;
     case DispatchPolicy::kCacheAll:
       return true;
-    case DispatchPolicy::kFixedPartition:
-      // First `ratio` fraction of host memory lives permanently in NIC DRAM.
-      return static_cast<double>(address) <
-             config_.dispatch_ratio * static_cast<double>(config_.host_memory_bytes);
     case DispatchPolicy::kHybrid:
       return AddressLineHash(address) <= cacheable_threshold_;
   }
@@ -114,25 +110,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
     } else {
       dma_.Write(address, bytes, [this, index] { FinishRoute(index); }, op_trace);
     }
-    return;
-  }
-
-  if (config_.policy == DispatchPolicy::kFixedPartition) {
-    if (kind == AccessKind::kRead &&
-        dram_.CheckLineRead(address) == EccReadOutcome::kUncorrectable) {
-      // Uncorrectable ECC on the pinned copy: serve from host memory and
-      // refill the DRAM line from there.
-      stats_.ecc_demotions++;
-      const uint32_t index =
-          OpenRoute(kRouteEccDemotion, bytes, op_trace, std::move(done));
-      routes_[index].flight_message = "uncorrectable ECC; line demoted to host";
-      ReadAndFill(address, bytes, index);
-      return;
-    }
-    // Pinned data: always a DRAM hit, never a fill or writeback.
-    stats_.dram_hits++;
-    const uint32_t index = OpenRoute(kRouteCacheHit, bytes, op_trace, std::move(done));
-    dram_.Access(bytes, [this, index] { FinishRoute(index); }, op_trace);
     return;
   }
 

@@ -19,7 +19,6 @@
 //   kHybrid        — the paper's design, dispatch ratio l
 //   kPcieOnly      — baseline: all accesses to PCIe
 //   kCacheAll      — classic cache: every line cacheable (l = 1)
-//   kFixedPartition— first l fraction of memory pinned in DRAM, rest on PCIe
 #ifndef SRC_DRAM_LOAD_DISPATCHER_H_
 #define SRC_DRAM_LOAD_DISPATCHER_H_
 
@@ -42,7 +41,6 @@ enum class DispatchPolicy : uint8_t {
   kHybrid,
   kPcieOnly,
   kCacheAll,
-  kFixedPartition,
 };
 
 struct LoadDispatcherConfig {

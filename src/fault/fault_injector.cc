@@ -35,14 +35,6 @@ const char* FaultSiteName(FaultSite site) {
   return "unknown";
 }
 
-bool FaultPlan::AnyEnabled() const {
-  if (!schedule.empty()) {
-    return true;
-  }
-  return std::any_of(probability.begin(), probability.end(),
-                     [](double p) { return p > 0.0; });
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
   for (size_t site = 0; site < kNumFaultSites; site++) {
     KVD_CHECK_MSG(plan_.probability[site] >= 0.0 && plan_.probability[site] <= 1.0,

@@ -67,7 +67,6 @@ struct FaultPlan {
 
   double& at(FaultSite site) { return probability[static_cast<size_t>(site)]; }
   double at(FaultSite site) const { return probability[static_cast<size_t>(site)]; }
-  bool AnyEnabled() const;
 };
 
 struct FaultSiteStats {

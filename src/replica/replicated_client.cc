@@ -77,20 +77,20 @@ void GroupRouter::BackoffResend(const PacketPtr& packet, SimTime delay,
         tracer()->Span(handle, SpanKind::kBusyRetry, bounced_at, sim().Now(), detail);
       }
     }
-    sender().Resend(packet);
+    Resend(packet);
   });
 }
 
 void GroupRouter::Redirect(const PacketPtr& packet, uint32_t target,
                            uint64_t detail) {
-  sender().Retarget(packet, target);
+  Retarget(*packet, target);
   BackoffResend(packet, redirect_backoff_, detail);
 }
 
 void GroupRouter::OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
   Result<GroupResponse> decoded = DecodeGroupResponse(payload);
   if (!decoded.ok()) {
-    sender().NoteCorruptResponse();
+    NoteCorruptResponse();
     return;
   }
   const GroupResponse& response = decoded.value();

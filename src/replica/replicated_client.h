@@ -47,9 +47,8 @@ class GroupRouter : public BatchClient {
     SimTime redirect_backoff = 50 * kMicrosecond;
   };
 
-  // packets_sent / retransmits / corrupt_responses / duplicate_responses as
-  // in ReliableSender::Stats, plus the group-protocol bounces.
-  struct Stats : ReliableSender::Stats {
+  // The wire counters of KvEndpoint::Stats, plus the group-protocol bounces.
+  struct Stats : KvEndpoint::Stats {
     uint64_t redirects_followed = 0;  // kGroupRedirect bounces
     uint64_t stale_retries = 0;       // kGroupStaleRead bounces
   };

@@ -125,9 +125,9 @@ void ReplicationGroup::Settle() {
     return;
   }
   stale_replicas_ = false;
-  const NodeRuntime& source = replicas_[0]->server->runtime();
+  const KvDirectServer& source = *replicas_[0]->server;
   for (size_t id = 1; id < replicas_.size(); id++) {
-    NodeRuntime& target = replicas_[id]->server->runtime();
+    KvDirectServer& target = *replicas_[id]->server;
     // A write that reached a stale replica directly (through a replica(id)
     // reference taken before the first Load) would vanish under the clone.
     KVD_CHECK_MSG(target.index().num_kvs() == 0 &&

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "src/common/assert.h"
+#include "src/common/hashing.h"
 #include "src/net/wire_format.h"
 #include "src/transport/frame.h"
 
@@ -20,32 +20,14 @@ bool IsBusy(ResultCode code) {
 
 BatchClient::BatchClient(Simulator& sim, uint64_t sequence_base,
                          const Options& options, const RouterConfig& router,
-                         ReliableSender::Stats* stats)
+                         Stats* stats)
     : sim_(sim),
       options_(options),
       router_(router),
       stats_(*stats),
       next_sequence_(sequence_base),
-      sender_(sim,
-              ReliableSender::RetryPolicy{
-                  .timeout = options.timeout,
-                  .max_attempts = options.max_attempts,
-                  .backoff_shift_cap = router.backoff_shift_cap,
-                  .attempts_per_target = router.attempts_per_target,
-                  .num_targets = router.num_targets,
-                  // Sequence bases are unique per client, so each client
-                  // gets its own deterministic jitter stream.
-                  .jitter_seed = sequence_base,
-                  .retry_budget = options.retry_budget},
-              stats,
-              [this](const ReliableSender::PacketPtr& packet) {
-                auto p = std::static_pointer_cast<Packet>(packet);
-                TraceAttempt(*p);
-                Wire(p);
-              },
-              [this](const ReliableSender::PacketPtr& packet) {
-                OnFail(std::static_pointer_cast<Packet>(packet));
-              }) {
+      jitter_rng_(Mix64(sequence_base ^ 0x9e1bd5a7c3f0d24bULL)),
+      retry_tokens_(options.retry_budget) {
   KVD_CHECK_MSG(options.batch_payload_bytes >= kFrameHeaderBytes + router.header_bytes + 64,
                 "packet budget too small for the frame and request headers");
 }
@@ -129,7 +111,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
         packet->slots.push_back(members[next++]);
         packet->is_write = packet->is_write || IsWriteOpcode(op.opcode);
         // The packet dies with its most urgent op: past that point the
-        // sender stops retransmitting the whole frame.
+        // client stops retransmitting the whole frame.
         if (op.deadline != 0 && (packet->deadline == 0 || op.deadline < packet->deadline)) {
           packet->deadline = op.deadline;
         }
@@ -161,7 +143,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
       rt->RegisterPacket(packet->sequence, packet->traces);
     }
     stats_.packets_sent++;
-    sender_.Send(packet);
+    Transmit(packet);
   }
 }
 
@@ -170,6 +152,40 @@ void BatchClient::Reframe(Packet& packet) {
   KVD_CHECK(payload.size() == router_.header_bytes);
   payload.insert(payload.end(), packet.ops_payload.begin(), packet.ops_payload.end());
   packet.framed = FramePacket(packet.sequence, payload);
+}
+
+void BatchClient::Transmit(const PacketPtr& packet) {
+  packet->attempts++;
+  packet->attempts_at_target++;
+  TraceAttempt(*packet);
+  Wire(packet);
+  // A timer that fires after completion (or after a newer attempt took
+  // over) is a no-op.
+  const uint32_t seen = packet->attempts;
+  sim_.Schedule(BackoffDelay(*packet), [this, packet, seen] {
+    if (packet->completed || packet->attempts != seen) {
+      return;  // answered, or a bounce already re-sent it
+    }
+    if (GiveUp(packet)) {
+      return;
+    }
+    if (options_.retry_budget > 0) {
+      if (retry_tokens_ < 1.0) {
+        // Budget empty: the server (or network) is failing everything, so
+        // more retries are gasoline. Fail fast and let the caller decide.
+        stats_.budget_exhausted++;
+        Abandon(packet, ResultCode::kTimedOut);
+        return;
+      }
+      retry_tokens_ -= 1.0;
+    }
+    stats_.retransmits++;
+    if (router_.attempts_per_target > 0 &&
+        packet->attempts_at_target >= router_.attempts_per_target) {
+      Retarget(*packet, packet->target + 1);  // this replica may be crashed
+    }
+    Transmit(packet);
+  });
 }
 
 void BatchClient::TraceAttempt(const Packet& packet) {
@@ -187,13 +203,73 @@ void BatchClient::TraceAttempt(const Packet& packet) {
   }
 }
 
-bool BatchClient::Receive(const PacketPtr& packet, std::vector<uint8_t> bytes) {
-  std::optional<std::vector<uint8_t>> payload = sender_.AcceptResponse(packet, bytes);
-  if (!payload.has_value()) {
-    return false;  // duplicate, corrupt, or foreign frame — counted by the sender
+SimTime BatchClient::BackoffDelay(Packet& packet) {
+  const SimTime timeout = options_.timeout;
+  if (packet.attempts <= 1) {
+    // The first attempt's timer is exact, so fault-free timing never
+    // depends on the jitter stream.
+    packet.backoff = timeout;
+    return timeout;
   }
-  OnResponse(packet, std::move(*payload));
-  return packet->completed && !packet->failed;
+  // Decorrelated jitter: uniform[timeout, 3 * previous_wait), capped. Grows
+  // at least as fast as exponential backoff in expectation but desynchronizes
+  // retransmissions across packets and clients.
+  const SimTime cap = timeout << router_.backoff_shift_cap;
+  const SimTime prev = std::min(packet.backoff != 0 ? packet.backoff : timeout, cap);
+  const SimTime hi = prev > cap / 3 ? cap : prev * 3;
+  SimTime delay = timeout;
+  if (hi > timeout) {
+    delay += jitter_rng_.NextBelow(hi - timeout);
+  }
+  delay = std::min(delay, cap);
+  packet.backoff = delay;
+  return delay;
+}
+
+bool BatchClient::GiveUp(const PacketPtr& packet) {
+  if (packet->deadline != 0 && sim_.Now() >= packet->deadline) {
+    // Past the deadline nobody is waiting for this answer; re-sending would
+    // only feed the overload that delayed it.
+    stats_.deadline_failures++;
+    Abandon(packet, ResultCode::kDeadlineExceeded);
+    return true;
+  }
+  if (packet->attempts >= options_.max_attempts) {
+    Abandon(packet, ResultCode::kTimedOut);
+    return true;
+  }
+  return false;
+}
+
+void BatchClient::Resend(const PacketPtr& packet) {
+  if (!GiveUp(packet)) {
+    Transmit(packet);
+  }
+}
+
+void BatchClient::Retarget(Packet& packet, uint32_t target) {
+  packet.target = target % router_.num_targets;
+  packet.attempts_at_target = 0;
+}
+
+void BatchClient::Receive(const PacketPtr& packet, std::vector<uint8_t> bytes) {
+  if (packet->completed) {
+    stats_.duplicate_responses++;  // injected duplicate or late retransmit
+    return;
+  }
+  Result<Frame> frame = ParseFrame(bytes);
+  if (!frame.ok() || frame->sequence != packet->sequence) {
+    // Bit-flipped in flight (or a foreign frame): await the timer.
+    stats_.corrupt_responses++;
+    return;
+  }
+  if (options_.retry_budget > 0) {
+    // Successes refill the retry budget, so a healthy system keeps its full
+    // allowance and a failing one converges to the refill rate.
+    retry_tokens_ = std::min(static_cast<double>(options_.retry_budget),
+                             retry_tokens_ + kRetryRefillPerSuccess);
+  }
+  OnResponse(packet, std::move(frame->payload));
 }
 
 bool BatchClient::Complete(const PacketPtr& packet,
@@ -211,7 +287,7 @@ bool BatchClient::Complete(const PacketPtr& packet,
       results[slot] = (*decoded)[0];
     }
   } else {
-    sender_.NoteCorruptResponse();  // checksum-valid but inconsistent: re-ask
+    NoteCorruptResponse();  // checksum-valid but inconsistent: re-ask
     return false;
   }
   packet->completed = true;
@@ -228,34 +304,28 @@ bool BatchClient::Complete(const PacketPtr& packet,
   return true;
 }
 
+// Retransmission attempts exhausted (kTimedOut), the deadline passed, the
+// budget ran dry, or the router gave up: surface the code on every operation
+// in the packet and unblock the flush — callers get a status, not a dead
+// process.
 void BatchClient::Abandon(const PacketPtr& packet, ResultCode code) {
-  packet->fail_code = code;
-  packet->failed = true;
-  packet->completed = true;  // stops the retransmission timer
-  OnFail(packet);
-}
-
-void BatchClient::Repack(const PacketPtr& packet) {
-  packet->completed = true;  // stops the old frame's retransmission timer
-  Send(packet->flush, packet->slots);
-  PacketDone(packet->flush);
-}
-
-// The sender gave up on the packet: retransmission attempts exhausted
-// (kTimedOut) or its deadline passed / budget ran dry. Surface the fail code
-// on every operation in the packet and unblock the flush — callers get a
-// status, not a dead process.
-void BatchClient::OnFail(const PacketPtr& packet) {
+  packet->completed = true;  // late responses dedup instead of double-filling
   KvResultMessage failed;
-  failed.code = packet->fail_code;
+  failed.code = code;
   for (const size_t slot : packet->slots) {
     packet->flush->results[slot] = failed;
   }
   if (Tracer* rt = ActiveTracer()) {
     for (const uint64_t handle : packet->traces) {
-      rt->Finish(handle, packet->fail_code);
+      rt->Finish(handle, code);
     }
   }
+  PacketDone(packet->flush);
+}
+
+void BatchClient::Repack(const PacketPtr& packet) {
+  packet->completed = true;  // stops the old frame's retransmission timer
+  Send(packet->flush, packet->slots);
   PacketDone(packet->flush);
 }
 

@@ -8,10 +8,26 @@
 //   - greedy packing per bucket under the frame budget minus the frame and
 //     request headers, and the per-packet deadline fold;
 //   - request tracing (Start / RegisterPacket / Finish);
-//   - response admission through one ReliableSender, result decoding into
-//     the flush's slots (including the server's whole-packet
-//     kInvalidArgument reject), and retry-exhaustion failures;
+//   - the retry engine (below), response admission (dedup, checksum,
+//     sequence echo), result decoding into the flush's slots (including the
+//     server's whole-packet kInvalidArgument reject), and the failures that
+//     end a packet unanswered;
 //   - the kBusy/kOverloaded re-send rounds.
+//
+// Retry semantics, shared by every router:
+//   - the first transmission arms a timer at `timeout`, each retransmission
+//     a decorrelated-jitter delay capped at timeout << backoff_shift_cap;
+//   - a timer firing after completion, or after a newer attempt superseded
+//     it (a bounce already re-sent), is a no-op;
+//   - a timer firing on the live attempt counts one retransmit and re-sends;
+//     with rotation enabled (attempts_per_target > 0), attempts_per_target
+//     consecutive timeouts on one target move the packet to the next —
+//     that replica may be crashed;
+//   - the max_attempts'th timeout fails the packet with kTimedOut, a timer
+//     past the packet's deadline with kDeadlineExceeded, and an empty retry
+//     budget with kTimedOut, instead of re-sending. (Callers see a status,
+//     not a crashed process — the process outliving an unreachable server
+//     is the point.)
 //
 // A flush owns its operations once; packets carry only slot indices into it.
 // A router derives from the core and supplies what differs per topology
@@ -28,12 +44,12 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/net/kv_types.h"
 #include "src/obs/tracer.h"
 #include "src/sim/simulator.h"
 #include "src/transport/kv_endpoint.h"
-#include "src/transport/reliable_sender.h"
 
 namespace kvd {
 
@@ -50,11 +66,13 @@ class BatchClient : public KvEndpoint {
     uint32_t max_attempts = 8;
     // Per-op latency budget: each flushed op gets deadline = now + op_budget
     // (unless the caller stamped a tighter one), carried on the wire and
-    // enforced at every layer (sender retransmissions, server admission,
-    // dequeue, retirement). 0 = no deadlines.
+    // enforced at every layer (retransmissions, server admission, dequeue,
+    // retirement). 0 = no deadlines.
     SimTime op_budget = 0;
-    // Token-bucket retry budget (see ReliableSender::RetryPolicy); 0
-    // disables it.
+    // Token-bucket retry budget: retransmissions spend one token, successful
+    // responses refill kRetryRefillPerSuccess. During a 100%-failure storm
+    // the client converges to ~budget total retransmits instead of
+    // amplifying exponentially. 0 disables the budget.
     uint32_t retry_budget = 0;
   };
 
@@ -77,7 +95,7 @@ class BatchClient : public KvEndpoint {
   // without polling them all.
   void set_on_flush_done(std::function<void()> hook) { on_flush_done_ = std::move(hook); }
 
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
+  Stats endpoint_stats() const override { return stats_; }
   SimTime now() const override { return sim_.Now(); }
   bool Step() override { return sim_.Step(); }
 
@@ -104,22 +122,38 @@ class BatchClient : public KvEndpoint {
     uint32_t busy_round = 0;
   };
 
-  // Per-packet state. Shares the flush (late duplicate responses can land
-  // after TakeResults and must find live state, not a dead stack frame).
-  struct Packet : ReliablePacket {
+  // Per-packet routing and retry state. Shares the flush (late duplicate
+  // responses can land after TakeResults and must find live state, not a
+  // dead stack frame).
+  struct Packet {
     std::shared_ptr<FlushState> flush;
     std::vector<size_t> slots;         // flush op/result indices, packet order
     std::vector<uint8_t> ops_payload;  // PacketBuilder output, never rebuilt
-    uint32_t bucket = 0;               // BucketOf() of every op in the packet
-    uint32_t group = 0;                // destination replication group
+    std::vector<uint8_t> framed;       // full framed bytes, re-sent verbatim
+    std::vector<uint64_t> traces;      // per-op trace handles, packet order
+    uint64_t sequence = 0;
+    // Earliest absolute deadline across the packet's ops (0 = none). The
+    // client stops retransmitting once it passes — retrying work nobody
+    // will wait for is how overload turns into collapse.
+    SimTime deadline = 0;
+    // Previous backoff delay, for decorrelated jitter.
+    SimTime backoff = 0;
+    uint32_t bucket = 0;  // BucketOf() of every op in the packet
+    uint32_t group = 0;   // destination replication group
+    uint32_t target = 0;  // replica index (single-server: always 0)
+    uint32_t attempts = 0;
+    uint32_t attempts_at_target = 0;
     bool is_write = false;
+    // Answered or failed: timers and late responses find it done.
+    bool completed = false;
   };
   using PacketPtr = std::shared_ptr<Packet>;
 
-  // `stats` is the router's own (derived) stats struct; the core and its
-  // sender count into it.
+  // `stats` is the router's own (derived) stats struct; the core counts
+  // into it. Sequence bases are unique per client, so `sequence_base` also
+  // seeds the client's own deterministic retransmission-jitter stream.
   BatchClient(Simulator& sim, uint64_t sequence_base, const Options& options,
-              const RouterConfig& router, ReliableSender::Stats* stats);
+              const RouterConfig& router, Stats* stats);
 
   // --- router hooks ---
   // Packets never mix buckets.
@@ -139,15 +173,27 @@ class BatchClient : public KvEndpoint {
   virtual Tracer* tracer() { return nullptr; }
 
   // --- core services for routers ---
-  // Admits a framed response (dedup, checksum, sequence echo) and hands its
-  // payload to OnResponse. True when this delivery completed the packet.
-  bool Receive(const PacketPtr& packet, std::vector<uint8_t> bytes);
+  // Admits a framed response and hands its payload to OnResponse. Drops
+  // duplicates (a completed packet) and corrupt or foreign frames, counting
+  // them; the retransmission timer covers the latter.
+  void Receive(const PacketPtr& packet, std::vector<uint8_t> bytes);
   // Fills the packet's result slots from an EncodeResults payload. False
   // (counted as a corrupt response; the retransmission timer re-asks) when
   // the payload does not match the packet.
   bool Complete(const PacketPtr& packet, const std::vector<uint8_t>& results_payload);
-  // Fails the packet's operations with `code` (an ambiguous abort).
+  // Fails the packet's operations with `code` and stops its timer.
   void Abandon(const PacketPtr& packet, ResultCode code);
+  // Bounce-path re-send (the server said "not me"/"not yet": redirect, stale
+  // read, migrating): re-transmits without counting a retransmit — the wire
+  // worked; the target was wrong. A packet that bounces forever fails just
+  // like one that times out forever (deadline, then max_attempts).
+  void Resend(const PacketPtr& packet);
+  // Re-routes the packet (modulo num_targets) and resets its per-target
+  // timeout streak.
+  void Retarget(Packet& packet, uint32_t target);
+  // A decode failure after admission (the frame was intact but its payload
+  // was not): counted; the retransmission timer re-asks.
+  void NoteCorruptResponse() { stats_.corrupt_responses++; }
   // Retires the packet unanswered and re-sends its operations under the
   // current routing as fresh packets (new sequences).
   void Repack(const PacketPtr& packet);
@@ -156,13 +202,19 @@ class BatchClient : public KvEndpoint {
   void Reframe(Packet& packet);
 
   Simulator& sim() { return sim_; }
-  ReliableSender& sender() { return sender_; }
 
  private:
   // Packs flush->ops[slots] per bucket and transmits each packet.
   void Send(const std::shared_ptr<FlushState>& flush, const std::vector<size_t>& slots);
+  // One attempt: counts it, traces it, wires it, then arms its
+  // retransmission timer.
+  void Transmit(const PacketPtr& packet);
   void TraceAttempt(const Packet& packet);
-  void OnFail(const PacketPtr& packet);
+  // Backoff delay for the timer armed after the packet's latest attempt.
+  SimTime BackoffDelay(Packet& packet);
+  // Abandons a packet that may not be sent again: past its deadline
+  // (kDeadlineExceeded) or out of attempts (kTimedOut). True when it did.
+  bool GiveUp(const PacketPtr& packet);
   void PacketDone(const std::shared_ptr<FlushState>& flush);
   // All of a round's packets are answered: re-send its busy operations.
   void EndBusyRound(const std::shared_ptr<FlushState>& flush);
@@ -171,12 +223,20 @@ class BatchClient : public KvEndpoint {
   Simulator& sim_;
   Options options_;
   RouterConfig router_;
-  ReliableSender::Stats& stats_;
+  Stats& stats_;
   uint64_t next_sequence_;
   std::vector<KvOperation> pending_;
   std::shared_ptr<FlushState> flush_;
   std::function<void()> on_flush_done_;
-  ReliableSender sender_;
+  // Decorrelated retransmission jitter: each retry waits uniform[timeout,
+  // 3 * previous_wait), capped at timeout << backoff_shift_cap. Deterministic
+  // backoff retransmits every client in lockstep — a built-in thundering
+  // herd; jitter spreads the herd while staying same-seed reproducible. The
+  // first attempt's timer is always exactly `timeout`, so fault-free timing
+  // does not depend on the stream.
+  Rng jitter_rng_;
+  double retry_tokens_;  // remaining retry budget (unused when disabled)
+  static constexpr double kRetryRefillPerSuccess = 0.1;
 };
 
 }  // namespace kvd

@@ -24,12 +24,25 @@
 #include "src/common/status.h"
 #include "src/net/kv_types.h"
 #include "src/sim/simulator.h"
-#include "src/transport/reliable_sender.h"
 
 namespace kvd {
 
 class KvEndpoint {
  public:
+  // Wire-level counters, owned by the client (stable address, readable
+  // through its stats()).
+  struct Stats {
+    uint64_t packets_sent = 0;  // distinct frames (first transmissions)
+    uint64_t retransmits = 0;   // timeout-driven re-sends
+    uint64_t busy_retries = 0;  // ops re-sent after kBusy/kOverloaded
+    // Response frames dropped: bit-flipped, foreign or inconsistent
+    // (corrupt), or for an already-completed packet (duplicate).
+    uint64_t corrupt_responses = 0;
+    uint64_t duplicate_responses = 0;
+    uint64_t deadline_failures = 0;  // packets abandoned past their deadline
+    uint64_t budget_exhausted = 0;   // retransmits suppressed by the budget
+  };
+
   virtual ~KvEndpoint() = default;
 
   // Queues one operation; returns its slot in the next Flush()'s results.
@@ -39,9 +52,8 @@ class KvEndpoint {
   // has a result (in Enqueue order).
   virtual std::vector<KvResultMessage> Flush() = 0;
 
-  // Wire-level counters (retransmits, corrupt/duplicate responses, ...);
-  // sharded endpoints sum across their per-shard clients.
-  virtual ReliableSender::Stats endpoint_stats() const = 0;
+  // Wire-level counters (retransmits, corrupt/duplicate responses, ...).
+  virtual Stats endpoint_stats() const = 0;
 
   // Simulated clock, for latency measurement around Enqueue/Flush.
   virtual SimTime now() const = 0;

@@ -2,8 +2,8 @@
 // partition's state over a lossy, rate-paced link.
 //
 // Two owners use it: replica state transfer (src/replica) and live shard
-// migration (src/cluster). Like ReliableSender, the stream owns the protocol
-// and the owner supplies what differs through hooks:
+// migration (src/cluster). The stream owns the protocol and the owner
+// supplies what differs through hooks:
 //
 //   wire     — (sender) puts one pre-framed chunk on the wire toward the
 //              receiver and arranges for the receiving owner to see it.

@@ -38,11 +38,6 @@ struct WorkloadConfig {
     config.get_ratio = 0.95;
     return config;
   }
-  static WorkloadConfig YcsbC() {
-    WorkloadConfig config;
-    config.get_ratio = 1.0;
-    return config;
-  }
 };
 
 class YcsbWorkload {

@@ -350,8 +350,7 @@ TEST_P(DispatchPolicySweepTest, PolicyDoesNotChangeResults) {
 INSTANTIATE_TEST_SUITE_P(Policies, DispatchPolicySweepTest,
                          ::testing::Values(DispatchPolicy::kHybrid,
                                            DispatchPolicy::kPcieOnly,
-                                           DispatchPolicy::kCacheAll,
-                                           DispatchPolicy::kFixedPartition));
+                                           DispatchPolicy::kCacheAll));
 
 // Element widths 1..8 through the full update/reduce/filter surface.
 class ElementWidthSweepTest : public ::testing::TestWithParam<int> {};

@@ -132,22 +132,6 @@ TEST(LoadDispatcherTest, UncorrectableEccOnDirtyCachedLineDemotesWithoutWritebac
   EXPECT_EQ(dispatcher.stats().writebacks, 0u);
 }
 
-TEST(LoadDispatcherTest, FixedPartitionAlwaysHitsInPinnedRange) {
-  Rig rig;
-  LoadDispatcherConfig config;
-  config.policy = DispatchPolicy::kFixedPartition;
-  config.dispatch_ratio = 0.25;
-  config.host_memory_bytes = 1 * kGiB;
-  LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
-  // Addresses below 256 MiB are pinned; above go to PCIe.
-  dispatcher.Access(AccessKind::kRead, 1 * kMiB, 64, [] {});
-  dispatcher.Access(AccessKind::kRead, 512 * kMiB, 64, [] {});
-  rig.sim.RunUntilIdle();
-  EXPECT_EQ(dispatcher.stats().dram_hits, 1u);
-  EXPECT_EQ(dispatcher.stats().pcie_accesses, 1u);
-  EXPECT_EQ(dispatcher.stats().dram_misses, 0u);
-}
-
 TEST(LoadDispatcherTest, MultiLineAccessIsOneDispatch) {
   Rig rig;
   LoadDispatcherConfig config;

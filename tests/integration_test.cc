@@ -193,8 +193,8 @@ TEST(PreloadTest, MatchesThePlainLoadLoop) {
     EXPECT_EQ(preloaded.index().num_kvs(), looped.index().num_kvs());
     EXPECT_EQ(preloaded.index().stats(), looped.index().stats());
     EXPECT_EQ(preloaded.memory_stats(), looped.memory_stats());
-    const HostMemory& a = preloaded.runtime().memory();
-    const HostMemory& b = looped.runtime().memory();
+    const HostMemory& a = preloaded.memory();
+    const HostMemory& b = looped.memory();
     EXPECT_TRUE(std::ranges::equal(a.Span(0, a.size()), b.Span(0, b.size())));
   }
 }

@@ -155,7 +155,7 @@ TEST(MultiNicTest, SummedStatsIncludeDeadlineFailures) {
   for (const KvResultMessage& result : client.Flush()) {
     EXPECT_EQ(result.code, ResultCode::kDeadlineExceeded);
   }
-  const ReliableSender::Stats stats = client.endpoint_stats();
+  const KvEndpoint::Stats stats = client.endpoint_stats();
   EXPECT_EQ(stats.packets_sent, 4u);  // one packet per NIC
   EXPECT_EQ(stats.deadline_failures, stats.packets_sent);
   EXPECT_GT(stats.retransmits, 0u);

@@ -1226,7 +1226,7 @@ TEST(GroupPreloadTest, ClonedReplicasEqualReplicaByReplicaLoads) {
     SCOPED_TRACE(testing::Message() << "replica " << r);
     KvDirectServer& a = cloned.replica(r);
     KvDirectServer& b = reference.replica(r);
-    EXPECT_TRUE(SameBytes(a.runtime().memory(), b.runtime().memory())) << "store arena";
+    EXPECT_TRUE(SameBytes(a.memory(), b.memory())) << "store arena";
     EXPECT_TRUE(SameBytes(a.allocator().daemon().stack_arena(),
                           b.allocator().daemon().stack_arena()))
         << "daemon stack arena";
@@ -1395,19 +1395,6 @@ TEST(GroupPreloadTest, FullGroupRefusesAtTheSameKeyAsReplicaByReplica) {
 // Sharded + replicated clusters moved to the control plane in src/cluster
 // (ClusterCoordinator + ClusterClient); their coverage lives in
 // tests/cluster_test.cc.
-
-TEST(MultiNicSharedSimTest, ShardsAcceptAnExternalClock) {
-  Simulator sim;
-  ServerConfig config;
-  config.kvs_memory_bytes = 8 * kMiB;
-  config.nic_dram.capacity_bytes = 1 * kMiB;
-  MultiNicServer multi(2, config, &sim);
-  EXPECT_EQ(&multi.nic(0).simulator(), &sim);
-  EXPECT_EQ(&multi.nic(1).simulator(), &sim);
-  ASSERT_TRUE(multi.Load(Key(1), U64Value(9)).ok());
-  KvResultMessage r = multi.Execute(Get(1));
-  EXPECT_EQ(r.code, ResultCode::kOk);
-}
 
 }  // namespace
 }  // namespace kvd

@@ -1,8 +1,9 @@
 // The transport layer in isolation and end to end: the frame codec, the
 // replay cache (pinning, bounded eviction scan, in-flight drop), the
 // FrameEndpoint receive half, fatal-path timeouts surfaced as kTimedOut
-// instead of process aborts, and the disjoint per-client sequence spaces that
-// keep one shared replay cache collision-free across clients.
+// instead of process aborts (a packet bouncing forever included), and the
+// disjoint per-client sequence spaces that keep one shared replay cache
+// collision-free across clients.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -490,6 +491,59 @@ TEST(TimeoutTest, ClusterClientSurfacesTimedOutWhenEveryFrameIsDropped) {
   Result<std::vector<uint8_t>> value = client.Get(Key(1));
   ASSERT_FALSE(value.ok());
   EXPECT_EQ(value.status().code(), StatusCode::kTimedOut);
+}
+
+// A packet that bounces forever gives up like one that times out forever:
+// the key's owning group answers every attempt with kMigrating, each bounce
+// re-sends before the retransmission timer fires, and the attempt cap (or
+// the op's deadline) still ends the Put.
+TEST(TimeoutTest, ClusterClientGivesUpOnAPacketThatBouncesForever) {
+  for (const bool with_deadline : {false, true}) {
+    SCOPED_TRACE(with_deadline ? "op_budget" : "max_attempts");
+    ClusterConfig config;
+    config.num_groups = 2;
+    config.num_partitions = 4;
+    config.group.num_replicas = 3;
+    config.group.server.kvs_memory_bytes = 8 * kMiB;
+    config.group.server.nic_dram.capacity_bytes = 1 * kMiB;
+    ClusterCoordinator cluster(config);
+    const ShardMap& map = cluster.shard_map();
+    const uint32_t owner = map.OwnerOf(map.router().PartitionOf(Key(1)));
+    cluster.group(owner).SetShardGate([&map, owner](uint64_t, uint32_t, bool) {
+      ReplicationGroup::ShardGateDecision decision;
+      decision.action = ReplicationGroup::ShardGateDecision::Action::kMigrating;
+      decision.map_epoch = map.epoch;
+      decision.owner_group = owner;
+      decision.num_partitions = map.num_partitions();
+      return decision;
+    });
+
+    ClusterClient::Options options;
+    options.max_attempts = 4;  // 4 bounces take ~4 x migrate_backoff
+    if (with_deadline) {
+      options.max_attempts = 24;
+      options.op_budget = 3 * options.migrate_backoff;  // shorter than the train
+    }
+    ClusterClient client(cluster, options);
+    KvOperation put;
+    put.opcode = Opcode::kPut;
+    put.key = Key(1);
+    put.value = U64Value(1);
+    client.Enqueue(std::move(put));
+    const std::vector<KvResultMessage> results = client.Flush();
+    ASSERT_EQ(results.size(), 1u);
+    if (with_deadline) {
+      EXPECT_EQ(results[0].code, ResultCode::kDeadlineExceeded);
+      EXPECT_GE(client.endpoint_stats().deadline_failures, 1u);
+    } else {
+      EXPECT_EQ(results[0].code, ResultCode::kTimedOut);
+      EXPECT_EQ(client.stats().migrating_backoffs, options.max_attempts);
+      EXPECT_EQ(client.endpoint_stats().deadline_failures, 0u);
+    }
+    // Every attempt was answered: bounces are not retransmits.
+    EXPECT_EQ(client.endpoint_stats().retransmits, 0u);
+    EXPECT_EQ(client.endpoint_stats().packets_sent, 1u);
+  }
 }
 
 // --- cross-client sequence spaces over the shared replay cache ---
