@@ -41,7 +41,6 @@ Rates Measure(DispatchPolicy policy, double dispatch_ratio, bool long_tail,
   LoadDispatcherConfig config;
   config.policy = policy;
   config.dispatch_ratio = dispatch_ratio;
-  config.host_memory_bytes = kHostMemory;
   LoadDispatcher dispatcher(sim, dma, dram, config);
 
   Rng rng(11);

@@ -24,6 +24,9 @@
 #      built into their owner's tracer, not re-pointed at it); and each end
 #      of the wire is one class (the "one class per wire end" guard:
 #      BatchClient owns its retry engine, KvDirectServer its node stack);
+#      and each node has one wire end (the "one wire end per node" guard:
+#      a replica answers its clients through its own KvDirectServer's
+#      FrameEndpoint, and no liveness guard stands in for clock ownership);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -185,6 +188,21 @@ ends=$(grep -rnE 'ReliableSender|ReliablePacket|RetryPolicy|NodeRuntime' \
 if [[ -n "${ends}" ]]; then
   echo "one class per wire end: split client or server layer found:" >&2
   echo "${ends}" >&2
+  exit 1
+fi
+
+# One wire end per node: a replica's client frames terminate at its own
+# KvDirectServer's FrameEndpoint, so only src/transport and the node
+# (src/core/kv_direct.{h,cc}) name FrameEndpoint; a group building a second
+# endpoint beside its replica's comes back as a hit. Every node on a shared
+# clock belongs to the clock's owner, so no `liveness_` flag guards its
+# scheduled events either.
+wireends=$({ grep -rnE 'FrameEndpoint' src --include='*.h' --include='*.cc' \
+               | grep -vE '^src/(transport/|core/kv_direct\.(h|cc):)'
+             grep -rn 'liveness_' src; } || true)
+if [[ -n "${wireends}" ]]; then
+  echo "one wire end per node: a second server endpoint or a liveness guard found:" >&2
+  echo "${wireends}" >&2
   exit 1
 fi
 

@@ -4,14 +4,14 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 #include "src/common/assert.h"
 
 namespace kvd {
-namespace {
 
 void AppendHex(std::string& out, const std::vector<uint8_t>& bytes,
-               size_t max_bytes = 16) {
+               size_t max_bytes) {
   static const char kHex[] = "0123456789abcdef";
   const size_t n = std::min(bytes.size(), max_bytes);
   for (size_t i = 0; i < n; i++) {
@@ -32,7 +32,13 @@ void Appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
-}  // namespace
+uint64_t ReadU64(const std::vector<uint8_t>& v) {
+  uint64_t x = 0;
+  if (!v.empty()) {
+    std::memcpy(&x, v.data(), std::min<size_t>(8, v.size()));
+  }
+  return x;
+}
 
 std::string HistoryOp::ToString() const {
   std::string out;

@@ -118,6 +118,15 @@ class RecordingEndpoint : public KvEndpoint {
   std::vector<size_t> pending_;  // recorder handles of the queued ops
 };
 
+// Report helpers shared by the check module.
+// Appends printf-formatted text, at most 255 bytes per call.
+void Appendf(std::string& out, const char* fmt, ...);
+// Appends the first `max_bytes` bytes as lowercase hex, then ".." if cut.
+void AppendHex(std::string& out, const std::vector<uint8_t>& bytes,
+               size_t max_bytes = 16);
+// The first (up to) 8 bytes as a little-endian u64; 0 when empty.
+uint64_t ReadU64(const std::vector<uint8_t>& v);
+
 }  // namespace kvd
 
 #endif  // SRC_CHECK_HISTORY_H_

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -12,28 +10,6 @@
 
 namespace kvd {
 namespace {
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-void AppendHex(std::string& out, const std::vector<uint8_t>& bytes,
-               size_t max_bytes = 16) {
-  static const char kHex[] = "0123456789abcdef";
-  const size_t n = std::min(bytes.size(), max_bytes);
-  for (size_t i = 0; i < n; i++) {
-    out.push_back(kHex[bytes[i] >> 4]);
-    out.push_back(kHex[bytes[i] & 0xf]);
-  }
-  if (bytes.size() > max_bytes) {
-    out += "..";
-  }
-}
 
 enum class OpKind : uint8_t { kGet, kPut, kDelete, kAdd };
 
@@ -54,14 +30,6 @@ struct KeyOp {
 
 // The model: one register of bytes, present or absent.
 using State = std::optional<std::vector<uint8_t>>;
-
-uint64_t ReadU64(const std::vector<uint8_t>& v) {
-  uint64_t x = 0;
-  if (!v.empty()) {
-    std::memcpy(&x, v.data(), std::min<size_t>(8, v.size()));
-  }
-  return x;
-}
 
 void WriteU64(std::vector<uint8_t>& v, uint64_t x) {
   if (!v.empty()) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -15,15 +13,6 @@
 
 namespace kvd {
 namespace {
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 std::vector<uint8_t> KeyBytes(uint64_t id) {
   std::vector<uint8_t> key(8);

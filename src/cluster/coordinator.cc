@@ -44,8 +44,6 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
   RegisterPartitionGauges(0, config_.num_partitions);
 }
 
-ClusterCoordinator::~ClusterCoordinator() { *liveness_ = false; }
-
 void ClusterCoordinator::WireGroup(uint32_t index) {
   ReplicationGroup& group = *groups_[index];
   group.SetShardGate([this, index](uint64_t client_map_epoch,
@@ -206,14 +204,11 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
                   {{"partition", partition}, {"from", from}, {"to", to_group}});
   InstallSnapshot();
   ArmRetransmitTimer();
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval,
-                  [this, alive, round] {
-                    if (*alive && migration_.active &&
-                        migration_.round == round) {
-                      PollMigration();
-                    }
-                  });
+  sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval, [this, round] {
+    if (migration_.active && migration_.round == round) {
+      PollMigration();
+    }
+  });
   return Status::Ok();
 }
 
@@ -263,17 +258,14 @@ void ClusterCoordinator::InstallSnapshot() {
 
 void ClusterCoordinator::WireCopyChunk(const std::vector<uint8_t>& framed) {
   const uint64_t round = migration_.round;
-  std::shared_ptr<bool> alive = liveness_;
   std::vector<uint64_t> traces;
   if (migration_.trace != 0) {
     traces.push_back(migration_.trace);
   }
   migration_net_->SendPayloadToServer(
       framed,
-      [this, alive, round](std::vector<uint8_t> packet) {
-        if (*alive) {
-          OnCopyChunkArrive(round, std::move(packet));
-        }
+      [this, round](std::vector<uint8_t> packet) {
+        OnCopyChunkArrive(round, std::move(packet));
       },
       traces, SpanKind::kNetWire);
 }
@@ -320,11 +312,10 @@ void ClusterCoordinator::OnCopyChunkArrive(uint64_t round,
     return true;
   });
   // The ack direction rides the same fallible wire.
-  std::shared_ptr<bool> alive = liveness_;
   migration_net_->SendPayloadToClient(
       SnapshotStream::FrameAck(++next_copy_sequence_, installed),
-      [this, alive, round](std::vector<uint8_t> ack) {
-        if (*alive && CopyLive(round)) {
+      [this, round](std::vector<uint8_t> ack) {
+        if (CopyLive(round)) {
           copy_out_.OnAckFrame(ack);
         }
       });
@@ -332,10 +323,9 @@ void ClusterCoordinator::OnCopyChunkArrive(uint64_t round,
 
 void ClusterCoordinator::ArmRetransmitTimer() {
   const uint64_t round = migration_.round;
-  std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(
-      sim_.Now() + config_.copy_retransmit_timeout, [this, alive, round] {
-        if (!*alive || !CopyLive(round)) {
+      sim_.Now() + config_.copy_retransmit_timeout, [this, round] {
+        if (!CopyLive(round)) {
           return;
         }
         if (copy_out_.CheckProgress() && migration_.trace != 0) {
@@ -383,14 +373,11 @@ void ClusterCoordinator::PollMigration() {
       break;
   }
   const uint64_t round = m.round;
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval,
-                  [this, alive, round] {
-                    if (*alive && migration_.active &&
-                        migration_.round == round) {
-                      PollMigration();
-                    }
-                  });
+  sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval, [this, round] {
+    if (migration_.active && migration_.round == round) {
+      PollMigration();
+    }
+  });
 }
 
 void ClusterCoordinator::OnCommitted(uint32_t group, const LogEntry& entry) {

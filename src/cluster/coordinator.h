@@ -99,7 +99,6 @@ struct ClusterConfig {
 class ClusterCoordinator {
  public:
   explicit ClusterCoordinator(const ClusterConfig& config);
-  ~ClusterCoordinator();
 
   ClusterCoordinator(const ClusterCoordinator&) = delete;
   ClusterCoordinator& operator=(const ClusterCoordinator&) = delete;
@@ -250,7 +249,6 @@ class ClusterCoordinator {
                            }};
   SnapshotStream::Receiver copy_in_{&stats_.copy_stream};
   LatencyHistogram migration_ns_;
-  std::shared_ptr<bool> liveness_ = std::make_shared<bool>(true);
 };
 
 }  // namespace kvd

@@ -44,18 +44,6 @@ enum class OpClass : uint8_t {
 
 inline constexpr size_t kNumOpClasses = 3;
 
-constexpr const char* OpClassName(OpClass cls) {
-  switch (cls) {
-    case OpClass::kControl:
-      return "control";
-    case OpClass::kRead:
-      return "read";
-    case OpClass::kWrite:
-      return "write";
-  }
-  return "unknown_class";
-}
-
 // Default classification for client traffic: reads vs writes by opcode.
 constexpr OpClass ClassifyOpcode(Opcode opcode) {
   return IsWriteOpcode(opcode) ? OpClass::kWrite : OpClass::kRead;

@@ -5,9 +5,25 @@
 #include <utility>
 
 namespace kvd {
+namespace {
+
+// The load dispatch ratio from the paper's balance condition (§3.3.4) for
+// this node's PCIe links and NIC DRAM; `corpus_keys` matters only for a
+// long-tail workload.
+double BalancedDispatchRatio(const ServerConfig& config, bool long_tail,
+                             double corpus_keys) {
+  const double k = static_cast<double>(config.nic_dram.capacity_bytes) /
+                   static_cast<double>(config.kvs_memory_bytes);
+  const double pcie_tput = config.pcie.link.bandwidth_bytes_per_sec *
+                           config.pcie.num_links * 0.84;  // achievable
+  return LoadDispatcher::OptimalDispatchRatio(
+      pcie_tput, config.nic_dram.bandwidth_bytes_per_sec, std::min(k, 1.0),
+      long_tail, corpus_keys);
+}
+
+}  // namespace
 
 void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
-  long_tail_workload = long_tail;
   constexpr double kSlotPacking = 0.7;  // usable fraction of hash slots
   if (kv_bytes <= kMaxInlineKvBytes) {
     // Inline everything of this size: the corpus lives in the hash index, so
@@ -24,13 +40,8 @@ void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
         static_cast<double>(std::bit_ceil(kv_bytes + HashIndex::kSlabHeaderBytes));
     hash_index_ratio = index_per_kv / (index_per_kv + slab_per_kv);
   }
-  // Load dispatch ratio from the paper's balance condition (§3.3.4).
-  const double k = static_cast<double>(nic_dram.capacity_bytes) /
-                   static_cast<double>(kvs_memory_bytes);
-  const double pcie_tput =
-      pcie.link.bandwidth_bytes_per_sec * pcie.num_links * 0.84;  // achievable
-  dispatch_ratio = LoadDispatcher::OptimalDispatchRatio(
-      pcie_tput, nic_dram.bandwidth_bytes_per_sec, std::min(k, 1.0), long_tail,
+  dispatch_ratio = BalancedDispatchRatio(
+      *this, long_tail,
       static_cast<double>(kvs_memory_bytes) / std::max<uint32_t>(kv_bytes, 1));
 }
 
@@ -73,16 +84,10 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
 
   LoadDispatcherConfig dispatch_config;
   dispatch_config.policy = config.dispatch_policy;
-  dispatch_config.host_memory_bytes = config.kvs_memory_bytes;
-  if (config.dispatch_ratio >= 0) {
-    dispatch_config.dispatch_ratio = config.dispatch_ratio;
-  } else {
-    const double k = std::min(1.0, static_cast<double>(config.nic_dram.capacity_bytes) /
-                                       static_cast<double>(config.kvs_memory_bytes));
-    dispatch_config.dispatch_ratio = LoadDispatcher::OptimalDispatchRatio(
-        config.pcie.link.bandwidth_bytes_per_sec * config.pcie.num_links * 0.84,
-        config.nic_dram.bandwidth_bytes_per_sec, k, config.long_tail_workload);
-  }
+  dispatch_config.dispatch_ratio =
+      config.dispatch_ratio >= 0
+          ? config.dispatch_ratio
+          : BalancedDispatchRatio(config, /*long_tail=*/false, /*corpus_keys=*/0);
   dispatcher_ = std::make_unique<LoadDispatcher>(sim_, *dma_, *nic_dram_,
                                                  dispatch_config);
 
@@ -162,22 +167,15 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   }
   const uint64_t sequence = frame->sequence;
   endpoint_.Admit(sequence);
-  PacketParser parser(std::move(frame->payload));
-  std::vector<KvOperation> ops;
-  while (true) {
-    Result<std::optional<KvOperation>> next = parser.Next();
-    if (!next.ok()) {
-      // Malformed packet: respond with a single error result.
-      KvResultMessage error;
-      error.code = ResultCode::kInvalidArgument;
-      respond(endpoint_.Complete(sequence, EncodeResults({error}), /*cache=*/true));
-      return;
-    }
-    if (!next->has_value()) {
-      break;
-    }
-    ops.push_back(std::move(**next));
+  Result<std::vector<KvOperation>> decoded = DecodeOps(std::move(frame->payload));
+  if (!decoded.ok()) {
+    // Malformed packet: respond with a single error result.
+    KvResultMessage error;
+    error.code = ResultCode::kInvalidArgument;
+    respond(endpoint_.Complete(sequence, EncodeResults({error}), /*cache=*/true));
+    return;
   }
+  std::vector<KvOperation>& ops = *decoded;
   if (ops.empty()) {
     respond(endpoint_.Complete(sequence, {}, /*cache=*/true));
     return;

@@ -10,7 +10,7 @@
 //     flight recorder), in front of one FrameEndpoint (src/transport) that
 //     terminates framed requests (checksum, replay dedup). MultiNicServer
 //     NICs and ReplicationGroup replicas are KvDirectServers on a shared
-//     simulator.
+//     simulator; a replica's client frames terminate at its own endpoint.
 //   - Client is the matching single-server router over the batching client
 //     core (src/transport/batch_client.h), which owns client-side
 //     retransmission: single synchronous operations for convenience, and
@@ -58,9 +58,9 @@ struct ServerConfig {
   DmaEngineConfig pcie;
   NicDramConfig nic_dram;
   DispatchPolicy dispatch_policy = DispatchPolicy::kHybrid;
-  // < 0 selects the analytically optimal ratio for the workload skew.
+  // < 0 selects the analytically optimal ratio for a uniform workload;
+  // AutoTune sets it for the workload's skew.
   double dispatch_ratio = -1.0;
-  bool long_tail_workload = false;
 
   NetworkConfig network;
   KvProcessorConfig processor;
@@ -144,6 +144,9 @@ class KvDirectServer {
   uint64_t replayed_responses() const { return endpoint_.stats().replayed_responses; }
   uint64_t corrupt_frames() const { return endpoint_.stats().corrupt_frames; }
   uint64_t stale_retransmits() const { return endpoint_.stats().stale_retransmits; }
+  // The node's wire end. A replication group answers its replica's client
+  // frames through it, so each node counts its own replays once.
+  FrameEndpoint& endpoint() { return endpoint_; }
   // Hands each client a disjoint 2^40-sequence space so frames from
   // different clients never collide in the replay cache.
   uint64_t AcquireClientSequenceBase() { return ++next_client_id_ << 40; }

@@ -34,9 +34,6 @@ class UpdateFunctionRegistry {
   void RegisterFunction(uint16_t id, ElementFunction fn);
   void RegisterPredicate(uint16_t id, ElementPredicate fn);
 
-  bool HasFunction(uint16_t id) const { return functions_.contains(id); }
-  bool HasPredicate(uint16_t id) const { return predicates_.contains(id); }
-
   // Applies λ to a single element in place; returns the original element.
   Result<uint64_t> ApplyScalar(uint16_t id, std::span<uint8_t> value,
                                uint64_t param, uint8_t element_width) const;

@@ -12,7 +12,6 @@ namespace kvd {
 LoadDispatcher::LoadDispatcher(Simulator& sim, DmaEngine& dma, NicDram& dram,
                                const LoadDispatcherConfig& config)
     : sim_(sim), dma_(dma), dram_(dram), config_(config) {
-  KVD_CHECK_MSG(config.host_memory_bytes > 0, "host_memory_bytes required");
   KVD_CHECK(config.dispatch_ratio >= 0.0 && config.dispatch_ratio <= 1.0);
   double ratio = config.dispatch_ratio;
   if (config.policy == DispatchPolicy::kCacheAll) {

@@ -45,8 +45,7 @@ enum class DispatchPolicy : uint8_t {
 
 struct LoadDispatcherConfig {
   DispatchPolicy policy = DispatchPolicy::kHybrid;
-  double dispatch_ratio = 0.5;       // l: fraction of host memory cacheable
-  uint64_t host_memory_bytes = 0;    // required; cache indexing is derived
+  double dispatch_ratio = 0.5;  // l: fraction of host memory cacheable
 };
 
 struct DispatchStats {

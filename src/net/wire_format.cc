@@ -223,6 +223,21 @@ Result<std::optional<KvOperation>> PacketParser::Next() {
   return std::optional<KvOperation>(std::move(op));
 }
 
+Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload) {
+  PacketParser parser(std::move(payload));
+  std::vector<KvOperation> ops;
+  while (true) {
+    Result<std::optional<KvOperation>> next = parser.Next();
+    if (!next.ok()) {
+      return next.status();
+    }
+    if (!next->has_value()) {
+      return ops;
+    }
+    ops.push_back(std::move(**next));
+  }
+}
+
 std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results) {
   std::vector<uint8_t> out;
   for (const KvResultMessage& result : results) {

@@ -84,6 +84,10 @@ class PacketParser {
   std::vector<uint8_t> prev_value_;
 };
 
+// Decodes a whole request packet (possibly empty); malformed input yields an
+// error status.
+Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload);
+
 // Response packet: a sequence of results mirroring the request order.
 // Layout per result:
 //   u8 code | u32 epoch | u32 value_len | u64 scalar | value bytes.

@@ -60,9 +60,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
     rep->repl_net->SetTracer(&tracer_);
-    rep->endpoint = std::make_unique<FrameEndpoint>(
-        sim_, ReplayCache::Config{config_.server.replay_cache_entries,
-                                  config_.server.replay_retain_time});
     rep->snapshot_in.stats = &stats_.snapshot_stream;
     rep->snapshot_out.resize(config_.num_replicas);
     for (uint32_t peer = 0; peer < config_.num_replicas; peer++) {
@@ -83,15 +80,8 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   RegisterMetrics();
   fault_->RegisterMetrics(metrics_);
 
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this, alive] {
-    if (*alive) {
-      Tick();
-    }
-  });
+  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this] { Tick(); });
 }
-
-ReplicationGroup::~ReplicationGroup() { *liveness_ = false; }
 
 NetworkModel& ReplicationGroup::client_network(uint32_t replica_id) {
   return replicas_[replica_id]->server->network();
@@ -298,14 +288,17 @@ void ReplicationGroup::DeliverClientFrame(
   if (rep.crashed) {
     return;  // the client's retransmission timer covers it
   }
-  std::optional<Frame> frame = rep.endpoint->Accept(packet, respond);
+  std::optional<Frame> frame = rep.server->endpoint().Accept(packet, respond);
   if (!frame.has_value()) {
     return;  // corrupt (dropped), replayed (answered), or still in flight
   }
   const uint64_t sequence = frame->sequence;
   Result<GroupRequest> request = DecodeGroupRequest(frame->payload);
-  if (!request.ok()) {
-    AdmitReplay(rep, sequence);
+  Result<std::vector<KvOperation>> ops =
+      request.ok() ? DecodeOps(std::move(request->ops_payload)) : request.status();
+  if (!ops.ok() || ops->empty()) {
+    // A bad header, malformed ops, or no ops at all.
+    rep.server->endpoint().Admit(sequence);
     KvResultMessage err;
     err.code = ResultCode::kInvalidArgument;
     err.epoch = static_cast<uint32_t>(rep.current_epoch);
@@ -316,40 +309,12 @@ void ReplicationGroup::DeliverClientFrame(
     FinishResponse(rep, sequence, std::move(bad), respond, true);
     return;
   }
-  HandleClientRequest(rep, sequence, std::move(request.value()),
-                      std::move(respond));
+  HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(respond));
 }
 
 void ReplicationGroup::HandleClientRequest(
-    Replica& rep, uint64_t sequence, GroupRequest request,
-    std::function<void(std::vector<uint8_t>)> respond) {
-  std::vector<KvOperation> ops;
-  bool malformed = false;
-  PacketParser parser(std::move(request.ops_payload));
-  while (true) {
-    auto next = parser.Next();
-    if (!next.ok()) {
-      malformed = true;
-      break;
-    }
-    if (!next.value().has_value()) {
-      break;
-    }
-    ops.push_back(std::move(*next.value()));
-  }
-  if (malformed || ops.empty()) {
-    AdmitReplay(rep, sequence);
-    KvResultMessage err;
-    err.code = ResultCode::kInvalidArgument;
-    err.epoch = static_cast<uint32_t>(rep.current_epoch);
-    GroupResponse bad;
-    bad.epoch = rep.current_epoch;
-    bad.primary_id = rep.believed_primary;
-    bad.results_payload = EncodeResults({err});
-    FinishResponse(rep, sequence, std::move(bad), respond, true);
-    return;
-  }
-
+    Replica& rep, uint64_t sequence, const GroupRequest& request,
+    std::vector<KvOperation> ops, std::function<void(std::vector<uint8_t>)> respond) {
   if (tracer_.enabled()) {
     // The handles were registered by the replicated client under this
     // sequence; the lookup is non-consuming, so redirects and retransmits
@@ -444,7 +409,7 @@ void ReplicationGroup::HandleClientRequest(
 void ReplicationGroup::ServeReads(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
-  AdmitReplay(rep, sequence);
+  rep.server->endpoint().Admit(sequence);
   const uint32_t batch = read_batches_.Open(ops.size());
   ReadBatch& read = read_batches_[batch].context;
   read.rep = &rep;
@@ -481,7 +446,7 @@ void ReplicationGroup::AnswerReads(uint32_t batch) {
 void ReplicationGroup::ServeWrites(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
-  AdmitReplay(rep, sequence);
+  rep.server->endpoint().Admit(sequence);
   if (rep.draining_for_snapshot) {
     // A snapshot cut is waiting for the pipeline to quiesce; admitting this
     // write now could postpone the cut indefinitely under sustained load.
@@ -688,11 +653,8 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
 void ReplicationGroup::FinishResponse(
     Replica& rep, uint64_t sequence, GroupResponse response,
     const std::function<void(std::vector<uint8_t>)>& respond, bool cache) {
-  respond(rep.endpoint->Complete(sequence, EncodeGroupResponse(response), cache));
-}
-
-void ReplicationGroup::AdmitReplay(Replica& rep, uint64_t sequence) {
-  rep.endpoint->Admit(sequence);
+  respond(rep.server->endpoint().Complete(sequence, EncodeGroupResponse(response),
+                                         cache));
 }
 
 void ReplicationGroup::DropInFlight(Replica& rep) {
@@ -706,7 +668,7 @@ void ReplicationGroup::DropInFlight(Replica& rep) {
     EndStateTransfer(rep, peer);
   }
   // In-flight replay entries die too: their executions will never respond.
-  rep.endpoint->DropInFlight();
+  rep.server->endpoint().DropInFlight();
 }
 
 // --- replication path ---
@@ -724,14 +686,9 @@ void ReplicationGroup::SendReplicaMessage(uint32_t from, uint32_t to,
 
 void ReplicationGroup::SendReplicaFrame(uint32_t to, std::vector<uint8_t> frame,
                                         const std::vector<uint64_t>& traces) {
-  std::shared_ptr<bool> alive = liveness_;
   replicas_[to]->repl_net->SendPayloadToServer(
       std::move(frame),
-      [this, alive, to](std::vector<uint8_t> packet) {
-        if (*alive) {
-          OnReplicaFrame(to, std::move(packet));
-        }
-      },
+      [this, to](std::vector<uint8_t> packet) { OnReplicaFrame(to, std::move(packet)); },
       traces, SpanKind::kReplShip);
 }
 
@@ -1317,13 +1274,9 @@ void ReplicationGroup::StartElection(Replica& rep) {
     query.new_epoch = ballot;
     SendReplicaMessage(rep.id, peer, query);
   }
-  std::shared_ptr<bool> alive = liveness_;
   const uint32_t id = rep.id;
   sim_.ScheduleAt(sim_.Now() + config_.election_timeout,
-                  [this, alive, id, round] {
-                    if (!*alive) {
-                      return;
-                    }
+                  [this, id, round] {
                     Replica& r = *replicas_[id];
                     if (r.crashed || !r.election_active ||
                         r.election_round != round) {
@@ -1427,12 +1380,9 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint32_t target,
     // the pipeline would otherwise never be observed quiescent and the
     // transfer could be postponed indefinitely.
     primary.draining_for_snapshot = true;
-    std::shared_ptr<bool> alive = liveness_;
     sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval,
-                    [this, alive, primary_id, target, transfer_epoch] {
-                      if (*alive) {
-                        BuildSnapshot(primary_id, target, transfer_epoch);
-                      }
+                    [this, primary_id, target, transfer_epoch] {
+                      BuildSnapshot(primary_id, target, transfer_epoch);
                     });
     return;
   }
@@ -1544,23 +1494,7 @@ void ReplicationGroup::Tick() {
       StartElection(rep);
     }
   }
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this, alive] {
-    if (*alive) {
-      Tick();
-    }
-  });
-}
-
-ReplicationGroup::GroupStats ReplicationGroup::stats() const {
-  GroupStats snapshot = stats_;
-  for (const auto& rep : replicas_) {
-    const FrameEndpoint::Stats& endpoint = rep->endpoint->stats();
-    snapshot.replayed_responses += endpoint.replayed_responses;
-    snapshot.corrupt_client_frames += endpoint.corrupt_frames;
-    snapshot.stale_retransmits += endpoint.stale_retransmits;
-  }
-  return snapshot;
+  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this] { Tick(); });
 }
 
 void ReplicationGroup::RegisterMetrics() {
@@ -1625,47 +1559,9 @@ void ReplicationGroup::RegisterMetrics() {
   metrics_.RegisterCounter("kvd_repl_gray_reinstatements_total",
                            "Demoted peers reinstated after catching up", {},
                            &stats_.gray_reinstatements);
-  // The replay/frame counters live in the per-replica transport endpoints;
-  // expose the group-wide sums.
-  metrics_.RegisterCounter("kvd_repl_replayed_responses_total",
-                           "Retransmissions answered from the replay cache", {},
-                           [this] {
-                             uint64_t total = 0;
-                             for (const auto& rep : replicas_) {
-                               total += rep->endpoint->stats().replayed_responses;
-                             }
-                             return total;
-                           });
-  metrics_.RegisterCounter("kvd_repl_corrupt_client_frames_total",
-                           "Client frames dropped by checksum/decode", {},
-                           [this] {
-                             uint64_t total = 0;
-                             for (const auto& rep : replicas_) {
-                               total += rep->endpoint->stats().corrupt_frames;
-                             }
-                             return total;
-                           });
   metrics_.RegisterCounter("kvd_repl_corrupt_replica_frames_total",
                            "Replication frames dropped by checksum/decode", {},
                            &stats_.corrupt_replica_frames);
-  metrics_.RegisterCounter("kvd_repl_stale_retransmits_total",
-                           "Retransmissions of still-executing requests", {},
-                           [this] {
-                             uint64_t total = 0;
-                             for (const auto& rep : replicas_) {
-                               total += rep->endpoint->stats().stale_retransmits;
-                             }
-                             return total;
-                           });
-  metrics_.RegisterCounter("kvd_repl_replay_evict_scan_steps_total",
-                           "Replay-cache eviction queue entries examined", {},
-                           [this] {
-                             uint64_t total = 0;
-                             for (const auto& rep : replicas_) {
-                               total += rep->endpoint->cache().evict_scan_steps();
-                             }
-                             return total;
-                           });
   metrics_.RegisterGauge("kvd_repl_epoch", "Current epoch at the primary", {},
                          [this] { return static_cast<double>(epoch()); });
   metrics_.RegisterGauge("kvd_repl_commit_index",

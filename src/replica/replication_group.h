@@ -63,7 +63,6 @@
 #include "src/core/kv_direct.h"
 #include "src/replica/replica_log.h"
 #include "src/replica/replica_wire.h"
-#include "src/transport/frame_endpoint.h"
 #include "src/transport/snapshot_stream.h"
 
 namespace kvd {
@@ -152,7 +151,6 @@ class ReplicationGroup {
   explicit ReplicationGroup(const ReplicationConfig& config,
                             Simulator* external_sim = nullptr,
                             Tracer* external_tracer = nullptr);
-  ~ReplicationGroup();
 
   ReplicationGroup(const ReplicationGroup&) = delete;
   ReplicationGroup& operator=(const ReplicationGroup&) = delete;
@@ -169,10 +167,13 @@ class ReplicationGroup {
   NetworkModel& replication_network(uint32_t replica_id) {
     return *replicas_[replica_id]->repl_net;
   }
-  // Delivers a framed GroupRequest to a replica. Pure-read requests execute
-  // on any replica that has applied the request's watermark; requests with
-  // writes execute on the primary and respond only after quorum replication.
-  // Crashed replicas drop the frame (the client's timer covers it).
+  // Delivers a framed GroupRequest to a replica. The replica's own node
+  // terminates the frame (checksum, replay dedup: `replica(id)`'s
+  // replayed_responses() and corrupt_frames() count them). Pure-read requests
+  // execute on any replica that has applied the request's watermark; requests
+  // with writes execute on the primary and respond only after quorum
+  // replication. Crashed replicas drop the frame (the client's timer covers
+  // it).
   void DeliverClientFrame(uint32_t replica_id, std::vector<uint8_t> packet,
                           std::function<void(std::vector<uint8_t>)> respond);
 
@@ -296,18 +297,15 @@ class ReplicationGroup {
     uint64_t wrong_shard_bounces = 0;    // routed requests bounced kWrongShard
     uint64_t migrating_bounces = 0;      // routed writes bounced kMigrating
     uint64_t session_dedup_hits = 0;     // retransmits answered from sessions
-    uint64_t replayed_responses = 0;     // retransmits answered from the cache
-    uint64_t corrupt_client_frames = 0;
     uint64_t corrupt_replica_frames = 0;
-    uint64_t stale_retransmits = 0;      // retransmits of in-flight requests
     uint64_t gray_demotions = 0;         // peers dropped from the commit quorum
     uint64_t gray_reinstatements = 0;    // demoted peers that caught back up
     uint64_t last_failover_downtime_ns = 0;
     uint64_t load_clones = 0;  // settles that cloned replica 0's preload
   };
-  // By value: the replay/frame counters live in the per-replica transport
-  // endpoints and are summed into the snapshot here.
-  GroupStats stats() const;
+  // Client frame counters (replays, corrupt frames, stale retransmits) are
+  // each replica node's own: `replica(id).replayed_responses()`, ...
+  const GroupStats& stats() const { return stats_; }
 
   // Per-group latency histograms — exposed so multi-shard deployments can
   // Merge() them into cluster-wide distributions (exact bucket merge).
@@ -342,10 +340,6 @@ class ReplicationGroup {
     uint32_t id = 0;
     std::unique_ptr<KvDirectServer> server;
     std::unique_ptr<NetworkModel> repl_net;  // inbound replication link
-    // Client-facing terminus of the reliable channel: framing, checksum, and
-    // replay dedup (src/transport). One per replica — a retransmission is
-    // answered from the cache only on the replica that produced the response.
-    std::unique_ptr<FrameEndpoint> endpoint;
 
     bool crashed = false;
     bool is_primary = false;
@@ -470,7 +464,9 @@ class ReplicationGroup {
   };
 
   // --- client path ---
-  void HandleClientRequest(Replica& rep, uint64_t sequence, GroupRequest request,
+  // `request`'s ops payload is already decoded into `ops` (never empty).
+  void HandleClientRequest(Replica& rep, uint64_t sequence,
+                           const GroupRequest& request, std::vector<KvOperation> ops,
                            std::function<void(std::vector<uint8_t>)> respond);
   void ServeReads(Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
                   std::function<void(std::vector<uint8_t>)> respond);
@@ -493,10 +489,11 @@ class ReplicationGroup {
                             KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
+  // Frames the response at the replica's node endpoint (recording it for
+  // replay when `cache`) and responds.
   void FinishResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                       const std::function<void(std::vector<uint8_t>)>& respond,
                       bool cache);
-  void AdmitReplay(Replica& rep, uint64_t sequence);
   // Step-down / crash: forget pending work, outbound transfers included.
   void DropInFlight(Replica& rep);
 
@@ -609,9 +606,6 @@ class ReplicationGroup {
       [this](uint32_t batch, uint32_t slot, KvResultMessage& result) {
         OnWriteRetired(batch, slot, result);
       }};
-  // Guards the self-rescheduling heartbeat tick against outliving the group
-  // on an external simulator.
-  std::shared_ptr<bool> liveness_ = std::make_shared<bool>(true);
 };
 
 }  // namespace kvd

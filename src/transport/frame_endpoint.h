@@ -3,8 +3,9 @@
 // FrameEndpoint owns the receive half of the framed protocol for one node:
 // it parses and checksums incoming frames, deduplicates retransmissions
 // against a ReplayCache, and frames + records outgoing responses. The owner
-// (KvDirectServer's client path, or one replica inside a ReplicationGroup)
-// supplies only the payload execution in between:
+// (KvDirectServer's DeliverFrame, or a ReplicationGroup serving one replica's
+// clients through that replica's KvDirectServer::endpoint()) supplies only
+// the payload execution in between:
 //
 //   auto frame = endpoint.Accept(packet, respond);   // parse + dedup
 //   if (!frame) return;                              // handled: corrupt/replay
@@ -65,7 +66,6 @@ class FrameEndpoint {
   void DropInFlight() { cache_.DropInFlight(); }
 
   const Stats& stats() const { return stats_; }
-  const ReplayCache& cache() const { return cache_; }
 
   // Stable addresses for MetricRegistry counter registration.
   const uint64_t* replayed_responses_counter() const { return &stats_.replayed_responses; }

@@ -44,7 +44,6 @@ TEST(LoadDispatcherTest, PcieOnlyPolicyNeverTouchesDram) {
   Rig rig;
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kPcieOnly;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   for (uint64_t i = 0; i < 100; i++) {
     dispatcher.Access(AccessKind::kRead, i * 64, 64, [] {});
@@ -59,7 +58,6 @@ TEST(LoadDispatcherTest, DispatchRatioSelectsExpectedFraction) {
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kHybrid;
   config.dispatch_ratio = 0.5;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   constexpr int kAccesses = 20000;
   for (int i = 0; i < kAccesses; i++) {
@@ -75,7 +73,6 @@ TEST(LoadDispatcherTest, RepeatedAccessHitsAfterFill) {
   Rig rig;
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   dispatcher.Access(AccessKind::kRead, 4096, 64, [] {});
   rig.sim.RunUntilIdle();
@@ -90,7 +87,6 @@ TEST(LoadDispatcherTest, DirtyEvictionCausesWriteback) {
   Rig rig(NicDramConfig{.capacity_bytes = 64 * 16});
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   // Write line 0, then touch the conflicting line 16 (same slot).
   dispatcher.Access(AccessKind::kWrite, 0, 64, [] {});
@@ -103,7 +99,6 @@ TEST(LoadDispatcherTest, CleanEvictionCausesNoWriteback) {
   Rig rig(NicDramConfig{.capacity_bytes = 64 * 16});
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   dispatcher.Access(AccessKind::kRead, 0, 64, [] {});
   dispatcher.Access(AccessKind::kRead, 16 * 64, 64, [] {});
@@ -122,7 +117,6 @@ TEST(LoadDispatcherTest, UncorrectableEccOnDirtyCachedLineDemotesWithoutWritebac
   rig.dram.SetFaultInjector(&faults);
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   dispatcher.Access(AccessKind::kWrite, 0, 64, [] {});
   dispatcher.Access(AccessKind::kRead, 0, 64, [] {});  // the demotion
@@ -136,7 +130,6 @@ TEST(LoadDispatcherTest, MultiLineAccessIsOneDispatch) {
   Rig rig;
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kCacheAll;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
   dispatcher.Access(AccessKind::kRead, 0, 256, [] {});  // 4 lines
   rig.sim.RunUntilIdle();
@@ -162,7 +155,6 @@ TEST(LoadDispatcherTest, MultiTlpAccessesUnderReplayCompleteOnce) {
   LoadDispatcherConfig config;
   config.policy = DispatchPolicy::kHybrid;
   config.dispatch_ratio = 0.5;
-  config.host_memory_bytes = 1 * kGiB;
   LoadDispatcher dispatcher(rig.sim, rig.dma, rig.dram, config);
 
   constexpr uint32_t kBytes = 512;  // two 256 B TLPs over PCIe

@@ -413,6 +413,51 @@ TEST(ReplicationGroupTest, ReadBelowWatermarkBouncesStale) {
   EXPECT_EQ(group.stats().stale_reads, 1u);
 }
 
+// A replica's client frames terminate at its own node: a retransmitted read
+// is answered from that node's replay cache and a corrupt copy is dropped
+// there, each counted once in the node's own counters and registry.
+TEST(ReplicationGroupTest, ReplicaAnswersRetransmissionsFromItsOwnNode) {
+  ReplicationGroup group(SmallGroupConfig());
+  ASSERT_TRUE(group.Load(Key(1), U64Value(11)).ok());
+  PacketBuilder builder;
+  ASSERT_TRUE(builder.Add(Get(1)));
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  const std::vector<uint8_t> frame =
+      FramePacket(group.AcquireClientSequenceBase() + 1, EncodeGroupRequest(request));
+
+  std::vector<std::vector<uint8_t>> responses;
+  auto deliver = [&](std::vector<uint8_t> bytes) {
+    group.DeliverClientFrame(1, std::move(bytes), [&](std::vector<uint8_t> response) {
+      responses.push_back(std::move(response));
+    });
+    RunFor(group.simulator(), kMillisecond);
+  };
+  deliver(frame);
+  ASSERT_EQ(responses.size(), 1u);
+  auto decoded = DecodeGroupResponse(ParseFrame(responses[0]).value().payload);
+  ASSERT_TRUE(decoded.ok());
+  auto results = DecodeResults(decoded.value().results_payload);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results.value().size(), 1u);
+  EXPECT_EQ(results.value()[0].value, U64Value(11));
+
+  deliver(frame);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[1], responses[0]);
+  KvDirectServer& node = group.replica(1);
+  EXPECT_EQ(node.replayed_responses(), 1u);
+  EXPECT_EQ(node.metrics().CounterValue("kvd_server_replayed_responses_total").value_or(0),
+            1u);
+
+  std::vector<uint8_t> corrupt = frame;
+  corrupt.back() ^= 0x01;
+  const uint64_t corrupt_before = node.corrupt_frames();
+  deliver(corrupt);
+  EXPECT_EQ(node.corrupt_frames(), corrupt_before + 1);
+  EXPECT_EQ(responses.size(), 2u);
+}
+
 // A packet's batch record lives from admission until its last op retires,
 // even when the replica that admitted it can no longer answer: a crashed
 // replica (reads or writes in flight) and a primary that lost its reign
