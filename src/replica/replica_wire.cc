@@ -184,6 +184,14 @@ bool DecodeBody(Reader& reader, ReplicaMessage& msg) {
 
 }  // namespace
 
+ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sender) {
+  ReplicaMessage msg;
+  msg.type = type;
+  msg.epoch = epoch;
+  msg.sender = sender;
+  return msg;
+}
+
 void EncodeLogEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
   PutU64(out, entry.epoch);
   PutU64(out, entry.client_sequence);

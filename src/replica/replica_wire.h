@@ -118,6 +118,9 @@ struct ReplicaMessage {
   std::vector<SessionRecord> sessions;  // encoded iff kStateChunkSessions
 };
 
+// A message of `type` from `sender` at `epoch`; the caller sets the rest.
+ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sender);
+
 std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);
 Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload);
 

@@ -323,6 +323,8 @@ class ReplicationGroup {
   uint32_t write_batches_live() const { return write_batches_.live(); }
 
  private:
+  static constexpr char kTraceCategory[] = "replica";
+
   struct PendingAck {
     uint64_t needed_index = 0;
     uint64_t sequence = 0;
