@@ -206,7 +206,10 @@ class KvDirectServer {
   std::unique_ptr<KvProcessor> processor_;
   FrameEndpoint endpoint_;
   ResultBatches<PacketReply> packets_{
-      [this](uint32_t batch) { AnswerPacket(batch); }};
+      [this](uint32_t batch) {
+        AnswerPacket(batch);
+        return true;
+      }};
   uint64_t next_client_id_ = 0;
 };
 

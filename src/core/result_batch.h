@@ -11,9 +11,11 @@
 // The owner acts through two hooks, each handed the batch's index:
 // `on_retire` (optional) runs as an op retires, before its result is stored;
 // `on_done` runs once the last op has retired, and the record is released
-// when it returns. A hook may submit, respond, or open batches of its own,
-// and opening can grow the pool: hold the index, never a reference, across
-// such calls.
+// when it returns true. An owner that answers later (a replicated write
+// waiting for its log prefix to commit) returns false and calls Release()
+// itself. A hook may submit, respond, or open batches of its own, and
+// opening can grow the pool: hold the index, never a reference, across such
+// calls.
 #ifndef SRC_CORE_RESULT_BATCH_H_
 #define SRC_CORE_RESULT_BATCH_H_
 
@@ -36,7 +38,7 @@ class ResultBatches {
     uint32_t remaining = 0;
     Context context;
   };
-  using DoneHook = std::function<void(uint32_t batch)>;
+  using DoneHook = std::function<bool(uint32_t batch)>;
   using RetireHook =
       std::function<void(uint32_t batch, uint32_t slot, KvResultMessage& result)>;
 
@@ -69,12 +71,15 @@ class ResultBatches {
     return done;
   }
 
-  // Runs on_done and releases the record: the last retirement's work, for a
-  // batch with nothing left to submit.
+  // Runs on_done and releases the record unless on_done keeps it: the last
+  // retirement's work, for a batch with nothing left to submit.
   void Complete(uint32_t batch) {
-    on_done_(batch);
-    pool_.Release(batch);
+    if (on_done_(batch)) {
+      pool_.Release(batch);
+    }
   }
+  // Releases a record that on_done kept, or one never submitted.
+  void Release(uint32_t batch) { pool_.Release(batch); }
 
   // Records held: packets admitted and not yet answered.
   uint32_t live() const { return pool_.live(); }

@@ -43,14 +43,9 @@ void ReplicationGroup::DeliverClientFrame(
   if (!ops.ok() || ops->empty()) {
     // A bad header, malformed ops, or no ops at all.
     rep.server->endpoint().Admit(sequence);
-    KvResultMessage err;
-    err.code = ResultCode::kInvalidArgument;
-    err.epoch = static_cast<uint32_t>(rep.current_epoch);
-    GroupResponse bad;
-    bad.epoch = rep.current_epoch;
-    bad.primary_id = rep.believed_primary;
-    bad.results_payload = EncodeResults({err});
-    FinishResponse(rep, sequence, std::move(bad), respond, true);
+    std::vector<KvResultMessage> err(1);
+    err[0].code = ResultCode::kInvalidArgument;
+    SendResponse(rep, sequence, {}, err, respond, true);
     return;
   }
   HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(respond));
@@ -73,6 +68,8 @@ void ReplicationGroup::HandleClientRequest(
   for (const KvOperation& op : ops) {
     any_write = any_write || IsWriteOpcode(op.opcode);
   }
+  GroupResponse bounce;
+  std::vector<KvResultMessage> bounced;
   if (request.has_route && shard_gate_) {
     // The gate outranks the redirect check: a request for a partition this
     // group no longer owns must bounce toward the owning group, not toward
@@ -87,67 +84,50 @@ void ReplicationGroup::HandleClientRequest(
                       {{"replica", rep.id},
                        {"partition", request.partition},
                        {"map_epoch", decision.map_epoch}});
-      KvResultMessage bounce;
-      bounce.code = wrong ? ResultCode::kWrongShard : ResultCode::kMigrating;
-      bounce.epoch = static_cast<uint32_t>(rep.current_epoch);
-      GroupResponse resp;
-      resp.flags = wrong ? kGroupWrongShard : kGroupMigrating;
-      resp.epoch = rep.current_epoch;
-      resp.primary_id = rep.believed_primary;
-      resp.map_epoch = decision.map_epoch;
-      resp.owner_group = decision.owner_group;
-      resp.num_partitions = decision.num_partitions;
-      resp.results_payload = EncodeResults({bounce});
-      FinishResponse(rep, sequence, std::move(resp), respond, false);
-      return;
+      bounced.resize(1);
+      bounced[0].code = wrong ? ResultCode::kWrongShard : ResultCode::kMigrating;
+      bounce.flags = wrong ? kGroupWrongShard : kGroupMigrating;
+      bounce.map_epoch = decision.map_epoch;
+      bounce.owner_group = decision.owner_group;
+      bounce.num_partitions = decision.num_partitions;
     }
   }
-  if (any_write) {
-    if (!rep.is_primary) {
-      stats_.redirects++;
-      tracer_.Instant(kTraceCategory, "redirect",
-                      {{"replica", rep.id}, {"primary", rep.believed_primary}});
-      GroupResponse resp;
-      resp.flags = kGroupRedirect;
-      resp.epoch = rep.current_epoch;
-      resp.primary_id = rep.believed_primary;
-      // Control responses are never cached: the next retransmission must be
-      // re-evaluated against the then-current role.
-      FinishResponse(rep, sequence, std::move(resp), respond, false);
-      return;
-    }
-    for (const KvOperation& op : ops) {
-      tracer_.Point(op.trace, TracePoint::kServerReceive);
-    }
-    if (request.has_route && load_listener_) {
-      load_listener_(request.partition, static_cast<uint32_t>(ops.size()),
-                     true);
-    }
-    ServeWrites(rep, sequence, std::move(ops), std::move(respond));
-    return;
+  if (bounce.flags == 0 && any_write && !rep.is_primary) {
+    stats_.redirects++;
+    tracer_.Instant(kTraceCategory, "redirect",
+                    {{"replica", rep.id}, {"primary", rep.believed_primary}});
+    bounce.flags = kGroupRedirect;
   }
-  // Gate on the applied cursor: backups apply entries only once committed,
-  // so a served read can never expose a write that might still be discarded.
-  if (rep.receiving_snapshot || rep.applied < request.required_index) {
+  // Gate reads on the applied cursor: backups apply entries only once
+  // committed, so a served read can never expose a write that might still
+  // be discarded.
+  if (bounce.flags == 0 && !any_write &&
+      (rep.receiving_snapshot || rep.applied < request.required_index)) {
     stats_.stale_reads++;
     tracer_.Instant(kTraceCategory, "stale_read",
                     {{"replica", rep.id},
                      {"required", request.required_index},
                      {"applied", rep.applied}});
-    GroupResponse resp;
-    resp.flags = kGroupStaleRead;
-    resp.epoch = rep.current_epoch;
-    resp.primary_id = rep.believed_primary;
-    FinishResponse(rep, sequence, std::move(resp), respond, false);
+    bounce.flags = kGroupStaleRead;
+  }
+  if (bounce.flags != 0) {
+    // Control responses are never cached: the next retransmission must be
+    // re-evaluated against the then-current role and ownership.
+    SendResponse(rep, sequence, std::move(bounce), bounced, respond, false);
     return;
   }
   for (const KvOperation& op : ops) {
     tracer_.Point(op.trace, TracePoint::kServerReceive);
   }
   if (request.has_route && load_listener_) {
-    load_listener_(request.partition, static_cast<uint32_t>(ops.size()), false);
+    load_listener_(request.partition, static_cast<uint32_t>(ops.size()),
+                   any_write);
   }
-  ServeReads(rep, sequence, std::move(ops), std::move(respond));
+  if (any_write) {
+    ServeWrites(rep, sequence, std::move(ops), std::move(respond));
+  } else {
+    ServeReads(rep, sequence, std::move(ops), std::move(respond));
+  }
 }
 
 void ReplicationGroup::ServeReads(
@@ -174,47 +154,39 @@ void ReplicationGroup::AnswerReads(uint32_t batch) {
   if (rep.crashed) {
     return;  // response died with the replica
   }
-  GroupResponse resp;
-  resp.epoch = rep.current_epoch;
-  resp.primary_id = rep.believed_primary;
-  for (KvResultMessage& r : record.results) {
-    r.epoch = static_cast<uint32_t>(rep.current_epoch);
-  }
-  resp.results_payload = EncodeResults(record.results);
   // Respond through a local: delivery may open batches and grow the pool.
   const std::function<void(std::vector<uint8_t>)> respond =
       std::move(record.context.respond);
-  FinishResponse(rep, record.context.sequence, std::move(resp), respond, true);
+  SendResponse(rep, record.context.sequence, {}, record.results, respond, true);
 }
 
 void ReplicationGroup::ServeWrites(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
   rep.server->endpoint().Admit(sequence);
-  if (rep.draining_for_snapshot) {
-    // A snapshot cut is waiting for the pipeline to quiesce; admitting this
-    // write now could postpone the cut indefinitely under sustained load.
-    stats_.snapshot_deferred_writes++;
-    rep.deferred_writes.push_back(
-        {sequence, std::move(ops), std::move(respond)});
-    return;
-  }
-  ExecuteWrites(rep, sequence, std::move(ops), std::move(respond));
-}
-
-void ReplicationGroup::ExecuteWrites(
-    Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
-    std::function<void(std::vector<uint8_t>)> respond) {
   const uint32_t batch = write_batches_.Open(ops.size());
-  auto& record = write_batches_[batch];
-  WriteBatch& write = record.context;
+  WriteBatch& write = write_batches_[batch].context;
   write.rep = &rep;
   write.sequence = sequence;
   write.ops = std::move(ops);
   write.needed_index = 0;
-  write.appended = false;
   write.appended_at = 0;
   write.respond = std::move(respond);
+  if (rep.draining_for_snapshot) {
+    // A snapshot cut is waiting for the pipeline to quiesce; admitting this
+    // write now could postpone the cut indefinitely under sustained load.
+    stats_.snapshot_deferred_writes++;
+    rep.deferred_writes.push_back(batch);
+    return;
+  }
+  ExecuteWrites(batch);
+}
+
+void ReplicationGroup::ExecuteWrites(uint32_t batch) {
+  auto& record = write_batches_[batch];
+  WriteBatch& write = record.context;
+  Replica& rep = *write.rep;
+  const uint64_t sequence = write.sequence;
 
   // Replicated session records answer write slots that already executed —
   // possibly under a previous primary — without re-executing them. That is
@@ -283,66 +255,55 @@ void ReplicationGroup::OnWriteRetired(uint32_t batch, uint32_t slot,
   AppendEffectiveWrite(rep, write.sequence, static_cast<uint16_t>(slot),
                        std::move(write.ops[slot]), result);
   write.needed_index = rep.log.end();
-  write.appended = true;
   write.appended_at = sim_.Now();
 }
 
-void ReplicationGroup::FinishWrites(uint32_t batch) {
-  auto& record = write_batches_[batch];
-  Replica& rep = *record.context.rep;
+bool ReplicationGroup::FinishWrites(uint32_t batch) {
+  Replica& rep = *write_batches_[batch].context.rep;
   if (rep.crashed || !rep.is_primary) {
-    return;  // crashed or deposed mid-request; the client retries
+    return true;  // crashed or deposed mid-request; the client retries
   }
-  // Take the answer out of the record first: the calls below respond to
-  // clients, which can open batches and grow the pool under `record`.
-  PendingAck pending;
-  pending.needed_index = record.context.needed_index;
-  pending.sequence = record.context.sequence;
-  pending.appended_at = record.context.appended_at;
-  pending.results = std::move(record.results);
-  pending.respond = std::move(record.context.respond);
-  const bool appended = record.context.appended;
+  const bool appended = write_batches_[batch].context.appended_at != 0;
   if (appended) {
     TryAdvanceCommit(rep);  // a quorum of one commits immediately
   }
-  if (rep.commit >= pending.needed_index) {
-    RespondWrite(rep, pending.sequence, pending.needed_index,
-                 std::move(pending.results), pending.respond,
-                 pending.appended_at);
+  // TryAdvanceCommit answers other writes, which can grow the pool: the
+  // record is looked up again.
+  const bool committed =
+      rep.commit >= write_batches_[batch].context.needed_index;
+  if (committed) {
+    RespondWrite(batch);
   } else {
-    rep.pending.push_back(std::move(pending));
+    rep.pending.push_back(batch);
   }
   if (appended) {
     PushAppends(rep);
   }
+  return committed;
 }
 
-void ReplicationGroup::RespondWrite(
-    Replica& rep, uint64_t sequence, uint64_t needed_index,
-    std::vector<KvResultMessage> results,
-    const std::function<void(std::vector<uint8_t>)>& respond,
-    SimTime appended_at) {
-  if (appended_at != 0) {
+void ReplicationGroup::RespondWrite(uint32_t batch) {
+  auto& record = write_batches_[batch];
+  WriteBatch& write = record.context;
+  if (write.appended_at != 0) {
     commit_wait_ns_.Add(
-        static_cast<uint64_t>((sim_.Now() - appended_at) / kNanosecond));
+        static_cast<uint64_t>((sim_.Now() - write.appended_at) / kNanosecond));
   }
   if (tracer_.enabled()) {
-    for (size_t i = 0; i < results.size(); i++) {
+    for (size_t i = 0; i < record.results.size(); i++) {
       const uint64_t handle =
-          tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
+          tracer_.LookupOp(write.sequence, static_cast<uint32_t>(i));
       tracer_.Point(handle, TracePoint::kReplCommit);
       tracer_.Point(handle, TracePoint::kResponseSent);
     }
   }
   GroupResponse resp;
-  resp.epoch = rep.current_epoch;
-  resp.primary_id = rep.id;
-  resp.assigned_index = needed_index;
-  for (KvResultMessage& r : results) {
-    r.epoch = static_cast<uint32_t>(rep.current_epoch);
-  }
-  resp.results_payload = EncodeResults(results);
-  FinishResponse(rep, sequence, std::move(resp), respond, true);
+  resp.assigned_index = write.needed_index;
+  // Respond through a local: delivery may open batches and grow the pool.
+  const std::function<void(std::vector<uint8_t>)> respond =
+      std::move(write.respond);
+  SendResponse(*write.rep, write.sequence, std::move(resp), record.results,
+               respond, true);
 }
 
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
@@ -394,19 +355,33 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
   }
 }
 
-void ReplicationGroup::FinishResponse(
+void ReplicationGroup::SendResponse(
     Replica& rep, uint64_t sequence, GroupResponse response,
+    std::vector<KvResultMessage>& results,
     const std::function<void(std::vector<uint8_t>)>& respond, bool cache) {
+  response.epoch = rep.current_epoch;
+  response.primary_id = rep.believed_primary;
+  for (KvResultMessage& result : results) {
+    result.epoch = static_cast<uint32_t>(rep.current_epoch);
+  }
+  response.results_payload = EncodeResults(results);
   respond(rep.server->endpoint().Complete(sequence, EncodeGroupResponse(response),
                                          cache));
 }
 
 void ReplicationGroup::DropInFlight(Replica& rep) {
+  // Writes awaiting quorum, parked drain writes and outbound state transfers
+  // die with the reign; the clients' timers cover the writes, a new primary
+  // resyncs the peers.
+  for (const uint32_t batch : rep.pending) {
+    write_batches_.Release(batch);
+  }
   rep.pending.clear();
   rep.append_time.clear();
-  // Parked drain writes and outbound state transfers die with the reign;
-  // the clients' timers cover the writes, a new primary resyncs the peers.
   rep.draining_for_snapshot = false;
+  for (const uint32_t batch : rep.deferred_writes) {
+    write_batches_.Release(batch);
+  }
   rep.deferred_writes.clear();
   for (uint32_t peer = 0; peer < num_replicas(); peer++) {
     EndStateTransfer(rep, peer);

@@ -24,8 +24,7 @@ void ReplicationGroup::OnPromoteQuery(Replica& rep, const ReplicaMessage& msg) {
       }
     }
     // Abandon any own lower ballot and give this one a full timeout.
-    rep.election_active = false;
-    rep.election_replies.clear();
+    EndCampaign(rep);
     rep.last_primary_contact = sim_.Now();
   }
   ReplicaMessage reply =
@@ -58,8 +57,7 @@ void ReplicationGroup::AdoptEpoch(Replica& rep, uint64_t epoch, uint32_t primary
   }
   rep.voted_epoch = std::max(rep.voted_epoch, rep.current_epoch);
   rep.believed_primary = primary;
-  rep.election_active = false;
-  rep.election_replies.clear();
+  EndCampaign(rep);
 }
 
 void ReplicationGroup::StepDown(Replica& rep) {
@@ -84,8 +82,7 @@ void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
   rep.current_epoch = new_epoch;
   rep.is_primary = true;
   rep.believed_primary = rep.id;
-  rep.election_active = false;
-  rep.election_replies.clear();
+  EndCampaign(rep);
   // Apply the inherited tail (a backup's applied cursor trails its log end),
   // then append a no-op barrier in the new epoch. The barrier is what lets
   // commit advance over inherited entries: TryAdvanceCommit only counts
@@ -170,27 +167,14 @@ void ReplicationGroup::StartElection(Replica& rep) {
                   });
 }
 
-void ReplicationGroup::FinishElection(Replica& rep) {
+void ReplicationGroup::EndCampaign(Replica& rep) {
   rep.election_active = false;
+  rep.election_replies.clear();
+}
+
+void ReplicationGroup::FinishElection(Replica& rep) {
   uint32_t grants = 1;  // the coordinator's self-grant from StartElection
   uint64_t max_seen_epoch = rep.current_epoch;
-  for (const auto& [id, reply] : rep.election_replies) {
-    max_seen_epoch = std::max(max_seen_epoch, reply.header_epoch);
-    if (reply.granted) {
-      grants++;
-    }
-  }
-  // Always a majority of ALL replicas, independent of the (possibly smaller)
-  // configured write quorum: two majorities must intersect, so at most one
-  // campaign per ballot epoch can succeed — and a majority of granters
-  // includes a holder of every majority-quorum-acked entry.
-  if (grants < config_.ElectionQuorum()) {
-    // Learn any higher epoch a denial carried, so the next ballot clears it.
-    rep.current_epoch = max_seen_epoch;
-    rep.voted_epoch = std::max(rep.voted_epoch, rep.current_epoch);
-    rep.election_replies.clear();
-    return;  // the failure detector retries with a fresh ballot next tick
-  }
   // Most caught-up GRANTER wins (ties to the lowest id). Non-granters are
   // excluded: they promised this ballot to no one, and may still be acking
   // an older primary, so their positions here could go stale.
@@ -198,9 +182,11 @@ void ReplicationGroup::FinishElection(Replica& rep) {
   uint64_t best_epoch = rep.log.EpochAt(rep.log.end());
   uint64_t best_index = rep.log.end();
   for (const auto& [id, reply] : rep.election_replies) {
+    max_seen_epoch = std::max(max_seen_epoch, reply.header_epoch);
     if (!reply.granted) {
       continue;
     }
+    grants++;
     const bool better =
         reply.last_epoch > best_epoch ||
         (reply.last_epoch == best_epoch && reply.last_index > best_index) ||
@@ -212,7 +198,17 @@ void ReplicationGroup::FinishElection(Replica& rep) {
       best_index = reply.last_index;
     }
   }
-  rep.election_replies.clear();
+  EndCampaign(rep);
+  // Always a majority of ALL replicas, independent of the (possibly smaller)
+  // configured write quorum: two majorities must intersect, so at most one
+  // campaign per ballot epoch can succeed — and a majority of granters
+  // includes a holder of every majority-quorum-acked entry.
+  if (grants < config_.ElectionQuorum()) {
+    // Learn any higher epoch a denial carried, so the next ballot clears it.
+    rep.current_epoch = max_seen_epoch;
+    rep.voted_epoch = std::max(rep.voted_epoch, rep.current_epoch);
+    return;  // the failure detector retries with a fresh ballot next tick
+  }
   if (best_id == rep.id) {
     Promote(rep, rep.election_epoch);
     return;

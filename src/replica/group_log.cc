@@ -252,20 +252,16 @@ void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
       }
     }
   }
-  std::vector<PendingAck> ready;
-  std::vector<PendingAck> still;
-  for (PendingAck& pending : primary.pending) {
-    if (pending.needed_index <= primary.commit) {
-      ready.push_back(std::move(pending));
-    } else {
-      still.push_back(std::move(pending));
-    }
+  std::vector<uint32_t> ready;
+  std::vector<uint32_t> still;
+  for (const uint32_t batch : primary.pending) {
+    const bool done = write_batches_[batch].context.needed_index <= primary.commit;
+    (done ? ready : still).push_back(batch);
   }
   primary.pending = std::move(still);
-  for (PendingAck& pending : ready) {
-    RespondWrite(primary, pending.sequence, pending.needed_index,
-                 std::move(pending.results), pending.respond,
-                 pending.appended_at);
+  for (const uint32_t batch : ready) {
+    RespondWrite(batch);
+    write_batches_.Release(batch);
   }
 }
 

@@ -207,17 +207,14 @@ void ReplicationGroup::EndStateTransfer(Replica& primary, uint32_t peer) {
 
 void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
   rep.draining_for_snapshot = false;
-  if (rep.deferred_writes.empty()) {
-    return;
-  }
-  std::deque<Replica::DeferredWrite> parked = std::move(rep.deferred_writes);
-  rep.deferred_writes.clear();
-  if (rep.crashed || !rep.is_primary) {
-    return;  // the clients' retransmission timers cover the dropped writes
-  }
-  for (Replica::DeferredWrite& write : parked) {
-    ExecuteWrites(rep, write.sequence, std::move(write.ops),
-                  std::move(write.respond));
+  std::vector<uint32_t> parked;
+  parked.swap(rep.deferred_writes);
+  for (const uint32_t batch : parked) {
+    if (rep.crashed || !rep.is_primary) {
+      write_batches_.Release(batch);  // the client's timer covers it
+    } else {
+      ExecuteWrites(batch);
+    }
   }
 }
 

@@ -204,8 +204,7 @@ void ReplicationGroup::CrashReplica(uint32_t id) {
     failover_pending_ = true;
   }
   DropInFlight(rep);
-  rep.election_active = false;
-  rep.election_replies.clear();
+  EndCampaign(rep);
 }
 
 void ReplicationGroup::RestartReplica(uint32_t id) {
@@ -216,8 +215,7 @@ void ReplicationGroup::RestartReplica(uint32_t id) {
   }
   rep.crashed = false;
   rep.is_primary = false;
-  rep.election_active = false;
-  rep.election_replies.clear();
+  EndCampaign(rep);
   // Apply below-log mutations that arrived while down (cluster Load/Erase,
   // e.g. a migration cutover's partition sweep) before rejoining: recovery
   // must converge on the state the live replicas already hold.

@@ -325,14 +325,6 @@ class ReplicationGroup {
  private:
   static constexpr char kTraceCategory[] = "replica";
 
-  struct PendingAck {
-    uint64_t needed_index = 0;
-    uint64_t sequence = 0;
-    SimTime appended_at = 0;  // log-append time (commit-wait histogram)
-    std::vector<KvResultMessage> results;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
-
   struct SessionSlot {
     uint16_t slot = 0;
     KvResultMessage result;
@@ -368,11 +360,11 @@ class ReplicationGroup {
     // Primary bookkeeping: per-peer confirmed position (cumulative acks;
     // commit counts these) and optimistic window start (re-aligned to
     // match+1 every heartbeat tick, which is what retransmits lost windows),
-    // pending client responses awaiting quorum, and append times for the
+    // the write batches whose answers await quorum, and append times for the
     // propagation-lag histogram.
     std::vector<uint64_t> match;
     std::vector<uint64_t> next;
-    std::vector<PendingAck> pending;
+    std::vector<uint32_t> pending;
     // (log index, append time), pushed in append order and popped from the
     // front as commit advances.
     std::deque<std::pair<uint64_t, SimTime>> append_time;
@@ -413,17 +405,12 @@ class ReplicationGroup {
     };
     std::vector<OutboundSnapshot> snapshot_out;  // per peer
     // Drain-then-cut: while a snapshot cut waits for the pipeline to
-    // quiesce, new client writes are parked here instead of being admitted
-    // (otherwise sustained load could postpone the cut forever). They are
-    // executed in arrival order once the cut is taken, or dropped (the
-    // client retries) if the primary crashes or is deposed first.
-    struct DeferredWrite {
-      uint64_t sequence = 0;
-      std::vector<KvOperation> ops;
-      std::function<void(std::vector<uint8_t>)> respond;
-    };
+    // quiesce, new client write batches are parked here instead of being
+    // executed (otherwise sustained load could postpone the cut forever).
+    // They are executed in arrival order once the cut is taken, or dropped
+    // (the client retries) if the primary crashes or is deposed first.
     bool draining_for_snapshot = false;
-    std::deque<DeferredWrite> deferred_writes;
+    std::vector<uint32_t> deferred_writes;
     // Inbound state transfer (target side). The receiver's cursor belongs to
     // the transfer named by (sender epoch, snapshot index); chunks of an
     // older transfer are dropped, a newer one restarts the cursor. A crash
@@ -453,15 +440,15 @@ class ReplicationGroup {
     uint64_t sequence = 0;
     std::function<void(std::vector<uint8_t>)> respond;
   };
-  // A write packet in flight on the primary: its ops, each kept until its
-  // log entry takes it, and the log index its answer waits to see commit.
+  // A write packet on the primary from admission to answer: parked by a
+  // snapshot drain, executing, then waiting for the log index its answer
+  // needs to commit. Each op is kept until its log entry takes it.
   struct WriteBatch {
     Replica* rep = nullptr;
     uint64_t sequence = 0;
     std::vector<KvOperation> ops;
     uint64_t needed_index = 0;
-    bool appended = false;
-    SimTime appended_at = 0;  // last log append (commit-wait histogram)
+    SimTime appended_at = 0;  // last log append; 0 = none (commit-wait histogram)
     std::function<void(std::vector<uint8_t>)> respond;
   };
 
@@ -472,30 +459,31 @@ class ReplicationGroup {
                            std::function<void(std::vector<uint8_t>)> respond);
   void ServeReads(Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
                   std::function<void(std::vector<uint8_t>)> respond);
+  // Opens the packet's write batch, parked while a snapshot cut drains.
   void ServeWrites(Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
                    std::function<void(std::vector<uint8_t>)> respond);
-  void ExecuteWrites(Replica& rep, uint64_t sequence,
-                     std::vector<KvOperation> ops,
-                     std::function<void(std::vector<uint8_t>)> respond);
+  void ExecuteWrites(uint32_t batch);
   // Batch hooks: a read packet's last op retired; a write packet's op
-  // retired (an effective write is logged at once); its last op retired.
-  // A crashed or deposed replica answers nobody.
+  // retired (an effective write is logged at once); its last op retired
+  // (true releases the batch; false keeps it in `pending` until its log
+  // prefix commits). A crashed or deposed replica answers nobody.
   void AnswerReads(uint32_t batch);
   void OnWriteRetired(uint32_t batch, uint32_t slot, KvResultMessage& result);
-  void FinishWrites(uint32_t batch);
-  void RespondWrite(Replica& rep, uint64_t sequence, uint64_t needed_index,
-                    std::vector<KvResultMessage> results,
-                    const std::function<void(std::vector<uint8_t>)>& respond,
-                    SimTime appended_at = 0);
+  bool FinishWrites(uint32_t batch);
+  // Answers a committed write batch; the caller releases it.
+  void RespondWrite(uint32_t batch);
   void AppendEffectiveWrite(Replica& rep, uint64_t sequence, uint16_t slot,
                             KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
-  // Frames the response at the replica's node endpoint (recording it for
-  // replay when `cache`) and responds.
-  void FinishResponse(Replica& rep, uint64_t sequence, GroupResponse response,
-                      const std::function<void(std::vector<uint8_t>)>& respond,
-                      bool cache);
+  // Builds every client answer: stamps the replica's epoch and view of the
+  // primary on `response` and its epoch on each of `results`, frames the
+  // response at the replica's node endpoint (recording it for replay when
+  // `cache`) and responds.
+  void SendResponse(Replica& rep, uint64_t sequence, GroupResponse response,
+                    std::vector<KvResultMessage>& results,
+                    const std::function<void(std::vector<uint8_t>)>& respond,
+                    bool cache);
   // Step-down / crash: forget pending work, outbound transfers included.
   void DropInFlight(Replica& rep);
 
@@ -543,6 +531,8 @@ class ReplicationGroup {
   void Promote(Replica& rep, uint64_t new_epoch);
   void StartElection(Replica& rep);
   void FinishElection(Replica& rep);
+  // Ends the replica's own campaign, if any, forgetting its replies.
+  static void EndCampaign(Replica& rep);
   void RequestCatchup(Replica& rep, uint32_t to);
   void StartStateTransfer(Replica& primary, uint32_t target);
   // Waits for the primary's pipeline to quiesce — parking newly arriving
@@ -602,9 +592,12 @@ class ReplicationGroup {
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum
   ResultBatches<ReadBatch> read_batches_{
-      [this](uint32_t batch) { AnswerReads(batch); }};
+      [this](uint32_t batch) {
+        AnswerReads(batch);
+        return true;
+      }};
   ResultBatches<WriteBatch> write_batches_{
-      [this](uint32_t batch) { FinishWrites(batch); },
+      [this](uint32_t batch) { return FinishWrites(batch); },
       [this](uint32_t batch, uint32_t slot, KvResultMessage& result) {
         OnWriteRetired(batch, slot, result);
       }};

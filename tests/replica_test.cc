@@ -465,32 +465,77 @@ TEST(ReplicationGroupTest, ReplicaAnswersRetransmissionsFromItsOwnNode) {
 // the record and send nothing.
 TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
   enum class Fate { kCrash, kDepose };
+  // Where the packet is when its replica goes: still executing, executed
+  // and waiting for its log prefix to commit, or parked by a snapshot drain.
+  enum class Stage { kExecuting, kQuorumWait, kParked };
   struct Case {
     bool writes;
     uint32_t replica;
     Fate fate;
+    Stage stage;
   };
-  for (const Case& c : {Case{false, 1, Fate::kCrash}, Case{true, 0, Fate::kCrash},
-                        Case{true, 0, Fate::kDepose}}) {
-    SCOPED_TRACE(testing::Message() << "writes " << c.writes << ", replica "
-                                    << c.replica << ", deposed "
-                                    << (c.fate == Fate::kDepose));
-    ReplicationGroup group(SmallGroupConfig());
+  for (const Case& c : {Case{false, 1, Fate::kCrash, Stage::kExecuting},
+                        Case{true, 0, Fate::kCrash, Stage::kExecuting},
+                        Case{true, 0, Fate::kDepose, Stage::kExecuting},
+                        Case{true, 0, Fate::kCrash, Stage::kQuorumWait},
+                        Case{true, 0, Fate::kCrash, Stage::kParked}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "writes " << c.writes << ", replica " << c.replica
+                 << ", deposed " << (c.fate == Fate::kDepose) << ", stage "
+                 << static_cast<int>(c.stage));
+    ReplicationConfig config = SmallGroupConfig();
+    config.max_log_entries = 8;  // kParked: nine writes outrun replica 2
+    ReplicationGroup group(config);
+    Simulator& sim = group.simulator();
     for (uint64_t id = 0; id < 16; id++) {
       ASSERT_TRUE(group.Load(Key(id), U64Value(id)).ok());
     }
-    PacketBuilder builder;
-    for (uint64_t id = 0; id < 16; id++) {
-      ASSERT_TRUE(builder.Add(c.writes ? Put(id, 100 + id) : Get(id)));
+    uint64_t sequence = group.AcquireClientSequenceBase();
+    auto deliver = [&](uint64_t first, uint64_t keys, int& responses) {
+      PacketBuilder builder;
+      for (uint64_t id = first; id < first + keys; id++) {
+        ASSERT_TRUE(builder.Add(c.writes ? Put(id, 100 + id) : Get(id)));
+      }
+      GroupRequest request;
+      request.ops_payload = builder.Finish();
+      group.DeliverClientFrame(c.replica,
+                               FramePacket(++sequence, EncodeGroupRequest(request)),
+                               [&responses](std::vector<uint8_t>) { responses++; });
+    };
+
+    int earlier = 0;
+    if (c.stage == Stage::kQuorumWait) {
+      group.replication_network(1).SetPartitioned(/*to_server=*/true, true);
+      group.replication_network(2).SetPartitioned(/*to_server=*/true, true);
     }
-    GroupRequest request;
-    request.ops_payload = builder.Finish();
-    const std::vector<uint8_t> frame = FramePacket(
-        group.AcquireClientSequenceBase() + 1, EncodeGroupRequest(request));
+    if (c.stage == Stage::kParked) {
+      // Nine writes that replica 2 misses trim the log past it. Two packets
+      // keep the window to it running ahead, so only the next heartbeat
+      // finds that it needs a state transfer; a packet still executing then
+      // makes the cut drain.
+      group.CrashReplica(2);
+      deliver(0, 8, earlier);
+      RunFor(sim, 20 * kMicrosecond);
+      deliver(8, 1, earlier);
+      RunFor(sim, 20 * kMicrosecond);
+      const SimTime tick = config.heartbeat_interval;
+      ASSERT_LT(sim.Now(), tick);
+      sim.RunUntil(tick - 20 * kNanosecond);
+      deliver(20, 8, earlier);
+      RunFor(sim, 50 * kMicrosecond);
+      ASSERT_EQ(earlier, 3);  // answered while the drain still holds
+      ASSERT_EQ(group.stats().snapshot_deferred_writes, 0u);
+    }
 
     int responses = 0;
-    group.DeliverClientFrame(c.replica, frame,
-                             [&](std::vector<uint8_t>) { responses++; });
+    deliver(0, 16, responses);
+    if (c.stage == Stage::kQuorumWait) {
+      RunFor(sim, 100 * kMicrosecond);
+      ASSERT_EQ(group.log_end(0), 16u);  // executed and logged
+    }
+    if (c.stage == Stage::kParked) {
+      ASSERT_EQ(group.stats().snapshot_deferred_writes, 1u);
+    }
     EXPECT_EQ(group.read_batches_live(), c.writes ? 0u : 1u);
     EXPECT_EQ(group.write_batches_live(), c.writes ? 1u : 0u);
     group.CrashReplica(c.replica);
@@ -498,7 +543,7 @@ TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
       group.RestartReplica(c.replica);
       ASSERT_FALSE(group.is_primary(c.replica));
     }
-    RunFor(group.simulator(), kMillisecond);
+    RunFor(sim, kMillisecond);
     EXPECT_EQ(group.read_batches_live(), 0u);
     EXPECT_EQ(group.write_batches_live(), 0u);
     EXPECT_EQ(responses, 0);
