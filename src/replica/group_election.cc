@@ -218,6 +218,11 @@ void ReplicationGroup::FinishElection(Replica& rep) {
   promote.new_epoch = rep.election_epoch;
   SendReplicaMessage(rep.id, best_id, promote);
   rep.believed_primary = best_id;  // optimistic; its heartbeat confirms
+  // Give the new primary a full failure timeout. With election_timeout a
+  // multiple of heartbeat_interval (the defaults) the election ends on one
+  // of this replica's ticks, where a stale timer would campaign again at
+  // once and depose the primary just made.
+  rep.last_primary_contact = sim_.Now();
 }
 
 }  // namespace kvd

@@ -716,6 +716,39 @@ TEST(ReplicationGroupTest, SequentialDoubleFailoverKeepsOnePrimaryAndAllAcks) {
   }
 }
 
+TEST(ReplicationGroupTest, CoordinatorThatPromotesAPeerRestartsItsTimer) {
+  // Replica 1 misses 16 committed writes, so when the primary crashes it
+  // campaigns first (the per-id stagger) and hands the promotion to replica
+  // 2. Its election ends at the same instant as one of its heartbeat ticks:
+  // unless handing over restarts its failure timer, that tick campaigns
+  // again and deposes the primary it just made, forever.
+  ReplicationGroup group(SmallGroupConfig());
+  ReplicatedClient client(group);
+  auto write = [&](uint64_t first, uint64_t count) {
+    for (uint64_t i = first; i < first + count; i++) {
+      client.Enqueue(Put(i, 500 + i));
+    }
+    for (const KvResultMessage& r : client.Flush()) {
+      ASSERT_EQ(r.code, ResultCode::kOk);
+    }
+  };
+  write(0, 4);
+  group.replication_network(1).SetPartitioned(/*to_server=*/true, true);
+  write(4, 16);
+  ASSERT_EQ(group.log_end(0), 20u);
+  ASSERT_EQ(group.log_end(1), 4u);
+  ASSERT_EQ(group.log_end(2), 20u);
+  group.replication_network(1).SetPartitioned(/*to_server=*/true, false);
+  group.CrashReplica(0);
+
+  RunFor(group.simulator(), 100 * kMillisecond);
+  EXPECT_EQ(group.stats().elections, 1u);
+  EXPECT_EQ(group.stats().failovers, 1u);
+  EXPECT_EQ(group.primary_id(), 2u);
+  EXPECT_TRUE(group.is_primary(2));
+  EXPECT_FALSE(group.is_primary(1));
+}
+
 TEST(ReplicationGroupTest, ScriptedPrimaryCrashLosesNoAcknowledgedWrite) {
   ReplicationConfig config = SmallGroupConfig();
   // Tick consults replicas in id order: the first consult ever is replica 0,
