@@ -270,10 +270,19 @@ void ReplicationGroup::Tick() {
         SendWindow(rep, peer);
       }
       EvaluateGrayPeers(rep);
-    } else if (!rep.receiving_snapshot && !rep.election_active &&
+    } else if (!rep.election_active &&
                sim_.Now() - rep.last_primary_contact >
                    config_.failure_timeout +
                        rep.id * config_.heartbeat_interval) {
+      if (rep.receiving_snapshot) {
+        // The transfer went silent: its sender crashed or lost its link, and
+        // a target that refuses votes could wedge the election. Drop the
+        // partial snapshot (chunk 0 already wiped the store, so nothing else
+        // is lost) and campaign; the ballot's epoch fences the abandoned
+        // transfer's stragglers, and the next primary resyncs this replica.
+        WipeState(rep);
+        rep.receiving_snapshot = false;
+      }
       // Per-id stagger: the deterministic clock has no randomized timeouts,
       // so without it every backup campaigns on the same tick and votes for
       // itself, splitting the electorate forever.

@@ -1179,6 +1179,57 @@ TEST(ReplicationGroupTest, StateTransferSurvivesChunkLossWithoutRestarting) {
   }
 }
 
+TEST(ReplicationGroupTest, PrimaryCrashMidTransferDoesNotWedgeTheElection) {
+  // Replica 2 is five chunks into a resync when the primary crashes. A
+  // target mid-transfer refuses votes and never campaigns, so replica 1
+  // alone can never gather a majority: the silent transfer must drop its
+  // partial snapshot once the failure timeout passes, and let the target
+  // vote (its empty log makes replica 1 the winner) and resync afresh.
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;
+  config.state_transfer_chunk_kvs = 2;
+  config.state_transfer_bytes_per_sec = 2e6;
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  group.CrashReplica(2);
+  for (uint64_t batch = 0; batch < 20; batch++) {
+    for (uint64_t i = 10 * batch; i < 10 * batch + 10; i++) {
+      client.Enqueue(Put(i, 700 + i));
+    }
+    for (const KvResultMessage& r : client.Flush()) {
+      ASSERT_EQ(r.code, ResultCode::kOk);
+    }
+  }
+  ASSERT_EQ(group.log_end(0), 200u);
+  group.RestartReplica(2);
+
+  Simulator& sim = group.simulator();
+  auto streamed = [&group] {
+    return group.metrics()
+        .CounterValue("kvd_repl_state_transfer_bytes_total")
+        .value_or(0);
+  };
+  for (int chunk = 0; chunk < 5; chunk++) {
+    const uint64_t before = streamed();
+    while (streamed() == before) {
+      ASSERT_TRUE(sim.Step());
+    }
+  }
+  ASSERT_EQ(group.stats().failovers, 0u);
+  group.CrashReplica(0);
+
+  RunFor(sim, 2 * kMillisecond);
+  EXPECT_EQ(group.primary_id(), 1u);
+  EXPECT_TRUE(group.is_primary(1));
+  RunFor(sim, 98 * kMillisecond);
+  EXPECT_EQ(group.stats().failovers, 1u);
+  EXPECT_TRUE(group.is_primary(1));
+  EXPECT_EQ(group.log_end(1), 201u);  // the promotion barrier
+  EXPECT_EQ(group.log_end(2), 201u);
+  EXPECT_EQ(StoreContents(group, 2), StoreContents(group, 1));
+  EXPECT_EQ(ReadU64(group, 2, 199), 899u);
+}
+
 TEST(ReplicationGroupTest, ResyncedReplicaKeepsExactlyOnceAfterPromotion) {
   ReplicationConfig config = SmallGroupConfig();
   config.max_log_entries = 8;  // the rejoin below resyncs by state transfer
