@@ -27,6 +27,9 @@
 #      and each node has one wire end (the "one wire end per node" guard:
 #      a replica answers its clients through its own KvDirectServer's
 #      FrameEndpoint, and no liveness guard stands in for clock ownership);
+#      and the replication group is split by role (the "group by role"
+#      guard: no file under src/replica exceeds 500 code lines, and a
+#      client write is one batch record from admission to answer);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -203,6 +206,24 @@ wireends=$({ grep -rnE 'FrameEndpoint' src --include='*.h' --include='*.cc' \
 if [[ -n "${wireends}" ]]; then
   echo "one wire end per node: a second server endpoint or a liveness guard found:" >&2
   echo "${wireends}" >&2
+  exit 1
+fi
+
+# Group by role: ReplicationGroup keeps one .cc per role (client path, log
+# and commit, election, state transfer, core), so no file under src/replica
+# may exceed 500 non-blank, non-comment lines. A client write is one batch
+# record from admission to answer; a second record per stage (a pending-ack
+# or parked-write copy) coming back fails.
+byrole=$({ for f in src/replica/*.h src/replica/*.cc; do
+             lines=$(grep -cvE '^[[:space:]]*(//.*)?$' "${f}" || true)
+             if (( lines > 500 )); then
+               echo "${f}: ${lines} code lines (limit 500)"
+             fi
+           done
+           grep -rnE 'PendingAck|DeferredWrite' src; } || true)
+if [[ -n "${byrole}" ]]; then
+  echo "group by role: an oversized replica file or a second write record found:" >&2
+  echo "${byrole}" >&2
   exit 1
 fi
 

@@ -72,7 +72,6 @@ class HistoryRecorder {
   void RecordReturn(size_t handle, const KvResultMessage& result, SimTime now);
 
   const History& history() const { return history_; }
-  History& mutable_history() { return history_; }
 
  private:
   History history_;

@@ -182,7 +182,6 @@ class ClusterCoordinator {
   const MetricRegistry& metrics() const { return metrics_; }
   FlightRecorder& flight_recorder() { return tracer_.flight_recorder(); }
   Tracer& tracer() { return tracer_; }
-  const LatencyHistogram& migration_ns() const { return migration_ns_; }
   const ClusterConfig& config() const { return config_; }
 
  private:

@@ -67,7 +67,6 @@ class BucketView {
   }
 
   std::span<const uint8_t> raw() const { return raw_; }
-  std::span<uint8_t> raw_mutable() { return raw_; }
 
   // --- slot type field ---
   uint8_t SlotType(uint32_t slot) const {

@@ -49,7 +49,6 @@ class PacketBuilder {
   // encoded operation would overflow the payload budget.
   bool Add(const KvOperation& op);
 
-  size_t operation_count() const { return count_; }
   size_t payload_size() const { return buffer_.size(); }
   bool empty() const { return count_ == 0; }
 

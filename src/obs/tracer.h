@@ -389,11 +389,7 @@ class SloMonitor {
 
   void Record(uint64_t e2e_ns);
 
-  uint64_t windows_evaluated() const { return windows_evaluated_; }
-  uint64_t p50_breaches() const { return p50_breaches_; }
   uint64_t p99_breaches() const { return p99_breaches_; }
-  double last_p50_ns() const { return last_p50_ns_; }
-  double last_p99_ns() const { return last_p99_ns_; }
 
   // kvd_slo_* counters and last-window gauges.
   void RegisterMetrics(MetricRegistry& registry);

@@ -79,8 +79,6 @@ class DmaEngine {
   PcieLink& link(uint32_t i) { return *links_[i]; }
   uint32_t num_links() const { return static_cast<uint32_t>(links_.size()); }
 
-  uint64_t reads_issued() const { return reads_issued_; }
-  uint64_t writes_issued() const { return writes_issued_; }
   uint64_t read_retries() const { return read_retries_; }
   uint64_t write_retries() const { return write_retries_; }
   const TokenPool& tag_pool() const { return read_tags_; }

@@ -45,7 +45,7 @@ void ReplicationGroup::DeliverClientFrame(
     rep.server->endpoint().Admit(sequence);
     std::vector<KvResultMessage> err(1);
     err[0].code = ResultCode::kInvalidArgument;
-    SendResponse(rep, sequence, {}, err, respond, true);
+    SendResponse(rep, sequence, {}, err, std::move(respond), true);
     return;
   }
   HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(respond));
@@ -113,7 +113,8 @@ void ReplicationGroup::HandleClientRequest(
   if (bounce.flags != 0) {
     // Control responses are never cached: the next retransmission must be
     // re-evaluated against the then-current role and ownership.
-    SendResponse(rep, sequence, std::move(bounce), bounced, respond, false);
+    SendResponse(rep, sequence, std::move(bounce), bounced, std::move(respond),
+                 false);
     return;
   }
   for (const KvOperation& op : ops) {
@@ -154,10 +155,8 @@ void ReplicationGroup::AnswerReads(uint32_t batch) {
   if (rep.crashed) {
     return;  // response died with the replica
   }
-  // Respond through a local: delivery may open batches and grow the pool.
-  const std::function<void(std::vector<uint8_t>)> respond =
-      std::move(record.context.respond);
-  SendResponse(rep, record.context.sequence, {}, record.results, respond, true);
+  SendResponse(rep, record.context.sequence, {}, record.results,
+               std::move(record.context.respond), true);
 }
 
 void ReplicationGroup::ServeWrites(
@@ -299,11 +298,8 @@ void ReplicationGroup::RespondWrite(uint32_t batch) {
   }
   GroupResponse resp;
   resp.assigned_index = write.needed_index;
-  // Respond through a local: delivery may open batches and grow the pool.
-  const std::function<void(std::vector<uint8_t>)> respond =
-      std::move(write.respond);
   SendResponse(*write.rep, write.sequence, std::move(resp), record.results,
-               respond, true);
+               std::move(write.respond), true);
 }
 
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
@@ -358,7 +354,7 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
 void ReplicationGroup::SendResponse(
     Replica& rep, uint64_t sequence, GroupResponse response,
     std::vector<KvResultMessage>& results,
-    const std::function<void(std::vector<uint8_t>)>& respond, bool cache) {
+    std::function<void(std::vector<uint8_t>)> respond, bool cache) {
   response.epoch = rep.current_epoch;
   response.primary_id = rep.believed_primary;
   for (KvResultMessage& result : results) {

@@ -312,9 +312,6 @@ class ReplicationGroup {
   const LatencyHistogram& propagation_lag_ns() const {
     return propagation_lag_ns_;
   }
-  const LatencyHistogram& failover_downtime_ns() const {
-    return failover_downtime_ns_;
-  }
   const LatencyHistogram& commit_wait_ns() const { return commit_wait_ns_; }
 
   // Batch records held: read and write packets admitted on some replica and
@@ -479,10 +476,12 @@ class ReplicationGroup {
   // Builds every client answer: stamps the replica's epoch and view of the
   // primary on `response` and its epoch on each of `results`, frames the
   // response at the replica's node endpoint (recording it for replay when
-  // `cache`) and responds.
+  // `cache`) and responds. `results` may live in a batch record: they are
+  // encoded before `respond` (taken out of the record by value) runs, which
+  // may open batches and grow the pool.
   void SendResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                     std::vector<KvResultMessage>& results,
-                    const std::function<void(std::vector<uint8_t>)>& respond,
+                    std::function<void(std::vector<uint8_t>)> respond,
                     bool cache);
   // Step-down / crash: forget pending work, outbound transfers included.
   void DropInFlight(Replica& rep);

@@ -22,7 +22,6 @@ void TokenPool::Acquire(uint32_t count, std::function<void()> granted) {
     granted();
     return;
   }
-  total_waits_++;
   waiters_.push_back(Waiter{count, std::move(granted)});
 }
 

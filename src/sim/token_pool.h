@@ -39,7 +39,6 @@ class TokenPool {
   // Peak-usage statistics for utilization reporting.
   uint32_t peak_in_use() const { return peak_in_use_; }
   uint64_t total_acquires() const { return total_acquires_; }
-  uint64_t total_waits() const { return total_waits_; }
 
  private:
   struct Waiter {
@@ -54,7 +53,6 @@ class TokenPool {
   uint32_t available_;
   uint32_t peak_in_use_ = 0;
   uint64_t total_acquires_ = 0;
-  uint64_t total_waits_ = 0;
   RingFifo<Waiter> waiters_;
 };
 
