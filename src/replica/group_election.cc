@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace kvd {
 
@@ -31,8 +32,9 @@ void ReplicationGroup::OnPromoteQuery(Replica& rep, const ReplicaMessage& msg) {
       MakeMessage(ReplicaMessageType::kPromoteReply, rep.current_epoch, rep.id);
   reply.new_epoch = ballot;
   reply.granted = granted;
-  reply.last_epoch = rep.receiving_snapshot ? 0 : rep.log.EpochAt(rep.log.end());
-  reply.last_index = rep.receiving_snapshot ? 0 : rep.log.end();
+  const auto [last_epoch, last_index] = std::max(rep.wiped_tail, LogTail(rep));
+  reply.last_epoch = rep.receiving_snapshot ? 0 : last_epoch;
+  reply.last_index = rep.receiving_snapshot ? 0 : last_index;
   SendReplicaMessage(rep.id, msg.sender, reply);
 }
 
@@ -75,8 +77,8 @@ void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
   // re-receiving the same kPromote must not re-run the barrier append.
   if (new_epoch < rep.current_epoch ||
       (rep.is_primary && new_epoch == rep.current_epoch) ||
-      rep.receiving_snapshot) {
-    return;  // stale or duplicate promotion, or a partial snapshot
+      rep.receiving_snapshot || rep.wiped_tail > LogTail(rep)) {
+    return;  // stale or duplicate promotion, or a partial or dropped snapshot
   }
   rep.voted_epoch = std::max(rep.voted_epoch, new_epoch);
   rep.current_epoch = new_epoch;
@@ -167,6 +169,10 @@ void ReplicationGroup::StartElection(Replica& rep) {
                   });
 }
 
+std::pair<uint64_t, uint64_t> ReplicationGroup::LogTail(const Replica& rep) {
+  return {rep.log.EpochAt(rep.log.end()), rep.log.end()};
+}
+
 void ReplicationGroup::EndCampaign(Replica& rep) {
   rep.election_active = false;
   rep.election_replies.clear();
@@ -179,8 +185,7 @@ void ReplicationGroup::FinishElection(Replica& rep) {
   // excluded: they promised this ballot to no one, and may still be acking
   // an older primary, so their positions here could go stale.
   uint32_t best_id = rep.id;
-  uint64_t best_epoch = rep.log.EpochAt(rep.log.end());
-  uint64_t best_index = rep.log.end();
+  auto [best_epoch, best_index] = std::max(rep.wiped_tail, LogTail(rep));
   for (const auto& [id, reply] : rep.election_replies) {
     max_seen_epoch = std::max(max_seen_epoch, reply.header_epoch);
     if (!reply.granted) {

@@ -227,6 +227,7 @@ void ReplicationGroup::WipeState(Replica& rep) {
   }
   rep.sessions.clear();
   rep.session_order.clear();
+  rep.wiped_tail = std::max(rep.wiped_tail, LogTail(rep));
   rep.log.ResetToSnapshot(0, 0);
   rep.commit = 0;
   rep.applied = 0;

@@ -415,6 +415,11 @@ class ReplicationGroup {
     bool receiving_snapshot = false;
     std::pair<uint64_t, uint64_t> inbound_transfer{0, 0};
     SnapshotStream::Receiver snapshot_in;
+    // The furthest log tail (epoch, index) a wipe took from this replica:
+    // every write it ever acked sits at or below it. While its log is
+    // behind that tail it campaigns and votes with it, so no granter that
+    // lacks those writes can win, and it refuses promotion itself.
+    std::pair<uint64_t, uint64_t> wiped_tail{0, 0};
 
     // Below-log state mutations (cluster Load/Erase) that arrived while this
     // replica was crashed: value = upsert, nullopt = erase. Applied on
@@ -530,6 +535,8 @@ class ReplicationGroup {
   void Promote(Replica& rep, uint64_t new_epoch);
   void StartElection(Replica& rep);
   void FinishElection(Replica& rep);
+  // The (epoch, index) of the replica's last log entry.
+  static std::pair<uint64_t, uint64_t> LogTail(const Replica& rep);
   // Ends the replica's own campaign, if any, forgetting its replies.
   static void EndCampaign(Replica& rep);
   void RequestCatchup(Replica& rep, uint32_t to);

@@ -1230,6 +1230,78 @@ TEST(ReplicationGroupTest, PrimaryCrashMidTransferDoesNotWedgeTheElection) {
   EXPECT_EQ(ReadU64(group, 2, 199), 899u);
 }
 
+TEST(ReplicationGroupTest, DroppedSnapshotNeverElectsAStaleSurvivor) {
+  // Replica 2 acks two writes that replica 1 (crashed) misses, then falls
+  // behind the trimmed log, and a resync wipes it before the primary
+  // crashes mid-transfer. Only the crashed primary still holds the two
+  // acknowledged writes. Replica 2 may drop its partial snapshot, but its
+  // vote must not let replica 1 win without them: the group waits for the
+  // primary, and loses nothing.
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;
+  config.state_transfer_chunk_kvs = 1;
+  config.state_transfer_bytes_per_sec = 2e6;
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  ReplicatedClient client(group);
+  auto write = [&](uint64_t first, uint64_t count) {
+    for (uint64_t i = first; i < first + count; i++) {
+      client.Enqueue(Put(i, 1000 + i));
+    }
+    for (const KvResultMessage& r : client.Flush()) {
+      ASSERT_EQ(r.code, ResultCode::kOk);
+    }
+  };
+  write(0, 4);
+  RunFor(sim, kMillisecond);
+  group.CrashReplica(1);
+  write(100, 2);  // acknowledged: held by replicas 0 and 2
+  group.CrashReplica(2);
+  // Ten writes that can never commit trim the primary's log past replica 2.
+  uint64_t sequence = group.AcquireClientSequenceBase();
+  for (uint64_t n = 0; n < 10; n++) {
+    PacketBuilder builder;
+    ASSERT_TRUE(builder.Add(Put(200 + n, 1)));
+    GroupRequest request;
+    request.ops_payload = builder.Finish();
+    group.DeliverClientFrame(
+        0, FramePacket(++sequence, EncodeGroupRequest(request)),
+        [](std::vector<uint8_t>) {});
+    RunFor(sim, 5 * kMicrosecond);
+  }
+  ASSERT_EQ(group.log_end(0), 16u);
+  ASSERT_EQ(group.log_end(1), 4u);
+  ASSERT_EQ(group.log_end(2), 6u);
+
+  group.RestartReplica(2);
+  auto streamed = [&group] {
+    return group.metrics()
+        .CounterValue("kvd_repl_state_transfer_bytes_total")
+        .value_or(0);
+  };
+  for (int chunk = 0; chunk < 4; chunk++) {
+    const uint64_t before = streamed();
+    while (streamed() == before) {
+      ASSERT_TRUE(sim.Step());
+    }
+  }
+  group.CrashReplica(0);
+  group.RestartReplica(1);
+  RunFor(sim, 100 * kMillisecond);
+  EXPECT_EQ(group.stats().failovers, 0u);
+  EXPECT_FALSE(group.is_primary(1));
+  EXPECT_FALSE(group.is_primary(2));
+
+  group.RestartReplica(0);
+  RunFor(sim, 100 * kMillisecond);
+  EXPECT_EQ(group.stats().failovers, 1u);
+  EXPECT_EQ(group.primary_id(), 0u);
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(ReadU64(group, id, 100), 1100u) << "replica " << id;
+    EXPECT_EQ(ReadU64(group, id, 101), 1101u) << "replica " << id;
+  }
+}
+
 TEST(ReplicationGroupTest, ResyncedReplicaKeepsExactlyOnceAfterPromotion) {
   ReplicationConfig config = SmallGroupConfig();
   config.max_log_entries = 8;  // the rejoin below resyncs by state transfer
