@@ -277,9 +277,11 @@ void ReplicationGroup::Tick() {
       if (rep.receiving_snapshot) {
         // The transfer went silent: its sender crashed or lost its link, and
         // a target that refuses votes could wedge the election. Drop the
-        // partial snapshot (chunk 0 already wiped the store, so nothing else
-        // is lost) and campaign; the ballot's epoch fences the abandoned
-        // transfer's stragglers, and the next primary resyncs this replica.
+        // partial snapshot (chunk 0 already wiped the store, and its
+        // wiped_tail keeps this replica's votes from electing a survivor
+        // that lacks writes it acked) and campaign; the ballot's epoch
+        // fences the abandoned transfer's stragglers, and the next primary
+        // resyncs this replica.
         WipeState(rep);
         rep.receiving_snapshot = false;
       }
