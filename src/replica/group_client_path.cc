@@ -100,9 +100,11 @@ void ReplicationGroup::HandleClientRequest(
   }
   // Gate reads on the applied cursor: backups apply entries only once
   // committed, so a served read can never expose a write that might still
-  // be discarded.
+  // be discarded. A replica whose store a state transfer wiped serves none
+  // until it holds what it held before, or its reads would go back in time.
   if (bounce.flags == 0 && !any_write &&
-      (rep.receiving_snapshot || rep.applied < request.required_index)) {
+      (rep.receiving_snapshot || rep.wiped_tail > LogTail(rep) ||
+       rep.applied < request.required_index)) {
     stats_.stale_reads++;
     tracer_.Instant(kTraceCategory, "stale_read",
                     {{"replica", rep.id},

@@ -1291,6 +1291,21 @@ TEST(ReplicationGroupTest, DroppedSnapshotNeverElectsAStaleSurvivor) {
   EXPECT_EQ(group.stats().failovers, 0u);
   EXPECT_FALSE(group.is_primary(1));
   EXPECT_FALSE(group.is_primary(2));
+  // Nor may replica 2 serve reads from its wiped store: key 0 was applied
+  // there before the wipe.
+  PacketBuilder read;
+  ASSERT_TRUE(read.Add(Get(0)));
+  GroupRequest read_request;
+  read_request.ops_payload = read.Finish();
+  std::vector<uint8_t> answer;
+  group.DeliverClientFrame(
+      2, FramePacket(++sequence, EncodeGroupRequest(read_request)),
+      [&answer](std::vector<uint8_t> packet) { answer = std::move(packet); });
+  Result<Frame> frame = ParseFrame(answer);
+  ASSERT_TRUE(frame.ok());
+  Result<GroupResponse> response = DecodeGroupResponse(frame.value().payload);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().flags, kGroupStaleRead);
 
   group.RestartReplica(0);
   RunFor(sim, 100 * kMillisecond);
