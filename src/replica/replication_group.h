@@ -418,7 +418,8 @@ class ReplicationGroup {
     // The furthest log tail (epoch, index) a wipe took from this replica:
     // every write it ever acked sits at or below it. While its log is
     // behind that tail it campaigns and votes with it, so no granter that
-    // lacks those writes can win, and it refuses promotion itself.
+    // lacks those writes can win, refuses promotion itself, and bounces
+    // reads (its store went back in time).
     std::pair<uint64_t, uint64_t> wiped_tail{0, 0};
 
     // Below-log state mutations (cluster Load/Erase) that arrived while this

@@ -458,11 +458,12 @@ TEST(ReplicationGroupTest, ReplicaAnswersRetransmissionsFromItsOwnNode) {
   EXPECT_EQ(responses.size(), 2u);
 }
 
-// A packet's batch record lives from admission until its last op retires,
-// even when the replica that admitted it can no longer answer: a crashed
-// replica (reads or writes in flight) and a primary that lost its reign
-// (here: crashed and restarted as a backup with writes in flight) release
-// the record and send nothing.
+// A packet's batch record lives from admission until its answer, a write's
+// through a snapshot drain and its quorum wait too, and no longer once the
+// replica that admitted it cannot answer: a crashed replica (reads or
+// writes in flight, a write waiting for quorum or parked by a drain) and a
+// primary that lost its reign (here: crashed and restarted as a backup with
+// writes in flight) release the record and send nothing.
 TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
   enum class Fate { kCrash, kDepose };
   // Where the packet is when its replica goes: still executing, executed
@@ -511,8 +512,9 @@ TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
     if (c.stage == Stage::kParked) {
       // Nine writes that replica 2 misses trim the log past it. Two packets
       // keep the window to it running ahead, so only the next heartbeat
-      // finds that it needs a state transfer; a packet still executing then
-      // makes the cut drain.
+      // finds that it needs a state transfer. A packet delivered 20 ns
+      // before that heartbeat is still executing at it, so the cut drains
+      // until the heartbeat after.
       group.CrashReplica(2);
       deliver(0, 8, earlier);
       RunFor(sim, 20 * kMicrosecond);
