@@ -63,7 +63,7 @@ Cost MeasureKvDirect(uint32_t kv_size, double utilization) {
 
 // --- baselines: shared fill/measure over any table with Get/Put ---
 template <typename Table>
-Cost MeasureBaseline(Table& table, DirectEngine& engine, uint64_t total_memory,
+Cost MeasureBaseline(Table& table, AccessEngine& engine, uint64_t total_memory,
                      uint32_t kv_size, double utilization) {
   const uint32_t value_size = kv_size - 8;
   uint64_t id = 0;
@@ -133,7 +133,7 @@ Cost MeasureCuckoo(uint32_t kv_size, double utilization) {
     return {};
   }
   HostMemory memory(kTotalMemory);
-  DirectEngine engine(memory);
+  AccessEngine engine(memory);
   SlabAllocator allocator(BaselineSlabConfig(index_bytes));
   CuckooConfig config;
   config.num_buckets = buckets;
@@ -148,7 +148,7 @@ Cost MeasureHopscotch(uint32_t kv_size, double utilization) {
     return {};
   }
   HostMemory memory(kTotalMemory);
-  DirectEngine engine(memory);
+  AccessEngine engine(memory);
   SlabAllocator allocator(BaselineSlabConfig(index_bytes));
   HopscotchConfig config;
   config.num_slots = slots;

@@ -27,7 +27,7 @@ std::vector<uint8_t> BmKey(uint64_t id) {
 
 struct BmRig {
   HostMemory memory;
-  DirectEngine engine;
+  AccessEngine engine;
   SlabAllocator allocator;
   HashIndex index;
 

@@ -20,7 +20,7 @@ namespace bench {
 
 struct HashRig {
   HostMemory memory;
-  DirectEngine engine;
+  AccessEngine engine;
   SlabAllocator allocator;
   HashIndex index;
 

@@ -66,8 +66,7 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
   const auto regions = index_config.ComputeRegions();
 
   memory_ = std::make_unique<HostMemory>(config.kvs_memory_bytes);
-  direct_engine_ = std::make_unique<DirectEngine>(*memory_);
-  trace_engine_ = std::make_unique<TraceRecordingEngine>(*direct_engine_);
+  engine_ = std::make_unique<AccessEngine>(*memory_);
 
   SlabConfig slab_config;
   slab_config.region_base = regions.heap_base;
@@ -76,7 +75,7 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
   slab_config.max_slab_bytes = config.max_slab_bytes;
   allocator_ = std::make_unique<SlabAllocator>(slab_config);
 
-  index_ = std::make_unique<HashIndex>(*trace_engine_, *allocator_, index_config);
+  index_ = std::make_unique<HashIndex>(*engine_, *allocator_, index_config);
 
   fault_ = std::make_unique<FaultInjector>(config.faults);
   dma_ = std::make_unique<DmaEngine>(sim_, config.pcie);
@@ -93,10 +92,9 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
 
   network_ = std::make_unique<NetworkModel>(sim_, config.network);
 
-  processor_ = std::make_unique<KvProcessor>(sim_, *index_, *trace_engine_,
-                                             *dispatcher_, registry_,
-                                             config.processor);
-  processor_->AttachSlabSyncStats(&allocator_->sync_stats());
+  processor_ = std::make_unique<KvProcessor>(
+      sim_, *index_, *engine_, *dispatcher_, registry_, tracer_,
+      allocator_->sync_stats(), config.processor);
 
   // Fault wiring: one injector shared by every site so the plan's per-site
   // streams stay independent of which subsystems are active.
@@ -105,10 +103,10 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
   network_->SetFaultInjector(fault_.get());
 
   // Tracing: every component records into the one tracer and fires flight
-  // triggers through it. The pointers are set unconditionally (each hook
-  // checks enabled() or a zero handle).
+  // triggers through it. The processor took it at construction; the others'
+  // pointers are set unconditionally (each hook checks enabled() or a zero
+  // handle).
   fault_->SetTracer(&tracer_);
-  processor_->SetTracer(&tracer_);
   allocator_->SetTracer(&tracer_);
   dispatcher_->SetTracer(&tracer_);
   dma_->SetTracer(&tracer_);
@@ -241,7 +239,7 @@ Status KvDirectServer::Load(std::span<const uint8_t> key,
 
 void KvDirectServer::CloneStoreFrom(const KvDirectServer& source) {
   memory_->CloneFrom(*source.memory_);
-  direct_engine_->CloneStatsFrom(*source.direct_engine_);
+  engine_->CloneStatsFrom(*source.engine_);
   allocator_->CloneFrom(*source.allocator_);
   index_->CloneFrom(*source.index_);
 }

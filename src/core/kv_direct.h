@@ -150,7 +150,7 @@ class KvDirectServer {
   // Hands each client a disjoint 2^40-sequence space so frames from
   // different clients never collide in the replay cache.
   uint64_t AcquireClientSequenceBase() { return ++next_client_id_ << 40; }
-  const AccessStats& memory_stats() const { return direct_engine_->stats(); }
+  const AccessStats& memory_stats() const { return engine_->stats(); }
   // The store arena: hash index plus slab heap.
   const HostMemory& memory() const { return *memory_; }
   // Makes this node's store a copy of `source`'s, untimed: the arena (only
@@ -194,8 +194,7 @@ class KvDirectServer {
   UpdateFunctionRegistry registry_;
   // The subsystem stack, built in the constructor in this order.
   std::unique_ptr<HostMemory> memory_;
-  std::unique_ptr<DirectEngine> direct_engine_;
-  std::unique_ptr<TraceRecordingEngine> trace_engine_;
+  std::unique_ptr<AccessEngine> engine_;
   std::unique_ptr<SlabAllocator> allocator_;
   std::unique_ptr<HashIndex> index_;
   std::unique_ptr<FaultInjector> fault_;

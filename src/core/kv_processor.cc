@@ -41,15 +41,18 @@ struct SlotBucket {
 
 }  // namespace
 
-KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
-                         TraceRecordingEngine& engine, LoadDispatcher& dispatcher,
-                         UpdateFunctionRegistry& registry,
+KvProcessor::KvProcessor(Simulator& sim, HashIndex& index, AccessEngine& engine,
+                         LoadDispatcher& dispatcher,
+                         UpdateFunctionRegistry& registry, Tracer& tracer,
+                         const SyncStats& slab_sync,
                          const KvProcessorConfig& config)
     : sim_(sim),
       index_(index),
       engine_(engine),
       dispatcher_(dispatcher),
       registry_(registry),
+      tracer_(tracer),
+      slab_sync_(slab_sync),
       config_(config),
       station_(config.ooo),
       cycle_(static_cast<SimTime>(std::llround(1e12 / config.clock_hz))),
@@ -170,10 +173,10 @@ void KvProcessor::Submit(KvOperation op, Completion done) {
 }
 
 void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
-  if (op.trace != 0 && tracer_ != nullptr) {
+  if (op.trace != 0) {
     // First-write-wins: a busy-bounced retry keeps the original submit time,
     // so the queue stage honestly includes the backoff.
-    tracer_->Point(op.trace, TracePoint::kSubmit);
+    tracer_.Point(op.trace, TracePoint::kSubmit);
   }
   const auto decision = admission_.Accept(cls, op.deadline,
                                           static_cast<uint32_t>(backlog()),
@@ -181,44 +184,31 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   if (decision == AdmissionController::Decision::kOverloaded) {
     // Fast-reject: refused before queueing and before the decode-cycle
     // charge — a saturated server spends no pipeline time on this op.
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "overload_reject", {{"backlog", backlog()}});
+    if (tracer_.enabled()) {
+      tracer_.Instant("proc", "overload_reject", {{"backlog", backlog()}});
     }
     NoteBusyBurst();
-    sim_.ScheduleAt(sim_.Now(), [done = std::move(done)]() mutable {
-      KvResultMessage result;
-      result.code = ResultCode::kOverloaded;
-      done(std::move(result));
-    });
+    Reject(std::move(done), ResultCode::kOverloaded, sim_.Now());
     return;
   }
   if (decision == AdmissionController::Decision::kDeadlineExceeded) {
     // Dead on arrival: executing it is pure waste; answer immediately so the
     // client learns to stop retrying.
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "deadline_shed_arrival", {{"op_deadline", op.deadline}});
+    if (tracer_.enabled()) {
+      tracer_.Instant("proc", "deadline_shed_arrival", {{"op_deadline", op.deadline}});
     }
-    sim_.ScheduleAt(sim_.Now(), [done = std::move(done)]() mutable {
-      KvResultMessage result;
-      result.code = ResultCode::kDeadlineExceeded;
-      done(std::move(result));
-    });
+    Reject(std::move(done), ResultCode::kDeadlineExceeded, sim_.Now());
     return;
   }
   if (decision == AdmissionController::Decision::kBusy) {
     // Decode-stage backpressure: the operation is bounced with kBusy after
     // one decode cycle instead of queueing without bound; clients back off
     // and retry (graceful degradation, not silent unbounded latency).
-    stats_.busy_rejected++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "busy_reject", {{"backlog", backlog()}});
+    if (tracer_.enabled()) {
+      tracer_.Instant("proc", "busy_reject", {{"backlog", backlog()}});
     }
     NoteBusyBurst();
-    sim_.ScheduleAt(NextCycleTime(), [done = std::move(done)]() mutable {
-      KvResultMessage result;
-      result.code = ResultCode::kBusy;
-      done(std::move(result));
-    });
+    Reject(std::move(done), ResultCode::kBusy, NextCycleTime());
     return;
   }
   stats_.submitted++;
@@ -229,8 +219,16 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   Pump();
 }
 
+void KvProcessor::Reject(Completion done, ResultCode code, SimTime at) {
+  sim_.ScheduleAt(at, [done = std::move(done), code]() mutable {
+    KvResultMessage result;
+    result.code = code;
+    done(std::move(result));
+  });
+}
+
 void KvProcessor::NoteBusyBurst() {
-  if (tracer_ == nullptr || config_.busy_burst_threshold == 0) {
+  if (config_.busy_burst_threshold == 0) {
     return;
   }
   if (sim_.Now() >= busy_window_start_ + config_.busy_burst_window) {
@@ -238,7 +236,7 @@ void KvProcessor::NoteBusyBurst() {
     busy_window_count_ = 0;
   }
   if (++busy_window_count_ == config_.busy_burst_threshold) {
-    tracer_->flight_recorder().Trigger(
+    tracer_.flight_recorder().Trigger(
         FlightTrigger::kBusyBurst, "kBusy rejection burst at the admission queue");
   }
 }
@@ -265,24 +263,19 @@ void KvProcessor::Pump() {
       if (action != AdmissionController::DequeueAction::kProcess) {
         const bool deadline_shed =
             action == AdmissionController::DequeueAction::kShedDeadline;
-        if (deadline_shed && head.op.trace != 0 && tracer_ != nullptr) {
-          tracer_->Span(head.op.trace, SpanKind::kDeadlineWait,
-                        head.enqueued_at, sim_.Now(), 0);
+        if (deadline_shed && head.op.trace != 0) {
+          tracer_.Span(head.op.trace, SpanKind::kDeadlineWait,
+                       head.enqueued_at, sim_.Now(), 0);
         }
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("proc",
-                           deadline_shed ? "deadline_shed_queue" : "codel_shed",
-                           {{"sojourn_ns",
-                             (sim_.Now() - head.enqueued_at) / kNanosecond}});
+        if (tracer_.enabled()) {
+          tracer_.Instant("proc",
+                          deadline_shed ? "deadline_shed_queue" : "codel_shed",
+                          {{"sojourn_ns",
+                            (sim_.Now() - head.enqueued_at) / kNanosecond}});
         }
-        sim_.ScheduleAt(NextCycleTime(),
-                        [done = std::move(head.done), deadline_shed]() mutable {
-                          KvResultMessage result;
-                          result.code = deadline_shed
-                                            ? ResultCode::kDeadlineExceeded
-                                            : ResultCode::kOverloaded;
-                          done(std::move(result));
-                        });
+        Reject(std::move(head.done),
+               deadline_shed ? ResultCode::kDeadlineExceeded : ResultCode::kOverloaded,
+               NextCycleTime());
         queue->pop_front();
         continue;
       }
@@ -307,46 +300,40 @@ void KvProcessor::Pump() {
     inflight.digest = kh.digest;
     inflight.submitted_at = sim_.Now();
     inflight.parked_at = 0;
-    if (inflight.op.trace != 0 && tracer_ != nullptr) {
-      tracer_->Point(inflight.op.trace, TracePoint::kAdmit);
+    if (inflight.op.trace != 0) {
+      tracer_.Point(inflight.op.trace, TracePoint::kAdmit);
     }
 
     // Functional execution at admission: the station guarantees per-key
     // admission order is execution order, so results are exact.
     engine_.BeginOp();
-    const uint64_t sync_reads_before =
-        slab_sync_stats_ != nullptr ? slab_sync_stats_->sync_dma_reads : 0;
-    const uint64_t sync_writes_before =
-        slab_sync_stats_ != nullptr ? slab_sync_stats_->sync_dma_writes : 0;
+    const uint64_t sync_reads_before = slab_sync_.sync_dma_reads;
+    const uint64_t sync_writes_before = slab_sync_.sync_dma_writes;
     inflight.result = ExecuteFunctional(inflight.op);
     if (!inflight.op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }
     engine_.TakeTrace(inflight.trace);
     slot_bucket_address_[slot] = index_.BucketAddressFor(inflight.op.key);
-    if (slab_sync_stats_ != nullptr) {
-      // Slab-pool synchronizations triggered by this operation become DMA
-      // transfers of one entry batch each (paper Figure 8); they are daemon
-      // metadata, charged at the key's heap line for dispatching purposes.
-      for (uint64_t n = slab_sync_stats_->sync_dma_reads - sync_reads_before; n > 0;
-           n--) {
-        inflight.trace.push_back(
-            {AccessKind::kRead, slot_bucket_address_[slot], config_.slab_sync_bytes});
-      }
-      for (uint64_t n = slab_sync_stats_->sync_dma_writes - sync_writes_before; n > 0;
-           n--) {
-        inflight.trace.push_back(
-            {AccessKind::kWrite, slot_bucket_address_[slot], config_.slab_sync_bytes});
-      }
+    // Slab-pool synchronizations triggered by this operation become DMA
+    // transfers of one entry batch each (paper Figure 8); they are daemon
+    // metadata, charged at the key's heap line for dispatching purposes.
+    for (uint64_t n = slab_sync_.sync_dma_reads - sync_reads_before; n > 0; n--) {
+      inflight.trace.push_back(
+          {AccessKind::kRead, slot_bucket_address_[slot], config_.slab_sync_bytes});
+    }
+    for (uint64_t n = slab_sync_.sync_dma_writes - sync_writes_before; n > 0; n--) {
+      inflight.trace.push_back(
+          {AccessKind::kWrite, slot_bucket_address_[slot], config_.slab_sync_bytes});
     }
 
-    if (tracer_ != nullptr && tracer_->enabled()) {
+    if (tracer_.enabled()) {
       const char* name = action == ReservationStation::Action::kIssueToPipeline
                              ? "admit"
                              : action == ReservationStation::Action::kFastPath
                                    ? "fast_path"
                                    : "park";
-      tracer_->Instant("station", name, {{"slot", slot}, {"op", id}});
+      tracer_.Instant("station", name, {{"slot", slot}, {"op", id}});
     }
 
     switch (action) {
@@ -394,9 +381,9 @@ void KvProcessor::RecordUnpark(uint64_t id) {
   if (inflight == nullptr) {
     return;
   }
-  if (inflight->parked_at != 0 && inflight->op.trace != 0 && tracer_ != nullptr) {
-    tracer_->Span(inflight->op.trace, SpanKind::kStationWait, inflight->parked_at,
-                  sim_.Now(), inflight->slot);
+  if (inflight->parked_at != 0 && inflight->op.trace != 0) {
+    tracer_.Span(inflight->op.trace, SpanKind::kStationWait, inflight->parked_at,
+                 sim_.Now(), inflight->slot);
   }
   inflight->parked_at = 0;
 }
@@ -434,8 +421,8 @@ void KvProcessor::AdvanceSlot(uint16_t slot, uint64_t bucket_address) {
   if (station_.NeedsWriteback(slot)) {
     station_.BeginWriteback(slot);
     stats_.writebacks++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("station", "writeback", {{"slot", slot}});
+    if (tracer_.enabled()) {
+      tracer_.Instant("station", "writeback", {{"slot", slot}});
     }
     // Cache write-back: one bucket-line write issued to the memory system.
     dispatcher_.Access(AccessKind::kWrite, bucket_address, kBucketBytes,
@@ -471,10 +458,10 @@ void KvProcessor::Retire(uint64_t id) {
   inflight_.Erase(*entry);
   stats_.retired++;
   stats_.latency_ns.Add((sim_.Now() - submitted_at) / kNanosecond);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("proc", "op", submitted_at, sim_.Now(),
-                      {{"op", id}, {"slot", slot}},
-                      OpMark::Point(trace, TracePoint::kRetire));
+  if (tracer_.enabled()) {
+    tracer_.Complete("proc", "op", submitted_at, sim_.Now(),
+                     {{"op", id}, {"slot", slot}},
+                     OpMark::Point(trace, TracePoint::kRetire));
   }
   // Retirement-side deadline check: a read that expired in the pipeline is
   // relabeled kDeadlineExceeded (and its payload dropped) — nobody is
@@ -506,10 +493,10 @@ void KvProcessor::RegisterMetrics(MetricRegistry& registry) const {
   registry.RegisterCounter("kvd_proc_writebacks_total",
                            "Reservation-station cache write-backs", {},
                            &stats_.writebacks);
+  const AdmissionStats& admission = admission_.stats();
   registry.RegisterCounter("kvd_proc_busy_rejected_total",
                            "Submissions bounced with kBusy at the admission queue",
-                           {}, &stats_.busy_rejected);
-  const AdmissionStats& admission = admission_.stats();
+                           {}, &admission.busy_rejected);
   registry.RegisterCounter("kvd_proc_overload_rejected_total",
                            "Submissions fast-rejected with kOverloaded", {},
                            &admission.overload_rejected);

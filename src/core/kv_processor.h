@@ -66,7 +66,6 @@ struct KvProcessorStats {
   uint64_t pipeline_ops = 0;   // ops that went through the memory system
   uint64_t fast_path_ops = 0;  // retired from the reservation station
   uint64_t writebacks = 0;
-  uint64_t busy_rejected = 0;  // bounced with kBusy at the admission queue
   // Reads whose deadline expired between admission and retirement: the
   // result is relabeled kDeadlineExceeded (writes keep their true outcome —
   // the mutation already happened).
@@ -78,8 +77,13 @@ class KvProcessor {
  public:
   using Completion = std::function<void(KvResultMessage)>;
 
-  KvProcessor(Simulator& sim, HashIndex& index, TraceRecordingEngine& engine,
+  // `tracer` records the processor's spans and events, and kBusy rejection
+  // bursts fire its flight recorder. `slab_sync` is the slab allocator's sync
+  // counters, so pool synchronization DMAs are charged to the operations that
+  // trigger them.
+  KvProcessor(Simulator& sim, HashIndex& index, AccessEngine& engine,
               LoadDispatcher& dispatcher, UpdateFunctionRegistry& registry,
+              Tracer& tracer, const SyncStats& slab_sync,
               const KvProcessorConfig& config);
 
   // Executes `op` with full timing; `done` fires at retirement (sim time).
@@ -92,15 +96,9 @@ class KvProcessor {
   // Pure functional execution, no simulation (tests, warm-up fills).
   KvResultMessage ExecuteFunctional(const KvOperation& op);
 
-  // Attaches the slab allocator's sync counters so pool synchronization DMAs
-  // are charged to the operations that trigger them.
-  void AttachSlabSyncStats(const SyncStats* stats) { slab_sync_stats_ = stats; }
-
   // Registers processor and reservation-station counters (readers over the
   // live stats structs; no behavior change).
   void RegisterMetrics(MetricRegistry& registry) const;
-  // kBusy rejection bursts fire the tracer's flight recorder.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
   const KvProcessorStats& stats() const { return stats_; }
   const AdmissionStats& admission_stats() const { return admission_.stats(); }
@@ -140,6 +138,8 @@ class KvProcessor {
   void Pump();
   // Highest-priority non-empty waiting queue, or nullptr when all drained.
   RingFifo<Waiting>* NextQueue();
+  // Answers `done` at `at` with a result that carries only `code`.
+  void Reject(Completion done, ResultCode code, SimTime at);
   // Feeds the flight recorder's rejection-burst trigger.
   void NoteBusyBurst();
   // Runs the next access of a pipeline op, or completes it.
@@ -154,12 +154,12 @@ class KvProcessor {
 
   Simulator& sim_;
   HashIndex& index_;
-  TraceRecordingEngine& engine_;
+  AccessEngine& engine_;
   LoadDispatcher& dispatcher_;
   UpdateFunctionRegistry& registry_;
+  Tracer& tracer_;
+  const SyncStats& slab_sync_;
   KvProcessorConfig config_;
-  const SyncStats* slab_sync_stats_ = nullptr;
-  Tracer* tracer_ = nullptr;
   ReservationStation station_;
   SimTime cycle_;
   SimTime next_issue_at_ = 0;

@@ -1,15 +1,12 @@
-// Memory access interface separating the store's *functional* behaviour from
-// its *timing* behaviour.
+// The memory access path that separates the store's *functional* behaviour
+// from its *timing* behaviour.
 //
 // Every data-structure module (hash index, slab allocator, KV processor)
-// touches memory only through AccessEngine. The engines stack:
-//
-//   DirectEngine          — reads/writes the arena, counting DMA-equivalent
-//                           accesses (the "memory accesses per KV operation"
-//                           figures)
-//   TraceRecordingEngine  — additionally records the per-operation access
-//                           sequence, which the discrete-event pipeline
-//                           replays through the PCIe/DRAM models
+// touches memory only through AccessEngine. It reads and writes the arena,
+// counting DMA-equivalent accesses (the "memory accesses per KV operation"
+// figures), and between BeginOp() and TakeTrace() it also records the
+// operation's access sequence, which the discrete-event pipeline replays
+// through the PCIe/DRAM models.
 //
 // One engine access corresponds to one DMA transaction in the paper's
 // accounting: the hash index reads whole 64 B buckets and the slab heap is
@@ -51,86 +48,52 @@ struct AccessStats {
   }
 };
 
-class AccessEngine {
+class AccessEngine final {
  public:
-  virtual ~AccessEngine() = default;
+  explicit AccessEngine(HostMemory& memory) : memory_(memory) {}
 
-  virtual void Read(uint64_t address, std::span<uint8_t> out) = 0;
-  virtual void Write(uint64_t address, std::span<const uint8_t> in) = 0;
-  // A host-only hint that `address` is about to be read: it starts the
-  // host's cache miss early and is neither counted nor recorded, because no
-  // modelled DMA happens.
-  virtual void Prefetch(uint64_t address) = 0;
-
-  virtual const AccessStats& stats() const = 0;
-};
-
-// Direct pass-through to the arena.
-class DirectEngine final : public AccessEngine {
- public:
-  explicit DirectEngine(HostMemory& memory) : memory_(memory) {}
-
-  void Read(uint64_t address, std::span<uint8_t> out) override {
+  void Read(uint64_t address, std::span<uint8_t> out) {
     memory_.Read(address, out);
     stats_.reads++;
     stats_.read_bytes += out.size();
-  }
-  void Write(uint64_t address, std::span<const uint8_t> in) override {
-    memory_.Write(address, in);
-    stats_.writes++;
-    stats_.write_bytes += in.size();
-  }
-  void Prefetch(uint64_t address) override { memory_.Prefetch(address); }
-
-  const AccessStats& stats() const override { return stats_; }
-  // Takes `source`'s counts (a store clone copies the arena separately).
-  void CloneStatsFrom(const DirectEngine& source) { stats_ = source.stats_; }
-
-  HostMemory& memory() { return memory_; }
-
- private:
-  HostMemory& memory_;
-  AccessStats stats_;
-};
-
-// Records the access sequence of the current operation on top of a base
-// engine. The KV processor brackets each operation with BeginOp()/TakeTrace()
-// and hands the trace to the timing pipeline. TakeTrace swaps buffers with the
-// caller, so both sides keep their capacity and a warm op records without
-// allocating.
-class TraceRecordingEngine final : public AccessEngine {
- public:
-  explicit TraceRecordingEngine(AccessEngine& base) : base_(base) {}
-
-  void Read(uint64_t address, std::span<uint8_t> out) override {
-    base_.Read(address, out);
     if (recording_) {
       trace_.push_back({AccessKind::kRead, address, static_cast<uint32_t>(out.size())});
     }
   }
-  void Write(uint64_t address, std::span<const uint8_t> in) override {
-    base_.Write(address, in);
+  void Write(uint64_t address, std::span<const uint8_t> in) {
+    memory_.Write(address, in);
+    stats_.writes++;
+    stats_.write_bytes += in.size();
     if (recording_) {
       trace_.push_back({AccessKind::kWrite, address, static_cast<uint32_t>(in.size())});
     }
   }
-  void Prefetch(uint64_t address) override { base_.Prefetch(address); }
+  // A host-only hint that `address` is about to be read: it starts the
+  // host's cache miss early and is neither counted nor recorded, because no
+  // modelled DMA happens.
+  void Prefetch(uint64_t address) { memory_.Prefetch(address); }
 
-  const AccessStats& stats() const override { return base_.stats(); }
+  const AccessStats& stats() const { return stats_; }
+  // Takes `source`'s counts (a store clone copies the arena separately).
+  void CloneStatsFrom(const AccessEngine& source) { stats_ = source.stats_; }
 
+  // The KV processor brackets each operation with BeginOp()/TakeTrace() and
+  // hands the trace to the timing pipeline. TakeTrace swaps buffers with the
+  // caller, so both sides keep their capacity and a warm op records without
+  // allocating: `out`'s old buffer becomes the recording buffer for the next
+  // op.
   void BeginOp() {
     trace_.clear();
     recording_ = true;
   }
-  // Moves the recorded trace into `out`; `out`'s old buffer becomes the
-  // recording buffer for the next op.
   void TakeTrace(std::vector<AccessRecord>& out) {
     recording_ = false;
     out.swap(trace_);
   }
 
  private:
-  AccessEngine& base_;
+  HostMemory& memory_;
+  AccessStats stats_;
   bool recording_ = false;
   std::vector<AccessRecord> trace_;
 };

@@ -35,7 +35,7 @@ struct BaselineRig {
   static constexpr uint64_t kHeapBytes = 1 * kMiB;
 
   HostMemory memory;
-  DirectEngine engine;
+  AccessEngine engine;
   SlabAllocator allocator;
 
   BaselineRig()

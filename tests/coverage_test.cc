@@ -134,7 +134,7 @@ TEST(WireFlagsTest, NoReturnSuppressesResponseValue) {
 
 struct IndexRig {
   HostMemory memory;
-  DirectEngine engine;
+  AccessEngine engine;
   SlabAllocator allocator;
   HashIndex index;
 

@@ -472,9 +472,9 @@ TEST(DegradationTest, BusyBackpressureEndToEnd) {
   // The tiny admission queue bounced operations, the client backed off and
   // re-sent exactly those, and everything completed.
   EXPECT_GT(client.stats().busy_retries, 0u);
-  EXPECT_GT(server.processor().stats().busy_rejected, 0u);
+  EXPECT_GT(server.processor().admission_stats().busy_rejected, 0u);
   EXPECT_EQ(*server.metrics().CounterValue("kvd_proc_busy_rejected_total"),
-            server.processor().stats().busy_rejected);
+            server.processor().admission_stats().busy_rejected);
 }
 
 TEST(DegradationTest, OutOfMemorySurfacesInBatchAndRecovers) {

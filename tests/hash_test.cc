@@ -141,7 +141,7 @@ TEST(BucketViewTest, FreeSlotsAndCompactReadTheTypeField) {
 
 struct IndexRig {
   HostMemory memory;
-  DirectEngine engine;
+  AccessEngine engine;
   SlabAllocator allocator;
   HashIndex index;
 
@@ -320,9 +320,9 @@ TEST(HashIndexTest, InlineGetCostsOneAccessPutCostsTwo) {
   EXPECT_EQ(delta.total(), 1u);  // bucket read only
 }
 
-// A prefetch is a host-only hint: neither engine counts it, the recording
-// engine leaves it out of the op's trace, and a lookup after it records
-// exactly its usual one bucket read.
+// A prefetch is a host-only hint: the engine neither counts it nor records
+// it in the op's trace, and a lookup after it records exactly its usual one
+// bucket read.
 TEST(HashIndexTest, PrefetchIsNeitherCountedNorRecorded) {
   IndexRig rig(SmallIndexConfig());
   const auto key = MakeKey(11);
@@ -337,26 +337,24 @@ TEST(HashIndexTest, PrefetchIsNeitherCountedNorRecorded) {
   EXPECT_EQ(after_direct.total(), 0u);
   EXPECT_EQ(after_direct.total_bytes(), 0u);
 
-  TraceRecordingEngine recording(rig.engine);
-  HashIndex traced(recording, rig.allocator, SmallIndexConfig());
   std::vector<AccessRecord> trace;
-  recording.BeginOp();
-  recording.Prefetch(bucket);
-  traced.Prefetch(key);
-  recording.TakeTrace(trace);
+  rig.engine.BeginOp();
+  rig.engine.Prefetch(bucket);
+  rig.index.Prefetch(key);
+  rig.engine.TakeTrace(trace);
   EXPECT_TRUE(trace.empty());
-  EXPECT_EQ((recording.stats() - before).total(), 0u);
+  EXPECT_EQ((rig.engine.stats() - before).total(), 0u);
 
-  recording.BeginOp();
-  traced.Prefetch(key);
+  rig.engine.BeginOp();
+  rig.index.Prefetch(key);
   std::vector<uint8_t> out;
-  ASSERT_TRUE(traced.Get(key, out).ok());
-  recording.TakeTrace(trace);
+  ASSERT_TRUE(rig.index.Get(key, out).ok());
+  rig.engine.TakeTrace(trace);
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].kind, AccessKind::kRead);
   EXPECT_EQ(trace[0].address, bucket);
   EXPECT_EQ(trace[0].length, kBucketBytes);
-  EXPECT_EQ((recording.stats() - before).reads, 1u);
+  EXPECT_EQ((rig.engine.stats() - before).reads, 1u);
 }
 
 TEST(HashIndexTest, NonInlineAddsOneAccess) {
