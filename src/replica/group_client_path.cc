@@ -278,7 +278,10 @@ bool ReplicationGroup::FinishWrites(uint32_t batch) {
     rep.pending.push_back(batch);
   }
   if (appended) {
+    // Ship before trimming: a packet's writes may outnumber max_log_entries,
+    // and trimming first would drop entries no backup has received yet.
     PushAppends(rep);
+    TrimLog(rep);
   }
   return committed;
 }
@@ -330,7 +333,6 @@ void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
   rep.next[rep.id] = rep.log.end() + 1;
   rep.applied = rep.log.end();  // execute-then-log: effects already in store
   RecordSession(rep, sequence, slot, result);
-  TrimLog(rep);
 }
 
 void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,

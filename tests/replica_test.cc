@@ -1039,6 +1039,30 @@ TEST(ReplicationGroupTest, RestartedBackupCatchesUpByLogReplay) {
   EXPECT_EQ(group.stats().state_transfers, 0u);
 }
 
+// The primary ships a packet's entries before it trims its log, so a packet
+// with more writes than max_log_entries reaches every healthy backup by log
+// replay. Trimming at each append dropped entries no backup had received yet
+// and sent every backup into a state transfer (10 across these 5 packets).
+TEST(ReplicationGroupTest, PacketLongerThanTheLogShipsBeforeTrim) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;  // each 10-put packet outruns the log
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  for (uint64_t packet = 0; packet < 5; packet++) {
+    for (uint64_t i = 0; i < 10; i++) {
+      client.Enqueue(Put(packet * 10 + i, packet));
+    }
+    client.Flush();
+  }
+  RunFor(group.simulator(), 1 * kMillisecond);
+  EXPECT_EQ(group.stats().state_transfers, 0u);
+  EXPECT_EQ(group.stats().state_transfer_kvs, 0u);
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(group.log_end(id), 50u) << "replica " << id;
+    EXPECT_EQ(ReadU64(group, id, 49), 4u) << "replica " << id;
+  }
+}
+
 TEST(ReplicationGroupTest, TrimmedLogForcesBoundedRateStateTransfer) {
   ReplicationConfig config = SmallGroupConfig();
   config.max_log_entries = 8;  // aggressive trim: restarts overrun the log
