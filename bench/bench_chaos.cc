@@ -12,7 +12,6 @@
 // demotions to host memory.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -26,23 +25,9 @@
 namespace kvd {
 namespace {
 
-std::vector<uint8_t> Key(uint64_t id) {
-  std::vector<uint8_t> key(8);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
-
-std::vector<uint8_t> U64Value(uint64_t v) {
-  std::vector<uint8_t> value(8);
-  std::memcpy(value.data(), &v, 8);
-  return value;
-}
-
-uint64_t AsU64(const std::vector<uint8_t>& value) {
-  uint64_t v = 0;
-  std::memcpy(&v, value.data(), std::min<size_t>(8, value.size()));
-  return v;
-}
+using bench::AsU64;
+using bench::Key;
+using bench::U64Value;
 
 struct ChaosPoint {
   double loss_percent;

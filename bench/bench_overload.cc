@@ -22,7 +22,6 @@
 //      and reinstate it after the link heals and the peer stays caught up.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -38,17 +37,8 @@
 namespace kvd {
 namespace {
 
-std::vector<uint8_t> Key(uint64_t id) {
-  std::vector<uint8_t> key(8);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
-
-std::vector<uint8_t> U64Value(uint64_t v) {
-  std::vector<uint8_t> value(8);
-  std::memcpy(value.data(), &v, 8);
-  return value;
-}
+using bench::Key;
+using bench::U64Value;
 
 // --- Scenario 1: open-loop sweep across the capacity knee ---
 

@@ -11,7 +11,6 @@
 // Paper shape: NIC-side updates win by an order of magnitude for large
 // vectors because elements never cross the network.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 
 #include "bench/bench_util.h"
@@ -46,16 +45,10 @@ double DriveOps(KvDirectServer& server, uint64_t total_ops,
   return bench::DriveFramed(server, options, [&] { return make_op(next++); }).mops * 1e6;
 }
 
-std::vector<uint8_t> VectorKey(uint64_t id) {
-  std::vector<uint8_t> key(8);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
-
 void PreloadVectors(KvDirectServer& server, uint32_t vector_bytes) {
   const std::vector<uint8_t> value(vector_bytes, 1);
   for (uint64_t v = 0; v < kNumVectors; v++) {
-    KVD_CHECK(server.Load(VectorKey(v), value).ok());
+    KVD_CHECK(server.Load(bench::Key(v), value).ok());
   }
 }
 
@@ -65,7 +58,7 @@ double UpdateGBps(uint32_t vector_bytes, bool with_return) {
   const double ops_per_s = DriveOps(server, 4000, [&](uint64_t i) {
     KvOperation op;
     op.opcode = Opcode::kUpdateScalarVector;
-    op.key = VectorKey(i % kNumVectors);
+    op.key = bench::Key(i % kNumVectors);
     op.param = 3;
     op.function_id = kFnAddU64;
     op.element_width = 8;
@@ -105,10 +98,10 @@ double FetchToClientGBps(uint32_t vector_bytes) {
     KvOperation op;
     if (i % 2 == 0) {
       op.opcode = Opcode::kGet;
-      op.key = VectorKey((i / 2) % kNumVectors);
+      op.key = bench::Key((i / 2) % kNumVectors);
     } else {
       op.opcode = Opcode::kPut;
-      op.key = VectorKey((i / 2) % kNumVectors);
+      op.key = bench::Key((i / 2) % kNumVectors);
       op.value = new_value;
     }
     return op;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -26,6 +27,25 @@
 
 namespace kvd {
 namespace bench {
+
+// Numbered 8 B keys and values, and a value read back as a number.
+inline std::vector<uint8_t> Key(uint64_t id) {
+  std::vector<uint8_t> key(8);
+  std::memcpy(key.data(), &id, 8);
+  return key;
+}
+
+inline std::vector<uint8_t> U64Value(uint64_t v) {
+  std::vector<uint8_t> value(8);
+  std::memcpy(value.data(), &v, 8);
+  return value;
+}
+
+inline uint64_t AsU64(const std::vector<uint8_t>& value) {
+  uint64_t v = 0;
+  std::memcpy(&v, value.data(), std::min<size_t>(8, value.size()));
+  return v;
+}
 
 // Preloads `count` keys from the workload into any store with a Load (a
 // server, a MultiNicServer, a group, a cluster), untimed. Returns the number
