@@ -29,7 +29,10 @@
 #      FrameEndpoint, and no liveness guard stands in for clock ownership);
 #      and the replication group is split by role (the "group by role"
 #      guard: no file under src/replica exceeds 500 code lines, and a
-#      client write is one batch record from admission to answer);
+#      client write is one batch record from admission to answer); and
+#      memory has one access path (the "one access engine" guard: a single
+#      non-virtual AccessEngine reads, counts and records, and the KV
+#      processor takes its tracer and slab-sync counters at construction);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -224,6 +227,19 @@ byrole=$({ for f in src/replica/*.h src/replica/*.cc; do
 if [[ -n "${byrole}" ]]; then
   echo "group by role: an oversized replica file or a second write record found:" >&2
   echo "${byrole}" >&2
+  exit 1
+fi
+
+# One access engine: AccessEngine is one final class that reads and writes
+# the arena, counts accesses and records an op's trace, so no engine
+# interface, stacked engine or virtual call comes back, and the processor
+# gets the slab allocator's sync counters at construction, not by a setter.
+engines=$({ grep -rnE 'DirectEngine|TraceRecordingEngine|AttachSlabSyncStats' \
+              src bench tests examples --include='*.h' --include='*.cc'
+            grep -nw 'virtual' src/mem/access_engine.h; } || true)
+if [[ -n "${engines}" ]]; then
+  echo "one access engine: a stacked engine, a virtual call or a sync-stats setter found:" >&2
+  echo "${engines}" >&2
   exit 1
 fi
 
