@@ -26,11 +26,14 @@
 // exactly-once holds across a mid-flight ownership change.
 //
 // Read-your-writes across groups: watermarks are (group, log index) pairs,
-// looked up per key over the packet's own keys (GroupRouter::RequiredIndex).
-// Against the same group the usual required-index rule applies; when a key's
-// partition has moved since the write, the watermark is dropped instead of
-// carried over (indices are per-group) — safe because a cutover implies the
-// write's state was installed on *every* destination replica below its log.
+// kept per (key hash, group) and looked up per key over the packet's own
+// keys (GroupRouter::RequiredIndex, src/replica/watermark_table.h). Against
+// the same group the usual required-index rule applies; when a key's
+// partition has moved since the write, the old group's watermark is not
+// consulted by packets to the new group (indices are per-group) — safe
+// because a cutover implies the write's state was installed on *every*
+// destination replica below its log. A key that moves back waits at most for
+// an index its old group has already committed.
 //
 // ClusterClient is a GroupRouter (src/replica/replicated_client.h) over the
 // batching client core: one bucket per partition, a routed GroupRequest

@@ -9,6 +9,7 @@
 #ifndef SRC_REPLICA_REPLICA_LOG_H_
 #define SRC_REPLICA_REPLICA_LOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -20,12 +21,17 @@ namespace kvd {
 class ReplicaLog {
  public:
   // Appends at index end()+1.
-  void Append(LogEntry entry) { entries_.push_back(std::move(entry)); }
+  void Append(LogEntry entry) {
+    entries_.push_back(std::move(entry));
+    peak_ = std::max(peak_, entries_.size());
+  }
 
   uint64_t base() const { return base_; }
   uint64_t base_epoch() const { return base_epoch_; }
   uint64_t end() const { return base_ + entries_.size(); }
   size_t size() const { return entries_.size(); }
+  // High-water mark of size().
+  size_t peak() const { return peak_; }
   bool Contains(uint64_t index) const { return index > base_ && index <= end(); }
 
   // Epoch of the entry at `index`. Defined for the trimmed boundary
@@ -55,6 +61,7 @@ class ReplicaLog {
   uint64_t base_ = 0;
   uint64_t base_epoch_ = 0;
   std::deque<LogEntry> entries_;
+  size_t peak_ = 0;
 };
 
 }  // namespace kvd

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/hashing.h"
+
 namespace kvd {
 
 GroupRouter::GroupRouter(Simulator& sim, uint64_t sequence_base,
@@ -27,10 +29,9 @@ uint32_t& GroupRouter::BelievedPrimary(uint32_t group) {
 uint64_t GroupRouter::RequiredIndex(const Packet& packet) const {
   uint64_t required = 0;
   for (const size_t slot : packet.slots) {
-    auto mark = watermarks_.find(packet.flush->ops[slot].key);
-    if (mark != watermarks_.end() && mark->second.group == packet.group) {
-      required = std::max(required, mark->second.index);
-    }
+    required = std::max(required, watermarks_.Required(
+                                      HashBytes(packet.flush->ops[slot].key),
+                                      packet.group));
   }
   return required;
 }
@@ -116,9 +117,9 @@ void GroupRouter::OnResponse(const PacketPtr& packet, std::vector<uint8_t> paylo
     if (!IsWriteOpcode(op.opcode)) {
       continue;
     }
-    Watermark& mark = watermarks_[op.key];
-    if (mark.group != packet->group || response.assigned_index > mark.index) {
-      mark = Watermark{packet->group, response.assigned_index};
+    if (watermarks_.Raise(HashBytes(op.key), packet->group,
+                          response.assigned_index)) {
+      stats_.watermark_evictions++;
     }
   }
 }

@@ -4,7 +4,9 @@
 // core (src/transport/batch_client.h), shared by both group routers: it
 // frames each packet in a GroupRequest carrying the packet's read watermark,
 // follows redirect and stale-read bounces toward the responder's view of the
-// primary, and advances the watermarks from acknowledged writes.
+// primary, and advances the watermarks from acknowledged writes. The
+// watermarks live in one flat, bounded table of key hashes
+// (src/replica/watermark_table.h).
 // Retransmission reuses the frame sequence, so a retried request is answered
 // exactly once — from the replay cache on the same primary, or from the
 // replicated session records after a failover.
@@ -22,12 +24,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/hashing.h"
 #include "src/replica/replica_wire.h"
 #include "src/replica/replication_group.h"
+#include "src/replica/watermark_table.h"
 #include "src/transport/batch_client.h"
 
 namespace kvd {
@@ -51,7 +52,13 @@ class GroupRouter : public BatchClient {
   struct Stats : KvEndpoint::Stats {
     uint64_t redirects_followed = 0;  // kGroupRedirect bounces
     uint64_t stale_retries = 0;       // kGroupStaleRead bounces
+    // Watermarks folded into their group's floor to keep the table bounded.
+    uint64_t watermark_evictions = 0;
   };
+
+  // Read watermarks held: one per (key hash, group) this client wrote, up
+  // to WatermarkTable::kMaxSlots / 2. It never falls, so it is also the peak.
+  size_t watermark_entries() const { return watermarks_.live(); }
 
  protected:
   // `header_bytes`: kGroupRequestHeaderBytes, or kGroupRouteHeaderBytes for
@@ -76,9 +83,10 @@ class GroupRouter : public BatchClient {
   void WireTo(const PacketPtr& packet, uint32_t target,
               std::function<void(std::vector<uint8_t>)> delivered);
   // Read-your-writes: the highest index this client's acknowledged writes to
-  // the packet's own keys reached in the packet's group. A watermark from
-  // another group is dropped — its index means nothing in this group's log,
-  // and a cutover installed the write's state on every destination replica.
+  // the packet's own keys reached in the packet's group, and at least the
+  // group's eviction floor. A watermark from another group is not consulted:
+  // its index means nothing in this group's log, and a cutover installed the
+  // write's state on every destination replica.
   uint64_t RequiredIndex(const Packet& packet) const;
   uint32_t& BelievedPrimary(uint32_t group);
   // Re-sends the packet after `delay` unless it completes first; `detail`
@@ -88,23 +96,12 @@ class GroupRouter : public BatchClient {
   void Redirect(const PacketPtr& packet, uint32_t target, uint64_t detail);
 
  private:
-  // The group that acked a write and the quorum-committed index covering it.
-  struct Watermark {
-    uint32_t group = 0;
-    uint64_t index = 0;
-  };
-  struct KeyBytesHash {
-    size_t operator()(const std::vector<uint8_t>& key) const {
-      return HashBytes(key);
-    }
-  };
-
   SimTime redirect_backoff_;
   Stats& stats_;
   std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // Per key: searched once per key per packet, never iterated.
-  std::unordered_map<std::vector<uint8_t>, Watermark, KeyBytesHash>
-      watermarks_;
+  // Per (key hash, group): the highest quorum-committed index covering the
+  // client's acknowledged writes there. Searched once per key per packet.
+  WatermarkTable watermarks_;
 };
 
 class ReplicatedClient : public GroupRouter {

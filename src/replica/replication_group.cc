@@ -383,6 +383,16 @@ void ReplicationGroup::RegisterMetrics() {
                            labels, [this, id] {
                              return static_cast<double>(replicas_[id]->log.end());
                            });
+    metrics_.RegisterGauge("kvd_repl_log_entries",
+                           "Entries held in the replica's op log", labels,
+                           [this, id] {
+                             return static_cast<double>(replicas_[id]->log.size());
+                           });
+    metrics_.RegisterGauge("kvd_repl_log_entries_peak",
+                           "High-water mark of kvd_repl_log_entries", labels,
+                           [this, id] {
+                             return static_cast<double>(replicas_[id]->log.peak());
+                           });
     metrics_.RegisterGauge("kvd_repl_crashed", "1 while the replica is crashed",
                            labels, [this, id] {
                              return replicas_[id]->crashed ? 1.0 : 0.0;

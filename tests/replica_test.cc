@@ -18,6 +18,7 @@
 #include "src/check/history.h"
 #include "src/check/linearizability.h"
 #include "src/check/session_audit.h"
+#include "src/common/hashing.h"
 #include "src/common/key_router.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
@@ -27,6 +28,7 @@
 #include "src/replica/replica_wire.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
+#include "src/replica/watermark_table.h"
 
 namespace kvd {
 namespace {
@@ -582,6 +584,85 @@ TEST(ReplicationGroupTest, LaggingBackupRejectsReadThenClientRetriesPrimary) {
   }
   EXPECT_GE(group.stats().stale_reads, 1u);
   EXPECT_GE(client.stats().stale_retries, 1u);
+  // One watermark per written key; the table is far from its cap.
+  EXPECT_EQ(client.watermark_entries(), 4u);
+  EXPECT_EQ(client.stats().watermark_evictions, 0u);
+}
+
+TEST(WatermarkTableTest, EntriesMatchOnHashAndGroup) {
+  WatermarkTable table(64);
+  const uint64_t hash = HashBytes(Key(7));
+  table.Raise(hash, 0, 5);
+  table.Raise(hash, 1, 9);
+  table.Raise(hash, 0, 3);  // a late, lower ack keeps the higher index
+  table.Raise(hash, 2, 0);  // index 0 adds nothing
+  EXPECT_EQ(table.Required(hash, 0), 5u);
+  EXPECT_EQ(table.Required(hash, 1), 9u);
+  EXPECT_EQ(table.Required(hash, 2), 0u);
+  EXPECT_EQ(table.Required(HashBytes(Key(8)), 0), 0u);
+  EXPECT_EQ(table.live(), 2u);
+}
+
+// Random writes against an exact model of every (key, group) watermark. The
+// key space widens as the run goes on, so distinct keys keep arriving long
+// after the table has reached its cap.
+TEST(WatermarkTableTest, MatchesTheModelBelowTheCapAndBoundsItAbove) {
+  constexpr size_t kMaxSlots = 256;  // grows 64 -> 128 -> 256, then evicts
+  constexpr uint32_t kGroups = 3;
+  WatermarkTable table(kMaxSlots);
+  ASSERT_EQ(table.max_live(), kMaxSlots / 2);
+  std::map<std::pair<uint64_t, uint32_t>, uint64_t> model;
+  std::vector<uint64_t> log_end(kGroups, 0);  // highest index per group
+  Rng rng(28);
+  uint64_t evictions = 0;
+  uint64_t exact_checks = 0;
+  uint64_t mismatches = 0;      // below the cap: any answer but the model's
+  uint64_t below_model = 0;     // with evictions: an answer under the model
+  uint64_t above_log_end = 0;   // with evictions: past the group's log end
+  uint64_t over_cap = 0;        // live entries above max_live()
+  size_t max_live_seen = 0;
+  auto check = [&](uint64_t key, uint32_t group) {
+    const auto it = model.find({key, group});
+    const uint64_t expected = it == model.end() ? 0 : it->second;
+    const uint64_t got = table.Required(HashBytes(Key(key)), group);
+    if (evictions == 0) {
+      exact_checks++;
+      mismatches += got != expected;
+    } else {
+      below_model += got < expected;
+      above_log_end += got > log_end[group];
+    }
+  };
+  for (uint64_t step = 0; step < 20000; step++) {
+    const uint32_t group = static_cast<uint32_t>(rng.NextBelow(kGroups));
+    const uint64_t key = rng.NextBelow(16 + step / 40);
+    // Acks land out of order: an index up to 8 below the group's log end.
+    log_end[group]++;
+    const uint64_t index =
+        log_end[group] - rng.NextBelow(std::min<uint64_t>(log_end[group], 8));
+    evictions += table.Raise(HashBytes(Key(key)), group, index);
+    uint64_t& modelled = model[{key, group}];
+    modelled = std::max(modelled, index);
+    over_cap += table.live() > table.max_live();
+    max_live_seen = std::max(max_live_seen, table.live());
+    for (int probe = 0; probe < 4; probe++) {
+      check(rng.NextBelow(16 + step / 40),
+            static_cast<uint32_t>(rng.NextBelow(kGroups)));
+    }
+  }
+  for (const auto& [entry, index] : model) {
+    check(entry.first, entry.second);
+  }
+  EXPECT_GT(exact_checks, 1000u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_EQ(below_model, 0u);
+  EXPECT_EQ(above_log_end, 0u);
+  // Live entries level off at the cap while distinct keys keep coming.
+  EXPECT_EQ(over_cap, 0u);
+  EXPECT_EQ(max_live_seen, table.max_live());
+  EXPECT_EQ(table.live(), table.max_live());
+  EXPECT_GT(model.size(), 4 * table.max_live());
 }
 
 TEST(ReplicationGroupTest, BackupAppliesOnlyCommittedEntries) {
@@ -1060,6 +1141,19 @@ TEST(ReplicationGroupTest, PacketLongerThanTheLogShipsBeforeTrim) {
   for (uint32_t id = 0; id < group.num_replicas(); id++) {
     EXPECT_EQ(group.log_end(id), 50u) << "replica " << id;
     EXPECT_EQ(ReadU64(group, id, 49), 4u) << "replica " << id;
+    // Op-log bound: the primary peaks at max_log_entries plus one packet's
+    // 10 writes. A backup also keeps the window whose commit rides the next
+    // append, so it peaks at max(max_log_entries, 10) plus one window.
+    // Once trimmed, every log holds max_log_entries.
+    const MetricLabels labels{{"replica", std::to_string(id)}};
+    const double bound = id == group.primary_id()
+                             ? config.max_log_entries + 10
+                             : std::max<uint64_t>(config.max_log_entries, 10) + 10;
+    EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_log_entries_peak", labels), bound)
+        << "replica " << id;
+    EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_log_entries", labels),
+              config.max_log_entries)
+        << "replica " << id;
   }
 }
 
