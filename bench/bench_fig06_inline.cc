@@ -33,7 +33,7 @@ uint64_t FillMixed(bench::HashRig& rig, double target_utilization, Rng& rng) {
   while (rig.index.Utilization() < target_utilization) {
     const uint32_t kv = kKvSizes[id % std::size(kKvSizes)];
     const std::vector<uint8_t> value(kv - 8, static_cast<uint8_t>(id));
-    if (!rig.index.Put(bench::BenchKey(id), value).ok()) {
+    if (!rig.index.Put(bench::Key(id), value).ok()) {
       break;
     }
     id++;
@@ -50,12 +50,12 @@ double MeasureMixedCost(bench::HashRig& rig, uint64_t keys_present) {
   for (int i = 0; i < kSamples; i++) {
     const uint64_t id = rng.NextBelow(keys_present);
     if (i % 2 == 0) {
-      (void)rig.index.Get(bench::BenchKey(id), out);
+      (void)rig.index.Get(bench::Key(id), out);
     } else {
       // Same-size overwrite: the size cycle is keyed by id, like the fill.
       const uint32_t kv = kKvSizes[id % std::size(kKvSizes)];
       const std::vector<uint8_t> value(kv - 8, static_cast<uint8_t>(i));
-      (void)rig.index.Put(bench::BenchKey(id), value);
+      (void)rig.index.Put(bench::Key(id), value);
     }
   }
   return static_cast<double>((rig.engine.stats() - before).total()) / kSamples;

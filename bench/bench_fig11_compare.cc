@@ -77,7 +77,7 @@ Cost MeasureBaseline(Table& table, AccessEngine& engine, uint64_t total_memory,
   while (static_cast<double>(payload) / static_cast<double>(total_memory) <
          utilization) {
     const std::vector<uint8_t> value(value_size, static_cast<uint8_t>(id));
-    if (table.Put(bench::BenchKey(id), value).ok()) {
+    if (table.Put(bench::Key(id), value).ok()) {
       payload += kv_size;
       stored++;
       consecutive_failures = 0;
@@ -95,13 +95,13 @@ Cost MeasureBaseline(Table& table, AccessEngine& engine, uint64_t total_memory,
   std::vector<uint8_t> out;
   AccessStats before = engine.stats();
   for (int i = 0; i < kSamples; i++) {
-    (void)table.Get(bench::BenchKey(rng.NextBelow(id)), out);
+    (void)table.Get(bench::Key(rng.NextBelow(id)), out);
   }
   cost.get = static_cast<double>((engine.stats() - before).total()) / kSamples;
   before = engine.stats();
   for (int i = 0; i < kSamples; i++) {
     const std::vector<uint8_t> value(value_size, static_cast<uint8_t>(i));
-    (void)table.Put(bench::BenchKey(rng.NextBelow(id)), value);
+    (void)table.Put(bench::Key(rng.NextBelow(id)), value);
   }
   cost.put = static_cast<double>((engine.stats() - before).total()) / kSamples;
   return cost;

@@ -3,9 +3,9 @@
 // speed on this host, not the simulated hardware.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <vector>
 
+#include "bench/bench_key.h"
 #include "src/alloc/merger.h"
 #include "src/alloc/slab_allocator.h"
 #include "src/common/random.h"
@@ -18,12 +18,6 @@
 
 namespace kvd {
 namespace {
-
-std::vector<uint8_t> BmKey(uint64_t id) {
-  std::vector<uint8_t> key(8);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
 
 struct BmRig {
   HostMemory memory;
@@ -58,12 +52,12 @@ void BM_HashIndexGetInline(benchmark::State& state) {
   constexpr uint64_t kKeys = 100000;
   const std::vector<uint8_t> value(8, 7);
   for (uint64_t i = 0; i < kKeys; i++) {
-    (void)rig.index.Put(BmKey(i), value);
+    (void)rig.index.Put(bench::Key(i), value);
   }
   Rng rng(1);
   std::vector<uint8_t> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.index.Get(BmKey(rng.NextBelow(kKeys)), out));
+    benchmark::DoNotOptimize(rig.index.Get(bench::Key(rng.NextBelow(kKeys)), out));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -74,11 +68,11 @@ void BM_HashIndexPutInline(benchmark::State& state) {
   constexpr uint64_t kKeys = 100000;
   const std::vector<uint8_t> value(8, 7);
   for (uint64_t i = 0; i < kKeys; i++) {
-    (void)rig.index.Put(BmKey(i), value);
+    (void)rig.index.Put(bench::Key(i), value);
   }
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.index.Put(BmKey(rng.NextBelow(kKeys)), value));
+    benchmark::DoNotOptimize(rig.index.Put(bench::Key(rng.NextBelow(kKeys)), value));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -89,12 +83,12 @@ void BM_HashIndexGetSlab(benchmark::State& state) {
   constexpr uint64_t kKeys = 20000;
   const std::vector<uint8_t> value(120, 7);
   for (uint64_t i = 0; i < kKeys; i++) {
-    (void)rig.index.Put(BmKey(i), value);
+    (void)rig.index.Put(bench::Key(i), value);
   }
   Rng rng(1);
   std::vector<uint8_t> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rig.index.Get(BmKey(rng.NextBelow(kKeys)), out));
+    benchmark::DoNotOptimize(rig.index.Get(bench::Key(rng.NextBelow(kKeys)), out));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -118,7 +112,7 @@ void BM_PacketEncodeDecode(benchmark::State& state) {
   for (int i = 0; i < 64; i++) {
     KvOperation op;
     op.opcode = Opcode::kPut;
-    op.key = BmKey(i);
+    op.key = bench::Key(i);
     op.value.assign(16, static_cast<uint8_t>(i));
     ops.push_back(std::move(op));
   }

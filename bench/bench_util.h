@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "bench/bench_key.h"
 #include "bench/json_report.h"
 #include "src/common/assert.h"
 #include "src/common/stats.h"
@@ -28,13 +29,8 @@
 namespace kvd {
 namespace bench {
 
-// Numbered 8 B keys and values, and a value read back as a number.
-inline std::vector<uint8_t> Key(uint64_t id) {
-  std::vector<uint8_t> key(8);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
-
+// Numbered 8 B values (keys are bench_key.h's Key), and a value read back
+// as a number.
 inline std::vector<uint8_t> U64Value(uint64_t v) {
   std::vector<uint8_t> value(8);
   std::memcpy(value.data(), &v, 8);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_key.h"
 #include "src/alloc/slab_allocator.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
@@ -41,12 +42,6 @@ struct HashRig {
         index(engine, allocator, config) {}
 };
 
-inline std::vector<uint8_t> BenchKey(uint64_t id) {
-  std::vector<uint8_t> key(8, 0);
-  std::memcpy(key.data(), &id, 8);
-  return key;
-}
-
 // Inserts kv_size-byte KVs (8 B key + value) until the index reaches
 // `target_utilization` or the store fills. Returns the number of KVs stored.
 inline uint64_t FillToUtilization(HashRig& rig, uint32_t kv_size,
@@ -55,7 +50,7 @@ inline uint64_t FillToUtilization(HashRig& rig, uint32_t kv_size,
   uint64_t id = 0;
   while (rig.index.Utilization() < target_utilization) {
     const std::vector<uint8_t> value(value_size, static_cast<uint8_t>(id));
-    if (!rig.index.Put(BenchKey(id), value).ok()) {
+    if (!rig.index.Put(Key(id), value).ok()) {
       break;
     }
     id++;
@@ -81,14 +76,14 @@ inline AccessCost MeasureAccessCost(HashRig& rig, uint64_t keys_present,
 
   AccessStats before = rig.engine.stats();
   for (int i = 0; i < samples; i++) {
-    (void)rig.index.Get(BenchKey(rng.NextBelow(keys_present)), out);
+    (void)rig.index.Get(Key(rng.NextBelow(keys_present)), out);
   }
   cost.get = static_cast<double>((rig.engine.stats() - before).total()) / samples;
 
   before = rig.engine.stats();
   for (int i = 0; i < samples; i++) {
     const std::vector<uint8_t> value(value_size, static_cast<uint8_t>(i));
-    (void)rig.index.Put(BenchKey(rng.NextBelow(keys_present)), value);
+    (void)rig.index.Put(Key(rng.NextBelow(keys_present)), value);
   }
   cost.put = static_cast<double>((rig.engine.stats() - before).total()) / samples;
   return cost;
