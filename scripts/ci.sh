@@ -9,7 +9,7 @@
 #      tracing sink, and each replica's hash index the one key store;
 #      src/ holds only served code (no module that only tests reach); the
 #      replicated path keeps its per-key state hashed (the "hashed
-#      per-key replica state" guard: no ordered tree keyed by key bytes in
+#      per-key replica state" guard: no map keyed by key bytes in
 #      the group routers, no map of maps for the session records); and
 #      every client, bench and test takes one wire path (the "one wire
 #      path" guard: framed packets into KvDirectServer::DeliverFrame, no
@@ -136,15 +136,17 @@ fi
 
 # Hashed per-key replica state: the client's read watermarks are looked up
 # once per key per packet and the session records once per write slot;
-# nothing iterates either, so neither is an ordered tree.
-ordered=$( (grep -nF 'std::map<std::vector<uint8_t>' src/replica/replicated_client.h \
+# nothing iterates either, so neither is an ordered tree. The watermarks
+# keep key hashes in one flat table (src/replica/watermark_table.h), so no
+# map keyed by key bytes, ordered or not, belongs in the group routers.
+ordered=$( (grep -nE 'std::(unordered_)?map<std::vector<uint8_t>' src/replica/replicated_client.h \
               | sed 's|^|src/replica/replicated_client.h:|' || true;
-            grep -nF 'std::map<std::vector<uint8_t>' src/cluster/cluster_client.h \
+            grep -nE 'std::(unordered_)?map<std::vector<uint8_t>' src/cluster/cluster_client.h \
               | sed 's|^|src/cluster/cluster_client.h:|' || true;
             grep -nF 'std::map<uint64_t, std::map<uint16_t' src/replica/replication_group.h \
               | sed 's|^|src/replica/replication_group.h:|' || true) )
 if [[ -n "${ordered}" ]]; then
-  echo "hashed per-key replica state: ordered per-key map found:" >&2
+  echo "hashed per-key replica state: map keyed by key bytes or map of maps found:" >&2
   echo "${ordered}" >&2
   exit 1
 fi
