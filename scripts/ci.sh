@@ -33,6 +33,10 @@
 #      memory has one access path (the "one access engine" guard: a single
 #      non-virtual AccessEngine reads, counts and records, and the KV
 #      processor takes its tracer and slab-sync counters at construction);
+#      and each wire layout is stated once (the "one byte codec" guard:
+#      the wire files encode, decode and size through the field lists of
+#      src/common/byte_codec.h, with no byte helper, reader or memcpy of
+#      their own);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -242,6 +246,19 @@ engines=$({ grep -rnE 'DirectEngine|TraceRecordingEngine|AttachSlabSyncStats' \
 if [[ -n "${engines}" ]]; then
   echo "one access engine: a stacked engine, a virtual call or a sync-stats setter found:" >&2
   echo "${engines}" >&2
+  exit 1
+fi
+
+# One byte codec: every wire layout is one field list run over the writer,
+# the sizer and the bounds-checked reader of src/common/byte_codec.h. A
+# hand-rolled append helper, a second reader or a raw memcpy coming back in
+# a wire file is a second statement of a layout.
+codecs=$(grep -nE 'AppendU(16|32|64)|PutU(16|32|64)|struct Reader|memcpy' \
+           src/net/wire_format.cc src/replica/replica_wire.cc \
+           src/transport/frame.cc src/transport/snapshot_stream.cc || true)
+if [[ -n "${codecs}" ]]; then
+  echo "one byte codec: a wire layout coded outside the byte codec:" >&2
+  echo "${codecs}" >&2
   exit 1
 fi
 

@@ -1,97 +1,62 @@
 #include "src/net/wire_format.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/common/assert.h"
+#include "src/common/byte_codec.h"
 
 namespace kvd {
 namespace {
-
-void AppendU16(std::vector<uint8_t>& buffer, uint16_t v) {
-  const size_t at = buffer.size();
-  buffer.resize(at + 2);
-  std::memcpy(buffer.data() + at, &v, 2);
-}
-
-void AppendU32(std::vector<uint8_t>& buffer, uint32_t v) {
-  const size_t at = buffer.size();
-  buffer.resize(at + 4);
-  std::memcpy(buffer.data() + at, &v, 4);
-}
-
-void AppendU64(std::vector<uint8_t>& buffer, uint64_t v) {
-  const size_t at = buffer.size();
-  buffer.resize(at + 8);
-  std::memcpy(buffer.data() + at, &v, 8);
-}
 
 bool NeedsFunctionFields(Opcode opcode) {
   return IsVectorOpcode(opcode) || opcode == Opcode::kUpdateScalar;
 }
 
-void EncodeOperation(std::vector<uint8_t>& buffer, const KvOperation& op,
-                     uint8_t flags) {
-  buffer.push_back(static_cast<uint8_t>(op.opcode));
-  buffer.push_back(flags);
+// The key and value lengths an op's bytes are read with: from the wire, or
+// the previous op's under kFlagCopyKeyLen / kFlagCopyValueLen. The writer
+// and the sizer take the lengths from the op itself and leave these alone.
+struct OpLengths {
+  size_t key = 0;
+  size_t value = 0;
+};
+
+// One operation, as laid out in wire_format.h; `flags` say which of the
+// bracketed fields are present.
+constexpr auto kOpLayout = [](auto& c, auto& op, auto& flags, OpLengths& lengths) {
+  c.Enum(op.opcode, kMaxOpcodeByte);
+  c.U8(flags);
   if ((flags & kFlagCopyKeyLen) == 0) {
-    AppendU16(buffer, static_cast<uint16_t>(op.key.size()));
+    lengths.key = c.Len16(op.key);
   }
   if ((flags & kFlagCopyValueLen) == 0) {
-    AppendU32(buffer, static_cast<uint32_t>(op.value.size()));
+    lengths.value = c.Len32(op.value);
   }
   if (NeedsFunctionFields(op.opcode)) {
-    AppendU64(buffer, op.param);
-    AppendU16(buffer, op.function_id);
-    buffer.push_back(op.element_width);
+    c.U64(op.param);
+    c.U16(op.function_id);
+    c.U8(op.element_width);
   }
-  if (flags & kFlagHasDeadline) {
-    AppendU64(buffer, op.deadline);
+  if ((flags & kFlagHasDeadline) != 0) {
+    c.U64(op.deadline);
   }
-  buffer.insert(buffer.end(), op.key.begin(), op.key.end());
+  c.Bytes(op.key, lengths.key);
   if ((flags & kFlagCopyValueBytes) == 0) {
-    buffer.insert(buffer.end(), op.value.begin(), op.value.end());
+    c.Bytes(op.value, lengths.value);
   }
-}
+};
 
-}  // namespace
-
-uint32_t EncodedOperationSize(const KvOperation& op, const KvOperation* previous,
-                              bool enable_compression) {
-  uint32_t size = 2;  // opcode + flags
-  const bool copy_key_len =
-      enable_compression && previous != nullptr && previous->key.size() == op.key.size();
-  const bool copy_value_len = enable_compression && previous != nullptr &&
-                              previous->value.size() == op.value.size();
-  const bool copy_value = enable_compression && previous != nullptr &&
-                          !op.value.empty() && previous->value == op.value;
-  size += copy_key_len ? 0 : 2;
-  size += copy_value_len ? 0 : 4;
-  if (NeedsFunctionFields(op.opcode)) {
-    size += 8 + 2 + 1;
-  }
-  if (op.deadline != 0) {
-    size += 8;
-  }
-  size += static_cast<uint32_t>(op.key.size());
-  size += copy_value ? 0 : static_cast<uint32_t>(op.value.size());
-  return size;
-}
-
-PacketBuilder::PacketBuilder(uint32_t max_payload_bytes, bool enable_compression)
-    : max_payload_bytes_(max_payload_bytes), enable_compression_(enable_compression) {
-  KVD_CHECK(max_payload_bytes >= 64);
-}
-
-bool PacketBuilder::Add(const KvOperation& op) {
+// The flags `op` is encoded with. `copy`: a previous op with a key of
+// `prev_key_len` bytes and value `prev_value` is in the packet and
+// compression is on.
+uint8_t FlagsFor(const KvOperation& op, bool copy, size_t prev_key_len,
+                 std::span<const uint8_t> prev_value) {
   uint8_t flags = 0;
-  if (enable_compression_ && count_ > 0) {
-    if (prev_key_len_ == op.key.size()) {
-      flags |= kFlagCopyKeyLen;
-    }
-    if (prev_value_len_ == op.value.size()) {
-      flags |= kFlagCopyValueLen;
-    }
-    if (!op.value.empty() && prev_value_ == op.value) {
+  if (copy && prev_key_len == op.key.size()) {
+    flags |= kFlagCopyKeyLen;
+  }
+  if (copy && prev_value.size() == op.value.size()) {
+    flags |= kFlagCopyValueLen;
+    if (!op.value.empty() && std::ranges::equal(prev_value, op.value)) {
       flags |= kFlagCopyValueBytes;
     }
   }
@@ -101,22 +66,55 @@ bool PacketBuilder::Add(const KvOperation& op) {
   if (op.deadline != 0) {
     flags |= kFlagHasDeadline;
   }
-  // Dry-run size check against the payload budget.
-  uint32_t size = 2;
-  size += (flags & kFlagCopyKeyLen) ? 0 : 2;
-  size += (flags & kFlagCopyValueLen) ? 0 : 4;
-  if (NeedsFunctionFields(op.opcode)) {
-    size += 11;
-  }
-  size += (flags & kFlagHasDeadline) ? 8 : 0;
-  size += static_cast<uint32_t>(op.key.size());
-  size += (flags & kFlagCopyValueBytes) ? 0 : static_cast<uint32_t>(op.value.size());
-  if (buffer_.size() + size > max_payload_bytes_) {
+  return flags;
+}
+
+size_t OpBytes(const KvOperation& op, uint8_t flags) {
+  OpLengths unused;
+  return EncodedSize([&](auto& c) { kOpLayout(c, op, flags, unused); });
+}
+
+// u8 code | u32 epoch | u32 value_len | u64 scalar | value bytes.
+constexpr auto kResultLayout = [](auto& c, auto& result) {
+  c.Enum(result.code, kMaxResultCodeByte);
+  c.U32(result.epoch);
+  c.Check(result.epoch <= kMaxWireEpoch);
+  const size_t value_len = c.Len32(result.value);
+  c.U64(result.scalar);
+  c.Bytes(result.value, value_len);
+};
+static_assert(EncodedSize([](auto& c) {
+                const KvResultMessage empty;
+                kResultLayout(c, empty);
+              }) == kResultHeaderBytes);
+
+}  // namespace
+
+uint32_t EncodedOperationSize(const KvOperation& op, const KvOperation* previous,
+                              bool enable_compression) {
+  const bool copy = enable_compression && previous != nullptr;
+  const uint8_t flags =
+      FlagsFor(op, copy, copy ? previous->key.size() : 0,
+               copy ? std::span<const uint8_t>(previous->value) : std::span<const uint8_t>());
+  return static_cast<uint32_t>(OpBytes(op, flags));
+}
+
+PacketBuilder::PacketBuilder(uint32_t max_payload_bytes, bool enable_compression)
+    : max_payload_bytes_(max_payload_bytes), enable_compression_(enable_compression) {
+  KVD_CHECK(max_payload_bytes >= 64);
+}
+
+bool PacketBuilder::Add(const KvOperation& op) {
+  const uint8_t flags =
+      FlagsFor(op, enable_compression_ && count_ > 0, prev_key_len_, prev_value_);
+  if (op.key.size() > UINT16_MAX ||
+      buffer_.size() + OpBytes(op, flags) > max_payload_bytes_) {
     return false;
   }
-  EncodeOperation(buffer_, op, flags);
-  prev_key_len_ = static_cast<uint16_t>(op.key.size());
-  prev_value_len_ = static_cast<uint32_t>(op.value.size());
+  ByteWriter writer(buffer_);
+  OpLengths unused;
+  kOpLayout(writer, op, flags, unused);
+  prev_key_len_ = op.key.size();
   prev_value_ = op.value;
   count_++;
   return true;
@@ -126,8 +124,7 @@ std::vector<uint8_t> PacketBuilder::Finish() {
   std::vector<uint8_t> out = std::move(buffer_);
   buffer_.clear();
   count_ = 0;
-  prev_key_len_.reset();
-  prev_value_len_.reset();
+  prev_key_len_ = 0;
   prev_value_.clear();
   return out;
 }
@@ -139,86 +136,27 @@ Result<std::optional<KvOperation>> PacketParser::Next() {
   if (offset_ >= payload_.size()) {
     return std::optional<KvOperation>(std::nullopt);
   }
-  auto take = [&](void* out, size_t n) -> bool {
-    if (offset_ + n > payload_.size()) {
-      return false;
-    }
-    std::memcpy(out, payload_.data() + offset_, n);
-    offset_ += n;
-    return true;
-  };
-
+  ByteReader reader(std::span<const uint8_t>(payload_).subspan(offset_));
   KvOperation op;
-  uint8_t opcode_byte;
-  uint8_t flags;
-  if (!take(&opcode_byte, 1) || !take(&flags, 1)) {
-    return Status::InvalidArgument("truncated op header");
+  uint8_t flags = 0;
+  OpLengths lengths{prev_key_len_, prev_value_.size()};
+  kOpLayout(reader, op, flags, lengths);
+  if (!reader.ok()) {
+    return Status::InvalidArgument("truncated or invalid op");
   }
-  if (opcode_byte > kMaxOpcodeByte) {
-    return Status::InvalidArgument("unknown opcode byte");
+  if (!has_previous_ && (flags & (kFlagCopyKeyLen | kFlagCopyValueLen)) != 0) {
+    return Status::InvalidArgument("copied length with no previous op");
   }
-  op.opcode = static_cast<Opcode>(opcode_byte);
-  op.return_value = (flags & kFlagNoReturn) == 0;
-
-  uint16_t key_len;
-  if (flags & kFlagCopyKeyLen) {
-    if (!prev_key_len_.has_value()) {
-      return Status::InvalidArgument("copy-key-len with no previous op");
-    }
-    key_len = *prev_key_len_;
-  } else if (!take(&key_len, 2)) {
-    return Status::InvalidArgument("truncated key length");
-  }
-
-  uint32_t value_len;
-  if (flags & kFlagCopyValueLen) {
-    if (!prev_value_len_.has_value()) {
-      return Status::InvalidArgument("copy-value-len with no previous op");
-    }
-    value_len = *prev_value_len_;
-  } else if (!take(&value_len, 4)) {
-    return Status::InvalidArgument("truncated value length");
-  }
-
-  if (NeedsFunctionFields(op.opcode)) {
-    if (!take(&op.param, 8) || !take(&op.function_id, 2) ||
-        !take(&op.element_width, 1)) {
-      return Status::InvalidArgument("truncated function fields");
-    }
-  }
-
-  if (flags & kFlagHasDeadline) {
-    if (!take(&op.deadline, 8)) {
-      return Status::InvalidArgument("truncated deadline");
-    }
-  }
-
-  // Validate claimed lengths against the remaining bytes BEFORE allocating:
-  // a corrupted length field must produce an error, not a multi-GiB resize.
-  if (key_len > payload_.size() - offset_) {
-    return Status::InvalidArgument("truncated key");
-  }
-  op.key.resize(key_len);
-  if (key_len > 0 && !take(op.key.data(), key_len)) {
-    return Status::InvalidArgument("truncated key");
-  }
-  if (flags & kFlagCopyValueBytes) {
-    if (prev_value_.size() != value_len) {
+  if ((flags & kFlagCopyValueBytes) != 0) {
+    if (lengths.value != prev_value_.size()) {
       return Status::InvalidArgument("copy-value size mismatch");
     }
     op.value = prev_value_;
-  } else {
-    if (value_len > payload_.size() - offset_) {
-      return Status::InvalidArgument("truncated value");
-    }
-    op.value.resize(value_len);
-    if (value_len > 0 && !take(op.value.data(), value_len)) {
-      return Status::InvalidArgument("truncated value");
-    }
   }
-
-  prev_key_len_ = key_len;
-  prev_value_len_ = value_len;
+  op.return_value = (flags & kFlagNoReturn) == 0;
+  offset_ += reader.consumed();
+  has_previous_ = true;
+  prev_key_len_ = lengths.key;
   prev_value_ = op.value;
   return std::optional<KvOperation>(std::move(op));
 }
@@ -239,45 +177,22 @@ Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload) {
 }
 
 std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results) {
-  std::vector<uint8_t> out;
-  for (const KvResultMessage& result : results) {
-    KVD_CHECK(result.epoch <= kMaxWireEpoch);
-    out.push_back(static_cast<uint8_t>(result.code));
-    AppendU32(out, result.epoch);
-    AppendU32(out, static_cast<uint32_t>(result.value.size()));
-    AppendU64(out, result.scalar);
-    out.insert(out.end(), result.value.begin(), result.value.end());
-  }
-  return out;
+  return EncodeFields([&](auto& c) {
+    for (const KvResultMessage& result : results) {
+      KVD_CHECK(result.epoch <= kMaxWireEpoch);
+      kResultLayout(c, result);
+    }
+  });
 }
 
 Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& payload) {
   std::vector<KvResultMessage> results;
-  size_t offset = 0;
-  while (offset < payload.size()) {
-    if (offset + kResultHeaderBytes > payload.size()) {
-      return Status::InvalidArgument("truncated result header");
-    }
-    if (payload[offset] > kMaxResultCodeByte) {
-      return Status::InvalidArgument("unknown result code");
-    }
-    KvResultMessage result;
-    result.code = static_cast<ResultCode>(payload[offset]);
-    uint32_t value_len;
-    std::memcpy(&result.epoch, payload.data() + offset + 1, 4);
-    if (result.epoch > kMaxWireEpoch) {
-      return Status::InvalidArgument("result epoch out of range");
-    }
-    std::memcpy(&value_len, payload.data() + offset + 5, 4);
-    std::memcpy(&result.scalar, payload.data() + offset + 9, 8);
-    offset += kResultHeaderBytes;
-    if (offset + value_len > payload.size()) {
-      return Status::InvalidArgument("truncated result value");
-    }
-    result.value.assign(payload.begin() + static_cast<long>(offset),
-                        payload.begin() + static_cast<long>(offset + value_len));
-    offset += value_len;
-    results.push_back(std::move(result));
+  ByteReader reader(payload);
+  while (reader.remaining() > 0) {
+    kResultLayout(reader, results.emplace_back());
+  }
+  if (!reader.ok()) {
+    return Status::InvalidArgument("truncated or invalid result");
   }
   return results;
 }

@@ -16,14 +16,15 @@
 //   | key bytes | [value bytes]
 // Bracketed fields are omitted when the corresponding flag bit is set; the
 // deadline field is present only when the flag is set, so deadline-free
-// traffic encodes byte-identically to the pre-deadline format.
+// traffic encodes byte-identically to the pre-deadline format. Each layout
+// here is one field list in wire_format.cc over src/common/byte_codec.h,
+// which encodes, sizes and decodes it.
 #ifndef SRC_NET_WIRE_FORMAT_H_
 #define SRC_NET_WIRE_FORMAT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -46,7 +47,8 @@ class PacketBuilder {
                          bool enable_compression = true);
 
   // Appends `op`; returns false (and leaves the packet unchanged) if the
-  // encoded operation would overflow the payload budget.
+  // encoded operation would overflow the payload budget, or its key the
+  // u16 length field.
   bool Add(const KvOperation& op);
 
   size_t payload_size() const { return buffer_.size(); }
@@ -61,8 +63,7 @@ class PacketBuilder {
   std::vector<uint8_t> buffer_;
   size_t count_ = 0;
   // Previous operation's fields for the copy flags.
-  std::optional<uint16_t> prev_key_len_;
-  std::optional<uint32_t> prev_value_len_;
+  size_t prev_key_len_ = 0;
   std::vector<uint8_t> prev_value_;
 };
 
@@ -78,8 +79,8 @@ class PacketParser {
  private:
   std::vector<uint8_t> payload_;
   size_t offset_ = 0;
-  std::optional<uint16_t> prev_key_len_;
-  std::optional<uint32_t> prev_value_len_;
+  bool has_previous_ = false;
+  size_t prev_key_len_ = 0;
   std::vector<uint8_t> prev_value_;
 };
 
@@ -101,6 +102,7 @@ Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& p
 
 // Encoded size of one operation given the previous op in the packet (used by
 // benchmarks to reason about network efficiency without building packets).
+// PacketBuilder::Add budgets each op with the same size rule.
 uint32_t EncodedOperationSize(const KvOperation& op, const KvOperation* previous,
                               bool enable_compression);
 

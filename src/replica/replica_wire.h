@@ -17,6 +17,9 @@
 //     the client's read watermark (read-your-writes), responses carry the
 //     epoch, the responder's view of the primary (for redirects), and the log
 //     index covering the request's writes.
+//
+// Each layout is one field list in replica_wire.cc over the byte codec
+// (src/common/byte_codec.h), which encodes, sizes and decodes it.
 #ifndef SRC_REPLICA_REPLICA_WIRE_H_
 #define SRC_REPLICA_REPLICA_WIRE_H_
 

@@ -28,6 +28,9 @@ uint32_t& GroupRouter::BelievedPrimary(uint32_t group) {
 
 uint64_t GroupRouter::RequiredIndex(const Packet& packet) const {
   uint64_t required = 0;
+  if (packet.is_write) {
+    return required;  // a replica gates only read-only packets on it
+  }
   for (const size_t slot : packet.slots) {
     required = std::max(required, watermarks_.Required(
                                       HashBytes(packet.flush->ops[slot].key),

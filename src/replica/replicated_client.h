@@ -86,7 +86,8 @@ class GroupRouter : public BatchClient {
   // the packet's own keys reached in the packet's group, and at least the
   // group's eviction floor. A watermark from another group is not consulted:
   // its index means nothing in this group's log, and a cutover installed the
-  // write's state on every destination replica.
+  // write's state on every destination replica. A write packet requires 0:
+  // a replica holds only read-only packets to the watermark.
   uint64_t RequiredIndex(const Packet& packet) const;
   uint32_t& BelievedPrimary(uint32_t group);
   // Re-sends the packet after `delay` unless it completes first; `detail`

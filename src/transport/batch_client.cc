@@ -116,7 +116,12 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
           packet->deadline = op.deadline;
         }
       }
-      KVD_CHECK_MSG(!packet->slots.empty(), "operation exceeds the packet budget");
+      if (packet->slots.empty()) {
+        // The op alone exceeds the packet budget: it can never be sent, so
+        // it fails by itself and the rest of the bucket goes on.
+        flush->results[members[next++]].code = ResultCode::kInvalidArgument;
+        continue;
+      }
       packet->ops_payload = builder.Finish();
       packets.push_back(std::move(packet));
     }

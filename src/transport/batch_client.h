@@ -6,7 +6,8 @@
 //   - the pending queue, op_budget deadline stamping, and the split-phase
 //     BeginFlush / flush_done / TakeResults (Flush runs all three);
 //   - greedy packing per bucket under the frame budget minus the frame and
-//     request headers, and the per-packet deadline fold;
+//     request headers, and the per-packet deadline fold; an op that alone
+//     exceeds the budget fails with kInvalidArgument and is not sent;
 //   - request tracing (Start / RegisterPacket / Finish);
 //   - the retry engine (below), response admission (dedup, checksum,
 //     sequence echo), result decoding into the flush's slots (including the
@@ -92,7 +93,8 @@ class BatchClient : public KvEndpoint {
   std::vector<KvResultMessage> TakeResults();
   // Runs inside the simulator step in which a flush begun by BeginFlush
   // completes, so a loop running many clients learns which one finished
-  // without polling them all.
+  // without polling them all. A flush that sends no packet (no ops, or only
+  // ops over the budget) is done when BeginFlush returns, without the hook.
   void set_on_flush_done(std::function<void()> hook) { on_flush_done_ = std::move(hook); }
 
   Stats endpoint_stats() const override { return stats_; }

@@ -1,7 +1,6 @@
 #include "src/transport/frame.h"
 
-#include <cstring>
-
+#include "src/common/byte_codec.h"
 #include "src/common/hashing.h"
 
 namespace kvd {
@@ -14,30 +13,36 @@ uint32_t FrameChecksum(uint64_t sequence, std::span<const uint8_t> payload) {
       HashBytes(payload.data(), payload.size(), Mix64(sequence) ^ 0xf4a3e));
 }
 
+// u64 sequence | u32 checksum | payload bytes.
+constexpr auto kFrameLayout = [](auto& c, auto& sequence, auto& checksum,
+                                 auto& payload) {
+  c.U64(sequence);
+  c.U32(checksum);
+  c.Rest(payload);
+};
+static_assert(EncodedSize([](auto& c) {
+                const uint64_t sequence = 0;
+                const uint32_t checksum = 0;
+                const std::span<const uint8_t> payload;
+                kFrameLayout(c, sequence, checksum, payload);
+              }) == kFrameHeaderBytes);
+
 }  // namespace
 
 std::vector<uint8_t> FramePacket(uint64_t sequence, std::span<const uint8_t> payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  const size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &sequence, 8);
   const uint32_t checksum = FrameChecksum(sequence, payload);
-  out.resize(at + 12);
-  std::memcpy(out.data() + at + 8, &checksum, 4);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return EncodeFields([&](auto& c) { kFrameLayout(c, sequence, checksum, payload); });
 }
 
 Result<Frame> ParseFrame(std::span<const uint8_t> packet) {
-  if (packet.size() < kFrameHeaderBytes) {
+  Frame frame;
+  uint32_t checksum = 0;
+  std::span<const uint8_t> payload;
+  if (!DecodeFields(packet, [&](auto& c) {
+        kFrameLayout(c, frame.sequence, checksum, payload);
+      })) {
     return Status::InvalidArgument("truncated frame header");
   }
-  Frame frame;
-  uint32_t checksum;
-  std::memcpy(&frame.sequence, packet.data(), 8);
-  std::memcpy(&checksum, packet.data() + 8, 4);
-  const std::span<const uint8_t> payload = packet.subspan(kFrameHeaderBytes);
   if (checksum != FrameChecksum(frame.sequence, payload)) {
     return Status::InvalidArgument("frame checksum mismatch");
   }

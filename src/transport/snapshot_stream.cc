@@ -1,13 +1,19 @@
 #include "src/transport/snapshot_stream.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "src/common/byte_codec.h"
 #include "src/common/units.h"
 #include "src/transport/frame.h"
 
 namespace kvd {
+namespace {
+
+// A chunk ack's payload: u32 cumulative cursor.
+constexpr auto kAckLayout = [](auto& c, auto& installed) { c.U32(installed); };
+
+}  // namespace
 
 void SnapshotStream::Start(std::vector<std::vector<uint8_t>> chunks) {
   Stop();
@@ -78,16 +84,14 @@ uint32_t SnapshotStream::Receiver::OnChunk(
 
 std::vector<uint8_t> SnapshotStream::FrameAck(uint64_t sequence,
                                               uint32_t installed) {
-  uint8_t payload[4];
-  std::memcpy(payload, &installed, 4);
-  return FramePacket(sequence, payload);
+  return FramePacket(sequence, EncodeFields([&](auto& c) { kAckLayout(c, installed); }));
 }
 
 void SnapshotStream::OnAckFrame(std::span<const uint8_t> packet) {
   Result<Frame> frame = ParseFrame(packet);
-  if (frame.ok() && frame.value().payload.size() == 4) {
-    uint32_t installed;
-    std::memcpy(&installed, frame.value().payload.data(), 4);
+  uint32_t installed = 0;
+  if (frame.ok() &&
+      DecodeFields(frame->payload, [&](auto& c) { kAckLayout(c, installed); })) {
     OnAck(installed);
   }
 }

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -587,6 +588,34 @@ TEST(ReplicationGroupTest, LaggingBackupRejectsReadThenClientRetriesPrimary) {
   // One watermark per written key; the table is far from its cap.
   EXPECT_EQ(client.watermark_entries(), 4u);
   EXPECT_EQ(client.stats().watermark_evictions, 0u);
+}
+
+// Exposes the request header a group router frames ahead of a packet.
+class HeaderProbe : public ReplicatedClient {
+ public:
+  using ReplicatedClient::ReplicatedClient;
+
+  GroupRequest HeaderFor(KvOperation op) {
+    Packet packet;
+    packet.is_write = IsWriteOpcode(op.opcode);
+    packet.flush = std::make_shared<FlushState>();
+    packet.flush->ops.push_back(std::move(op));
+    packet.slots = {0};
+    Result<GroupRequest> request = DecodeGroupRequest(RequestHeader(packet));
+    EXPECT_TRUE(request.ok());
+    return request.ok() ? request.value() : GroupRequest{};
+  }
+};
+
+TEST(ReplicatedClientTest, WritePacketsCarryNoReadWatermark) {
+  ReplicationGroup group(SmallGroupConfig());
+  HeaderProbe client(group);
+  ASSERT_TRUE(client.Put(Key(1), U64Value(5)).ok());
+  // A read of the written key waits for the write's index; a write does not
+  // (a replica holds only read-only packets to the watermark).
+  EXPECT_GT(client.HeaderFor(Get(1)).required_index, 0u);
+  EXPECT_EQ(client.HeaderFor(Put(1, 6)).required_index, 0u);
+  EXPECT_EQ(client.HeaderFor(Delete(1)).required_index, 0u);
 }
 
 TEST(WatermarkTableTest, EntriesMatchOnHashAndGroup) {

@@ -1,19 +1,26 @@
-// The transport layer in isolation and end to end: the frame codec, the
-// replay cache (pinning, bounded eviction scan, in-flight drop), the
-// FrameEndpoint receive half, fatal-path timeouts surfaced as kTimedOut
-// instead of process aborts (a packet bouncing forever included), and the
-// disjoint per-client sequence spaces that keep one shared replay cache
-// collision-free across clients.
+// The transport layer in isolation and end to end: the frame codec, every
+// wire decoder over truncated and forged input (one table), the replay
+// cache (pinning, bounded eviction scan, in-flight drop), the FrameEndpoint
+// receive half, fatal-path timeouts surfaced as kTimedOut instead of
+// process aborts (a packet bouncing forever included), an op over the
+// packet budget failed alone, and the disjoint per-client sequence spaces
+// that keep one shared replay cache collision-free across clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_client.h"
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
+#include "src/net/wire_format.h"
+#include "src/replica/replica_wire.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
 #include "src/sim/simulator.h"
@@ -71,11 +78,159 @@ TEST(FrameTest, EveryBitFlipIsDetected) {
   }
 }
 
-TEST(FrameTest, TruncationIsRejected) {
-  const std::vector<uint8_t> packet = FramePacket(7, Bytes({1, 2, 3}));
-  for (size_t len = 0; len < packet.size(); len++) {
-    EXPECT_FALSE(
-        ParseFrame(std::span<const uint8_t>(packet.data(), len)).ok());
+// --- every decoder, one table (frame truncation included) ---
+
+// A valid encoding of one wire layout, the decoder that reads it (true when
+// it accepts), and where its length and count fields sit.
+struct DecoderCase {
+  std::string name;
+  std::vector<uint8_t> bytes;
+  std::function<bool(const std::vector<uint8_t>&)> accepts;
+  // (offset, width) of each u16 length or u32 length/count field.
+  std::vector<std::pair<size_t, size_t>> lengths;
+  // Shortest prefix the decoder must reject; shorter than the whole
+  // encoding only where an empty input is a valid empty message.
+  size_t reject_from = 0;
+};
+
+KvOperation PutOp(uint64_t key, uint64_t value) {
+  KvOperation op;
+  op.opcode = Opcode::kPut;
+  op.key = Key(key);
+  op.value = U64Value(value);
+  return op;
+}
+
+KvResultMessage ValueResult(uint64_t value) {
+  KvResultMessage result;
+  result.code = ResultCode::kOk;
+  result.scalar = 3;
+  result.value = U64Value(value);
+  return result;
+}
+
+std::vector<DecoderCase> DecoderCases() {
+  std::vector<DecoderCase> cases;
+  // One PUT: u8 opcode | u8 flags | u16 key_len | u32 value_len | key | value.
+  PacketBuilder builder;
+  EXPECT_TRUE(builder.Add(PutOp(1, 2)));
+  cases.push_back({"ops", builder.Finish(),
+                   [](const auto& b) { return DecodeOps(b).ok(); },
+                   {{2, 2}, {4, 4}}, 1});
+  // u8 code | u32 epoch | u32 value_len | u64 scalar | value.
+  cases.push_back({"results", EncodeResults({ValueResult(5)}),
+                   [](const auto& b) { return DecodeResults(b).ok(); },
+                   {{5, 4}}, 1});
+
+  // Every replica message type. The head is 13 bytes: u8 type | u64 epoch
+  // | u32 sender.
+  auto replica = [](const auto& b) { return DecodeReplicaMessage(b).ok(); };
+  for (uint8_t t = 0; t <= kMaxReplicaMessageType; t++) {
+    ReplicaMessage msg = MakeMessage(static_cast<ReplicaMessageType>(t), 4, 1);
+    std::vector<std::pair<size_t, size_t>> lengths;
+    if (msg.type == ReplicaMessageType::kAppend) {
+      LogEntry entry;
+      entry.op = PutOp(1, 2);
+      entry.result = ValueResult(9);
+      msg.entries.push_back(entry);
+      // Window (4 x u64), then the entry count; the entry's key and value
+      // lengths follow its 31 fixed bytes, its result's length the key,
+      // value, code and scalar.
+      const size_t entry_at = 13 + 32 + 4;
+      lengths = {{45, 4}, {entry_at + 31, 2}, {entry_at + 33, 4},
+                 {entry_at + 37 + 16 + 9, 4}};
+    }
+    if (msg.type == ReplicaMessageType::kStateChunk) {
+      msg.chunk_flags = kStateChunkSessions;
+      msg.kvs.emplace_back(Key(1), U64Value(2));
+      SessionRecord record;
+      record.result = ValueResult(7);
+      msg.sessions.push_back(record);
+      // u64 snapshot epoch and index | u32 chunk_seq | u8 flags, then the
+      // KV count, one KV (u16 key_len | u32 value_len | 16 bytes), the
+      // session count and one record (u64 | u16 | code | scalar | length).
+      const size_t sessions_at = 34 + 4 + 6 + 16;
+      lengths = {{34, 4}, {38, 2}, {40, 4}, {sessions_at, 4},
+                 {sessions_at + 4 + 10 + 9, 4}};
+    }
+    cases.push_back({"replica message type " + std::to_string(t),
+                     EncodeReplicaMessage(msg), replica, lengths, 0});
+  }
+
+  // Group headers with empty payloads: every byte is header.
+  auto group_request = [](const auto& b) { return DecodeGroupRequest(b).ok(); };
+  GroupRequest request;
+  request.required_index = 12;
+  cases.push_back({"group request", EncodeGroupRequest(request), group_request, {}, 0});
+  request.has_route = true;
+  cases.push_back(
+      {"routed group request", EncodeGroupRequest(request), group_request, {}, 0});
+  auto group_response = [](const auto& b) { return DecodeGroupResponse(b).ok(); };
+  GroupResponse response;
+  response.flags = kGroupRedirect;
+  cases.push_back(
+      {"group response", EncodeGroupResponse(response), group_response, {}, 0});
+  response.flags = kGroupWrongShard;
+  cases.push_back({"bounce group response", EncodeGroupResponse(response),
+                   group_response, {}, 0});
+
+  cases.push_back({"frame", FramePacket(7, Bytes({1, 2, 3})),
+                   [](const auto& b) { return ParseFrame(b).ok(); }, {}, 0});
+  cases.push_back({"snapshot ack", SnapshotStream::FrameAck(9, 1),
+                   [](const auto& b) {
+                     Simulator sim;
+                     SnapshotStream::Stats stats;
+                     SnapshotStream stream(sim, 1e9, &stats, [](const auto&) {});
+                     stream.Start({{1}, {2}});
+                     stream.OnAckFrame(b);
+                     return stream.acked() == 1;
+                   },
+                   {}, 0});
+  return cases;
+}
+
+TEST(DecoderTableTest, PrefixesAndForgedLengthsAreRejected) {
+  for (const DecoderCase& c : DecoderCases()) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.accepts(c.bytes));
+    for (size_t len = c.reject_from; len < c.bytes.size(); len++) {
+      EXPECT_FALSE(c.accepts(std::vector<uint8_t>(c.bytes.begin(), c.bytes.begin() + len)))
+          << "prefix of " << len << " bytes accepted";
+    }
+    for (const auto& [offset, width] : c.lengths) {
+      ASSERT_LE(offset + width, c.bytes.size());
+      std::vector<uint8_t> forged = c.bytes;
+      std::fill_n(forged.begin() + offset, width, 0xff);  // past the bytes left
+      EXPECT_FALSE(c.accepts(forged)) << "length at " << offset << " forged";
+    }
+    // Any two or four bytes at any offset forged: an error or a decode,
+    // never an abort.
+    for (size_t offset = 0; offset < c.bytes.size(); offset++) {
+      for (size_t width : {2, 4}) {
+        std::vector<uint8_t> forged = c.bytes;
+        std::fill_n(forged.begin() + offset,
+                    std::min(width, forged.size() - offset), 0xff);
+        (void)c.accepts(forged);
+      }
+    }
+  }
+}
+
+TEST(DecoderTableTest, SizeConstantsMatchTheEncodings) {
+  EXPECT_EQ(FramePacket(1, {}).size(), kFrameHeaderBytes);
+  GroupRequest request;
+  EXPECT_EQ(EncodeGroupRequest(request).size(), kGroupRequestHeaderBytes);
+  request.has_route = true;
+  EXPECT_EQ(EncodeGroupRequest(request).size(), kGroupRouteHeaderBytes);
+  EXPECT_EQ(EncodeResults({KvResultMessage{}}).size(), kResultHeaderBytes);
+  for (const uint64_t value : {0u, 8u, 300u}) {
+    LogEntry entry;
+    entry.op = PutOp(1, 2);
+    entry.op.value.resize(value);
+    entry.result = ValueResult(3);
+    std::vector<uint8_t> out;
+    EncodeLogEntry(out, entry);
+    EXPECT_EQ(EncodedLogEntryBytes(entry), out.size());
   }
 }
 
@@ -451,6 +606,46 @@ TEST(TimeoutTest, ReplicatedClientSurfacesTimedOutWhenEveryFrameIsDropped) {
   // backoff draw — so the exact count is seed-dependent below the cap.
   EXPECT_GE(client.stats().retransmits, 1u);
   EXPECT_LE(client.stats().retransmits, options.max_attempts - 1);
+}
+
+// An op larger than the whole packet budget (a 5,000 B value at the default
+// 4,096 B) fails alone with kInvalidArgument; the ops around it are sent
+// and answered, in the packet it closed and the next.
+void ExpectOversizeOpFailsAlone(KvEndpoint& client) {
+  KvOperation big = PutOp(2, 0);
+  big.value.assign(5000, 1);
+  client.Enqueue(PutOp(1, 11));
+  client.Enqueue(std::move(big));
+  client.Enqueue(PutOp(3, 33));
+  std::vector<KvResultMessage> results = client.Flush();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].code, ResultCode::kOk);
+  EXPECT_EQ(results[1].code, ResultCode::kInvalidArgument);
+  EXPECT_EQ(results[2].code, ResultCode::kOk);
+  EXPECT_EQ(client.endpoint_stats().packets_sent, 2u);
+  Result<std::vector<uint8_t>> value = client.Get(Key(3));
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(AsU64(*value), 33u);
+  EXPECT_FALSE(client.Get(Key(2)).ok());  // never written
+}
+
+TEST(OversizeOpTest, ClientFailsTheOpAndSendsTheRest) {
+  ServerConfig config;
+  config.kvs_memory_bytes = 8 * kMiB;
+  config.nic_dram.capacity_bytes = 1 * kMiB;
+  KvDirectServer server(config);
+  Client client(server);
+  ExpectOversizeOpFailsAlone(client);
+}
+
+TEST(OversizeOpTest, ReplicatedClientFailsTheOpAndSendsTheRest) {
+  ReplicationConfig config;
+  config.num_replicas = 3;
+  config.server.kvs_memory_bytes = 8 * kMiB;
+  config.server.nic_dram.capacity_bytes = 1 * kMiB;
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  ExpectOversizeOpFailsAlone(client);
 }
 
 TEST(TimeoutTest, ClusterClientSurfacesTimedOutWhenEveryFrameIsDropped) {
