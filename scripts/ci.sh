@@ -36,7 +36,11 @@
 #      and each wire layout is stated once (the "one byte codec" guard:
 #      the wire files encode, decode and size through the field lists of
 #      src/common/byte_codec.h, with no byte helper, reader or memcpy of
-#      their own);
+#      their own); and the event queue holds only events that do work
+#      (the "events that do work" guard: a token pool's timed return goes
+#      through TokenPool::ReleaseAt, not a scheduled closure that only calls
+#      its Release, and a NIC DRAM fill nobody waits for passes no empty
+#      callback to Access);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -259,6 +263,24 @@ codecs=$(grep -nE 'AppendU(16|32|64)|PutU(16|32|64)|struct Reader|memcpy' \
 if [[ -n "${codecs}" ]]; then
   echo "one byte codec: a wire layout coded outside the byte codec:" >&2
   echo "${codecs}" >&2
+  exit 1
+fi
+
+# Events that do work: a PCIe credit coming back frees nobody unless a TLP is
+# waiting, so it takes a reserved slot (TokenPool::ReleaseAt) rather than an
+# event; likewise a NIC DRAM refill reserves its finish instead of queueing
+# an empty callback. A scheduled closure whose whole body is a token pool's
+# Release, or `[] {}` handed to an Access, is an event that does nothing.
+pools=$(grep -rhoE 'TokenPool [A-Za-z_]+;' src --include='*.h' \
+          | sed -E 's/TokenPool ([A-Za-z_]+);/\1/' | paste -sd'|' -)
+idle=$({ if [[ -n "${pools}" ]]; then
+           grep -rnE "\{ *(${pools})\.Release\([^)]*\); *\}" src \
+             --include='*.h' --include='*.cc'
+         fi
+         grep -rnE '\.Access\([^;]*\[\] *\{ *\}' src --include='*.h' --include='*.cc'; } || true)
+if [[ -n "${idle}" ]]; then
+  echo "events that do work: an event that only returns tokens or does nothing:" >&2
+  echo "${idle}" >&2
   exit 1
 fi
 

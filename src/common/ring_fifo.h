@@ -52,6 +52,10 @@ class RingFifo {
     KVD_DCHECK(i < size_);
     return slots_[(head_ + i) & (slots_.size() - 1)];
   }
+  const T& operator[](size_t i) const {
+    KVD_DCHECK(i < size_);
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
 
  private:
   void Grow() {

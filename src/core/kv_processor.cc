@@ -62,25 +62,29 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index, AccessEngine& engine,
 }
 
 KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
+  return ExecuteFunctional(op, HashKey(op.key));
+}
+
+KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op, const KeyHash& kh) {
   KvResultMessage result;
   switch (op.opcode) {
     case Opcode::kGet: {
-      result.code = ToResultCode(index_.Get(op.key, result.value));
+      result.code = ToResultCode(index_.Get(kh, op.key, result.value));
       break;
     }
     case Opcode::kPut: {
-      result.code = ToResultCode(index_.Put(op.key, op.value));
+      result.code = ToResultCode(index_.Put(kh, op.key, op.value));
       break;
     }
     case Opcode::kDelete: {
-      result.code = ToResultCode(index_.Delete(op.key));
+      result.code = ToResultCode(index_.Delete(kh, op.key));
       break;
     }
     case Opcode::kUpdateScalar: {
       Status inner = Status::Ok();
       std::vector<uint8_t> original;
       const Status status = index_.UpdateInPlace(
-          op.key,
+          kh, op.key,
           [&](std::vector<uint8_t>& value) {
             Result<uint64_t> r =
                 registry_.ApplyScalar(op.function_id, value, op.param,
@@ -99,7 +103,7 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
       Status inner = Status::Ok();
       std::vector<uint8_t> original;
       const Status status = index_.UpdateInPlace(
-          op.key,
+          kh, op.key,
           [&](std::vector<uint8_t>& value) {
             inner = registry_.ApplyScalarToVector(op.function_id, value, op.param,
                                                   op.element_width);
@@ -115,7 +119,7 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
       Status inner = Status::Ok();
       std::vector<uint8_t> original;
       const Status status = index_.UpdateInPlace(
-          op.key,
+          kh, op.key,
           [&](std::vector<uint8_t>& value) {
             inner = registry_.ApplyVectorToVector(op.function_id, value, op.value,
                                                   op.element_width);
@@ -129,7 +133,7 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
     }
     case Opcode::kReduce: {
       std::vector<uint8_t> value;
-      const Status status = index_.Get(op.key, value);
+      const Status status = index_.Get(kh, op.key, value);
       if (!status.ok()) {
         result.code = ToResultCode(status);
         break;
@@ -144,7 +148,7 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
     }
     case Opcode::kFilter: {
       std::vector<uint8_t> value;
-      const Status status = index_.Get(op.key, value);
+      const Status status = index_.Get(kh, op.key, value);
       if (!status.ok()) {
         result.code = ToResultCode(status);
         break;
@@ -309,12 +313,12 @@ void KvProcessor::Pump() {
     engine_.BeginOp();
     const uint64_t sync_reads_before = slab_sync_.sync_dma_reads;
     const uint64_t sync_writes_before = slab_sync_.sync_dma_writes;
-    inflight.result = ExecuteFunctional(inflight.op);
+    inflight.result = ExecuteFunctional(inflight.op, kh);
     if (!inflight.op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }
     engine_.TakeTrace(inflight.trace);
-    slot_bucket_address_[slot] = index_.BucketAddressFor(inflight.op.key);
+    slot_bucket_address_[slot] = index_.BucketAddressFor(kh);
     // Slab-pool synchronizations triggered by this operation become DMA
     // transfers of one entry batch each (paper Figure 8); they are daemon
     // metadata, charged at the key's heap line for dispatching purposes.

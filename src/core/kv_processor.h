@@ -149,6 +149,8 @@ class KvProcessor {
   void AdvanceSlot(uint16_t slot, uint64_t bucket_address);
   void Retire(uint64_t id);
   SimTime NextCycleTime();
+  // ExecuteFunctional with the key's hash, which admission has already taken.
+  KvResultMessage ExecuteFunctional(const KvOperation& op, const KeyHash& kh);
   // Closes the kStationWait span of a parked op that just resumed.
   void RecordUnpark(uint64_t id);
 

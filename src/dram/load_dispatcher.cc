@@ -72,7 +72,7 @@ uint32_t LoadDispatcher::OpenRoute(uint64_t route, uint32_t bytes, uint64_t trac
 void LoadDispatcher::FinishRoute(uint32_t index) {
   Route& record = routes_[index];
   if (record.fill) {
-    dram_.Access(record.bytes, [] {}, record.trace);
+    dram_.Access(record.bytes, nullptr, record.trace);
   }
   if (record.traced) {
     tracer_->Complete("dispatch", RouteName(record.route), record.start, sim_.Now(),

@@ -34,7 +34,12 @@ void NicDram::Access(uint32_t bytes, std::function<void()> done, uint64_t trace)
                       {{"bytes", bytes}},
                       OpMark::Span(trace, SpanKind::kNicDramAccess, bytes));
   }
-  sim_.ScheduleAt(channel_free_at_ + config_.access_latency, std::move(done));
+  const SimTime finish = channel_free_at_ + config_.access_latency;
+  if (done) {
+    sim_.ScheduleAt(finish, std::move(done));
+  } else {
+    sim_.Reserve(finish);
+  }
 }
 
 EccReadOutcome NicDram::CheckLineRead(uint64_t address) {

@@ -44,6 +44,8 @@ class NicDram {
 
   // Performs a timed access of `bytes`; `done` fires when complete. `trace`
   // (if nonzero) records a kNicDramAccess span covering queueing + access.
+  // With an empty `done` (a fill nobody waits for) the access still books
+  // the channel and reserves its finish on the clock, but schedules nothing.
   void Access(uint32_t bytes, std::function<void()> done, uint64_t trace = 0);
 
   // Consults the fault injector for a bit flip on a line read at `address`

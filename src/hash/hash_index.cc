@@ -198,10 +198,6 @@ uint8_t HashIndex::SlabClassFor(uint32_t slab_bytes) const {
                               std::countr_zero(config_.min_slab_bytes));
 }
 
-uint64_t HashIndex::BucketAddressFor(std::span<const uint8_t> key) const {
-  return index_base_ + HashKey(key).BucketIndex(num_buckets_) * kBucketBytes;
-}
-
 BucketView HashIndex::ReadBucket(uint64_t address) {
   uint8_t raw[kBucketBytes];
   engine_.Read(address, raw);
@@ -216,7 +212,7 @@ std::optional<HashIndex::Location> HashIndex::Find(const KeyHash& kh,
                                                    std::span<const uint8_t> key,
                                                    std::vector<uint8_t>* value_out,
                                                    std::vector<WalkedBucket>* walked) {
-  uint64_t address = index_base_ + kh.BucketIndex(num_buckets_) * kBucketBytes;
+  uint64_t address = BucketAddressFor(kh);
   uint64_t parent = kNoParent;
   bool first = true;
   while (true) {
@@ -275,9 +271,10 @@ std::optional<HashIndex::Location> HashIndex::Find(const KeyHash& kh,
   }
 }
 
-Status HashIndex::Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
+Status HashIndex::Get(const KeyHash& kh, std::span<const uint8_t> key,
+                      std::vector<uint8_t>& value_out) {
   stats_.gets++;
-  if (Find(HashKey(key), key, &value_out).has_value()) {
+  if (Find(kh, key, &value_out).has_value()) {
     return Status::Ok();
   }
   return Status::NotFound();
@@ -407,7 +404,8 @@ Status HashIndex::Insert(const KeyHash& kh, std::span<const uint8_t> key,
   return Status::Ok();
 }
 
-Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+Status HashIndex::Put(const KeyHash& kh, std::span<const uint8_t> key,
+                      std::span<const uint8_t> value) {
   stats_.puts++;
   if (key.empty() || key.size() > kMaxKeyBytes) {
     return Status::InvalidArgument("key size");
@@ -422,7 +420,6 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
     return Status::InvalidArgument("value size");
   }
 
-  const KeyHash kh = HashKey(key);
   walked_.clear();
   std::optional<Location> loc = Find(kh, key, nullptr, &walked_);
   if (!loc.has_value()) {
@@ -456,11 +453,11 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   return Insert(kh, key, value);
 }
 
-Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
+Status HashIndex::UpdateInPlace(const KeyHash& kh, std::span<const uint8_t> key,
                                 const ValueUpdater& updater,
                                 std::vector<uint8_t>* original_out) {
   std::vector<uint8_t> value;
-  std::optional<Location> loc = Find(HashKey(key), key, &value);
+  std::optional<Location> loc = Find(kh, key, &value);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -511,9 +508,9 @@ void HashIndex::RemoveAt(Location& loc) {
   WriteBucket(loc.bucket_address, loc.bucket);
 }
 
-Status HashIndex::Delete(std::span<const uint8_t> key) {
+Status HashIndex::Delete(const KeyHash& kh, std::span<const uint8_t> key) {
   stats_.deletes++;
-  std::optional<Location> loc = Find(HashKey(key), key);
+  std::optional<Location> loc = Find(kh, key);
   if (!loc.has_value()) {
     return Status::NotFound();
   }

@@ -67,22 +67,40 @@ class HashIndex {
   // The allocator must manage exactly the heap region from ComputeRegions().
   HashIndex(AccessEngine& engine, Allocator& allocator, const HashIndexConfig& config);
 
+  // Each keyed operation has a form that takes the key's hash `kh`, which
+  // must be HashKey(key): the KV processor hashes a key once per op. The
+  // key-only forms hash and forward.
+
   // Reads the value of `key` into `value_out`.
-  Status Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out);
+  Status Get(const KeyHash& kh, std::span<const uint8_t> key,
+             std::vector<uint8_t>& value_out);
+  Status Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
+    return Get(HashKey(key), key, value_out);
+  }
 
   // Inserts or replaces `key` with `value`.
-  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value);
+  Status Put(const KeyHash& kh, std::span<const uint8_t> key,
+             std::span<const uint8_t> value);
+  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+    return Put(HashKey(key), key, value);
+  }
 
   // Removes `key`.
-  Status Delete(std::span<const uint8_t> key);
+  Status Delete(const KeyHash& kh, std::span<const uint8_t> key);
+  Status Delete(std::span<const uint8_t> key) { return Delete(HashKey(key), key); }
 
   // Atomic read-modify-write used by the KV processor's atomics and vector
   // update paths: reads the value, applies `updater` (which must preserve the
   // value's size), and writes it back in place — one read plus one write.
   // `original_out`, when non-null, receives the pre-update value.
   using ValueUpdater = std::function<void(std::vector<uint8_t>& value)>;
-  Status UpdateInPlace(std::span<const uint8_t> key, const ValueUpdater& updater,
+  Status UpdateInPlace(const KeyHash& kh, std::span<const uint8_t> key,
+                       const ValueUpdater& updater,
                        std::vector<uint8_t>* original_out = nullptr);
+  Status UpdateInPlace(std::span<const uint8_t> key, const ValueUpdater& updater,
+                       std::vector<uint8_t>* original_out = nullptr) {
+    return UpdateInPlace(HashKey(key), key, updater, original_out);
+  }
 
   // True if `key` is present (same cost as Get without the value copy).
   bool Contains(std::span<const uint8_t> key);
@@ -115,9 +133,14 @@ class HashIndex {
   static constexpr uint32_t kMaxKeyBytes = 255;
   static constexpr uint32_t kSlabHeaderBytes = 4;  // u16 klen + u16 vlen
 
-  // Address of the chain-head bucket for `key` (used by the KV processor's
-  // write-back path, which targets the key's bucket line).
-  uint64_t BucketAddressFor(std::span<const uint8_t> key) const;
+  // Address of the chain-head bucket for a key hashing to `kh` (used by the
+  // KV processor's write-back path, which targets the key's bucket line).
+  uint64_t BucketAddressFor(const KeyHash& kh) const {
+    return index_base_ + kh.BucketIndex(num_buckets_) * kBucketBytes;
+  }
+  uint64_t BucketAddressFor(std::span<const uint8_t> key) const {
+    return BucketAddressFor(HashKey(key));
+  }
 
   // Hints the host to load `key`'s chain-head bucket line ahead of the
   // lookup. Host-only: no access is counted, recorded or timed.

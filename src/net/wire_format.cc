@@ -120,6 +120,11 @@ bool PacketBuilder::Add(const KvOperation& op) {
   return true;
 }
 
+bool PacketBuilder::FitsAlone(const KvOperation& op) const {
+  return op.key.size() <= UINT16_MAX &&
+         EncodedOperationSize(op, nullptr, false) <= max_payload_bytes_;
+}
+
 std::vector<uint8_t> PacketBuilder::Finish() {
   std::vector<uint8_t> out = std::move(buffer_);
   buffer_.clear();

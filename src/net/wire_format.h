@@ -51,6 +51,9 @@ class PacketBuilder {
   // u16 length field.
   bool Add(const KvOperation& op);
 
+  // True if `op` fits an empty packet: false means Add can never take it.
+  bool FitsAlone(const KvOperation& op) const;
+
   size_t payload_size() const { return buffer_.size(); }
   bool empty() const { return count_ == 0; }
 

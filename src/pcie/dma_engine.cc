@@ -158,6 +158,9 @@ void DmaEngine::RegisterMetrics(MetricRegistry& registry) const {
                          });
   registry.RegisterGauge("kvd_dma_read_tags_peak", "Peak DMA read tags held", {},
                          [this] { return static_cast<double>(read_tags_.peak_in_use()); });
+  registry.RegisterCounter("kvd_dma_read_tag_waits_total",
+                           "Read TLPs that waited for a DMA tag", {},
+                           [this] { return read_tags_.waited_grants(); });
   registry.RegisterGauge("kvd_dma_request_records_peak",
                          "Peak DMA requests in flight (completion records held)",
                          {}, [this] { return static_cast<double>(requests_.peak()); });

@@ -15,8 +15,8 @@ PcieLink::PcieLink(Simulator& sim, const PcieLinkConfig& config, std::string nam
       name_(std::move(name)),
       rng_(rng_seed),
       picos_per_byte_(PicosPerByte(config.bandwidth_bytes_per_sec)),
-      nonposted_credits_(name_ + "/np_credits", config.nonposted_header_credits),
-      posted_credits_(name_ + "/p_credits", config.posted_header_credits) {}
+      nonposted_credits_(name_ + "/np_credits", config.nonposted_header_credits, &sim),
+      posted_credits_(name_ + "/p_credits", config.posted_header_credits, &sim) {}
 
 SimTime PcieLink::SerializeUpstream(uint32_t bytes) {
   const auto wire_time = static_cast<SimTime>(
@@ -70,8 +70,7 @@ void PcieLink::IssueRead(uint32_t tlp) {
   // Request header travels upstream; credit returns once the host root
   // complex has consumed the request.
   const SimTime request_at_host = SerializeUpstream(config_.tlp_header_bytes);
-  sim_.ScheduleAt(request_at_host + config_.host_consume_latency,
-                  [this] { nonposted_credits_.Release(1); });
+  nonposted_credits_.ReleaseAt(1, request_at_host + config_.host_consume_latency);
 
   // Host memory access, then the completion TLP travels downstream.
   const SimTime mem_done = request_at_host + SampleReadLatency(tlps_[tlp].random_access);
@@ -104,8 +103,7 @@ void PcieLink::IssueWrite(uint32_t tlp) {
   // Posted semantics: complete at the requester once the TLP is sent.
   sim_.ScheduleAt(on_wire, std::move(tlps_[tlp].done));
   tlps_.Release(tlp);
-  sim_.ScheduleAt(on_wire + config_.host_consume_latency,
-                  [this] { posted_credits_.Release(1); });
+  posted_credits_.ReleaseAt(1, on_wire + config_.host_consume_latency);
 }
 
 void PcieLink::RegisterMetrics(MetricRegistry& registry) const {
@@ -123,6 +121,17 @@ void PcieLink::RegisterMetrics(MetricRegistry& registry) const {
   registry.RegisterGauge("kvd_pcie_tlp_records_peak",
                          "Peak TLPs in flight (completion records held)", labels,
                          [this] { return static_cast<double>(tlps_.peak()); });
+  auto register_credits = [&](const TokenPool* credits, const char* kind) {
+    const MetricLabels kind_labels = {{"link", name_}, {"kind", kind}};
+    registry.RegisterCounter("kvd_pcie_credit_waits_total",
+                             "TLPs that waited for a header credit", kind_labels,
+                             [credits] { return credits->waited_grants(); });
+    registry.RegisterGauge("kvd_pcie_credits_peak", "Peak header credits in use",
+                           kind_labels,
+                           [credits] { return static_cast<double>(credits->peak_in_use()); });
+  };
+  register_credits(&nonposted_credits_, "nonposted");
+  register_credits(&posted_credits_, "posted");
   registry.RegisterHistogram("kvd_pcie_read_latency_ns",
                              "DMA read latency, issue to completion", labels,
                              [this] { return read_latency_; });

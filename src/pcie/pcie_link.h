@@ -12,6 +12,9 @@
 // DMA tag (owned by the DmaEngine above this link) until the completion
 // returns. Writes are posted: they complete at the requester as soon as the
 // TLP is on the wire, and the credit returns after the host consumes it.
+// Both credits come back through TokenPool::ReleaseAt: the return is known
+// when the TLP goes out, so it takes a reserved slot, and becomes an event
+// only if a TLP is waiting for a credit then (DESIGN.md §16).
 #ifndef SRC_PCIE_PCIE_LINK_H_
 #define SRC_PCIE_PCIE_LINK_H_
 

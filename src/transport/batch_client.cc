@@ -105,9 +105,17 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
       packet->flush = flush;
       packet->bucket = bucket;
       while (next < members.size() &&
-             packet->slots.size() < router_.max_ops_per_packet &&
-             builder.Add(flush->ops[members[next]])) {
+             packet->slots.size() < router_.max_ops_per_packet) {
         const KvOperation& op = flush->ops[members[next]];
+        if (!builder.FitsAlone(op)) {
+          // The op alone exceeds the packet budget: it can never be sent, so
+          // it fails by itself and the packet goes on filling.
+          flush->results[members[next++]].code = ResultCode::kInvalidArgument;
+          continue;
+        }
+        if (!builder.Add(op)) {
+          break;
+        }
         packet->slots.push_back(members[next++]);
         packet->is_write = packet->is_write || IsWriteOpcode(op.opcode);
         // The packet dies with its most urgent op: past that point the
@@ -117,10 +125,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
         }
       }
       if (packet->slots.empty()) {
-        // The op alone exceeds the packet budget: it can never be sent, so
-        // it fails by itself and the rest of the bucket goes on.
-        flush->results[members[next++]].code = ResultCode::kInvalidArgument;
-        continue;
+        break;  // the bucket's last ops were all oversize
       }
       packet->ops_payload = builder.Finish();
       packets.push_back(std::move(packet));

@@ -8,6 +8,7 @@
 #include "src/common/hashing.h"
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
+#include "src/obs/metric_registry.h"
 #include "src/pcie/dma_engine.h"
 #include "src/pcie/pcie_link.h"
 #include "src/sim/simulator.h"
@@ -84,6 +85,34 @@ TEST(PcieLinkTest, NonPostedCreditsLimitOutstandingReads) {
   sim.RunUntilIdle();
   EXPECT_EQ(completed, 16);
   EXPECT_EQ(link.read_tlps(), 16u);
+}
+
+TEST(DmaEngineTest, TagAndCreditWaitsAreCounted) {
+  Simulator sim;
+  DmaEngineConfig config;
+  config.num_links = 1;
+  config.read_tags = 8;
+  config.link = DeterministicLinkConfig();
+  config.link.nonposted_header_credits = 4;
+  DmaEngine dma(sim, config);
+  MetricRegistry registry;
+  dma.RegisterMetrics(registry);
+  int completed = 0;
+  for (int i = 0; i < 16; i++) {
+    dma.Read(static_cast<uint64_t>(i) * kCacheLineBytes, 64, [&] { completed++; });
+  }
+  sim.RunUntilIdle();
+  EXPECT_EQ(completed, 16);
+  // Eight reads queue for a tag. Of the eight holding one, four queue for a
+  // credit; the later eight get their tags about a microsecond on, long
+  // after the credits (held 200 ns past the request) have come back.
+  const MetricLabels nonposted = {{"link", "pcie0"}, {"kind", "nonposted"}};
+  const MetricLabels posted = {{"link", "pcie0"}, {"kind", "posted"}};
+  EXPECT_EQ(registry.CounterValue("kvd_dma_read_tag_waits_total"), 8u);
+  EXPECT_EQ(registry.CounterValue("kvd_pcie_credit_waits_total", nonposted), 4u);
+  EXPECT_EQ(registry.GaugeValue("kvd_pcie_credits_peak", nonposted), 4.0);
+  EXPECT_EQ(registry.CounterValue("kvd_pcie_credit_waits_total", posted), 0u);
+  EXPECT_EQ(registry.GaugeValue("kvd_dma_read_tags_peak"), 8.0);
 }
 
 TEST(PcieLinkTest, WireBytesAccounted) {
