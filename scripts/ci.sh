@@ -39,8 +39,11 @@
 #      their own); and the event queue holds only events that do work
 #      (the "events that do work" guard: a token pool's timed return goes
 #      through TokenPool::ReleaseAt, not a scheduled closure that only calls
-#      its Release, and a NIC DRAM fill nobody waits for passes no empty
-#      callback to Access);
+#      its Release, and a NIC DRAM fill nobody waits for or a lost network
+#      packet passes no empty callback to Access or Send); and the KV
+#      processor borrows ops (the "borrowed ops" guard: it holds no
+#      KvOperation, only a view of the submitter's bytes until admission,
+#      and admits with the key hash the submitter took, not one of its own);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -268,19 +271,35 @@ fi
 
 # Events that do work: a PCIe credit coming back frees nobody unless a TLP is
 # waiting, so it takes a reserved slot (TokenPool::ReleaseAt) rather than an
-# event; likewise a NIC DRAM refill reserves its finish instead of queueing
-# an empty callback. A scheduled closure whose whole body is a token pool's
-# Release, or `[] {}` handed to an Access, is an event that does nothing.
+# event; likewise a NIC DRAM refill and a lost network packet reserve their
+# finish instead of queueing an empty callback. A scheduled closure whose
+# whole body is a token pool's Release, or `[] {}` handed to an Access or a
+# Send, is an event that does nothing.
 pools=$(grep -rhoE 'TokenPool [A-Za-z_]+;' src --include='*.h' \
           | sed -E 's/TokenPool ([A-Za-z_]+);/\1/' | paste -sd'|' -)
 idle=$({ if [[ -n "${pools}" ]]; then
            grep -rnE "\{ *(${pools})\.Release\([^)]*\); *\}" src \
              --include='*.h' --include='*.cc'
          fi
-         grep -rnE '\.Access\([^;]*\[\] *\{ *\}' src --include='*.h' --include='*.cc'; } || true)
+         grep -rnE '(\.Access|Send)\([^;]*\[\] *\{ *\}' src --include='*.h' --include='*.cc'; } || true)
 if [[ -n "${idle}" ]]; then
   echo "events that do work: an event that only returns tokens or does nothing:" >&2
   echo "${idle}" >&2
+  exit 1
+fi
+
+# Borrowed ops: the KV processor holds no op bytes. Submit lends it a view
+# of the op's key and value until admission, after which it keeps only the
+# op's scalars, and the submitter's key hash (taken once, for the bucket
+# prefetch) is the one it admits with. A KvOperation member in the
+# processor is a copy of every op; a HashKey( in Pump is a second hash.
+borrowed=$({ grep -nE '^[[:space:]]*[^/(]*\bKvOperation\b[^()]*[[:space:]][A-Za-z_]+[[:space:]]*(;|=|\{)' \
+               src/core/kv_processor.h
+             awk '/^void KvProcessor::Pump\(\)/,/^}/' src/core/kv_processor.cc \
+               | grep -n 'HashKey(' | sed 's/^/KvProcessor::Pump:/'; } || true)
+if [[ -n "${borrowed}" ]]; then
+  echo "borrowed ops: the processor holds an op's bytes or hashes its key again:" >&2
+  echo "${borrowed}" >&2
   exit 1
 fi
 

@@ -185,6 +185,12 @@ class ByteReader {
       bytes.assign(at, at + len);
     }
   }
+  // Views the bytes in place: the span lives as long as the input does.
+  void Bytes(std::span<const uint8_t>& bytes, size_t len) {
+    if (const uint8_t* at = Take(len)) {
+      bytes = std::span<const uint8_t>(at, len);
+    }
+  }
   // Every item takes at least one byte, so a count above the bytes left is
   // corrupt: it fails before the list reserves anything.
   template <class T, class Layout>

@@ -146,12 +146,26 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
 }
 
 void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done) {
-  processor_->Submit(std::move(op), std::move(done));
+  const OpClass cls = ClassifyOpcode(op.opcode);
+  Submit(std::move(op), std::move(done), cls);
 }
 
 void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done,
                             OpClass cls) {
-  processor_->Submit(std::move(op), std::move(done), cls);
+  const uint32_t index = owned_ops_.Acquire();
+  OwnedOp& owned = owned_ops_[index];
+  owned.op = std::move(op);
+  owned.done = std::move(done);
+  // The record may move when the pool grows; the op's key and value buffers
+  // do not.
+  processor_->Submit(owned.op, HashKey(owned.op.key),
+                     [this, index](KvResultMessage result) {
+                       KvProcessor::Completion finish =
+                           std::move(owned_ops_[index].done);
+                       owned_ops_.Release(index);
+                       finish(std::move(result));
+                     },
+                     cls);
 }
 
 void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
@@ -165,7 +179,8 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   }
   const uint64_t sequence = frame->sequence;
   endpoint_.Admit(sequence);
-  Result<std::vector<KvOperation>> decoded = DecodeOps(std::move(frame->payload));
+  // The ops are views of `packet`, which the packet's record keeps below.
+  Result<std::vector<KvOpView>> decoded = DecodeOps(frame->payload);
   if (!decoded.ok()) {
     // Malformed packet: respond with a single error result.
     KvResultMessage error;
@@ -173,7 +188,7 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
     respond(endpoint_.Complete(sequence, EncodeResults({error}), /*cache=*/true));
     return;
   }
-  std::vector<KvOperation>& ops = *decoded;
+  std::vector<KvOpView>& ops = *decoded;
   if (ops.empty()) {
     respond(endpoint_.Complete(sequence, {}, /*cache=*/true));
     return;
@@ -182,6 +197,8 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   const uint32_t batch = packets_.Open(ops.size());
   PacketReply& reply = packets_[batch].context;
   reply.sequence = sequence;
+  // Moving a vector keeps its buffer, so the views stay valid.
+  reply.packet = std::move(packet);
   reply.respond = std::move(respond);
   reply.tracer = nullptr;
   reply.traces.clear();
@@ -200,12 +217,14 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
       }
     }
   }
-  // Start every op's bucket-line miss before the first admission needs one.
-  for (const KvOperation& op : ops) {
-    index_->Prefetch(op.key);
+  // Start every op's bucket-line miss before the first admission needs one;
+  // the hash taken for it is the one the processor admits with.
+  key_hashes_.clear();
+  for (const KvOpView& op : ops) {
+    index_->Prefetch(key_hashes_.emplace_back(HashKey(op.key)));
   }
   for (size_t i = 0; i < ops.size(); i++) {
-    processor_->Submit(std::move(ops[i]),
+    processor_->Submit(ops[i], key_hashes_[i],
                        packets_.Completion(batch, static_cast<uint32_t>(i)));
   }
 }

@@ -41,6 +41,7 @@
 #include "src/obs/metric_registry.h"
 #include "src/obs/tracer.h"
 #include "src/pcie/dma_engine.h"
+#include "src/sim/record_pool.h"
 #include "src/sim/simulator.h"
 #include "src/transport/batch_client.h"
 #include "src/transport/frame_endpoint.h"
@@ -109,8 +110,10 @@ class KvDirectServer {
 
   // --- timed paths ---
   // Submits one operation directly to the KV processor (no network). The
-  // explicit-class overload lets callers mark control traffic (replication
-  // applies) exempt from admission shedding.
+  // server holds `op` in a pooled record until `done` fires, and the
+  // processor borrows its bytes from there: the one place an owned op enters
+  // the processor. The explicit-class overload lets callers mark control
+  // traffic exempt from admission shedding.
   void Submit(KvOperation op, KvProcessor::Completion done);
   void Submit(KvOperation op, KvProcessor::Completion done, OpClass cls);
   // Delivers a framed client request ([sequence | checksum | ops payload]).
@@ -171,12 +174,20 @@ class KvDirectServer {
 
  private:
   // What answering a delivered frame takes: its sequence, the transport's
-  // respond, and (tracing on) the tracer and each op's trace handle.
+  // respond, and (tracing on) the tracer and each op's trace handle. It also
+  // holds the packet, whose bytes the processor borrows for the packet's
+  // ops until their admission.
   struct PacketReply {
     uint64_t sequence = 0;
+    std::vector<uint8_t> packet;
     std::function<void(std::vector<uint8_t>)> respond;
     Tracer* tracer = nullptr;
     std::vector<uint64_t> traces;
+  };
+  // An op submitted through Submit(KvOperation, ...), held until it retires.
+  struct OwnedOp {
+    KvOperation op;
+    KvProcessor::Completion done;
   };
   // Encodes a packet's results once its last op retired, and responds.
   void AnswerPacket(uint32_t batch);
@@ -209,6 +220,10 @@ class KvDirectServer {
         AnswerPacket(batch);
         return true;
       }};
+  RecordPool<OwnedOp> owned_ops_;
+  // DeliverFrame's key hashes, taken once per op for the prefetch and the
+  // admission both.
+  std::vector<KeyHash> key_hashes_;
   uint64_t next_client_id_ = 0;
 };
 

@@ -61,11 +61,11 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index, AccessEngine& engine,
   KVD_CHECK(config.clock_hz > 0);
 }
 
-KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
+KvResultMessage KvProcessor::ExecuteFunctional(const KvOpView& op) {
   return ExecuteFunctional(op, HashKey(op.key));
 }
 
-KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op, const KeyHash& kh) {
+KvResultMessage KvProcessor::ExecuteFunctional(const KvOpView& op, const KeyHash& kh) {
   KvResultMessage result;
   switch (op.opcode) {
     case Opcode::kGet: {
@@ -171,12 +171,12 @@ SimTime KvProcessor::NextCycleTime() {
   return next_issue_at_;
 }
 
-void KvProcessor::Submit(KvOperation op, Completion done) {
-  const OpClass cls = ClassifyOpcode(op.opcode);
-  Submit(std::move(op), std::move(done), cls);
+void KvProcessor::Submit(const KvOpView& op, const KeyHash& kh, Completion done) {
+  Submit(op, kh, std::move(done), ClassifyOpcode(op.opcode));
 }
 
-void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
+void KvProcessor::Submit(const KvOpView& op, const KeyHash& kh, Completion done,
+                         OpClass cls) {
   if (op.trace != 0) {
     // First-write-wins: a busy-bounced retry keeps the original submit time,
     // so the queue stage honestly includes the backoff.
@@ -218,8 +218,8 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   stats_.submitted++;
   const size_t queue =
       admission_.config().class_queues ? static_cast<size_t>(cls) : 0;
-  waiting_[queue].push_back(
-      Waiting{std::move(op), std::move(done), cls, sim_.Now()});
+  waiting_[queue].push_back(Waiting{op, kh, std::move(done), cls, sim_.Now()});
+  waiting_by_class_[static_cast<size_t>(cls)]++;
   Pump();
 }
 
@@ -280,12 +280,15 @@ void KvProcessor::Pump() {
         Reject(std::move(head.done),
                deadline_shed ? ResultCode::kDeadlineExceeded : ResultCode::kOverloaded,
                NextCycleTime());
+        waiting_by_class_[static_cast<size_t>(head.cls)]--;
         queue->pop_front();
         continue;
       }
     }
-    KvOperation& op = head.op;
-    const KeyHash kh = HashKey(op.key);
+    // The last use of the op's bytes: functional execution below. The
+    // submitter may free them once the op leaves the queue.
+    const KvOpView op = head.op;
+    const KeyHash kh = head.kh;
     const uint16_t slot = kh.StationSlot();
     const uint64_t id = next_id_;
     const ReservationStation::Action action =
@@ -296,16 +299,17 @@ void KvProcessor::Pump() {
     next_id_++;
 
     Inflight& inflight = inflight_.Insert(id);
-    inflight.op = std::move(op);
+    inflight.opcode = op.opcode;
+    inflight.deadline = op.deadline;
+    inflight.trace = op.trace;
     inflight.done = std::move(head.done);
-    queue->pop_front();
     inflight.next_access = 0;
     inflight.slot = slot;
     inflight.digest = kh.digest;
     inflight.submitted_at = sim_.Now();
     inflight.parked_at = 0;
-    if (inflight.op.trace != 0) {
-      tracer_.Point(inflight.op.trace, TracePoint::kAdmit);
+    if (op.trace != 0) {
+      tracer_.Point(op.trace, TracePoint::kAdmit);
     }
 
     // Functional execution at admission: the station guarantees per-key
@@ -313,21 +317,23 @@ void KvProcessor::Pump() {
     engine_.BeginOp();
     const uint64_t sync_reads_before = slab_sync_.sync_dma_reads;
     const uint64_t sync_writes_before = slab_sync_.sync_dma_writes;
-    inflight.result = ExecuteFunctional(inflight.op, kh);
-    if (!inflight.op.return_value) {
+    inflight.result = ExecuteFunctional(op, kh);
+    if (!op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }
-    engine_.TakeTrace(inflight.trace);
+    waiting_by_class_[static_cast<size_t>(head.cls)]--;
+    queue->pop_front();
+    engine_.TakeTrace(inflight.accesses);
     slot_bucket_address_[slot] = index_.BucketAddressFor(kh);
     // Slab-pool synchronizations triggered by this operation become DMA
     // transfers of one entry batch each (paper Figure 8); they are daemon
     // metadata, charged at the key's heap line for dispatching purposes.
     for (uint64_t n = slab_sync_.sync_dma_reads - sync_reads_before; n > 0; n--) {
-      inflight.trace.push_back(
+      inflight.accesses.push_back(
           {AccessKind::kRead, slot_bucket_address_[slot], config_.slab_sync_bytes});
     }
     for (uint64_t n = slab_sync_.sync_dma_writes - sync_writes_before; n > 0; n--) {
-      inflight.trace.push_back(
+      inflight.accesses.push_back(
           {AccessKind::kWrite, slot_bucket_address_[slot], config_.slab_sync_bytes});
     }
 
@@ -369,15 +375,15 @@ void KvProcessor::Pump() {
 void KvProcessor::StepPipelineOp(uint64_t id) {
   Inflight* inflight = inflight_.Find(id);
   KVD_CHECK(inflight != nullptr);
-  if (inflight->next_access >= inflight->trace.size()) {
+  if (inflight->next_access >= inflight->accesses.size()) {
     OnPipelineComplete(id);
     return;
   }
   // Accesses within one operation are dependent (bucket read before slab
   // read before write-back), so they run serially.
-  const AccessRecord access = inflight->trace[inflight->next_access++];
+  const AccessRecord access = inflight->accesses[inflight->next_access++];
   dispatcher_.Access(access.kind, access.address, access.length,
-                     [this, id] { StepPipelineOp(id); }, inflight->op.trace);
+                     [this, id] { StepPipelineOp(id); }, inflight->trace);
 }
 
 void KvProcessor::RecordUnpark(uint64_t id) {
@@ -385,8 +391,8 @@ void KvProcessor::RecordUnpark(uint64_t id) {
   if (inflight == nullptr) {
     return;
   }
-  if (inflight->parked_at != 0 && inflight->op.trace != 0) {
-    tracer_.Span(inflight->op.trace, SpanKind::kStationWait, inflight->parked_at,
+  if (inflight->parked_at != 0 && inflight->trace != 0) {
+    tracer_.Span(inflight->trace, SpanKind::kStationWait, inflight->parked_at,
                  sim_.Now(), inflight->slot);
   }
   inflight->parked_at = 0;
@@ -451,12 +457,11 @@ void KvProcessor::Retire(uint64_t id) {
   KVD_CHECK(entry != nullptr);
   // Take what retirement needs and free the entry first: `done` may submit,
   // and so admit, new operations into the table.
-  const KvOperation& op = entry->op;
   const SimTime submitted_at = entry->submitted_at;
   const uint16_t slot = entry->slot;
-  const uint64_t trace = op.trace;
-  const bool expired_read = op.deadline != 0 && sim_.Now() >= op.deadline &&
-                            !IsWriteOpcode(op.opcode);
+  const uint64_t trace = entry->trace;
+  const bool expired_read = entry->deadline != 0 && sim_.Now() >= entry->deadline &&
+                            !IsWriteOpcode(entry->opcode);
   KvResultMessage result = std::move(entry->result);
   Completion done = std::move(entry->done);
   inflight_.Erase(*entry);

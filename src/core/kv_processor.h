@@ -19,6 +19,12 @@
 // Operations whose key is cached in the reservation station skip the memory
 // system entirely and retire at one per clock cycle (the data-forwarding fast
 // path that gives 180 Mops single-key atomics, Figure 13a).
+//
+// The processor holds no op bytes. Submit borrows a view of the op's key and
+// value until admission, where the functional layer reads them once; from
+// then on only the op's scalars (opcode, deadline, trace) are kept. Whoever
+// submits keeps the bytes alive and in place until the op is admitted
+// (DESIGN.md §16).
 #ifndef SRC_CORE_KV_PROCESSOR_H_
 #define SRC_CORE_KV_PROCESSOR_H_
 
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
+#include "src/common/hashing.h"
 #include "src/common/ring_fifo.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -87,14 +94,16 @@ class KvProcessor {
               const KvProcessorConfig& config);
 
   // Executes `op` with full timing; `done` fires at retirement (sim time).
+  // `kh` must be HashKey(op.key). The processor borrows `op`'s bytes until
+  // it admits the op: the caller keeps them alive and unmoved until then.
   // Classifies the op read/write by opcode for admission purposes.
-  void Submit(KvOperation op, Completion done);
+  void Submit(const KvOpView& op, const KeyHash& kh, Completion done);
   // Same, with an explicit priority class (replication applies submit as
   // kControl so they are never load-shed).
-  void Submit(KvOperation op, Completion done, OpClass cls);
+  void Submit(const KvOpView& op, const KeyHash& kh, Completion done, OpClass cls);
 
   // Pure functional execution, no simulation (tests, warm-up fills).
-  KvResultMessage ExecuteFunctional(const KvOperation& op);
+  KvResultMessage ExecuteFunctional(const KvOpView& op);
 
   // Registers processor and reservation-station counters (readers over the
   // live stats structs; no behavior change).
@@ -111,13 +120,20 @@ class KvProcessor {
     }
     return n;
   }
+  // Ops of class `cls` submitted and not yet admitted (or shed). Each class
+  // is admitted in submission order, so these are its last ones submitted.
+  size_t waiting(OpClass cls) const { return waiting_by_class_[static_cast<size_t>(cls)]; }
 
  private:
+  // An admitted op: its scalars and its result. The bytes it was submitted
+  // with went back to their holder at admission.
   struct Inflight {
     uint64_t id = 0;  // 0 marks a free IdTable entry
-    KvOperation op;
+    Opcode opcode = Opcode::kGet;
+    uint64_t deadline = 0;
+    uint64_t trace = 0;
     KvResultMessage result;
-    std::vector<AccessRecord> trace;
+    std::vector<AccessRecord> accesses;
     size_t next_access = 0;
     uint16_t slot = 0;
     uint64_t digest = 0;
@@ -126,8 +142,10 @@ class KvProcessor {
     Completion done;
   };
 
+  // A submitted op waiting for admission, with its borrowed bytes.
   struct Waiting {
-    KvOperation op;
+    KvOpView op;
+    KeyHash kh;
     Completion done;
     OpClass cls = OpClass::kRead;
     SimTime enqueued_at = 0;
@@ -149,8 +167,8 @@ class KvProcessor {
   void AdvanceSlot(uint16_t slot, uint64_t bucket_address);
   void Retire(uint64_t id);
   SimTime NextCycleTime();
-  // ExecuteFunctional with the key's hash, which admission has already taken.
-  KvResultMessage ExecuteFunctional(const KvOperation& op, const KeyHash& kh);
+  // ExecuteFunctional with the key's hash, which the submitter has taken.
+  KvResultMessage ExecuteFunctional(const KvOpView& op, const KeyHash& kh);
   // Closes the kStationWait span of a parked op that just resumed.
   void RecordUnpark(uint64_t id);
 
@@ -177,6 +195,7 @@ class KvProcessor {
   // One FIFO per priority class, drained control → reads → writes. With
   // admission.class_queues off every op lands in queue 0 (legacy FIFO order).
   std::array<RingFifo<Waiting>, kNumOpClasses> waiting_;
+  std::array<size_t, kNumOpClasses> waiting_by_class_{};
   AdmissionController admission_;
   // Bucket addresses for pending write-backs, indexed by the 10-bit station
   // slot (KeyHash::StationSlot).

@@ -144,7 +144,8 @@ class HashIndex {
 
   // Hints the host to load `key`'s chain-head bucket line ahead of the
   // lookup. Host-only: no access is counted, recorded or timed.
-  void Prefetch(std::span<const uint8_t> key) { engine_.Prefetch(BucketAddressFor(key)); }
+  void Prefetch(const KeyHash& kh) { engine_.Prefetch(BucketAddressFor(kh)); }
+  void Prefetch(std::span<const uint8_t> key) { Prefetch(HashKey(key)); }
 
  private:
   // Where `key` lives: bucket address, first slot, and (non-inline) the slab.

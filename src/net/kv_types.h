@@ -14,6 +14,7 @@
 #define SRC_NET_KV_TYPES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace kvd {
@@ -159,6 +160,60 @@ struct KvOperation {
   // encoded on the wire; 0 means untraced.
   uint64_t trace = 0;
 };
+
+// An operation whose key and value are views of bytes someone else holds: a
+// received packet, a write batch's op, a log entry. The KV processor borrows
+// one from Submit until admission, so the holder keeps the bytes alive and
+// in place until then (DESIGN.md §16). The scalars are KvOperation's.
+struct KvOpView {
+  Opcode opcode = Opcode::kGet;
+  std::span<const uint8_t> key;
+  std::span<const uint8_t> value;
+  uint64_t param = 0;
+  uint16_t function_id = kFnAddU64;
+  uint8_t element_width = 8;
+  bool return_value = true;
+  uint64_t deadline = 0;
+  uint64_t trace = 0;
+
+  KvOpView() = default;
+  // Views `op`'s bytes, which must outlive the view.
+  KvOpView(const KvOperation& op)  // NOLINT: implicit by design
+      : opcode(op.opcode),
+        key(op.key),
+        value(op.value),
+        param(op.param),
+        function_id(op.function_id),
+        element_width(op.element_width),
+        return_value(op.return_value),
+        deadline(op.deadline),
+        trace(op.trace) {}
+  // A view of a temporary would dangle once the full expression ends.
+  KvOpView(const KvOperation&&) = delete;
+
+  // A copy that owns its bytes.
+  KvOperation ToOwned() const {
+    KvOperation op;
+    op.opcode = opcode;
+    op.key.assign(key.begin(), key.end());
+    op.value.assign(value.begin(), value.end());
+    op.param = param;
+    op.function_id = function_id;
+    op.element_width = element_width;
+    op.return_value = return_value;
+    op.deadline = deadline;
+    op.trace = trace;
+    return op;
+  }
+};
+
+// The two conversions above copy KvOperation's nine fields one by one. A
+// binding of exactly nine names stops compiling once either type gains a
+// field, so a new one cannot be dropped on the borrowed paths unnoticed.
+inline void KvOpViewCarriesEveryField(const KvOperation& op, const KvOpView& view) {
+  [[maybe_unused]] const auto& [o1, k1, v1, p1, f1, w1, r1, d1, t1] = op;
+  [[maybe_unused]] const auto& [o2, k2, v2, p2, f2, w2, r2, d2, t2] = view;
+}
 
 struct KvResultMessage {
   ResultCode code = ResultCode::kOk;

@@ -50,7 +50,11 @@ NetworkModel::WireInterval NetworkModel::Send(
     tracer_->Complete("net", direction, start, wire_free_at + latency,
                       {{"payload_bytes", payload_bytes}, {"packets", num_packets}});
   }
-  sim_.ScheduleAt(wire_free_at + latency, std::move(delivered));
+  if (delivered) {
+    sim_.ScheduleAt(wire_free_at + latency, std::move(delivered));
+  } else {
+    sim_.Reserve(wire_free_at + latency);  // lost: its arrival does nothing
+  }
   return {start, wire_free_at + latency};
 }
 
@@ -77,7 +81,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     // retry layer sees pure silence — exactly what a real partition looks
     // like from the sender's side.
     partition_dropped_++;
-    record(Send(direction, size, free_at, packets, bytes, [] {}));
+    record(Send(direction, size, free_at, packets, bytes, nullptr));
     return;
   }
   if (health.loss_probability > 0.0 &&
@@ -85,7 +89,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     // Gray loss: independent RNG stream, so scripting a gray link never
     // perturbs the fault injector's event sequences.
     gray_dropped_++;
-    record(Send(direction, size, free_at, packets, bytes, [] {}));
+    record(Send(direction, size, free_at, packets, bytes, nullptr));
     return;
   }
   if (fault_ != nullptr) {
@@ -100,7 +104,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     if (fault_->ShouldInject(drop)) {
       // The packet occupies the wire like any other, then vanishes.
       dropped_++;
-      record(Send(direction, size, free_at, packets, bytes, [] {}));
+      record(Send(direction, size, free_at, packets, bytes, nullptr));
       return;
     }
     if (fault_->ShouldInject(duplicate)) {

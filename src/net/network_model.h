@@ -106,7 +106,9 @@ class NetworkModel {
     Rng rng;
   };
 
-  // Wire occupancy and delivery are decided synchronously at send time.
+  // Wire occupancy and delivery are decided synchronously at send time. A
+  // lost packet passes no `delivered`: its arrival slot is reserved, not
+  // scheduled, so it costs no event.
   struct WireInterval {
     SimTime start = 0;
     SimTime delivery = 0;

@@ -134,15 +134,17 @@ std::vector<uint8_t> PacketBuilder::Finish() {
   return out;
 }
 
-PacketParser::PacketParser(std::vector<uint8_t> payload)
-    : payload_(std::move(payload)) {}
+PacketParser::PacketParser(std::span<const uint8_t> payload) : payload_(payload) {}
 
-Result<std::optional<KvOperation>> PacketParser::Next() {
+PacketParser::PacketParser(std::vector<uint8_t> payload)
+    : owned_(std::move(payload)), payload_(owned_) {}
+
+Result<std::optional<KvOpView>> PacketParser::NextView() {
   if (offset_ >= payload_.size()) {
-    return std::optional<KvOperation>(std::nullopt);
+    return std::optional<KvOpView>(std::nullopt);
   }
-  ByteReader reader(std::span<const uint8_t>(payload_).subspan(offset_));
-  KvOperation op;
+  ByteReader reader(payload_.subspan(offset_));
+  KvOpView op;
   uint8_t flags = 0;
   OpLengths lengths{prev_key_len_, prev_value_.size()};
   kOpLayout(reader, op, flags, lengths);
@@ -163,21 +165,32 @@ Result<std::optional<KvOperation>> PacketParser::Next() {
   has_previous_ = true;
   prev_key_len_ = lengths.key;
   prev_value_ = op.value;
-  return std::optional<KvOperation>(std::move(op));
+  return std::optional<KvOpView>(op);
 }
 
-Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload) {
-  PacketParser parser(std::move(payload));
-  std::vector<KvOperation> ops;
+Result<std::optional<KvOperation>> PacketParser::Next() {
+  Result<std::optional<KvOpView>> view = NextView();
+  if (!view.ok()) {
+    return view.status();
+  }
+  if (!view->has_value()) {
+    return std::optional<KvOperation>(std::nullopt);
+  }
+  return std::optional<KvOperation>((*view)->ToOwned());
+}
+
+Result<std::vector<KvOpView>> DecodeOps(std::span<const uint8_t> payload) {
+  PacketParser parser(payload);
+  std::vector<KvOpView> ops;
   while (true) {
-    Result<std::optional<KvOperation>> next = parser.Next();
+    Result<std::optional<KvOpView>> next = parser.NextView();
     if (!next.ok()) {
       return next.status();
     }
     if (!next->has_value()) {
       return ops;
     }
-    ops.push_back(std::move(**next));
+    ops.push_back(**next);
   }
 }
 
@@ -190,7 +203,7 @@ std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results) 
   });
 }
 
-Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& payload) {
+Result<std::vector<KvResultMessage>> DecodeResults(std::span<const uint8_t> payload) {
   std::vector<KvResultMessage> results;
   ByteReader reader(payload);
   while (reader.remaining() > 0) {

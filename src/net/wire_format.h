@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -70,26 +71,38 @@ class PacketBuilder {
   std::vector<uint8_t> prev_value_;
 };
 
-// Decodes a request packet back into operations (the NIC-side decoder).
+// Decodes a request packet back into operations (the NIC-side decoder). Each
+// op is a view of the packet's bytes: its key and value point into the
+// payload, and an op that copies the previous op's value (kFlagCopyValueBytes)
+// points at that earlier value in the same packet.
 class PacketParser {
  public:
+  // Views `payload`, which must outlive every op the parser yields.
+  explicit PacketParser(std::span<const uint8_t> payload);
+  // Holds `payload` itself; its ops live as long as the parser.
   explicit PacketParser(std::vector<uint8_t> payload);
+  // A copy would view the original's bytes.
+  PacketParser(const PacketParser&) = delete;
+  PacketParser& operator=(const PacketParser&) = delete;
 
   // Returns the next operation, or nullopt at end of packet. Malformed input
   // yields an error status.
+  Result<std::optional<KvOpView>> NextView();
+  // NextView, copied into an operation that owns its bytes.
   Result<std::optional<KvOperation>> Next();
 
  private:
-  std::vector<uint8_t> payload_;
+  std::vector<uint8_t> owned_;
+  std::span<const uint8_t> payload_;
   size_t offset_ = 0;
   bool has_previous_ = false;
   size_t prev_key_len_ = 0;
-  std::vector<uint8_t> prev_value_;
+  std::span<const uint8_t> prev_value_;
 };
 
-// Decodes a whole request packet (possibly empty); malformed input yields an
-// error status.
-Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload);
+// Decodes a whole request packet (possibly empty) into views of `payload`;
+// malformed input yields an error status.
+Result<std::vector<KvOpView>> DecodeOps(std::span<const uint8_t> payload);
 
 // Response packet: a sequence of results mirroring the request order.
 // Layout per result:
@@ -98,7 +111,7 @@ Result<std::vector<KvOperation>> DecodeOps(std::vector<uint8_t> payload);
 // rejects values above kMaxWireEpoch as corruption.
 inline constexpr size_t kResultHeaderBytes = 17;
 std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results);
-Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& payload);
+Result<std::vector<KvResultMessage>> DecodeResults(std::span<const uint8_t> payload);
 
 // Reliable framing (sequence + checksum) lives in src/transport/frame.h:
 // this file is only the lossless payload encoding the frames carry.

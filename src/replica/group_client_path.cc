@@ -37,9 +37,10 @@ void ReplicationGroup::DeliverClientFrame(
     return;  // corrupt (dropped), replayed (answered), or still in flight
   }
   const uint64_t sequence = frame->sequence;
-  Result<GroupRequest> request = DecodeGroupRequest(frame->payload);
-  Result<std::vector<KvOperation>> ops =
-      request.ok() ? DecodeOps(std::move(request->ops_payload)) : request.status();
+  // The request and its ops are views of `packet`.
+  Result<GroupRequestView> request = DecodeGroupRequestView(frame->payload);
+  Result<std::vector<KvOpView>> ops =
+      request.ok() ? DecodeOps(request->ops_payload) : request.status();
   if (!ops.ok() || ops->empty()) {
     // A bad header, malformed ops, or no ops at all.
     rep.server->endpoint().Admit(sequence);
@@ -48,12 +49,14 @@ void ReplicationGroup::DeliverClientFrame(
     SendResponse(rep, sequence, {}, err, std::move(respond), true);
     return;
   }
-  HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(respond));
+  HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(packet),
+                      std::move(respond));
 }
 
 void ReplicationGroup::HandleClientRequest(
-    Replica& rep, uint64_t sequence, const GroupRequest& request,
-    std::vector<KvOperation> ops, std::function<void(std::vector<uint8_t>)> respond) {
+    Replica& rep, uint64_t sequence, const GroupRequestView& request,
+    std::vector<KvOpView> ops, std::vector<uint8_t> packet,
+    std::function<void(std::vector<uint8_t>)> respond) {
   if (tracer_.enabled()) {
     // The handles were registered by the replicated client under this
     // sequence; the lookup is non-consuming, so redirects and retransmits
@@ -65,7 +68,7 @@ void ReplicationGroup::HandleClientRequest(
   }
 
   bool any_write = false;
-  for (const KvOperation& op : ops) {
+  for (const KvOpView& op : ops) {
     any_write = any_write || IsWriteOpcode(op.opcode);
   }
   GroupResponse bounce;
@@ -119,7 +122,7 @@ void ReplicationGroup::HandleClientRequest(
                  false);
     return;
   }
-  for (const KvOperation& op : ops) {
+  for (const KvOpView& op : ops) {
     tracer_.Point(op.trace, TracePoint::kServerReceive);
   }
   if (request.has_route && load_listener_) {
@@ -127,27 +130,31 @@ void ReplicationGroup::HandleClientRequest(
                    any_write);
   }
   if (any_write) {
-    ServeWrites(rep, sequence, std::move(ops), std::move(respond));
+    ServeWrites(rep, sequence, ops, std::move(respond));
   } else {
-    ServeReads(rep, sequence, std::move(ops), std::move(respond));
+    ServeReads(rep, sequence, ops, std::move(packet), std::move(respond));
   }
 }
 
 void ReplicationGroup::ServeReads(
-    Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
-    std::function<void(std::vector<uint8_t>)> respond) {
+    Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
+    std::vector<uint8_t> packet, std::function<void(std::vector<uint8_t>)> respond) {
   rep.server->endpoint().Admit(sequence);
   const uint32_t batch = read_batches_.Open(ops.size());
   ReadBatch& read = read_batches_[batch].context;
   read.rep = &rep;
   read.sequence = sequence;
+  // Moving a vector keeps its buffer, so the views stay valid.
+  read.packet = std::move(packet);
   read.respond = std::move(respond);
-  for (const KvOperation& op : ops) {
-    rep.server->index().Prefetch(op.key);
+  key_hashes_.clear();
+  for (const KvOpView& op : ops) {
+    rep.server->index().Prefetch(key_hashes_.emplace_back(HashKey(op.key)));
   }
   for (size_t i = 0; i < ops.size(); i++) {
-    rep.server->Submit(std::move(ops[i]),
-                       read_batches_.Completion(batch, static_cast<uint32_t>(i)));
+    rep.server->processor().Submit(
+        ops[i], key_hashes_[i],
+        read_batches_.Completion(batch, static_cast<uint32_t>(i)));
   }
 }
 
@@ -162,14 +169,18 @@ void ReplicationGroup::AnswerReads(uint32_t batch) {
 }
 
 void ReplicationGroup::ServeWrites(
-    Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
+    Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
     std::function<void(std::vector<uint8_t>)> respond) {
   rep.server->endpoint().Admit(sequence);
   const uint32_t batch = write_batches_.Open(ops.size());
   WriteBatch& write = write_batches_[batch].context;
   write.rep = &rep;
   write.sequence = sequence;
-  write.ops = std::move(ops);
+  // The one copy of each op: the log entry takes it at retirement.
+  write.ops.clear();
+  for (const KvOpView& op : ops) {
+    write.ops.push_back(op.ToOwned());
+  }
   write.needed_index = 0;
   write.appended_at = 0;
   write.respond = std::move(respond);
@@ -221,13 +232,16 @@ void ReplicationGroup::ExecuteWrites(uint32_t batch) {
     return;
   }
   auto submitted = [&](size_t i) { return answered.empty() || !answered[i]; };
+  key_hashes_.resize(num_ops);
   for (size_t i = 0; i < num_ops; i++) {
     if (submitted(i)) {
-      rep.server->index().Prefetch(write.ops[i].key);
+      key_hashes_[i] = HashKey(write.ops[i].key);
+      rep.server->index().Prefetch(key_hashes_[i]);
     }
   }
   // From here on the record is reached through its index: Submit must not
-  // be trusted to leave the pool where it was.
+  // be trusted to leave the pool where it was. The processor borrows each op
+  // from the record; moving the record keeps the op's bytes in place.
   for (size_t i = 0; i < num_ops; i++) {
     if (!submitted(i)) {
       continue;
@@ -236,9 +250,8 @@ void ReplicationGroup::ExecuteWrites(uint32_t batch) {
     if (IsWriteOpcode(op.opcode)) {
       rep.inflight_ops++;
     }
-    // The one copy of the op: the batch's own stays in its record until the
-    // log entry takes it.
-    rep.server->Submit(op, write_batches_.Completion(batch, static_cast<uint32_t>(i)));
+    rep.server->processor().Submit(
+        op, key_hashes_[i], write_batches_.Completion(batch, static_cast<uint32_t>(i)));
   }
 }
 

@@ -333,13 +333,22 @@ void ReplicationGroup::AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
 
 void ReplicationGroup::ApplyThrough(Replica& rep, uint64_t target) {
   Replica* rp = &rep;
-  while (rep.applied < target) {
+  // Start every entry's bucket-line miss before the first admission needs
+  // one; the hash taken for it is the one the processor admits with.
+  key_hashes_.clear();
+  for (uint64_t index = rep.applied + 1; index <= target; index++) {
+    rep.server->index().Prefetch(
+        key_hashes_.emplace_back(HashKey(rep.log.At(index).op.key)));
+  }
+  for (const KeyHash& kh : key_hashes_) {
     const LogEntry& entry = rep.log.At(rep.applied + 1);
     rep.inflight_ops++;
     // Control class: replication applies are exempt from every shedding
-    // policy — dropping one would diverge this store from the log.
-    rep.server->Submit(entry.op, [rp](KvResultMessage) { rp->inflight_ops--; },
-                       OpClass::kControl);
+    // policy — dropping one would diverge this store from the log. The
+    // processor borrows the entry's op until admission; TrimLog keeps the
+    // entry until then.
+    rep.server->processor().Submit(
+        entry.op, kh, [rp](KvResultMessage) { rp->inflight_ops--; }, OpClass::kControl);
     if (entry.client_sequence != 0) {  // promotion barriers carry no session
       RecordSession(rep, entry.client_sequence, entry.slot, entry.result);
     }
@@ -350,9 +359,13 @@ void ReplicationGroup::ApplyThrough(Replica& rep, uint64_t target) {
 
 void ReplicationGroup::TrimLog(Replica& rep) {
   // Never trim past the applied cursor: unapplied committed entries must
-  // stay replayable locally (apply-at-commit keeps applied <= end).
+  // stay replayable locally (apply-at-commit keeps applied <= end). Nor past
+  // an applied entry whose op still waits for admission: the processor
+  // borrows its bytes until then. Applies are the only control-class ops
+  // and are admitted in order, so the waiting ones are the last applied.
+  const uint64_t queued = rep.server->processor().waiting(OpClass::kControl);
   rep.log.Trim(std::max<uint64_t>(config_.max_log_entries,
-                                  rep.log.end() - rep.applied));
+                                  rep.log.end() - rep.applied + queued));
 }
 
 }  // namespace kvd

@@ -184,7 +184,7 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
   return EncodeFields([&](auto& c) { kMessageLayout(c, msg); });
 }
 
-Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload) {
+Result<ReplicaMessage> DecodeReplicaMessage(std::span<const uint8_t> payload) {
   ReplicaMessage msg;
   if (!DecodeFields(payload, [&](auto& c) { kMessageLayout(c, msg); })) {
     return Status::InvalidArgument("truncated, invalid or over-long replica message");
@@ -225,8 +225,8 @@ std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request) {
   return EncodeFields([&](auto& c) { kGroupRequestLayout(c, request); });
 }
 
-Result<GroupRequest> DecodeGroupRequest(const std::vector<uint8_t>& payload) {
-  GroupRequest request;
+Result<GroupRequestView> DecodeGroupRequestView(std::span<const uint8_t> payload) {
+  GroupRequestView request;
   if (!DecodeFields(payload, [&](auto& c) { kGroupRequestLayout(c, request); })) {
     return Status::InvalidArgument("truncated group request header");
   }
@@ -237,7 +237,7 @@ std::vector<uint8_t> EncodeGroupResponse(const GroupResponse& response) {
   return EncodeFields([&](auto& c) { kGroupResponseLayout(c, response); });
 }
 
-Result<GroupResponse> DecodeGroupResponse(const std::vector<uint8_t>& payload) {
+Result<GroupResponse> DecodeGroupResponse(std::span<const uint8_t> payload) {
   GroupResponse response;
   if (!DecodeFields(payload, [&](auto& c) { kGroupResponseLayout(c, response); })) {
     return Status::InvalidArgument("truncated or invalid group response header");

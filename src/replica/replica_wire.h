@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -125,7 +126,7 @@ struct ReplicaMessage {
 ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sender);
 
 std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);
-Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload);
+Result<ReplicaMessage> DecodeReplicaMessage(std::span<const uint8_t> payload);
 
 // A kAppend in two steps, so a primary encodes a window straight from its
 // log instead of copying it into msg.entries: the message through its entry
@@ -163,14 +164,20 @@ inline constexpr uint64_t kGroupRequestRouted = 1ull << 63;
 inline constexpr size_t kGroupRequestHeaderBytes = 8;
 inline constexpr size_t kGroupRouteHeaderBytes = kGroupRequestHeaderBytes + 12;
 
-struct GroupRequest {
+// `Bytes` holds the ops payload: owned bytes in a GroupRequest, which a
+// client encodes, and a view of the received packet in a GroupRequestView,
+// which a replica decodes.
+template <class Bytes>
+struct BasicGroupRequest {
   uint64_t required_index = 0;
   // Shard-map routing extension (present iff has_route).
   bool has_route = false;
   uint64_t map_epoch = 0;
   uint32_t partition = 0;
-  std::vector<uint8_t> ops_payload;
+  Bytes ops_payload;
 };
+using GroupRequest = BasicGroupRequest<std::vector<uint8_t>>;
+using GroupRequestView = BasicGroupRequest<std::span<const uint8_t>>;
 
 inline constexpr uint8_t kGroupRedirect = 1u << 0;   // not primary: go there
 inline constexpr uint8_t kGroupStaleRead = 1u << 1;  // replica behind watermark
@@ -202,9 +209,10 @@ struct GroupResponse {
 };
 
 std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request);
-Result<GroupRequest> DecodeGroupRequest(const std::vector<uint8_t>& payload);
+// Decodes the header; the ops payload is left in place in `payload`.
+Result<GroupRequestView> DecodeGroupRequestView(std::span<const uint8_t> payload);
 std::vector<uint8_t> EncodeGroupResponse(const GroupResponse& response);
-Result<GroupResponse> DecodeGroupResponse(const std::vector<uint8_t>& payload);
+Result<GroupResponse> DecodeGroupResponse(std::span<const uint8_t> payload);
 
 }  // namespace kvd
 

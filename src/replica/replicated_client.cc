@@ -91,7 +91,7 @@ void GroupRouter::Redirect(const PacketPtr& packet, uint32_t target,
   BackoffResend(packet, redirect_backoff_, detail);
 }
 
-void GroupRouter::OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
+void GroupRouter::OnResponse(const PacketPtr& packet, std::span<const uint8_t> payload) {
   Result<GroupResponse> decoded = DecodeGroupResponse(payload);
   if (!decoded.ok()) {
     NoteCorruptResponse();

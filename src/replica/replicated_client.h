@@ -76,7 +76,7 @@ class GroupRouter : public BatchClient {
 
   std::vector<uint8_t> RequestHeader(const Packet& packet) override;
   void Wire(const PacketPtr& packet) override;
-  void OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) override;
+  void OnResponse(const PacketPtr& packet, std::span<const uint8_t> payload) override;
 
   // One transmission toward `target` in the packet's group; `delivered`
   // receives the framed response bytes.

@@ -437,15 +437,19 @@ class ReplicationGroup {
     std::deque<uint64_t> session_order;
   };
 
-  // A read packet in flight on a replica, and where its answer goes.
+  // A read packet in flight on a replica, and where its answer goes. It
+  // holds the packet, whose bytes the processor borrows for the packet's ops
+  // until their admission.
   struct ReadBatch {
     Replica* rep = nullptr;
     uint64_t sequence = 0;
+    std::vector<uint8_t> packet;
     std::function<void(std::vector<uint8_t>)> respond;
   };
   // A write packet on the primary from admission to answer: parked by a
   // snapshot drain, executing, then waiting for the log index its answer
-  // needs to commit. Each op is kept until its log entry takes it.
+  // needs to commit. Each op is kept until its log entry takes it; the
+  // processor borrows it from here until admission.
   struct WriteBatch {
     Replica* rep = nullptr;
     uint64_t sequence = 0;
@@ -456,14 +460,19 @@ class ReplicationGroup {
   };
 
   // --- client path ---
-  // `request`'s ops payload is already decoded into `ops` (never empty).
+  // `request`'s ops payload is already decoded into `ops` (never empty);
+  // both are views of `packet`.
   void HandleClientRequest(Replica& rep, uint64_t sequence,
-                           const GroupRequest& request, std::vector<KvOperation> ops,
+                           const GroupRequestView& request,
+                           std::vector<KvOpView> ops, std::vector<uint8_t> packet,
                            std::function<void(std::vector<uint8_t>)> respond);
-  void ServeReads(Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
+  // Submits the views `ops` of `packet`, which the read batch keeps.
+  void ServeReads(Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
+                  std::vector<uint8_t> packet,
                   std::function<void(std::vector<uint8_t>)> respond);
-  // Opens the packet's write batch, parked while a snapshot cut drains.
-  void ServeWrites(Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
+  // Opens the packet's write batch, which copies `ops` for the log, parked
+  // while a snapshot cut drains.
+  void ServeWrites(Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
                    std::function<void(std::vector<uint8_t>)> respond);
   void ExecuteWrites(uint32_t batch);
   // Batch hooks: a read packet's last op retired; a write packet's op
@@ -524,12 +533,14 @@ class ReplicationGroup {
   // entries); application happens separately, at commit time.
   void AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
                    uint64_t first_index);
-  // Submits log entries (applied, target] to the store in log order.
+  // Submits log entries (applied, target] to the store in log order. The
+  // processor borrows each entry's op until admission.
   void ApplyThrough(Replica& rep, uint64_t target);
   void ApplyCommitted(Replica& rep) {
     ApplyThrough(rep, std::min(rep.commit, rep.log.end()));
   }
-  // Trims to max_log_entries but never past the applied cursor.
+  // Trims to max_log_entries but never past the applied cursor, nor past an
+  // applied entry whose op still waits for admission.
   void TrimLog(Replica& rep);
   void AdoptEpoch(Replica& rep, uint64_t epoch, uint32_t primary);
   void StepDown(Replica& rep);
@@ -598,6 +609,9 @@ class ReplicationGroup {
   LatencyHistogram propagation_lag_ns_;
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum
+  // The client paths' and ApplyThrough's key hashes, taken once per op for
+  // the prefetch and the admission both.
+  std::vector<KeyHash> key_hashes_;
   ResultBatches<ReadBatch> read_batches_{
       [this](uint32_t batch) {
         AnswerReads(batch);

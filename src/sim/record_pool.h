@@ -10,11 +10,14 @@
 // are reused LIFO, so the vector grows only to the peak number of requests
 // in flight at once (`peak()`), never to the total issued. The vector may
 // reallocate on Acquire: never hold a reference to a record across a call
-// that can acquire from the same pool.
+// that can acquire from the same pool. Growth moves records, never copies
+// them, so the heap buffers a record owns stay where they are: the KV
+// processor borrows op bytes that live in pooled records.
 #ifndef SRC_SIM_RECORD_POOL_H_
 #define SRC_SIM_RECORD_POOL_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/assert.h"
@@ -23,6 +26,9 @@ namespace kvd {
 
 template <typename T>
 class RecordPool {
+  static_assert(std::is_nothrow_move_constructible_v<T>,
+                "growth must move records, not copy them");
+
  public:
   // Returns the index of a free record. A reused record keeps whatever its
   // last holder left in it (moved-from callbacks, stale fields): callers

@@ -279,11 +279,11 @@ void BatchClient::Receive(const PacketPtr& packet, std::vector<uint8_t> bytes) {
     retry_tokens_ = std::min(static_cast<double>(options_.retry_budget),
                              retry_tokens_ + kRetryRefillPerSuccess);
   }
-  OnResponse(packet, std::move(frame->payload));
+  OnResponse(packet, frame->payload);
 }
 
 bool BatchClient::Complete(const PacketPtr& packet,
-                           const std::vector<uint8_t>& results_payload) {
+                           std::span<const uint8_t> results_payload) {
   Result<std::vector<KvResultMessage>> decoded = DecodeResults(results_payload);
   std::vector<KvResultMessage>& results = packet->flush->results;
   if (decoded.ok() && decoded->size() == packet->slots.size()) {

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/random.h"
@@ -168,7 +169,7 @@ class BatchClient : public KvEndpoint {
   virtual void Wire(const PacketPtr& packet) = 0;
   // An admitted response: unwrap the router's header, handle bounces, and
   // Complete the packet with the results payload.
-  virtual void OnResponse(const PacketPtr& packet, std::vector<uint8_t> payload) {
+  virtual void OnResponse(const PacketPtr& packet, std::span<const uint8_t> payload) {
     Complete(packet, payload);
   }
   // Where this client's requests are traced; nullptr = untraced.
@@ -182,7 +183,7 @@ class BatchClient : public KvEndpoint {
   // Fills the packet's result slots from an EncodeResults payload. False
   // (counted as a corrupt response; the retransmission timer re-asks) when
   // the payload does not match the packet.
-  bool Complete(const PacketPtr& packet, const std::vector<uint8_t>& results_payload);
+  bool Complete(const PacketPtr& packet, std::span<const uint8_t> results_payload);
   // Fails the packet's operations with `code` and stops its timer.
   void Abandon(const PacketPtr& packet, ResultCode code);
   // Bounce-path re-send (the server said "not me"/"not yet": redirect, stale

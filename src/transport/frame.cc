@@ -37,16 +37,14 @@ std::vector<uint8_t> FramePacket(uint64_t sequence, std::span<const uint8_t> pay
 Result<Frame> ParseFrame(std::span<const uint8_t> packet) {
   Frame frame;
   uint32_t checksum = 0;
-  std::span<const uint8_t> payload;
   if (!DecodeFields(packet, [&](auto& c) {
-        kFrameLayout(c, frame.sequence, checksum, payload);
+        kFrameLayout(c, frame.sequence, checksum, frame.payload);
       })) {
     return Status::InvalidArgument("truncated frame header");
   }
-  if (checksum != FrameChecksum(frame.sequence, payload)) {
+  if (checksum != FrameChecksum(frame.sequence, frame.payload)) {
     return Status::InvalidArgument("frame checksum mismatch");
   }
-  frame.payload.assign(payload.begin(), payload.end());
   return frame;
 }
 

@@ -35,9 +35,11 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 
 std::vector<uint8_t> FramePacket(uint64_t sequence, std::span<const uint8_t> payload);
 
+// A received frame: its payload is a view of the packet it was parsed from,
+// so it lives as long as that packet's bytes do.
 struct Frame {
   uint64_t sequence = 0;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
 };
 
 // Verifies the checksum; kInvalidArgument on truncation or corruption.

@@ -116,20 +116,22 @@ TEST(ClusterWireTest, RoutedGroupRequestRoundTrips) {
   request.map_epoch = 0x1122334455ull;
   request.partition = 19;
   request.ops_payload = {1, 2, 3, 4};
-  auto decoded = DecodeGroupRequest(EncodeGroupRequest(request));
+  const std::vector<uint8_t> bytes = EncodeGroupRequest(request);
+  auto decoded = DecodeGroupRequestView(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().required_index, 77u);
   EXPECT_TRUE(decoded.value().has_route);
   EXPECT_EQ(decoded.value().map_epoch, 0x1122334455ull);
   EXPECT_EQ(decoded.value().partition, 19u);
-  EXPECT_EQ(decoded.value().ops_payload, request.ops_payload);
+  EXPECT_TRUE(std::ranges::equal(decoded.value().ops_payload, request.ops_payload));
 
   // The route rides the top bit of required_index; an unrouted request with
   // the same watermark has no extension and decodes with has_route=false.
   GroupRequest legacy;
   legacy.required_index = 77;
   legacy.ops_payload = request.ops_payload;
-  auto plain = DecodeGroupRequest(EncodeGroupRequest(legacy));
+  const std::vector<uint8_t> legacy_bytes = EncodeGroupRequest(legacy);
+  auto plain = DecodeGroupRequestView(legacy_bytes);
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain.value().has_route);
   EXPECT_EQ(EncodeGroupRequest(legacy).size() + 12,
@@ -147,7 +149,7 @@ TEST(ClusterWireTest, TruncatedRouteExtensionIsRejected) {
   // crash or mis-decode.
   for (size_t keep = 8; keep < bytes.size(); keep++) {
     std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
-    EXPECT_FALSE(DecodeGroupRequest(cut).ok()) << "kept " << keep;
+    EXPECT_FALSE(DecodeGroupRequestView(cut).ok()) << "kept " << keep;
   }
 }
 

@@ -11,6 +11,8 @@
 #include "src/core/id_table.h"
 #include "src/core/kv_direct.h"
 #include "src/core/update_functions.h"
+#include "src/net/wire_format.h"
+#include "src/transport/frame.h"
 
 namespace kvd {
 namespace {
@@ -454,6 +456,66 @@ TEST(ClientTest, VectorOperationsEndToEnd) {
   auto filtered = client.Filter(Key(9), 110, kFnGreater, 8);
   ASSERT_TRUE(filtered.ok());
   EXPECT_EQ(filtered->size(), 5u * 8);
+}
+
+// The processor borrows a framed op's bytes from its packet until admission.
+// With a station that holds four ops, most of a 64-op packet waits in the
+// admission queue; the server keeps the packet until its last op is
+// answered, so every queued op, including those whose value is a view of
+// the previous op's (kFlagCopyValueBytes), executes on its own bytes.
+TEST(KvDirectServerTest, PacketOpsQueuedBehindAFullStationAnswerCorrectly) {
+  ServerConfig config = SmallServerConfig();
+  config.processor.ooo.max_inflight = 4;
+  KvDirectServer server(config);
+  constexpr uint64_t kOps = 64;
+  // GETs read preloaded keys: the station forwards recently written ones
+  // without queueing them.
+  constexpr uint64_t kLoaded = 1000;
+  for (uint64_t i = 0; i < kOps; i++) {
+    ASSERT_TRUE(server.Load(Key(kLoaded + i), U64Value(7 * i)).ok());
+  }
+  uint64_t sequence = 1;
+  size_t queued = 0;
+  auto deliver = [&](Opcode opcode) {
+    PacketBuilder builder;
+    for (uint64_t i = 0; i < kOps; i++) {
+      KvOperation op;
+      op.opcode = opcode;
+      if (opcode == Opcode::kPut) {
+        op.key = Key(i);
+        op.value = U64Value(i / 2);  // pairs share a value
+      } else {
+        op.key = Key(kLoaded + i);
+      }
+      EXPECT_TRUE(builder.Add(op));
+    }
+    std::vector<uint8_t> response;
+    server.DeliverFrame(FramePacket(sequence++, builder.Finish()),
+                        [&](std::vector<uint8_t> bytes) { response = std::move(bytes); });
+    queued = server.processor().backlog();
+    server.simulator().RunUntilIdle();
+    Result<Frame> frame = ParseFrame(response);
+    EXPECT_TRUE(frame.ok());
+    Result<std::vector<KvResultMessage>> results = DecodeResults(frame->payload);
+    EXPECT_TRUE(results.ok());
+    return std::move(*results);
+  };
+  const std::vector<KvResultMessage> puts = deliver(Opcode::kPut);
+  EXPECT_GE(queued, kOps - 4);
+  ASSERT_EQ(puts.size(), kOps);
+  for (uint64_t i = 0; i < kOps; i++) {
+    EXPECT_EQ(puts[i].code, ResultCode::kOk);
+    KvOperation get;
+    get.key = Key(i);
+    EXPECT_EQ(AsU64(server.Execute(get).value), i / 2) << "key " << i;
+  }
+  const std::vector<KvResultMessage> gets = deliver(Opcode::kGet);
+  EXPECT_GE(queued, kOps - 4);
+  ASSERT_EQ(gets.size(), kOps);
+  for (uint64_t i = 0; i < kOps; i++) {
+    EXPECT_EQ(gets[i].code, ResultCode::kOk);
+    EXPECT_EQ(AsU64(gets[i].value), 7 * i) << "key " << kLoaded + i;
+  }
 }
 
 TEST(ClientTest, BatchFlushPreservesOrderAcrossPackets) {

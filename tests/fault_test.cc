@@ -131,10 +131,11 @@ TEST(FrameTest, RoundTripsSequenceAndPayload) {
   Result<Frame> frame = ParseFrame(packet);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->sequence, 0xdeadbeef12345678ull);
-  EXPECT_EQ(frame->payload, payload);
+  EXPECT_TRUE(std::ranges::equal(frame->payload, payload));
 
   // Empty payload is legal (an empty response packet).
-  Result<Frame> empty = ParseFrame(FramePacket(9, {}));
+  const std::vector<uint8_t> empty_packet = FramePacket(9, {});
+  Result<Frame> empty = ParseFrame(empty_packet);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->sequence, 9u);
   EXPECT_TRUE(empty->payload.empty());

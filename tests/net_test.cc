@@ -288,6 +288,33 @@ TEST(NetworkModelTest, PartitionIsPerDirection) {
   EXPECT_EQ(net.partition_dropped(), 1u);
 }
 
+// A lost packet occupies the wire, but its arrival does nothing: it takes a
+// reserved slot, not an event. No event runs, and RunUntilIdle still ends
+// when a delivered copy would have arrived.
+TEST(NetworkModelTest, LostPacketsExecuteNoEvent) {
+  Simulator delivered_sim;
+  NetworkModel delivered(delivered_sim, NetworkConfig{});
+  delivered.SendPayloadToServer(std::vector<uint8_t>(912), [](std::vector<uint8_t>) {});
+  delivered_sim.RunUntilIdle();
+  ASSERT_EQ(delivered_sim.executed_events(), 1u);
+
+  for (const bool partition : {true, false}) {
+    Simulator sim;
+    NetworkModel net(sim, NetworkConfig{});
+    if (partition) {
+      net.SetPartitioned(/*to_server=*/true, true);
+    } else {
+      net.SetGrayLink(/*to_server=*/true, 1.0, /*loss_probability=*/1.0);
+    }
+    net.SendPayloadToServer(std::vector<uint8_t>(912),
+                            [](std::vector<uint8_t>) { ADD_FAILURE(); });
+    EXPECT_EQ(sim.pending_events(), 0u);
+    sim.RunUntilIdle();
+    EXPECT_EQ(sim.executed_events(), 0u);
+    EXPECT_EQ(sim.Now(), delivered_sim.Now());
+  }
+}
+
 TEST(NetworkModelTest, GrayLinkMultipliesLatency) {
   NetworkConfig config;
   Simulator healthy_sim;

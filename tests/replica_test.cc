@@ -183,7 +183,8 @@ TEST(ReplicaWireTest, EveryTypeRoundTripsAndJunkIsRejected) {
     }
   }
   // Unknown type byte, truncation, and trailing garbage must all error.
-  EXPECT_FALSE(DecodeReplicaMessage({kMaxReplicaMessageType + 1, 0, 0}).ok());
+  EXPECT_FALSE(
+      DecodeReplicaMessage(std::vector<uint8_t>{kMaxReplicaMessageType + 1, 0, 0}).ok());
   ReplicaMessage ack;
   ack.type = ReplicaMessageType::kAppendAck;
   std::vector<uint8_t> bytes = EncodeReplicaMessage(ack);
@@ -229,10 +230,11 @@ TEST(ReplicaWireTest, GroupRequestResponseRoundTrip) {
   GroupRequest request;
   request.required_index = 77;
   request.ops_payload = {1, 2, 3, 4};
-  auto req = DecodeGroupRequest(EncodeGroupRequest(request));
+  const std::vector<uint8_t> request_bytes = EncodeGroupRequest(request);
+  auto req = DecodeGroupRequestView(request_bytes);
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req.value().required_index, 77u);
-  EXPECT_EQ(req.value().ops_payload, request.ops_payload);
+  EXPECT_TRUE(std::ranges::equal(req.value().ops_payload, request.ops_payload));
 
   GroupResponse response;
   response.flags = kGroupRedirect;
@@ -595,15 +597,17 @@ class HeaderProbe : public ReplicatedClient {
  public:
   using ReplicatedClient::ReplicatedClient;
 
-  GroupRequest HeaderFor(KvOperation op) {
+  // The read watermark the header of a packet holding `op` carries.
+  uint64_t RequiredIndexFor(KvOperation op) {
     Packet packet;
     packet.is_write = IsWriteOpcode(op.opcode);
     packet.flush = std::make_shared<FlushState>();
     packet.flush->ops.push_back(std::move(op));
     packet.slots = {0};
-    Result<GroupRequest> request = DecodeGroupRequest(RequestHeader(packet));
+    const std::vector<uint8_t> header = RequestHeader(packet);
+    Result<GroupRequestView> request = DecodeGroupRequestView(header);
     EXPECT_TRUE(request.ok());
-    return request.ok() ? request.value() : GroupRequest{};
+    return request.ok() ? request.value().required_index : 0;
   }
 };
 
@@ -613,9 +617,9 @@ TEST(ReplicatedClientTest, WritePacketsCarryNoReadWatermark) {
   ASSERT_TRUE(client.Put(Key(1), U64Value(5)).ok());
   // A read of the written key waits for the write's index; a write does not
   // (a replica holds only read-only packets to the watermark).
-  EXPECT_GT(client.HeaderFor(Get(1)).required_index, 0u);
-  EXPECT_EQ(client.HeaderFor(Put(1, 6)).required_index, 0u);
-  EXPECT_EQ(client.HeaderFor(Delete(1)).required_index, 0u);
+  EXPECT_GT(client.RequiredIndexFor(Get(1)), 0u);
+  EXPECT_EQ(client.RequiredIndexFor(Put(1, 6)), 0u);
+  EXPECT_EQ(client.RequiredIndexFor(Delete(1)), 0u);
 }
 
 TEST(WatermarkTableTest, EntriesMatchOnHashAndGroup) {
@@ -1183,6 +1187,46 @@ TEST(ReplicationGroupTest, PacketLongerThanTheLogShipsBeforeTrim) {
     EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_log_entries", labels),
               config.max_log_entries)
         << "replica " << id;
+  }
+}
+
+// A backup's processor borrows each applied entry's op from the log until
+// admission. With a two-op station, a 64-put packet leaves most of a
+// backup's applies queued while max_log_entries 8 asks to trim them:
+// TrimLog keeps every entry whose apply is still queued (without that rule
+// the queued applies read freed entries, which ASan reports), and every
+// replica ends with the primary's store.
+TEST(ReplicationGroupTest, TrimKeepsEntriesWhoseApplyIsQueued) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;
+  config.server.processor.ooo.max_inflight = 2;
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  for (uint64_t i = 0; i < 64; i++) {
+    client.Enqueue(Put(i, 100 + i));
+  }
+  for (const KvResultMessage& result : client.Flush()) {
+    EXPECT_EQ(result.code, ResultCode::kOk);
+  }
+  Simulator& sim = group.simulator();
+  const SimTime end = sim.Now() + 1 * kMillisecond;
+  size_t most_queued = 0;
+  while (sim.Now() < end && sim.Step()) {
+    for (uint32_t id = 0; id < group.num_replicas(); id++) {
+      const size_t queued = group.replica(id).processor().waiting(OpClass::kControl);
+      most_queued = std::max(most_queued, queued);
+      // The queued applies' entries are all still in the log.
+      const MetricLabels labels{{"replica", std::to_string(id)}};
+      ASSERT_GE(group.metrics().GaugeValue("kvd_repl_log_entries", labels),
+                static_cast<double>(queued))
+          << "replica " << id;
+    }
+  }
+  EXPECT_GT(most_queued, config.max_log_entries);
+  const StateKvs primary = StoreContents(group, group.primary_id());
+  EXPECT_EQ(primary.size(), 64u);
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(StoreContents(group, id), primary) << "replica " << id;
   }
 }
 
