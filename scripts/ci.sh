@@ -44,6 +44,9 @@
 #      processor borrows ops (the "borrowed ops" guard: it holds no
 #      KvOperation, only a view of the submitter's bytes until admission,
 #      and admits with the key hash the submitter took, not one of its own);
+#      and each node has one answer path (the "one answer path per node"
+#      guard: a replica's reads are its node's packets, served and answered
+#      by KvDirectServer's packet step, with no read batch in the group);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -300,6 +303,17 @@ borrowed=$({ grep -nE '^[[:space:]]*[^/(]*\bKvOperation\b[^()]*[[:space:]][A-Za-
 if [[ -n "${borrowed}" ]]; then
   echo "borrowed ops: the processor holds an op's bytes or hashes its key again:" >&2
   echo "${borrowed}" >&2
+  exit 1
+fi
+
+# One answer path per node: a replica's read packet goes to its node's packet
+# step (KvDirectServer::ServePacket), which submits the ops and answers once
+# the last retires, through the replica's AnswerEncoder. A read batch pool or
+# a read-serving loop of the group's own is a second copy of that path.
+answers=$(grep -rnwE 'ReadBatch|read_batches_|ServeReads|AnswerReads' src || true)
+if [[ -n "${answers}" ]]; then
+  echo "one answer path per node: the group serves reads outside the node's packet step:" >&2
+  echo "${answers}" >&2
   exit 1
 fi
 

@@ -46,7 +46,7 @@ void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
 }
 
 KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim,
-                               Tracer* external_tracer)
+                               Tracer* external_tracer, AnswerEncoder* answers)
     : config_(config),
       owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
       sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
@@ -55,7 +55,8 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
                         : std::make_unique<Tracer>(sim_, config.enable_request_tracing,
                                                    config.slo, config.flight, &metrics_)),
       tracer_(external_tracer != nullptr ? *external_tracer : *owned_tracer_),
-      endpoint_(sim_, {config.replay_cache_entries, config.replay_retain_time}) {
+      endpoint_(sim_, {config.replay_cache_entries, config.replay_retain_time}),
+      answers_(answers) {
   HashIndexConfig index_config;
   index_config.memory_base = 0;
   index_config.memory_size = config.kvs_memory_bytes;
@@ -168,8 +169,7 @@ void KvDirectServer::Submit(KvOperation op, KvProcessor::Completion done,
                      cls);
 }
 
-void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
-                                  std::function<void(std::vector<uint8_t>)> respond) {
+void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet, Responder respond) {
   // The endpoint drops corrupt frames (the client's retransmission timer
   // covers them), replays cached responses, and swallows retransmissions of
   // still-executing sequences; only genuinely new frames come back.
@@ -179,20 +179,25 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   }
   const uint64_t sequence = frame->sequence;
   endpoint_.Admit(sequence);
-  // The ops are views of `packet`, which the packet's record keeps below.
-  Result<std::vector<KvOpView>> decoded = DecodeOps(frame->payload);
-  if (!decoded.ok()) {
-    // Malformed packet: respond with a single error result.
-    KvResultMessage error;
-    error.code = ResultCode::kInvalidArgument;
-    respond(endpoint_.Complete(sequence, EncodeResults({error}), /*cache=*/true));
+  // The ops are views of `packet`, which the packet's record keeps.
+  const Status decoded = DecodeOps(frame->payload, ops_);
+  if (!decoded.ok() || ops_.empty()) {
+    // A malformed packet is answered with one error result, an empty one
+    // with none.
+    std::vector<KvResultMessage> results;
+    if (!decoded.ok()) {
+      results.emplace_back().code = ResultCode::kInvalidArgument;
+    }
+    if (std::optional<std::vector<uint8_t>> payload = EncodeAnswer(results)) {
+      respond(endpoint_.Complete(sequence, *payload, /*cache=*/true));
+    }
     return;
   }
-  std::vector<KvOpView>& ops = *decoded;
-  if (ops.empty()) {
-    respond(endpoint_.Complete(sequence, {}, /*cache=*/true));
-    return;
-  }
+  ServePacket(sequence, ops_, std::move(packet), std::move(respond));
+}
+
+void KvDirectServer::ServePacket(uint64_t sequence, std::span<KvOpView> ops,
+                                 std::vector<uint8_t> packet, Responder respond) {
   // Collect results in request order; answer when the last one retires.
   const uint32_t batch = packets_.Open(ops.size());
   PacketReply& reply = packets_[batch].context;
@@ -200,21 +205,17 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   // Moving a vector keeps its buffer, so the views stay valid.
   reply.packet = std::move(packet);
   reply.respond = std::move(respond);
-  reply.tracer = nullptr;
   reply.traces.clear();
   if (tracer_.enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
-    // injected duplicates cannot move it).
-    reply.tracer = &tracer_;
+    // injected duplicates cannot move it). The lookup does not consume the
+    // handle, so a redirected or retransmitted packet resolves to the same
+    // trace on whichever node it lands.
     reply.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      const uint64_t handle = reply.tracer->LookupOp(sequence, i);
-      reply.traces[i] = handle;
-      ops[i].trace = handle;
-      if (handle != 0) {
-        reply.tracer->Point(handle, TracePoint::kServerReceive);
-      }
+      ops[i].trace = reply.traces[i] = tracer_.LookupOp(sequence, i);
+      tracer_.Point(ops[i].trace, TracePoint::kServerReceive);
     }
   }
   // Start every op's bucket-line miss before the first admission needs one;
@@ -232,19 +233,27 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
 void KvDirectServer::AnswerPacket(uint32_t batch) {
   auto& record = packets_[batch];
   PacketReply& reply = record.context;
-  if (reply.tracer != nullptr) {
-    for (const uint64_t handle : reply.traces) {
-      if (handle != 0) {
-        reply.tracer->Point(handle, TracePoint::kResponseSent);
-      }
-    }
+  std::optional<std::vector<uint8_t>> payload = EncodeAnswer(record.results);
+  if (!payload.has_value()) {
+    return;  // the answer died with the node
+  }
+  for (const uint64_t handle : reply.traces) {
+    tracer_.Point(handle, TracePoint::kResponseSent);
   }
   std::vector<uint8_t> response =
-      endpoint_.Complete(reply.sequence, EncodeResults(record.results), /*cache=*/true);
+      endpoint_.Complete(reply.sequence, *payload, /*cache=*/true);
   // Respond through a local: the call may deliver more frames, which can grow
   // the pool under `reply`.
-  const std::function<void(std::vector<uint8_t>)> respond = std::move(reply.respond);
+  const Responder respond = std::move(reply.respond);
   respond(std::move(response));
+}
+
+std::optional<std::vector<uint8_t>> KvDirectServer::EncodeAnswer(
+    std::vector<KvResultMessage>& results) {
+  if (answers_ != nullptr) {
+    return answers_->Encode(results);
+  }
+  return EncodeResults(results);
 }
 
 KvResultMessage KvDirectServer::Execute(const KvOperation& op) {

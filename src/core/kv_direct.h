@@ -8,9 +8,12 @@
 //     discrete-event simulator, plus the node's observability (metrics and
 //     the tracer, which owns the latency breakdown, the SLO monitor and the
 //     flight recorder), in front of one FrameEndpoint (src/transport) that
-//     terminates framed requests (checksum, replay dedup). MultiNicServer
-//     NICs and ReplicationGroup replicas are KvDirectServers on a shared
-//     simulator; a replica's client frames terminate at its own endpoint.
+//     terminates framed requests (checksum, replay dedup). A frame's ops
+//     take one packet path: decode, submit, and one answer once the last
+//     retires, encoded by the node's AnswerEncoder. MultiNicServer NICs and
+//     ReplicationGroup replicas are KvDirectServers on a shared simulator; a
+//     replica's client frames terminate at its own endpoint, its reads take
+//     its node's packet path, and the replica is its node's encoder.
 //   - Client is the matching single-server router over the batching client
 //     core (src/transport/batch_client.h), which owns client-side
 //     retransmission: single synchronous operations for convenience, and
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -94,16 +98,33 @@ struct ServerConfig {
   void AutoTune(uint32_t kv_bytes, bool long_tail);
 };
 
+// How a node encodes the answer to a served packet. Null (a plain server)
+// sends the results as EncodeResults lays them out; a replication group's
+// replica wraps them with its epoch and its view of the primary, and sends
+// nothing once crashed (src/replica).
+class AnswerEncoder {
+ public:
+  virtual ~AnswerEncoder() = default;
+  // The payload answering `results`, in request order (the encoder may
+  // stamp them), or nullopt to send no answer.
+  virtual std::optional<std::vector<uint8_t>> Encode(
+      std::vector<KvResultMessage>& results) = 0;
+};
+
 class KvDirectServer {
  public:
+  using Responder = FrameEndpoint::Responder;
+
   // By default the server owns its simulator and its tracer. Passing
   // `external_sim` puts several servers on one clock — required when they
   // exchange messages (MultiNicServer shards, src/replica replication
   // groups) — and passing the clock owner's `external_tracer` makes the
-  // server record into it instead of building its own.
+  // server record into it instead of building its own. `answers` (borrowed,
+  // null for a plain server) encodes every answer the node sends.
   explicit KvDirectServer(const ServerConfig& config,
                           Simulator* external_sim = nullptr,
-                          Tracer* external_tracer = nullptr);
+                          Tracer* external_tracer = nullptr,
+                          AnswerEncoder* answers = nullptr);
 
   KvDirectServer(const KvDirectServer&) = delete;
   KvDirectServer& operator=(const KvDirectServer&) = delete;
@@ -125,8 +146,13 @@ class KvDirectServer {
   // malformed ops payload is answered with one kInvalidArgument result. With
   // tracing on, the sequence resolves each op's trace handle through the
   // tracer's packet registry and stamps the server-side checkpoints.
-  void DeliverFrame(std::vector<uint8_t> packet,
-                    std::function<void(std::vector<uint8_t>)> respond);
+  void DeliverFrame(std::vector<uint8_t> packet, Responder respond);
+  // DeliverFrame's packet step, for an owner that terminated and admitted
+  // frame `sequence` at endpoint() itself (a replica's reads): submits
+  // `ops`, non-empty views of `packet` (which the packet's record keeps
+  // until the answer), and answers once the last retires.
+  void ServePacket(uint64_t sequence, std::span<KvOpView> ops,
+                   std::vector<uint8_t> packet, Responder respond);
 
   // --- untimed convenience (warm-up fills, tests) ---
   KvResultMessage Execute(const KvOperation& op);
@@ -150,6 +176,10 @@ class KvDirectServer {
   // The node's wire end. A replication group answers its replica's client
   // frames through it, so each node counts its own replays once.
   FrameEndpoint& endpoint() { return endpoint_; }
+  // Packet records held: packets in the packet step and not yet answered or
+  // dropped, and their high-water mark.
+  uint32_t packets_live() const { return packets_.live(); }
+  uint32_t packets_peak() const { return packets_.peak(); }
   // Hands each client a disjoint 2^40-sequence space so frames from
   // different clients never collide in the replay cache.
   uint64_t AcquireClientSequenceBase() { return ++next_client_id_ << 40; }
@@ -174,14 +204,13 @@ class KvDirectServer {
 
  private:
   // What answering a delivered frame takes: its sequence, the transport's
-  // respond, and (tracing on) the tracer and each op's trace handle. It also
-  // holds the packet, whose bytes the processor borrows for the packet's
-  // ops until their admission.
+  // respond, and (tracing on) each op's trace handle. It also holds the
+  // packet, whose bytes the processor borrows for the packet's ops until
+  // their admission.
   struct PacketReply {
     uint64_t sequence = 0;
     std::vector<uint8_t> packet;
-    std::function<void(std::vector<uint8_t>)> respond;
-    Tracer* tracer = nullptr;
+    Responder respond;
     std::vector<uint64_t> traces;
   };
   // An op submitted through Submit(KvOperation, ...), held until it retires.
@@ -191,6 +220,9 @@ class KvDirectServer {
   };
   // Encodes a packet's results once its last op retired, and responds.
   void AnswerPacket(uint32_t batch);
+  // Encodes `results` through the answer encoder; nullopt sends nothing.
+  std::optional<std::vector<uint8_t>> EncodeAnswer(
+      std::vector<KvResultMessage>& results);
 
   ServerConfig config_;
   // Null when running on an external (shared) simulator; sim_ aliases either
@@ -215,14 +247,16 @@ class KvDirectServer {
   std::unique_ptr<NetworkModel> network_;
   std::unique_ptr<KvProcessor> processor_;
   FrameEndpoint endpoint_;
+  AnswerEncoder* answers_;
   ResultBatches<PacketReply> packets_{
       [this](uint32_t batch) {
         AnswerPacket(batch);
         return true;
       }};
   RecordPool<OwnedOp> owned_ops_;
-  // DeliverFrame's key hashes, taken once per op for the prefetch and the
-  // admission both.
+  // DeliverFrame's decoded ops, and the packet step's key hashes, taken once
+  // per op for the prefetch and the admission both.
+  std::vector<KvOpView> ops_;
   std::vector<KeyHash> key_hashes_;
   uint64_t next_client_id_ = 0;
 };

@@ -179,16 +179,16 @@ Result<std::optional<KvOperation>> PacketParser::Next() {
   return std::optional<KvOperation>((*view)->ToOwned());
 }
 
-Result<std::vector<KvOpView>> DecodeOps(std::span<const uint8_t> payload) {
+Status DecodeOps(std::span<const uint8_t> payload, std::vector<KvOpView>& ops) {
+  ops.clear();
   PacketParser parser(payload);
-  std::vector<KvOpView> ops;
   while (true) {
     Result<std::optional<KvOpView>> next = parser.NextView();
     if (!next.ok()) {
       return next.status();
     }
     if (!next->has_value()) {
-      return ops;
+      return Status::Ok();
     }
     ops.push_back(**next);
   }

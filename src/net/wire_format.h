@@ -100,9 +100,10 @@ class PacketParser {
   std::span<const uint8_t> prev_value_;
 };
 
-// Decodes a whole request packet (possibly empty) into views of `payload`;
-// malformed input yields an error status.
-Result<std::vector<KvOpView>> DecodeOps(std::span<const uint8_t> payload);
+// Decodes a whole request packet (possibly empty) into `ops`, views of
+// `payload`, replacing what `ops` held; malformed input yields an error
+// status. A caller that keeps `ops` across packets reuses its buffer.
+Status DecodeOps(std::span<const uint8_t> payload, std::vector<KvOpView>& ops);
 
 // Response packet: a sequence of results mirroring the request order.
 // Layout per result:

@@ -39,9 +39,9 @@ void ReplicationGroup::DeliverClientFrame(
   const uint64_t sequence = frame->sequence;
   // The request and its ops are views of `packet`.
   Result<GroupRequestView> request = DecodeGroupRequestView(frame->payload);
-  Result<std::vector<KvOpView>> ops =
-      request.ok() ? DecodeOps(request->ops_payload) : request.status();
-  if (!ops.ok() || ops->empty()) {
+  const Status decoded =
+      request.ok() ? DecodeOps(request->ops_payload, ops_) : request.status();
+  if (!decoded.ok() || ops_.empty()) {
     // A bad header, malformed ops, or no ops at all.
     rep.server->endpoint().Admit(sequence);
     std::vector<KvResultMessage> err(1);
@@ -49,24 +49,14 @@ void ReplicationGroup::DeliverClientFrame(
     SendResponse(rep, sequence, {}, err, std::move(respond), true);
     return;
   }
-  HandleClientRequest(rep, sequence, *request, std::move(*ops), std::move(packet),
+  HandleClientRequest(rep, sequence, *request, ops_, std::move(packet),
                       std::move(respond));
 }
 
 void ReplicationGroup::HandleClientRequest(
     Replica& rep, uint64_t sequence, const GroupRequestView& request,
-    std::vector<KvOpView> ops, std::vector<uint8_t> packet,
+    std::span<KvOpView> ops, std::vector<uint8_t> packet,
     std::function<void(std::vector<uint8_t>)> respond) {
-  if (tracer_.enabled()) {
-    // The handles were registered by the replicated client under this
-    // sequence; the lookup is non-consuming, so redirects and retransmits
-    // resolve to the same trace on whichever replica they land.
-    for (size_t i = 0; i < ops.size(); i++) {
-      ops[i].trace =
-          tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
-    }
-  }
-
   bool any_write = false;
   for (const KvOpView& op : ops) {
     any_write = any_write || IsWriteOpcode(op.opcode);
@@ -122,56 +112,23 @@ void ReplicationGroup::HandleClientRequest(
                  false);
     return;
   }
-  for (const KvOpView& op : ops) {
-    tracer_.Point(op.trace, TracePoint::kServerReceive);
-  }
   if (request.has_route && load_listener_) {
     load_listener_(request.partition, static_cast<uint32_t>(ops.size()),
                    any_write);
   }
+  rep.server->endpoint().Admit(sequence);
   if (any_write) {
     ServeWrites(rep, sequence, ops, std::move(respond));
   } else {
-    ServeReads(rep, sequence, ops, std::move(packet), std::move(respond));
+    // A replica's reads are its node's packets; the replica encodes the
+    // answer.
+    rep.server->ServePacket(sequence, ops, std::move(packet), std::move(respond));
   }
-}
-
-void ReplicationGroup::ServeReads(
-    Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
-    std::vector<uint8_t> packet, std::function<void(std::vector<uint8_t>)> respond) {
-  rep.server->endpoint().Admit(sequence);
-  const uint32_t batch = read_batches_.Open(ops.size());
-  ReadBatch& read = read_batches_[batch].context;
-  read.rep = &rep;
-  read.sequence = sequence;
-  // Moving a vector keeps its buffer, so the views stay valid.
-  read.packet = std::move(packet);
-  read.respond = std::move(respond);
-  key_hashes_.clear();
-  for (const KvOpView& op : ops) {
-    rep.server->index().Prefetch(key_hashes_.emplace_back(HashKey(op.key)));
-  }
-  for (size_t i = 0; i < ops.size(); i++) {
-    rep.server->processor().Submit(
-        ops[i], key_hashes_[i],
-        read_batches_.Completion(batch, static_cast<uint32_t>(i)));
-  }
-}
-
-void ReplicationGroup::AnswerReads(uint32_t batch) {
-  auto& record = read_batches_[batch];
-  Replica& rep = *record.context.rep;
-  if (rep.crashed) {
-    return;  // response died with the replica
-  }
-  SendResponse(rep, record.context.sequence, {}, record.results,
-               std::move(record.context.respond), true);
 }
 
 void ReplicationGroup::ServeWrites(
-    Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
+    Replica& rep, uint64_t sequence, std::span<const KvOpView> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
-  rep.server->endpoint().Admit(sequence);
   const uint32_t batch = write_batches_.Open(ops.size());
   WriteBatch& write = write_batches_[batch].context;
   write.rep = &rep;
@@ -180,6 +137,14 @@ void ReplicationGroup::ServeWrites(
   write.ops.clear();
   for (const KvOpView& op : ops) {
     write.ops.push_back(op.ToOwned());
+  }
+  if (tracer_.enabled()) {
+    // Resolved as the node's packet step resolves a read's: the lookup does
+    // not consume, so a redirect or retransmit finds the same trace.
+    for (size_t i = 0; i < write.ops.size(); i++) {
+      write.ops[i].trace = tracer_.LookupOp(sequence, i);
+      tracer_.Point(write.ops[i].trace, TracePoint::kServerReceive);
+    }
   }
   write.needed_index = 0;
   write.appended_at = 0;
@@ -368,18 +333,28 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
   }
 }
 
+std::optional<std::vector<uint8_t>> ReplicationGroup::Replica::Encode(
+    GroupResponse response, std::vector<KvResultMessage>& results) const {
+  if (crashed) {
+    return std::nullopt;  // the answer died with the replica
+  }
+  response.epoch = current_epoch;
+  response.primary_id = believed_primary;
+  for (KvResultMessage& result : results) {
+    result.epoch = static_cast<uint32_t>(current_epoch);
+  }
+  response.results_payload = EncodeResults(results);
+  return EncodeGroupResponse(response);
+}
+
 void ReplicationGroup::SendResponse(
     Replica& rep, uint64_t sequence, GroupResponse response,
     std::vector<KvResultMessage>& results,
     std::function<void(std::vector<uint8_t>)> respond, bool cache) {
-  response.epoch = rep.current_epoch;
-  response.primary_id = rep.believed_primary;
-  for (KvResultMessage& result : results) {
-    result.epoch = static_cast<uint32_t>(rep.current_epoch);
+  if (std::optional<std::vector<uint8_t>> payload =
+          rep.Encode(std::move(response), results)) {
+    respond(rep.server->endpoint().Complete(sequence, *payload, cache));
   }
-  response.results_payload = EncodeResults(results);
-  respond(rep.server->endpoint().Complete(sequence, EncodeGroupResponse(response),
-                                         cache));
 }
 
 void ReplicationGroup::DropInFlight(Replica& rep) {

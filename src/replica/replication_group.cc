@@ -32,7 +32,8 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   for (uint32_t id = 0; id < config_.num_replicas; id++) {
     auto rep = std::make_unique<Replica>();
     rep->id = id;
-    rep->server = std::make_unique<KvDirectServer>(config_.server, &sim_, &tracer_);
+    rep->server =
+        std::make_unique<KvDirectServer>(config_.server, &sim_, &tracer_, rep.get());
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
@@ -77,6 +78,14 @@ uint64_t ReplicationGroup::applied_index(uint32_t id) const {
   // admission queue, so everything at or below `applied` is ordered before
   // any later read on the same replica.
   return replicas_[id]->applied;
+}
+
+uint32_t ReplicationGroup::read_batches_live() const {
+  uint32_t live = 0;
+  for (const auto& rep : replicas_) {
+    live += rep->server->packets_live();
+  }
+  return live;
 }
 
 uint64_t ReplicationGroup::log_end(uint32_t id) const {
@@ -365,10 +374,6 @@ void ReplicationGroup::RegisterMetrics() {
                          "Quorum-committed log index at the primary", {},
                          [this] { return static_cast<double>(commit_index()); });
   metrics_.RegisterGauge(
-      "kvd_repl_read_batch_records_peak",
-      "Peak read packets admitted and not yet answered", {},
-      [this] { return static_cast<double>(read_batches_.peak()); });
-  metrics_.RegisterGauge(
       "kvd_repl_write_batch_records_peak",
       "Peak write packets admitted and not yet answered", {},
       [this] { return static_cast<double>(write_batches_.peak()); });
@@ -393,6 +398,12 @@ void ReplicationGroup::RegisterMetrics() {
                            [this, id] {
                              return static_cast<double>(replicas_[id]->log.peak());
                            });
+    metrics_.RegisterGauge(
+        "kvd_repl_read_batch_records_peak",
+        "Peak read packets admitted on the replica and not yet answered",
+        labels, [this, id] {
+          return static_cast<double>(replicas_[id]->server->packets_peak());
+        });
     metrics_.RegisterGauge("kvd_repl_crashed", "1 while the replica is crashed",
                            labels, [this, id] {
                              return replicas_[id]->crashed ? 1.0 : 0.0;

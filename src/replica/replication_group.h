@@ -315,8 +315,9 @@ class ReplicationGroup {
   const LatencyHistogram& commit_wait_ns() const { return commit_wait_ns_; }
 
   // Batch records held: read and write packets admitted on some replica and
-  // not yet answered or dropped.
-  uint32_t read_batches_live() const { return read_batches_.live(); }
+  // not yet answered or dropped. A read packet is held by its replica's
+  // node (KvDirectServer::packets_live).
+  uint32_t read_batches_live() const;
   uint32_t write_batches_live() const { return write_batches_.live(); }
 
  private:
@@ -327,7 +328,18 @@ class ReplicationGroup {
     KvResultMessage result;
   };
 
-  struct Replica {
+  // A replica is its node's answer encoder, and the group's bounces and
+  // write answers are encoded by it too: every result carries the
+  // replica's epoch, the results ride in a GroupResponse with the epoch and
+  // the believed primary, and a crashed replica answers nobody.
+  struct Replica final : AnswerEncoder {
+    std::optional<std::vector<uint8_t>> Encode(
+        std::vector<KvResultMessage>& results) override {
+      return Encode({}, results);
+    }
+    std::optional<std::vector<uint8_t>> Encode(
+        GroupResponse response, std::vector<KvResultMessage>& results) const;
+
     uint32_t id = 0;
     std::unique_ptr<KvDirectServer> server;
     std::unique_ptr<NetworkModel> repl_net;  // inbound replication link
@@ -437,15 +449,6 @@ class ReplicationGroup {
     std::deque<uint64_t> session_order;
   };
 
-  // A read packet in flight on a replica, and where its answer goes. It
-  // holds the packet, whose bytes the processor borrows for the packet's ops
-  // until their admission.
-  struct ReadBatch {
-    Replica* rep = nullptr;
-    uint64_t sequence = 0;
-    std::vector<uint8_t> packet;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
   // A write packet on the primary from admission to answer: parked by a
   // snapshot drain, executing, then waiting for the log index its answer
   // needs to commit. Each op is kept until its log entry takes it; the
@@ -461,25 +464,21 @@ class ReplicationGroup {
 
   // --- client path ---
   // `request`'s ops payload is already decoded into `ops` (never empty);
-  // both are views of `packet`.
+  // both are views of `packet`. A read packet goes to the replica node's
+  // packet step (KvDirectServer::ServePacket).
   void HandleClientRequest(Replica& rep, uint64_t sequence,
                            const GroupRequestView& request,
-                           std::vector<KvOpView> ops, std::vector<uint8_t> packet,
+                           std::span<KvOpView> ops, std::vector<uint8_t> packet,
                            std::function<void(std::vector<uint8_t>)> respond);
-  // Submits the views `ops` of `packet`, which the read batch keeps.
-  void ServeReads(Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
-                  std::vector<uint8_t> packet,
-                  std::function<void(std::vector<uint8_t>)> respond);
   // Opens the packet's write batch, which copies `ops` for the log, parked
   // while a snapshot cut drains.
-  void ServeWrites(Replica& rep, uint64_t sequence, const std::vector<KvOpView>& ops,
+  void ServeWrites(Replica& rep, uint64_t sequence, std::span<const KvOpView> ops,
                    std::function<void(std::vector<uint8_t>)> respond);
   void ExecuteWrites(uint32_t batch);
-  // Batch hooks: a read packet's last op retired; a write packet's op
-  // retired (an effective write is logged at once); its last op retired
-  // (true releases the batch; false keeps it in `pending` until its log
-  // prefix commits). A crashed or deposed replica answers nobody.
-  void AnswerReads(uint32_t batch);
+  // Write batch hooks: an op retired (an effective write is logged at once);
+  // the last op retired (true releases the batch; false keeps it in
+  // `pending` until its log prefix commits). A crashed or deposed replica
+  // answers nobody.
   void OnWriteRetired(uint32_t batch, uint32_t slot, KvResultMessage& result);
   bool FinishWrites(uint32_t batch);
   // Answers a committed write batch; the caller releases it.
@@ -488,12 +487,12 @@ class ReplicationGroup {
                             KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
-  // Builds every client answer: stamps the replica's epoch and view of the
-  // primary on `response` and its epoch on each of `results`, frames the
-  // response at the replica's node endpoint (recording it for replay when
-  // `cache`) and responds. `results` may live in a batch record: they are
-  // encoded before `respond` (taken out of the record by value) runs, which
-  // may open batches and grow the pool.
+  // Answers the group's own verdicts (bounces, malformed requests) and
+  // committed writes: encodes `response` and `results` through the
+  // replica's encoder, frames the answer at the replica's node endpoint
+  // (recording it for replay when `cache`) and responds. `results` may live
+  // in a batch record: they are encoded before `respond` (taken out of the
+  // record by value) runs, which may open batches and grow the pool.
   void SendResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                     std::vector<KvResultMessage>& results,
                     std::function<void(std::vector<uint8_t>)> respond,
@@ -609,14 +608,11 @@ class ReplicationGroup {
   LatencyHistogram propagation_lag_ns_;
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum
-  // The client paths' and ApplyThrough's key hashes, taken once per op for
-  // the prefetch and the admission both.
+  // The client path's decoded ops, for the gate, and the write path's and
+  // ApplyThrough's key hashes, taken once per op for the prefetch and the
+  // admission both.
+  std::vector<KvOpView> ops_;
   std::vector<KeyHash> key_hashes_;
-  ResultBatches<ReadBatch> read_batches_{
-      [this](uint32_t batch) {
-        AnswerReads(batch);
-        return true;
-      }};
   ResultBatches<WriteBatch> write_batches_{
       [this](uint32_t batch) { return FinishWrites(batch); },
       [this](uint32_t batch, uint32_t slot, KvResultMessage& result) {

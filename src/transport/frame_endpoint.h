@@ -5,7 +5,9 @@
 // against a ReplayCache, and frames + records outgoing responses. The owner
 // (KvDirectServer's DeliverFrame, or a ReplicationGroup serving one replica's
 // clients through that replica's KvDirectServer::endpoint()) supplies only
-// the payload execution in between:
+// the payload execution in between. Either way a read packet executes in
+// the node's packet step (KvDirectServer::ServePacket), which Completes it
+// once its last op retires:
 //
 //   auto frame = endpoint.Accept(packet, respond);   // parse + dedup
 //   if (!frame) return;                              // handled: corrupt/replay

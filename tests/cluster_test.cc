@@ -800,6 +800,7 @@ TEST(ClusterTracingTest, ClientOpsAreTracedInTheCoordinatorsTracer) {
   for (const Opcode opcode : {Opcode::kPut, Opcode::kGet}) {
     EXPECT_EQ(breakdown.EndToEnd(opcode).count(), kKeys);
     EXPECT_EQ(breakdown.Stage(opcode, TracePoint::kServerReceive).count(), kKeys);
+    EXPECT_EQ(breakdown.Stage(opcode, TracePoint::kResponseSent).count(), kKeys);
   }
   EXPECT_EQ(breakdown.Stage(Opcode::kPut, TracePoint::kReplCommit).count(), kKeys);
 }

@@ -372,6 +372,47 @@ TEST(ReplicatedTraceTest, WriteTracesCarryReplicationStages) {
       group.metrics().HistogramValue("kvd_repl_commit_wait_ns").has_value());
 }
 
+// A replica's reads take its node's packet path, so a read served by any
+// replica, a backup included, stamps kResponseSent and its stages still tile
+// the end-to-end interval.
+TEST(ReplicatedTraceTest, ReplicaReadsStampTheResponse) {
+  ReplicationConfig config = TracedGroupConfig();
+  ReplicationGroup group(config);
+  constexpr uint64_t kReads = 12;  // four rounds over the three replicas
+  for (uint64_t k = 0; k < kReads; k++) {
+    ASSERT_TRUE(group.Load(Key(k), U64Value(k)).ok());
+  }
+  ReplicatedClient client(group);
+  for (uint64_t k = 0; k < kReads; k++) {
+    // One packet per read: read packets rotate round-robin over the replicas.
+    ASSERT_TRUE(client.Get(Key(k)).ok());
+  }
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_read_batch_records_peak",
+                                         {{"replica", std::to_string(id)}}),
+              1.0)
+        << "replica " << id;
+  }
+  EXPECT_EQ(group.read_batches_live(), 0u);
+
+  ASSERT_TRUE(group.flight_recorder().Trigger(FlightTrigger::kManual, "test"));
+  ParsedFlightDump dump;
+  ASSERT_TRUE(
+      ParseFlightDump(group.flight_recorder().dumps().back().json, &dump).ok());
+  uint64_t reads = 0;
+  for (const OpTrace& trace : AllTraces(dump)) {
+    if (trace.opcode != Opcode::kGet) {
+      continue;
+    }
+    reads++;
+    EXPECT_TRUE(trace.Has(TracePoint::kResponseSent));
+    EXPECT_EQ(StageSumPs(trace), trace.EndToEndPs());
+  }
+  EXPECT_EQ(reads, kReads);
+  EXPECT_EQ(group.breakdown().Stage(Opcode::kGet, TracePoint::kResponseSent).count(),
+            kReads);
+}
+
 // One knob traces the whole group: every replica's hardware events land in
 // the group's single timeline, next to the group's protocol events.
 TEST(ReplicatedTraceTest, GroupTimelineHoldsReplicaHardwareAndProtocolEvents) {

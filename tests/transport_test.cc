@@ -115,7 +115,10 @@ std::vector<DecoderCase> DecoderCases() {
   PacketBuilder builder;
   EXPECT_TRUE(builder.Add(PutOp(1, 2)));
   cases.push_back({"ops", builder.Finish(),
-                   [](const auto& b) { return DecodeOps(b).ok(); },
+                   [](const auto& b) {
+                     std::vector<KvOpView> ops;
+                     return DecodeOps(b, ops).ok();
+                   },
                    {{2, 2}, {4, 4}}, 1});
   // u8 code | u32 epoch | u32 value_len | u64 scalar | value.
   cases.push_back({"results", EncodeResults({ValueResult(5)}),
