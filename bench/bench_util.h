@@ -48,25 +48,39 @@ inline uint64_t AsU64(const std::vector<uint8_t>& value) {
 // actually inserted (stops at the first refusal, e.g. OOM). The next
 // kPreloadLookahead ops wait in a ring; on a server each op's bucket line is
 // prefetched as it enters the ring, so the host's cache misses overlap
-// instead of stalling every Load in turn.
+// instead of stalling every Load in turn, and the key hash taken for the
+// prefetch is the one the index stores the op with.
 inline constexpr uint64_t kPreloadLookahead = 8;
 
 template <typename Store>
 uint64_t Preload(Store& store, const YcsbWorkload& workload, uint64_t count) {
-  std::array<KvOperation, kPreloadLookahead> ring;
+  constexpr bool kIndexed = requires { store.index(); };
+  struct Drawn {
+    KvOperation op;
+    KeyHash kh{};
+  };
+  std::array<Drawn, kPreloadLookahead> ring;
   const auto draw = [&](uint64_t id) {
-    KvOperation& op = ring[id % kPreloadLookahead];
-    op = workload.LoadOpFor(id);
-    if constexpr (requires { store.index().Prefetch(op.key); }) {
-      store.index().Prefetch(op.key);
+    Drawn& drawn = ring[id % kPreloadLookahead];
+    drawn.op = workload.LoadOpFor(id);
+    if constexpr (kIndexed) {
+      drawn.kh = HashKey(drawn.op.key);
+      store.index().Prefetch(drawn.kh);
     }
   };
   for (uint64_t id = 0; id < std::min(count, kPreloadLookahead); id++) {
     draw(id);
   }
   for (uint64_t id = 0; id < count; id++) {
-    const KvOperation& op = ring[id % kPreloadLookahead];
-    if (!store.Load(op.key, op.value).ok()) {
+    const Drawn& drawn = ring[id % kPreloadLookahead];
+    Status loaded;
+    if constexpr (kIndexed) {
+      // A server's Load is its index's Put; this one skips the second hash.
+      loaded = store.index().Put(drawn.kh, drawn.op.key, drawn.op.value);
+    } else {
+      loaded = store.Load(drawn.op.key, drawn.op.value);
+    }
+    if (!loaded.ok()) {
       return id;
     }
     if (id + kPreloadLookahead < count) {

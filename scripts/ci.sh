@@ -29,7 +29,7 @@
 #      FrameEndpoint, and no liveness guard stands in for clock ownership);
 #      and the replication group is split by role (the "group by role"
 #      guard: no file under src/replica exceeds 500 code lines, and a
-#      client write is one batch record from admission to answer); and
+#      client write is one packet record from admission to answer); and
 #      memory has one access path (the "one access engine" guard: a single
 #      non-virtual AccessEngine reads, counts and records, and the KV
 #      processor takes its tracer and slab-sync counters at construction);
@@ -45,8 +45,9 @@
 #      KvOperation, only a view of the submitter's bytes until admission,
 #      and admits with the key hash the submitter took, not one of its own);
 #      and each node has one answer path (the "one answer path per node"
-#      guard: a replica's reads are its node's packets, served and answered
-#      by KvDirectServer's packet step, with no read batch in the group);
+#      guard: a replica's reads and writes are its node's packets, served
+#      and answered by KvDirectServer's packet step, with no read or write
+#      batch in the group);
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -306,13 +307,16 @@ if [[ -n "${borrowed}" ]]; then
   exit 1
 fi
 
-# One answer path per node: a replica's read packet goes to its node's packet
-# step (KvDirectServer::ServePacket), which submits the ops and answers once
-# the last retires, through the replica's AnswerEncoder. A read batch pool or
-# a read-serving loop of the group's own is a second copy of that path.
-answers=$(grep -rnwE 'ReadBatch|read_batches_|ServeReads|AnswerReads' src || true)
+# One answer path per node: a replica's client packet, read or write, goes
+# to its node's packet step (KvDirectServer::ServePacket, or OpenPacket then
+# ExecutePacket for a write a snapshot drain may park), which submits the ops
+# and answers once the last retires, through the replica, its PacketOwner;
+# a write's answer waits in the node's record until its log prefix commits.
+# A read or write batch pool, or a serving or answering loop of the group's
+# own, is a second copy of that path.
+answers=$(grep -rnwE 'ReadBatch|read_batches_|ServeReads|AnswerReads|WriteBatch|write_batches_|ServeWrites|ExecuteWrites|RespondWrite' src || true)
 if [[ -n "${answers}" ]]; then
-  echo "one answer path per node: the group serves reads outside the node's packet step:" >&2
+  echo "one answer path per node: the group serves packets outside the node's packet step:" >&2
   echo "${answers}" >&2
   exit 1
 fi

@@ -16,8 +16,10 @@ void ClusterClient::RefreshMap() {
   stats_.map_refetches++;
 }
 
-uint32_t ClusterClient::BucketOf(const KvOperation& op) {
-  return map_.router().PartitionOf(op.key);
+uint32_t ClusterClient::BucketOf(FlushState& flush, size_t slot) {
+  flush.digests.resize(flush.ops.size());
+  flush.digests[slot] = KeyRouter::Digest(flush.ops[slot].key);
+  return map_.router().PartitionOfDigest(flush.digests[slot]);
 }
 
 void ClusterClient::Route(Packet& packet) {
@@ -66,11 +68,11 @@ bool ClusterClient::OnShardBounce(const PacketPtr& packet,
   // label framed before a split was computed with the old modulus and means
   // nothing now (the gates refuse such frames outright).
   const KeyRouter router = map_.router();
-  const std::vector<KvOperation>& ops = packet->flush->ops;
-  packet->bucket = router.PartitionOf(ops[packet->slots.front()].key);
+  const std::vector<uint64_t>& digests = packet->flush->digests;
+  packet->bucket = router.PartitionOfDigest(digests[packet->slots.front()]);
   bool straddles = false;
   for (const size_t slot : packet->slots) {
-    straddles = straddles || router.PartitionOf(ops[slot].key) != packet->bucket;
+    straddles = straddles || router.PartitionOfDigest(digests[slot]) != packet->bucket;
   }
   if (straddles) {
     // A pre-split packet holds keys from both halves of its old partition and

@@ -26,7 +26,7 @@
 // exactly-once holds across a mid-flight ownership change.
 //
 // Read-your-writes across groups: watermarks are (group, log index) pairs,
-// kept per (key hash, group) and looked up per key over the packet's own
+// kept per (key digest, group) and looked up per key over the packet's own
 // keys (GroupRouter::RequiredIndex, src/replica/watermark_table.h). Against
 // the same group the usual required-index rule applies; when a key's
 // partition has moved since the write, the old group's watermark is not
@@ -85,8 +85,10 @@ class ClusterClient : public GroupRouter {
  private:
   ReplicationGroup& GroupOf(uint32_t group) override { return cluster_.group(group); }
   // One packet's keys all hash to one partition under the cached map, so a
-  // whole packet routes (and bounces) as a unit.
-  uint32_t BucketOf(const KvOperation& op) override;
+  // whole packet routes (and bounces) as a unit. The key's routing digest
+  // is taken here once and kept in the flush: bounces re-derive partitions
+  // from it, and the watermarks are keyed on it.
+  uint32_t BucketOf(FlushState& flush, size_t slot) override;
   void Route(Packet& packet) override;
   // The routed header: the cached map epoch and the packet's partition.
   std::vector<uint8_t> RequestHeader(const Packet& packet) override;

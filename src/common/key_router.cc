@@ -15,9 +15,8 @@ KeyRouter::KeyRouter(uint32_t num_partitions) : num_partitions_(num_partitions) 
   KVD_CHECK(num_partitions >= 1);
 }
 
-uint32_t KeyRouter::PartitionOf(std::span<const uint8_t> key) const {
-  return static_cast<uint32_t>(HashBytes(key.data(), key.size(), kPartitionSeed) %
-                               num_partitions_);
+uint64_t KeyRouter::Digest(std::span<const uint8_t> key) {
+  return HashBytes(key, kPartitionSeed);
 }
 
 }  // namespace kvd

@@ -31,7 +31,16 @@ class KeyRouter {
   explicit KeyRouter(uint32_t num_partitions);
 
   // The partition owning `key`; stable across calls and processes.
-  uint32_t PartitionOf(std::span<const uint8_t> key) const;
+  uint32_t PartitionOf(std::span<const uint8_t> key) const {
+    return PartitionOfDigest(Digest(key));
+  }
+  // PartitionOf in two steps: the key's routing digest, which is the same
+  // for every partition count, so a client may keep it as its key hash;
+  // and the partition owning a digest.
+  static uint64_t Digest(std::span<const uint8_t> key);
+  uint32_t PartitionOfDigest(uint64_t digest) const {
+    return static_cast<uint32_t>(digest % num_partitions_);
+  }
 
   uint32_t num_partitions() const { return num_partitions_; }
 

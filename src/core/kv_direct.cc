@@ -46,7 +46,7 @@ void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
 }
 
 KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim,
-                               Tracer* external_tracer, AnswerEncoder* answers)
+                               Tracer* external_tracer, PacketOwner* owner)
     : config_(config),
       owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
       sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
@@ -56,7 +56,21 @@ KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_s
                                                    config.slo, config.flight, &metrics_)),
       tracer_(external_tracer != nullptr ? *external_tracer : *owned_tracer_),
       endpoint_(sim_, {config.replay_cache_entries, config.replay_retain_time}),
-      answers_(answers) {
+      owner_(owner),
+      packets_(
+          [this](uint32_t batch) {
+            if (owner_ != nullptr) {
+              return owner_->OnDone(batch);
+            }
+            AnswerPacket(batch);
+            return true;
+          },
+          owner == nullptr
+              ? nullptr
+              : ResultBatches<PacketReply>::RetireHook(
+                    [owner](uint32_t batch, uint32_t slot, KvResultMessage& result) {
+                      owner->OnRetire(batch, slot, result);
+                    })) {
   HashIndexConfig index_config;
   index_config.memory_base = 0;
   index_config.memory_size = config.kvs_memory_bytes;
@@ -196,8 +210,8 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet, Responder respond
   ServePacket(sequence, ops_, std::move(packet), std::move(respond));
 }
 
-void KvDirectServer::ServePacket(uint64_t sequence, std::span<KvOpView> ops,
-                                 std::vector<uint8_t> packet, Responder respond) {
+uint32_t KvDirectServer::OpenPacket(uint64_t sequence, std::span<const KvOpView> ops,
+                                    std::vector<uint8_t> packet, Responder respond) {
   // Collect results in request order; answer when the last one retires.
   const uint32_t batch = packets_.Open(ops.size());
   PacketReply& reply = packets_[batch].context;
@@ -205,40 +219,70 @@ void KvDirectServer::ServePacket(uint64_t sequence, std::span<KvOpView> ops,
   // Moving a vector keeps its buffer, so the views stay valid.
   reply.packet = std::move(packet);
   reply.respond = std::move(respond);
-  reply.traces.clear();
+  reply.ops.assign(ops.begin(), ops.end());
   if (tracer_.enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it). The lookup does not consume the
     // handle, so a redirected or retransmitted packet resolves to the same
     // trace on whichever node it lands.
-    reply.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      ops[i].trace = reply.traces[i] = tracer_.LookupOp(sequence, i);
-      tracer_.Point(ops[i].trace, TracePoint::kServerReceive);
+      reply.ops[i].trace = tracer_.LookupOp(sequence, i);
+      tracer_.Point(reply.ops[i].trace, TracePoint::kServerReceive);
     }
   }
-  // Start every op's bucket-line miss before the first admission needs one;
-  // the hash taken for it is the one the processor admits with.
-  key_hashes_.clear();
-  for (const KvOpView& op : ops) {
-    index_->Prefetch(key_hashes_.emplace_back(HashKey(op.key)));
-  }
-  for (size_t i = 0; i < ops.size(); i++) {
-    processor_->Submit(ops[i], key_hashes_[i],
-                       packets_.Completion(batch, static_cast<uint32_t>(i)));
-  }
+  return batch;
 }
 
-void KvDirectServer::AnswerPacket(uint32_t batch) {
+uint32_t KvDirectServer::ExecutePacket(uint32_t batch,
+                                       std::span<const SlotResult> answered) {
+  auto& record = packets_[batch];
+  // The record's op buffer stays put while the pool grows.
+  const std::span<const KvOpView> ops = record.context.ops;
+  std::vector<bool> filled(answered.empty() ? 0 : ops.size());
+  for (const SlotResult& stored : answered) {
+    if (stored.slot < ops.size() && IsWriteOpcode(ops[stored.slot].opcode)) {
+      record.results[stored.slot] = stored.result;
+      record.remaining--;
+      filled[stored.slot] = true;
+    }
+  }
+  const auto filled_in = static_cast<uint32_t>(ops.size() - record.remaining);
+  if (record.remaining == 0) {
+    packets_.Complete(batch);
+    return filled_in;
+  }
+  auto submitted = [&](size_t i) { return filled.empty() || !filled[i]; };
+  // Start every op's bucket-line miss before the first admission needs one;
+  // the hash taken for it is the one the processor admits with.
+  key_hashes_.resize(ops.size());
+  for (size_t i = 0; i < ops.size(); i++) {
+    if (submitted(i)) {
+      key_hashes_[i] = HashKey(ops[i].key);
+      index_->Prefetch(key_hashes_[i]);
+    }
+  }
+  for (size_t i = 0; i < ops.size(); i++) {
+    if (submitted(i)) {
+      processor_->Submit(ops[i], key_hashes_[i],
+                         packets_.Completion(batch, static_cast<uint32_t>(i)));
+    }
+  }
+  return filled_in;
+}
+
+void KvDirectServer::AnswerPacket(uint32_t batch, uint64_t log_index) {
   auto& record = packets_[batch];
   PacketReply& reply = record.context;
-  std::optional<std::vector<uint8_t>> payload = EncodeAnswer(record.results);
+  std::optional<std::vector<uint8_t>> payload =
+      EncodeAnswer(record.results, log_index);
   if (!payload.has_value()) {
     return;  // the answer died with the node
   }
-  for (const uint64_t handle : reply.traces) {
-    tracer_.Point(handle, TracePoint::kResponseSent);
+  if (tracer_.enabled()) {
+    for (const KvOpView& op : reply.ops) {
+      tracer_.Point(op.trace, TracePoint::kResponseSent);
+    }
   }
   std::vector<uint8_t> response =
       endpoint_.Complete(reply.sequence, *payload, /*cache=*/true);
@@ -249,9 +293,9 @@ void KvDirectServer::AnswerPacket(uint32_t batch) {
 }
 
 std::optional<std::vector<uint8_t>> KvDirectServer::EncodeAnswer(
-    std::vector<KvResultMessage>& results) {
-  if (answers_ != nullptr) {
-    return answers_->Encode(results);
+    std::vector<KvResultMessage>& results, uint64_t log_index) {
+  if (owner_ != nullptr) {
+    return owner_->Encode(results, log_index);
   }
   return EncodeResults(results);
 }

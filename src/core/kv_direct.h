@@ -9,11 +9,14 @@
 //     the tracer, which owns the latency breakdown, the SLO monitor and the
 //     flight recorder), in front of one FrameEndpoint (src/transport) that
 //     terminates framed requests (checksum, replay dedup). A frame's ops
-//     take one packet path: decode, submit, and one answer once the last
-//     retires, encoded by the node's AnswerEncoder. MultiNicServer NICs and
-//     ReplicationGroup replicas are KvDirectServers on a shared simulator; a
-//     replica's client frames terminate at its own endpoint, its reads take
-//     its node's packet path, and the replica is its node's encoder.
+//     take one packet path: one record per packet that keeps the packet and
+//     its op views, submit, and one answer once the last retires, encoded
+//     by the node's PacketOwner. MultiNicServer NICs and ReplicationGroup
+//     replicas are KvDirectServers on a shared simulator; a replica's client
+//     frames terminate at its own endpoint, its reads and its writes take
+//     its node's packet path, and the replica is its node's owner: it logs
+//     each write as it retires and holds a write packet's answer until the
+//     packet's log prefix commits.
 //   - Client is the matching single-server router over the batching client
 //     core (src/transport/batch_client.h), which owns client-side
 //     retransmission: single synchronous operations for convenience, and
@@ -98,17 +101,37 @@ struct ServerConfig {
   void AutoTune(uint32_t kv_bytes, bool long_tail);
 };
 
-// How a node encodes the answer to a served packet. Null (a plain server)
-// sends the results as EncodeResults lays them out; a replication group's
-// replica wraps them with its epoch and its view of the primary, and sends
-// nothing once crashed (src/replica).
-class AnswerEncoder {
+// The owner of a node's packets: how each is answered, and what happens as
+// its ops retire. Null (a plain server) answers a packet once its last op
+// retired, with the results as EncodeResults lays them out. A replication
+// group's replica (src/replica) wraps them with its epoch and its view of
+// the primary and answers nothing once crashed; as primary it logs each
+// write as it retires and holds a write packet's answer until the packet's
+// log prefix commits.
+class PacketOwner {
  public:
-  virtual ~AnswerEncoder() = default;
-  // The payload answering `results`, in request order (the encoder may
-  // stamp them), or nullopt to send no answer.
+  virtual ~PacketOwner() = default;
+  // The payload answering `results`, in request order (the owner may stamp
+  // them), or nullopt to send no answer. `log_index` is the one the owner
+  // passed to AnswerPacket, else 0.
   virtual std::optional<std::vector<uint8_t>> Encode(
-      std::vector<KvResultMessage>& results) = 0;
+      std::vector<KvResultMessage>& results, uint64_t log_index) = 0;
+  // Op `slot` of packet record `batch` retired with `result`, which the
+  // record stores next.
+  virtual void OnRetire(uint32_t batch, uint32_t slot,
+                        KvResultMessage& result) = 0;
+  // The last op of `batch` retired. True releases the record, answered
+  // (AnswerPacket) or not; false holds it until the owner answers and
+  // releases it (ReleasePacket).
+  virtual bool OnDone(uint32_t batch) = 0;
+};
+
+// A result a packet's slot already has: the owner's record of a write that
+// executed before (a replica's session record). Lists of them are sorted by
+// slot.
+struct SlotResult {
+  uint16_t slot = 0;
+  KvResultMessage result;
 };
 
 class KvDirectServer {
@@ -119,12 +142,13 @@ class KvDirectServer {
   // `external_sim` puts several servers on one clock — required when they
   // exchange messages (MultiNicServer shards, src/replica replication
   // groups) — and passing the clock owner's `external_tracer` makes the
-  // server record into it instead of building its own. `answers` (borrowed,
-  // null for a plain server) encodes every answer the node sends.
+  // server record into it instead of building its own. `owner` (borrowed,
+  // null for a plain server) owns the node's packets and encodes every
+  // answer the node sends.
   explicit KvDirectServer(const ServerConfig& config,
                           Simulator* external_sim = nullptr,
                           Tracer* external_tracer = nullptr,
-                          AnswerEncoder* answers = nullptr);
+                          PacketOwner* owner = nullptr);
 
   KvDirectServer(const KvDirectServer&) = delete;
   KvDirectServer& operator=(const KvDirectServer&) = delete;
@@ -148,11 +172,29 @@ class KvDirectServer {
   // tracer's packet registry and stamps the server-side checkpoints.
   void DeliverFrame(std::vector<uint8_t> packet, Responder respond);
   // DeliverFrame's packet step, for an owner that terminated and admitted
-  // frame `sequence` at endpoint() itself (a replica's reads): submits
-  // `ops`, non-empty views of `packet` (which the packet's record keeps
-  // until the answer), and answers once the last retires.
-  void ServePacket(uint64_t sequence, std::span<KvOpView> ops,
-                   std::vector<uint8_t> packet, Responder respond);
+  // frame `sequence` at endpoint() itself (a replica). OpenPacket makes the
+  // packet's record, which keeps `packet` and its op views `ops` (non-empty)
+  // until the answer, and stamps each op's arrival. ExecutePacket fills in
+  // the slots `answered` already holds (write slots only), submits the
+  // other ops, and returns how many it filled in; the owner may park a
+  // record between the two. ServePacket does both at once.
+  uint32_t OpenPacket(uint64_t sequence, std::span<const KvOpView> ops,
+                      std::vector<uint8_t> packet, Responder respond);
+  uint32_t ExecutePacket(uint32_t batch,
+                         std::span<const SlotResult> answered = {});
+  void ServePacket(uint64_t sequence, std::span<const KvOpView> ops,
+                   std::vector<uint8_t> packet, Responder respond) {
+    ExecutePacket(OpenPacket(sequence, ops, std::move(packet), std::move(respond)));
+  }
+  // For the packet's owner: record `batch`'s frame sequence and op views;
+  // its answer, encoded with `log_index`, which stamps kResponseSent; and
+  // the release of a record the owner held or parked.
+  uint64_t packet_sequence(uint32_t batch) { return packets_[batch].context.sequence; }
+  std::span<const KvOpView> packet_ops(uint32_t batch) {
+    return packets_[batch].context.ops;
+  }
+  void AnswerPacket(uint32_t batch, uint64_t log_index = 0);
+  void ReleasePacket(uint32_t batch) { packets_.Release(batch); }
 
   // --- untimed convenience (warm-up fills, tests) ---
   KvResultMessage Execute(const KvOperation& op);
@@ -203,26 +245,25 @@ class KvDirectServer {
   SloMonitor& slo_monitor() { return tracer_.slo_monitor(); }
 
  private:
-  // What answering a delivered frame takes: its sequence, the transport's
-  // respond, and (tracing on) each op's trace handle. It also holds the
-  // packet, whose bytes the processor borrows for the packet's ops until
-  // their admission.
+  // What answering a delivered frame takes: its sequence and the
+  // transport's respond. It also holds the packet and its ops, views of it
+  // carrying (tracing on) each op's trace handle: the processor borrows an
+  // op's bytes until its admission, and the owner reads the op as it
+  // retires.
   struct PacketReply {
     uint64_t sequence = 0;
     std::vector<uint8_t> packet;
     Responder respond;
-    std::vector<uint64_t> traces;
+    std::vector<KvOpView> ops;
   };
   // An op submitted through Submit(KvOperation, ...), held until it retires.
   struct OwnedOp {
     KvOperation op;
     KvProcessor::Completion done;
   };
-  // Encodes a packet's results once its last op retired, and responds.
-  void AnswerPacket(uint32_t batch);
-  // Encodes `results` through the answer encoder; nullopt sends nothing.
+  // Encodes `results` through the owner; nullopt sends nothing.
   std::optional<std::vector<uint8_t>> EncodeAnswer(
-      std::vector<KvResultMessage>& results);
+      std::vector<KvResultMessage>& results, uint64_t log_index = 0);
 
   ServerConfig config_;
   // Null when running on an external (shared) simulator; sim_ aliases either
@@ -247,15 +288,13 @@ class KvDirectServer {
   std::unique_ptr<NetworkModel> network_;
   std::unique_ptr<KvProcessor> processor_;
   FrameEndpoint endpoint_;
-  AnswerEncoder* answers_;
-  ResultBatches<PacketReply> packets_{
-      [this](uint32_t batch) {
-        AnswerPacket(batch);
-        return true;
-      }};
+  PacketOwner* owner_;
+  // A plain server answers each packet once its last op retired; an owner
+  // acts at each retirement and decides when.
+  ResultBatches<PacketReply> packets_;
   RecordPool<OwnedOp> owned_ops_;
   // DeliverFrame's decoded ops, and the packet step's key hashes, taken once
-  // per op for the prefetch and the admission both.
+  // per submitted op for the prefetch and the admission both.
   std::vector<KvOpView> ops_;
   std::vector<KeyHash> key_hashes_;
   uint64_t next_client_id_ = 0;

@@ -65,7 +65,9 @@ class MultiNicClient : public Client {
                           const Client::Options& options = Client::Options());
 
  private:
-  uint32_t BucketOf(const KvOperation& op) override { return cluster_.OwnerOf(op.key); }
+  uint32_t BucketOf(FlushState& flush, size_t slot) override {
+    return cluster_.OwnerOf(flush.ops[slot].key);
+  }
   KvDirectServer& ServerOf(const Packet& packet) override {
     return cluster_.nic(packet.bucket);
   }

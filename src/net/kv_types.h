@@ -162,9 +162,10 @@ struct KvOperation {
 };
 
 // An operation whose key and value are views of bytes someone else holds: a
-// received packet, a write batch's op, a log entry. The KV processor borrows
-// one from Submit until admission, so the holder keeps the bytes alive and
-// in place until then (DESIGN.md §16). The scalars are KvOperation's.
+// received packet, an op owned through KvDirectServer::Submit, a log entry.
+// The KV processor borrows one from Submit until admission, so the holder
+// keeps the bytes alive and in place until then (DESIGN.md §16). The
+// scalars are KvOperation's.
 struct KvOpView {
   Opcode opcode = Opcode::kGet;
   std::span<const uint8_t> key;

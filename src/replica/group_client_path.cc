@@ -10,17 +10,6 @@
 #include "src/transport/frame.h"
 
 namespace kvd {
-namespace {
-
-// First session record at or after `slot` in a sequence's slot-sorted records.
-template <typename Slots>
-auto LowerBoundSlot(Slots& slots, uint16_t slot) {
-  return std::lower_bound(
-      slots.begin(), slots.end(), slot,
-      [](const auto& stored, uint16_t wanted) { return stored.slot < wanted; });
-}
-
-}  // namespace
 
 // --- client path ---
 
@@ -55,7 +44,7 @@ void ReplicationGroup::DeliverClientFrame(
 
 void ReplicationGroup::HandleClientRequest(
     Replica& rep, uint64_t sequence, const GroupRequestView& request,
-    std::span<KvOpView> ops, std::vector<uint8_t> packet,
+    std::span<const KvOpView> ops, std::vector<uint8_t> packet,
     std::function<void(std::vector<uint8_t>)> respond) {
   bool any_write = false;
   for (const KvOpView& op : ops) {
@@ -117,38 +106,19 @@ void ReplicationGroup::HandleClientRequest(
                    any_write);
   }
   rep.server->endpoint().Admit(sequence);
-  if (any_write) {
-    ServeWrites(rep, sequence, ops, std::move(respond));
-  } else {
-    // A replica's reads are its node's packets; the replica encodes the
-    // answer.
+  // A replica's packets are its node's: the replica encodes the answer.
+  if (!any_write) {
     rep.server->ServePacket(sequence, ops, std::move(packet), std::move(respond));
+    return;
   }
-}
-
-void ReplicationGroup::ServeWrites(
-    Replica& rep, uint64_t sequence, std::span<const KvOpView> ops,
-    std::function<void(std::vector<uint8_t>)> respond) {
-  const uint32_t batch = write_batches_.Open(ops.size());
-  WriteBatch& write = write_batches_[batch].context;
-  write.rep = &rep;
-  write.sequence = sequence;
-  // The one copy of each op: the log entry takes it at retirement.
-  write.ops.clear();
-  for (const KvOpView& op : ops) {
-    write.ops.push_back(op.ToOwned());
+  // A write packet is one record from here to its answer, parked or not:
+  // opening it stamps the ops' arrival.
+  const uint32_t batch =
+      rep.server->OpenPacket(sequence, ops, std::move(packet), std::move(respond));
+  if (rep.write_waits.size() <= batch) {
+    rep.write_waits.resize(batch + 1);
   }
-  if (tracer_.enabled()) {
-    // Resolved as the node's packet step resolves a read's: the lookup does
-    // not consume, so a redirect or retransmit finds the same trace.
-    for (size_t i = 0; i < write.ops.size(); i++) {
-      write.ops[i].trace = tracer_.LookupOp(sequence, i);
-      tracer_.Point(write.ops[i].trace, TracePoint::kServerReceive);
-    }
-  }
-  write.needed_index = 0;
-  write.appended_at = 0;
-  write.respond = std::move(respond);
+  rep.write_waits[batch] = {};
   if (rep.draining_for_snapshot) {
     // A snapshot cut is waiting for the pipeline to quiesce; admitting this
     // write now could postpone the cut indefinitely under sustained load.
@@ -156,102 +126,64 @@ void ReplicationGroup::ServeWrites(
     rep.deferred_writes.push_back(batch);
     return;
   }
-  ExecuteWrites(batch);
+  SubmitWrites(rep, batch);
 }
 
-void ReplicationGroup::ExecuteWrites(uint32_t batch) {
-  auto& record = write_batches_[batch];
-  WriteBatch& write = record.context;
-  Replica& rep = *write.rep;
-  const uint64_t sequence = write.sequence;
-
+void ReplicationGroup::SubmitWrites(Replica& rep, uint32_t batch) {
+  KvDirectServer& node = *rep.server;
   // Replicated session records answer write slots that already executed —
   // possibly under a previous primary — without re-executing them. That is
-  // what makes retransmission across failover exactly-once. An answered
-  // slot's op stays in the record but is never submitted.
-  const size_t num_ops = write.ops.size();
-  std::vector<bool> answered;
-  if (auto session = rep.sessions.find(sequence); session != rep.sessions.end()) {
-    answered.resize(num_ops);
-    for (size_t i = 0; i < num_ops; i++) {
-      if (!IsWriteOpcode(write.ops[i].opcode)) {
-        continue;
-      }
-      const uint16_t slot = static_cast<uint16_t>(i);
-      auto stored = LowerBoundSlot(session->second, slot);
-      if (stored != session->second.end() && stored->slot == slot) {
-        record.results[i] = stored->result;
-        record.remaining--;
-        answered[i] = true;
-        stats_.session_dedup_hits++;
-      }
-    }
+  // what makes retransmission across failover exactly-once. A stored
+  // sequence's slots are this packet's writes; their entries sit at or
+  // below the current log end, so the answer waits for the whole present
+  // log to commit (conservative, but simple and safe).
+  std::span<const SlotResult> stored;
+  if (auto session = rep.sessions.find(node.packet_sequence(batch));
+      session != rep.sessions.end()) {
+    stored = session->second;
+    rep.write_waits[batch].needed_index = rep.log.end();
   }
-  if (record.remaining < num_ops) {
-    // The stored entries sit at or below the current log end; wait for the
-    // whole present log to commit (conservative, but simple and safe).
-    write.needed_index = rep.log.end();
-  }
-  if (record.remaining == 0) {
-    write_batches_.Complete(batch);
-    return;
-  }
-  auto submitted = [&](size_t i) { return answered.empty() || !answered[i]; };
-  key_hashes_.resize(num_ops);
-  for (size_t i = 0; i < num_ops; i++) {
-    if (submitted(i)) {
-      key_hashes_[i] = HashKey(write.ops[i].key);
-      rep.server->index().Prefetch(key_hashes_[i]);
-    }
-  }
-  // From here on the record is reached through its index: Submit must not
-  // be trusted to leave the pool where it was. The processor borrows each op
-  // from the record; moving the record keeps the op's bytes in place.
-  for (size_t i = 0; i < num_ops; i++) {
-    if (!submitted(i)) {
-      continue;
-    }
-    const KvOperation& op = write_batches_[batch].context.ops[i];
-    if (IsWriteOpcode(op.opcode)) {
-      rep.inflight_ops++;
-    }
-    rep.server->processor().Submit(
-        op, key_hashes_[i], write_batches_.Completion(batch, static_cast<uint32_t>(i)));
-  }
+  const auto writes = static_cast<uint64_t>(std::ranges::count_if(
+      node.packet_ops(batch),
+      [](const KvOpView& op) { return IsWriteOpcode(op.opcode); }));
+  const uint32_t answered = node.ExecutePacket(batch, stored);
+  stats_.session_dedup_hits += answered;
+  // No op retires inside the submit: the submitted writes are in flight.
+  rep.inflight_ops += writes - answered;
 }
 
-void ReplicationGroup::OnWriteRetired(uint32_t batch, uint32_t slot,
-                                      KvResultMessage& result) {
-  WriteBatch& write = write_batches_[batch].context;
-  Replica& rep = *write.rep;
-  if (!IsWriteOpcode(write.ops[slot].opcode)) {
+void ReplicationGroup::OnPacketRetired(Replica& rep, uint32_t batch,
+                                       uint32_t slot, KvResultMessage& result) {
+  const KvOpView& op = rep.server->packet_ops(batch)[slot];
+  if (!IsWriteOpcode(op.opcode)) {
     return;
   }
   rep.inflight_ops--;
   if (result.code != ResultCode::kOk) {
     return;
   }
-  AppendEffectiveWrite(rep, write.sequence, static_cast<uint16_t>(slot),
-                       std::move(write.ops[slot]), result);
-  write.needed_index = rep.log.end();
-  write.appended_at = sim_.Now();
+  AppendEffectiveWrite(rep, rep.server->packet_sequence(batch),
+                       static_cast<uint16_t>(slot), op, result);
+  rep.write_waits[batch] = {rep.log.end(), sim_.Now()};
 }
 
-bool ReplicationGroup::FinishWrites(uint32_t batch) {
-  Replica& rep = *write_batches_[batch].context.rep;
+bool ReplicationGroup::FinishPacket(Replica& rep, uint32_t batch) {
+  if (std::ranges::none_of(rep.server->packet_ops(batch), [](const KvOpView& op) {
+        return IsWriteOpcode(op.opcode);
+      })) {
+    rep.server->AnswerPacket(batch);
+    return true;
+  }
   if (rep.crashed || !rep.is_primary) {
     return true;  // crashed or deposed mid-request; the client retries
   }
-  const bool appended = write_batches_[batch].context.appended_at != 0;
+  const bool appended = rep.write_waits[batch].appended_at != 0;
   if (appended) {
     TryAdvanceCommit(rep);  // a quorum of one commits immediately
   }
-  // TryAdvanceCommit answers other writes, which can grow the pool: the
-  // record is looked up again.
-  const bool committed =
-      rep.commit >= write_batches_[batch].context.needed_index;
+  const bool committed = rep.commit >= rep.write_waits[batch].needed_index;
   if (committed) {
-    RespondWrite(batch);
+    AnswerWrites(rep, batch);
   } else {
     rep.pending.push_back(batch);
   }
@@ -264,36 +196,29 @@ bool ReplicationGroup::FinishWrites(uint32_t batch) {
   return committed;
 }
 
-void ReplicationGroup::RespondWrite(uint32_t batch) {
-  auto& record = write_batches_[batch];
-  WriteBatch& write = record.context;
-  if (write.appended_at != 0) {
+void ReplicationGroup::AnswerWrites(Replica& rep, uint32_t batch) {
+  const Replica::WriteWait wait = rep.write_waits[batch];
+  if (wait.appended_at != 0) {
     commit_wait_ns_.Add(
-        static_cast<uint64_t>((sim_.Now() - write.appended_at) / kNanosecond));
+        static_cast<uint64_t>((sim_.Now() - wait.appended_at) / kNanosecond));
   }
   if (tracer_.enabled()) {
-    for (size_t i = 0; i < record.results.size(); i++) {
-      const uint64_t handle =
-          tracer_.LookupOp(write.sequence, static_cast<uint32_t>(i));
-      tracer_.Point(handle, TracePoint::kReplCommit);
-      tracer_.Point(handle, TracePoint::kResponseSent);
+    for (const KvOpView& op : rep.server->packet_ops(batch)) {
+      tracer_.Point(op.trace, TracePoint::kReplCommit);
     }
   }
-  GroupResponse resp;
-  resp.assigned_index = write.needed_index;
-  SendResponse(*write.rep, write.sequence, std::move(resp), record.results,
-               std::move(write.respond), true);
+  rep.server->AnswerPacket(batch, wait.needed_index);
 }
 
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
-                                            uint16_t slot, KvOperation op,
+                                            uint16_t slot, const KvOpView& op,
                                             const KvResultMessage& result) {
   tracer_.Point(op.trace, TracePoint::kReplAppend);
   LogEntry entry;
   entry.epoch = rep.current_epoch;
   entry.client_sequence = sequence;
   entry.slot = slot;
-  entry.op = std::move(op);
+  entry.op = op.ToOwned();
   // Backups re-execute the entry through their own timed pipeline; the
   // client's live trace must not collect those replica-local spans.
   entry.op.trace = 0;
@@ -317,12 +242,14 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
                                      uint16_t slot,
                                      const KvResultMessage& result) {
   auto [it, inserted] = rep.sessions.try_emplace(sequence);
-  std::vector<SessionSlot>& slots = it->second;
-  auto at = LowerBoundSlot(slots, slot);
+  std::vector<SlotResult>& slots = it->second;
+  auto at = std::lower_bound(
+      slots.begin(), slots.end(), slot,
+      [](const SlotResult& stored, uint16_t wanted) { return stored.slot < wanted; });
   if (at != slots.end() && at->slot == slot) {
     at->result = result;
   } else {
-    slots.insert(at, SessionSlot{slot, result});
+    slots.insert(at, SlotResult{slot, result});
   }
   if (inserted) {
     rep.session_order.push_back(sequence);
@@ -362,13 +289,13 @@ void ReplicationGroup::DropInFlight(Replica& rep) {
   // die with the reign; the clients' timers cover the writes, a new primary
   // resyncs the peers.
   for (const uint32_t batch : rep.pending) {
-    write_batches_.Release(batch);
+    rep.server->ReleasePacket(batch);
   }
   rep.pending.clear();
   rep.append_time.clear();
   rep.draining_for_snapshot = false;
   for (const uint32_t batch : rep.deferred_writes) {
-    write_batches_.Release(batch);
+    rep.server->ReleasePacket(batch);
   }
   rep.deferred_writes.clear();
   for (uint32_t peer = 0; peer < num_replicas(); peer++) {

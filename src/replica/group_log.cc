@@ -255,13 +255,13 @@ void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
   std::vector<uint32_t> ready;
   std::vector<uint32_t> still;
   for (const uint32_t batch : primary.pending) {
-    const bool done = write_batches_[batch].context.needed_index <= primary.commit;
+    const bool done = primary.write_waits[batch].needed_index <= primary.commit;
     (done ? ready : still).push_back(batch);
   }
   primary.pending = std::move(still);
   for (const uint32_t batch : ready) {
-    RespondWrite(batch);
-    write_batches_.Release(batch);
+    AnswerWrites(primary, batch);
+    primary.server->ReleasePacket(batch);
   }
 }
 

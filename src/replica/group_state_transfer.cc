@@ -177,7 +177,7 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint32_t target,
   // promoted later still answers retransmissions of writes it never logged.
   std::vector<SessionRecord> sessions;
   for (const uint64_t sequence : primary.session_order) {
-    for (const SessionSlot& stored : primary.sessions.at(sequence)) {
+    for (const SlotResult& stored : primary.sessions.at(sequence)) {
       sessions.push_back({sequence, stored.slot, stored.result});
     }
   }
@@ -211,9 +211,9 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
   parked.swap(rep.deferred_writes);
   for (const uint32_t batch : parked) {
     if (rep.crashed || !rep.is_primary) {
-      write_batches_.Release(batch);  // the client's timer covers it
+      rep.server->ReleasePacket(batch);  // the client's timer covers it
     } else {
-      ExecuteWrites(batch);
+      SubmitWrites(rep, batch);
     }
   }
 }

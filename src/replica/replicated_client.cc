@@ -26,15 +26,19 @@ uint32_t& GroupRouter::BelievedPrimary(uint32_t group) {
   return believed_primary_[group];
 }
 
+uint64_t GroupRouter::KeyDigest(const Packet& packet, size_t slot) {
+  const std::vector<uint64_t>& digests = packet.flush->digests;
+  return digests.empty() ? HashBytes(packet.flush->ops[slot].key) : digests[slot];
+}
+
 uint64_t GroupRouter::RequiredIndex(const Packet& packet) const {
   uint64_t required = 0;
   if (packet.is_write) {
     return required;  // a replica gates only read-only packets on it
   }
   for (const size_t slot : packet.slots) {
-    required = std::max(required, watermarks_.Required(
-                                      HashBytes(packet.flush->ops[slot].key),
-                                      packet.group));
+    required = std::max(required,
+                        watermarks_.Required(KeyDigest(packet, slot), packet.group));
   }
   return required;
 }
@@ -116,11 +120,10 @@ void GroupRouter::OnResponse(const PacketPtr& packet, std::span<const uint8_t> p
   }
   BelievedPrimary(packet->group) = response.primary_id;
   for (const size_t slot : packet->slots) {
-    const KvOperation& op = packet->flush->ops[slot];
-    if (!IsWriteOpcode(op.opcode)) {
+    if (!IsWriteOpcode(packet->flush->ops[slot].opcode)) {
       continue;
     }
-    if (watermarks_.Raise(HashBytes(op.key), packet->group,
+    if (watermarks_.Raise(KeyDigest(*packet, slot), packet->group,
                           response.assigned_index)) {
       stats_.watermark_evictions++;
     }

@@ -90,6 +90,10 @@ class GroupRouter : public BatchClient {
   // a replica holds only read-only packets to the watermark.
   uint64_t RequiredIndex(const Packet& packet) const;
   uint32_t& BelievedPrimary(uint32_t group);
+  // The hash a watermark keys `slot`'s key on: the router's digest from
+  // bucketing when it took one, else HashBytes of the key. The table is
+  // this client's own, so any one stable hash per key will do.
+  static uint64_t KeyDigest(const Packet& packet, size_t slot);
   // Re-sends the packet after `delay` unless it completes first; `detail`
   // labels the kBusyRetry trace span (1 redirect, 2 stale read).
   void BackoffResend(const PacketPtr& packet, SimTime delay, uint64_t detail);
@@ -100,8 +104,9 @@ class GroupRouter : public BatchClient {
   SimTime redirect_backoff_;
   Stats& stats_;
   std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // Per (key hash, group): the highest quorum-committed index covering the
-  // client's acknowledged writes there. Searched once per key per packet.
+  // Per (key digest, group): the highest quorum-committed index covering
+  // the client's acknowledged writes there. Searched once per key per
+  // packet.
   WatermarkTable watermarks_;
 };
 

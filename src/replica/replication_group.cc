@@ -31,6 +31,7 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   // survive a mid-flight failover to another replica's server.
   for (uint32_t id = 0; id < config_.num_replicas; id++) {
     auto rep = std::make_unique<Replica>();
+    rep->group = this;
     rep->id = id;
     rep->server =
         std::make_unique<KvDirectServer>(config_.server, &sim_, &tracer_, rep.get());
@@ -78,14 +79,6 @@ uint64_t ReplicationGroup::applied_index(uint32_t id) const {
   // admission queue, so everything at or below `applied` is ordered before
   // any later read on the same replica.
   return replicas_[id]->applied;
-}
-
-uint32_t ReplicationGroup::read_batches_live() const {
-  uint32_t live = 0;
-  for (const auto& rep : replicas_) {
-    live += rep->server->packets_live();
-  }
-  return live;
 }
 
 uint64_t ReplicationGroup::log_end(uint32_t id) const {
@@ -374,10 +367,6 @@ void ReplicationGroup::RegisterMetrics() {
                          "Quorum-committed log index at the primary", {},
                          [this] { return static_cast<double>(commit_index()); });
   metrics_.RegisterGauge(
-      "kvd_repl_write_batch_records_peak",
-      "Peak write packets admitted and not yet answered", {},
-      [this] { return static_cast<double>(write_batches_.peak()); });
-  metrics_.RegisterGauge(
       "kvd_repl_last_failover_downtime_ns",
       "Simulated time from primary crash to next promotion", {}, [this] {
         return static_cast<double>(stats_.last_failover_downtime_ns);
@@ -399,8 +388,8 @@ void ReplicationGroup::RegisterMetrics() {
                              return static_cast<double>(replicas_[id]->log.peak());
                            });
     metrics_.RegisterGauge(
-        "kvd_repl_read_batch_records_peak",
-        "Peak read packets admitted on the replica and not yet answered",
+        "kvd_repl_packet_records_peak",
+        "Peak client packets admitted on the replica and not yet answered",
         labels, [this, id] {
           return static_cast<double>(replicas_[id]->server->packets_peak());
         });

@@ -3,7 +3,9 @@
 // A ReplicationGroup turns N independent servers into one fault-tolerant
 // key-value service on a single simulated clock:
 //
-//   - The primary executes client operations through its full timed pipeline,
+//   - The primary executes client operations through its full timed pipeline
+//     (a replica's client packets, reads and writes, are its node's packets:
+//     KvDirectServer's packet step, with the replica as the PacketOwner),
 //     appends every *effective* mutation (result kOk) to a monotonic
 //     (epoch, index) log at retirement, and pushes log windows to backups over
 //     per-replica replication links (checksummed PR 2 frames). Entries carry
@@ -263,7 +265,10 @@ class ReplicationGroup {
   uint64_t log_end(uint32_t id) const;
   // Settles pristine loads first. Before the first Load there is nothing to
   // settle and the group stays pristine: fresh replicas are identical, and
-  // topologies collect their replicas as they are built.
+  // topologies collect their replicas as they are built. A client packet
+  // the replica admitted, read or write, is one record in its node's packet
+  // pool (`packets_live()`) until it is answered or dropped, a write's
+  // parked by a snapshot drain or waiting for its log prefix included.
   KvDirectServer& replica(uint32_t id) {
     if (stale_replicas_) {
       Settle();
@@ -314,32 +319,29 @@ class ReplicationGroup {
   }
   const LatencyHistogram& commit_wait_ns() const { return commit_wait_ns_; }
 
-  // Batch records held: read and write packets admitted on some replica and
-  // not yet answered or dropped. A read packet is held by its replica's
-  // node (KvDirectServer::packets_live).
-  uint32_t read_batches_live() const;
-  uint32_t write_batches_live() const { return write_batches_.live(); }
-
  private:
   static constexpr char kTraceCategory[] = "replica";
 
-  struct SessionSlot {
-    uint16_t slot = 0;
-    KvResultMessage result;
-  };
-
-  // A replica is its node's answer encoder, and the group's bounces and
-  // write answers are encoded by it too: every result carries the
-  // replica's epoch, the results ride in a GroupResponse with the epoch and
-  // the believed primary, and a crashed replica answers nobody.
-  struct Replica final : AnswerEncoder {
+  // A replica is its node's packet owner, and the group's bounces are
+  // encoded by it too: every result carries the replica's epoch, the
+  // results ride in a GroupResponse with the epoch and the believed primary
+  // (and a write answer with the log index covering its writes), and a
+  // crashed replica answers nobody. Its packet hooks are the group's.
+  struct Replica final : PacketOwner {
     std::optional<std::vector<uint8_t>> Encode(
-        std::vector<KvResultMessage>& results) override {
-      return Encode({}, results);
+        std::vector<KvResultMessage>& results, uint64_t log_index) override {
+      GroupResponse response;
+      response.assigned_index = log_index;
+      return Encode(std::move(response), results);
     }
     std::optional<std::vector<uint8_t>> Encode(
         GroupResponse response, std::vector<KvResultMessage>& results) const;
+    void OnRetire(uint32_t batch, uint32_t slot, KvResultMessage& result) override {
+      group->OnPacketRetired(*this, batch, slot, result);
+    }
+    bool OnDone(uint32_t batch) override { return group->FinishPacket(*this, batch); }
 
+    ReplicationGroup* group = nullptr;
     uint32_t id = 0;
     std::unique_ptr<KvDirectServer> server;
     std::unique_ptr<NetworkModel> repl_net;  // inbound replication link
@@ -369,11 +371,17 @@ class ReplicationGroup {
     // Primary bookkeeping: per-peer confirmed position (cumulative acks;
     // commit counts these) and optimistic window start (re-aligned to
     // match+1 every heartbeat tick, which is what retransmits lost windows),
-    // the write batches whose answers await quorum, and append times for the
-    // propagation-lag histogram.
+    // the node's write packet records whose answers await quorum, what each
+    // write packet's answer waits for (by record index), and append times
+    // for the propagation-lag histogram.
     std::vector<uint64_t> match;
     std::vector<uint64_t> next;
     std::vector<uint32_t> pending;
+    struct WriteWait {
+      uint64_t needed_index = 0;  // log index the answer waits to commit
+      SimTime appended_at = 0;    // last log append; 0 = none (commit wait)
+    };
+    std::vector<WriteWait> write_waits;
     // (log index, append time), pushed in append order and popped from the
     // front as commit advances.
     std::deque<std::pair<uint64_t, SimTime>> append_time;
@@ -414,8 +422,9 @@ class ReplicationGroup {
     };
     std::vector<OutboundSnapshot> snapshot_out;  // per peer
     // Drain-then-cut: while a snapshot cut waits for the pipeline to
-    // quiesce, new client write batches are parked here instead of being
-    // executed (otherwise sustained load could postpone the cut forever).
+    // quiesce, new client write packets are opened (their arrival stamped)
+    // and their records parked here instead of being submitted (otherwise
+    // sustained load could postpone the cut forever).
     // They are executed in arrival order once the cut is taken, or dropped
     // (the client retries) if the primary crashes or is deposed first.
     bool draining_for_snapshot = false;
@@ -445,54 +454,40 @@ class ReplicationGroup {
     // results, kept sorted by slot (ops retire out of order, so inserts keep
     // the order), FIFO evicted in session_order. Identical on every replica
     // holding the same log prefix.
-    std::unordered_map<uint64_t, std::vector<SessionSlot>> sessions;
+    std::unordered_map<uint64_t, std::vector<SlotResult>> sessions;
     std::deque<uint64_t> session_order;
-  };
-
-  // A write packet on the primary from admission to answer: parked by a
-  // snapshot drain, executing, then waiting for the log index its answer
-  // needs to commit. Each op is kept until its log entry takes it; the
-  // processor borrows it from here until admission.
-  struct WriteBatch {
-    Replica* rep = nullptr;
-    uint64_t sequence = 0;
-    std::vector<KvOperation> ops;
-    uint64_t needed_index = 0;
-    SimTime appended_at = 0;  // last log append; 0 = none (commit-wait histogram)
-    std::function<void(std::vector<uint8_t>)> respond;
   };
 
   // --- client path ---
   // `request`'s ops payload is already decoded into `ops` (never empty);
-  // both are views of `packet`. A read packet goes to the replica node's
-  // packet step (KvDirectServer::ServePacket).
+  // both are views of `packet`, which goes to the replica node's packet
+  // step. A write packet's record is opened on arrival and parked while a
+  // snapshot cut drains.
   void HandleClientRequest(Replica& rep, uint64_t sequence,
                            const GroupRequestView& request,
-                           std::span<KvOpView> ops, std::vector<uint8_t> packet,
+                           std::span<const KvOpView> ops, std::vector<uint8_t> packet,
                            std::function<void(std::vector<uint8_t>)> respond);
-  // Opens the packet's write batch, which copies `ops` for the log, parked
-  // while a snapshot cut drains.
-  void ServeWrites(Replica& rep, uint64_t sequence, std::span<const KvOpView> ops,
-                   std::function<void(std::vector<uint8_t>)> respond);
-  void ExecuteWrites(uint32_t batch);
-  // Write batch hooks: an op retired (an effective write is logged at once);
-  // the last op retired (true releases the batch; false keeps it in
-  // `pending` until its log prefix commits). A crashed or deposed replica
-  // answers nobody.
-  void OnWriteRetired(uint32_t batch, uint32_t slot, KvResultMessage& result);
-  bool FinishWrites(uint32_t batch);
-  // Answers a committed write batch; the caller releases it.
-  void RespondWrite(uint32_t batch);
+  // Submits a write packet's record: slots the replicated sessions hold are
+  // answered from them, the rest execute.
+  void SubmitWrites(Replica& rep, uint32_t batch);
+  // The replica's packet hooks: an op retired (an effective write is logged
+  // at once); the last op retired (true releases the record; false keeps a
+  // write packet in `pending` until its log prefix commits). A read packet
+  // is answered at once; a crashed or deposed replica answers no write.
+  void OnPacketRetired(Replica& rep, uint32_t batch, uint32_t slot,
+                       KvResultMessage& result);
+  bool FinishPacket(Replica& rep, uint32_t batch);
+  // Answers a committed write packet; the caller releases it.
+  void AnswerWrites(Replica& rep, uint32_t batch);
+  // Logs `op` (copied from its packet: the one copy) with its result.
   void AppendEffectiveWrite(Replica& rep, uint64_t sequence, uint16_t slot,
-                            KvOperation op, const KvResultMessage& result);
+                            const KvOpView& op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
-  // Answers the group's own verdicts (bounces, malformed requests) and
-  // committed writes: encodes `response` and `results` through the
-  // replica's encoder, frames the answer at the replica's node endpoint
-  // (recording it for replay when `cache`) and responds. `results` may live
-  // in a batch record: they are encoded before `respond` (taken out of the
-  // record by value) runs, which may open batches and grow the pool.
+  // Answers the group's own verdicts (bounces, malformed requests): encodes
+  // `response` and `results` through the replica, frames the answer at the
+  // replica's node endpoint (recording it for replay when `cache`) and
+  // responds.
   void SendResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                     std::vector<KvResultMessage>& results,
                     std::function<void(std::vector<uint8_t>)> respond,
@@ -608,16 +603,10 @@ class ReplicationGroup {
   LatencyHistogram propagation_lag_ns_;
   LatencyHistogram failover_downtime_ns_;
   LatencyHistogram commit_wait_ns_;  // client write: log append -> quorum
-  // The client path's decoded ops, for the gate, and the write path's and
-  // ApplyThrough's key hashes, taken once per op for the prefetch and the
-  // admission both.
+  // The client path's decoded ops, for the gate, and ApplyThrough's key
+  // hashes, taken once per entry for the prefetch and the admission both.
   std::vector<KvOpView> ops_;
   std::vector<KeyHash> key_hashes_;
-  ResultBatches<WriteBatch> write_batches_{
-      [this](uint32_t batch) { return FinishWrites(batch); },
-      [this](uint32_t batch, uint32_t slot, KvResultMessage& result) {
-        OnWriteRetired(batch, slot, result);
-      }};
 };
 
 }  // namespace kvd

@@ -92,7 +92,7 @@ void BatchClient::Send(const std::shared_ptr<FlushState>& flush,
   // bucket order deterministic).
   std::map<uint32_t, std::vector<size_t>> buckets;
   for (const size_t slot : slots) {
-    buckets[BucketOf(flush->ops[slot])].push_back(slot);
+    buckets[BucketOf(*flush, slot)].push_back(slot);
   }
   const auto budget = static_cast<uint32_t>(options_.batch_payload_bytes -
                                             kFrameHeaderBytes - router_.header_bytes);

@@ -120,6 +120,9 @@ class BatchClient : public KvEndpoint {
     std::vector<KvOperation> ops;
     std::vector<KvResultMessage> results;
     std::vector<uint64_t> traces;  // per-op trace handles (0 when untraced)
+    // Per-op key digests the router took while bucketing (ClusterClient's
+    // routing digest); empty when it takes none.
+    std::vector<uint64_t> digests;
     // Packets in flight, plus one while a busy backoff is pending.
     size_t outstanding = 0;
     uint32_t busy_round = 0;
@@ -159,8 +162,9 @@ class BatchClient : public KvEndpoint {
               const RouterConfig& router, Stats* stats);
 
   // --- router hooks ---
-  // Packets never mix buckets.
-  virtual uint32_t BucketOf(const KvOperation& /*op*/) { return 0; }
+  // The bucket of `flush.ops[slot]`; packets never mix buckets. A router
+  // that hashes the key for it may keep the digest in `flush.digests`.
+  virtual uint32_t BucketOf(FlushState& /*flush*/, size_t /*slot*/) { return 0; }
   // Sets the packet's group and target before its first transmission.
   virtual void Route(Packet& /*packet*/) {}
   // Exactly RouterConfig::header_bytes, framed ahead of the ops payload.

@@ -10,7 +10,10 @@
 // per-op data and per-packet buffers; the bounds below hold that line.
 //
 // The same fixture counts key hashes: a framed op is hashed once, and that
-// hash serves both the bucket prefetch and the admission.
+// hash serves both the bucket prefetch and the admission. Key hashes are
+// counted through a cluster too (the client's one routing digest per op,
+// plus one per replica that submits it) and through bench::Preload (one per
+// key).
 //
 // The replicated cases run the same framed batches through a
 // ReplicatedClient into a three-replica ReplicationGroup, where each write
@@ -28,6 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
+#include "src/cluster/cluster_client.h"
+#include "src/cluster/coordinator.h"
 #include "src/core/kv_direct.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
@@ -157,7 +163,7 @@ uint64_t RunBatches(KvEndpoint& endpoint, Opcode opcode, uint64_t& next,
 // A preloaded server plus a client that has already pushed warm-up traffic
 // through every layer, so pools, rings and scratch buffers are at size.
 class AllocBudgetTest : public ::testing::Test {
- protected:
+ public:
   static ServerConfig Config() {
     ServerConfig config;
     config.kvs_memory_bytes = 16 * kMiB;
@@ -166,6 +172,7 @@ class AllocBudgetTest : public ::testing::Test {
     return config;
   }
 
+ protected:
   AllocBudgetTest() : server_(Config()), client_(server_) {
     for (uint64_t id = 0; id < kKeys; id++) {
       KVD_CHECK(server_.Load(KeyFor(id), ValueFor(id, 0)).ok());
@@ -223,7 +230,7 @@ TEST_F(AllocBudgetTest, FramedPutsStayWithinBudget) {
 // single-server fixture: every replica's pipeline, the log and the
 // replication links have carried traffic before anything is counted.
 class ReplicatedAllocBudgetTest : public ::testing::Test {
- protected:
+ public:
   static ReplicationConfig Config() {
     ReplicationConfig config;
     config.num_replicas = 3;
@@ -233,6 +240,7 @@ class ReplicatedAllocBudgetTest : public ::testing::Test {
     return config;
   }
 
+ protected:
   ReplicatedAllocBudgetTest() : group_(Config()), client_(group_) {
     for (uint64_t id = 0; id < kReplicatedKeys; id++) {
       KVD_CHECK(
@@ -261,6 +269,61 @@ TEST_F(ReplicatedAllocBudgetTest, FramedGetsStayWithinBudget) {
   RecordProperty("allocations_per_replicated_get", std::to_string(per_op));
   std::printf("allocations per replicated framed GET: %.2f\n", per_op);
   EXPECT_LE(per_op, kMaxAllocationsPerReplicatedGet);
+}
+
+// Key hashes per framed op through a ClusterClient into two RF3 groups. The
+// client takes one routing digest per op, for its partition and its read
+// watermark both; on the server side each replica that submits the op
+// hashes it once: the primary for a GET, the primary and both backups'
+// applies for a PUT. The clock runs a millisecond before and after each
+// count, so every committed write has reached both backups' applies.
+TEST(ClusterHashCountTest, ClusterOpsHashTheirKeyOncePerReplica) {
+#ifndef KVD_WRAP_HASH_BYTES
+  GTEST_SKIP() << "this toolchain cannot wrap kvd::HashBytes to count calls";
+#endif
+  ClusterConfig config;
+  config.num_groups = 2;
+  config.num_partitions = 8;
+  config.group = ReplicatedAllocBudgetTest::Config();
+  ClusterCoordinator cluster(config);
+  for (uint64_t id = 0; id < kReplicatedKeys; id++) {
+    ASSERT_TRUE(cluster.Load(KeyFor(id), ValueFor(id, 0, kReplicatedValueBytes)).ok());
+  }
+  ClusterClient client(cluster);
+  uint64_t next = 0;
+  RunBatches(client, Opcode::kGet, next, 4 * kBatch, kReplicatedKeys,
+             kReplicatedValueBytes);
+  RunBatches(client, Opcode::kPut, next, 4 * kBatch, kReplicatedKeys,
+             kReplicatedValueBytes);
+  Simulator& sim = cluster.simulator();
+  constexpr uint64_t kOps = 2000;
+  for (const auto& [opcode, replicas] :
+       {std::pair{Opcode::kGet, 1u}, std::pair{Opcode::kPut, 3u}}) {
+    sim.RunUntil(sim.Now() + kMillisecond);
+    const uint64_t before = g_key_hashes;
+    RunBatches(client, opcode, next, kOps, kReplicatedKeys, kReplicatedValueBytes);
+    sim.RunUntil(sim.Now() + kMillisecond);
+    const uint64_t hashes = g_key_hashes - before;
+    std::printf("key hashes per cluster %s: %.2f\n", OpcodeName(opcode),
+                static_cast<double>(hashes) / kOps);
+    EXPECT_EQ(hashes, kOps * (1 + replicas)) << OpcodeName(opcode);
+  }
+}
+
+// bench::Preload prefetches each key's bucket with the key's hash and
+// stores the key with that same hash.
+TEST(PreloadHashCountTest, PreloadHashesEachKeyOnce) {
+#ifndef KVD_WRAP_HASH_BYTES
+  GTEST_SKIP() << "this toolchain cannot wrap kvd::HashBytes to count calls";
+#endif
+  KvDirectServer server(AllocBudgetTest::Config());
+  WorkloadConfig workload_config;
+  workload_config.num_keys = 20000;
+  const YcsbWorkload workload(workload_config);
+  const uint64_t before = g_key_hashes;
+  ASSERT_EQ(bench::Preload(server, workload, workload_config.num_keys),
+            workload_config.num_keys);
+  EXPECT_EQ(g_key_hashes - before, workload_config.num_keys);
 }
 
 TEST_F(ReplicatedAllocBudgetTest, FramedPutsStayWithinBudget) {

@@ -463,12 +463,13 @@ TEST(ReplicationGroupTest, ReplicaAnswersRetransmissionsFromItsOwnNode) {
   EXPECT_EQ(responses.size(), 2u);
 }
 
-// A packet's batch record lives from admission until its answer, a write's
-// through a snapshot drain and its quorum wait too, and no longer once the
-// replica that admitted it cannot answer: a crashed replica (reads or
-// writes in flight, a write waiting for quorum or parked by a drain) and a
-// primary that lost its reign (here: crashed and restarted as a backup with
-// writes in flight) release the record and send nothing.
+// A packet's record in its node's packet pool lives from admission until its
+// answer, a write's through a snapshot drain and its quorum wait too, and
+// no longer once the replica that admitted it cannot answer: a crashed
+// replica (reads or writes in flight, a write waiting for quorum or parked
+// by a drain) and a primary that lost its reign (here: crashed and
+// restarted as a backup with writes in flight) release the record and send
+// nothing.
 TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
   enum class Fate { kCrash, kDepose };
   // Where the packet is when its replica goes: still executing, executed
@@ -543,16 +544,20 @@ TEST(ReplicationGroupTest, CrashedOrDeposedReplicaReleasesBatchRecords) {
     if (c.stage == Stage::kParked) {
       ASSERT_EQ(group.stats().snapshot_deferred_writes, 1u);
     }
-    EXPECT_EQ(group.read_batches_live(), c.writes ? 0u : 1u);
-    EXPECT_EQ(group.write_batches_live(), c.writes ? 1u : 0u);
+    // Read or write, the packet is one record in its node's packet pool.
+    for (uint32_t id = 0; id < group.num_replicas(); id++) {
+      EXPECT_EQ(group.replica(id).packets_live(), id == c.replica ? 1u : 0u)
+          << "replica " << id;
+    }
     group.CrashReplica(c.replica);
     if (c.fate == Fate::kDepose) {
       group.RestartReplica(c.replica);
       ASSERT_FALSE(group.is_primary(c.replica));
     }
     RunFor(sim, kMillisecond);
-    EXPECT_EQ(group.read_batches_live(), 0u);
-    EXPECT_EQ(group.write_batches_live(), 0u);
+    for (uint32_t id = 0; id < group.num_replicas(); id++) {
+      EXPECT_EQ(group.replica(id).packets_live(), 0u) << "replica " << id;
+    }
     EXPECT_EQ(responses, 0);
   }
 }
@@ -1039,6 +1044,98 @@ TEST(ReplicationGroupTest, SessionDedupAnswersRetransmitAcrossFailover) {
   uint64_t v = 0;
   std::memcpy(&v, counter.value.data(), 8);
   EXPECT_EQ(v, 107u);
+}
+
+// A write packet retransmitted after a failover, of whose write slots the
+// replicated sessions hold some, is one record in the new primary's packet
+// step: the stored slots are answered from the sessions and not executed
+// again, the others execute once, and the answer waits for the log end to
+// commit.
+TEST(ReplicationGroupTest, PartialSessionAnswerThroughTheNodesPacketStep) {
+  ReplicationGroup group(SmallGroupConfig());
+  Simulator& sim = group.simulator();
+  for (uint64_t id = 20; id < 24; id++) {
+    ASSERT_TRUE(group.Load(Key(id), U64Value(100)).ok());
+  }
+  // Fetch-and-adds on keys 20..23 at slots 0..3. Slots 1 and 3 executed
+  // under the first primary: every replica holds their session records.
+  const uint64_t sequence = group.AcquireClientSequenceBase() + 1;
+  for (const uint16_t slot : {1, 3}) {
+    KvResultMessage result;
+    result.scalar = 1000 + slot;
+    group.InstallSessionRecord(sequence, slot, result);
+  }
+  PacketBuilder builder;
+  for (uint64_t slot = 0; slot < 4; slot++) {
+    KvOperation update;
+    update.opcode = Opcode::kUpdateScalar;
+    update.key = Key(20 + slot);
+    update.param = 7;
+    ASSERT_TRUE(builder.Add(update));
+  }
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  const std::vector<uint8_t> frame =
+      FramePacket(sequence, EncodeGroupRequest(request));
+
+  group.CrashReplica(0);
+  RunFor(sim, 5 * kMillisecond);
+  const uint32_t primary = group.primary_id();
+  ASSERT_NE(primary, 0u);
+  const uint32_t backup = 3 - primary;  // the other live replica
+  // Hold the commit back: the backup hears nothing for less than its
+  // failure timeout.
+  group.replication_network(backup).SetPartitioned(/*to_server=*/true, true);
+  const uint64_t log_before = group.log_end(primary);
+  const uint64_t hits_before = group.stats().session_dedup_hits;
+  std::vector<uint8_t> response;
+  auto deliver = [&] {
+    group.DeliverClientFrame(primary, frame, [&](std::vector<uint8_t> bytes) {
+      response = std::move(bytes);
+    });
+  };
+  deliver();
+  RunFor(sim, 300 * kMicrosecond);
+  // Slots 0 and 2 executed and were logged, slots 1 and 3 were answered
+  // from the sessions, and the answer waits for the log end to commit.
+  EXPECT_EQ(group.log_end(primary), log_before + 2);
+  EXPECT_EQ(group.stats().session_dedup_hits, hits_before + 2);
+  EXPECT_LT(group.commit_index(), group.log_end(primary));
+  EXPECT_TRUE(response.empty());
+  EXPECT_EQ(group.replica(primary).packets_live(), 1u);
+
+  group.replication_network(backup).SetPartitioned(/*to_server=*/true, false);
+  while (response.empty()) {
+    ASSERT_TRUE(sim.Step());
+  }
+  const std::vector<uint8_t> answer = response;
+  auto decoded = DecodeGroupResponse(ParseFrame(answer).value().payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().assigned_index, log_before + 2);
+  EXPECT_GE(group.commit_index(), decoded.value().assigned_index);
+  auto results = DecodeResults(decoded.value().results_payload);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results.value().size(), 4u);
+  for (uint16_t slot = 0; slot < 4; slot++) {
+    // Executed slots return the value they found; stored ones their record.
+    EXPECT_EQ(results.value()[slot].scalar, slot % 2 == 0 ? 100u : 1000u + slot)
+        << "slot " << slot;
+  }
+  EXPECT_EQ(group.replica(primary).packets_live(), 0u);
+
+  // Retransmitted once more, the packet is answered from the node's replay
+  // cache. The counters moved exactly once, on both live replicas.
+  response.clear();
+  deliver();
+  EXPECT_EQ(response, answer);
+  RunFor(sim, 2 * kMillisecond);
+  EXPECT_EQ(group.stats().session_dedup_hits, hits_before + 2);
+  for (const uint32_t id : {primary, backup}) {
+    for (uint64_t slot = 0; slot < 4; slot++) {
+      EXPECT_EQ(ReadU64(group, id, 20 + slot), slot % 2 == 0 ? 107u : 100u)
+          << "replica " << id << ", slot " << slot;
+    }
+  }
 }
 
 TEST(ReplicationGroupTest, SessionRecordsStayInSlotOrderThroughStateTransfer) {

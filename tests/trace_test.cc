@@ -388,12 +388,12 @@ TEST(ReplicatedTraceTest, ReplicaReadsStampTheResponse) {
     ASSERT_TRUE(client.Get(Key(k)).ok());
   }
   for (uint32_t id = 0; id < group.num_replicas(); id++) {
-    EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_read_batch_records_peak",
+    EXPECT_EQ(group.metrics().GaugeValue("kvd_repl_packet_records_peak",
                                          {{"replica", std::to_string(id)}}),
               1.0)
         << "replica " << id;
+    EXPECT_EQ(group.replica(id).packets_live(), 0u) << "replica " << id;
   }
-  EXPECT_EQ(group.read_batches_live(), 0u);
 
   ASSERT_TRUE(group.flight_recorder().Trigger(FlightTrigger::kManual, "test"));
   ParsedFlightDump dump;
